@@ -4,74 +4,11 @@ Parses transaction annotations out of a SystemVerilog module header, builds a
 request/response transaction model, and renders a ready-to-run verification
 bundle: an SVA property module, a bind file, and proof tool drivers. A bounded
 trace evaluator doubles as the test oracle for every generated property kind.
+The stages live in their own modules (`parser`, `transactions`, `signals`,
+`properties`, `emit`, `tracecheck`, `models`); this package exports the
+one-call pipeline.
 """
-from .diagnostics import (
-    AutoFtError,
-    Diagnostic,
-    GenerationError,
-    ParseError,
-    SourceSpan,
-    SpaceTooLargeError,
-    UnknownSignalError,
-    UnsupportedToolError,
-)
-from .emit import (
-    GeneratedFile,
-    TestbenchBundle,
-    emit_bind_file,
-    emit_property_module,
-    emit_tool_files,
-    generate_bundle,
-    generate_bundle_from_file,
-    link_submodule_fts,
-    write_bundle,
-)
-from .models import (
-    MODEL_REGISTRY,
-    FifoModel,
-    ModelCheckReport,
-    NocBufferModel,
-    PipelineModel,
-    check_bundle_on_model,
-)
-from .options import GenOptions, SubmoduleLink
-from .parser import (
-    Annotation,
-    ExplicitAttrib,
-    FieldName,
-    InterfaceSignal,
-    Parameter,
-    ParsedModule,
-    RelationDecl,
-    classify_field,
-    extract_annotation_regions,
-    parse_module,
-    parse_relation,
-    split_field,
-)
-from .properties import (
-    KINDS,
-    GeneratedProperty,
-    apply_link_transforms,
-    gen_properties,
-    plan_polarity,
-)
-from .signals import AuxSignal, TransactionAux, synth_handshakes, synth_module_aux, synth_tracking
-from .tracecheck import (
-    Trace,
-    Verdict,
-    counter_trace,
-    enumerate_traces,
-    eval_property,
-    inflight_trace,
-    sampled_trace,
-)
-from .transactions import (
-    AttributeBinding,
-    InterfaceSide,
-    Transaction,
-    build_transactions,
-    transaction_kind,
-)
+from .emit import generate_bundle, write_bundle
+from .options import GenOptions
 
 __version__ = "0.1.0"

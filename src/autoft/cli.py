@@ -23,10 +23,14 @@ from pathlib import Path
 from .diagnostics import Diagnostic, GenerationError, ParseError
 from .emit import TestbenchBundle, generate_bundle, link_submodule_fts, write_bundle
 from .models import MODEL_REGISTRY, check_bundle_on_model
-from .options import DEFAULT_MAX_OUTSTANDING, TOOLS, GenOptions, SubmoduleLink
+from .options import DEFAULT_MAX_OUTSTANDING, TOOLS, GenOptions
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
+
+
+class UsageError(Exception):
+    """A bad command line or a missing input; `main` prints it and exits 2."""
 
 
 def _use_color() -> bool:
@@ -44,9 +48,9 @@ def _print_diagnostics(diags: list[Diagnostic]) -> None:
         print(d.render(color), file=sys.stderr)
 
 
-def _print_warnings(bundle: TestbenchBundle) -> None:
-    for w in bundle.warnings:
-        print(w, file=sys.stderr)
+def _require_file(path: Path, what: str) -> None:
+    if not path.is_file():
+        raise UsageError(f"{what} file '{path}' not found")
 
 
 def _parse_max_outstanding(values: list[str] | None) -> tuple[int, dict[str, int]]:
@@ -60,73 +64,53 @@ def _parse_max_outstanding(values: list[str] | None) -> tuple[int, dict[str, int
             else:
                 default = int(item)
         except ValueError:
-            raise ValueError(f"--max-outstanding expects N or TNAME=N, got '{item}'") from None
+            raise UsageError(f"--max-outstanding expects N or TNAME=N, got '{item}'") from None
     return default, overrides
 
 
 def _options_from_args(args: argparse.Namespace) -> GenOptions:
-    default, overrides = _parse_max_outstanding(getattr(args, "max_outstanding", None))
-    return GenOptions(
-        input_path=Path(args.input),
-        outdir=Path(getattr(args, "outdir", "out")),
-        tool=getattr(args, "tool", "symbiyosys"),
-        clk=args.clk,
-        rst=args.rst,
-        rst_active_low=not args.rst_active_high,
-        assert_inputs=getattr(args, "assert_inputs", False),
-        bounded=getattr(args, "bounded", None),
-        max_outstanding=default,
-        max_outstanding_overrides=overrides,
-    )
+    default, overrides = _parse_max_outstanding(args.max_outstanding)
+    try:
+        return GenOptions(
+            tool=getattr(args, "tool", "symbiyosys"),
+            clk=args.clk,
+            rst=args.rst,
+            rst_active_low=not args.rst_active_high,
+            assert_inputs=getattr(args, "assert_inputs", False),
+            bounded=args.bounded,
+            max_outstanding=default,
+            max_outstanding_overrides=overrides,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _generate(path: Path, opts: GenOptions) -> TestbenchBundle:
-    return generate_bundle(path.read_text(encoding="utf-8"), str(path), opts)
+    """Generate one bundle and print its warnings, which never block."""
+    bundle = generate_bundle(path.read_text(encoding="utf-8"), str(path), opts)
+    for w in bundle.warnings:
+        print(w, file=sys.stderr)
+    return bundle
+
+
+def _write(bundle: TestbenchBundle, outdir: Path) -> None:
+    target = write_bundle(bundle, outdir)
+    for f in bundle.files():
+        print(f"wrote {target / f.name}")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    path = Path(args.input)
-    if not path.is_file():
-        print(f"error: input file '{path}' not found", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        opts = _options_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        bundle = _generate(path, opts)
-    except (GenerationError, ParseError) as exc:
-        _print_diagnostics(exc.diagnostics)
-        return VALIDATION_ERROR
-    _print_warnings(bundle)
-    target = write_bundle(bundle, opts.outdir)
-    for f in bundle.files():
-        print(f"wrote {target / f.name}")
+    bundle = _generate(Path(args.input), _options_from_args(args))
+    _write(bundle, Path(args.outdir))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    path = Path(args.input)
-    if not path.is_file():
-        print(f"error: input file '{path}' not found", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        opts = _options_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        bundle = _generate(path, opts)
-    except (GenerationError, ParseError) as exc:
-        _print_diagnostics(exc.diagnostics)
-        return VALIDATION_ERROR
-    _print_warnings(bundle)
+    bundle = _generate(Path(args.input), _options_from_args(args))
     factory = MODEL_REGISTRY.get(bundle.dut)
     if factory is None:
         known = ", ".join(sorted(MODEL_REGISTRY))
-        print(f"error: no reference model for module '{bundle.dut}' (known: {known})", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"no reference model for module '{bundle.dut}' (known: {known})")
     model = factory()
     report = check_bundle_on_model(bundle.transactions, bundle.properties, model)
     print(report.summary())
@@ -146,52 +130,23 @@ def _parse_child_spec(spec: str) -> tuple[Path, bool, bool]:
     flags = {f.strip() for f in flag_text.split(",") if f.strip()}
     unknown = flags - {"am", "as"}
     if unknown:
-        raise argparse.ArgumentTypeError(f"unknown child flags {sorted(unknown)} in '{spec}'")
+        raise UsageError(f"unknown child flags {sorted(unknown)} in '{spec}'")
     return Path(path_text), "am" in flags, "as" in flags
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
-    parent_path = Path(args.input)
-    if not parent_path.is_file():
-        print(f"error: input file '{parent_path}' not found", file=sys.stderr)
-        return USAGE_ERROR
-    children_specs = []
-    for spec in args.child or []:
-        try:
-            children_specs.append(_parse_child_spec(spec))
-        except argparse.ArgumentTypeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-    for child_path, _, _ in children_specs:
-        if not child_path.is_file():
-            print(f"error: child file '{child_path}' not found", file=sys.stderr)
-            return USAGE_ERROR
-    try:
-        opts = _options_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    opts.submodule_links = [
-        SubmoduleLink(path=p, am=am, as_=as_) for p, am, as_ in children_specs
-    ]
-    try:
-        parent = _generate(parent_path, opts)
-        children = []
-        for child_path, am, as_ in children_specs:
-            children.append((_generate(child_path, opts), am, as_))
-        linked = link_submodule_fts(parent, children)
-    except (GenerationError, ParseError) as exc:
-        _print_diagnostics(exc.diagnostics)
-        return VALIDATION_ERROR
-    _print_warnings(linked)
-    target = write_bundle(linked, opts.outdir)
-    for f in linked.files():
-        print(f"wrote {target / f.name}")
+    specs = [_parse_child_spec(spec) for spec in args.child or []]
+    for child_path, _, _ in specs:
+        _require_file(child_path, "child")
+    opts = _options_from_args(args)
+    parent = _generate(Path(args.input), opts)
+    children = [(_generate(path, opts), am, as_) for path, am, as_ in specs]
+    linked = link_submodule_fts(parent, children)
+    outdir = Path(args.outdir)
+    _write(linked, outdir)
     for child, am, _ in children:
         if am:
-            child_dir = write_bundle(child, opts.outdir)
-            for f in child.files():
-                print(f"wrote {child_dir / f.name}")
+            _write(child, outdir)
     return 0
 
 
@@ -251,7 +206,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        _require_file(Path(args.input), "input")
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (GenerationError, ParseError) as exc:
+        _print_diagnostics(exc.diagnostics)
+        return VALIDATION_ERROR
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ paths, so regenerating a bundle always reproduces it byte for byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, error, errors_in
@@ -341,26 +341,17 @@ def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle
     return bundle
 
 
-def generate_bundle_from_file(path: Path, opts: GenOptions) -> TestbenchBundle:
-    return generate_bundle(path.read_text(encoding="utf-8"), str(path), opts)
-
-
 def link_submodule_fts(
-    parent: TestbenchBundle,
-    children: list[tuple[TestbenchBundle, bool, bool]],
-    flags: dict | None = None,
+    parent: TestbenchBundle, children: list[tuple[TestbenchBundle, bool, bool]]
 ) -> TestbenchBundle:
     """Fold child testbenches into a parent bundle.
 
-    `children` pairs each child bundle with its (am, as) flags; `flags` may
-    instead give uniform {"AM": bool, "AS": bool} for every child. With am the
+    `children` pairs each child bundle with its (am, as) flags. With am the
     parent property module gains a bind of the child's property module (with
-    ASSERT_INPUTS=1 when as is also set) and the tool files list the child's
-    files; without am the child leaves no trace in the parent.
+    ASSERT_INPUTS=1 when as is also set), the tool files list the child's
+    files, and the child's properties join the parent's under the child's
+    name; without am the child leaves no trace in the parent.
     """
-    if flags is not None:
-        children = [(b, bool(flags.get("AM")), bool(flags.get("AS"))) for b, _, _ in children]
-
     tnames: dict[str, str] = {t.tname: parent.dut for t in parent.transactions}
     diags: list[Diagnostic] = []
     for child, am, _ in children:
@@ -388,8 +379,7 @@ def link_submodule_fts(
         override = " #(.ASSERT_INPUTS(1))" if as_ else ""
         bind_lines.append(f"bind {child.dut} {child.dut}_prop{override} {child.dut}_prop_i (.*);")
         extra_sources += [f"{child.dut}.sv", f"{child.dut}_prop.sv"]
-        child_props = apply_link_transforms(child.properties, mode="as" if as_ else "am")
-        linked_props += scope_names(child_props, child.dut)
+        linked_props += scope_names(apply_link_transforms(child.properties, assert_inputs=as_), child.dut)
 
     if not bind_lines:
         return parent
@@ -401,18 +391,12 @@ def link_submodule_fts(
     pm = parent.source_module
     if pm is None:
         raise ValueError("parent bundle has no parsed module attached")
-    return TestbenchBundle(
-        dut=parent.dut,
+    return replace(
+        parent,
         property_module=GeneratedFile(parent.property_module.name, text),
-        bind_file=parent.bind_file,
         tool_files=emit_tool_files(pm, parent.opts.tool, parent.opts, tuple(extra_sources)),
         warnings=list(parent.warnings),
-        transactions=parent.transactions,
         properties=linked_props,
-        aux=parent.aux,
-        parameters=parent.parameters,
-        opts=parent.opts,
-        source_module=pm,
     )
 
 

@@ -281,7 +281,8 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     """Evaluate every property over every model trace and symbolic id value.
 
     Eventualities are evaluated with the model's liveness window so that
-    obligations of the correct design close inside the trace.
+    obligations of the correct design close inside the trace. `txns` is not
+    read: every property already names the signals it needs in `terms`.
     """
     window = getattr(model, "liveness_window", None)
     symb_domains = model.symb_columns() if hasattr(model, "symb_columns") else {}

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 TOOL_JASPERGOLD = "jaspergold"
 TOOL_SYMBIYOSYS = "symbiyosys"
@@ -13,33 +12,23 @@ DEFAULT_MAX_OUTSTANDING = 8
 
 
 @dataclass
-class SubmoduleLink:
-    """A child testbench to fold into a parent bundle."""
-
-    path: Path
-    am: bool = False  # include the child's own property module via bind
-    as_: bool = False  # flip the child's assumptions into assertions
-
-
-@dataclass
 class GenOptions:
     """Knobs for one generation run.
 
-    clk and rst name the DUT clock and reset ports; rst_active_low selects the
-    polarity of the reset expression used in `disable iff` and register resets.
+    tool selects the proof tool driver files to emit. clk and rst name the DUT
+    clock and reset ports; rst_active_low selects the polarity of the reset
+    expression used in `disable iff` and register resets. assert_inputs emits
+    every assumption as an assertion and sets the ASSERT_INPUTS parameter.
     bounded, when set, replaces unbounded eventualities with a finite window of
     that many cycles. max_outstanding sizes the per-transaction outstanding
     counters (overridable per transaction name).
     """
 
-    input_path: Path | None = None
-    outdir: Path = Path("out")
     tool: str = TOOL_SYMBIYOSYS
     clk: str = "clk"
     rst: str = "rst_n"
     rst_active_low: bool = True
     assert_inputs: bool = False
-    submodule_links: list[SubmoduleLink] = field(default_factory=list)
     bounded: int | None = None
     max_outstanding: int = DEFAULT_MAX_OUTSTANDING
     max_outstanding_overrides: dict[str, int] = field(default_factory=dict)

@@ -112,7 +112,6 @@ class ParsedModule:
     annotations: list[Annotation]
     imports: list[str] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    source_path: str = "<string>"
 
     def relations(self) -> list[RelationDecl]:
         return [a.payload for a in self.annotations if a.kind == "relation"]
@@ -602,5 +601,4 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
         annotations=annotations,
         imports=imports,
         diagnostics=diags,
-        source_path=path,
     )

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, warning
 from .options import GenOptions
-from .signals import AuxSignal, TransactionAux, is_flag_expr
+from .signals import TransactionAux, is_flag_expr
 from .transactions import SOURCE_EXPLICIT_ASSIGN, Transaction, transaction_kind
 
 KINDS = (
@@ -120,7 +120,7 @@ def _stable_mode(t: Transaction, side_role: str) -> str | None:
     return "signal"
 
 
-def gen_properties(t: Transaction, aux: TransactionAux | list[AuxSignal], opts: GenOptions,
+def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
                    diags: list[Diagnostic] | None = None) -> list[GeneratedProperty]:
     """Emit the full property set for one transaction.
 
@@ -128,13 +128,7 @@ def gen_properties(t: Transaction, aux: TransactionAux | list[AuxSignal], opts: 
     `<tname>_<kind>[_<side>]`, and the text depends only on the transaction,
     its aux signals, and the options.
     """
-    if isinstance(aux, TransactionAux):
-        roles = aux.roles
-    else:  # rebuild the role map from a bare aux list (spec-shaped call)
-        roles = {}
-        for s in aux:
-            if s.role:
-                roles[s.role] = s.name
+    roles = aux.roles
     if diags is None:
         diags = []
 
@@ -289,21 +283,19 @@ def gen_properties(t: Transaction, aux: TransactionAux | list[AuxSignal], opts: 
 
 
 def apply_link_transforms(
-    props: list[GeneratedProperty], mode: str = "standalone", assert_inputs: bool = False
+    props: list[GeneratedProperty], assert_inputs: bool = False
 ) -> list[GeneratedProperty]:
-    """Polarity transforms for reusing a testbench under a parent.
+    """Copy props, turning every assumption into an assertion if assert_inputs.
 
-    mode "standalone" keeps everything; "as" (and assert_inputs=True) turns
-    every assumption into an assertion with the body untouched; "am" keeps the
-    original polarity but scopes the names under the owning transaction's
-    module so they can be folded into a parent testbench.
+    Names, bodies and all other directives are kept. This is the polarity a
+    testbench takes when its inputs are checked rather than assumed: generated
+    with ASSERT_INPUTS=1, or linked under a parent with the `as` flag. Names
+    are scoped under a parent by `scope_names`, not here.
     """
-    if mode not in ("standalone", "am", "as"):
-        raise ValueError(f"unknown link mode '{mode}'")
     out = []
     for p in props:
         q = replace(p, terms=dict(p.terms))
-        if (mode == "as" or assert_inputs) and q.directive == ASSUME:
+        if assert_inputs and q.directive == ASSUME:
             q.directive = ASSERT
         out.append(q)
     return out

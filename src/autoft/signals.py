@@ -46,10 +46,6 @@ class AuxSignal:
     name: str
     kind: str
     width_expr: str = ""  # verbatim range, "" for 1-bit
-    init_expr: str = ""  # reset value for registers, assigned expression for wires
-    update_expr: str = ""  # short description of the register update rule
-    transaction: str = ""
-    role: str = ""  # p_hsk, q_hsk, counter, symb, inflight, sampled, or a binding field
     refs: dict = field(default_factory=dict)  # role -> referenced signal name
 
 
@@ -87,33 +83,25 @@ def _cnt_param_names(tname: str) -> tuple[str, str]:
     return f"{upper}_MAX_OUTSTANDING", f"{upper}_CNT_WIDTH"
 
 
-def _binding_name(side, suffix: str, namer: _Namer, shared: dict, signals: list[AuxSignal], tname: str) -> str | None:
+def _binding_name(binding, namer: _Namer, shared: dict, signals: list[AuxSignal]) -> str:
     """Referable name for a bound attribute, creating a wire for assigns."""
-    binding = side.get(suffix)
-    if binding is None:
-        return None
     if binding.source != SOURCE_EXPLICIT_ASSIGN:
         return binding.signal_name
     key = (binding.signal_name, binding.expr)
-    if key in shared:
-        return shared[key]
-    name = namer.alloc(binding.signal_name)
-    shared[key] = name
-    signals.append(
-        AuxSignal(
-            name=name,
-            kind=KIND_ATTRIB_WIRE,
-            width_expr=binding.width_expr,
-            init_expr=binding.expr,
-            transaction=tname,
-            role=f"{side.name}_{suffix}",
-            refs={"expr": binding.expr},
+    if key not in shared:
+        shared[key] = namer.alloc(binding.signal_name)
+        signals.append(
+            AuxSignal(
+                name=shared[key],
+                kind=KIND_ATTRIB_WIRE,
+                width_expr=binding.width_expr,
+                refs={"expr": binding.expr},
+            )
         )
-    )
-    return name
+    return shared[key]
 
 
-def _hsk_wire(side_role: str, side, namer: _Namer, shared: dict, roles: dict, signals: list[AuxSignal], tname: str) -> str:
+def _hsk_wire(side_role: str, side, namer: _Namer, shared: dict, roles: dict, signals: list[AuxSignal]) -> str:
     val = roles[f"{side_role}_val"]
     ack = roles.get(f"{side_role}_ack")
     expr = f"{val} && {ack}" if ack else val
@@ -126,26 +114,15 @@ def _hsk_wire(side_role: str, side, namer: _Namer, shared: dict, roles: dict, si
         AuxSignal(
             name=name,
             kind=KIND_HANDSHAKE,
-            init_expr=expr,
-            transaction=tname,
-            role=f"{side_role}_hsk",
             refs={"val": val, **({"ack": ack} if ack else {})},
         )
     )
     return name
 
 
-def _id_width(t: Transaction) -> str:
-    pb, qb = t.p.get("transid"), t.q.get("transid")
-    for b in (pb, qb):
-        if b is not None and b.width_known and b.width_expr:
-            return b.width_expr
-    return ""
-
-
-def _data_width(t: Transaction) -> str:
-    pb, qb = t.p.get("data"), t.q.get("data")
-    for b in (pb, qb):
+def _attr_width(t: Transaction, suffix: str) -> str:
+    """Known range of an attribute bound on either side, "" when unknown."""
+    for b in (t.p.get(suffix), t.q.get(suffix)):
         if b is not None and b.width_known and b.width_expr:
             return b.width_expr
     return ""
@@ -155,7 +132,6 @@ def synth_transaction_aux(
     t: Transaction,
     namer: _Namer,
     shared_wires: dict,
-    opts: GenOptions,
     diags: list[Diagnostic],
 ) -> TransactionAux:
     """Build all aux signals and the role name map for one transaction."""
@@ -169,32 +145,12 @@ def synth_transaction_aux(
                 continue
             if suffix == "stable" and binding.source == SOURCE_EXPLICIT_ASSIGN and is_flag_expr(binding.expr):
                 continue  # presence flag, the payload itself is checked
-            name = _binding_name(side, suffix, namer, shared_wires, signals, t.tname)
-            if name is not None:
-                roles[f"{side_role}_{suffix}"] = name
+            roles[f"{side_role}_{suffix}"] = _binding_name(binding, namer, shared_wires, signals)
     if t.active is not None:
-        if t.active.source == SOURCE_EXPLICIT_ASSIGN:
-            key = (t.active.signal_name, t.active.expr)
-            if key not in shared_wires:
-                name = namer.alloc(t.active.signal_name)
-                shared_wires[key] = name
-                signals.append(
-                    AuxSignal(
-                        name=name,
-                        kind=KIND_ATTRIB_WIRE,
-                        width_expr=t.active.width_expr,
-                        init_expr=t.active.expr,
-                        transaction=t.tname,
-                        role="active",
-                        refs={"expr": t.active.expr},
-                    )
-                )
-            roles["active"] = shared_wires[key]
-        else:
-            roles["active"] = t.active.signal_name
+        roles["active"] = _binding_name(t.active, namer, shared_wires, signals)
 
-    roles["p_hsk"] = _hsk_wire("p", t.p, namer, shared_wires, roles, signals, t.tname)
-    roles["q_hsk"] = _hsk_wire("q", t.q, namer, shared_wires, roles, signals, t.tname)
+    roles["p_hsk"] = _hsk_wire("p", t.p, namer, shared_wires, roles, signals)
+    roles["q_hsk"] = _hsk_wire("q", t.q, namer, shared_wires, roles, signals)
 
     limit_param, width_param = _cnt_param_names(t.tname)
     counter = namer.alloc(f"{t.tname}_outstanding")
@@ -206,17 +162,13 @@ def synth_transaction_aux(
             name=counter,
             kind=KIND_COUNTER,
             width_expr=f"[{width_param}-1:0]",
-            init_expr="'0",
-            update_expr=f"+1 on {roles['p_hsk']}, -1 on {roles['q_hsk']}",
-            transaction=t.tname,
-            role="counter",
             refs={"inc": roles["p_hsk"], "dec": roles["q_hsk"],
                   "limit_param": limit_param, "width_param": width_param},
         )
     )
 
     if transaction_kind(t) == "tracked":
-        id_width = _id_width(t)
+        id_width = _attr_width(t, "transid")
         if not id_width:
             diags.append(
                 warning(
@@ -227,26 +179,13 @@ def synth_transaction_aux(
             )
         symb = namer.alloc(f"symb_{t.tname}_transid")
         roles["symb"] = symb
-        signals.append(
-            AuxSignal(
-                name=symb,
-                kind=KIND_SYMBOLIC,
-                width_expr=id_width,
-                transaction=t.tname,
-                role="symb",
-                refs={},
-            )
-        )
+        signals.append(AuxSignal(name=symb, kind=KIND_SYMBOLIC, width_expr=id_width))
         inflight = namer.alloc(f"{t.tname}_inflight")
         roles["inflight"] = inflight
         signals.append(
             AuxSignal(
                 name=inflight,
                 kind=KIND_INFLIGHT,
-                init_expr="1'b0",
-                update_expr=f"set on matching {roles['p_hsk']}, cleared on matching {roles['q_hsk']}",
-                transaction=t.tname,
-                role="inflight",
                 refs={
                     "set_hsk": roles["p_hsk"],
                     "set_id": roles["p_transid"],
@@ -263,11 +202,7 @@ def synth_transaction_aux(
                 AuxSignal(
                     name=sampled,
                     kind=KIND_SAMPLED,
-                    width_expr=_data_width(t),
-                    init_expr="'0",
-                    update_expr=f"captures {roles['p_data']} on matching {roles['p_hsk']}",
-                    transaction=t.tname,
-                    role="sampled",
+                    width_expr=_attr_width(t, "data"),
                     refs={
                         "hsk": roles["p_hsk"],
                         "id": roles["p_transid"],
@@ -291,21 +226,10 @@ def synth_module_aux(
         taken.add(_cnt_param_names(t.tname)[1])
     namer = _Namer(taken)
     shared: dict = {}
-    out = [synth_transaction_aux(t, namer, shared, opts, diags) for t in txns]
+    out = [synth_transaction_aux(t, namer, shared, diags) for t in txns]
     for base, final in namer.renamed:
         diags.append(
             warning("name-collision-renamed", f"generated name '{base}' collides, renamed to '{final}'")
         )
     return out, diags
 
-
-def synth_handshakes(t: Transaction) -> list[AuxSignal]:
-    """Handshake wires for one transaction, without module-wide renaming."""
-    aux = synth_transaction_aux(t, _Namer(set()), {}, GenOptions(), [])
-    return [s for s in aux.signals if s.kind == KIND_HANDSHAKE]
-
-
-def synth_tracking(t: Transaction) -> list[AuxSignal]:
-    """Counter and, for tracked transactions, symbolic/in-flight/sample signals."""
-    aux = synth_transaction_aux(t, _Namer(set()), {}, GenOptions(), [])
-    return [s for s in aux.signals if s.kind in (KIND_COUNTER, KIND_SYMBOLIC, KIND_INFLIGHT, KIND_SAMPLED)]

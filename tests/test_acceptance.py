@@ -155,16 +155,15 @@ def test_criterion_3_polarity_transforms():
     checked = 0
     for name in FIXTURE_NAMES:
         bundle = gen_fixture(name)
-        for mode_kwargs in ({"mode": "as"}, {"assert_inputs": True}):
-            flipped = apply_link_transforms(bundle.properties, **mode_kwargs)
-            for before, after in zip(bundle.properties, flipped):
-                assert after.ltl_text == before.ltl_text
-                assert after.name == before.name
-                if before.directive == ASSUME:
-                    checked += 1
-                    assert after.directive == ASSERT
-                else:
-                    assert after.directive == before.directive
+        flipped = apply_link_transforms(bundle.properties, assert_inputs=True)
+        for before, after in zip(bundle.properties, flipped):
+            assert after.ltl_text == before.ltl_text
+            assert after.name == before.name
+            if before.directive == ASSUME:
+                checked += 1
+                assert after.directive == ASSERT
+            else:
+                assert after.directive == before.directive
     assert checked > 0
     record_acceptance(3, "polarity transforms", "PASS", f"{checked} assumptions flipped")
 

@@ -4,7 +4,7 @@ import pytest
 
 from autoft.cli import main
 
-from conftest import fixture_path
+from conftest import GOLDEN, fixture_path
 
 
 def run_cli(args, capsys):
@@ -15,7 +15,7 @@ def run_cli(args, capsys):
 
 def bundle_hashes(directory):
     return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        str(p.relative_to(directory)): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(directory.rglob("*"))
         if p.is_file()
     }
@@ -70,10 +70,26 @@ class TestGen:
         assert f"{bad}:1:" in err
         assert "t: a => b" in err
 
-    def test_missing_input_is_usage_error(self, tmp_path, capsys):
-        code, _, err = run_cli(["gen", tmp_path / "nope.sv"], capsys)
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "{missing}"], "input file '{missing}' not found"),
+            (["link", "{missing}", "--child", "{child}=am"], "input file '{missing}' not found"),
+            (["link", "{parent}", "--child", "{missing}=am"], "child file '{missing}' not found"),
+        ],
+        ids=["gen", "link-parent", "link-child"],
+    )
+    def test_missing_input_is_usage_error(self, argv, message, tmp_path, capsys, monkeypatch):
+        paths = dict(missing=tmp_path / "nope.sv", parent=fixture_path("mmu_stub"),
+                     child=fixture_path("pipeline"))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run_cli([a.format(**paths) for a in argv], capsys)
         assert code == 2
-        assert "not found" in err
+        assert err == f"error: {message.format(**paths)}\n"
+        assert out == ""
+        assert list(work.iterdir()) == []
 
     def test_misspelled_tool_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -87,13 +103,17 @@ class TestGen:
         assert code == 2
         assert "bounded" in err
 
-    def test_bad_max_outstanding_is_usage_error(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["gen", fixture_path("fifo"), "-o", tmp_path / "o", "--max-outstanding", "lots"],
+    @pytest.mark.parametrize("command", ["gen", "check", "link"])
+    def test_bad_max_outstanding_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            [command, fixture_path("fifo"), "--max-outstanding", "lots"],
             capsys,
         )
         assert code == 2
-        assert "max-outstanding" in err
+        assert err == "error: --max-outstanding expects N or TNAME=N, got 'lots'\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_sided_transid_message(self, tmp_path, capsys):
         bad = tmp_path / "one_sided.sv"
@@ -160,6 +180,24 @@ class TestLink:
         parent = (tmp_path / "out" / "mmu_stub" / "mmu_stub_prop.sv").read_text()
         assert "bind pipeline pipeline_prop #(.ASSERT_INPUTS(1))" in parent
         assert (tmp_path / "out" / "pipeline" / "pipeline_prop.sv").exists()
+
+    def test_link_matches_golden_bytes(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["link", fixture_path("mmu_stub"), "--child", f"{fixture_path('pipeline')}=am,as",
+             "-o", tmp_path / "out"],
+            capsys,
+        )
+        assert code == 0
+        assert bundle_hashes(tmp_path / "out") == bundle_hashes(GOLDEN / "link")
+
+    def test_link_prints_child_warnings_once(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["link", fixture_path("mmu_stub"), "--child", f"{fixture_path('fifo')}=am",
+             "-o", tmp_path / "o"],
+            capsys,
+        )
+        assert code == 0
+        assert err.count("warning[data-without-transid]") == 1
 
     def test_link_duplicate_tname_fails(self, tmp_path, capsys):
         clone = tmp_path / "fifo2.sv"

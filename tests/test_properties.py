@@ -1,5 +1,6 @@
 import pytest
 
+from autoft.emit import link_submodule_fts
 from autoft.options import GenOptions
 from autoft.parser import parse_module
 from autoft.properties import (
@@ -229,7 +230,7 @@ class TestLinkTransforms:
 
     def test_standalone_is_identity(self):
         for props in props_for(load_fixture("mmu_stub")):
-            out = apply_link_transforms(props, mode="standalone")
+            out = apply_link_transforms(props)
             assert [(p.name, p.directive, p.ltl_text) for p in out] == [
                 (p.name, p.directive, p.ltl_text) for p in props
             ]
@@ -237,7 +238,7 @@ class TestLinkTransforms:
     def test_as_mode_flips_every_assume(self):
         groups = props_for(load_fixture("mmu_stub"))
         for props in groups:
-            out = apply_link_transforms(props, mode="as")
+            out = apply_link_transforms(props, assert_inputs=True)
             for before, after in zip(props, out):
                 assert after.ltl_text == before.ltl_text
                 assert after.name == before.name
@@ -247,24 +248,29 @@ class TestLinkTransforms:
                     assert after.directive == before.directive
 
     def test_assert_inputs_equivalent_to_as(self):
-        groups = props_for(load_fixture("pipeline"))
-        for props in groups:
-            via_flag = apply_link_transforms(props, assert_inputs=True)
-            via_mode = apply_link_transforms(props, mode="as")
-            assert [(p.name, p.directive) for p in via_flag] == [
-                (p.name, p.directive) for p in via_mode
-            ]
+        # The --assert-inputs option and the link `as` flag flip the same properties.
+        plain = gen_fixture("pipeline")
+        via_option = gen_fixture("pipeline", tool="both", assert_inputs=True)
+        linked = link_submodule_fts(gen_fixture("mmu_stub"), [(plain, True, True)])
+        via_link = [p for p in linked.properties if p.name.startswith("pipeline_")]
+        via_transform = apply_link_transforms(plain.properties, assert_inputs=True)
+        assert [(p.name, p.directive) for p in via_transform] == [
+            (p.name, p.directive) for p in via_option.properties
+        ]
+        assert [(f"pipeline_{p.name}", p.directive) for p in via_transform] == [
+            (p.name, p.directive) for p in via_link
+        ]
 
     def test_cover_never_transformed(self):
         (props,) = props_for(load_fixture("fifo"))
-        out = apply_link_transforms(props, mode="as")
+        out = apply_link_transforms(props, assert_inputs=True)
         covers = [p for p in out if p.kind == "ack_eventually"]
         assert covers[0].directive == COVER
 
     def test_every_fixture_assume_has_assert_twin(self):
         for name in FIXTURE_NAMES:
             bundle = gen_fixture(name)
-            flipped = apply_link_transforms(bundle.properties, mode="as")
+            flipped = apply_link_transforms(bundle.properties, assert_inputs=True)
             for before, after in zip(bundle.properties, flipped):
                 if before.directive == ASSUME:
                     assert (after.directive, after.ltl_text) == (ASSERT, before.ltl_text)

@@ -6,9 +6,7 @@ from autoft.signals import (
     KIND_INFLIGHT,
     KIND_SAMPLED,
     KIND_SYMBOLIC,
-    synth_handshakes,
     synth_module_aux,
-    synth_tracking,
 )
 from autoft.tracecheck import counter_trace, inflight_trace, sampled_trace
 from autoft.transactions import build_transactions
@@ -25,54 +23,64 @@ def transactions_of(source: str):
     return pm, txns
 
 
+def aux_of(source: str, kinds: tuple[str, ...]):
+    """Aux signals of the given kinds for the first transaction, in order."""
+    pm, txns = transactions_of(source)
+    aux, _ = synth_module_aux(txns, pm, GenOptions())
+    return [s for s in aux[0].signals if s.kind in kinds]
+
+
+def handshakes_of(source: str):
+    return aux_of(source, (KIND_HANDSHAKE,))
+
+
+def tracking_of(source: str):
+    return aux_of(source, (KIND_COUNTER, KIND_SYMBOLIC, KIND_INFLIGHT, KIND_SAMPLED))
+
+
 def module(ports: str, annotations: str) -> str:
     return f"{annotations}\nmodule m (\n{ports}\n);\nendmodule\n"
 
 
 class TestHandshakes:
     def test_val_and_ack_conjunction(self):
-        _, txns = transactions_of(load_fixture("fifo"))
-        hsk = synth_handshakes(txns[0])
+        hsk = handshakes_of(load_fixture("fifo"))
         assert [(s.name, s.refs) for s in hsk] == [
             ("in_hsk", {"val": "in_val", "ack": "in_ack"}),
             ("out_hsk", {"val": "out_val", "ack": "out_ack"}),
         ]
 
     def test_val_only_side(self):
-        _, txns = transactions_of(
+        hsk = handshakes_of(
             module("input wire p_val,\noutput wire q_val", "// AUTOSVA t: p -in> q")
         )
-        hsk = synth_handshakes(txns[0])
         assert hsk[0].refs == {"val": "p_val"}
         assert hsk[1].refs == {"val": "q_val"}
 
     def test_expression_ack_used_via_wire(self):
-        _, txns = transactions_of(
+        hsk = handshakes_of(
             module(
                 "input wire p_val,\noutput wire busy,\noutput wire q_val",
                 "// AUTOSVA t: p -in> q\n// AUTOSVA p_ack = !busy",
             )
         )
-        hsk = synth_handshakes(txns[0])
         # The expression becomes a named wire and the handshake uses that name.
         assert hsk[0].refs == {"val": "p_val", "ack": "p_ack"}
 
 
 class TestTracking:
     def test_untracked_gets_counter_only(self):
-        _, txns = transactions_of(load_fixture("fifo"))
-        aux = synth_tracking(txns[0])
+        aux = tracking_of(load_fixture("fifo"))
         assert [s.kind for s in aux] == [KIND_COUNTER]
         assert aux[0].name == "fifo_outstanding"
 
     def test_tracked_gets_symbolic_inflight_and_sample(self):
-        _, txns = transactions_of(load_fixture("noc_buffer"))
-        aux = synth_tracking(txns[0])
+        aux = tracking_of(load_fixture("noc_buffer"))
         assert [s.kind for s in aux] == [KIND_COUNTER, KIND_SYMBOLIC, KIND_INFLIGHT, KIND_SAMPLED]
         symb = aux[1]
         assert symb.name == "symb_buf_transid"
         assert symb.width_expr == "[1:0]"
-        assert symb.update_expr == ""  # free variable, no update rule
+        assert symb.refs == {}  # free variable, no update rule
 
     def test_counter_update_rule(self):
         # Requests at cycles 0 and 1, response at cycle 3. In the registered
@@ -140,8 +148,8 @@ class TestNaming:
             )
         )
         aux, diags = synth_module_aux(txns, pm, GenOptions())
-        names = {s.role: s.name for s in aux[0].signals if s.kind == KIND_HANDSHAKE}
-        assert names["p_hsk"] == "p_hsk_1"
+        assert aux[0].roles["p_hsk"] == "p_hsk_1"
+        assert "p_hsk_1" in [s.name for s in aux[0].signals if s.kind == KIND_HANDSHAKE]
         assert "name-collision-renamed" in [d.code for d in diags]
         port_names = pm.port_names()
         for s in aux[0].signals:
