@@ -13,17 +13,8 @@ from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, erro
 from .options import TOOL_BOTH, TOOL_JASPERGOLD, TOOL_SYMBIYOSYS, GenOptions
 from .parser import ParsedModule, parse_module
 from .properties import ASSUME, GeneratedProperty, apply_link_transforms, gen_properties, scope_names
-from .signals import (
-    KIND_ATTRIB_WIRE,
-    KIND_COUNTER,
-    KIND_HANDSHAKE,
-    KIND_INFLIGHT,
-    KIND_SAMPLED,
-    KIND_SYMBOLIC,
-    AuxSignal,
-    TransactionAux,
-    synth_module_aux,
-)
+from .signals import TransactionAux, synth_module_aux
+from .sva import width_prefix
 from .transactions import Transaction, build_transactions
 
 _BANNER = "Machine generated; do not edit."
@@ -55,10 +46,6 @@ class TestbenchBundle:
         return [self.property_module, self.bind_file, *self.tool_files]
 
 
-def _render_width(width_expr: str) -> str:
-    return f"{width_expr} " if width_expr else ""
-
-
 def _port_lines(pm: ParsedModule) -> list[str]:
     """The DUT ports mirrored as inputs, plus explicitly declared attributes."""
     lines = []
@@ -66,83 +53,14 @@ def _port_lines(pm: ParsedModule) -> list[str]:
         if sig.opaque_type:
             lines.append(f"input {sig.opaque_type} {sig.name}")
         else:
-            lines.append(f"input wire {_render_width(sig.width_expr)}{sig.name}")
+            lines.append(f"input wire {width_prefix(sig.width_expr)}{sig.name}")
     for ann in pm.explicit_attribs():
         attr = ann.payload
         if attr.decl == "input_decl":
-            lines.append(f"input wire {_render_width(attr.width_expr)}{attr.field_name}")
+            lines.append(f"input wire {width_prefix(attr.width_expr)}{attr.field_name}")
         elif attr.decl == "output_decl":
-            lines.append(f"output wire {_render_width(attr.width_expr)}{attr.field_name}")
+            lines.append(f"output wire {width_prefix(attr.width_expr)}{attr.field_name}")
     return lines
-
-
-def _always_reset(opts: GenOptions, reset_body: str, update_body: list[str]) -> list[str]:
-    cond = opts.rst_expr
-    lines = [f"always @(posedge {opts.clk}) begin", f"    if ({cond})", f"        {reset_body}"]
-    lines += update_body
-    lines.append("end")
-    return lines
-
-
-def _render_aux(aux: AuxSignal, opts: GenOptions) -> list[str]:
-    w = _render_width(aux.width_expr)
-    if aux.kind == KIND_ATTRIB_WIRE:
-        return [f"wire {w}{aux.name} = {aux.refs['expr']};"]
-    if aux.kind == KIND_HANDSHAKE:
-        expr = aux.refs["val"]
-        if "ack" in aux.refs:
-            expr = f"{aux.refs['val']} && {aux.refs['ack']}"
-        return [f"wire {aux.name} = {expr};"]
-    if aux.kind == KIND_COUNTER:
-        width_param = aux.refs["width_param"]
-        limit_param = aux.refs["limit_param"]
-        inc, dec = aux.refs["inc"], aux.refs["dec"]
-        return [
-            f"localparam {width_param} = $clog2({limit_param} + 1);",
-            f"logic [{width_param}-1:0] {aux.name};",
-            *_always_reset(
-                opts,
-                f"{aux.name} <= '0;",
-                [
-                    f"    else if ({inc} && !{dec})",
-                    f"        {aux.name} <= {aux.name} + 1'b1;",
-                    f"    else if ({dec} && !{inc})",
-                    f"        {aux.name} <= {aux.name} - 1'b1;",
-                ],
-            ),
-        ]
-    if aux.kind == KIND_SYMBOLIC:
-        return [
-            f"(* anyconst *) logic {w}{aux.name};",
-            f"{aux.name}_stable: assume property (@(posedge {opts.clk}) $stable({aux.name}));",
-        ]
-    if aux.kind == KIND_INFLIGHT:
-        set_c = f"{aux.refs['set_hsk']} && ({aux.refs['set_id']} == {aux.refs['symb']})"
-        clr_c = f"{aux.refs['clr_hsk']} && ({aux.refs['clr_id']} == {aux.refs['symb']})"
-        return [
-            f"logic {aux.name};",
-            *_always_reset(
-                opts,
-                f"{aux.name} <= 1'b0;",
-                [
-                    f"    else if ({set_c})",
-                    f"        {aux.name} <= 1'b1;",
-                    f"    else if ({clr_c})",
-                    f"        {aux.name} <= 1'b0;",
-                ],
-            ),
-        ]
-    if aux.kind == KIND_SAMPLED:
-        cap = f"{aux.refs['hsk']} && ({aux.refs['id']} == {aux.refs['symb']})"
-        return [
-            f"logic {w}{aux.name};",
-            *_always_reset(
-                opts,
-                f"{aux.name} <= '0;",
-                [f"    else if ({cap})", f"        {aux.name} <= {aux.refs['data']};"],
-            ),
-        ]
-    raise ValueError(f"unknown aux kind '{aux.kind}'")
 
 
 def _render_property(p: GeneratedProperty, opts: GenOptions) -> list[str]:
@@ -194,7 +112,7 @@ def emit_property_module(
         lines.append(f"// ---- transaction {_relation_text(t)} ----")
         lines.append("")
         for a in t_aux.signals:
-            lines.extend(_render_aux(a, opts))
+            lines.extend(a.declare(opts))
         regular = [p for p in t_props if p.guard_macro is None]
         guarded = [p for p in t_props if p.guard_macro == "XPROP"]
         for p in regular:

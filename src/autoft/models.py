@@ -21,10 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .properties import COVER, GeneratedProperty
+from .properties import GeneratedProperty
+from .sva import Eventually, Symbolic, walk
 from .tracecheck import Trace, Verdict, eval_property
-
-_EVENTUAL_KINDS = ("liveness", "ack_eventually")
 
 
 @dataclass(frozen=True)
@@ -277,22 +276,27 @@ class PipelineModel:
         return Trace(cols)
 
 
+def _windowed(p: GeneratedProperty, window: int) -> GeneratedProperty:
+    """The property with an unbounded eventuality cut to `window` cycles."""
+    con = getattr(p.body, "con", None)
+    if isinstance(con, Eventually) and con.hi is None:
+        return replace(p, body=p.body._replace(con=con._replace(hi=window)))
+    return p
+
+
 def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelCheckReport:
     """Evaluate every property over every model trace and symbolic id value.
 
     Eventualities are evaluated with the model's liveness window so that
     obligations of the correct design close inside the trace. `txns` is not
-    read: every property already names the signals it needs in `terms`.
+    read: every property body already names the signals it needs.
     """
     window = getattr(model, "liveness_window", None)
     symb_domains = model.symb_columns() if hasattr(model, "symb_columns") else {}
 
-    prepared: list[GeneratedProperty] = []
-    for p in props:
-        if window and p.kind in _EVENTUAL_KINDS and p.directive != COVER and p.bounded is None:
-            prepared.append(replace(p, terms=dict(p.terms), bounded=window))
-        else:
-            prepared.append(p)
+    # (property, whether its body refers to a symbolic id)
+    prepared = [(_windowed(p, window) if window else p, any(isinstance(n, Symbolic) for n in walk(p.body)))
+                for p in props]
 
     assignments: list[tuple[tuple[str, int], ...]] = [()]
     for name, domain in symb_domains.items():
@@ -302,8 +306,7 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     for idx, trace in enumerate(model.traces()):
         for k, assign in enumerate(assignments):
             extended = trace.extended({name: [v] * trace.length for name, v in assign}) if assign else trace
-            for p in prepared:
-                needs_symb = "symb" in p.terms
+            for p, needs_symb in prepared:
                 if needs_symb and not assign:
                     continue  # a tracked check is meaningless without an id value
                 if not needs_symb and k > 0:

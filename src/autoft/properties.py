@@ -36,15 +36,22 @@ Directions: for incoming transactions the starred design obligations
 transid_integrity, data_integrity) are asserted and the environment
 obligations (stability, uniqueness) are assumed; outgoing transactions swap
 both groups. active_covered and xprop are always asserted.
+
+Each body is a node tree of the property IR (`autoft.sva`) built by the
+per-kind builders below: the emitter renders it and `autoft.tracecheck`
+evaluates it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .diagnostics import Diagnostic, warning
 from .options import GenOptions
-from .signals import TransactionAux, is_flag_expr
-from .transactions import SOURCE_EXPLICIT_ASSIGN, Transaction, transaction_kind
+from .signals import TransactionAux
+from .sva import (
+    And, CoverSeq, Eq, Eventually, Gt, Implies, IsUnknown, Node, Not, Or, PropAnd, Stable, matched,
+)
+from .transactions import Transaction, transaction_kind
 
 KINDS = (
     "liveness",
@@ -86,38 +93,71 @@ def plan_polarity(direction: str, kind: str) -> str:
 
 @dataclass
 class GeneratedProperty:
-    """One rendered property plus the structure the trace evaluator needs."""
+    """One property: its IR body, rendered on demand as SVA text."""
 
     name: str
     kind: str
     directive: str  # assert | assume | cover
-    ltl_text: str
+    body: Node
     guard_macro: str | None = None  # "XPROP" for simulation-only checks
-    terms: dict = field(default_factory=dict)  # role -> signal name
-    payload: tuple[str, ...] = ()  # stability payload signals, in concat order
-    bounded: int | None = None
-    transaction: str = ""
+
+    @property
+    def ltl_text(self) -> str:
+        return self.body.render()
 
 
-def _concat(names: list[str]) -> str:
-    return names[0] if len(names) == 1 else "{" + ", ".join(names) + "}"
+# One builder per kind. gen_properties and the differential oracle both build
+# bodies through these, so the oracle evaluates the nodes that are emitted.
+
+def liveness(req: Node, resp: Node, bounded: int | None) -> Node:
+    # The bounded window opens the cycle after the request; s_eventually counts from it.
+    return Implies(req, Eventually(resp, 1, bounded) if bounded else Eventually(resp))
 
 
-def _eventually(consequent: str, bounded: int | None) -> str:
-    if bounded is None:
-        return f"s_eventually ({consequent})"
-    return f"##[1:{bounded}] ({consequent})"
+def response_had_request(q_val: Node, counter: Node, p_hsk: Node) -> Node:
+    return Implies(q_val, Or((Gt(counter, 0), p_hsk)))
 
 
-def _stable_mode(t: Transaction, side_role: str) -> str | None:
-    """"signal" when stable is a real signal, "flag" for a constant marker."""
-    side = t.side(side_role)
-    binding = side.get("stable")
-    if binding is None:
-        return None
-    if binding.source == SOURCE_EXPLICIT_ASSIGN and is_flag_expr(binding.expr):
-        return "flag"
-    return "signal"
+def counter_no_underflow(p_hsk: Node, q_hsk: Node, counter: Node) -> Node:
+    return Implies(And(q_hsk, Not(p_hsk)), Gt(counter, 0))
+
+
+def ack_eventually(p_val: Node, p_ack: Node, bounded: int | None) -> Node:
+    return Implies(p_val, Eventually(p_ack, 0, bounded))
+
+
+def ack_cover(p_val: Node, p_ack: Node, bounded: int | None) -> Node:
+    return CoverSeq(p_val, p_ack, bounded)
+
+
+def stability(p_val: Node, p_ack: Node, sig: Node | None = None, payload: tuple[Node, ...] = ()) -> Node:
+    """A pending request holds sig, or else its valid and payload, next cycle."""
+    if sig is None:
+        sig = And(p_val, Stable(payload)) if payload else p_val
+    return Implies(And(p_val, Not(p_ack)), sig, next_cycle=True)
+
+
+def active_covered(counter: Node, active: Node, p_hsk: Node, q_val: Node) -> Node:
+    busy = Gt(counter, 0)
+    return PropAnd(Implies(busy, active), Implies(active, Or((busy, p_hsk, q_val))))
+
+
+def transid_integrity(resp: Node, inflight: Node) -> Node:
+    return Implies(resp, inflight)
+
+
+def uniqueness(req: Node, inflight: Node) -> Node:
+    return Implies(req, Not(inflight))
+
+
+def data_integrity(resp: Node, q_data: Node, sampled: Node) -> Node:
+    return Implies(resp, Eq(q_data, sampled, two_valued=True))
+
+
+def xprop(val: Node, others: tuple[Node, ...]) -> Node:
+    if others:
+        return Implies(val, Not(IsUnknown(others)))
+    return Not(IsUnknown((val,)))
 
 
 def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
@@ -125,7 +165,7 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     """Emit the full property set for one transaction.
 
     The result is deterministic: kinds appear in a fixed order, names follow
-    `<tname>_<kind>[_<side>]`, and the text depends only on the transaction,
+    `<tname>_<kind>[_<side>]`, and the body depends only on the transaction,
     its aux signals, and the options.
     """
     roles = aux.roles
@@ -136,65 +176,33 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     tracked = transaction_kind(t) == "tracked"
     props: list[GeneratedProperty] = []
 
-    def emit(kind: str, text: str, terms: dict, *, name: str | None = None,
-             directive: str | None = None, guard: str | None = None,
-             payload: tuple[str, ...] = (), bounded: int | None = None) -> None:
-        props.append(
-            GeneratedProperty(
-                name=name or f"{tn}_{kind}",
-                kind=kind,
-                directive=directive or plan_polarity(t.direction, kind),
-                ltl_text=text,
-                guard_macro=guard,
-                terms=terms,
-                payload=payload,
-                bounded=bounded,
-                transaction=tn,
-            )
-        )
+    def emit(kind: str, body: Node, *, name: str | None = None,
+             directive: str | None = None, guard: str | None = None) -> None:
+        directive = directive or plan_polarity(t.direction, kind)
+        props.append(GeneratedProperty(name or f"{tn}_{kind}", kind, directive, body, guard))
 
     p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
     p_val, q_val = roles["p_val"], roles["q_val"]
     counter = roles["counter"]
 
-    # Handshake and counter roles plus the val/ack signals they derive from.
-    base_terms = {
-        "p_hsk": p_hsk, "q_hsk": q_hsk, "counter": counter,
-        "p_val": p_val, "q_val": q_val,
-        **({"p_ack": roles["p_ack"]} if "p_ack" in roles else {}),
-        **({"q_ack": roles["q_ack"]} if "q_ack" in roles else {}),
-    }
-
     # val: forward progress and response conservation
     if tracked:
-        symb = roles["symb"]
-        ant = f"({p_hsk} && ({roles['p_transid']} == {symb}))"
-        con = f"{q_val} && ({roles['q_transid']} == {symb})"
-        live_terms = {
-            **base_terms, "symb": symb,
-            "p_transid": roles["p_transid"], "q_transid": roles["q_transid"],
-        }
+        inflight = roles["inflight"]  # set by a request for the symbolic id, cleared by its response
+        resp = matched(q_val, roles["q_transid"], roles["symb"])
+        emit("liveness", liveness(inflight.set, resp, opts.bounded))
     else:
-        ant, con = p_hsk, q_val
-        live_terms = dict(base_terms)
-    emit("liveness", f"{ant} |-> {_eventually(con, opts.bounded)}", live_terms, bounded=opts.bounded)
-
-    emit("response_had_request", f"{q_val} |-> (({counter} > 0) || {p_hsk})", dict(base_terms))
-    emit("counter_no_underflow", f"({q_hsk} && !{p_hsk}) |-> ({counter} > 0)", dict(base_terms))
+        emit("liveness", liveness(p_hsk, q_val, opts.bounded))
+    emit("response_had_request", response_had_request(q_val, counter, p_hsk))
+    emit("counter_no_underflow", counter_no_underflow(p_hsk, q_hsk, counter))
 
     # ack: requests are eventually accepted
     if "p_ack" in roles:
-        p_ack = roles["p_ack"]
-        ack_terms = {"p_val": p_val, "p_ack": p_ack}
         if t.p.has("stable"):
-            emit("ack_eventually", f"{p_val} |-> {_eventually(p_ack, opts.bounded)}",
-                 ack_terms, bounded=opts.bounded)
+            emit("ack_eventually", ack_eventually(p_val, roles["p_ack"], opts.bounded))
         else:
             # A dropped request also discharges the obligation, which would
             # make the assertion vacuous; keep it as reachability coverage.
-            window = f"##[0:{opts.bounded}]" if opts.bounded else "##[0:$]"
-            emit("ack_eventually", f"{p_val} {window} {p_ack}", ack_terms,
-                 directive=COVER, bounded=opts.bounded)
+            emit("ack_eventually", ack_cover(p_val, roles["p_ack"], opts.bounded), directive=COVER)
 
     # stable: pending requests hold their payload
     if t.q.has("stable"):
@@ -206,8 +214,7 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
                 t.span,
             )
         )
-    mode = _stable_mode(t, "p")
-    if mode is not None:
+    if t.p.has("stable"):
         if "p_ack" not in roles:
             diags.append(
                 warning(
@@ -216,48 +223,22 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
                     t.span,
                 )
             )
-        elif mode == "signal":
-            sig = roles["p_stable"]
-            emit("stability", f"({p_val} && !{roles['p_ack']}) |=> {sig}",
-                 {"p_val": p_val, "p_ack": roles["p_ack"], "stable_sig": sig})
         else:
+            # A flag binding has no p_stable signal: the valid and payload are checked.
             payload = tuple(roles[r] for r in ("p_transid", "p_data") if r in roles)
-            if payload:
-                con = f"({p_val} && $stable({_concat(list(payload))}))"
-            else:
-                con = p_val
-            emit("stability", f"({p_val} && !{roles['p_ack']}) |=> {con}",
-                 {"p_val": p_val, "p_ack": roles["p_ack"]}, payload=payload)
+            emit("stability", stability(p_val, roles["p_ack"], roles.get("p_stable"), payload))
 
     # active: high exactly while the transaction is ongoing
     if "active" in roles:
-        act = roles["active"]
-        emit(
-            "active_covered",
-            f"((({counter} > 0) |-> {act}) and ({act} |-> (({counter} > 0) || {p_hsk} || {q_val})))",
-            {**base_terms, "active": act},
-        )
+        emit("active_covered", active_covered(counter, roles["active"], p_hsk, q_val))
 
     # transid / transid_unique / data: id-tracked integrity
     if tracked:
-        symb = roles["symb"]
-        inflight = roles["inflight"]
-        track_terms = {
-            **base_terms, "symb": symb, "inflight": inflight,
-            "p_transid": roles["p_transid"], "q_transid": roles["q_transid"],
-        }
-        emit("transid_integrity",
-             f"({q_hsk} && ({roles['q_transid']} == {symb})) |-> {inflight}", track_terms)
+        emit("transid_integrity", transid_integrity(inflight.clr, inflight))
         if t.p.has("transid_unique") or t.q.has("transid_unique"):
-            emit("uniqueness",
-                 f"({p_hsk} && ({roles['p_transid']} == {symb})) |-> !{inflight}", track_terms)
+            emit("uniqueness", uniqueness(inflight.set, inflight))
         if "p_data" in roles and "q_data" in roles:
-            data_terms = dict(track_terms)
-            data_terms.update({"q_data": roles["q_data"], "sampled": roles["sampled"],
-                               "p_data": roles["p_data"]})
-            emit("data_integrity",
-                 f"({q_hsk} && ({roles['q_transid']} == {symb})) |-> ({roles['q_data']} == {roles['sampled']})",
-                 data_terms)
+            emit("data_integrity", data_integrity(inflight.clr, roles["q_data"], roles["sampled"]))
     elif "p_data" in roles and "q_data" in roles:
         diags.append(
             warning(
@@ -268,15 +249,10 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
         )
 
     # xprop: per side, no attribute is X while the valid is high
-    for side_role, side in (("p", t.p), ("q", t.q)):
-        val = roles[f"{side_role}_val"]
-        others = [roles[f"{side_role}_{sfx}"] for sfx in ("ack", "transid", "data")
-                  if f"{side_role}_{sfx}" in roles]
-        if others:
-            text = f"{val} |-> !$isunknown({_concat(others)})"
-        else:
-            text = f"!$isunknown({val})"
-        emit("xprop", text, {"val": val, "others": tuple(others)},
+    for side_role in ("p", "q"):
+        others = tuple(roles[f"{side_role}_{sfx}"] for sfx in ("ack", "transid", "data")
+                       if f"{side_role}_{sfx}" in roles)
+        emit("xprop", xprop(roles[f"{side_role}_val"], others),
              name=f"{tn}_xprop_{side_role}", guard="XPROP")
 
     return props
@@ -285,22 +261,16 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
 def apply_link_transforms(
     props: list[GeneratedProperty], assert_inputs: bool = False
 ) -> list[GeneratedProperty]:
-    """Copy props, turning every assumption into an assertion if assert_inputs.
+    """The props, with every assumption turned into an assertion if assert_inputs.
 
     Names, bodies and all other directives are kept. This is the polarity a
     testbench takes when its inputs are checked rather than assumed: generated
     with ASSERT_INPUTS=1, or linked under a parent with the `as` flag. Names
     are scoped under a parent by `scope_names`, not here.
     """
-    out = []
-    for p in props:
-        q = replace(p, terms=dict(p.terms))
-        if assert_inputs and q.directive == ASSUME:
-            q.directive = ASSERT
-        out.append(q)
-    return out
+    return [replace(p, directive=ASSERT) if assert_inputs and p.directive == ASSUME else p for p in props]
 
 
 def scope_names(props: list[GeneratedProperty], scope: str) -> list[GeneratedProperty]:
     """Prefix property names with a submodule scope for parent-level reports."""
-    return [replace(p, name=f"{scope}_{p.name}", terms=dict(p.terms)) for p in props]
+    return [replace(p, name=f"{scope}_{p.name}") for p in props]

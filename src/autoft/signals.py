@@ -1,52 +1,30 @@
 """Synthesize the auxiliary modeling signals each transaction needs.
 
-For every transaction this produces:
-
-* one handshake wire per side, `<side>_hsk = <val> && <ack>` (just `<val>`
-  when the side has no ack, meaning transfers are always accepted);
-* an outstanding counter register, +1 on the request handshake and -1 on the
-  response handshake, so a same-cycle pair leaves it unchanged;
-* for tracked transactions (id bound on both sides): a rigid symbolic id the
-  checker quantifies over, a one-bit in-flight register for that id, and a
-  data capture register when a data attribute is bound.
-
-Explicit `field = expr` bindings also become wires here so that every bound
-attribute has a plain referable name. Generated names are checked against the
-parsed port and parameter names; a collision is resolved by appending a
-numeric suffix and emitting a warning.
+Each is a node of the property IR (`autoft.sva`) that carries its own update
+rule, so the emitter and the evaluator read the same rule: an `AttribWire`
+per explicit `field = expr` binding, a `Handshake` wire per side, an
+outstanding `Counter`, and for tracked transactions (id bound on both sides)
+a `Symbolic` id with its `Inflight` bit and, when data is bound, a `Sampled`
+capture register. Generated names are checked against the parsed port and
+parameter names; a collision is resolved by appending a numeric suffix and
+emitting a warning.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, warning
 from .options import GenOptions
 from .parser import ParsedModule
+from .sva import And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched
 from .transactions import SOURCE_EXPLICIT_ASSIGN, Transaction, transaction_kind
-
-KIND_ATTRIB_WIRE = "attrib_wire"
-KIND_HANDSHAKE = "handshake_wire"
-KIND_SYMBOLIC = "symbolic"
-KIND_COUNTER = "counter_reg"
-KIND_INFLIGHT = "inflight_reg"
-KIND_SAMPLED = "sampled_data_reg"
 
 _CONST_TRUE = {"1", "1'b1", "'1", "1'd1", "1'h1"}
 
 
-def is_flag_expr(expr: str) -> bool:
+def _is_flag_expr(expr: str) -> bool:
     """True for a constant-true right-hand side used as a presence flag."""
     return expr.strip() in _CONST_TRUE
-
-
-@dataclass
-class AuxSignal:
-    """One generated wire or register of the property module."""
-
-    name: str
-    kind: str
-    width_expr: str = ""  # verbatim range, "" for 1-bit
-    refs: dict = field(default_factory=dict)  # role -> referenced signal name
 
 
 class _Namer:
@@ -71,53 +49,15 @@ class _Namer:
 
 @dataclass
 class TransactionAux:
-    """Aux signals for one transaction plus the name map properties use."""
+    """Aux signals declared for one transaction plus the role map properties use."""
 
-    transaction: Transaction
-    signals: list[AuxSignal]
-    roles: dict[str, str]  # role -> final signal name
+    signals: list[Aux]
+    roles: dict[str, Node]  # role -> signal node
 
 
 def _cnt_param_names(tname: str) -> tuple[str, str]:
     upper = tname.upper()
     return f"{upper}_MAX_OUTSTANDING", f"{upper}_CNT_WIDTH"
-
-
-def _binding_name(binding, namer: _Namer, shared: dict, signals: list[AuxSignal]) -> str:
-    """Referable name for a bound attribute, creating a wire for assigns."""
-    if binding.source != SOURCE_EXPLICIT_ASSIGN:
-        return binding.signal_name
-    key = (binding.signal_name, binding.expr)
-    if key not in shared:
-        shared[key] = namer.alloc(binding.signal_name)
-        signals.append(
-            AuxSignal(
-                name=shared[key],
-                kind=KIND_ATTRIB_WIRE,
-                width_expr=binding.width_expr,
-                refs={"expr": binding.expr},
-            )
-        )
-    return shared[key]
-
-
-def _hsk_wire(side_role: str, side, namer: _Namer, shared: dict, roles: dict, signals: list[AuxSignal]) -> str:
-    val = roles[f"{side_role}_val"]
-    ack = roles.get(f"{side_role}_ack")
-    expr = f"{val} && {ack}" if ack else val
-    key = (side.name, expr)
-    if key in shared:
-        return shared[key]
-    name = namer.alloc(f"{side.name}_hsk")
-    shared[key] = name
-    signals.append(
-        AuxSignal(
-            name=name,
-            kind=KIND_HANDSHAKE,
-            refs={"val": val, **({"ack": ack} if ack else {})},
-        )
-    )
-    return name
 
 
 def _attr_width(t: Transaction, suffix: str) -> str:
@@ -134,38 +74,44 @@ def synth_transaction_aux(
     shared_wires: dict,
     diags: list[Diagnostic],
 ) -> TransactionAux:
-    """Build all aux signals and the role name map for one transaction."""
-    signals: list[AuxSignal] = []
-    roles: dict[str, str] = {}
+    """Build all aux signals and the role map for one transaction."""
+    signals: list[Aux] = []
+    roles: dict[str, Node] = {}
+
+    def wire(key, base: str, cls: type[Aux], *fields) -> Aux:
+        """One declaration per distinct wire across the module."""
+        if key not in shared_wires:
+            shared_wires[key] = cls(namer.alloc(base), *fields)
+            signals.append(shared_wires[key])
+        return shared_wires[key]
+
+    def bound(b) -> Node:
+        """Referable node for a bound attribute, a wire for assigns."""
+        if b.source != SOURCE_EXPLICIT_ASSIGN:
+            return Sig(b.signal_name)
+        return wire((b.signal_name, b.expr), b.signal_name, AttribWire, b.expr, b.width_expr)
 
     for side_role, side in (("p", t.p), ("q", t.q)):
         for suffix in ("val", "ack", "transid", "data", "stable"):
             binding = side.get(suffix)
             if binding is None:
                 continue
-            if suffix == "stable" and binding.source == SOURCE_EXPLICIT_ASSIGN and is_flag_expr(binding.expr):
+            if suffix == "stable" and binding.source == SOURCE_EXPLICIT_ASSIGN and _is_flag_expr(binding.expr):
                 continue  # presence flag, the payload itself is checked
-            roles[f"{side_role}_{suffix}"] = _binding_name(binding, namer, shared_wires, signals)
+            roles[f"{side_role}_{suffix}"] = bound(binding)
     if t.active is not None:
-        roles["active"] = _binding_name(t.active, namer, shared_wires, signals)
+        roles["active"] = bound(t.active)
 
-    roles["p_hsk"] = _hsk_wire("p", t.p, namer, shared_wires, roles, signals)
-    roles["q_hsk"] = _hsk_wire("q", t.q, namer, shared_wires, roles, signals)
+    for side_role, side in (("p", t.p), ("q", t.q)):
+        val, ack = roles[f"{side_role}_val"], roles.get(f"{side_role}_ack")
+        expr = And(val, ack) if ack else val
+        key = (side.name, expr.render())
+        roles[f"{side_role}_hsk"] = wire(key, f"{side.name}_hsk", Handshake, expr)
+    p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
 
-    limit_param, width_param = _cnt_param_names(t.tname)
-    counter = namer.alloc(f"{t.tname}_outstanding")
+    counter = Counter(namer.alloc(f"{t.tname}_outstanding"), p_hsk, q_hsk, *_cnt_param_names(t.tname))
     roles["counter"] = counter
-    roles["limit_param"] = limit_param
-    roles["width_param"] = width_param
-    signals.append(
-        AuxSignal(
-            name=counter,
-            kind=KIND_COUNTER,
-            width_expr=f"[{width_param}-1:0]",
-            refs={"inc": roles["p_hsk"], "dec": roles["q_hsk"],
-                  "limit_param": limit_param, "width_param": width_param},
-        )
-    )
+    signals.append(counter)
 
     if transaction_kind(t) == "tracked":
         id_width = _attr_width(t, "transid")
@@ -177,42 +123,20 @@ def synth_transaction_aux(
                     t.span,
                 )
             )
-        symb = namer.alloc(f"symb_{t.tname}_transid")
-        roles["symb"] = symb
-        signals.append(AuxSignal(name=symb, kind=KIND_SYMBOLIC, width_expr=id_width))
-        inflight = namer.alloc(f"{t.tname}_inflight")
+        symb = roles["symb"] = Symbolic(namer.alloc(f"symb_{t.tname}_transid"), id_width)
+        signals.append(symb)
+        request = matched(p_hsk, roles["p_transid"], symb)
+        inflight = Inflight(namer.alloc(f"{t.tname}_inflight"), request,
+                            matched(q_hsk, roles["q_transid"], symb))
         roles["inflight"] = inflight
-        signals.append(
-            AuxSignal(
-                name=inflight,
-                kind=KIND_INFLIGHT,
-                refs={
-                    "set_hsk": roles["p_hsk"],
-                    "set_id": roles["p_transid"],
-                    "clr_hsk": roles["q_hsk"],
-                    "clr_id": roles["q_transid"],
-                    "symb": symb,
-                },
-            )
-        )
+        signals.append(inflight)
         if "p_data" in roles:
-            sampled = namer.alloc(f"{t.tname}_sampled_data")
+            sampled = Sampled(namer.alloc(f"{t.tname}_sampled_data"), _attr_width(t, "data"),
+                              request, roles["p_data"])
             roles["sampled"] = sampled
-            signals.append(
-                AuxSignal(
-                    name=sampled,
-                    kind=KIND_SAMPLED,
-                    width_expr=_attr_width(t, "data"),
-                    refs={
-                        "hsk": roles["p_hsk"],
-                        "id": roles["p_transid"],
-                        "symb": symb,
-                        "data": roles["p_data"],
-                    },
-                )
-            )
+            signals.append(sampled)
 
-    return TransactionAux(t, signals, roles)
+    return TransactionAux(signals, roles)
 
 
 def synth_module_aux(
@@ -232,4 +156,3 @@ def synth_module_aux(
             warning("name-collision-renamed", f"generated name '{base}' collides, renamed to '{final}'")
         )
     return out, diags
-

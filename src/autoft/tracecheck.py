@@ -1,23 +1,29 @@
-"""Bounded explicit-trace semantics for every generated property kind.
+"""Bounded explicit-trace semantics: the evaluating back-end of the property IR.
 
-This is the desk-scale oracle: it evaluates a generated property against a
-concrete cycle-by-cycle trace, using the property's structured terms rather
-than parsing its rendered text. Registers the property module would build
-(outstanding counter, in-flight bit, sampled data) are derived from the trace
-with the same update rules, seen in the registered view: the value during
-cycle i reflects handshakes strictly before i. A trace column with the
-register's own name overrides the derivation, which lets tests inject
-counterexample states directly.
+This is the desk-scale oracle. `eval_property` evaluates a property's node
+tree (`autoft.sva`), the same tree the emitter renders, against a concrete
+cycle-by-cycle trace; it never reads the rendered text. Aux registers
+(outstanding counter, in-flight bit, sampled data) are derived from their
+nodes' update rules in the registered view: the value during cycle i reflects
+handshakes strictly before i. A trace column with a wire's or register's own
+name overrides the derivation, which lets tests inject counterexample states.
 
 Finite-trace readings:
 
-* safety kinds are violated at the earliest cycle whose check fails;
-* liveness obligations still open when the trace ends report `pending`,
-  never `holds`, because only an unbounded proof could close them;
-* a property whose antecedent never fires reports `vacuous`;
-* unknown values (None, written `x` in CSV files) exist only for the xprop
-  kind; everywhere else they read as 0, the same arbitrary two-valued
-  assignment a proof tool would pick.
+* a check is violated at the earliest cycle where it fails;
+* an eventuality still open when the trace ends reports `pending`, never
+  `holds`, because only an unbounded proof could close it; a bounded window
+  closed without a discharge is violated at the cycle it closed;
+* a cover reports `holds` once its sequence matches, else `pending`;
+* a property whose antecedent never fires reports `vacuous`.
+
+Unknown values (None, written `x` in CSV files) are read the way the naive
+checkers of the test suite read them: in a boolean position (a valid, an ack, a
+handshake, an operand of `&&`, `||`, `!`) an unknown reads as 0. Id
+comparisons are raw, so an unknown id equals only an unknown id: with symb=0,
+a response carrying an X id does not fire transid_integrity. Data
+comparisons and the sampled-data register are two-valued and read an
+unknown as 0. `$isunknown` sees unknowns and `$stable` compares raw values.
 """
 from __future__ import annotations
 
@@ -25,10 +31,15 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
+from operator import eq, not_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .diagnostics import SpaceTooLargeError, UnknownSignalError
-from .properties import COVER, GeneratedProperty
+from .properties import GeneratedProperty
+from .sva import (
+    And, Counter, CoverSeq, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Node,
+    Not, Or, PropAnd, Sampled, Sig, Stable,
+)
 
 DEFAULT_TRACE_BOUND = 2**20
 
@@ -118,300 +129,158 @@ class Verdict:
         return f"{self.property_name}: {self.outcome}{at}"
 
 
-def _as_bit(v: int | None) -> int:
-    return 1 if v not in (None, 0) else 0
+# Evaluation is column-wise: a node yields one list per trace, a value per
+# cycle. `cols` starts as a copy of the trace's columns. A signal, wire or
+# register is read from the column of its name; a derived one missing there is
+# derived once and stored under its name, so a trace column overrides it.
 
-
-def counter_trace(inc: Sequence[int | None], dec: Sequence[int | None]) -> list[int]:
-    """Registered outstanding count: requests minus responses strictly before i."""
-    out = []
-    c = 0
-    for i in range(len(inc)):
-        out.append(c)
-        c += _as_bit(inc[i]) - _as_bit(dec[i])
+def _col(node: Node, cols: dict) -> list:
+    if not isinstance(node, Sig):
+        return _COLUMN[node.__class__](node, cols)
+    out = cols.get(node.name)
+    if out is None:
+        if node.__class__ not in _COLUMN:  # a port, verbatim wire or free id: the trace must have it
+            raise UnknownSignalError(node.name)
+        out = cols[node.name] = _COLUMN[node.__class__](node, cols)
     return out
 
 
-def inflight_trace(
-    set_hsk: Sequence, set_id: Sequence, clr_hsk: Sequence, clr_id: Sequence, symb: Sequence
-) -> list[int]:
-    """Registered in-flight bit for the symbolic id; set wins over clear."""
-    out = []
-    f = 0
-    for i in range(len(set_hsk)):
+def _counter(node: Counter, cols: dict) -> list[int]:
+    out, c = [], 0
+    for inc, dec in zip(_col(node.inc, cols), _col(node.dec, cols)):
+        out.append(c)
+        if inc and not dec:
+            c += 1
+        elif dec and not inc:
+            c -= 1
+    return out
+
+
+def _inflight(node: Inflight, cols: dict) -> list[int]:
+    out, f = [], 0
+    for s, c in zip(_col(node.set, cols), _col(node.clr, cols)):
         out.append(f)
-        if _as_bit(set_hsk[i]) and set_id[i] == symb[i]:
+        if s:
             f = 1
-        elif _as_bit(clr_hsk[i]) and clr_id[i] == symb[i]:
+        elif c:
             f = 0
     return out
 
 
-def sampled_trace(hsk: Sequence, idc: Sequence, symb: Sequence, data: Sequence) -> list[int]:
-    """Registered capture of the request data for the symbolic id."""
-    out = []
-    s = 0
-    for i in range(len(hsk)):
-        out.append(s)
-        if _as_bit(hsk[i]) and idc[i] == symb[i]:
-            s = 0 if data[i] is None else data[i]
+def _sampled(node: Sampled, cols: dict) -> list[int]:
+    out, v = [], 0
+    for cap, d in zip(_col(node.capture, cols), _col(node.data, cols)):
+        out.append(v)
+        if cap:
+            v = 0 if d is None else d
     return out
 
 
-class _Resolver:
-    """Column lookup with on-demand derivation of generated registers."""
-
-    def __init__(self, p: GeneratedProperty, trace: Trace):
-        self.terms = p.terms
-        self.trace = trace
-        self.cache: dict[str, list] = {}
-
-    def col(self, role: str) -> list:
-        if role in self.cache:
-            return self.cache[role]
-        name = self.terms.get(role)
-        if name is not None and name in self.trace.columns:
-            out = self.trace.columns[name]
-        elif role in ("p_hsk", "q_hsk"):
-            side = role[0]
-            val = self.require(f"{side}_val")
-            ack_name = self.terms.get(f"{side}_ack")
-            if ack_name is None:
-                out = [_as_bit(v) for v in val]
-            else:
-                ack = self.require(f"{side}_ack")
-                out = [_as_bit(v) & _as_bit(a) for v, a in zip(val, ack)]
-        elif role == "counter":
-            out = counter_trace(self.col("p_hsk"), self.col("q_hsk"))
-        elif role == "inflight":
-            out = inflight_trace(
-                self.col("p_hsk"), self.require("p_transid"),
-                self.col("q_hsk"), self.require("q_transid"), self.require("symb"),
-            )
-        elif role == "sampled":
-            out = sampled_trace(
-                self.col("p_hsk"), self.require("p_transid"),
-                self.require("symb"), self.require("p_data"),
-            )
-        elif name is not None:
-            raise UnknownSignalError(name)
-        else:
-            raise KeyError(f"property does not define role '{role}'")
-        self.cache[role] = out
-        return out
-
-    def require(self, role: str) -> list:
-        name = self.terms.get(role)
-        if name is None:
-            raise KeyError(f"property does not define role '{role}'")
-        if name not in self.trace.columns:
-            raise UnknownSignalError(name)
-        return self.trace.columns[name]
+def _or(node: Or, cols: dict) -> list:
+    out = _col(node.args[0], cols)
+    for x in node.args[1:]:
+        out = [u or v for u, v in zip(out, _col(x, cols))]
+    return out
 
 
-def _safety_verdict(name: str, fires: list[int], fails: list[int]) -> Verdict:
-    if fails:
-        return Verdict(name, VIOLATED, min(fails))
-    if not fires:
-        return Verdict(name, VACUOUS)
-    return Verdict(name, HOLDS)
+def _eq(node: Eq, cols: dict) -> list[bool]:
+    a, b = _col(node.a, cols), _col(node.b, cols)
+    if node.two_valued:
+        return [(0 if x is None else x) == (0 if y is None else y) for x, y in zip(a, b)]
+    return list(map(eq, a, b))
 
 
-def _eventuality_verdict(
-    name: str, ant: list[int], con: list[int], bounded: int | None, lo: int
-) -> Verdict:
-    """Shared engine for liveness and ack obligations.
-
-    Each cycle i with ant[i] opens an obligation discharged by con at some
-    j >= i (unbounded) or j in [i+lo, i+bounded] (bounded). A bounded window
-    that closes inside the trace without a discharge is a violation at the
-    cycle the window closed; a window still open at the end is pending.
-    """
-    n = len(ant)
-    fires = [i for i in range(n) if ant[i]]
-    if not fires:
-        return Verdict(name, VACUOUS)
-    violated_at: list[int] = []
-    pending = False
-    # Scan once from the right for the unbounded case.
-    if bounded is None:
-        next_con = [-1] * (n + 1)
-        nearest = -1
-        for j in range(n - 1, -1, -1):
-            if con[j]:
-                nearest = j
-            next_con[j] = nearest
-        for i in fires:
-            if next_con[i] == -1:
-                pending = True
-    else:
-        for i in fires:
-            window = range(i + lo, min(i + bounded, n - 1) + 1)
-            if any(con[j] for j in window):
-                continue
-            if i + bounded <= n - 1:
-                violated_at.append(i + bounded)
-            else:
-                pending = True
-    if violated_at:
-        return Verdict(name, VIOLATED, min(violated_at))
-    if pending:
-        return Verdict(name, PENDING)
-    return Verdict(name, HOLDS)
+def _stable(node: Stable, cols: dict) -> list[bool]:
+    out = None
+    for x in node.items:
+        c = _col(x, cols)
+        held = [True] + [c[i] == c[i - 1] for i in range(1, len(c))]
+        out = held if out is None else [u and v for u, v in zip(out, held)]
+    return out
 
 
-def _eval_liveness(p: GeneratedProperty, r: _Resolver, n: int) -> Verdict:
-    hsk = r.col("p_hsk")
-    q_val = r.require("q_val")
-    if "symb" in p.terms:
-        symb = r.require("symb")
-        p_id, q_id = r.require("p_transid"), r.require("q_transid")
-        ant = [_as_bit(hsk[i]) and p_id[i] == symb[i] for i in range(n)]
-        con = [_as_bit(q_val[i]) and q_id[i] == symb[i] for i in range(n)]
-    else:
-        ant = [_as_bit(v) for v in hsk]
-        con = [_as_bit(v) for v in q_val]
-    return _eventuality_verdict(p.name, ant, con, p.bounded, lo=1)
+def _isunknown(node: IsUnknown, cols: dict) -> list[bool]:
+    out = [v is None for v in _col(node.items[0], cols)]
+    for x in node.items[1:]:
+        out = [u or v is None for u, v in zip(out, _col(x, cols))]
+    return out
 
 
-def _eval_response_had_request(p: GeneratedProperty, r: _Resolver, n: int) -> Verdict:
-    q_val, counter, p_hsk = r.require("q_val"), r.col("counter"), r.col("p_hsk")
-    fires = [i for i in range(n) if _as_bit(q_val[i])]
-    fails = [i for i in fires if not (counter[i] > 0 or _as_bit(p_hsk[i]))]
-    return _safety_verdict(p.name, fires, fails)
-
-
-def _eval_counter_no_underflow(p: GeneratedProperty, r: _Resolver, n: int) -> Verdict:
-    q_hsk, p_hsk, counter = r.col("q_hsk"), r.col("p_hsk"), r.col("counter")
-    fires = [i for i in range(n) if _as_bit(q_hsk[i]) and not _as_bit(p_hsk[i])]
-    fails = [i for i in fires if not counter[i] > 0]
-    return _safety_verdict(p.name, fires, fails)
-
-
-def _eval_ack_eventually(p: GeneratedProperty, r: _Resolver, n: int) -> Verdict:
-    val = [_as_bit(v) for v in r.require("p_val")]
-    ack = [_as_bit(v) for v in r.require("p_ack")]
-    if p.directive == COVER:
-        limit = p.bounded
-        for i in range(n):
-            if not val[i]:
-                continue
-            hi = n - 1 if limit is None else min(i + limit, n - 1)
-            if any(ack[j] for j in range(i, hi + 1)):
-                return Verdict(p.name, HOLDS)
-        return Verdict(p.name, PENDING)
-    return _eventuality_verdict(p.name, val, ack, p.bounded, lo=0)
-
-
-def _eval_stability(p: GeneratedProperty, r: _Resolver, n: int) -> Verdict:
-    val = [_as_bit(v) for v in r.require("p_val")]
-    ack = [_as_bit(v) for v in r.require("p_ack")]
-    fires, fails = [], []
-    if "stable_sig" in p.terms:
-        sig = r.require("stable_sig")
-        for i in range(n - 1):
-            if val[i] and not ack[i]:
-                fires.append(i)
-                if not _as_bit(sig[i + 1]):
-                    fails.append(i + 1)
-    else:
-        for name in p.payload:
-            if name not in r.trace.columns:
-                raise UnknownSignalError(name)
-        payload = [r.trace.columns[name] for name in p.payload]
-        for i in range(n - 1):
-            if val[i] and not ack[i]:
-                fires.append(i)
-                ok = val[i + 1] and all(col[i + 1] == col[i] for col in payload)
-                if not ok:
-                    fails.append(i + 1)
-    return _safety_verdict(p.name, fires, fails)
-
-
-def _eval_active_covered(p: GeneratedProperty, r: _Resolver, n: int) -> Verdict:
-    active = [_as_bit(v) for v in r.require("active")]
-    counter = r.col("counter")
-    p_hsk, q_val = r.col("p_hsk"), r.require("q_val")
-    fires, fails = [], []
-    for i in range(n):
-        ongoing = counter[i] > 0
-        if ongoing or active[i]:
-            fires.append(i)
-        if ongoing and not active[i]:
-            fails.append(i)
-        elif active[i] and not (ongoing or _as_bit(p_hsk[i]) or _as_bit(q_val[i])):
-            fails.append(i)
-    return _safety_verdict(p.name, fires, fails)
-
-
-def _matched(hsk: Sequence, ids: Sequence, symb: Sequence, n: int) -> list[int]:
-    return [1 if _as_bit(hsk[i]) and ids[i] == symb[i] else 0 for i in range(n)]
-
-
-def _eval_transid_integrity(p: GeneratedProperty, r: _Resolver, n: int) -> Verdict:
-    ant = _matched(r.col("q_hsk"), r.require("q_transid"), r.require("symb"), n)
-    inflight = r.col("inflight")
-    fires = [i for i in range(n) if ant[i]]
-    fails = [i for i in fires if not _as_bit(inflight[i])]
-    return _safety_verdict(p.name, fires, fails)
-
-
-def _eval_uniqueness(p: GeneratedProperty, r: _Resolver, n: int) -> Verdict:
-    ant = _matched(r.col("p_hsk"), r.require("p_transid"), r.require("symb"), n)
-    inflight = r.col("inflight")
-    fires = [i for i in range(n) if ant[i]]
-    fails = [i for i in fires if _as_bit(inflight[i])]
-    return _safety_verdict(p.name, fires, fails)
-
-
-def _eval_data_integrity(p: GeneratedProperty, r: _Resolver, n: int) -> Verdict:
-    ant = _matched(r.col("q_hsk"), r.require("q_transid"), r.require("symb"), n)
-    q_data = r.require("q_data")
-    sampled = r.col("sampled")
-    fires = [i for i in range(n) if ant[i]]
-    fails = [i for i in fires if (0 if q_data[i] is None else q_data[i]) != sampled[i]]
-    return _safety_verdict(p.name, fires, fails)
-
-
-def _eval_xprop(p: GeneratedProperty, r: _Resolver, n: int) -> Verdict:
-    val = r.require("val")
-    others = p.terms.get("others", ())
-    if not others:
-        fires = list(range(n))
-        fails = [i for i in fires if val[i] is None]
-        return _safety_verdict(p.name, fires, fails)
-    cols = []
-    for name in others:
-        if name not in r.trace.columns:
-            raise UnknownSignalError(name)
-        cols.append(r.trace.columns[name])
-    fires = [i for i in range(n) if val[i] not in (None, 0)]
-    fails = [i for i in fires if any(col[i] is None for col in cols)]
-    return _safety_verdict(p.name, fires, fails)
-
-
-_EVALUATORS = {
-    "liveness": _eval_liveness,
-    "response_had_request": _eval_response_had_request,
-    "counter_no_underflow": _eval_counter_no_underflow,
-    "ack_eventually": _eval_ack_eventually,
-    "stability": _eval_stability,
-    "active_covered": _eval_active_covered,
-    "transid_integrity": _eval_transid_integrity,
-    "uniqueness": _eval_uniqueness,
-    "data_integrity": _eval_data_integrity,
-    "xprop": _eval_xprop,
+# Boolean operators read values by truth, so an unknown (None) reads as 0
+# there; comparisons see raw values.
+_COLUMN = {
+    Handshake: lambda node, cols: _col(node.expr, cols),
+    Counter: _counter,
+    Inflight: _inflight,
+    Sampled: _sampled,
+    Not: lambda node, cols: list(map(not_, _col(node.x, cols))),
+    And: lambda node, cols: [x and y for x, y in zip(_col(node.a, cols), _col(node.b, cols))],
+    Or: _or,
+    Eq: _eq,
+    Gt: lambda node, cols: [v > node.k for v in _col(node.a, cols)],
+    Stable: _stable,
+    IsUnknown: _isunknown,
 }
+
+
+def column(node: Node, trace: Trace) -> list:
+    """The per-cycle values of an expression node over a trace."""
+    return _col(node, dict(trace.columns))
+
+
+def _eventually(node: Eventually, fires: list[int], c: list, n: int) -> tuple[list[int], bool]:
+    """Violations and whether one is still open, for obligations opened at
+    `fires` that `c`, the column of node.x, discharges."""
+    if node.hi is None:
+        return [], bool(fires) and not any(c[fires[-1]:])
+    fails, pending = [], False
+    for i in fires:
+        if any(c[i + node.lo:i + node.hi + 1]):
+            continue
+        if i + node.hi < n:
+            fails.append(i + node.hi)
+        else:
+            pending = True
+    return fails, pending
+
+
+def _obligations(body: Node, cols: dict, n: int) -> tuple[bool, list[int], bool]:
+    """(fired, violating cycles, pending) of a property body."""
+    if body.__class__ is PropAnd:
+        f1, x1, p1 = _obligations(body.a, cols, n)
+        f2, x2, p2 = _obligations(body.b, cols, n)
+        return f1 or f2, x1 + x2, p1 or p2
+    if body.__class__ is not Implies:  # a boolean body is checked at every cycle
+        c = _col(body, cols)
+        return True, [i for i in range(n) if not c[i]], False
+    a, con = _col(body.ant, cols), body.con
+    if con.__class__ is Eventually:
+        fires = [i for i in range(n) if a[i]]
+        return (bool(fires), *_eventually(con, fires, _col(con.x, cols), n))
+    c = _col(con, cols)
+    if body.next_cycle:
+        return any(a[:n - 1]), [i + 1 for i in range(n - 1) if a[i] and not c[i + 1]], False
+    return any(a), [i for i in range(n) if a[i] and not c[i]], False
 
 
 def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:
     """Evaluate one generated property against one trace."""
-    if trace.length == 0:
+    n = trace.length
+    if n == 0:
         return Verdict(p.name, VACUOUS)
-    evaluator = _EVALUATORS.get(p.kind)
-    if evaluator is None:
-        raise ValueError(f"no trace semantics for property kind '{p.kind}'")
-    return evaluator(p, _Resolver(p, trace), trace.length)
+    cols = dict(trace.columns)
+    body = p.body
+    if body.__class__ is CoverSeq:
+        a, b = _col(body.a, cols), _col(body.b, cols)
+        span = n if body.hi is None else body.hi + 1
+        hit = any(a[i] and any(b[i:i + span]) for i in range(n))
+        return Verdict(p.name, HOLDS if hit else PENDING)
+    fired, fails, pending = _obligations(body, cols, n)
+    if fails:
+        return Verdict(p.name, VIOLATED, min(fails))
+    if pending:
+        return Verdict(p.name, PENDING)
+    return Verdict(p.name, HOLDS if fired else VACUOUS)
 
 
 def trace_space_size(domain_sizes: Iterable[int], max_len: int) -> int:

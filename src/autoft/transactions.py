@@ -72,9 +72,6 @@ class Transaction:
     active: AttributeBinding | None = None  # transaction-level, not per side
     span: SourceSpan | None = None
 
-    def side(self, which: str) -> InterfaceSide:
-        return self.p if which == "p" else self.q
-
 
 def transaction_kind(t: Transaction) -> str:
     """"tracked" when a transaction id is bound on both sides, else "untracked"."""

@@ -76,6 +76,17 @@ class TestGoldenFiles:
 
 
 class TestPropertyModule:
+    @pytest.mark.parametrize("opts", [{}, {"bounded": 3}, {"assert_inputs": True}],
+                             ids=["default", "bounded", "assert_inputs"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_property_text_is_emitted_verbatim(self, name, opts):
+        # The text the evaluator's nodes render to is the emitted body.
+        bundle = gen_fixture(name, tool="both", **opts)
+        head = f"@(posedge {bundle.opts.clk}) disable iff ({bundle.opts.rst_expr})"
+        for p in bundle.properties:
+            stmt = f"{p.name}: {p.directive} property ({head}\n    {p.ltl_text});\n"
+            assert stmt in bundle.property_module.text, p.name
+
     def test_all_files_end_with_newline_lf_only(self):
         for name in FIXTURE_NAMES:
             for f in gen_fixture(name).files():

@@ -13,6 +13,7 @@ from autoft.properties import (
     plan_polarity,
 )
 from autoft.signals import synth_module_aux
+from autoft.tracecheck import HOLDS, Trace, eval_property
 from autoft.transactions import build_transactions
 
 from conftest import FIXTURE_NAMES, gen_fixture, load_fixture
@@ -107,7 +108,7 @@ class TestEmissionSets:
         stab = next(p for p in props if p.kind == "stability")
         assert "|=>" in stab.ltl_text
         assert "|->" not in stab.ltl_text
-        assert stab.payload == ("pipe_in_transid", "pipe_in_data")
+        assert [x.name for x in stab.body.con.b.items] == ["pipe_in_transid", "pipe_in_data"]
 
     def test_stability_signal_mode_asserts_the_signal(self):
         src = module(
@@ -188,8 +189,17 @@ class TestEmissionSets:
         (props,) = props_for(VAL_ONLY, opts=GenOptions(bounded=5))
         live = next(p for p in props if p.kind == "liveness")
         assert "##[1:5]" in live.ltl_text
-        assert live.bounded == 5
+        assert live.body.con.hi == 5
         assert "s_eventually" not in live.ltl_text
+
+    def test_bounded_ack_window_includes_request_cycle(self):
+        # The bounded form keeps the unbounded reading: an ack in the request
+        # cycle discharges it, in the text and in the evaluator alike.
+        (props,) = props_for(load_fixture("pipeline"), opts=GenOptions(bounded=2))
+        ack = next(p for p in props if p.kind == "ack_eventually")
+        assert ack.ltl_text == "pipe_in_val |-> ##[0:2] (pipe_in_ack)"
+        trace = Trace({"pipe_in_val": [1, 0, 0, 0], "pipe_in_ack": [1, 0, 0, 0]})
+        assert eval_property(ack, trace).outcome == HOLDS
 
 
 class TestDeterminismAndClosure:

@@ -1,14 +1,8 @@
 from autoft.options import GenOptions
 from autoft.parser import parse_module
-from autoft.signals import (
-    KIND_COUNTER,
-    KIND_HANDSHAKE,
-    KIND_INFLIGHT,
-    KIND_SAMPLED,
-    KIND_SYMBOLIC,
-    synth_module_aux,
-)
-from autoft.tracecheck import counter_trace, inflight_trace, sampled_trace
+from autoft.signals import synth_module_aux
+from autoft.sva import Counter, Handshake, Inflight, Sampled, Sig, Symbolic, matched
+from autoft.tracecheck import Trace, column
 from autoft.transactions import build_transactions
 
 from conftest import load_fixture
@@ -23,19 +17,37 @@ def transactions_of(source: str):
     return pm, txns
 
 
-def aux_of(source: str, kinds: tuple[str, ...]):
-    """Aux signals of the given kinds for the first transaction, in order."""
+def aux_of(source: str, kinds: tuple[type, ...]):
+    """Aux signals of the given node types for the first transaction, in order."""
     pm, txns = transactions_of(source)
     aux, _ = synth_module_aux(txns, pm, GenOptions())
-    return [s for s in aux[0].signals if s.kind in kinds]
+    return [s for s in aux[0].signals if isinstance(s, kinds)]
 
 
 def handshakes_of(source: str):
-    return aux_of(source, (KIND_HANDSHAKE,))
+    return aux_of(source, (Handshake,))
 
 
 def tracking_of(source: str):
-    return aux_of(source, (KIND_COUNTER, KIND_SYMBOLIC, KIND_INFLIGHT, KIND_SAMPLED))
+    return aux_of(source, (Counter, Symbolic, Inflight, Sampled))
+
+
+def counter_trace(inc, dec):
+    """The outstanding counter's column over inc/dec handshake columns."""
+    cnt = Counter("cnt", Sig("inc"), Sig("dec"), "T_MAX_OUTSTANDING", "T_CNT_WIDTH")
+    return column(cnt, Trace({"inc": inc, "dec": dec}))
+
+
+def inflight_trace(set_hsk, set_id, clr_hsk, clr_id, symb):
+    s = Symbolic("symb")
+    infl = Inflight("infl", matched(Sig("set_hsk"), Sig("set_id"), s), matched(Sig("clr_hsk"), Sig("clr_id"), s))
+    cols = {"set_hsk": set_hsk, "set_id": set_id, "clr_hsk": clr_hsk, "clr_id": clr_id, "symb": symb}
+    return column(infl, Trace(cols))
+
+
+def sampled_trace(hsk, idc, symb, data):
+    smp = Sampled("smp", "", matched(Sig("hsk"), Sig("id"), Symbolic("symb")), Sig("data"))
+    return column(smp, Trace({"hsk": hsk, "id": idc, "symb": symb, "data": data}))
 
 
 def module(ports: str, annotations: str) -> str:
@@ -45,17 +57,17 @@ def module(ports: str, annotations: str) -> str:
 class TestHandshakes:
     def test_val_and_ack_conjunction(self):
         hsk = handshakes_of(load_fixture("fifo"))
-        assert [(s.name, s.refs) for s in hsk] == [
-            ("in_hsk", {"val": "in_val", "ack": "in_ack"}),
-            ("out_hsk", {"val": "out_val", "ack": "out_ack"}),
+        assert [(s.name, s.expr.render()) for s in hsk] == [
+            ("in_hsk", "in_val && in_ack"),
+            ("out_hsk", "out_val && out_ack"),
         ]
 
     def test_val_only_side(self):
         hsk = handshakes_of(
             module("input wire p_val,\noutput wire q_val", "// AUTOSVA t: p -in> q")
         )
-        assert hsk[0].refs == {"val": "p_val"}
-        assert hsk[1].refs == {"val": "q_val"}
+        assert repr(hsk[0].expr) == "Sig(name='p_val')"
+        assert repr(hsk[1].expr) == "Sig(name='q_val')"
 
     def test_expression_ack_used_via_wire(self):
         hsk = handshakes_of(
@@ -65,22 +77,23 @@ class TestHandshakes:
             )
         )
         # The expression becomes a named wire and the handshake uses that name.
-        assert hsk[0].refs == {"val": "p_val", "ack": "p_ack"}
+        assert hsk[0].expr.render() == "p_val && p_ack"
+        assert repr(hsk[0].expr.b) == "AttribWire(name='p_ack', text='!busy', width_expr='')"
 
 
 class TestTracking:
     def test_untracked_gets_counter_only(self):
         aux = tracking_of(load_fixture("fifo"))
-        assert [s.kind for s in aux] == [KIND_COUNTER]
+        assert [type(s) for s in aux] == [Counter]
         assert aux[0].name == "fifo_outstanding"
 
     def test_tracked_gets_symbolic_inflight_and_sample(self):
         aux = tracking_of(load_fixture("noc_buffer"))
-        assert [s.kind for s in aux] == [KIND_COUNTER, KIND_SYMBOLIC, KIND_INFLIGHT, KIND_SAMPLED]
+        assert [type(s) for s in aux] == [Counter, Symbolic, Inflight, Sampled]
         symb = aux[1]
         assert symb.name == "symb_buf_transid"
         assert symb.width_expr == "[1:0]"
-        assert symb.refs == {}  # free variable, no update rule
+        assert repr(symb) == "Symbolic(name='symb_buf_transid', width_expr='[1:0]')"  # free variable, no update rule
 
     def test_counter_update_rule(self):
         # Requests at cycles 0 and 1, response at cycle 3. In the registered
@@ -148,8 +161,8 @@ class TestNaming:
             )
         )
         aux, diags = synth_module_aux(txns, pm, GenOptions())
-        assert aux[0].roles["p_hsk"] == "p_hsk_1"
-        assert "p_hsk_1" in [s.name for s in aux[0].signals if s.kind == KIND_HANDSHAKE]
+        assert aux[0].roles["p_hsk"].name == "p_hsk_1"
+        assert "p_hsk_1" in [s.name for s in aux[0].signals if isinstance(s, Handshake)]
         assert "name-collision-renamed" in [d.code for d in diags]
         port_names = pm.port_names()
         for s in aux[0].signals:
@@ -166,13 +179,13 @@ class TestNaming:
         all_names = [s.name for s in aux[0].signals + aux[1].signals]
         assert len(all_names) == len(set(all_names))
         # Both transactions refer to the same a_hsk wire.
-        assert aux[0].roles["p_hsk"] == aux[1].roles["p_hsk"] == "a_hsk"
+        assert aux[0].roles["p_hsk"].name == aux[1].roles["p_hsk"].name == "a_hsk"
 
     def test_counter_width_parameters_per_transaction(self):
         pm, txns = transactions_of(load_fixture("mmu_stub"))
         aux, _ = synth_module_aux(txns, pm, GenOptions())
-        counters = [s for group in aux for s in group.signals if s.kind == KIND_COUNTER]
-        assert [c.refs["limit_param"] for c in counters] == [
+        counters = [s for group in aux for s in group.signals if isinstance(s, Counter)]
+        assert [c.limit_param for c in counters] == [
             "MMU_MAX_OUTSTANDING", "PTW_MAX_OUTSTANDING",
         ]
-        assert counters[0].width_expr == "[MMU_CNT_WIDTH-1:0]"
+        assert "logic [MMU_CNT_WIDTH-1:0] mmu_outstanding;" in counters[0].declare(GenOptions())

@@ -1,14 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from autoft import properties as P
 from autoft.diagnostics import SpaceTooLargeError, UnknownSignalError
 from autoft.properties import GeneratedProperty
+from autoft.sva import Counter, Inflight, Sig, Symbolic, matched
 from autoft.tracecheck import (
     HOLDS,
     PENDING,
     VACUOUS,
     VIOLATED,
     Trace,
+    column,
     enumerate_traces,
     eval_property,
     eval_property as evaluate,
@@ -18,15 +21,21 @@ from autoft.tracecheck import (
 import differential
 
 
-def prop(kind, terms, directive="assert", bounded=None, payload=()):
-    return GeneratedProperty(
-        name=f"t_{kind}", kind=kind, directive=directive, ltl_text="",
-        terms=terms, bounded=bounded, payload=payload,
-    )
+def prop(kind, body, directive="assert"):
+    return GeneratedProperty(f"t_{kind}", kind, directive, body)
 
 
-LIVENESS = prop("liveness", {"p_hsk": "p_hsk", "q_val": "q_val"})
-RESPONSE = prop("response_had_request", {"p_hsk": "p_hsk", "q_hsk": "q_hsk", "q_val": "q_val", "counter": "cnt"})
+P_HSK, Q_HSK, Q_VAL = Sig("p_hsk"), Sig("q_hsk"), Sig("q_val")
+CNT = Counter("cnt", P_HSK, Q_HSK, "T_MAX_OUTSTANDING", "T_CNT_WIDTH")
+LIVENESS = prop("liveness", P.liveness(P_HSK, Q_VAL, None))
+RESPONSE = prop("response_had_request", P.response_had_request(Q_VAL, CNT, P_HSK))
+
+
+def transid_integrity():
+    symb = Symbolic("symb")
+    resp = matched(Q_HSK, Sig("q_id"), symb)
+    inflight = Inflight("infl", matched(P_HSK, Sig("p_id"), symb), resp)
+    return prop("transid_integrity", P.transid_integrity(resp, inflight))
 
 
 class TestTrace:
@@ -69,7 +78,7 @@ class TestEvalExamples:
         assert evaluate(LIVENESS, t).outcome == VACUOUS
 
     def test_bounded_liveness_violated_at_window_close(self):
-        p = prop("liveness", {"p_hsk": "p_hsk", "q_val": "q_val"}, bounded=2)
+        p = prop("liveness", P.liveness(P_HSK, Q_VAL, 2))
         t = Trace({"p_hsk": [1, 0, 0, 0, 0], "q_val": [0, 0, 0, 1, 0]})
         v = evaluate(p, t)
         assert (v.outcome, v.cycle) == (VIOLATED, 2)
@@ -95,23 +104,27 @@ class TestEvalExamples:
         assert evaluate(RESPONSE, t).outcome == HOLDS
 
     def test_transid_integrity_matching_flow(self):
-        terms = {
-            "p_hsk": "p_hsk", "q_hsk": "q_hsk", "p_transid": "p_id",
-            "q_transid": "q_id", "symb": "symb", "inflight": "infl",
-        }
         base = {
             "p_hsk": [0, 1, 0, 0, 0, 0], "p_id": [0, 2, 0, 0, 0, 0],
             "q_hsk": [0, 0, 0, 0, 1, 0], "symb": [2] * 6,
         }
         ok = Trace({**base, "q_id": [0, 0, 0, 0, 2, 0]})
-        assert evaluate(prop("transid_integrity", terms), ok).outcome == HOLDS
+        assert evaluate(transid_integrity(), ok).outcome == HOLDS
         # Response with an id that never had a matching request.
         bad = Trace({
             "p_hsk": [0, 1, 0, 0, 0, 0], "p_id": [0, 3, 0, 0, 0, 0],
             "q_hsk": [0, 0, 0, 0, 1, 0], "q_id": [0, 0, 0, 0, 2, 0], "symb": [2] * 6,
         })
-        v = evaluate(prop("transid_integrity", terms), bad)
+        v = evaluate(transid_integrity(), bad)
         assert (v.outcome, v.cycle) == (VIOLATED, 4)
+
+    def test_ids_compare_raw(self):
+        # An unknown id matches no known symbolic id, so the response is not
+        # checked; an id of 0 matches symb=0 and has no request in flight.
+        base = {"p_hsk": [0], "p_id": [0], "q_hsk": [1], "symb": [0]}
+        assert evaluate(transid_integrity(), Trace({**base, "q_id": [None]})).outcome == VACUOUS
+        v = evaluate(transid_integrity(), Trace({**base, "q_id": [0]}))
+        assert (v.outcome, v.cycle) == (VIOLATED, 0)
 
     def test_unknown_signal_raises(self):
         t = Trace({"p_hsk": [1]})
@@ -128,7 +141,7 @@ class TestEvalExamples:
         assert evaluate(LIVENESS, t).outcome == HOLDS
 
     def test_xprop_three_valued(self):
-        p = prop("xprop", {"val": "v", "others": ("o",)})
+        p = prop("xprop", P.xprop(Sig("v"), (Sig("o"),)))
         clean = Trace({"v": [1, 1], "o": [0, 1]})
         assert evaluate(p, clean).outcome == HOLDS
         dirty = Trace({"v": [0, 1], "o": [None, None]})
@@ -172,6 +185,7 @@ class TestDifferentialSpotChecks:
     def test_short_lengths_agree(self, case):
         import dataclasses
 
+        assert case.prop().ltl_text == case.sva
         small = dataclasses.replace(case, max_len=min(case.max_len, 3))
         count, mismatches = small.run()
         assert mismatches == [], mismatches[:1]
@@ -254,11 +268,9 @@ class TestInvariants:
         dec=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12),
     )
     def test_counter_conservation(self, inc, dec):
-        from autoft.tracecheck import counter_trace
-
         n = min(len(inc), len(dec))
         inc, dec = inc[:n], dec[:n]
-        run = counter_trace(inc, dec)
+        run = column(CNT, Trace({"p_hsk": inc, "q_hsk": dec}))
         for i in range(n):
             assert run[i] == sum(inc[:i]) - sum(dec[:i])
 
