@@ -25,6 +25,13 @@ directions, optional wire/logic/reg keyword, one declarator per list item,
 packed ranges. Ports with a user-defined (struct) type are kept as opaque
 1-bit-unknown signals; their fields are reachable only through explicit
 `= expr` attribute bindings.
+
+Each source is lexed once: one regex pass over strings and comments yields
+the comment list, which the annotations are read from, and a masked copy in
+which every comment (not string) is blanked to spaces. Newlines stay, also
+inside block comments, so offsets and spans in the masked text are those of
+the source. The header is read from the masked copy, with backtick directive
+lines blanked as well.
 """
 from __future__ import annotations
 
@@ -41,6 +48,7 @@ SUFFIXES = ("transid_unique", "transid", "active", "stable", "data", "val", "ack
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 _IDENT_FULL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
+_LITERAL_WIDTH_RE = re.compile(r"^\[\s*(\d+)\s*:\s*0\s*\]$")
 _NET_KEYWORDS = {"wire", "logic", "reg", "var"}
 _SIGN_KEYWORDS = {"signed", "unsigned"}
 
@@ -127,7 +135,7 @@ def literal_width_bits(width_expr: str) -> int | None:
     """`[N:0]` with integer N gives N+1 bits; empty means 1; else unknown."""
     if not width_expr:
         return 1
-    m = re.match(r"^\[\s*(\d+)\s*:\s*0\s*\]$", width_expr)
+    m = _LITERAL_WIDTH_RE.match(width_expr)
     if m:
         return int(m.group(1)) + 1
     return None
@@ -165,9 +173,10 @@ class _LineMap:
     def __init__(self, source: str, path: str):
         self.path = path
         self.starts = [0]
-        for i, ch in enumerate(source):
-            if ch == "\n":
-                self.starts.append(i + 1)
+        i = source.find("\n")
+        while i != -1:
+            self.starts.append(i + 1)
+            i = source.find("\n", i + 1)
 
     def span(self, offset: int) -> SourceSpan:
         line = bisect.bisect_right(self.starts, offset)
@@ -175,51 +184,36 @@ class _LineMap:
         return SourceSpan(self.path, line, column)
 
 
-_COMMENT_OR_STRING_RE = re.compile(
-    r'"(?:[^"\\\n]|\\.)*"'  # string literal, so // inside strings is ignored
-    r"|//[^\n]*"  # line comment
-    r"|/\*"  # block comment opener, closed by hand below
+# Leftmost match wins, so a comment opener in a string or a quote in a comment
+# is never seen. Every alternative begins with `"` or `/`, which lets the regex
+# engine skip ahead to the next candidate.
+_LEX_RE = re.compile(
+    r'"(?:[^"\\\n]|\\.)*"'  # string literal, matched only to be skipped
+    r"|/(?:(?P<line>/[^\n]*)|(?P<block>\*[\s\S]*?\*/)"
+    r"|(?P<open_block>\*[\s\S]*))"  # never closed, runs to end of input
 )
 
 
-def _scan_comments(source: str) -> list[tuple[int, int, str]]:
-    """Find all comments as (start, end, kind) with kind 'line' or 'block'.
+def _lex(source: str) -> tuple[list[tuple[int, int, str]], str]:
+    """Comments as (start, end, kind), and the source with them blanked.
 
-    Block comments without a terminator run to end of input and are tagged
-    'open_block' so the caller can decide whether that is fatal.
+    kind is 'line', 'block', or 'open_block' for a block comment that never
+    closes; the caller decides whether that is fatal. A blanked comment keeps
+    its newlines, so offsets into the masked text are offsets into `source`.
     """
-    comments = []
-    pos = 0
-    while True:
-        m = _COMMENT_OR_STRING_RE.search(source, pos)
-        if not m:
-            break
-        text = m.group(0)
-        if text.startswith('"'):
-            pos = m.end()
-            continue
-        if text.startswith("//"):
-            comments.append((m.start(), m.end(), "line"))
-            pos = m.end()
-            continue
-        close = source.find("*/", m.end())
-        if close == -1:
-            comments.append((m.start(), len(source), "open_block"))
-            pos = len(source)
-        else:
-            comments.append((m.start(), close + 2, "block"))
-            pos = close + 2
-    return comments
+    comments: list[tuple[int, int, str]] = []
 
+    def blank(m: re.Match) -> str:
+        kind = m.lastgroup
+        if kind is None:
+            return m.group()
+        start, end = m.span()
+        comments.append((start, end, kind))
+        if kind == "line":
+            return " " * (end - start)
+        return "\n".join(" " * len(line) for line in m.group().split("\n"))
 
-def _mask(source: str, spans: list[tuple[int, int]]) -> str:
-    """Blank out the given spans, preserving newlines so offsets keep meaning."""
-    chars = list(source)
-    for start, end in spans:
-        for i in range(start, min(end, len(chars))):
-            if chars[i] != "\n":
-                chars[i] = " "
-    return "".join(chars)
+    return comments, _LEX_RE.sub(blank, source)
 
 
 def _marker_payload(body: str) -> str | None:
@@ -244,9 +238,14 @@ def extract_annotation_regions(source: str, path: str = "<string>") -> list[tupl
     comment never closes; an unmarked one is silently treated as running to
     the end of input, matching compiler behavior.
     """
-    lmap = _LineMap(source, path)
+    comments, _ = _lex(source)
+    return _regions(source, comments, _LineMap(source, path))
+
+
+def _regions(source: str, comments: list[tuple[int, int, str]], lmap: _LineMap) -> list[tuple[str, SourceSpan]]:
+    """`extract_annotation_regions` over comments that `_lex` already found."""
     regions: list[tuple[str, SourceSpan]] = []
-    for start, end, kind in _scan_comments(source):
+    for start, end, kind in comments:
         if kind == "line":
             body = source[start + 2 : end]
             payload = _marker_payload(body)
@@ -255,9 +254,8 @@ def extract_annotation_regions(source: str, path: str = "<string>") -> list[tupl
             pad = len(body) - len(payload)
             regions.append((payload.strip(), lmap.span(start + 2 + pad)))
         else:
-            body_end = end - 2 if kind == "block" else end
-            body = source[start + 2 : body_end]
-            first_line = body.split("\n", 1)[0]
+            body = source[start + 2 : end - 2 if kind == "block" else end]
+            first_line, newline, tail = body.partition("\n")
             payload = _marker_payload(first_line)
             if payload is None:
                 continue
@@ -272,13 +270,12 @@ def extract_annotation_regions(source: str, path: str = "<string>") -> list[tupl
                         )
                     ]
                 )
-            rest = body.split("\n", 1)
             if payload.strip():
                 # Payload begins on the marker line itself.
-                text = payload + ("\n" + rest[1] if len(rest) > 1 else "")
+                text = payload + newline + tail
                 offset = start + 2 + (len(first_line) - len(payload))
-            elif len(rest) > 1:
-                text = rest[1]
+            elif newline:
+                text = tail
                 offset = start + 2 + len(first_line) + 1
             else:
                 continue  # marker with no payload at all
@@ -304,6 +301,7 @@ def _region_lines(text: str, span: SourceSpan) -> list[tuple[str, SourceSpan]]:
 
 
 _ARROW_RE = re.compile(r"(-in>|-out>)")
+_RELATION_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_$]*)\s*:\s*(.*?)\s*$")
 
 
 def parse_relation(line: str, span: SourceSpan) -> RelationDecl:
@@ -313,13 +311,13 @@ def parse_relation(line: str, span: SourceSpan) -> RelationDecl:
     interface names is not one of the two arrows, and `bad-relation` when the
     line cannot be shaped into name, interface, arrow, interface at all.
     """
-    m = re.match(r"^\s*([A-Za-z_][A-Za-z0-9_$]*)\s*:\s*(.*?)\s*$", line)
+    m = _RELATION_RE.match(line)
     if not m:
         raise ParseError([error("bad-relation", "relation must start with 'name:'", span, line)])
     tname, rhs = m.group(1), m.group(2)
     arrows = _ARROW_RE.findall(rhs)
     if len(arrows) == 1:
-        left, _, right = _ARROW_RE.split(rhs)[0], arrows[0], _ARROW_RE.split(rhs)[2]
+        left, _, right = _ARROW_RE.split(rhs)
         p, q = left.strip(), right.strip()
         if is_identifier(p) and is_identifier(q):
             direction = "incoming" if arrows[0] == "-in>" else "outgoing"
@@ -336,17 +334,17 @@ def parse_relation(line: str, span: SourceSpan) -> RelationDecl:
 
 
 _ATTRIB_ASSIGN_RE = re.compile(
-    r"^\s*(?:(\[[^\]]+\])\s*)?([A-Za-z_][A-Za-z0-9_$]*)\s*=\s*(.+?)\s*;?\s*$"
+    r"^\s*(?:(?P<width>\[[^\]]+\])\s*)?(?P<name>[A-Za-z_][A-Za-z0-9_$]*)\s*=\s*(?P<expr>.+?)\s*;?\s*$"
 )
 _ATTRIB_DECL_RE = re.compile(
-    r"^\s*(input|output)\s+(?:(\[[^\]]+\])\s*|([A-Za-z_][A-Za-z0-9_$]*)\s+)?([A-Za-z_][A-Za-z0-9_$]*)\s*;?\s*$"
+    r"^\s*(?P<dir>input|output)\s+(?:(?P<width>\[[^\]]+\])\s*|(?P<type>[A-Za-z_][A-Za-z0-9_$]*)\s+)?"
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_$]*)\s*;?\s*$"
 )
 
 
 def _parse_annotation_line(line: str, span: SourceSpan, diags: list[Diagnostic]) -> Annotation | None:
     """Parse one payload line into an Annotation, or record a diagnostic."""
-    head = re.match(r"^\s*([A-Za-z_][A-Za-z0-9_$]*)\s*:", line)
-    if head:
+    if _RELATION_RE.match(line):
         try:
             rel = parse_relation(line, span)
         except ParseError as exc:
@@ -354,64 +352,60 @@ def _parse_annotation_line(line: str, span: SourceSpan, diags: list[Diagnostic])
             return None
         return Annotation("relation", line, span, rel)
 
-    m = _ATTRIB_DECL_RE.match(line)
-    if m:
-        direction, width, type_name, name = m.group(1), m.group(2) or "", m.group(3), m.group(4)
-        fname = split_field(name)
-        if fname is None:
-            diags.append(
-                error("bad-field-suffix", f"'{name}' does not end in a legal attribute suffix", span, line)
-            )
-            return None
-        if type_name:
-            diags.append(
-                warning("opaque-attrib-type", f"type '{type_name}' on '{name}' is kept opaque (width unknown)", span, line)
-            )
-        decl = "input_decl" if direction == "input" else "output_decl"
-        return Annotation("explicit_attrib", line, span, ExplicitAttrib(fname, decl, width))
+    m = _ATTRIB_DECL_RE.match(line) or _ATTRIB_ASSIGN_RE.match(line)
+    if not m:
+        diags.append(error("bad-annotation", "not a relation or attribute definition", span, line))
+        return None
+    name, width = m["name"], m["width"] or ""
+    fname = split_field(name)
+    if fname is None:
+        diags.append(error("bad-field-suffix", f"'{name}' does not end in a legal attribute suffix", span, line))
+        return None
+    if m.re is _ATTRIB_ASSIGN_RE:
+        return Annotation("explicit_attrib", line, span, ExplicitAttrib(fname, "assign", width, m["expr"]))
+    if m["type"]:
+        diags.append(
+            warning("opaque-attrib-type", f"type '{m['type']}' on '{name}' is kept opaque (width unknown)", span, line)
+        )
+    decl = "input_decl" if m["dir"] == "input" else "output_decl"
+    return Annotation("explicit_attrib", line, span, ExplicitAttrib(fname, decl, width))
 
-    m = _ATTRIB_ASSIGN_RE.match(line)
-    if m:
-        width, name, expr = m.group(1) or "", m.group(2), m.group(3)
-        fname = split_field(name)
-        if fname is None:
-            diags.append(
-                error("bad-field-suffix", f"'{name}' does not end in a legal attribute suffix", span, line)
-            )
-            return None
-        return Annotation("explicit_attrib", line, span, ExplicitAttrib(fname, "assign", width, expr))
 
-    diags.append(error("bad-annotation", "not a relation or attribute definition", span, line))
-    return None
+_PAREN_RE = re.compile(r"[()]")
+_BRACKET_COMMA_RE = re.compile(r"[()\[\]{},]")
+_BRACKET_EQ_RE = re.compile(r"[()\[\]{}=]")
 
 
 def _match_paren(text: str, open_pos: int) -> int:
     """Index just past the `)` matching the `(` at open_pos, or -1."""
     depth = 0
-    for i in range(open_pos, len(text)):
-        if text[i] == "(":
+    for m in _PAREN_RE.finditer(text, open_pos):
+        if m.group() == "(":
             depth += 1
-        elif text[i] == ")":
+        else:
             depth -= 1
             if depth == 0:
-                return i + 1
+                return m.end()
     return -1
 
 
-def _split_top_level(text: str) -> list[tuple[str, int]]:
-    """Split on commas not nested in (), [], or {}; keeps item offsets."""
+def _split_top_level(text: str, start: int, end: int, tokens: re.Pattern = _BRACKET_COMMA_RE) -> list[tuple[str, int]]:
+    """Split text[start:end] at separators not nested in (), [], or {}, with offsets in `text`.
+
+    `tokens` matches the brackets and the separator, a comma by default.
+    """
     items = []
     depth = 0
-    start = 0
-    for i, ch in enumerate(text):
+    for m in tokens.finditer(text, start, end):
+        ch = m.group()
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        elif ch == "," and depth == 0:
-            items.append((text[start:i], start))
-            start = i + 1
-    items.append((text[start:], start))
+        elif depth == 0:
+            items.append((text[start : m.start()], start))
+            start = m.end()
+    items.append((text[start:end], start))
     return items
 
 
@@ -435,17 +429,11 @@ def _parse_parameter_item(item: str, span: SourceSpan, diags: list[Diagnostic]) 
 
 
 def _split_eq(text: str) -> tuple[str, str] | None:
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "=" and depth == 0:
-            if i + 1 < len(text) and text[i + 1] == "=":
-                return None
-            return text[:i], text[i + 1 :]
-    return None
+    """`lhs = rhs` at the first top-level `=`; None without one, or at `==`."""
+    items = _split_top_level(text, 0, len(text), _BRACKET_EQ_RE)
+    if len(items) == 1 or text.startswith("=", items[1][1]):
+        return None
+    return items[0][0], text[items[1][1] :]
 
 
 _PORT_RE = re.compile(
@@ -458,6 +446,8 @@ _PORT_RE = re.compile(
 _OPAQUE_PORT_RE = re.compile(
     r"^\s*(input|output)\s+([A-Za-z_][A-Za-z0-9_$]*)\s+([A-Za-z_][A-Za-z0-9_$]*)\s*$"
 )
+_RANGE_RE = re.compile(r"\[[^\]]+\]")
+_CANONICAL_RANGE_RE = re.compile(r"^\[.*:0\]$")
 
 
 def _parse_port_item(
@@ -469,13 +459,13 @@ def _parse_port_item(
     m = _PORT_RE.match(text)
     if m:
         direction, _net, _sign, ranges, name = m.groups()
-        range_list = re.findall(r"\[[^\]]+\]", ranges or "")
+        range_list = _RANGE_RE.findall(ranges or "")
         width = range_list[0].replace(" ", "") if range_list else ""
         if len(range_list) > 1:
             diags.append(
                 warning("non-canonical-range", f"multi-dimensional range on '{name}' kept verbatim", span, text)
             )
-        elif width and not re.match(r"^\[.*:0\]$", width):
+        elif width and not _CANONICAL_RANGE_RE.match(width):
             diags.append(
                 warning("non-canonical-range", f"range '{width}' on '{name}' does not end at :0", span, text)
             )
@@ -494,6 +484,14 @@ def _parse_port_item(
     return None
 
 
+_DIRECTIVE_RE = re.compile(r"^([ \t]*)`[^\n]*$", re.MULTILINE)
+_MODULE_RE = re.compile(r"\bmodule\s+([A-Za-z_][A-Za-z0-9_$]*)")
+_IMPORT_RE = re.compile(r"\s*import\s+[^;]+;")
+_PARAMS_OPEN_RE = re.compile(r"\s*#\s*\(")
+_PORTS_OPEN_RE = re.compile(r"\s*\(")
+_SEMI_RE = re.compile(r"\s*;")
+
+
 def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     """Parse one annotated module header out of `source`.
 
@@ -503,66 +501,66 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     unterminated annotation region.
     """
     lmap = _LineMap(source, path)
+    comments, masked = _lex(source)
+    regions = _regions(source, comments, lmap)
     diags: list[Diagnostic] = []
 
-    regions = extract_annotation_regions(source, path)
+    # Backtick directive lines would confuse port parsing: blank them all.
+    directives = list(_DIRECTIVE_RE.finditer(masked)) if "`" in masked else []
+    if directives:
+        masked = _DIRECTIVE_RE.sub(r"\1", masked)
 
-    comments = _scan_comments(source)
-    masked = _mask(source, [(s, e) for s, e, _ in comments])
-
-    # Backtick directives inside the header confuse port parsing; drop them.
-    for m in re.finditer(r"^[ \t]*`[^\n]*$", masked, re.MULTILINE):
-        diags.append(
-            warning("preprocessor-ignored", "preprocessor directive ignored in header", lmap.span(m.start()),
-                    source[m.start():m.end()])
-        )
-    masked = re.sub(r"^([ \t]*)`[^\n]*$", r"\1", masked, flags=re.MULTILINE)
-
-    header = re.search(r"\bmodule\s+([A-Za-z_][A-Za-z0-9_$]*)", masked)
+    header = _MODULE_RE.search(masked)
     if not header:
         raise ParseError([error("no-module-header", "no 'module <name>' found in input", SourceSpan(path, 1, 1))])
     module_name = header.group(1)
     pos = header.end()
 
     imports: list[str] = []
-    while True:
-        m = re.match(r"\s*import\s+[^;]+;", masked[pos:])
-        if not m:
-            break
-        imports.append(masked[pos : pos + m.end()].strip())
-        pos += m.end()
+    while m := _IMPORT_RE.match(masked, pos):
+        imports.append(masked[pos : m.end()].strip())
+        pos = m.end()
 
     parameters: list[Parameter] = []
-    m = re.match(r"\s*#\s*\(", masked[pos:])
+    m = _PARAMS_OPEN_RE.match(masked, pos)
     if m:
-        open_pos = pos + m.end() - 1
+        open_pos = m.end() - 1
         close = _match_paren(masked, open_pos)
         if close == -1:
             raise ParseError([error("no-module-header", "unclosed parameter list", lmap.span(open_pos))])
-        body = masked[open_pos + 1 : close - 1]
-        for item, off in _split_top_level(body):
-            param = _parse_parameter_item(item, lmap.span(open_pos + 1 + off), diags)
+        for item, off in _split_top_level(masked, open_pos + 1, close - 1):
+            param = _parse_parameter_item(item, lmap.span(off), diags)
             if param:
                 parameters.append(param)
         pos = close
 
     signals: list[InterfaceSignal] = []
-    m = re.match(r"\s*\(", masked[pos:])
+    m = _PORTS_OPEN_RE.match(masked, pos)
     if m:
-        open_pos = pos + m.end() - 1
+        open_pos = m.end() - 1
         close = _match_paren(masked, open_pos)
         if close == -1:
             raise ParseError([error("no-module-header", "unclosed port list", lmap.span(open_pos))])
-        body = masked[open_pos + 1 : close - 1]
-        for item, off in _split_top_level(body):
+        for item, off in _split_top_level(masked, open_pos + 1, close - 1):
             pad = len(item) - len(item.lstrip())
-            sig = _parse_port_item(item, lmap.span(open_pos + 1 + off + pad), diags)
+            sig = _parse_port_item(item, lmap.span(off + pad), diags)
             if sig:
                 signals.append(sig)
-    elif not re.match(r"\s*;", masked[pos:]):
+        pos = close
+    elif m := _SEMI_RE.match(masked, pos):
+        pos = m.end()
+    else:
         diags.append(
             error("malformed-port-decl", "expected '(' or ';' after module name", lmap.span(pos))
         )
+
+    # Warn first about directives in the header: module keyword to port list or `;`.
+    diags[:0] = [
+        warning("preprocessor-ignored", "preprocessor directive ignored in header", lmap.span(d.start()),
+                source[d.start() : d.end()])
+        for d in directives
+        if header.start() <= d.start() < pos
+    ]
 
     annotations: list[Annotation] = []
     for text, span in regions:

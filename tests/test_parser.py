@@ -1,10 +1,13 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import naive_lexer
 from autoft.diagnostics import ParseError
 from autoft.parser import (
     SUFFIXES,
     FieldName,
+    _lex,
+    _LineMap,
     classify_field,
     extract_annotation_regions,
     parse_module,
@@ -64,6 +67,63 @@ class TestAnnotationRegions:
         src = "\n\n  // AUTOSVA t: a -in> b\n"
         [(_, span)] = extract_annotation_regions(src)
         assert span.line == 3
+
+
+# Tokens that move the lexer between its states, and some that do not.
+LEX_TOKENS = [
+    "/*", "*/", "/**/", "/*/", "//", '"', '\\"', "\\", "\n", "\r\n", "AUTOSVA", "/*AUTOSVA", "// AUTOSVA ",
+    "(", ")", "[", "]", "{", "}", ",", "a", "b", " ", "*", "/", "t: a -in> b",
+]
+
+
+def regions_or_diagnostics(extract, source: str):
+    try:
+        return extract(source, "f.sv")
+    except ParseError as exc:
+        return exc.diagnostics
+
+
+def assert_lex_matches_reference(source: str) -> list[tuple[int, int, str]]:
+    comments, masked = _lex(source)
+    assert comments == naive_lexer.scan_comments(source)
+    assert masked == naive_lexer.mask(source, comments)
+    assert _LineMap(source, "f.sv").starts == naive_lexer.line_starts(source)
+    assert regions_or_diagnostics(extract_annotation_regions, source) == regions_or_diagnostics(
+        naive_lexer.extract_annotation_regions, source
+    )
+    return comments
+
+
+class TestLexer:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(LEX_TOKENS), max_size=40).map("".join))
+    def test_lex_matches_naive_reference(self, source):
+        assert_lex_matches_reference(source)
+
+    @pytest.mark.parametrize(
+        "source, comments",
+        [
+            ("/*/ a */b", [(0, 8, "block")]),  # the `*/` of `/*/` does not close it
+            ("/*/", [(0, 3, "open_block")]),
+            ("/**/x/**/", [(0, 4, "block"), (5, 9, "block")]),
+            ('"a // b\n// c', [(3, 7, "line"), (8, 12, "line")]),  # unterminated string
+            ('"a /* b" /* c */', [(9, 16, "block")]),
+            ("x /* never\nclosed ( [", [(2, 21, "open_block")]),
+            ("/*AUTOSVA t: a -in> b */ // c\r\n", [(0, 24, "block"), (25, 30, "line")]),
+        ],
+    )
+    def test_lex_edge_cases(self, source, comments):
+        assert assert_lex_matches_reference(source) == comments
+
+    def test_mask_keeps_strings_offsets_and_newlines(self):
+        source = 'a /* b\n c */ "/* s */" // d\ne'
+        _, masked = _lex(source)
+        assert masked == 'a     \n      "/* s */"     \ne'
+
+    def test_unterminated_unmarked_block_is_not_fatal(self):
+        assert extract_annotation_regions("// AUTOSVA t: a -in> b\n/* open\n") != []
+        pm = parse_module("module m (input wire a);\n/* body comment never closed\n")
+        assert [s.name for s in pm.signals] == ["a"]
 
 
 class TestFieldSplitting:
@@ -270,6 +330,18 @@ class TestParseModule:
         pm = parse_module(header("input wire a,\n`FOO\noutput wire b"))
         assert "preprocessor-ignored" in [d.code for d in pm.diagnostics]
         assert [s.name for s in pm.signals] == ["a", "b"]
+
+    def test_preprocessor_outside_header_not_warned(self):
+        pm = parse_module("`timescale 1ns/1ps\nmodule m (input wire a);\n`ifdef FOO\nwire x;\n`endif\nendmodule")
+        assert [d for d in pm.diagnostics if d.code == "preprocessor-ignored"] == []
+        pm = parse_module("module m;\n`define W 4\nendmodule\n")
+        assert pm.diagnostics == []
+
+    def test_preprocessor_lines_blanked_everywhere(self):
+        pm = parse_module("`define M module fake (input wire z);\nmodule m (input wire a);\nendmodule\n")
+        assert pm.module_name == "m"
+        assert [s.name for s in pm.signals] == ["a"]
+        assert pm.diagnostics == []
 
     def test_comments_stripped_before_port_parse(self):
         pm = parse_module(header("input wire a, // input wire not_a_port,\noutput wire b"))
