@@ -12,13 +12,23 @@ and its response never appears. The fixed variant gates the acknowledge with
 "not full". The pipeline model holds a single request in flight; its fault
 mode double-issues an id that is already outstanding.
 
-Liveness cannot be concluded on finite traces, so model checking evaluates
-eventualities with a per-model window that generously covers the worst-case
-latency of the correct design.
+A model is a `_Model` subclass that declares, then simulates:
+
+* `columns`: the trace's signal names, in order;
+* `_cycles(st)`: a generator over the seeded stimulus `st` that yields one
+  tuple per cycle, in `columns` order, and then advances its state;
+* `liveness_window`: the cycles an eventuality gets to discharge. Liveness
+  cannot be concluded on finite traces, so the window generously covers the
+  worst-case latency of the correct design;
+* `symb_domains`: the values of each symbolic id column (none by default);
+* `expected_violated_kinds`: the kinds the model must violate (none by default).
+
+`check_bundle_on_model` reads only what a model declares.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .properties import GeneratedProperty
@@ -50,80 +60,81 @@ class ModelCheckReport:
         return [e for e in self.entries if e.verdict.outcome == "pending"]
 
     def summary(self) -> str:
-        counts: dict[str, int] = {}
-        for e in self.entries:
-            counts[e.verdict.outcome] = counts.get(e.verdict.outcome, 0) + 1
-        parts = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        return f"{self.model}: {parts}"
+        counts = Counter(e.verdict.outcome for e in self.entries)
+        return f"{self.model}: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
 
 
 class _Stimulus:
     """Deterministic random stimulus with bounded response starvation."""
 
-    def __init__(self, seed: int, max_stall: int = 2):
+    MAX_STALL = 2  # cycles a response may be starved before it is acknowledged
+
+    def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        self.max_stall = max_stall
         self._stalled = 0
 
     def flip(self, p: float) -> bool:
         return self.rng.random() < p
 
     def ack(self, p_stall: float) -> int:
-        if self._stalled >= self.max_stall or not self.flip(p_stall):
+        if self._stalled >= self.MAX_STALL or not self.flip(p_stall):
             self._stalled = 0
             return 1
         self._stalled += 1
         return 0
 
-    def pick(self, items):
-        return items[self.rng.randrange(len(items))]
+
+class _Model:
+    """`n_traces` seeded traces, each `_cycles`' rows transposed onto `columns`.
+
+    The environment requests for `drive` cycles, then drains for `tail` (class defaults).
+    """
+
+    name: str
+    columns: tuple[str, ...]
+    liveness_window: int
+    expected_violated_kinds: frozenset[str] = frozenset()
+    symb_domains: dict[str, list[int]] = {}
+
+    def __init__(self, n_traces: int = 6, drive: int | None = None, tail: int | None = None):
+        self.n_traces = n_traces
+        self.drive = self.drive if drive is None else drive
+        self.tail = self.tail if tail is None else tail
+
+    def traces(self) -> list[Trace]:
+        return [Trace(dict(zip(self.columns, zip(*self._cycles(_Stimulus(seed))))))
+                for seed in range(1, self.n_traces + 1)]
 
 
-class FifoModel:
+class FifoModel(_Model):
     """Well-behaved untracked queue matching the `fifo` fixture."""
 
     name = "fifo"
+    columns = ("in_val", "in_ack", "in_data", "out_val", "out_ack", "out_data")
     liveness_window = 12
-    expected_violated_kinds: frozenset[str] = frozenset()
+    drive, tail = 20, 8
 
-    def __init__(self, depth: int = 2, n_traces: int = 6, drive: int = 20, tail: int = 8):
+    def __init__(self, depth: int = 2, **sizes):
+        super().__init__(**sizes)
         self.depth = depth
-        self.n_traces = n_traces
-        self.drive = drive
-        self.tail = tail
 
-    def traces(self) -> list[Trace]:
-        return [self._trace(seed) for seed in range(1, self.n_traces + 1)]
-
-    def _trace(self, seed: int) -> Trace:
-        st = _Stimulus(seed)
-        length = self.drive + self.tail
-        cols: dict[str, list[int]] = {
-            k: [] for k in ("in_val", "in_ack", "in_data", "out_val", "out_ack", "out_data")
-        }
+    def _cycles(self, st):
         queue: list[int] = []
-        for cycle in range(length):
+        for cycle in range(self.drive + self.tail):
             driving = cycle < self.drive
             in_val = 1 if driving and st.flip(0.7) else 0
             in_data = st.rng.randrange(256)
             in_ack = 1 if len(queue) < self.depth else 0
             out_val = 1 if queue else 0
-            out_data = queue[0] if queue else 0
             out_ack = st.ack(0.4) if driving else 1
-            cols["in_val"].append(in_val)
-            cols["in_ack"].append(in_ack)
-            cols["in_data"].append(in_data)
-            cols["out_val"].append(out_val)
-            cols["out_ack"].append(out_ack)
-            cols["out_data"].append(out_data)
+            yield in_val, in_ack, in_data, out_val, out_ack, queue[0] if queue else 0
             if out_val and out_ack:
                 queue.pop(0)
             if in_val and in_ack:
                 queue.append(in_data)
-        return Trace(cols)
 
 
-class NocBufferModel:
+class NocBufferModel(_Model):
     """Id-tracked queue matching the `noc_buffer` fixtures.
 
     With buggy=True the acknowledge ignores the full condition and a request
@@ -132,54 +143,35 @@ class NocBufferModel:
     """
 
     n_ids = 4
+    columns = (
+        "buf_in_val", "buf_in_ack", "buf_in_mshrid", "buf_in_data", "buf_in_transid",
+        "buf_out_val", "buf_out_ack", "buf_out_mshrid", "buf_out_data", "buf_out_transid",
+    )
+    liveness_window = 14
+    symb_domains = {"symb_buf_transid": list(range(n_ids))}
+    drive, tail = 22, 10
 
-    def __init__(self, buggy: bool = False, depth: int = 2, n_traces: int = 6,
-                 drive: int = 22, tail: int = 10):
-        self.buggy = buggy
+    def __init__(self, buggy: bool = False, depth: int = 2, **sizes):
+        super().__init__(**sizes)
+        self.buggy, self.depth = buggy, depth
         self.name = "noc_buffer_buggy" if buggy else "noc_buffer"
-        self.depth = depth
-        self.n_traces = n_traces
-        self.drive = drive
-        self.tail = tail
-        self.liveness_window = 14
         self.expected_violated_kinds = frozenset({"liveness"}) if buggy else frozenset()
 
-    def symb_columns(self) -> dict[str, list[int]]:
-        return {"symb_buf_transid": list(range(self.n_ids))}
-
-    def traces(self) -> list[Trace]:
-        return [self._trace(seed) for seed in range(1, self.n_traces + 1)]
-
-    def _trace(self, seed: int) -> Trace:
-        st = _Stimulus(seed)
-        length = self.drive + self.tail
-        names = (
-            "buf_in_val", "buf_in_ack", "buf_in_mshrid", "buf_in_data", "buf_in_transid",
-            "buf_out_val", "buf_out_ack", "buf_out_mshrid", "buf_out_data", "buf_out_transid",
-        )
-        cols: dict[str, list[int]] = {k: [] for k in names}
+    def _cycles(self, st):
         queue: list[tuple[int, int]] = []
         env_outstanding: set[int] = set()
-        for cycle in range(length):
+        for cycle in range(self.drive + self.tail):
             driving = cycle < self.drive
             free = sorted(set(range(self.n_ids)) - env_outstanding)
             in_val = 1 if driving and free and st.flip(0.8) else 0
-            in_id = st.pick(free) if in_val else 0
+            in_id = free[st.rng.randrange(len(free))] if in_val else 0
             in_data = st.rng.randrange(256)
-            in_ack = 1 if self.buggy else (1 if len(queue) < self.depth else 0)
+            in_ack = 1 if self.buggy or len(queue) < self.depth else 0
             out_val = 1 if queue else 0
             out_id, out_data = queue[0] if queue else (0, 0)
             out_ack = st.ack(0.5) if driving else 1
-            cols["buf_in_val"].append(in_val)
-            cols["buf_in_ack"].append(in_ack)
-            cols["buf_in_mshrid"].append(in_id)
-            cols["buf_in_transid"].append(in_id)
-            cols["buf_in_data"].append(in_data)
-            cols["buf_out_val"].append(out_val)
-            cols["buf_out_ack"].append(out_ack)
-            cols["buf_out_mshrid"].append(out_id)
-            cols["buf_out_transid"].append(out_id)
-            cols["buf_out_data"].append(out_data)
+            yield (in_val, in_ack, in_id, in_data, in_id,
+                   out_val, out_ack, out_id, out_data, out_id)
             if out_val and out_ack:
                 queue.pop(0)
                 env_outstanding.discard(out_id)
@@ -188,10 +180,9 @@ class NocBufferModel:
                 if len(queue) < self.depth:
                     queue.append((in_id, in_data))
                 # else: accepted while full, entry dropped (the bug)
-        return Trace(cols)
 
 
-class PipelineModel:
+class PipelineModel(_Model):
     """Single-outstanding pipeline matching the `pipeline` fixture.
 
     The environment may raise its request while the stage is busy and then
@@ -202,66 +193,45 @@ class PipelineModel:
 
     latency = 2
     n_ids = 4
+    columns = (
+        "pipe_in_val", "pipe_in_ack", "pipe_in_transid", "pipe_in_data",
+        "pipe_out_val", "pipe_out_transid", "pipe_out_data", "busy", "pipe_in_active",
+    )
+    liveness_window = 10
+    symb_domains = {"symb_pipe_transid": list(range(n_ids))}
+    drive, tail = 22, 6
 
-    def __init__(self, double_issue: bool = False, n_traces: int = 6, drive: int = 22, tail: int = 6):
+    def __init__(self, double_issue: bool = False, **sizes):
+        super().__init__(**sizes)
         self.double_issue = double_issue
         self.name = "pipeline_double_issue" if double_issue else "pipeline"
-        self.n_traces = n_traces
-        self.drive = drive
-        self.tail = tail
-        self.liveness_window = 10
         # A double issue breaks uniqueness directly; the phantom request also
         # leaves the outstanding counter permanently above zero after its one
         # response, so the activity check fails as a consequence.
-        self.expected_violated_kinds = (
-            frozenset({"uniqueness", "active_covered"}) if double_issue else frozenset()
-        )
+        self.expected_violated_kinds = frozenset({"uniqueness", "active_covered"} if double_issue else ())
 
-    def symb_columns(self) -> dict[str, list[int]]:
-        return {"symb_pipe_transid": list(range(self.n_ids))}
-
-    def traces(self) -> list[Trace]:
-        return [self._trace(seed) for seed in range(1, self.n_traces + 1)]
-
-    def _trace(self, seed: int) -> Trace:
-        st = _Stimulus(seed)
-        length = self.drive + self.tail
-        names = (
-            "pipe_in_val", "pipe_in_ack", "pipe_in_transid", "pipe_in_data",
-            "pipe_out_val", "pipe_out_transid", "pipe_out_data", "busy", "pipe_in_active",
-        )
-        cols: dict[str, list[int]] = {k: [] for k in names}
+    def _cycles(self, st):
         busy = 0
         inflight: tuple[int, int] | None = None  # (id, data)
         respond_at = -1
         pending: tuple[int, int] | None = None  # request held while busy
         next_id = 0
         faulted = False
-        for cycle in range(length):
+        for cycle in range(self.drive + self.tail):
             driving = cycle < self.drive
             if pending is None and driving and st.flip(0.6):
                 pending = (next_id, st.rng.randrange(256))
                 next_id = (next_id + 1) % self.n_ids
-            fault_now = (
-                self.double_issue and not faulted and busy and inflight is not None
-                and pending is None and cycle >= 4
-            )
+            fault_now = (self.double_issue and not faulted and busy and inflight is not None
+                         and pending is None and cycle >= 4)
             if fault_now:
-                pending = (inflight[0], inflight[1])  # reuse the in-flight id and data
+                pending = inflight  # reuse the in-flight id and data
             in_val = 1 if pending is not None else 0
             in_id, in_data = pending if pending else (0, 0)
             in_ack = 1 if (not busy or fault_now) else 0
             out_val = 1 if cycle == respond_at else 0
             out_id, out_data = inflight if (out_val and inflight) else (0, 0)
-            cols["pipe_in_val"].append(in_val)
-            cols["pipe_in_ack"].append(in_ack)
-            cols["pipe_in_transid"].append(in_id)
-            cols["pipe_in_data"].append(in_data)
-            cols["pipe_out_val"].append(out_val)
-            cols["pipe_out_transid"].append(out_id)
-            cols["pipe_out_data"].append(out_data)
-            cols["busy"].append(busy)
-            cols["pipe_in_active"].append(busy)
+            yield in_val, in_ack, in_id, in_data, out_val, out_id, out_data, busy, busy
             if out_val:
                 busy = 0
                 inflight = None
@@ -273,7 +243,6 @@ class PipelineModel:
                     respond_at = cycle + self.latency
                     busy = 1
                 pending = None
-        return Trace(cols)
 
 
 def _windowed(p: GeneratedProperty, window: int) -> GeneratedProperty:
@@ -287,19 +256,15 @@ def _windowed(p: GeneratedProperty, window: int) -> GeneratedProperty:
 def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelCheckReport:
     """Evaluate every property over every model trace and symbolic id value.
 
-    Eventualities are evaluated with the model's liveness window so that
-    obligations of the correct design close inside the trace. `txns` is not
-    read: every property body already names the signals it needs.
+    Unbounded eventualities are cut to the model's liveness window. `txns` is
+    not read: every property body already names the signals it needs.
     """
-    window = getattr(model, "liveness_window", None)
-    symb_domains = model.symb_columns() if hasattr(model, "symb_columns") else {}
-
     # (property, whether its body refers to a symbolic id)
-    prepared = [(_windowed(p, window) if window else p, any(isinstance(n, Symbolic) for n in walk(p.body)))
+    prepared = [(_windowed(p, model.liveness_window), any(isinstance(n, Symbolic) for n in walk(p.body)))
                 for p in props]
 
     assignments: list[tuple[tuple[str, int], ...]] = [()]
-    for name, domain in symb_domains.items():
+    for name, domain in model.symb_domains.items():
         assignments = [a + ((name, v),) for a in assignments for v in domain]
 
     entries: list[ModelCheckEntry] = []
@@ -313,7 +278,7 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
                     continue  # id-independent checks need only one evaluation
                 verdict = eval_property(p, extended)
                 entries.append(ModelCheckEntry(idx, assign, p.name, p.kind, verdict))
-    return ModelCheckReport(getattr(model, "name", type(model).__name__), entries)
+    return ModelCheckReport(model.name, entries)
 
 
 # Module name -> model factory for the `check` command and the test suite.

@@ -184,12 +184,14 @@ class _LineMap:
         return SourceSpan(self.path, line, column)
 
 
+_STRING = r'"(?:[^"\\\n]|\\.)*"'  # a string literal, matched only to be skipped
+
 # Leftmost match wins, so a comment opener in a string or a quote in a comment
 # is never seen. Every alternative begins with `"` or `/`, which lets the regex
 # engine skip ahead to the next candidate.
 _LEX_RE = re.compile(
-    r'"(?:[^"\\\n]|\\.)*"'  # string literal, matched only to be skipped
-    r"|/(?:(?P<line>/[^\n]*)|(?P<block>\*[\s\S]*?\*/)"
+    _STRING
+    + r"|/(?:(?P<line>/[^\n]*)|(?P<block>\*[\s\S]*?\*/)"
     r"|(?P<open_block>\*[\s\S]*))"  # never closed, runs to end of input
 )
 
@@ -371,18 +373,28 @@ def _parse_annotation_line(line: str, span: SourceSpan, diags: list[Diagnostic])
     return Annotation("explicit_attrib", line, span, ExplicitAttrib(fname, decl, width))
 
 
-_PAREN_RE = re.compile(r"[()]")
-_BRACKET_COMMA_RE = re.compile(r"[()\[\]{},]")
-_BRACKET_EQ_RE = re.compile(r"[()\[\]{}=]")
+def _scanner(chars: str) -> re.Pattern:
+    """A string literal, to be skipped, or one of `chars`.
+
+    The masked text keeps strings, so a bracket or separator inside one must
+    not count. One literal per alternative lets the engine skip to candidates.
+    """
+    return re.compile("|".join([_STRING, *map(re.escape, chars)]))
+
+
+_PAREN_RE = _scanner("()")
+_BRACKET_COMMA_RE = _scanner("()[]{},")
+_BRACKET_EQ_RE = _scanner("()[]{}=")
 
 
 def _match_paren(text: str, open_pos: int) -> int:
     """Index just past the `)` matching the `(` at open_pos, or -1."""
     depth = 0
     for m in _PAREN_RE.finditer(text, open_pos):
-        if m.group() == "(":
+        ch = m.group()
+        if ch == "(":
             depth += 1
-        else:
+        elif ch == ")":
             depth -= 1
             if depth == 0:
                 return m.end()
@@ -398,6 +410,8 @@ def _split_top_level(text: str, start: int, end: int, tokens: re.Pattern = _BRAC
     depth = 0
     for m in tokens.finditer(text, start, end):
         ch = m.group()
+        if ch[0] == '"':
+            continue
         if ch in "([{":
             depth += 1
         elif ch in ")]}":

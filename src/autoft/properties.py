@@ -106,12 +106,13 @@ class GeneratedProperty:
         return self.body.render()
 
 
-# One builder per kind. gen_properties and the differential oracle both build
-# bodies through these, so the oracle evaluates the nodes that are emitted.
+# One builder per kind (liveness and ack_eventually share `eventually`).
+# gen_properties and the differential oracle both build bodies through these,
+# so the oracle evaluates the nodes that are emitted.
 
-def liveness(req: Node, resp: Node, bounded: int | None) -> Node:
-    # The bounded window opens the cycle after the request; s_eventually counts from it.
-    return Implies(req, Eventually(resp, 1, bounded) if bounded else Eventually(resp))
+def eventually(ant: Node, x: Node, bounded: int | None) -> Node:
+    """ant demands x in its own cycle or later: within `bounded` cycles if set."""
+    return Implies(ant, Eventually(x, bounded))
 
 
 def response_had_request(q_val: Node, counter: Node, p_hsk: Node) -> Node:
@@ -120,10 +121,6 @@ def response_had_request(q_val: Node, counter: Node, p_hsk: Node) -> Node:
 
 def counter_no_underflow(p_hsk: Node, q_hsk: Node, counter: Node) -> Node:
     return Implies(And(q_hsk, Not(p_hsk)), Gt(counter, 0))
-
-
-def ack_eventually(p_val: Node, p_ack: Node, bounded: int | None) -> Node:
-    return Implies(p_val, Eventually(p_ack, 0, bounded))
 
 
 def ack_cover(p_val: Node, p_ack: Node, bounded: int | None) -> Node:
@@ -189,16 +186,16 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     if tracked:
         inflight = roles["inflight"]  # set by a request for the symbolic id, cleared by its response
         resp = matched(q_val, roles["q_transid"], roles["symb"])
-        emit("liveness", liveness(inflight.set, resp, opts.bounded))
+        emit("liveness", eventually(inflight.set, resp, opts.bounded))
     else:
-        emit("liveness", liveness(p_hsk, q_val, opts.bounded))
+        emit("liveness", eventually(p_hsk, q_val, opts.bounded))
     emit("response_had_request", response_had_request(q_val, counter, p_hsk))
     emit("counter_no_underflow", counter_no_underflow(p_hsk, q_hsk, counter))
 
     # ack: requests are eventually accepted
     if "p_ack" in roles:
         if t.p.has("stable"):
-            emit("ack_eventually", ack_eventually(p_val, roles["p_ack"], opts.bounded))
+            emit("ack_eventually", eventually(p_val, roles["p_ack"], opts.bounded))
         else:
             # A dropped request also discharges the obligation, which would
             # make the assertion vacuous; keep it as reachability coverage.

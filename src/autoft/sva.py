@@ -130,11 +130,10 @@ class Implies(namedtuple("Implies", "ant con next_cycle", defaults=(False,)), _I
         return f"{self.ant.operand()} {arrow} {self.con.operand()}"
 
 
-class Eventually(namedtuple("Eventually", "x lo hi", defaults=(0, None)), Node):
-    """`x` at some cycle lo..hi cycles from now: `##[lo:hi] (x)`.
+class Eventually(namedtuple("Eventually", "x hi", defaults=(None,)), Node):
+    """`x` now or within hi cycles: `##[0:hi] (x)`.
 
-    Unbounded (hi None) is `s_eventually (x)`, which counts from this cycle
-    whatever lo says.
+    Unbounded (hi None) is `s_eventually (x)`, which also counts from this cycle.
     """
 
     __slots__ = ()
@@ -142,7 +141,7 @@ class Eventually(namedtuple("Eventually", "x lo hi", defaults=(0, None)), Node):
     def render(self) -> str:
         if self.hi is None:
             return f"s_eventually ({self.x.render()})"
-        return f"##[{self.lo}:{self.hi}] ({self.x.render()})"
+        return f"##[0:{self.hi}] ({self.x.render()})"
 
 
 class CoverSeq(namedtuple("CoverSeq", "a b hi", defaults=(None,)), Node):

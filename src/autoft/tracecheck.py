@@ -52,17 +52,11 @@ PENDING = "pending"
 class Trace:
     """A fixed-length assignment of integer values to named signals.
 
-    Values are plain ints, or None for unknown (X). When widths are given,
-    values are masked to fit them.
+    Values are plain ints, or None for unknown (X). Each column is copied
+    into a list, so any sequences will do.
     """
 
-    def __init__(
-        self,
-        columns: Mapping[str, Sequence[int | None]],
-        widths: Mapping[str, int] | None = None,
-        length: int | None = None,
-    ):
-        self.columns: dict[str, list[int | None]] = {}
+    def __init__(self, columns: Mapping[str, Sequence[int | None]], length: int | None = None):
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"columns differ in length: {sorted(lengths)}")
@@ -73,14 +67,7 @@ class Trace:
             if col_len is not None and col_len != length:
                 raise ValueError("explicit length disagrees with column length")
             self.length = length
-        self.widths = dict(widths) if widths else {}
-        for name, values in columns.items():
-            w = self.widths.get(name)
-            if w:
-                mask = (1 << w) - 1
-                self.columns[name] = [None if v is None else v & mask for v in values]
-            else:
-                self.columns[name] = list(values)
+        self.columns: dict[str, list[int | None]] = {name: list(v) for name, v in columns.items()}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Trace) and self.length == other.length and self.columns == other.columns
@@ -91,7 +78,7 @@ class Trace:
     def extended(self, extra: Mapping[str, Sequence[int | None]]) -> "Trace":
         merged = dict(self.columns)
         merged.update({k: list(v) for k, v in extra.items()})
-        return Trace(merged, self.widths, self.length)
+        return Trace(merged, self.length)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -103,7 +90,7 @@ class Trace:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, widths: Mapping[str, int] | None = None) -> "Trace":
+    def from_csv(cls, text: str) -> "Trace":
         rows = list(csv.reader(io.StringIO(text)))
         if not rows:
             raise ValueError("empty trace file")
@@ -115,7 +102,7 @@ class Trace:
             for name, cell in zip(names, row):
                 cell = cell.strip()
                 columns[name].append(None if cell.lower() == "x" else int(cell))
-        return cls(columns, widths)
+        return cls(columns)
 
 
 @dataclass(frozen=True)
@@ -235,7 +222,7 @@ def _eventually(node: Eventually, fires: list[int], c: list, n: int) -> tuple[li
         return [], bool(fires) and not any(c[fires[-1]:])
     fails, pending = [], False
     for i in fires:
-        if any(c[i + node.lo:i + node.hi + 1]):
+        if any(c[i:i + node.hi + 1]):
             continue
         if i + node.hi < n:
             fails.append(i + node.hi)

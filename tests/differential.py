@@ -92,19 +92,19 @@ CASES = [
     Case(
         "liveness", "liveness",
         {"a": BIN, "b": BIN},
-        P.liveness(A, B, None), "a |-> s_eventually (b)",
+        P.eventually(A, B, None), "a |-> s_eventually (b)",
         lambda c: naive.liveness(_bits(c["a"]), _bits(c["b"])),
     ),
     Case(
         "liveness_bounded", "liveness",
         {"a": BIN, "b": BIN},
-        P.liveness(A, B, 3), "a |-> ##[1:3] (b)",
+        P.eventually(A, B, 3), "a |-> ##[0:3] (b)",
         lambda c: naive.liveness(_bits(c["a"]), _bits(c["b"]), bounded=3),
     ),
     Case(
         "liveness_tracked", "liveness",
         {"a": BIN, "ip": BIN, "b": BIN, "iq": BIN, "s": BIN},
-        P.liveness(REQ, RESP, None),
+        P.eventually(REQ, RESP, None),
         "(a && (ip == s)) |-> s_eventually (b && (iq == s))",
         lambda c: naive.liveness(
             [naive.bit(h) and i == s for h, i, s in zip(c["a"], c["ip"], c["s"])],
@@ -134,13 +134,13 @@ CASES = [
     Case(
         "ack_eventually", "ack_eventually",
         {"a": BIN, "b": BIN},
-        P.ack_eventually(A, B, None), "a |-> s_eventually (b)",
+        P.eventually(A, B, None), "a |-> s_eventually (b)",
         lambda c: naive.ack_eventually(c["a"], c["b"]),
     ),
     Case(
         "ack_eventually_bounded", "ack_eventually",
         {"a": BIN, "b": BIN},
-        P.ack_eventually(A, B, 2), "a |-> ##[0:2] (b)",
+        P.eventually(A, B, 2), "a |-> ##[0:2] (b)",
         lambda c: naive.ack_eventually(c["a"], c["b"], bounded=2),
     ),
     Case(

@@ -46,7 +46,7 @@ def _safety(fires, fails):
 
 
 def liveness(ant, con, bounded=None):
-    """ant[i] demands con at some j >= i, or inside (i, i+bounded]."""
+    """ant[i] demands con at some j >= i, or inside [i, i+bounded]."""
     n = len(ant)
     fails, pending, fired = [], False, False
     for i in range(n):
@@ -58,7 +58,7 @@ def liveness(ant, con, bounded=None):
                 pending = True
         else:
             hit = False
-            for j in range(i + 1, i + bounded + 1):
+            for j in range(i, i + bounded + 1):
                 if j < n and con[j]:
                     hit = True
                     break
@@ -75,7 +75,7 @@ def liveness(ant, con, bounded=None):
 
 
 def ack_eventually(val, ack, bounded=None):
-    """Like liveness but the discharge window includes the request cycle."""
+    """val[i] demands ack at some j >= i, or inside [i, i+bounded], as in liveness."""
     n = len(val)
     fails, pending, fired = [], False, False
     for i in range(n):

@@ -1,4 +1,9 @@
+import hashlib
+
+import pytest
+
 from autoft.models import (
+    MODEL_REGISTRY,
     FifoModel,
     NocBufferModel,
     PipelineModel,
@@ -12,6 +17,32 @@ from conftest import gen_fixture
 def run(fixture_name, model):
     bundle = gen_fixture(fixture_name)
     return check_bundle_on_model(bundle.transactions, bundle.properties, model)
+
+
+# sha256 of each model's traces as CSV text, columns in order. A model change
+# that moves any value, column name or column order must update these on purpose.
+PINNED_TRACES = {
+    "fifo": (MODEL_REGISTRY["fifo"],
+             "187c9c261cb7fc7bac425fe98bf5fb9ff0e864e295ede833123e3581ed0f1ba9"),
+    "noc_buffer": (MODEL_REGISTRY["noc_buffer"],
+                   "f32cd914217e23fcfb70d065e1c3928f7031f56e58e0b51e0775c86733a66f10"),
+    "noc_buffer_buggy": (MODEL_REGISTRY["noc_buffer_buggy"],
+                         "7a3340203999c5de5af043685357c7c08704efaf10a5f4fc338398dd35c3b942"),
+    "pipeline": (MODEL_REGISTRY["pipeline"],
+                 "6fcd41d853565e8ddda4848d55d9af8083514442820fa0ae7aca7329114195b7"),
+    "pipeline_double_issue": (lambda: PipelineModel(double_issue=True),
+                              "40c6c9490246d1ca90ddc3fe69fbd76db6e9f13e357a49b5d54b0f5ad303e0d0"),
+    # The oracle benchmark's size: more and longer traces.
+    "noc_buffer_buggy_long": (lambda: NocBufferModel(buggy=True, n_traces=12, drive=100, tail=20),
+                              "5514874e102f7b3bf916bd816422b605a1100811a3c828904d4577d7ee156688"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+def test_traces_are_pinned(name):
+    factory, digest = PINNED_TRACES[name]
+    text = "".join(t.to_csv() for t in factory().traces())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestModelTraces:

@@ -295,6 +295,13 @@ class TestParseModule:
         pm = parse_module(header("input wire a", params="parameter int unsigned W = 4 + 2"))
         assert pm.parameters == [type(pm.parameters[0])("W", "4 + 2")]
 
+    def test_string_parameter_hides_its_brackets_and_separators(self):
+        # A `)`, `,` or `=` inside a header string neither ends nor splits a list.
+        pm = parse_module('module m #(parameter S = "a)b", parameter T = "c,d=e") (input wire a);\nendmodule\n')
+        assert [(p.name, p.value_expr) for p in pm.parameters] == [("S", '"a)b"'), ("T", '"c,d=e"')]
+        assert [s.name for s in pm.signals] == ["a"]
+        assert pm.diagnostics == []
+
     def test_unmatched_val_port_is_retained_not_annotated(self):
         pm = parse_module(header("input wire foo_val", "// AUTOSVA t: a -in> b"))
         assert [s.name for s in pm.signals] == ["foo_val"]

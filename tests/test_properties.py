@@ -188,9 +188,18 @@ class TestEmissionSets:
     def test_bounded_option_rewrites_eventualities(self):
         (props,) = props_for(VAL_ONLY, opts=GenOptions(bounded=5))
         live = next(p for p in props if p.kind == "liveness")
-        assert "##[1:5]" in live.ltl_text
+        assert "##[0:5]" in live.ltl_text
         assert live.body.con.hi == 5
         assert "s_eventually" not in live.ltl_text
+
+    def test_bounded_liveness_window_includes_request_cycle(self):
+        # As in s_eventually and the bounded ack, a response in the request
+        # cycle discharges the request.
+        (props,) = props_for(VAL_ONLY, opts=GenOptions(bounded=1))
+        live = next(p for p in props if p.kind == "liveness")
+        assert live.ltl_text == "p_hsk |-> ##[0:1] (q_val)"
+        trace = Trace({"p_val": [1, 0], "q_val": [1, 0]})
+        assert eval_property(live, trace).outcome == HOLDS
 
     def test_bounded_ack_window_includes_request_cycle(self):
         # The bounded form keeps the unbounded reading: an ack in the request

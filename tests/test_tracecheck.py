@@ -27,7 +27,7 @@ def prop(kind, body, directive="assert"):
 
 P_HSK, Q_HSK, Q_VAL = Sig("p_hsk"), Sig("q_hsk"), Sig("q_val")
 CNT = Counter("cnt", P_HSK, Q_HSK, "T_MAX_OUTSTANDING", "T_CNT_WIDTH")
-LIVENESS = prop("liveness", P.liveness(P_HSK, Q_VAL, None))
+LIVENESS = prop("liveness", P.eventually(P_HSK, Q_VAL, None))
 RESPONSE = prop("response_had_request", P.response_had_request(Q_VAL, CNT, P_HSK))
 
 
@@ -42,10 +42,6 @@ class TestTrace:
     def test_columns_must_align(self):
         with pytest.raises(ValueError):
             Trace({"a": [1, 0], "b": [1]})
-
-    def test_width_masking(self):
-        t = Trace({"a": [5, 8, 3]}, widths={"a": 2})
-        assert t.columns["a"] == [1, 0, 3]
 
     def test_csv_roundtrip_with_unknowns(self):
         t = Trace({"val": [1, 0, None], "data": [3, 2, 1]})
@@ -78,7 +74,7 @@ class TestEvalExamples:
         assert evaluate(LIVENESS, t).outcome == VACUOUS
 
     def test_bounded_liveness_violated_at_window_close(self):
-        p = prop("liveness", P.liveness(P_HSK, Q_VAL, 2))
+        p = prop("liveness", P.eventually(P_HSK, Q_VAL, 2))
         t = Trace({"p_hsk": [1, 0, 0, 0, 0], "q_val": [0, 0, 0, 1, 0]})
         v = evaluate(p, t)
         assert (v.outcome, v.cycle) == (VIOLATED, 2)
