@@ -47,20 +47,9 @@ class TestbenchBundle:
 
 
 def _port_lines(pm: ParsedModule) -> list[str]:
-    """The DUT ports mirrored as inputs, plus explicitly declared attributes."""
-    lines = []
-    for sig in pm.signals:
-        if sig.opaque_type:
-            lines.append(f"input {sig.opaque_type} {sig.name}")
-        else:
-            lines.append(f"input wire {width_prefix(sig.width_expr)}{sig.name}")
-    for ann in pm.explicit_attribs():
-        attr = ann.payload
-        if attr.decl == "input_decl":
-            lines.append(f"input wire {width_prefix(attr.width_expr)}{attr.field_name}")
-        elif attr.decl == "output_decl":
-            lines.append(f"output wire {width_prefix(attr.width_expr)}{attr.field_name}")
-    return lines
+    """The DUT ports mirrored as inputs, then the declared signals as declared."""
+    ports = [("input", s) for s in pm.signals] + [(s.direction, s) for s in pm.declared_signals()]
+    return [f"{d} {s.opaque_type or 'wire'} {width_prefix(s.width_expr)}{s.name}" for d, s in ports]
 
 
 def _render_property(p: GeneratedProperty, opts: GenOptions) -> list[str]:
@@ -95,9 +84,8 @@ def emit_property_module(
 
     params = [f"parameter {p.name} = {p.value_expr}" for p in pm.parameters]
     params.append(f"parameter ASSERT_INPUTS = {1 if opts.assert_inputs else 0}")
-    for t in txns:
-        limit = opts.outstanding_limit(t.tname)
-        params.append(f"parameter {t.tname.upper()}_MAX_OUTSTANDING = {limit}")
+    for t, t_aux in zip(txns, aux):
+        params.append(f"parameter {t_aux.roles['counter'].limit_param} = {opts.outstanding_limit(t.tname)}")
 
     imports = f" {' '.join(pm.imports)}" if pm.imports else ""
     lines.append(f"module {dut}_prop{imports} #(")

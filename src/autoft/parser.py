@@ -12,19 +12,24 @@ A payload line is one of:
     tname: p -in> q             request/response relation, incoming
     tname: p -out> q            relation, outgoing
     [expr:0] field = expr       bind a transaction attribute to an expression
-    input [expr:0] field        declare a new checker input for an attribute
-    output [expr:0] field       declare a new checker output for an attribute
+    input SIG                   declare a new checker input for an attribute
+    output SIG                  declare a new checker output for an attribute
 
 where `field` is `<interface>_<suffix>` and the suffix is one of the legal
 attribute suffixes below. Splitting a field name takes the longest matching
 legal suffix, so `x_transid_unique` is (`x`, `transid_unique`), never
-(`x_transid`, `unique`).
+(`x_transid`, `unique`). `SIG` is a header port declaration without its
+direction, `[wire|logic|reg|var] [signed|unsigned] [ranges] field` or
+`type field`, and a trailing `;` is dropped. A declared signal is a port of
+the property module: it is parsed into the same `InterfaceSignal` record,
+and repeating the name of a port or of another declared signal is an error.
+Brackets `()[]{}` outside string literals must balance on an attribute line.
 
 The supported Verilog subset is ANSI-style headers: `input`/`output`
 directions, optional wire/logic/reg keyword, one declarator per list item,
-packed ranges. Ports with a user-defined (struct) type are kept as opaque
-1-bit-unknown signals; their fields are reachable only through explicit
-`= expr` attribute bindings.
+packed ranges. Ports with a user-defined (struct) type are kept opaque:
+emitted with their type as written, with an unknown width; their fields are
+reachable only through explicit `= expr` attribute bindings.
 
 Each source is lexed once: one regex pass over strings and comments yields
 the comment list, which the annotations are read from, and a masked copy in
@@ -49,8 +54,6 @@ SUFFIXES = ("transid_unique", "transid", "active", "stable", "data", "val", "ack
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 _IDENT_FULL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
 _LITERAL_WIDTH_RE = re.compile(r"^\[\s*(\d+)\s*:\s*0\s*\]$")
-_NET_KEYWORDS = {"wire", "logic", "reg", "var"}
-_SIGN_KEYWORDS = {"signed", "unsigned"}
 
 
 def is_identifier(text: str) -> bool:
@@ -65,6 +68,8 @@ class Parameter:
 
 @dataclass(frozen=True)
 class InterfaceSignal:
+    """A header port, or a signal an `input`/`output` annotation declares."""
+
     direction: str  # "input" or "output"
     name: str
     width_expr: str  # verbatim packed range such as "[WIDTH-1:0]", "" for 1-bit
@@ -98,25 +103,36 @@ class RelationDecl:
 
 @dataclass(frozen=True)
 class ExplicitAttrib:
+    """A `[width] field = expr` binding."""
+
     field_name: FieldName
-    decl: str  # "assign", "input_decl", or "output_decl"
-    width_expr: str  # "" when not given
-    expr: str = ""  # right-hand side, assign form only
+    width_expr: str  # "" when not given: width unknown
+    expr: str
+    span: SourceSpan
+
+    @property
+    def name(self) -> str:
+        return str(self.field_name)
+
+    @property
+    def width_bits(self) -> int | None:
+        """Bit count when the range is a literal `[N:0]`; None when it is not, or not given."""
+        return literal_width_bits(self.width_expr) if self.width_expr else None
 
 
 @dataclass(frozen=True)
 class Annotation:
-    kind: str  # "relation" or "explicit_attrib"
+    kind: str  # "relation", "explicit_attrib" (an assign) or "signal" (a declaration)
     raw_text: str
     span: SourceSpan
-    payload: RelationDecl | ExplicitAttrib
+    payload: RelationDecl | ExplicitAttrib | InterfaceSignal
 
 
 @dataclass
 class ParsedModule:
     module_name: str
     parameters: list[Parameter]
-    signals: list[InterfaceSignal]  # source order, all ports, matched or not
+    signals: list[InterfaceSignal]  # the header's ports in source order, matched or not
     annotations: list[Annotation]
     imports: list[str] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -127,8 +143,12 @@ class ParsedModule:
     def explicit_attribs(self) -> list[Annotation]:
         return [a for a in self.annotations if a.kind == "explicit_attrib"]
 
+    def declared_signals(self) -> list[InterfaceSignal]:
+        return [a.payload for a in self.annotations if a.kind == "signal"]
+
     def port_names(self) -> set[str]:
-        return {s.name for s in self.signals}
+        """The property module's ports: the header's and the declared signals."""
+        return {s.name for s in self.signals} | {s.name for s in self.declared_signals()}
 
 
 def literal_width_bits(width_expr: str) -> int | None:
@@ -148,21 +168,6 @@ def split_field(name: str) -> FieldName | None:
         if name.endswith(tail) and len(name) > len(tail):
             prefix = name[: -len(tail)]
             if is_identifier(prefix):
-                return FieldName(prefix, suffix)
-    return None
-
-
-def classify_field(signal_name: str, known_prefixes: set[str]) -> FieldName | None:
-    """Classify a port as an implicit attribute of a declared interface.
-
-    Returns the (prefix, suffix) split only when the prefix names one of the
-    interfaces that appear in a relation; everything else is not an attribute.
-    """
-    for suffix in SUFFIXES:
-        tail = "_" + suffix
-        if signal_name.endswith(tail):
-            prefix = signal_name[: -len(tail)]
-            if prefix in known_prefixes:
                 return FieldName(prefix, suffix)
     return None
 
@@ -338,10 +343,7 @@ def parse_relation(line: str, span: SourceSpan) -> RelationDecl:
 _ATTRIB_ASSIGN_RE = re.compile(
     r"^\s*(?:(?P<width>\[[^\]]+\])\s*)?(?P<name>[A-Za-z_][A-Za-z0-9_$]*)\s*=\s*(?P<expr>.+?)\s*;?\s*$"
 )
-_ATTRIB_DECL_RE = re.compile(
-    r"^\s*(?P<dir>input|output)\s+(?:(?P<width>\[[^\]]+\])\s*|(?P<type>[A-Za-z_][A-Za-z0-9_$]*)\s+)?"
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_$]*)\s*;?\s*$"
-)
+_DECL_RE = re.compile(r"(?:input|output)\s")
 
 
 def _parse_annotation_line(line: str, span: SourceSpan, diags: list[Diagnostic]) -> Annotation | None:
@@ -354,23 +356,28 @@ def _parse_annotation_line(line: str, span: SourceSpan, diags: list[Diagnostic])
             return None
         return Annotation("relation", line, span, rel)
 
-    m = _ATTRIB_DECL_RE.match(line) or _ATTRIB_ASSIGN_RE.match(line)
-    if not m:
+    bad = _unbalanced(line)
+    if bad is not None:
+        at = SourceSpan(span.file, span.line, span.column + bad)
+        diags.append(error("unbalanced-brackets", f"'{line[bad]}' does not balance", at, line))
+        return None
+    if m := _ATTRIB_ASSIGN_RE.match(line):
+        name = m["name"]
+    elif _DECL_RE.match(line):
+        sig = _parse_port_item(line.removesuffix(";"), span, diags)
+        if sig is None:
+            return None
+        name = sig.name
+    else:
         diags.append(error("bad-annotation", "not a relation or attribute definition", span, line))
         return None
-    name, width = m["name"], m["width"] or ""
     fname = split_field(name)
     if fname is None:
         diags.append(error("bad-field-suffix", f"'{name}' does not end in a legal attribute suffix", span, line))
         return None
-    if m.re is _ATTRIB_ASSIGN_RE:
-        return Annotation("explicit_attrib", line, span, ExplicitAttrib(fname, "assign", width, m["expr"]))
-    if m["type"]:
-        diags.append(
-            warning("opaque-attrib-type", f"type '{m['type']}' on '{name}' is kept opaque (width unknown)", span, line)
-        )
-    decl = "input_decl" if m["dir"] == "input" else "output_decl"
-    return Annotation("explicit_attrib", line, span, ExplicitAttrib(fname, decl, width))
+    if m:
+        return Annotation("explicit_attrib", line, span, ExplicitAttrib(fname, m["width"] or "", m["expr"], span))
+    return Annotation("signal", line, span, sig)
 
 
 def _scanner(chars: str) -> re.Pattern:
@@ -383,8 +390,23 @@ def _scanner(chars: str) -> re.Pattern:
 
 
 _PAREN_RE = _scanner("()")
+_BRACKETS_RE = _scanner("()[]{}")
+_OPENER = {")": "(", "]": "[", "}": "{"}
 _BRACKET_COMMA_RE = _scanner("()[]{},")
 _BRACKET_EQ_RE = _scanner("()[]{}=")
+
+
+def _unbalanced(text: str) -> int | None:
+    """Offset of the first bracket that does not balance, or None."""
+    opened: list[int] = []
+    for m in _BRACKETS_RE.finditer(text):
+        ch = m.group()
+        if ch in _OPENER:
+            if not opened or text[opened.pop()] != _OPENER[ch]:
+                return m.start()
+        elif ch[0] != '"':
+            opened.append(m.start())
+    return opened[0] if opened else None
 
 
 def _match_paren(text: str, open_pos: int) -> int:
@@ -458,7 +480,8 @@ _PORT_RE = re.compile(
     r"([A-Za-z_][A-Za-z0-9_$]*)\s*$"
 )
 _OPAQUE_PORT_RE = re.compile(
-    r"^\s*(input|output)\s+([A-Za-z_][A-Za-z0-9_$]*)\s+([A-Za-z_][A-Za-z0-9_$]*)\s*$"
+    r"^\s*(input|output)\s+(?!(?:wire|logic|reg|var|signed|unsigned)\s)"
+    r"([A-Za-z_][A-Za-z0-9_$]*)\s+([A-Za-z_][A-Za-z0-9_$]*)\s*$"
 )
 _RANGE_RE = re.compile(r"\[[^\]]+\]")
 _CANONICAL_RANGE_RE = re.compile(r"^\[.*:0\]$")
@@ -474,7 +497,7 @@ def _parse_port_item(
     if m:
         direction, _net, _sign, ranges, name = m.groups()
         range_list = _RANGE_RE.findall(ranges or "")
-        width = range_list[0].replace(" ", "") if range_list else ""
+        width = "".join(range_list).replace(" ", "")
         if len(range_list) > 1:
             diags.append(
                 warning("non-canonical-range", f"multi-dimensional range on '{name}' kept verbatim", span, text)
@@ -485,7 +508,7 @@ def _parse_port_item(
             )
         return InterfaceSignal(direction, name, width, span)
     m = _OPAQUE_PORT_RE.match(text)
-    if m and m.group(2) not in _NET_KEYWORDS and m.group(2) not in _SIGN_KEYWORDS:
+    if m:
         direction, type_name, name = m.groups()
         diags.append(
             warning("opaque-port-type", f"port '{name}' has user type '{type_name}', width unknown", span, text)
@@ -600,11 +623,11 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
         else:
             seen_tnames[rel.tname] = ann.span
 
-    dup_ports: set[str] = set()
-    for sig in signals:
-        if sig.name in dup_ports:
+    seen_ports: set[str] = set()
+    for sig in signals + [a.payload for a in annotations if a.kind == "signal"]:
+        if sig.name in seen_ports:
             diags.append(error("malformed-port-decl", f"port '{sig.name}' declared twice", sig.span))
-        dup_ports.add(sig.name)
+        seen_ports.add(sig.name)
 
     return ParsedModule(
         module_name=module_name,

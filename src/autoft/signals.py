@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, warning
 from .options import GenOptions
-from .parser import ParsedModule
+from .parser import ExplicitAttrib, ParsedModule
 from .sva import And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched
-from .transactions import SOURCE_EXPLICIT_ASSIGN, Transaction, transaction_kind
+from .transactions import Transaction, transaction_kind
 
 _CONST_TRUE = {"1", "1'b1", "'1", "1'd1", "1'h1"}
 
@@ -63,7 +63,7 @@ def _cnt_param_names(tname: str) -> tuple[str, str]:
 def _attr_width(t: Transaction, suffix: str) -> str:
     """Known range of an attribute bound on either side, "" when unknown."""
     for b in (t.p.get(suffix), t.q.get(suffix)):
-        if b is not None and b.width_known and b.width_expr:
+        if b is not None and b.width_expr:
             return b.width_expr
     return ""
 
@@ -87,16 +87,16 @@ def synth_transaction_aux(
 
     def bound(b) -> Node:
         """Referable node for a bound attribute, a wire for assigns."""
-        if b.source != SOURCE_EXPLICIT_ASSIGN:
-            return Sig(b.signal_name)
-        return wire((b.signal_name, b.expr), b.signal_name, AttribWire, b.expr, b.width_expr)
+        if not isinstance(b, ExplicitAttrib):
+            return Sig(b.name)
+        return wire((b.name, b.expr), b.name, AttribWire, b.expr, b.width_expr)
 
     for side_role, side in (("p", t.p), ("q", t.q)):
         for suffix in ("val", "ack", "transid", "data", "stable"):
             binding = side.get(suffix)
             if binding is None:
                 continue
-            if suffix == "stable" and binding.source == SOURCE_EXPLICIT_ASSIGN and _is_flag_expr(binding.expr):
+            if suffix == "stable" and isinstance(binding, ExplicitAttrib) and _is_flag_expr(binding.expr):
                 continue  # presence flag, the payload itself is checked
             roles[f"{side_role}_{suffix}"] = bound(binding)
     if t.active is not None:

@@ -1,50 +1,23 @@
 """Build validated transactions from relations, explicit attribs, and ports.
 
 Each relation declaration `tname: p -in> q` becomes one Transaction whose two
-interface sides carry attribute bindings. Bindings are resolved in precedence
-order: explicit `field = expr` assignments beat explicit input/output
-declarations, which beat implicitly matched ports. When an explicit definition
-shadows a port of the same field name the explicit one wins and a warning is
-emitted, since the annotation states the designer's intent.
+interface sides carry attribute bindings. A binding is the parser's own
+record: the `InterfaceSignal` of a header port or of an `input`/`output`
+declaration, which binds by its name, or the `ExplicitAttrib` of a
+`field = expr` assignment. An assignment beats a signal of the same field,
+with a warning, since the annotation states the designer's intent; two
+assignments of one field are an error. A repeated signal name is the
+parser's error, and the first signal binds. An annotation whose interface
+is in no relation is an error; a port's is not an attribute at all.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, SourceSpan, error, warning
-from .parser import (
-    Annotation,
-    ExplicitAttrib,
-    ParsedModule,
-    classify_field,
-    literal_width_bits,
-)
+from .parser import Annotation, ExplicitAttrib, InterfaceSignal, ParsedModule, split_field
 
-# Binding sources, strongest first.
-SOURCE_EXPLICIT_ASSIGN = "explicit_assign"
-SOURCE_EXPLICIT_DECL = "explicit_decl"
-SOURCE_IMPLICIT = "implicit"
-
-_PRECEDENCE = {SOURCE_EXPLICIT_ASSIGN: 0, SOURCE_EXPLICIT_DECL: 1, SOURCE_IMPLICIT: 2}
-
-
-@dataclass(frozen=True)
-class AttributeBinding:
-    """One attribute suffix bound to a signal or expression on one interface."""
-
-    suffix: str
-    source: str  # explicit_assign | explicit_decl | implicit
-    signal_name: str  # referable name (port, declared signal, or derived wire)
-    width_expr: str  # verbatim range, "" when 1-bit or unknown
-    span: SourceSpan
-    expr: str = ""  # right-hand side for explicit_assign bindings
-    width_known: bool = True  # False when the range was omitted on an assign
-
-    @property
-    def width_bits(self) -> int | None:
-        if not self.width_known:
-            return None
-        return literal_width_bits(self.width_expr)
+Binding = InterfaceSignal | ExplicitAttrib
 
 
 @dataclass
@@ -52,9 +25,9 @@ class InterfaceSide:
     """An interface participating in a transaction, with its bindings."""
 
     name: str
-    bindings: dict[str, AttributeBinding] = field(default_factory=dict)
+    bindings: dict[str, Binding] = field(default_factory=dict)
 
-    def get(self, suffix: str) -> AttributeBinding | None:
+    def get(self, suffix: str) -> Binding | None:
         return self.bindings.get(suffix)
 
     def has(self, suffix: str) -> bool:
@@ -69,7 +42,7 @@ class Transaction:
     direction: str  # "incoming" or "outgoing"
     p: InterfaceSide
     q: InterfaceSide
-    active: AttributeBinding | None = None  # transaction-level, not per side
+    active: Binding | None = None  # transaction-level, not per side
     span: SourceSpan | None = None
 
 
@@ -80,91 +53,53 @@ def transaction_kind(t: Transaction) -> str:
 
 def _candidate_bindings(
     pm: ParsedModule, prefixes: set[str], diags: list[Diagnostic]
-) -> dict[str, dict[str, AttributeBinding]]:
-    """Collect bindings per interface name, applying source precedence."""
-    per_iface: dict[str, dict[str, AttributeBinding]] = {p: {} for p in prefixes}
-
-    def place(iface: str, binding: AttributeBinding, raw: str) -> None:
-        existing = per_iface[iface].get(binding.suffix)
-        if existing is None:
-            per_iface[iface][binding.suffix] = binding
-            return
-        old_rank = _PRECEDENCE[existing.source]
-        new_rank = _PRECEDENCE[binding.source]
-        if old_rank == new_rank:
-            diags.append(
-                error(
-                    "duplicate-binding",
-                    f"attribute '{iface}_{binding.suffix}' bound twice (first at {existing.span})",
-                    binding.span,
-                    raw,
-                )
-            )
-            return
-        winner, loser = (binding, existing) if new_rank < old_rank else (existing, binding)
-        if loser.source == SOURCE_IMPLICIT:
-            diags.append(
-                warning(
-                    "explicit-overrides-port",
-                    f"explicit definition of '{iface}_{binding.suffix}' overrides port '{loser.signal_name}'",
-                    winner.span,
-                    raw,
-                )
-            )
-        per_iface[iface][binding.suffix] = winner
-
-    for ann in pm.explicit_attribs():
-        attr: ExplicitAttrib = ann.payload
-        iface = attr.field_name.prefix
-        if iface not in prefixes:
+) -> dict[str, dict[str, Binding]]:
+    """Collect bindings per interface name: an assign beats a signal."""
+    per_iface: dict[str, dict[str, Binding]] = {p: {} for p in prefixes}
+    for ann in pm.annotations:
+        if ann.kind == "relation":
+            continue
+        fname = split_field(ann.payload.name)
+        if fname.prefix not in prefixes:
             diags.append(
                 error(
                     "unbound-attribute",
-                    f"'{attr.field_name}' names interface '{iface}' which appears in no relation",
+                    f"'{fname}' names interface '{fname.prefix}' which appears in no relation",
                     ann.span,
                     ann.raw_text,
                 )
             )
-            continue
-        if attr.decl == "assign":
-            binding = AttributeBinding(
-                suffix=attr.field_name.suffix,
-                source=SOURCE_EXPLICIT_ASSIGN,
-                signal_name=str(attr.field_name),
-                width_expr=attr.width_expr,
-                span=ann.span,
-                expr=attr.expr,
-                width_known=bool(attr.width_expr),
-            )
-        else:
-            binding = AttributeBinding(
-                suffix=attr.field_name.suffix,
-                source=SOURCE_EXPLICIT_DECL,
-                signal_name=str(attr.field_name),
-                width_expr=attr.width_expr,
-                span=ann.span,
-            )
-        place(iface, binding, ann.raw_text)
+        elif ann.kind == "explicit_attrib":
+            first = per_iface[fname.prefix].setdefault(fname.suffix, ann.payload)
+            if first is not ann.payload:
+                diags.append(
+                    error(
+                        "duplicate-binding",
+                        f"attribute '{fname}' bound twice (first at {first.span})",
+                        ann.span,
+                        ann.raw_text,
+                    )
+                )
 
-    for sig in pm.signals:
-        fname = classify_field(sig.name, prefixes)
-        if fname is None:
+    for sig in pm.signals + pm.declared_signals():
+        fname = split_field(sig.name)
+        if fname is None or fname.prefix not in prefixes:
             continue  # not an attribute of any declared interface
-        binding = AttributeBinding(
-            suffix=fname.suffix,
-            source=SOURCE_IMPLICIT,
-            signal_name=sig.name,
-            width_expr=sig.width_expr,
-            span=sig.span,
-            width_known=sig.opaque_type is None,
-        )
-        place(fname.prefix, binding, sig.name)
-
+        bound = per_iface[fname.prefix].setdefault(fname.suffix, sig)
+        if isinstance(bound, ExplicitAttrib):
+            diags.append(
+                warning(
+                    "explicit-overrides-port",
+                    f"explicit definition of '{fname}' overrides port '{sig.name}'",
+                    bound.span,
+                    sig.name,
+                )
+            )
     return per_iface
 
 
 def _check_paired_widths(
-    t_name: str, suffix: str, p: AttributeBinding | None, q: AttributeBinding | None,
+    t_name: str, suffix: str, p: Binding | None, q: Binding | None,
     rel_span: SourceSpan, diags: list[Diagnostic],
 ) -> None:
     if (p is None) != (q is None):

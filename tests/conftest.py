@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from autoft import GenOptions, generate_bundle
-from autoft.parser import Annotation, ParsedModule
+from autoft.parser import Annotation, InterfaceSignal, ParsedModule
 
 ACCEPTANCE_RESULTS: list[str] = []
 
@@ -51,12 +52,18 @@ def render_annotation(ann: Annotation) -> str:
         rel = ann.payload
         arrow = "-in>" if rel.direction == "incoming" else "-out>"
         return f"{rel.tname}: {rel.p} {arrow} {rel.q}"
+    if ann.kind == "signal":
+        return render_signal(ann.payload)
     attr = ann.payload
     width = f"{attr.width_expr} " if attr.width_expr else ""
-    if attr.decl == "assign":
-        return f"{width}{attr.field_name} = {attr.expr}"
-    direction = "input" if attr.decl == "input_decl" else "output"
-    return f"{direction} {width}{attr.field_name}"
+    return f"{width}{attr.field_name} = {attr.expr}"
+
+
+def render_signal(s: InterfaceSignal) -> str:
+    if s.opaque_type:
+        return f"{s.direction} {s.opaque_type} {s.name}"
+    width = f"{s.width_expr} " if s.width_expr else ""
+    return f"{s.direction} wire {width}{s.name}"
 
 
 def render_module(pm: ParsedModule) -> str:
@@ -67,14 +74,7 @@ def render_module(pm: ParsedModule) -> str:
         params = ", ".join(f"parameter {p.name} = {p.value_expr}" for p in pm.parameters)
         header += f" #({params})"
     lines.append(header + " (")
-    ports = []
-    for s in pm.signals:
-        if s.opaque_type:
-            ports.append(f"    {s.direction} {s.opaque_type} {s.name}")
-        else:
-            width = f"{s.width_expr} " if s.width_expr else ""
-            ports.append(f"    {s.direction} wire {width}{s.name}")
-    lines.append(",\n".join(ports))
+    lines.append(",\n".join(f"    {render_signal(s)}" for s in pm.signals))
     lines.append(");")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
@@ -86,5 +86,6 @@ def module_projection(pm: ParsedModule):
         pm.module_name,
         tuple((p.name, p.value_expr) for p in pm.parameters),
         tuple((s.direction, s.name, s.width_expr, s.opaque_type) for s in pm.signals),
-        tuple((a.kind, a.payload) for a in pm.annotations),
+        tuple((a.kind, a.payload if a.kind == "relation" else replace(a.payload, span=None))
+              for a in pm.annotations),
     )

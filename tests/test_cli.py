@@ -46,6 +46,28 @@ class TestGen:
         assert "data-without-transid" in err
         assert "data-without-transid" not in out
 
+    def test_declaration_repeating_a_port_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "m.sv"
+        src.write_text(
+            "// AUTOSVA t: a -in> b\n// AUTOSVA input [1:0] a_transid\n"
+            "module m (\ninput wire a_val,\ninput wire [1:0] a_transid,\n"
+            "output wire b_val,\noutput wire [1:0] b_transid\n);\nendmodule\n"
+        )
+        code, _, err = run_cli(["gen", src, "-o", tmp_path / "o"], capsys)
+        assert code == 1
+        assert f"{src}:2:11: error[malformed-port-decl]: port 'a_transid' declared twice" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unbalanced_annotation_exits_one(self, tmp_path, capsys):
+        # The annotation's `(` would be emitted as `wire ... = (ptw_req_tag;`.
+        src = tmp_path / "mmu_stub.sv"
+        src.write_text(fixture_path("mmu_stub").read_text().replace(
+            "ptw_req_transid = ptw_req_tag", "ptw_req_transid = (ptw_req_tag"))
+        code, _, err = run_cli(["gen", src, "-o", tmp_path / "o"], capsys)
+        assert code == 1
+        assert f"{src}:10:30: error[unbalanced-brackets]: '(' does not balance" in err
+        assert not (tmp_path / "o").exists()
+
     def test_validation_errors_exit_one_and_report_all(self, tmp_path, capsys):
         bad = tmp_path / "bad.sv"
         bad.write_text(

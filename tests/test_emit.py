@@ -15,6 +15,7 @@ from autoft.options import GenOptions
 from autoft.parser import parse_module
 
 from conftest import FIXTURE_NAMES, GOLDEN, gen_fixture, load_fixture
+from wellformed import balanced, declared_twice
 
 SV_KEYWORDS = {
     "module", "endmodule", "parameter", "localparam", "input", "output", "wire",
@@ -302,3 +303,85 @@ class TestLinking:
         with pytest.raises(GenerationError) as exc:
             link_submodule_fts(parent, [(child, True, False)])
         assert any(d.code == "duplicate-transaction-name" for d in exc.value.diagnostics)
+
+
+def _module(ports: str, annotations: str) -> str:
+    return f"{annotations}\nmodule m (\ninput wire clk,\ninput wire rst_n,\n{ports}\n);\nendmodule\n"
+
+
+# A declared attribute is a port of the property module: inputs that used to
+# emit a 1-bit struct, or a wire and a port of one name.
+TYPED_DECLS = _module(
+    "input wire a_val,\ninput wire [1:0] a_id,\noutput wire b_val,\noutput wire [1:0] b_id",
+    "// AUTOSVA t: a -in> b\n// AUTOSVA input dat_t a_data\n// AUTOSVA input dat_t b_data;\n"
+    "// AUTOSVA [1:0] a_transid = a_id\n// AUTOSVA [1:0] b_transid = b_id",
+)
+TYPED_DECL_VS_PORT = _module(
+    "input wire a_val,\ninput wire [7:0] a_data,\noutput wire b_val",
+    "// AUTOSVA t: a -in> b\n// AUTOSVA input dat_t b_data",
+)
+DECL_AND_ASSIGN = _module(
+    "input wire a_val,\noutput wire b_val,\noutput wire busy",
+    "// AUTOSVA t: a -in> b\n// AUTOSVA input a_ack\n// AUTOSVA a_ack = !busy",
+)
+
+# The option mixes every emitted module is checked under.
+OPTION_MIXES = {
+    "default": {},
+    "bounded_1": {"bounded": 1},
+    "bounded_3": {"bounded": 3},
+    "assert_inputs": {"assert_inputs": True},
+    "assert_inputs_bounded": {"assert_inputs": True, "bounded": 3},
+    "active_high_reset": {"clk": "clock_i", "rst": "reset", "rst_active_low": False},
+    "max_outstanding_1": {"max_outstanding": 1},
+}
+
+
+def _emitted_modules():
+    for name in FIXTURE_NAMES:
+        for mix, kw in OPTION_MIXES.items():
+            src = load_fixture(name)
+            if mix == "active_high_reset":
+                src = src.replace("clk", "clock_i").replace("rst_n", "reset")
+            yield f"{name}-{mix}", lambda src=src, kw=kw: generate_bundle(src, "m.sv", GenOptions(**kw))
+    yield "link", lambda: link_submodule_fts(gen_fixture("mmu_stub"), [(gen_fixture("pipeline"), True, True)])
+    for label, src in (("typed", TYPED_DECLS), ("typed_vs_port", TYPED_DECL_VS_PORT),
+                       ("decl_and_assign", DECL_AND_ASSIGN)):
+        yield label, lambda src=src: generate_bundle(src, "m.sv", GenOptions())
+
+
+EMITTED = dict(_emitted_modules())
+
+
+@pytest.mark.parametrize("label", EMITTED)
+def test_each_name_declared_once(label):
+    text = EMITTED[label]().property_module.text
+    assert declared_twice(text) == []
+    assert balanced(text)
+
+
+class TestDeclaredSignals:
+    def test_typed_declarations_keep_their_type(self):
+        bundle = generate_bundle(TYPED_DECLS, "m.sv", GenOptions())
+        assert "    input dat_t a_data,\n    input dat_t b_data\n);" in bundle.property_module.text
+        assert sum("warning[opaque-port-type]" in w for w in bundle.warnings) == 2
+
+    def test_typed_declaration_has_no_width_to_mismatch(self):
+        bundle = generate_bundle(TYPED_DECL_VS_PORT, "m.sv", GenOptions())
+        assert "    input wire [7:0] a_data," in bundle.property_module.text
+        assert "    input dat_t b_data\n);" in bundle.property_module.text
+
+    def test_declaration_and_assign_give_one_port_and_a_renamed_wire(self):
+        bundle = generate_bundle(DECL_AND_ASSIGN, "m.sv", GenOptions())
+        text = bundle.property_module.text
+        assert "    input wire a_ack\n);" in text
+        assert "wire a_ack_1 = !busy;" in text and "wire a_hsk = a_val && a_ack_1;" in text
+        assert [w.split("]")[0].split("[")[-1] for w in bundle.warnings] == [
+            "explicit-overrides-port", "name-collision-renamed",
+        ]
+
+    def test_output_declaration_keeps_its_direction(self):
+        src = _module("input wire a_val,\noutput wire b_val", "// AUTOSVA t: a -in> b\n// AUTOSVA output logic b_ack")
+        bundle = generate_bundle(src, "m.sv", GenOptions())
+        assert "    output wire b_ack\n);" in bundle.property_module.text
+        assert bundle.warnings == []  # `logic` is a net keyword, not a user type

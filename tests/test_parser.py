@@ -8,7 +8,6 @@ from autoft.parser import (
     FieldName,
     _lex,
     _LineMap,
-    classify_field,
     extract_annotation_regions,
     parse_module,
     parse_relation,
@@ -138,29 +137,24 @@ class TestFieldSplitting:
         assert split_field("timer_interval") is None
         assert split_field("val") is None  # bare suffix has no prefix
 
-    def test_classify_needs_known_prefix(self):
-        known = {"dcache_req", "dcache_res"}
-        assert classify_field("dcache_req_val", known) == FieldName("dcache_req", "val")
-        assert classify_field("dcache_req_transid_unique", {"dcache_req"}) == FieldName(
-            "dcache_req", "transid_unique"
-        )
-        assert classify_field("timer_interval", {"dcache_req"}) is None
-        assert classify_field("foo_val", known) is None
+    def test_split_does_not_know_interfaces(self):
+        # Whether the prefix names an interface is decided when transactions are built.
+        assert split_field("dcache_req_val") == FieldName("dcache_req", "val")
+        assert split_field("dcache_req_transid_unique") == FieldName("dcache_req", "transid_unique")
+        assert split_field("foo_val") == FieldName("foo", "val")
 
     def test_multi_underscore_prefix(self):
-        assert classify_field("a_b_data", {"a_b"}) == FieldName("a_b", "data")
+        assert split_field("a_b_data") == FieldName("a_b", "data")
 
     @given(
         st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True),
         st.sampled_from(SUFFIXES),
     )
-    def test_classify_is_deterministic_function(self, prefix, suffix):
+    def test_split_is_deterministic_function(self, prefix, suffix):
         name = f"{prefix}_{suffix}"
-        first = classify_field(name, {prefix})
-        second = classify_field(name, {prefix})
-        assert first == second
-        if first is not None:
-            assert f"{first.prefix}_{first.suffix}" == name
+        first = split_field(name)
+        assert first == split_field(name)
+        assert f"{first.prefix}_{first.suffix}" == name
 
 
 class TestParseRelation:
@@ -198,7 +192,7 @@ GRAMMAR_CORPUS = [
     (
         "attrib_assign",
         "// AUTOSVA a_ack = !busy",
-        lambda pm: pm.explicit_attribs()[0].payload.decl == "assign",
+        lambda pm: pm.explicit_attribs()[0].payload.expr == "!busy",
     ),
     # ATTRIB with [STR:0] width prefix
     (
@@ -210,19 +204,26 @@ GRAMMAR_CORPUS = [
     (
         "attrib_input_decl",
         "// AUTOSVA input [1:0] a_transid",
-        lambda pm: pm.explicit_attribs()[0].payload.decl == "input_decl",
+        lambda pm: [(s.direction, s.width_expr, s.name) for s in pm.declared_signals()]
+        == [("input", "[1:0]", "a_transid")],
     ),
     # ATTRIB ::= output SIG
     (
         "attrib_output_decl",
-        "// AUTOSVA output a_val",
-        lambda pm: pm.explicit_attribs()[0].payload.decl == "output_decl",
+        "// AUTOSVA output a_ack;",
+        lambda pm: [(s.direction, s.width_expr, s.name) for s in pm.declared_signals()] == [("output", "", "a_ack")],
     ),
     # SIG ::= STR FIELD (opaque type form)
     (
         "attrib_opaque_type",
         "// AUTOSVA input req_t a_data",
-        lambda pm: pm.explicit_attribs()[0].payload.field_name == FieldName("a", "data"),
+        lambda pm: [(s.opaque_type, s.name) for s in pm.declared_signals()] == [("req_t", "a_data")],
+    ),
+    # brackets inside a string literal do not count
+    (
+        "attrib_assign_string_bracket",
+        '// AUTOSVA a_ack = x != ")"',
+        lambda pm: pm.explicit_attribs()[0].payload.expr == 'x != ")"',
     ),
     # FIELD ::= P_SUFFIX with longest-match suffix
     (
@@ -264,6 +265,11 @@ ERROR_CORPUS = [
         "duplicate-transaction-name",
     ),
     ("not_an_annotation", "// AUTOSVA what is this line", "bad-annotation"),
+    ("unbalanced_assign", "// AUTOSVA a_ack = (busy", "unbalanced-brackets"),
+    ("mismatched_assign", "// AUTOSVA [1:0] a_transid = {b[1), c}", "unbalanced-brackets"),
+    ("unbalanced_width", "// AUTOSVA input [(W-1:0] a_data", "unbalanced-brackets"),
+    ("declaration_repeats_port", "// AUTOSVA input a_val", "malformed-port-decl"),
+    ("declaration_not_a_port", "// AUTOSVA input a_ack = x", "malformed-port-decl"),
 ]
 
 
@@ -281,6 +287,13 @@ def test_grammar_error_corpus(label, annot, code):
 
 
 class TestParseModule:
+    def test_unbalanced_bracket_is_located(self):
+        pm = parse_module(header("input wire a_val", "/*AUTOSVA\n[1:0] a_transid = {b[1), c}\n*/"))
+        assert [(d.code, d.message, d.span.line, d.span.column) for d in pm.diagnostics] == [
+            ("unbalanced-brackets", "')' does not balance", 2, 23)
+        ]
+        assert pm.annotations == []
+
     def test_fifo_fixture_shape(self):
         pm = parse_module(load_fixture("fifo"), "fifo.sv")
         assert pm.module_name == "fifo"
@@ -327,6 +340,13 @@ class TestParseModule:
         assert sig.opaque_type == "dcache_req_t"
         assert sig.width_bits is None
         assert "opaque-port-type" in [d.code for d in pm.diagnostics]
+
+    def test_multi_dimensional_range_kept_verbatim(self):
+        pm = parse_module(header("input wire [3:0][7:0] x", "// AUTOSVA input logic [1:0] [W-1:0] a_data;"))
+        assert [(s.width_expr, s.width_bits) for s in pm.signals + pm.declared_signals()] == [
+            ("[3:0][7:0]", None), ("[1:0][W-1:0]", None)
+        ]
+        assert [d.code for d in pm.diagnostics] == ["non-canonical-range"] * 2
 
     def test_non_canonical_range_flagged(self):
         pm = parse_module(header("input wire [7:4] weird"))

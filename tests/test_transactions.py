@@ -1,10 +1,5 @@
-from autoft.parser import parse_module
-from autoft.transactions import (
-    SOURCE_EXPLICIT_ASSIGN,
-    SOURCE_EXPLICIT_DECL,
-    build_transactions,
-    transaction_kind,
-)
+from autoft.parser import ExplicitAttrib, InterfaceSignal, parse_module
+from autoft.transactions import build_transactions, transaction_kind
 
 from conftest import load_fixture
 
@@ -49,7 +44,7 @@ class TestBuild:
         (t,) = txns
         assert t.direction == "incoming"
         assert set(t.p.bindings) == {"val", "ack", "stable"}
-        assert t.p.get("ack").source == SOURCE_EXPLICIT_ASSIGN
+        assert isinstance(t.p.get("ack"), ExplicitAttrib)
         assert t.p.get("ack").expr == "!ptw_active"
         assert set(t.q.bindings) == {"val"}
 
@@ -131,17 +126,33 @@ class TestPrecedence:
         )
         pm = parse_module(src)
         txns, diags = build_transactions(pm)
-        assert txns[0].p.get("ack").source == SOURCE_EXPLICIT_ASSIGN
+        assert isinstance(txns[0].p.get("ack"), ExplicitAttrib)
         assert "explicit-overrides-port" in [d.code for d in diags if d.severity == "warning"]
 
     def test_explicit_decl_beats_port(self):
+        # A declaration is a port of the property module, so repeating a
+        # header port is an error at the declaration, not a binding choice.
         src = module(
             "input wire a_val,\ninput wire [1:0] a_transid,\noutput wire b_val,"
             "\noutput wire [1:0] b_transid",
             "// AUTOSVA t: a -in> b\n// AUTOSVA input [1:0] a_transid",
         )
+        errors = [d for d in parse_module(src).diagnostics if d.is_error]
+        assert [(d.code, d.message, d.span.line) for d in errors] == [
+            ("malformed-port-decl", "port 'a_transid' declared twice", 2)
+        ]
+
+    def test_declared_signal_binds_like_port(self):
+        src = module(
+            "input wire a_val,\noutput wire b_val",
+            "// AUTOSVA t: a -in> b\n// AUTOSVA input [1:0] a_transid\n// AUTOSVA output [1:0] b_transid",
+        )
         txns, diags = build(src)
-        assert txns[0].p.get("transid").source == SOURCE_EXPLICIT_DECL
+        assert error_codes(diags) == []
+        ids = (txns[0].p.get("transid"), txns[0].q.get("transid"))
+        assert [(type(b), b.direction, b.width_bits) for b in ids] == [
+            (InterfaceSignal, "input", 2), (InterfaceSignal, "output", 2)
+        ]
 
     def test_assign_beats_decl(self):
         src = module(
@@ -149,7 +160,8 @@ class TestPrecedence:
             "// AUTOSVA t: a -in> b\n// AUTOSVA input a_ack\n// AUTOSVA a_ack = !busy",
         )
         txns, diags = build(src)
-        assert txns[0].p.get("ack").source == SOURCE_EXPLICIT_ASSIGN
+        assert isinstance(txns[0].p.get("ack"), ExplicitAttrib)
+        assert [(d.code, d.span.line) for d in diags if not d.is_error] == [("explicit-overrides-port", 3)]
 
     def test_two_explicit_defs_conflict(self):
         src = module(
