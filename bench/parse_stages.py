@@ -1,4 +1,4 @@
-"""Time `parse_module` and in-process `autoft gen` per input, before and after a change.
+"""Time every generation stage and in-process `autoft gen` per input, before and after a change.
 
     python3 bench/parse_stages.py                                  # this checkout
     python3 bench/parse_stages.py --src OTHER/src --out BENCH.json # OTHER is "before"
@@ -7,27 +7,42 @@ Run from the root of a checkout; stdlib only. The inputs are the five bundled
 fixtures and perfbench's seeded wide files (250 to 4000 transactions, empty
 body) and deep files (1 to 8 transactions, 10k to 50k body lines), drawn by
 `perfbench/inputs.py`, which is only imported. `--src` names the `src/`
-directory of another checkout, such as a `git worktree` of the parent commit;
+directory of another checkout, such as a `git archive` of the parent commit;
 it is measured as "before" and this checkout's `src/` as "after".
 
-Each side runs in a child process per round, and rounds alternate which side
-goes first, because the speed of a shared host drifts within minutes. In a
-round every input is parsed once and generated once (`gen --tool both` into a
-temporary directory), after one warm-up `gen` of a fixture. A side's time for
-an input is the median over rounds. The JSON written has per-input medians for
-each side, group totals (parse MB/s on the deep files, gen transactions/s on
-the wide files) and, with two sides, the ratio after/before of each total.
+Both sides run in this one process: each side's `autoft` package is loaded
+under its own name (`autoft_before`, `autoft_after`), and the two sides take
+turns on every input, the first side alternating between inputs and rounds,
+so drift in the speed of a shared host lands on both sides alike. A side's
+turn on an input runs three measurements, each after a full collection:
+
+- `gc_on`: the stages of `generate_bundle` followed by `write_bundle`, one
+  public call per stage (parse, build, synth, props, emit, write), with the
+  cyclic garbage collector enabled;
+- `gc_off`: the same with the collector disabled;
+- `cli`: `cli.main(["gen", PATH, "--tool", "both", "-o", DIR])` as a user's
+  process calls it, with the collector enabled on entry, and the number of
+  collections that ran inside it.
+
+The staged runs must write the same bytes as `cli.main`, and the two sides
+the same bytes as each other. A time is the median over rounds. The JSON
+written has the per-input medians of each side, group totals (wide
+transactions per second through `cli.main`, deep parse MB/s, per-stage sums
+over the wide files) and, with two sides, the ratio after/before of each
+total.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
+import importlib
+import importlib.util
 import io
 import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -39,6 +54,18 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402
 
 FIXTURES = ("fifo", "pipeline", "noc_buffer", "noc_buffer_buggy", "mmu_stub")
+STAGES = ("parse", "build", "synth", "props", "emit", "write")
+MODULES = ("cli", "emit", "options", "parser", "properties", "signals", "transactions")
+
+
+def load(src: Path, alias: str) -> argparse.Namespace:
+    """The `autoft` package under `src`, imported as `alias` so that two checkouts can coexist."""
+    pkg = src / "autoft"
+    spec = importlib.util.spec_from_file_location(alias, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return argparse.Namespace(**{m: importlib.import_module(f"{alias}.{m}") for m in MODULES})
 
 
 def write_inputs(seed: int, into: Path) -> list[dict]:
@@ -57,101 +84,132 @@ def write_inputs(seed: int, into: Path) -> list[dict]:
     return out
 
 
-def measure(src: str, files: list[dict]) -> dict[str, dict[str, float]]:
-    """One round in this process: parse and gen wall ms per input, with autoft imported from `src`."""
-    sys.path.insert(0, src)
-    from autoft import cli, parser
-
-    def gen(path: str, outdir: str) -> None:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            rc = cli.main(["gen", path, "--tool", "both", "-o", outdir])
-        if rc != 0:
-            raise RuntimeError(f"autoft gen {path} exited {rc}")
-
-    times = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        gen(files[0]["path"], tmp)  # warm-up: imports and regex compilation
-        for f in files:
-            text = Path(f["path"]).read_text(encoding="utf-8")
-            t0 = time.perf_counter()
-            parser.parse_module(text, f["path"])
-            t1 = time.perf_counter()
-            gen(f["path"], tmp)
-            t2 = time.perf_counter()
-            times[f["name"]] = {"parse_ms": (t1 - t0) * 1e3, "gen_ms": (t2 - t1) * 1e3}
-    return times
-
-
-def run_side(src: str, files_json: str) -> dict:
-    done = subprocess.run(
-        [sys.executable, __file__, "--measure", src, "--files", files_json],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+def staged(af, path: str, outdir: Path) -> dict[str, float]:
+    """`emit.generate_bundle` and `emit.write_bundle`, one public call per stage; wall ms per stage."""
+    source = Path(path).read_text(encoding="utf-8")
+    opts = af.options.GenOptions(tool="both")
+    clock = time.perf_counter
+    t = [clock()]
+    pm = af.parser.parse_module(source, path)
+    t.append(clock())
+    txns, diags = af.transactions.build_transactions(pm)
+    t.append(clock())
+    aux, more = af.signals.synth_module_aux(txns, pm, opts)
+    t.append(clock())
+    diags = [*pm.diagnostics, *diags, *more]
+    props = [af.properties.apply_link_transforms(af.properties.gen_properties(x, a, opts, diags),
+                                                 assert_inputs=opts.assert_inputs)
+             for x, a in zip(txns, aux)]
+    t.append(clock())
+    bundle = af.emit.TestbenchBundle(
+        dut=pm.module_name,
+        property_module=af.emit.emit_property_module(pm, txns, aux, props, opts),
+        bind_file=af.emit.emit_bind_file(pm),
+        tool_files=af.emit.emit_tool_files(pm, opts.tool, opts),
+        warnings=[d.render() for d in diags],
     )
-    return json.loads(done.stdout)
+    t.append(clock())
+    af.emit.write_bundle(bundle, outdir)
+    t.append(clock())
+    return {f"{s}_ms": (b - a) * 1e3 for s, a, b in zip(STAGES, t, t[1:])}
 
 
-def summarize(files: list[dict], rounds: list[dict]) -> dict:
+def collections() -> int:
+    return sum(s["collections"] for s in gc.get_stats())
+
+
+def turn(af, path: str, tmp: Path) -> tuple[dict, dict[str, bytes]]:
+    """One side's three measurements on one input, and the bytes its `cli.main` wrote."""
+    out = {}
+    for mode in ("gc_on", "gc_off"):
+        gc.collect()
+        (gc.enable if mode == "gc_on" else gc.disable)()
+        try:
+            out[mode] = staged(af, path, tmp / mode)
+        finally:
+            gc.enable()
+    gc.collect()
+    before, t0 = collections(), time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = af.cli.main(["gen", path, "--tool", "both", "-o", str(tmp / "cli")])
+    out["cli"] = {"gen_ms": (time.perf_counter() - t0) * 1e3, "collections": collections() - before}
+    if rc != 0:
+        raise RuntimeError(f"autoft gen {path} exited {rc}")
+    trees = [{str(p.relative_to(tmp / d)): p.read_bytes() for p in (tmp / d).rglob("*") if p.is_file()}
+             for d in ("gc_on", "gc_off", "cli")]
+    if not trees[0] == trees[1] == trees[2]:
+        raise RuntimeError(f"the staged pipeline and cli.main wrote different files for {path}")
+    return out, trees[2]
+
+
+def summarize(files: list[dict], runs: dict[str, list[dict]]) -> dict:
     per_input = {
-        f["name"]: {k: round(statistics.median(r[f["name"]][k] for r in rounds), 2) for k in ("parse_ms", "gen_ms")}
-        for f in files
+        name: {part: {k: round(statistics.median(r[part][k] for r in rs), 2) for k in rs[0][part]}
+               for part in rs[0]}
+        for name, rs in runs.items()
     }
+    for rec in per_input.values():
+        for mode in ("gc_on", "gc_off"):
+            rec[mode]["total_ms"] = round(sum(rec[mode][f"{s}_ms"] for s in STAGES), 2)
 
-    def total(group: str, key: str) -> float:
-        return sum(per_input[f["name"]][key] for f in files if f["group"] == group) / 1e3
+    def total(group: str, part: str, key: str) -> float:
+        return sum(per_input[f["name"]][part][key] for f in files if f["group"] == group)
 
     deep_mb = sum(f["bytes"] for f in files if f["group"] == "deep") / 1e6
     wide_txns = sum(f["txns"] for f in files if f["group"] == "wide")
-    return {
-        "per_input": per_input,
-        "totals": {
-            "deep_parse_mb_per_s": round(deep_mb / total("deep", "parse_ms"), 3),
-            "deep_gen_mb_per_s": round(deep_mb / total("deep", "gen_ms"), 3),
-            "wide_parse_ms": round(total("wide", "parse_ms") * 1e3, 1),
-            "wide_gen_txn_per_s": round(wide_txns / total("wide", "gen_ms"), 1),
-            "fixtures_parse_ms": round(total("fixtures", "parse_ms") * 1e3, 3),
-            "parse_1000_txn_ms": per_input["wide_2"]["parse_ms"],
-        },
+    biggest = max((f for f in files if f["group"] == "wide"), key=lambda f: f["txns"])["name"]
+    totals = {
+        "wide_cli_txn_per_s": round(wide_txns / total("wide", "cli", "gen_ms") * 1e3, 1),
+        "wide_cli_collections": total("wide", "cli", "collections"),
+        **{f"wide_{mode}_{s}_ms": round(total("wide", mode, f"{s}_ms"), 1)
+           for mode in ("gc_on", "gc_off") for s in (*STAGES, "total")},
+        "wide_cli_over_gc_off": round(total("wide", "cli", "gen_ms") / total("wide", "gc_off", "total_ms"), 3),
+        f"{biggest}_cli_over_gc_off": round(per_input[biggest]["cli"]["gen_ms"]
+                                            / per_input[biggest]["gc_off"]["total_ms"], 3),
+        "deep_parse_mb_per_s": round(deep_mb / total("deep", "gc_on", "parse_ms") * 1e3, 3),
+        "deep_cli_mb_per_s": round(deep_mb / total("deep", "cli", "gen_ms") * 1e3, 3),
+        "fixtures_cli_ms": round(total("fixtures", "cli", "gen_ms"), 3),
     }
+    return {"per_input": per_input, "totals": totals}
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", help="the src/ directory of the checkout to measure as 'before'")
     ap.add_argument("--seed", type=int, default=1, help="perfbench input seed (default 1)")
-    ap.add_argument("--rounds", type=int, default=5, help="child processes per side (default 5)")
+    ap.add_argument("--rounds", type=int, default=5, help="turns per side and input (default 5)")
     ap.add_argument("--out", help="write the JSON here instead of standard output")
-    ap.add_argument("--measure", help=argparse.SUPPRESS)  # child: one round of one side
-    ap.add_argument("--files", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
-    if args.measure:
-        print(json.dumps(measure(args.measure, json.loads(Path(args.files).read_text()))))
-        return 0
-
-    sides = {"after": str(ROOT / "src")}
+    sides = {"after": load(ROOT / "src", "autoft_after")}
     if args.src:
-        sides = {"before": str(Path(args.src).resolve()), **sides}
-    rounds: dict[str, list[dict]] = {side: [] for side in sides}
+        sides = {"before": load(Path(args.src).resolve(), "autoft_before"), **sides}
     with tempfile.TemporaryDirectory() as tmp:
         files = write_inputs(args.seed, Path(tmp))
-        files_json = Path(tmp) / "files.json"
-        files_json.write_text(json.dumps(files))
+        runs: dict[str, dict[str, list]] = {side: {f["name"]: [] for f in files} for side in sides}
         order = list(sides)
         for k in range(args.rounds):
-            for side in order if k % 2 == 0 else order[::-1]:
-                rounds[side].append(run_side(sides[side], str(files_json)))
-                print(f"round {k + 1}/{args.rounds} {side} done", file=sys.stderr)
+            for i, f in enumerate(files):
+                written = []
+                for side in order if (k + i) % 2 == 0 else order[::-1]:
+                    with tempfile.TemporaryDirectory(dir=tmp) as outdir:
+                        out, tree = turn(sides[side], f["path"], Path(outdir))
+                    runs[side][f["name"]].append(out)
+                    written.append(tree)
+                if any(tree != written[0] for tree in written):
+                    raise RuntimeError(f"the two sides wrote different files for {f['name']}")
+            print(f"round {k + 1}/{args.rounds} done", file=sys.stderr)
 
     result = {
         "command": "python3 bench/parse_stages.py" + (" --src <before>/src" if args.src else "")
         + f" --seed {args.seed} --rounds {args.rounds}",
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "inputs": [{k: f[k] for k in ("name", "group", "bytes", "txns")} for f in files],
-        **{side: summarize(files, rounds[side]) for side in sides},
+        **{side: summarize(files, runs[side]) for side in sides},
     }
     if args.src:
         before, after = result["before"]["totals"], result["after"]["totals"]
-        result["after_over_before"] = {k: round(after[k] / before[k], 3) for k in before}
+        result["after_over_before"] = {k: round(after[k] / before[k], 3) if before[k] else None for k in before}
     text = json.dumps(result, indent=1) + "\n"
     if args.out:
         Path(args.out).write_text(text)

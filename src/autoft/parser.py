@@ -23,7 +23,9 @@ direction, `[wire|logic|reg|var] [signed|unsigned] [ranges] field` or
 `type field`, and a trailing `;` is dropped. A declared signal is a port of
 the property module: it is parsed into the same `InterfaceSignal` record,
 and repeating the name of a port or of another declared signal is an error.
-Brackets `()[]{}` outside string literals must balance on an attribute line.
+Brackets `()[]{}` outside string literals must balance on an attribute line,
+and a `=` or `;` inside a range, or a `;` in a right-hand side other than the
+trailing one, is an error at that token.
 
 The supported Verilog subset is ANSI-style headers: `input`/`output`
 directions, optional wire/logic/reg keyword, one declarator per list item,
@@ -60,13 +62,13 @@ def is_identifier(text: str) -> bool:
     return bool(_IDENT_FULL_RE.match(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parameter:
     name: str
     value_expr: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterfaceSignal:
     """A header port, or a signal an `input`/`output` annotation declares."""
 
@@ -84,7 +86,7 @@ class InterfaceSignal:
         return literal_width_bits(self.width_expr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldName:
     prefix: str
     suffix: str
@@ -93,7 +95,7 @@ class FieldName:
         return f"{self.prefix}_{self.suffix}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationDecl:
     tname: str
     p: str
@@ -101,7 +103,7 @@ class RelationDecl:
     direction: str  # "incoming" or "outgoing"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExplicitAttrib:
     """A `[width] field = expr` binding."""
 
@@ -120,7 +122,7 @@ class ExplicitAttrib:
         return literal_width_bits(self.width_expr) if self.width_expr else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     kind: str  # "relation", "explicit_attrib" (an assign) or "signal" (a declaration)
     raw_text: str
@@ -258,7 +260,7 @@ def _regions(source: str, comments: list[tuple[int, int, str]], lmap: _LineMap) 
             payload = _marker_payload(body)
             if payload is None:
                 continue
-            pad = len(body) - len(payload)
+            pad = len(body) - len(payload.lstrip())
             regions.append((payload.strip(), lmap.span(start + 2 + pad)))
         else:
             body = source[start + 2 : end - 2 if kind == "block" else end]
@@ -361,9 +363,16 @@ def _parse_annotation_line(line: str, span: SourceSpan, diags: list[Diagnostic])
         at = SourceSpan(span.file, span.line, span.column + bad)
         diags.append(error("unbalanced-brackets", f"'{line[bad]}' does not balance", at, line))
         return None
-    if m := _ATTRIB_ASSIGN_RE.match(line):
+    m = _ATTRIB_ASSIGN_RE.match(line)
+    decl = m is None and _DECL_RE.match(line)
+    bad = _stray(line, m) if m or decl else None
+    if bad is not None:
+        at = SourceSpan(span.file, span.line, span.column + bad)
+        diags.append(error("bad-annotation", f"stray '{line[bad]}'", at, line))
+        return None
+    if m:
         name = m["name"]
-    elif _DECL_RE.match(line):
+    elif decl:
         sig = _parse_port_item(line.removesuffix(";"), span, diags)
         if sig is None:
             return None
@@ -394,6 +403,7 @@ _BRACKETS_RE = _scanner("()[]{}")
 _OPENER = {")": "(", "]": "[", "}": "{"}
 _BRACKET_COMMA_RE = _scanner("()[]{},")
 _BRACKET_EQ_RE = _scanner("()[]{}=")
+_STRAY_RE = _scanner("[]=;")
 
 
 def _unbalanced(text: str) -> int | None:
@@ -407,6 +417,28 @@ def _unbalanced(text: str) -> int | None:
         elif ch[0] != '"':
             opened.append(m.start())
     return opened[0] if opened else None
+
+
+def _stray(line: str, assign: re.Match | None) -> int | None:
+    """Offset of the first `=` or `;` outside strings that an attribute line may not hold, or None.
+
+    Inside a range both are stray. In an assignment's right-hand side every
+    `;` is, since `_ATTRIB_ASSIGN_RE` has cut the one trailing `;` off.
+    """
+    depth = 0
+    for m in _STRAY_RE.finditer(line, 0, assign.start("name") if assign else len(line.removesuffix(";"))):
+        ch = m.group()
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        elif ch in ("=", ";") and depth:
+            return m.start()
+    if assign:
+        for m in _STRAY_RE.finditer(line, *assign.span("expr")):
+            if m.group() == ";":
+                return m.start()
+    return None
 
 
 def _match_paren(text: str, open_pos: int) -> int:

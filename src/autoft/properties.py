@@ -91,7 +91,7 @@ def plan_polarity(direction: str, kind: str) -> str:
     return ASSERT  # active_covered and xprop
 
 
-@dataclass
+@dataclass(slots=True)
 class GeneratedProperty:
     """One property: its IR body, rendered on demand as SVA text."""
 

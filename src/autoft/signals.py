@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, warning
 from .options import GenOptions
-from .parser import ExplicitAttrib, ParsedModule
+from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule
 from .sva import And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched
 from .transactions import Transaction, transaction_kind
 
@@ -47,7 +47,7 @@ class _Namer:
         return name
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionAux:
     """Aux signals declared for one transaction plus the role map properties use."""
 
@@ -131,8 +131,18 @@ def synth_transaction_aux(
         roles["inflight"] = inflight
         signals.append(inflight)
         if "p_data" in roles:
-            sampled = Sampled(namer.alloc(f"{t.tname}_sampled_data"), _attr_width(t, "data"),
-                              request, roles["p_data"])
+            data_width = _attr_width(t, "data")
+            unknown = [b for b in (t.p.get("data"), t.q.get("data")) if b.width_bits is None]
+            if not data_width and unknown:
+                typed = next((f" (type '{b.opaque_type}')" for b in unknown if isinstance(b, InterfaceSignal)), "")
+                diags.append(
+                    warning(
+                        "unknown-data-width",
+                        f"data width of '{t.tname}' is not a known range{typed}, sampled data defaults to 1 bit",
+                        t.span,
+                    )
+                )
+            sampled = Sampled(namer.alloc(f"{t.tname}_sampled_data"), data_width, request, roles["p_data"])
             roles["sampled"] = sampled
             signals.append(sampled)
 

@@ -20,7 +20,7 @@ from .parser import Annotation, ExplicitAttrib, InterfaceSignal, ParsedModule, s
 Binding = InterfaceSignal | ExplicitAttrib
 
 
-@dataclass
+@dataclass(slots=True)
 class InterfaceSide:
     """An interface participating in a transaction, with its bindings."""
 
@@ -34,7 +34,7 @@ class InterfaceSide:
         return suffix in self.bindings
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """A named request/response implication between two interfaces."""
 

@@ -91,7 +91,7 @@ def extract_annotation_regions(source: str, path: str = "<string>") -> list[tupl
             payload = _marker_payload(body)
             if payload is None:
                 continue
-            pad = len(body) - len(payload)
+            pad = len(body) - len(payload.lstrip())
             regions.append((payload.strip(), _span(starts, path, start + 2 + pad)))
             continue
         body = source[start + 2 : end - 2 if kind == "block" else end]

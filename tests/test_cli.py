@@ -55,7 +55,7 @@ class TestGen:
         )
         code, _, err = run_cli(["gen", src, "-o", tmp_path / "o"], capsys)
         assert code == 1
-        assert f"{src}:2:11: error[malformed-port-decl]: port 'a_transid' declared twice" in err
+        assert f"{src}:2:12: error[malformed-port-decl]: port 'a_transid' declared twice" in err
         assert not (tmp_path / "o").exists()
 
     def test_unbalanced_annotation_exits_one(self, tmp_path, capsys):

@@ -364,7 +364,22 @@ class TestDeclaredSignals:
     def test_typed_declarations_keep_their_type(self):
         bundle = generate_bundle(TYPED_DECLS, "m.sv", GenOptions())
         assert "    input dat_t a_data,\n    input dat_t b_data\n);" in bundle.property_module.text
-        assert sum("warning[opaque-port-type]" in w for w in bundle.warnings) == 2
+        assert [w.split("]")[0].split("[")[-1] for w in bundle.warnings] == [
+            "opaque-port-type", "opaque-port-type", "unknown-data-width",
+        ]
+        assert bundle.warnings[-1] == (
+            "m.sv:1:12: warning[unknown-data-width]: data width of 't' is not a known range (type 'dat_t'),"
+            " sampled data defaults to 1 bit"
+        )
+
+    def test_data_assigned_without_range_warns(self):
+        src = TYPED_DECLS.replace("input dat_t a_data", "a_data = a_id").replace("input dat_t b_data;", "b_data = b_id")
+        bundle = generate_bundle(src, "m.sv", GenOptions())
+        assert "logic t_sampled_data;" in bundle.property_module.text
+        assert bundle.warnings == [
+            "m.sv:1:12: warning[unknown-data-width]: data width of 't' is not a known range,"
+            " sampled data defaults to 1 bit"
+        ]
 
     def test_typed_declaration_has_no_width_to_mismatch(self):
         bundle = generate_bundle(TYPED_DECL_VS_PORT, "m.sv", GenOptions())

@@ -65,7 +65,7 @@ class TestAnnotationRegions:
     def test_span_points_into_source(self):
         src = "\n\n  // AUTOSVA t: a -in> b\n"
         [(_, span)] = extract_annotation_regions(src)
-        assert span.line == 3
+        assert (span.line, span.column) == (3, 14)  # the `t`, past the space after the marker
 
 
 # Tokens that move the lexer between its states, and some that do not.
@@ -270,6 +270,8 @@ ERROR_CORPUS = [
     ("unbalanced_width", "// AUTOSVA input [(W-1:0] a_data", "unbalanced-brackets"),
     ("declaration_repeats_port", "// AUTOSVA input a_val", "malformed-port-decl"),
     ("declaration_not_a_port", "// AUTOSVA input a_ack = x", "malformed-port-decl"),
+    ("semicolon_in_assign", "// AUTOSVA a_ack = busy; x", "bad-annotation"),
+    ("eq_in_declared_range", "// AUTOSVA input [W=1:0] a_data;", "bad-annotation"),
 ]
 
 
@@ -293,6 +295,14 @@ class TestParseModule:
             ("unbalanced-brackets", "')' does not balance", 2, 23)
         ]
         assert pm.annotations == []
+
+    @pytest.mark.parametrize("width, column", [("[T= AGW-1:0]", 3), ("[TAGW;-1:0]", 6)])
+    def test_stray_token_in_width_range_is_located(self, width, column):
+        src = load_fixture("mmu_stub").replace("[TAGW-1:0] ptw_req_transid", f"{width} ptw_req_transid")
+        pm = parse_module(src, "mmu_stub.sv")
+        assert [(d.code, d.span.line, d.span.column) for d in pm.diagnostics if d.is_error] == [
+            ("bad-annotation", 10, column)
+        ]
 
     def test_fifo_fixture_shape(self):
         pm = parse_module(load_fixture("fifo"), "fifo.sv")
