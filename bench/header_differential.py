@@ -1,0 +1,73 @@
+"""Compare `parse_module` of two checkouts on seeded mutants of the fixtures' module headers.
+
+    python3 bench/header_differential.py --src OTHER/src             # OTHER against this checkout
+    python3 bench/header_differential.py --src OTHER/src --mutants 20000 --seed 1
+
+Run from anywhere; stdlib only. A mutant inserts one token from `TOKENS` at a
+random place between the start of a fixture's `module` keyword and the end of
+the `);` that closes its port list, so it exercises the header lists: where a
+list closes, where it splits, and how a parameter item splits at its `=`.
+Each mutant is parsed by both sides, and these must agree: whether it raises,
+with which error codes; every diagnostic (code, message, line, column); the
+parameters; and the ports. One JSON object is printed, with the number of
+mutants, of those that raised, of mismatches and the first few mismatches.
+The exit status is 1 when any mutant differs.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from parse_stages import FIXTURES, load  # noqa: E402
+
+TOKENS = ("(", ")", "[", "]", "{", "}", ",", ";", "=", "==", "<=", '"', '")"')
+_HEADER_RE = re.compile(r"^module\b.*?^\);", re.MULTILINE | re.DOTALL)
+
+
+def projection(af, source: str) -> tuple:
+    """What the two sides must agree on for one source."""
+    try:
+        pm = af.parser.parse_module(source, "m.sv")
+    except af.parser.ParseError as exc:
+        return ("raised", [(d.code, d.message, d.span.line, d.span.column) for d in exc.diagnostics])
+    return (
+        [(d.code, d.message, d.span.line, d.span.column) for d in pm.diagnostics],
+        [(p.name, p.value_expr) for p in pm.parameters],
+        [(s.direction, s.name, s.width_expr, s.opaque_type, s.span.line, s.span.column) for s in pm.signals],
+    )
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", type=Path, required=True, help="the src/ directory of the checkout compared against")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--mutants", type=int, default=20000, help="mutants in total")
+    args = ap.parse_args()
+    before, after = load(args.src.resolve(), "autoft_before"), load(ROOT / "src", "autoft_after")
+    texts = [(ROOT / "fixtures" / f"{name}.sv").read_text(encoding="utf-8") for name in FIXTURES]
+    headers = [_HEADER_RE.search(text).span() for text in texts]
+    rng = random.Random(args.seed)
+    raised = 0
+    mismatches = []
+    for _ in range(args.mutants):
+        k = rng.randrange(len(texts))
+        at = rng.randint(*headers[k])
+        mutant = texts[k][:at] + rng.choice(TOKENS) + texts[k][at:]
+        old, new = projection(before, mutant), projection(after, mutant)
+        raised += old[0] == "raised"
+        if old != new:
+            mismatches.append({"fixture": FIXTURES[k], "at": at, "before": old, "after": new})
+    print(json.dumps({"src": str(args.src), "seed": args.seed, "mutants": args.mutants, "raised": raised,
+                      "mismatches": len(mismatches), "first": mismatches[:3]}, indent=1))
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,9 +18,12 @@ payload line of the fixture by one operator:
 Each mutant goes through `generate_bundle` with default options. A mutant is
 rejected when that raises autoft's own error, crashed when it raises anything
 else, and otherwise accepted. An accepted mutant's `_prop.sv` is checked with
-`tests/wellformed.py`: brackets outside strings balance, and no name is
-declared twice as a parameter, port, wire, logic or localparam. One JSON
-object is printed, with the counts in total and per operator.
+`tests/wellformed.py`: brackets outside strings balance (else `unbalanced`), no
+name is declared twice as a parameter, port, wire, logic or localparam (else
+`declared_twice`), no `wire` or `assign` right-hand side holds a `=` that no
+comparison takes (else `lone_eq`), and no declaration holds `//` or `/*`
+(else `comment_in_decl`). A module that fails any of them is `ill_formed`.
+One JSON object is printed, with the counts in total and per operator.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ("fifo", "pipeline", "noc_buffer", "noc_buffer_buggy", "mmu_stub")
 SUFFIXES = ("transid_unique", "transid", "active", "stable", "data", "val", "ack")
-TOKENS = ("(", ")", "[", "]", "{", "}", "[1:0] ", "= ", ";", ",", "!", " && x", '"("', '"', " ",
+TOKENS = ("(", ")", "[", "]", "{", "}", "[1:0] ", "= ", ";", ",", "!", " && x", '"("', '"', " ", "//", "/*",
           "input ", "output ", "wire ", "dat_t ", "_ack", "_data", "_val")
 OPERATORS = ("insert", "delete", "rename", "add")
 
@@ -104,7 +107,7 @@ def main() -> int:
     from autoft.diagnostics import AutoFtError
     from autoft.emit import generate_bundle
     from autoft.options import GenOptions
-    from wellformed import balanced, declared_twice
+    from wellformed import balanced, commented_declarations, declared_twice, lone_eq
 
     rng = random.Random(args.seed)
     counts: Counter = Counter()
@@ -128,12 +131,17 @@ def main() -> int:
                     outcome.append("unbalanced")
                 if declared_twice(module):
                     outcome.append("declared_twice")
+                if lone_eq(module):
+                    outcome.append("lone_eq")
+                if commented_declarations(module):
+                    outcome.append("comment_in_decl")
                 if len(outcome) > 1:
                     outcome.append("ill_formed")
             for c in tally:
                 c["mutants"] += 1
                 c.update(outcome)
-    keys = ("mutants", "rejected", "accepted", "unbalanced", "declared_twice", "ill_formed", "crashed")
+    keys = ("mutants", "rejected", "accepted", "unbalanced", "declared_twice", "lone_eq", "comment_in_decl",
+            "ill_formed", "crashed")
     report = {
         "src": args.src, "seed": args.seed,
         **{k: counts[k] for k in keys},

@@ -23,9 +23,11 @@ direction, `[wire|logic|reg|var] [signed|unsigned] [ranges] field` or
 `type field`, and a trailing `;` is dropped. A declared signal is a port of
 the property module: it is parsed into the same `InterfaceSignal` record,
 and repeating the name of a port or of another declared signal is an error.
-Brackets `()[]{}` outside string literals must balance on an attribute line,
-and a `=` or `;` inside a range, or a `;` in a right-hand side other than the
-trailing one, is an error at that token.
+Brackets `()[]{}` outside string literals must balance on an attribute line.
+A `=` or `;` inside a range, a `;` in a right-hand side other than the
+trailing one, a `=` in a right-hand side that is not part of a comparison
+(`==`, `===`, `!=`, `!==`, `<=`, `>=`), and a comment token (`//`, `/*`, `*/`)
+are errors at that token.
 
 The supported Verilog subset is ANSI-style headers: `input`/`output`
 directions, optional wire/logic/reg keyword, one declarator per list item,
@@ -38,12 +40,17 @@ the comment list, which the annotations are read from, and a masked copy in
 which every comment (not string) is blanked to spaces. Newlines stay, also
 inside block comments, so offsets and spans in the masked text are those of
 the source. The header is read from the masked copy, with backtick directive
-lines blanked as well.
+lines blanked as well. One tokenizer, which skips string literals, reads both
+the header and the annotations: it closes and splits the header lists, splits
+a parameter item at its `=`, and finds the tokens an attribute line may not
+hold. Every position reported is a source offset turned into a line and column
+by one line map.
 """
 from __future__ import annotations
 
 import bisect
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan, error, warning
@@ -248,12 +255,13 @@ def extract_annotation_regions(source: str, path: str = "<string>") -> list[tupl
     the end of input, matching compiler behavior.
     """
     comments, _ = _lex(source)
-    return _regions(source, comments, _LineMap(source, path))
+    lmap = _LineMap(source, path)
+    return [(text, lmap.span(offset)) for text, offset in _regions(source, comments, lmap)]
 
 
-def _regions(source: str, comments: list[tuple[int, int, str]], lmap: _LineMap) -> list[tuple[str, SourceSpan]]:
-    """`extract_annotation_regions` over comments that `_lex` already found."""
-    regions: list[tuple[str, SourceSpan]] = []
+def _regions(source: str, comments: list[tuple[int, int, str]], lmap: _LineMap) -> list[tuple[str, int]]:
+    """`extract_annotation_regions` over comments that `_lex` already found, with source offsets."""
+    regions: list[tuple[str, int]] = []
     for start, end, kind in comments:
         if kind == "line":
             body = source[start + 2 : end]
@@ -261,7 +269,7 @@ def _regions(source: str, comments: list[tuple[int, int, str]], lmap: _LineMap) 
             if payload is None:
                 continue
             pad = len(body) - len(payload.lstrip())
-            regions.append((payload.strip(), lmap.span(start + 2 + pad)))
+            regions.append((payload.strip(), start + 2 + pad))
         else:
             body = source[start + 2 : end - 2 if kind == "block" else end]
             first_line, newline, tail = body.partition("\n")
@@ -288,24 +296,23 @@ def _regions(source: str, comments: list[tuple[int, int, str]], lmap: _LineMap) 
                 offset = start + 2 + len(first_line) + 1
             else:
                 continue  # marker with no payload at all
-            regions.append((text, lmap.span(offset)))
+            regions.append((text, offset))
     return regions
 
 
-def _region_lines(text: str, span: SourceSpan) -> list[tuple[str, SourceSpan]]:
-    """Per-line payloads of a region with their own spans.
+def _region_lines(text: str, offset: int) -> list[tuple[str, int]]:
+    """Per-line payloads of a region that starts at source `offset`, each with its own offset.
 
-    The span argument locates the first character of `text`. A leading `*`
-    decoration (common in block comments) is stripped.
+    A leading `*` decoration (common in block comments) is stripped.
     """
     out = []
-    for i, line in enumerate(text.split("\n")):
-        stripped = line.strip()
-        if stripped.startswith("*"):
-            stripped = stripped[1:].strip()
-        if not stripped:
-            continue
-        out.append((stripped, SourceSpan(span.file, span.line + i, span.column if i == 0 else 1)))
+    for line in text.split("\n"):
+        payload = line.lstrip()
+        if payload.startswith("*"):
+            payload = payload[1:].lstrip()
+        if payload:
+            out.append((payload.rstrip(), offset + len(line) - len(payload)))
+        offset += len(line) + 1
     return out
 
 
@@ -343,13 +350,14 @@ def parse_relation(line: str, span: SourceSpan) -> RelationDecl:
 
 
 _ATTRIB_ASSIGN_RE = re.compile(
-    r"^\s*(?:(?P<width>\[[^\]]+\])\s*)?(?P<name>[A-Za-z_][A-Za-z0-9_$]*)\s*=\s*(?P<expr>.+?)\s*;?\s*$"
+    r"^\s*(?:(?P<width>\[[^\]]+\])\s*)?(?P<name>[A-Za-z_][A-Za-z0-9_$]*)\s*=(?!=)\s*(?P<expr>.+?)\s*;?\s*$"
 )
 _DECL_RE = re.compile(r"(?:input|output)\s")
 
 
-def _parse_annotation_line(line: str, span: SourceSpan, diags: list[Diagnostic]) -> Annotation | None:
-    """Parse one payload line into an Annotation, or record a diagnostic."""
+def _parse_annotation_line(line: str, offset: int, lmap: _LineMap, diags: list[Diagnostic]) -> Annotation | None:
+    """Parse one payload line, found at source `offset`, into an Annotation, or record a diagnostic."""
+    span = lmap.span(offset)
     if _RELATION_RE.match(line):
         try:
             rel = parse_relation(line, span)
@@ -358,21 +366,18 @@ def _parse_annotation_line(line: str, span: SourceSpan, diags: list[Diagnostic])
             return None
         return Annotation("relation", line, span, rel)
 
-    bad = _unbalanced(line)
-    if bad is not None:
-        at = SourceSpan(span.file, span.line, span.column + bad)
-        diags.append(error("unbalanced-brackets", f"'{line[bad]}' does not balance", at, line))
-        return None
     m = _ATTRIB_ASSIGN_RE.match(line)
-    decl = m is None and _DECL_RE.match(line)
-    bad = _stray(line, m) if m or decl else None
+    bad = _bad_token(line, m)
     if bad is not None:
-        at = SourceSpan(span.file, span.line, span.column + bad)
-        diags.append(error("bad-annotation", f"stray '{line[bad]}'", at, line))
+        at, tok = bad
+        if tok in "()[]{}":
+            diags.append(error("unbalanced-brackets", f"'{tok}' does not balance", lmap.span(offset + at), line))
+        else:
+            diags.append(error("bad-annotation", f"stray '{tok}'", lmap.span(offset + at), line))
         return None
     if m:
         name = m["name"]
-    elif decl:
+    elif _DECL_RE.match(line):
         sig = _parse_port_item(line.removesuffix(";"), span, diags)
         if sig is None:
             return None
@@ -389,100 +394,89 @@ def _parse_annotation_line(line: str, span: SourceSpan, diags: list[Diagnostic])
     return Annotation("signal", line, span, sig)
 
 
-def _scanner(chars: str) -> re.Pattern:
-    """A string literal, to be skipped, or one of `chars`.
-
-    The masked text keeps strings, so a bracket or separator inside one must
-    not count. One literal per alternative lets the engine skip to candidates.
-    """
-    return re.compile("|".join([_STRING, *map(re.escape, chars)]))
-
-
-_PAREN_RE = _scanner("()")
-_BRACKETS_RE = _scanner("()[]{}")
-_OPENER = {")": "(", "]": "[", "}": "{"}
-_BRACKET_COMMA_RE = _scanner("()[]{},")
-_BRACKET_EQ_RE = _scanner("()[]{}=")
-_STRAY_RE = _scanner("[]=;")
+# A string literal, matched whole so that the brackets and separators it holds
+# are skipped; the comparisons, so that a `=` token is a lone `=`; the comment
+# tokens; and each bracket and separator. Every alternative begins with a
+# literal character, which lets the regex engine skip ahead to candidates.
+_TOKEN_RE = re.compile("|".join([_STRING, "===?", "!==?", "<=", ">=", "//", r"/\*", r"\*/", *map(re.escape, "=()[]{},;")]))
+_OPENERS = "([{"
+_CLOSERS = {")": "(", "]": "[", "}": "{"}
+_COMMENT_TOKENS = ("//", "/*", "*/")
 
 
-def _unbalanced(text: str) -> int | None:
-    """Offset of the first bracket that does not balance, or None."""
-    opened: list[int] = []
-    for m in _BRACKETS_RE.finditer(text):
-        ch = m.group()
-        if ch in _OPENER:
-            if not opened or text[opened.pop()] != _OPENER[ch]:
-                return m.start()
-        elif ch[0] != '"':
-            opened.append(m.start())
-    return opened[0] if opened else None
+def _tokens(text: str, start: int = 0) -> Iterator[tuple[int, str, int]]:
+    """(offset, token, depth) for each token of `text` from `start` on, string literals left out.
 
-
-def _stray(line: str, assign: re.Match | None) -> int | None:
-    """Offset of the first `=` or `;` outside strings that an attribute line may not hold, or None.
-
-    Inside a range both are stray. In an assignment's right-hand side every
-    `;` is, since `_ATTRIB_ASSIGN_RE` has cut the one trailing `;` off.
+    `depth` counts the brackets of any kind opened and not closed between
+    `start` and the token, so a bracket and its match have the same depth.
     """
     depth = 0
-    for m in _STRAY_RE.finditer(line, 0, assign.start("name") if assign else len(line.removesuffix(";"))):
-        ch = m.group()
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
+    for m in _TOKEN_RE.finditer(text, start):
+        tok = m.group()
+        if tok in _CLOSERS:
             depth -= 1
-        elif ch in ("=", ";") and depth:
-            return m.start()
-    if assign:
-        for m in _STRAY_RE.finditer(line, *assign.span("expr")):
-            if m.group() == ";":
-                return m.start()
+        if tok[0] != '"':
+            yield m.start(), tok, depth
+        if tok in _OPENERS:
+            depth += 1
+
+
+def _bad_token(line: str, assign: re.Match | None) -> tuple[int, str] | None:
+    """Offset and text of the first token an attribute line may not hold, or None.
+
+    In reading order: a bracket that closes no opener of its kind does not
+    balance; a comment token is stray anywhere; before the right-hand side a
+    `;` or a token holding `=` inside a range is stray; and in an assignment's
+    right-hand side, which `_ATTRIB_ASSIGN_RE` has cut the one trailing `;`
+    off, every `;` and every lone `=` is. Failing all of these, the first
+    opener left open does not balance.
+    """
+    rhs_start, rhs_end = assign.span("expr") if assign else (len(line), len(line))
+    opened: list[int] = []
+    for off, tok, _ in _tokens(line):
+        if tok in _OPENERS:
+            opened.append(off)
+        elif tok in _CLOSERS:
+            if not opened or line[opened.pop()] != _CLOSERS[tok]:
+                return off, tok
+        elif tok in _COMMENT_TOKENS:
+            return off, tok
+        elif rhs_start <= off < rhs_end:
+            if tok in (";", "="):
+                return off, tok
+        elif (tok == ";" or "=" in tok) and any(line[o] == "[" for o in opened):
+            return off, tok
+    return (opened[0], line[opened[0]]) if opened else None
+
+
+def _header_list(text: str, open_pos: int) -> tuple[list[tuple[str, int]], int] | None:
+    """Items of the header list opened at `open_pos`, each with its offset, and the index past its `)`.
+
+    The list closes at the `)` that balances its `(`, counting parentheses
+    alone; it splits at each comma outside every kind of bracket. None when
+    the list never closes.
+    """
+    items = []
+    start = open_pos + 1
+    parens = 0
+    for off, tok, depth in _tokens(text, start):
+        if tok == "," and not depth:
+            items.append((text[start:off], start))
+            start = off + 1
+        elif tok == "(":
+            parens += 1
+        elif tok == ")":
+            if not parens:
+                items.append((text[start:off], start))
+                return items, off + 1
+            parens -= 1
     return None
 
 
-def _match_paren(text: str, open_pos: int) -> int:
-    """Index just past the `)` matching the `(` at open_pos, or -1."""
-    depth = 0
-    for m in _PAREN_RE.finditer(text, open_pos):
-        ch = m.group()
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return m.end()
-    return -1
-
-
-def _split_top_level(text: str, start: int, end: int, tokens: re.Pattern = _BRACKET_COMMA_RE) -> list[tuple[str, int]]:
-    """Split text[start:end] at separators not nested in (), [], or {}, with offsets in `text`.
-
-    `tokens` matches the brackets and the separator, a comma by default.
-    """
-    items = []
-    depth = 0
-    for m in tokens.finditer(text, start, end):
-        ch = m.group()
-        if ch[0] == '"':
-            continue
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif depth == 0:
-            items.append((text[start : m.start()], start))
-            start = m.end()
-    items.append((text[start:end], start))
-    return items
-
-
 def _parse_parameter_item(item: str, span: SourceSpan, diags: list[Diagnostic]) -> Parameter | None:
-    if not item.strip():
-        return None
     text = item.strip()
-    if text.startswith("localparam"):
-        return None  # not part of the public interface
+    if not text or text.startswith("localparam"):
+        return None  # a localparam is not part of the public interface
     eq = _split_eq(text)
     if eq is None:
         diags.append(warning("parameter-skipped", f"cannot read parameter item '{text}'", span, text))
@@ -497,11 +491,12 @@ def _parse_parameter_item(item: str, span: SourceSpan, diags: list[Diagnostic]) 
 
 
 def _split_eq(text: str) -> tuple[str, str] | None:
-    """`lhs = rhs` at the first top-level `=`; None without one, or at `==`."""
-    items = _split_top_level(text, 0, len(text), _BRACKET_EQ_RE)
-    if len(items) == 1 or text.startswith("=", items[1][1]):
-        return None
-    return items[0][0], text[items[1][1] :]
+    """`lhs = rhs` at the first `=` outside brackets; None without one, or when a `=` follows it."""
+    for off, tok, depth in _tokens(text):
+        if "=" in tok and not depth:
+            eq = off + tok.index("=")
+            return None if text.startswith("=", eq + 1) else (text[:eq], text[eq + 1 :])
+    return None
 
 
 _PORT_RE = re.compile(
@@ -593,29 +588,27 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     parameters: list[Parameter] = []
     m = _PARAMS_OPEN_RE.match(masked, pos)
     if m:
-        open_pos = m.end() - 1
-        close = _match_paren(masked, open_pos)
-        if close == -1:
-            raise ParseError([error("no-module-header", "unclosed parameter list", lmap.span(open_pos))])
-        for item, off in _split_top_level(masked, open_pos + 1, close - 1):
+        listed = _header_list(masked, m.end() - 1)
+        if listed is None:
+            raise ParseError([error("no-module-header", "unclosed parameter list", lmap.span(m.end() - 1))])
+        items, pos = listed
+        for item, off in items:
             param = _parse_parameter_item(item, lmap.span(off), diags)
             if param:
                 parameters.append(param)
-        pos = close
 
     signals: list[InterfaceSignal] = []
     m = _PORTS_OPEN_RE.match(masked, pos)
     if m:
-        open_pos = m.end() - 1
-        close = _match_paren(masked, open_pos)
-        if close == -1:
-            raise ParseError([error("no-module-header", "unclosed port list", lmap.span(open_pos))])
-        for item, off in _split_top_level(masked, open_pos + 1, close - 1):
+        listed = _header_list(masked, m.end() - 1)
+        if listed is None:
+            raise ParseError([error("no-module-header", "unclosed port list", lmap.span(m.end() - 1))])
+        items, pos = listed
+        for item, off in items:
             pad = len(item) - len(item.lstrip())
             sig = _parse_port_item(item, lmap.span(off + pad), diags)
             if sig:
                 signals.append(sig)
-        pos = close
     elif m := _SEMI_RE.match(masked, pos):
         pos = m.end()
     else:
@@ -632,9 +625,9 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     ]
 
     annotations: list[Annotation] = []
-    for text, span in regions:
-        for line, line_span in _region_lines(text, span):
-            ann = _parse_annotation_line(line, line_span, diags)
+    for text, offset in regions:
+        for line, line_offset in _region_lines(text, offset):
+            ann = _parse_annotation_line(line, line_offset, lmap, diags)
             if ann:
                 annotations.append(ann)
 

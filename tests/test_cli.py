@@ -68,6 +68,16 @@ class TestGen:
         assert f"{src}:10:30: error[unbalanced-brackets]: '(' does not balance" in err
         assert not (tmp_path / "o").exists()
 
+    def test_comment_in_annotation_exits_one(self, tmp_path, capsys):
+        # The `//` would comment out the `;` of `wire pipe_in_active = busy // note;`.
+        src = tmp_path / "pipeline.sv"
+        src.write_text(fixture_path("pipeline").read_text().replace(
+            "pipe_in_active = busy", "pipe_in_active = busy // note"))
+        code, _, err = run_cli(["gen", src, "-o", tmp_path / "o"], capsys)
+        assert code == 1
+        assert f"{src}:9:34: error[bad-annotation]: stray '//'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_validation_errors_exit_one_and_report_all(self, tmp_path, capsys):
         bad = tmp_path / "bad.sv"
         bad.write_text(

@@ -1,5 +1,8 @@
+import json
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -14,8 +17,8 @@ from autoft.emit import (
 from autoft.options import GenOptions
 from autoft.parser import parse_module
 
-from conftest import FIXTURE_NAMES, GOLDEN, gen_fixture, load_fixture
-from wellformed import balanced, declared_twice
+from conftest import FIXTURE_NAMES, GOLDEN, REPO, gen_fixture, load_fixture
+from wellformed import balanced, commented_declarations, declared_twice, lone_eq
 
 SV_KEYWORDS = {
     "module", "endmodule", "parameter", "localparam", "input", "output", "wire",
@@ -358,6 +361,23 @@ def test_each_name_declared_once(label):
     text = EMITTED[label]().property_module.text
     assert declared_twice(text) == []
     assert balanced(text)
+    assert lone_eq(text) == []
+    assert commented_declarations(text) == []
+
+
+def test_wellformed_reads_wire_right_hand_sides():
+    text = 'wire a = bu= sy;\nwire b = = 1;\nwire c = x <= y && z === w;\nwire d = "=" == e;\nwire f = g // h;\n'
+    assert lone_eq(text) == ["wire a = bu= sy", "wire b = = 1"]
+    assert commented_declarations(text + "logic [1:0] k /* l;\n") == ["wire f = g // h", "logic   k /* l"]
+
+
+def test_mutation_probe_accepts_only_well_formed_output():
+    # Accepted => well-formed, and no mutant crashes: the probe at a size that runs in about a second.
+    probe = subprocess.run([sys.executable, str(REPO / "bench" / "mutation_probe.py"), "--mutants", "400"],
+                           capture_output=True, text=True, check=True)
+    report = json.loads(probe.stdout)
+    assert (report["mutants"], report["crashed"], report["ill_formed"]) == (2000, 0, 0), report["crashes"]
+    assert report["accepted"] > 0
 
 
 class TestDeclaredSignals:

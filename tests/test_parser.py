@@ -272,6 +272,10 @@ ERROR_CORPUS = [
     ("declaration_not_a_port", "// AUTOSVA input a_ack = x", "malformed-port-decl"),
     ("semicolon_in_assign", "// AUTOSVA a_ack = busy; x", "bad-annotation"),
     ("eq_in_declared_range", "// AUTOSVA input [W=1:0] a_data;", "bad-annotation"),
+    ("lone_eq_in_assign", "// AUTOSVA pipe_in_active = bu= sy", "bad-annotation"),
+    ("lone_eq_after_assign", "// AUTOSVA pipe_in_stable = = 1'b1", "bad-annotation"),
+    ("line_comment_in_assign", "// AUTOSVA a_ack = busy // note", "bad-annotation"),
+    ("block_comment_in_assign", "// AUTOSVA a_ack = x /* y", "bad-annotation"),
 ]
 
 
@@ -303,6 +307,18 @@ class TestParseModule:
         assert [(d.code, d.span.line, d.span.column) for d in pm.diagnostics if d.is_error] == [
             ("bad-annotation", 10, column)
         ]
+
+    @pytest.mark.parametrize(
+        "annot, line, column",
+        [
+            ("/*AUTOSVA a_bogus = x */", 1, 11),  # the payload on the marker line, past its space
+            ("/*AUTOSVA\n   a_bogus = x\n*/", 2, 4),  # an indented block line
+            ("/*AUTOSVA\n * a_bogus = x\n */", 2, 4),  # a `*`-decorated block line
+        ],
+    )
+    def test_block_comment_line_is_located(self, annot, line, column):
+        pm = parse_module(header("input wire a_val", annot))
+        assert [(d.code, d.span.line, d.span.column) for d in pm.diagnostics] == [("bad-field-suffix", line, column)]
 
     def test_fifo_fixture_shape(self):
         pm = parse_module(load_fixture("fifo"), "fifo.sv")

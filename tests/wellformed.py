@@ -1,4 +1,4 @@
-"""Two well-formedness checks on an emitted property module's text.
+"""Well-formedness checks on an emitted property module's text.
 
 Independent of autoft: they read the text as emitted, with regular
 expressions of their own. `bench/mutation_probe.py` counts with them too.
@@ -14,6 +14,9 @@ _DECL_KEYWORDS = {"parameter", "localparam", "input", "output", "wire", "logic"}
 _ATTRIBUTE_RE = re.compile(r"^\(\*.*?\*\)\s*")  # `(* anyconst *)`
 _RANGE_RE = re.compile(r"\[[^\]]*\]")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+_STRING_RE = re.compile(r'"(?:[^"\\\n]|\\.)*"')
+_COMPARISON_RE = re.compile(r"===|!==|==|!=|<=|>=")
+_COMMENT_OPENER_RE = re.compile(r"//|/\*")
 
 
 def balanced(text: str) -> bool:
@@ -29,25 +32,44 @@ def balanced(text: str) -> bool:
     return not stack
 
 
+def _statements(text: str) -> list[tuple[str, str]]:
+    """(first word, statement) of each statement: a line, or a part of one between `;`.
+
+    String literals are emptied and ranges left out first, and a leading
+    `(* ... *)` attribute is dropped.
+    """
+    out = []
+    for line in text.split("\n"):
+        for stmt in _RANGE_RE.sub(" ", _STRING_RE.sub('""', line)).split(";"):
+            stmt = _ATTRIBUTE_RE.sub("", stmt.strip())
+            out.append(((stmt.split(None, 1) or [""])[0], stmt))
+    return out
+
+
 def declared_names(text: str) -> list[str]:
     """Names declared as a parameter, port, wire, logic or localparam, in order.
 
-    A declaration is a statement (a line, or a part of one between `;`, once
-    ranges are left out) that starts with one of those keywords; its name is
-    the last identifier before any `=`.
+    A declaration is a statement that starts with one of those keywords; its
+    name is the last identifier before any `=`.
     """
     names = []
-    for line in text.split("\n"):
-        for stmt in _RANGE_RE.sub(" ", line).split(";"):
-            stmt = _ATTRIBUTE_RE.sub("", stmt.strip())
-            words = stmt.split(None, 1)
-            if not words or words[0] not in _DECL_KEYWORDS:
-                continue
-            idents = _IDENT_RE.findall(stmt.split("=", 1)[0])
-            if len(idents) > 1:
-                names.append(idents[-1])
+    for word, stmt in _statements(text):
+        idents = _IDENT_RE.findall(stmt.split("=", 1)[0])
+        if word in _DECL_KEYWORDS and len(idents) > 1:
+            names.append(idents[-1])
     return names
 
 
 def declared_twice(text: str) -> list[str]:
     return sorted(name for name, n in Counter(declared_names(text)).items() if n > 1)
+
+
+def lone_eq(text: str) -> list[str]:
+    """`wire` and `assign` statements whose right-hand side holds a `=` that no comparison takes."""
+    return [stmt for word, stmt in _statements(text)
+            if word in ("wire", "assign") and "=" in _COMPARISON_RE.sub(" ", stmt.partition("=")[2])]
+
+
+def commented_declarations(text: str) -> list[str]:
+    """Declaration statements that hold `//` or `/*`, which comments out the rest of the line."""
+    return [stmt for word, stmt in _statements(text) if word in _DECL_KEYWORDS and _COMMENT_OPENER_RE.search(stmt)]
