@@ -9,7 +9,8 @@ Subcommands:
            parent's testbench.
 
 Exit codes: 0 success, 1 validation or check failure (every diagnostic is
-printed, not just the first), 2 usage errors. Warnings go to stderr and never
+printed, not just the first), 2 usage errors, also a module whose reference
+model cannot evaluate its properties. Warnings go to stderr and never
 block generation. Set AUTOFT_COLOR=1/0 to force or suppress colored
 diagnostics.
 
@@ -30,7 +31,7 @@ import os
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnostic, GenerationError, ParseError
+from .diagnostics import Diagnostic, GenerationError, ParseError, SymbolicWidthError, UnknownSignalError
 from .emit import TestbenchBundle, generate_bundle, link_submodule_fts, write_bundle
 from .models import MODEL_REGISTRY, check_bundle_on_model
 from .options import DEFAULT_MAX_OUTSTANDING, TOOLS, GenOptions
@@ -122,7 +123,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         known = ", ".join(sorted(MODEL_REGISTRY))
         raise UsageError(f"no reference model for module '{bundle.dut}' (known: {known})")
     model = factory()
-    report = check_bundle_on_model(bundle.transactions, bundle.properties, model)
+    try:
+        report = check_bundle_on_model(bundle.transactions, bundle.properties, model)
+    except UnknownSignalError as exc:
+        raise UsageError(f"reference model '{model.name}' has no signal '{exc.name}'") from None
     print(report.summary())
     violated = report.violated()
     if violated:
@@ -222,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _require_file(Path(args.input), "input")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, SymbolicWidthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (GenerationError, ParseError) as exc:

@@ -95,6 +95,10 @@ class UnknownSignalError(AutoFtError):
         super().__init__(f"trace has no column for signal '{name}'")
 
 
+class SymbolicWidthError(AutoFtError):
+    """A symbolic id's width is not a literal range, so its values cannot be enumerated."""
+
+
 class SpaceTooLargeError(AutoFtError):
     """Requested trace enumeration exceeds the configured bound."""
 

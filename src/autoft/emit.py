@@ -84,8 +84,8 @@ def emit_property_module(
 
     params = [f"parameter {p.name} = {p.value_expr}" for p in pm.parameters]
     params.append(f"parameter ASSERT_INPUTS = {1 if opts.assert_inputs else 0}")
-    for t, t_aux in zip(txns, aux):
-        params.append(f"parameter {t_aux.roles['counter'].limit_param} = {opts.outstanding_limit(t.tname)}")
+    for counter in (t_aux.roles["counter"] for t_aux in aux):
+        params.append(f"parameter {counter.limit_param} = {counter.limit}")
 
     imports = f" {' '.join(pm.imports)}" if pm.imports else ""
     lines.append(f"module {dut}_prop{imports} #(")

@@ -20,10 +20,11 @@ A model is a `_Model` subclass that declares, then simulates:
 * `liveness_window`: the cycles an eventuality gets to discharge. Liveness
   cannot be concluded on finite traces, so the window generously covers the
   worst-case latency of the correct design;
-* `symb_domains`: the values of each symbolic id column (none by default);
 * `expected_violated_kinds`: the kinds the model must violate (none by default).
 
-`check_bundle_on_model` reads only what a model declares.
+`check_bundle_on_model` reads only what a model declares. It takes the values
+of each symbolic id from the id's node: every value of its literal width,
+which is what `(* anyconst *)` ranges over.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 
+from .diagnostics import SymbolicWidthError
+from .parser import literal_width_bits
 from .properties import GeneratedProperty
 from .sva import Eventually, Symbolic, walk
 from .tracecheck import Trace, Verdict, eval_property
@@ -94,7 +97,6 @@ class _Model:
     columns: tuple[str, ...]
     liveness_window: int
     expected_violated_kinds: frozenset[str] = frozenset()
-    symb_domains: dict[str, list[int]] = {}
 
     def __init__(self, n_traces: int = 6, drive: int | None = None, tail: int | None = None):
         self.n_traces = n_traces
@@ -148,7 +150,6 @@ class NocBufferModel(_Model):
         "buf_out_val", "buf_out_ack", "buf_out_mshrid", "buf_out_data", "buf_out_transid",
     )
     liveness_window = 14
-    symb_domains = {"symb_buf_transid": list(range(n_ids))}
     drive, tail = 22, 10
 
     def __init__(self, buggy: bool = False, depth: int = 2, **sizes):
@@ -198,7 +199,6 @@ class PipelineModel(_Model):
         "pipe_out_val", "pipe_out_transid", "pipe_out_data", "busy", "pipe_in_active",
     )
     liveness_window = 10
-    symb_domains = {"symb_pipe_transid": list(range(n_ids))}
     drive, tail = 22, 6
 
     def __init__(self, double_issue: bool = False, **sizes):
@@ -256,16 +256,22 @@ def _windowed(p: GeneratedProperty, window: int) -> GeneratedProperty:
 def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelCheckReport:
     """Evaluate every property over every model trace and symbolic id value.
 
-    Unbounded eventualities are cut to the model's liveness window. `txns` is
-    not read: every property body already names the signals it needs.
+    Each symbolic id takes every value of its literal width; an id whose
+    width is not literal raises SymbolicWidthError. Unbounded eventualities
+    are cut to the model's liveness window. `txns` is not read: every
+    property body already names the signals it needs.
     """
     # (property, whether its body refers to a symbolic id)
     prepared = [(_windowed(p, model.liveness_window), any(isinstance(n, Symbolic) for n in walk(p.body)))
                 for p in props]
 
     assignments: list[tuple[tuple[str, int], ...]] = [()]
-    for name, domain in model.symb_domains.items():
-        assignments = [a + ((name, v),) for a in assignments for v in domain]
+    symbs = {n.name: n for p in props for n in walk(p.body) if isinstance(n, Symbolic)}
+    for name, symb in symbs.items():
+        bits = literal_width_bits(symb.width_expr)
+        if bits is None:
+            raise SymbolicWidthError(f"symbolic id '{name}' has no literal width: '{symb.width_expr}'")
+        assignments = [a + ((name, v),) for a in assignments for v in range(1 << bits)]
 
     entries: list[ModelCheckEntry] = []
     for idx, trace in enumerate(model.traces()):

@@ -27,7 +27,8 @@ Brackets `()[]{}` outside string literals must balance on an attribute line.
 A `=` or `;` inside a range, a `;` in a right-hand side other than the
 trailing one, a `=` in a right-hand side that is not part of a comparison
 (`==`, `===`, `!=`, `!==`, `<=`, `>=`), and a comment token (`//`, `/*`, `*/`)
-are errors at that token.
+are errors at that token. A transaction name is declared once: a later
+relation that reuses it is an error and is dropped.
 
 The supported Verilog subset is ANSI-style headers: `input`/`output`
 directions, optional wire/logic/reg keyword, one declarator per list item,
@@ -42,9 +43,10 @@ inside block comments, so offsets and spans in the masked text are those of
 the source. The header is read from the masked copy, with backtick directive
 lines blanked as well. One tokenizer, which skips string literals, reads both
 the header and the annotations: it closes and splits the header lists, splits
-a parameter item at its `=`, and finds the tokens an attribute line may not
-hold. Every position reported is a source offset turned into a line and column
-by one line map.
+a parameter item at its lone `=` (an item whose first `=` outside brackets is
+part of a comparison is skipped with a warning), and finds the tokens an
+attribute line may not hold. Every position reported is a source offset
+turned into a line and column by one line map.
 """
 from __future__ import annotations
 
@@ -491,11 +493,13 @@ def _parse_parameter_item(item: str, span: SourceSpan, diags: list[Diagnostic]) 
 
 
 def _split_eq(text: str) -> tuple[str, str] | None:
-    """`lhs = rhs` at the first `=` outside brackets; None without one, or when a `=` follows it."""
+    """`lhs = rhs` when the first token outside brackets that holds `=` is a lone `=`; else None.
+
+    So a comparison (`==`, `!=`, `<=`, `>=`) there makes no assignment.
+    """
     for off, tok, depth in _tokens(text):
         if "=" in tok and not depth:
-            eq = off + tok.index("=")
-            return None if text.startswith("=", eq + 1) else (text[:eq], text[eq + 1 :])
+            return (text[:off], text[off + 1 :]) if tok == "=" else None
     return None
 
 
@@ -632,9 +636,7 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
                 annotations.append(ann)
 
     seen_tnames: dict[str, SourceSpan] = {}
-    for ann in annotations:
-        if ann.kind != "relation":
-            continue
+    for ann in [a for a in annotations if a.kind == "relation"]:
         rel = ann.payload
         if rel.tname in seen_tnames:
             diags.append(
@@ -645,6 +647,7 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
                     ann.raw_text,
                 )
             )
+            annotations.remove(ann)  # the first declaration names the transaction
         else:
             seen_tnames[rel.tname] = ann.span
 

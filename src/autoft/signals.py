@@ -3,11 +3,11 @@
 Each is a node of the property IR (`autoft.sva`) that carries its own update
 rule, so the emitter and the evaluator read the same rule: an `AttribWire`
 per explicit `field = expr` binding, a `Handshake` wire per side, an
-outstanding `Counter`, and for tracked transactions (id bound on both sides)
-a `Symbolic` id with its `Inflight` bit and, when data is bound, a `Sampled`
-capture register. Generated names are checked against the parsed port and
-parameter names; a collision is resolved by appending a numeric suffix and
-emitting a warning.
+outstanding `Counter` that carries the transaction's outstanding limit, and
+for tracked transactions (id bound on both sides) a `Symbolic` id with its
+`Inflight` bit and, when data is bound, a `Sampled` capture register.
+Generated names are checked against the parsed port and parameter names; a
+collision is resolved by appending a numeric suffix and emitting a warning.
 """
 from __future__ import annotations
 
@@ -70,11 +70,12 @@ def _attr_width(t: Transaction, suffix: str) -> str:
 
 def synth_transaction_aux(
     t: Transaction,
+    limit: int,
     namer: _Namer,
     shared_wires: dict,
     diags: list[Diagnostic],
 ) -> TransactionAux:
-    """Build all aux signals and the role map for one transaction."""
+    """Build all aux signals and the role map for one transaction; `limit` sizes its counter."""
     signals: list[Aux] = []
     roles: dict[str, Node] = {}
 
@@ -109,7 +110,7 @@ def synth_transaction_aux(
         roles[f"{side_role}_hsk"] = wire(key, f"{side.name}_hsk", Handshake, expr)
     p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
 
-    counter = Counter(namer.alloc(f"{t.tname}_outstanding"), p_hsk, q_hsk, *_cnt_param_names(t.tname))
+    counter = Counter(namer.alloc(f"{t.tname}_outstanding"), p_hsk, q_hsk, limit, *_cnt_param_names(t.tname))
     roles["counter"] = counter
     signals.append(counter)
 
@@ -142,7 +143,7 @@ def synth_transaction_aux(
                         t.span,
                     )
                 )
-            sampled = Sampled(namer.alloc(f"{t.tname}_sampled_data"), data_width, request, roles["p_data"])
+            sampled = Sampled(namer.alloc(f"{t.tname}_sampled_data"), request, roles["p_data"], data_width)
             roles["sampled"] = sampled
             signals.append(sampled)
 
@@ -160,7 +161,7 @@ def synth_module_aux(
         taken.add(_cnt_param_names(t.tname)[1])
     namer = _Namer(taken)
     shared: dict = {}
-    out = [synth_transaction_aux(t, namer, shared, diags) for t in txns]
+    out = [synth_transaction_aux(t, opts.outstanding_limit(t.tname), namer, shared, diags) for t in txns]
     for base, final in namer.renamed:
         diags.append(
             warning("name-collision-renamed", f"generated name '{base}' collides, renamed to '{final}'")

@@ -6,6 +6,13 @@ SystemVerilog expression and `declare()` an aux signal's declaration and
 update rule. `autoft.tracecheck` is the other back-end; it evaluates the same
 nodes over explicit traces and never reads the rendered text.
 
+A register node (`Counter`, `Inflight`, `Sampled`) holds its rule twice, side
+by side: `declare()` writes it as an `always` block, and `step(value, a, b)`
+gives the value after one cycle whose two input columns (the node's fields
+1 and 2) read `a` and `b`. The evaluator derives every register from `step`
+alone, starting from the reset value 0. The counter carries its `limit` and
+wraps at the `$clog2(limit + 1)` bits it is declared with.
+
 A node is a named tuple of its fields, so it is immutable and cheap to build
 and to define. Like any tuple it compares by value, not by type; nothing in
 autoft compares nodes.
@@ -215,8 +222,12 @@ class Handshake(namedtuple("Handshake", "name expr"), Aux):
         return [f"wire {self.name} = {self.expr.render()};"]
 
 
-class Counter(namedtuple("Counter", "name inc dec limit_param width_param"), Aux):
-    """Outstanding count: +1 on inc without dec, -1 on dec without inc."""
+class Counter(namedtuple("Counter", "name inc dec limit limit_param width_param"), Aux):
+    """Outstanding count: +1 on inc without dec, -1 on dec without inc.
+
+    It is `$clog2(limit + 1)` bits wide, which is `limit.bit_length()`, and
+    wraps both ways.
+    """
 
     __slots__ = ()
 
@@ -229,6 +240,13 @@ class Counter(namedtuple("Counter", "name inc dec limit_param width_param"), Aux
                                      (And(self.dec, Not(self.inc)), f"{n} - 1'b1")]),
         ]
 
+    def step(self, value: int, inc, dec) -> int:
+        if inc and not dec:
+            return (value + 1) % (1 << self.limit.bit_length())
+        if dec and not inc:
+            return (value - 1) % (1 << self.limit.bit_length())
+        return value
+
 
 class Inflight(namedtuple("Inflight", "name set clr"), Aux):
     """One bit for the symbolic id: set wins over clear."""
@@ -239,8 +257,11 @@ class Inflight(namedtuple("Inflight", "name set clr"), Aux):
         return [f"logic {self.name};",
                 *_always(opts, self.name, "1'b0", [(self.set, "1'b1"), (self.clr, "1'b0")])]
 
+    def step(self, value: int, set_, clr) -> int:
+        return 1 if set_ else 0 if clr else value
 
-class Sampled(namedtuple("Sampled", "name width_expr capture data"), Aux):
+
+class Sampled(namedtuple("Sampled", "name capture data width_expr", defaults=("",)), Aux):
     """The data captured when capture holds, two-valued (an unknown is kept as 0)."""
 
     __slots__ = ()
@@ -248,6 +269,9 @@ class Sampled(namedtuple("Sampled", "name width_expr capture data"), Aux):
     def declare(self, opts: GenOptions) -> list[str]:
         return [f"logic {width_prefix(self.width_expr)}{self.name};",
                 *_always(opts, self.name, "'0", [(self.capture, self.data.render())])]
+
+    def step(self, value: int, capture, data) -> int:
+        return (0 if data is None else data) if capture else value
 
 
 def matched(hsk: Node, ident: Node, symb: Node) -> And:

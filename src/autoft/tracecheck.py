@@ -2,11 +2,13 @@
 
 This is the desk-scale oracle. `eval_property` evaluates a property's node
 tree (`autoft.sva`), the same tree the emitter renders, against a concrete
-cycle-by-cycle trace; it never reads the rendered text. Aux registers
-(outstanding counter, in-flight bit, sampled data) are derived from their
-nodes' update rules in the registered view: the value during cycle i reflects
-handshakes strictly before i. A trace column with a wire's or register's own
-name overrides the derivation, which lets tests inject counterexample states.
+cycle-by-cycle trace; it never reads the rendered text. Each aux register
+(outstanding counter, in-flight bit, sampled data) is derived by its node's
+own `step`, the Python form of the update rule its `declare()` emits, in the
+registered view: the value during cycle i reflects handshakes strictly
+before i, and the counter wraps at its declared width. A trace column with a
+wire's or register's own name overrides the derivation, which lets tests
+inject counterexample states.
 
 Finite-trace readings:
 
@@ -132,34 +134,12 @@ def _col(node: Node, cols: dict) -> list:
     return out
 
 
-def _counter(node: Counter, cols: dict) -> list[int]:
-    out, c = [], 0
-    for inc, dec in zip(_col(node.inc, cols), _col(node.dec, cols)):
-        out.append(c)
-        if inc and not dec:
-            c += 1
-        elif dec and not inc:
-            c -= 1
-    return out
-
-
-def _inflight(node: Inflight, cols: dict) -> list[int]:
-    out, f = [], 0
-    for s, c in zip(_col(node.set, cols), _col(node.clr, cols)):
-        out.append(f)
-        if s:
-            f = 1
-        elif c:
-            f = 0
-    return out
-
-
-def _sampled(node: Sampled, cols: dict) -> list[int]:
-    out, v = [], 0
-    for cap, d in zip(_col(node.capture, cols), _col(node.data, cols)):
+def _register(node: Counter | Inflight | Sampled, cols: dict) -> list[int]:
+    """The register's value per cycle: 0 at cycle 0, then its node's step over its two input columns."""
+    out, v, step = [], 0, node.step
+    for a, b in zip(_col(node[1], cols), _col(node[2], cols)):
         out.append(v)
-        if cap:
-            v = 0 if d is None else d
+        v = step(v, a, b)
     return out
 
 
@@ -197,9 +177,9 @@ def _isunknown(node: IsUnknown, cols: dict) -> list[bool]:
 # there; comparisons see raw values.
 _COLUMN = {
     Handshake: lambda node, cols: _col(node.expr, cols),
-    Counter: _counter,
-    Inflight: _inflight,
-    Sampled: _sampled,
+    Counter: _register,
+    Inflight: _register,
+    Sampled: _register,
     Not: lambda node, cols: list(map(not_, _col(node.x, cols))),
     And: lambda node, cols: [x and y for x, y in zip(_col(node.a, cols), _col(node.b, cols))],
     Or: _or,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, SourceSpan, error, warning
-from .parser import Annotation, ExplicitAttrib, InterfaceSignal, ParsedModule, split_field
+from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule, split_field
 
 Binding = InterfaceSignal | ExplicitAttrib
 
@@ -135,26 +135,17 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
     data, self loop).
     """
     diags: list[Diagnostic] = []
-    relations = [a for a in pm.annotations if a.kind == "relation"]
-
-    # Skip duplicate tnames here; the parser already reported them.
-    seen: set[str] = set()
-    unique_relations: list[Annotation] = []
-    for ann in relations:
-        if ann.payload.tname in seen:
-            continue
-        seen.add(ann.payload.tname)
-        unique_relations.append(ann)
+    relations = [a for a in pm.annotations if a.kind == "relation"]  # names unique: see parse_module
 
     prefixes: set[str] = set()
-    for ann in unique_relations:
+    for ann in relations:
         prefixes.add(ann.payload.p)
         prefixes.add(ann.payload.q)
 
     per_iface = _candidate_bindings(pm, prefixes, diags)
 
     transactions: list[Transaction] = []
-    for ann in unique_relations:
+    for ann in relations:
         rel = ann.payload
         bad = False
 
@@ -190,9 +181,6 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
                         side.get("transid_unique").span,
                     )
                 )
-                bad = True
-            if side.has("stable") and not side.has("val"):
-                # already reported as missing-val; stability has nothing to hold
                 bad = True
 
         active = None

@@ -8,9 +8,12 @@ the evaluator checks the node tree that is emitted. The core spaces follow the t
 lengths-1..6 regime; kinds whose semantics need more columns (id tracking,
 payload stability, unknown values) get additional exhaustive spaces at
 shorter lengths so the whole run stays inside the default enumeration bound.
+The counter spaces use limit 1, a 1-bit counter that wraps within a few
+cycles, and limit 8, which wraps only when it counts below 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -74,8 +77,13 @@ def _bits(col):
 A, B, V, D, ACT, Z = Sig("a"), Sig("b"), Sig("v"), Sig("d"), Sig("act"), Sig("z")
 
 
-def _cnt(inc, dec):
-    return Counter("cnt", inc, dec, "T_MAX_OUTSTANDING", "T_CNT_WIDTH")
+def _cnt(inc, dec, limit):
+    return Counter("cnt", inc, dec, limit, "T_MAX_OUTSTANDING", "T_CNT_WIDTH")
+
+
+def _width(limit):
+    """The counter's declared width, `$clog2(limit + 1)` bits."""
+    return math.ceil(math.log2(limit + 1))
 
 
 def _tracked(p_id, q_id, symb):
@@ -115,21 +123,21 @@ CASES = [
     Case(
         "response_had_request", "response_had_request",
         {"a": BIN, "b": BIN},
-        P.response_had_request(B, _cnt(A, B), A), "b |-> ((cnt > 0) || a)",
-        lambda c: naive.response_had_request(c["b"], c["a"], c["b"]),
+        P.response_had_request(B, _cnt(A, B, 1), A), "b |-> ((cnt > 0) || a)",
+        lambda c: naive.response_had_request(c["b"], c["a"], c["b"], width=_width(1)),
     ),
     Case(
         "response_had_request_split", "response_had_request",
         {"a": BIN, "b": BIN, "v": BIN},
-        P.response_had_request(V, _cnt(A, B), A), "v |-> ((cnt > 0) || a)",
-        lambda c: naive.response_had_request(c["v"], c["a"], c["b"]),
+        P.response_had_request(V, _cnt(A, B, 8), A), "v |-> ((cnt > 0) || a)",
+        lambda c: naive.response_had_request(c["v"], c["a"], c["b"], width=_width(8)),
         max_len=4,
     ),
     Case(
         "counter_no_underflow", "counter_no_underflow",
         {"a": BIN, "b": BIN},
-        P.counter_no_underflow(A, B, _cnt(A, B)), "(b && !a) |-> (cnt > 0)",
-        lambda c: naive.counter_no_underflow(c["a"], c["b"]),
+        P.counter_no_underflow(A, B, _cnt(A, B, 1)), "(b && !a) |-> (cnt > 0)",
+        lambda c: naive.counter_no_underflow(c["a"], c["b"], width=_width(1)),
     ),
     Case(
         "ack_eventually", "ack_eventually",
@@ -183,17 +191,17 @@ CASES = [
     Case(
         "active_covered", "active_covered",
         {"a": BIN, "act": BIN},
-        P.active_covered(_cnt(A, Z), ACT, A, Z),
+        P.active_covered(_cnt(A, Z, 8), ACT, A, Z),
         "(((cnt > 0) |-> act) and (act |-> ((cnt > 0) || a || z)))",
-        lambda c: naive.active_covered(c["act"], c["a"], c["z"], c["z"]),
+        lambda c: naive.active_covered(c["act"], c["a"], c["z"], c["z"], width=_width(8)),
         extra={"z": _const(0)},
     ),
     Case(
         "active_covered_split", "active_covered",
         {"a": BIN, "b": BIN, "act": BIN},
-        P.active_covered(_cnt(A, B), ACT, A, B),
+        P.active_covered(_cnt(A, B, 1), ACT, A, B),
         "(((cnt > 0) |-> act) and (act |-> ((cnt > 0) || a || b)))",
-        lambda c: naive.active_covered(c["act"], c["a"], c["b"], c["b"]),
+        lambda c: naive.active_covered(c["act"], c["a"], c["b"], c["b"], width=_width(1)),
         max_len=4,
     ),
     Case(
@@ -229,7 +237,7 @@ CASES = [
     Case(
         "data_integrity", "data_integrity",
         {"a": BIN, "b": BIN},
-        P.data_integrity(RESP1, Sig("qd"), Sampled("smp", "", REQ1, Sig("pd"))),
+        P.data_integrity(RESP1, Sig("qd"), Sampled("smp", REQ1, Sig("pd"))),
         "(b && (i1 == i1)) |-> (qd == smp)",
         lambda c: naive.data_integrity(c["a"], c["i1"], c["pd"], c["b"], c["i1"], c["qd"], c["i1"]),
         extra={"i1": _const(1), "pd": _pattern(lambda i: i & 1), "qd": _pattern(lambda i: (i >> 1) & 1)},
@@ -237,7 +245,7 @@ CASES = [
     Case(
         "data_integrity_values", "data_integrity",
         {"a": BIN, "pd": BIN, "b": BIN, "qd": BIN},
-        P.data_integrity(RESP1, Sig("qd"), Sampled("smp", "", REQ1, Sig("pd"))),
+        P.data_integrity(RESP1, Sig("qd"), Sampled("smp", REQ1, Sig("pd"))),
         "(b && (i1 == i1)) |-> (qd == smp)",
         lambda c: naive.data_integrity(c["a"], c["i1"], c["pd"], c["b"], c["i1"], c["qd"], c["i1"]),
         extra={"i1": _const(1)},

@@ -2,7 +2,8 @@
 
 These deliberately re-derive everything from first principles with dumb
 quadratic scans and closed-form counting, sharing no code with the package's
-evaluator: the outstanding count is a prefix-sum difference, the in-flight bit
+evaluator: the outstanding count is a prefix-sum difference modulo the
+counter's width, the in-flight bit
 is a backwards search for the most recent set/clear event, the sampled value
 is a backwards search for the most recent capture. Outcomes use the same
 vocabulary (holds / violated / vacuous / pending) plus the earliest failing
@@ -15,9 +16,13 @@ def bit(v) -> int:
     return 0 if v in (None, 0) else 1
 
 
-def outstanding_at(p_hsk, q_hsk, i) -> int:
-    """Requests strictly before cycle i minus responses strictly before it."""
-    return sum(bit(v) for v in p_hsk[:i]) - sum(bit(v) for v in q_hsk[:i])
+def outstanding_at(p_hsk, q_hsk, i, width) -> int:
+    """Requests strictly before cycle i minus responses strictly before it, modulo 2**width.
+
+    A `width`-bit register that counts up and down wraps both ways, so its
+    value is the true difference modulo 2**width.
+    """
+    return (sum(bit(v) for v in p_hsk[:i]) - sum(bit(v) for v in q_hsk[:i])) % 2**width
 
 
 def inflight_at(set_ev, clr_ev, i) -> int:
@@ -108,20 +113,20 @@ def ack_cover(val, ack, bounded=None):
     return ("pending", None)
 
 
-def response_had_request(q_val, p_hsk, q_hsk):
+def response_had_request(q_val, p_hsk, q_hsk, width):
     n = len(q_val)
     fires = [i for i in range(n) if bit(q_val[i])]
     fails = [
         i for i in fires
-        if not (outstanding_at(p_hsk, q_hsk, i) > 0 or bit(p_hsk[i]))
+        if not (outstanding_at(p_hsk, q_hsk, i, width) > 0 or bit(p_hsk[i]))
     ]
     return _safety(fires, fails)
 
 
-def counter_no_underflow(p_hsk, q_hsk):
+def counter_no_underflow(p_hsk, q_hsk, width):
     n = len(p_hsk)
     fires = [i for i in range(n) if bit(q_hsk[i]) and not bit(p_hsk[i])]
-    fails = [i for i in fires if outstanding_at(p_hsk, q_hsk, i) <= 0]
+    fails = [i for i in fires if outstanding_at(p_hsk, q_hsk, i, width) <= 0]
     return _safety(fires, fails)
 
 
@@ -148,11 +153,11 @@ def stability_payload(val, ack, payload_cols):
     return _safety(fires, fails)
 
 
-def active_covered(active, p_hsk, q_hsk, q_val):
+def active_covered(active, p_hsk, q_hsk, q_val, width):
     n = len(active)
     fires, fails = [], []
     for i in range(n):
-        ongoing = outstanding_at(p_hsk, q_hsk, i) > 0
+        ongoing = outstanding_at(p_hsk, q_hsk, i, width) > 0
         if ongoing or bit(active[i]):
             fires.append(i)
         if ongoing and not bit(active[i]):

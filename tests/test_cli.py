@@ -4,7 +4,7 @@ import pytest
 
 from autoft.cli import main
 
-from conftest import GOLDEN, fixture_path
+from conftest import GOLDEN, fixture_path, load_fixture
 
 
 def run_cli(args, capsys):
@@ -196,6 +196,16 @@ class TestCheck:
         code, _, err = run_cli(["check", src], capsys)
         assert code == 2
         assert "no reference model" in err
+
+    def test_check_signal_the_model_lacks_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "fifo.sv"
+        src.write_text(load_fixture("fifo").replace(
+            "// AUTOSVA fifo: in -in> out\n", "// AUTOSVA fifo: in -in> out\n// AUTOSVA in_stable = in_data_q\n"))
+        code, out, err = run_cli(["check", src], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.endswith("error: reference model 'fifo' has no signal 'in_stable'\n")
+        assert "Traceback" not in err
 
 
 class TestLink:

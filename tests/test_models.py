@@ -9,7 +9,10 @@ from autoft.models import (
     PipelineModel,
     check_bundle_on_model,
 )
-from autoft.tracecheck import HOLDS, VACUOUS
+from autoft.diagnostics import SymbolicWidthError
+from autoft.properties import GeneratedProperty
+from autoft.sva import Eq, Implies, Sig, Symbolic
+from autoft.tracecheck import HOLDS, VACUOUS, VIOLATED, Trace
 
 from conftest import gen_fixture
 
@@ -156,3 +159,26 @@ class TestReportShape:
         assert all(e.symb_values == (("symb_buf_transid", e.symb_values[0][1]),) for e in tracked)
         seen_values = {e.symb_values[0][1] for e in tracked}
         assert seen_values == {0, 1, 2, 3}
+
+    def test_symbolic_id_takes_every_value_of_its_width(self):
+        # `[2:0]` gives 8 values, whatever the model drives.
+        body = Implies(Sig("v"), Eq(Sig("id"), Symbolic("symb", "[2:0]")))
+        prop = GeneratedProperty("p", "transid_integrity", "assert", body)
+        report = check_bundle_on_model([], [prop], _OneCycle())
+        assert [(e.symb_values, e.verdict.outcome) for e in report.entries] == [
+            ((("symb", v),), HOLDS if v == 5 else VIOLATED) for v in range(8)
+        ]
+
+    def test_symbolic_id_without_literal_width_is_an_error(self):
+        bundle = gen_fixture("mmu_stub")  # its walk ids are `[TAGW-1:0]`
+        with pytest.raises(SymbolicWidthError, match="symbolic id 'symb_ptw_transid' has no literal width"):
+            check_bundle_on_model(bundle.transactions, bundle.properties, FifoModel())
+
+
+class _OneCycle:
+    """A model of one trace, one cycle long, that requests id 5."""
+
+    name, liveness_window = "one_cycle", 1
+
+    def traces(self):
+        return [Trace({"v": [1], "id": [5]})]

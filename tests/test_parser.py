@@ -341,6 +341,20 @@ class TestParseModule:
         assert [s.name for s in pm.signals] == ["a"]
         assert pm.diagnostics == []
 
+    def test_comparison_in_parameter_item_is_skipped(self):
+        # The first `=` outside brackets ends `<=` or `!=`: no assignment, so no value.
+        pm = parse_module("module m #(parameter W<= 8, parameter V != 3, parameter U = 2) (input wire a);\nendmodule\n")
+        assert [(p.name, p.value_expr) for p in pm.parameters] == [("U", "2")]
+        assert [(d.code, d.message) for d in pm.diagnostics] == [
+            ("parameter-skipped", "cannot read parameter item 'parameter W<= 8'"),
+            ("parameter-skipped", "cannot read parameter item 'parameter V != 3'"),
+        ]
+
+    def test_duplicate_transaction_name_drops_the_later_relation(self):
+        pm = parse_module(header("input wire a_val", "// AUTOSVA t: a -in> b\n// AUTOSVA t: c -out> d"))
+        assert [d.code for d in pm.diagnostics] == ["duplicate-transaction-name"]
+        assert [(r.tname, r.p, r.q) for r in pm.relations()] == [("t", "a", "b")]
+
     def test_unmatched_val_port_is_retained_not_annotated(self):
         pm = parse_module(header("input wire foo_val", "// AUTOSVA t: a -in> b"))
         assert [s.name for s in pm.signals] == ["foo_val"]

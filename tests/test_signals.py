@@ -1,3 +1,8 @@
+import math
+import re
+
+from hypothesis import given, settings, strategies as st
+
 from autoft.options import GenOptions
 from autoft.parser import parse_module
 from autoft.signals import synth_module_aux
@@ -34,7 +39,7 @@ def tracking_of(source: str):
 
 def counter_trace(inc, dec):
     """The outstanding counter's column over inc/dec handshake columns."""
-    cnt = Counter("cnt", Sig("inc"), Sig("dec"), "T_MAX_OUTSTANDING", "T_CNT_WIDTH")
+    cnt = Counter("cnt", Sig("inc"), Sig("dec"), 8, "T_MAX_OUTSTANDING", "T_CNT_WIDTH")
     return column(cnt, Trace({"inc": inc, "dec": dec}))
 
 
@@ -46,7 +51,7 @@ def inflight_trace(set_hsk, set_id, clr_hsk, clr_id, symb):
 
 
 def sampled_trace(hsk, idc, symb, data):
-    smp = Sampled("smp", "", matched(Sig("hsk"), Sig("id"), Symbolic("symb")), Sig("data"))
+    smp = Sampled("smp", matched(Sig("hsk"), Sig("id"), Symbolic("symb")), Sig("data"))
     return column(smp, Trace({"hsk": hsk, "id": idc, "symb": symb, "data": data}))
 
 
@@ -103,7 +108,7 @@ class TestTracking:
         dec = [0, 0, 0, 1, 0]
         cnt = counter_trace(inc, dec)
         assert cnt == [0, 1, 2, 2, 1]
-        post = [naive.outstanding_at(inc, dec, i + 1) for i in range(4)]
+        post = [naive.outstanding_at(inc, dec, i + 1, width=4) for i in range(4)]
         assert post == [1, 2, 2, 1]
 
     def test_counter_same_cycle_pair_is_neutral(self):
@@ -147,7 +152,7 @@ class TestTracking:
             for q in itertools.product([0, 1], repeat=4):
                 inc, dec = list(p), list(q)
                 run = counter_trace(inc, dec)
-                closed = [naive.outstanding_at(inc, dec, i) for i in range(4)]
+                closed = [naive.outstanding_at(inc, dec, i, width=4) for i in range(4)]
                 assert run == closed
 
 
@@ -189,3 +194,94 @@ class TestNaming:
             "MMU_MAX_OUTSTANDING", "PTW_MAX_OUTSTANDING",
         ]
         assert "logic [MMU_CNT_WIDTH-1:0] mmu_outstanding;" in counters[0].declare(GenOptions())
+
+
+# An independent reading of the `always` block that `declare()` writes: reset
+# first, then at each clock edge the first `else if` whose condition holds
+# assigns, else the register holds. Conditions are `&&` of names, each maybe
+# under `!`, and an unknown reads as 0. A value is `'0`, `1'b0`, `1'b1`,
+# `<name> +/- 1'b1`, or a signal read two-valued, and it is masked to the
+# declared width.
+_LOCALPARAM_RE = re.compile(r"localparam (\w+) = \$clog2\((\w+) \+ 1\);")
+_LOGIC_RE = re.compile(r"logic (?:\[(\w+)(?:-1)?:0\] )?(\w+);")
+_IF_RE = re.compile(r"\s*(?:else )?if \((.*)\)")
+_ASSIGN_RE = re.compile(r"\s*(\w+) <= (.*);")
+_STEP_RE = re.compile(r"(\w+) ([+-]) 1'b1")
+
+
+def _declared_width(lines: list[str], params: dict[str, int]) -> int:
+    env = dict(params)
+    for line in lines:
+        if m := _LOCALPARAM_RE.fullmatch(line):
+            env[m[1]] = math.ceil(math.log2(env[m[2]] + 1))
+        elif m := _LOGIC_RE.fullmatch(line):
+            if m[1] is None:
+                return 1
+            return int(m[1]) + 1 if m[1].isdigit() else env[m[1]]
+    raise AssertionError(f"no logic declaration in {lines}")
+
+
+def _holds(cond: str, row: dict) -> bool:
+    return all(bool(row[term.lstrip("!")]) != term.startswith("!") for term in cond.split(" && "))  # None reads as 0
+
+
+def _value(text: str, current: int, row: dict) -> int:
+    if text in ("'0", "1'b0"):
+        return 0
+    if text == "1'b1":
+        return 1
+    if m := _STEP_RE.fullmatch(text):
+        return current + 1 if m[2] == "+" else current - 1
+    return 0 if row[text] is None else row[text]
+
+
+def simulate_declaration(lines: list[str], rows: list[dict], params: dict[str, int]) -> list[int]:
+    """The register's value during each cycle of `rows`, read off its declaration text."""
+    mask = (1 << _declared_width(lines, params)) - 1
+    start = next(i for i, line in enumerate(lines) if line.startswith("always "))
+    body = lines[start + 1:-1]
+    branches = [(_IF_RE.fullmatch(c)[1], _ASSIGN_RE.fullmatch(a)[2]) for c, a in zip(body[::2], body[1::2])]
+    (_, reset), updates = branches[0], branches[1:]
+    value, out = _value(reset, 0, {}) & mask, []
+    for row in rows:
+        out.append(value)
+        for cond, text in updates:
+            if _holds(cond, row):
+                value = _value(text, value, row) & mask
+                break
+    return out
+
+
+BIT = st.sampled_from([0, 1, None])
+DATA = st.one_of(BIT, st.integers(0, 255))
+
+
+def _rows(draw_col, names_domains, n):
+    cols = {name: draw_col(st.lists(dom, min_size=n, max_size=n)) for name, dom in names_domains}
+    return cols, [{name: cols[name][i] for name in cols} for i in range(n)]
+
+
+class TestRuleFormsAgree:
+    """Each register's `declare()` text and its `step`, which the evaluator runs, give the same values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), limit=st.integers(1, 9))
+    def test_counter(self, data, n, limit):
+        node = Counter("cnt", Sig("inc"), Sig("dec"), limit, "T_MAX_OUTSTANDING", "T_CNT_WIDTH")
+        cols, rows = _rows(data.draw, [("inc", BIT), ("dec", BIT)], n)
+        want = simulate_declaration(node.declare(GenOptions()), rows, {"T_MAX_OUTSTANDING": limit})
+        assert column(node, Trace(cols)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_inflight(self, data, n):
+        node = Inflight("infl", Sig("set"), Sig("clr"))
+        cols, rows = _rows(data.draw, [("set", BIT), ("clr", BIT)], n)
+        assert column(node, Trace(cols)) == simulate_declaration(node.declare(GenOptions()), rows, {})
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_sampled(self, data, n):
+        node = Sampled("smp", Sig("cap"), Sig("data"), "[7:0]")
+        cols, rows = _rows(data.draw, [("cap", BIT), ("data", DATA)], n)
+        assert column(node, Trace(cols)) == simulate_declaration(node.declare(GenOptions()), rows, {})

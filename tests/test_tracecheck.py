@@ -26,7 +26,7 @@ def prop(kind, body, directive="assert"):
 
 
 P_HSK, Q_HSK, Q_VAL = Sig("p_hsk"), Sig("q_hsk"), Sig("q_val")
-CNT = Counter("cnt", P_HSK, Q_HSK, "T_MAX_OUTSTANDING", "T_CNT_WIDTH")
+CNT = Counter("cnt", P_HSK, Q_HSK, 8, "T_MAX_OUTSTANDING", "T_CNT_WIDTH")  # 4 bits
 LIVENESS = prop("liveness", P.eventually(P_HSK, Q_VAL, None))
 RESPONSE = prop("response_had_request", P.response_had_request(Q_VAL, CNT, P_HSK))
 
@@ -220,6 +220,27 @@ class TestCsvRegressionFixtures:
         assert verdicts["fifo_response_had_request"].outcome == VACUOUS
 
 
+class TestCounterWrap:
+    """The counter wraps at its emitted `$clog2(MAX + 1)` bits, as the RTL's does."""
+
+    TRACE = {"in_val": [1, 1, 0], "in_ack": [1, 1, 1], "in_data": [0, 0, 0],
+             "out_val": [0, 0, 1], "out_ack": [1, 1, 1], "out_data": [0, 0, 0]}
+
+    def _verdict(self, **opts):
+        from conftest import gen_fixture
+
+        bundle = gen_fixture("fifo", **opts)
+        p = next(p for p in bundle.properties if p.name == "fifo_response_had_request")
+        return eval_property(p, Trace(self.TRACE))
+
+    def test_one_bit_counter_wraps_to_zero(self):
+        # Two requests bring a 1-bit counter back to 0, so the response at cycle 2 has none.
+        assert str(self._verdict(max_outstanding=1)) == "fifo_response_had_request: violated at cycle 2"
+
+    def test_wide_counter_counts_both_requests(self):
+        assert self._verdict().outcome == HOLDS
+
+
 def _safety_cases():
     return [
         differential.CASES[3],  # response_had_request
@@ -268,7 +289,7 @@ class TestInvariants:
         inc, dec = inc[:n], dec[:n]
         run = column(CNT, Trace({"p_hsk": inc, "q_hsk": dec}))
         for i in range(n):
-            assert run[i] == sum(inc[:i]) - sum(dec[:i])
+            assert run[i] == (sum(inc[:i]) - sum(dec[:i])) % 16
 
     @settings(max_examples=150, deadline=None)
     @given(
