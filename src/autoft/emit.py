@@ -101,8 +101,8 @@ def emit_property_module(
         lines.append("")
         for a in t_aux.signals:
             lines.extend(a.declare(opts))
-        regular = [p for p in t_props if p.guard_macro is None]
-        guarded = [p for p in t_props if p.guard_macro == "XPROP"]
+        regular = [p for p in t_props if p.kind != "xprop"]
+        guarded = [p for p in t_props if p.kind == "xprop"]
         for p in regular:
             lines.append("")
             lines.extend(_render_property(p, opts))

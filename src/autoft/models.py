@@ -24,7 +24,9 @@ A model is a `_Model` subclass that declares, then simulates:
 
 `check_bundle_on_model` reads only what a model declares. It takes the values
 of each symbolic id from the id's node: every value of its literal width,
-which is what `(* anyconst *)` ranges over.
+which is what `(* anyconst *)` ranges over. A property that reads no id is
+evaluated once per trace and its entry names no id value. The queue models
+hold `depth` = 2 entries, the fixtures' default `DEPTH`.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from .tracecheck import Trace, Verdict, eval_property
 @dataclass(frozen=True)
 class ModelCheckEntry:
     trace_index: int
-    symb_values: tuple[tuple[str, int], ...]  # (symbolic column, value) pairs
+    symb_values: tuple[tuple[str, int], ...]  # (symbolic column, value) pairs; () if the property reads none
     property_name: str
     kind: str
     verdict: Verdict
@@ -115,10 +117,7 @@ class FifoModel(_Model):
     columns = ("in_val", "in_ack", "in_data", "out_val", "out_ack", "out_data")
     liveness_window = 12
     drive, tail = 20, 8
-
-    def __init__(self, depth: int = 2, **sizes):
-        super().__init__(**sizes)
-        self.depth = depth
+    depth = 2  # queue entries
 
     def _cycles(self, st):
         queue: list[int] = []
@@ -145,6 +144,7 @@ class NocBufferModel(_Model):
     """
 
     n_ids = 4
+    depth = 2  # queue entries
     columns = (
         "buf_in_val", "buf_in_ack", "buf_in_mshrid", "buf_in_data", "buf_in_transid",
         "buf_out_val", "buf_out_ack", "buf_out_mshrid", "buf_out_data", "buf_out_transid",
@@ -152,9 +152,9 @@ class NocBufferModel(_Model):
     liveness_window = 14
     drive, tail = 22, 10
 
-    def __init__(self, buggy: bool = False, depth: int = 2, **sizes):
+    def __init__(self, buggy: bool = False, **sizes):
         super().__init__(**sizes)
-        self.buggy, self.depth = buggy, depth
+        self.buggy = buggy
         self.name = "noc_buffer_buggy" if buggy else "noc_buffer"
         self.expected_violated_kinds = frozenset({"liveness"}) if buggy else frozenset()
 
@@ -278,12 +278,10 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
         for k, assign in enumerate(assignments):
             extended = trace.extended({name: [v] * trace.length for name, v in assign}) if assign else trace
             for p, needs_symb in prepared:
-                if needs_symb and not assign:
-                    continue  # a tracked check is meaningless without an id value
                 if not needs_symb and k > 0:
                     continue  # id-independent checks need only one evaluation
                 verdict = eval_property(p, extended)
-                entries.append(ModelCheckEntry(idx, assign, p.name, p.kind, verdict))
+                entries.append(ModelCheckEntry(idx, assign if needs_symb else (), p.name, p.kind, verdict))
     return ModelCheckReport(model.name, entries)
 
 

@@ -51,7 +51,7 @@ from .signals import TransactionAux
 from .sva import (
     And, CoverSeq, Eq, Eventually, Gt, Implies, IsUnknown, Node, Not, Or, PropAnd, Stable, matched,
 )
-from .transactions import Transaction, transaction_kind
+from .transactions import Transaction
 
 KINDS = (
     "liveness",
@@ -99,7 +99,6 @@ class GeneratedProperty:
     kind: str
     directive: str  # assert | assume | cover
     body: Node
-    guard_macro: str | None = None  # "XPROP" for simulation-only checks
 
     @property
     def ltl_text(self) -> str:
@@ -158,7 +157,7 @@ def xprop(val: Node, others: tuple[Node, ...]) -> Node:
 
 
 def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
-                   diags: list[Diagnostic] | None = None) -> list[GeneratedProperty]:
+                   diags: list[Diagnostic]) -> list[GeneratedProperty]:
     """Emit the full property set for one transaction.
 
     The result is deterministic: kinds appear in a fixed order, names follow
@@ -166,17 +165,13 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     its aux signals, and the options.
     """
     roles = aux.roles
-    if diags is None:
-        diags = []
-
     tn = t.tname
-    tracked = transaction_kind(t) == "tracked"
+    tracked = "inflight" in roles  # synth tracks a transaction with an id on both sides
     props: list[GeneratedProperty] = []
 
-    def emit(kind: str, body: Node, *, name: str | None = None,
-             directive: str | None = None, guard: str | None = None) -> None:
+    def emit(kind: str, body: Node, *, name: str | None = None, directive: str | None = None) -> None:
         directive = directive or plan_polarity(t.direction, kind)
-        props.append(GeneratedProperty(name or f"{tn}_{kind}", kind, directive, body, guard))
+        props.append(GeneratedProperty(name or f"{tn}_{kind}", kind, directive, body))
 
     p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
     p_val, q_val = roles["p_val"], roles["q_val"]
@@ -234,7 +229,7 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
         emit("transid_integrity", transid_integrity(inflight.clr, inflight))
         if t.p.has("transid_unique") or t.q.has("transid_unique"):
             emit("uniqueness", uniqueness(inflight.set, inflight))
-        if "p_data" in roles and "q_data" in roles:
+        if "sampled" in roles:
             emit("data_integrity", data_integrity(inflight.clr, roles["q_data"], roles["sampled"]))
     elif "p_data" in roles and "q_data" in roles:
         diags.append(
@@ -250,7 +245,7 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
         others = tuple(roles[f"{side_role}_{sfx}"] for sfx in ("ack", "transid", "data")
                        if f"{side_role}_{sfx}" in roles)
         emit("xprop", xprop(roles[f"{side_role}_val"], others),
-             name=f"{tn}_xprop_{side_role}", guard="XPROP")
+             name=f"{tn}_xprop_{side_role}")
 
     return props
 

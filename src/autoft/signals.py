@@ -6,8 +6,11 @@ per explicit `field = expr` binding, a `Handshake` wire per side, an
 outstanding `Counter` that carries the transaction's outstanding limit, and
 for tracked transactions (id bound on both sides) a `Symbolic` id with its
 `Inflight` bit and, when data is bound, a `Sampled` capture register.
-Generated names are checked against the parsed port and parameter names; a
-collision is resolved by appending a numeric suffix and emitting a warning.
+The id and the capture register take one width rule (`_attr_width`).
+Whether a transaction is tracked is decided here, once: later stages read
+the roles this module fills in. Generated names are checked against the
+parsed port and parameter names; a collision is resolved by appending a
+numeric suffix and emitting a warning.
 """
 from __future__ import annotations
 
@@ -60,11 +63,31 @@ def _cnt_param_names(tname: str) -> tuple[str, str]:
     return f"{upper}_MAX_OUTSTANDING", f"{upper}_CNT_WIDTH"
 
 
-def _attr_width(t: Transaction, suffix: str) -> str:
-    """Known range of an attribute bound on either side, "" when unknown."""
-    for b in (t.p.get(suffix), t.q.get(suffix)):
-        if b is not None and b.width_expr:
+# Attribute suffix -> (what its width is called, the register it sizes).
+_SIZED = {"transid": ("id", "symbolic id"), "data": ("data", "sampled data")}
+
+
+def _attr_width(t: Transaction, suffix: str, diags: list[Diagnostic]) -> str:
+    """The range of an attribute bound on both sides: the first side's that has one.
+
+    "" (1 bit) when neither has one; unless both sides are then known to be
+    1 bit wide, this warns, naming a side's user type if there is one.
+    """
+    sides = (t.p.get(suffix), t.q.get(suffix))
+    for b in sides:
+        if b.width_expr:
             return b.width_expr
+    unknown = [b for b in sides if b.width_bits is None]
+    if unknown:
+        what, register = _SIZED[suffix]
+        typed = next((f" (type '{b.opaque_type}')" for b in unknown if isinstance(b, InterfaceSignal)), "")
+        diags.append(
+            warning(
+                f"unknown-{what}-width",
+                f"{what} width of '{t.tname}' is not a known range{typed}, {register} defaults to 1 bit",
+                t.span,
+            )
+        )
     return ""
 
 
@@ -115,16 +138,7 @@ def synth_transaction_aux(
     signals.append(counter)
 
     if transaction_kind(t) == "tracked":
-        id_width = _attr_width(t, "transid")
-        if not id_width:
-            diags.append(
-                warning(
-                    "unknown-id-width",
-                    f"id width of '{t.tname}' is not a known range, symbolic id defaults to 1 bit",
-                    t.span,
-                )
-            )
-        symb = roles["symb"] = Symbolic(namer.alloc(f"symb_{t.tname}_transid"), id_width)
+        symb = roles["symb"] = Symbolic(namer.alloc(f"symb_{t.tname}_transid"), _attr_width(t, "transid", diags))
         signals.append(symb)
         request = matched(p_hsk, roles["p_transid"], symb)
         inflight = Inflight(namer.alloc(f"{t.tname}_inflight"), request,
@@ -132,18 +146,8 @@ def synth_transaction_aux(
         roles["inflight"] = inflight
         signals.append(inflight)
         if "p_data" in roles:
-            data_width = _attr_width(t, "data")
-            unknown = [b for b in (t.p.get("data"), t.q.get("data")) if b.width_bits is None]
-            if not data_width and unknown:
-                typed = next((f" (type '{b.opaque_type}')" for b in unknown if isinstance(b, InterfaceSignal)), "")
-                diags.append(
-                    warning(
-                        "unknown-data-width",
-                        f"data width of '{t.tname}' is not a known range{typed}, sampled data defaults to 1 bit",
-                        t.span,
-                    )
-                )
-            sampled = Sampled(namer.alloc(f"{t.tname}_sampled_data"), request, roles["p_data"], data_width)
+            sampled = Sampled(namer.alloc(f"{t.tname}_sampled_data"), request, roles["p_data"],
+                              _attr_width(t, "data", diags))
             roles["sampled"] = sampled
             signals.append(sampled)
 
@@ -156,9 +160,7 @@ def synth_module_aux(
     """Synthesize aux signals for every transaction with module-wide naming."""
     diags: list[Diagnostic] = []
     taken = pm.port_names() | {p.name for p in pm.parameters} | {opts.clk, opts.rst}
-    for t in txns:
-        taken.add(_cnt_param_names(t.tname)[0])
-        taken.add(_cnt_param_names(t.tname)[1])
+    taken.update(*(_cnt_param_names(t.tname) for t in txns))
     namer = _Namer(taken)
     shared: dict = {}
     out = [synth_transaction_aux(t, opts.outstanding_limit(t.tname), namer, shared, diags) for t in txns]

@@ -11,7 +11,8 @@ by side: `declare()` writes it as an `always` block, and `step(value, a, b)`
 gives the value after one cycle whose two input columns (the node's fields
 1 and 2) read `a` and `b`. The evaluator derives every register from `step`
 alone, starting from the reset value 0. The counter carries its `limit` and
-wraps at the `$clog2(limit + 1)` bits it is declared with.
+wraps at the `$clog2(limit + 1)` bits it is declared with; the sampled
+register keeps the low bits of a literal range.
 
 A node is a named tuple of its fields, so it is immutable and cheap to build
 and to define. Like any tuple it compares by value, not by type; nothing in
@@ -27,6 +28,7 @@ from collections import namedtuple
 from typing import Iterator
 
 from .options import GenOptions
+from .parser import literal_width_bits
 
 
 class Node:
@@ -262,7 +264,11 @@ class Inflight(namedtuple("Inflight", "name set clr"), Aux):
 
 
 class Sampled(namedtuple("Sampled", "name capture data width_expr", defaults=("",)), Aux):
-    """The data captured when capture holds, two-valued (an unknown is kept as 0)."""
+    """The data captured when capture holds, two-valued (an unknown is kept as 0).
+
+    A literal range (one bit when empty) truncates the captured value, as the
+    declared register does; a parameter range keeps it whole.
+    """
 
     __slots__ = ()
 
@@ -271,7 +277,10 @@ class Sampled(namedtuple("Sampled", "name capture data width_expr", defaults=(""
                 *_always(opts, self.name, "'0", [(self.capture, self.data.render())])]
 
     def step(self, value: int, capture, data) -> int:
-        return (0 if data is None else data) if capture else value
+        if not capture:
+            return value
+        bits = literal_width_bits(self.width_expr)
+        return (data or 0) if bits is None else (data or 0) & ((1 << bits) - 1)
 
 
 def matched(hsk: Node, ident: Node, symb: Node) -> And:

@@ -55,20 +55,15 @@ class Trace:
     """A fixed-length assignment of integer values to named signals.
 
     Values are plain ints, or None for unknown (X). Each column is copied
-    into a list, so any sequences will do.
+    into a list, so any sequences will do. The length is the columns'
+    common length, 0 without columns; ragged columns are a ValueError.
     """
 
-    def __init__(self, columns: Mapping[str, Sequence[int | None]], length: int | None = None):
+    def __init__(self, columns: Mapping[str, Sequence[int | None]]):
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"columns differ in length: {sorted(lengths)}")
-        col_len = lengths.pop() if lengths else None
-        if length is None:
-            self.length = col_len if col_len is not None else 0
-        else:
-            if col_len is not None and col_len != length:
-                raise ValueError("explicit length disagrees with column length")
-            self.length = length
+        self.length = lengths.pop() if lengths else 0
         self.columns: dict[str, list[int | None]] = {name: list(v) for name, v in columns.items()}
 
     def __eq__(self, other) -> bool:
@@ -80,7 +75,7 @@ class Trace:
     def extended(self, extra: Mapping[str, Sequence[int | None]]) -> "Trace":
         merged = dict(self.columns)
         merged.update({k: list(v) for k, v in extra.items()})
-        return Trace(merged, self.length)
+        return Trace(merged)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -260,7 +255,6 @@ def trace_space_size(domain_sizes: Iterable[int], max_len: int) -> int:
 def enumerate_traces(
     signals: Mapping[str, int],
     max_len: int,
-    bound: int = DEFAULT_TRACE_BOUND,
     domains: Mapping[str, Sequence[int | None]] | None = None,
 ) -> Iterator[Trace]:
     """Yield every trace of lengths 1..max_len over the given signals.
@@ -268,7 +262,7 @@ def enumerate_traces(
     `signals` maps names to bit widths; `domains` can replace a signal's value
     set (e.g. to include None for unknown). Order is deterministic: lengths
     ascending, then lexicographic in cycle-major order. Raises
-    SpaceTooLargeError when the total count exceeds `bound`.
+    SpaceTooLargeError when the total count exceeds DEFAULT_TRACE_BOUND.
     """
     names = list(signals)
     value_sets: list[Sequence[int | None]] = []
@@ -278,8 +272,8 @@ def enumerate_traces(
         else:
             value_sets.append(tuple(range(1 << signals[name])))
     total = trace_space_size((len(v) for v in value_sets), max_len)
-    if total > bound:
-        raise SpaceTooLargeError(f"{total} traces exceed the bound of {bound}")
+    if total > DEFAULT_TRACE_BOUND:
+        raise SpaceTooLargeError(f"{total} traces exceed the bound of {DEFAULT_TRACE_BOUND}")
     states = list(itertools.product(*value_sets))
     for length in range(1, max_len + 1):
         for assignment in itertools.product(states, repeat=length):
@@ -287,4 +281,4 @@ def enumerate_traces(
                 name: [assignment[cycle][k] for cycle in range(length)]
                 for k, name in enumerate(names)
             }
-            yield Trace(columns, length=length)
+            yield Trace(columns)

@@ -99,20 +99,18 @@ def _candidate_bindings(
 
 
 def _check_paired_widths(
-    t_name: str, suffix: str, p: Binding | None, q: Binding | None,
-    rel_span: SourceSpan, diags: list[Diagnostic],
+    t_name: str, suffix: str, p: Binding | None, q: Binding | None, diags: list[Diagnostic],
 ) -> None:
     if (p is None) != (q is None):
-        bound = p or q
         diags.append(
             error(
                 "one-sided-attr",
                 f"'{suffix}' of transaction '{t_name}' is bound on only one interface",
-                bound.span if bound else rel_span,
+                (p or q).span,
             )
         )
         return
-    if p is None or q is None:
+    if p is None:
         return
     wp, wq = p.width_bits, q.width_bits
     if wp is not None and wq is not None and wp != wq:
@@ -155,8 +153,8 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
             )
             continue
 
-        p_side = InterfaceSide(rel.p, dict(per_iface.get(rel.p, {})))
-        q_side = InterfaceSide(rel.q, dict(per_iface.get(rel.q, {})))
+        p_side = InterfaceSide(rel.p, dict(per_iface[rel.p]))
+        q_side = InterfaceSide(rel.q, dict(per_iface[rel.q]))
 
         for side in (p_side, q_side):
             if not side.has("val"):
@@ -167,10 +165,8 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
 
         for suffix in ("transid", "data"):
             pb, qb = p_side.get(suffix), q_side.get(suffix)
-            before = len(diags)
-            _check_paired_widths(rel.tname, suffix, pb, qb, ann.span, diags)
-            if len(diags) > before and (pb is None or qb is None):
-                bad = True
+            _check_paired_widths(rel.tname, suffix, pb, qb, diags)
+            bad |= (pb is None) != (qb is None)
 
         for side in (p_side, q_side):
             if side.has("transid_unique") and not side.has("transid"):

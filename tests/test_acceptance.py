@@ -37,7 +37,7 @@ def _props(source, direction="incoming", opts=None):
     aux, _ = synth_module_aux(txns, pm, opts)
     out = []
     for t, a in zip(txns, aux):
-        out.extend(gen_properties(t, a, opts))
+        out.extend(gen_properties(t, a, opts, []))
     return out
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from autoft.cli import main
 
-from conftest import GOLDEN, fixture_path, load_fixture
+from conftest import GOLDEN, REPO, fixture_path, load_fixture
 
 
 def run_cli(args, capsys):
@@ -206,6 +206,38 @@ class TestCheck:
         assert out == ""
         assert err.endswith("error: reference model 'fifo' has no signal 'in_stable'\n")
         assert "Traceback" not in err
+
+    def test_check_labels_id_free_verdicts_without_an_id(self, capsys):
+        code, _, err = run_cli(["check", fixture_path("noc_buffer"), "--max-outstanding", "1"], capsys)
+        assert code == 1
+        first = err.splitlines()[1]
+        assert first == "  buf_response_had_request: violated at cycle 3 [response_had_request, trace 0]"
+
+
+# Golden `check` runs: case name -> (fixture, extra arguments).
+CHECK_CASES = {
+    "fifo": ("fifo", []),
+    "noc_buffer": ("noc_buffer", []),
+    "noc_buffer_buggy": ("noc_buffer_buggy", []),
+    "pipeline": ("pipeline", []),
+    "noc_buffer_max_outstanding_1": ("noc_buffer", ["--max-outstanding", "1"]),
+}
+
+
+def check_transcript(case, capsys, monkeypatch) -> str:
+    """Exit code, stdout and stderr of `autoft check` on a case, run from the repo root."""
+    fixture, extra = CHECK_CASES[case]
+    monkeypatch.chdir(REPO)
+    monkeypatch.setenv("AUTOFT_COLOR", "0")
+    code, out, err = run_cli(["check", f"fixtures/{fixture}.sv", *extra], capsys)
+    return f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
+
+
+class TestCheckGolden:
+    @pytest.mark.parametrize("case", sorted(CHECK_CASES))
+    def test_check_matches_golden_transcript(self, case, capsys, monkeypatch):
+        golden = (GOLDEN / "check" / f"{case}.txt").read_text(encoding="utf-8")
+        assert check_transcript(case, capsys, monkeypatch) == golden
 
 
 class TestLink:

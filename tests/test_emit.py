@@ -16,6 +16,7 @@ from autoft.emit import (
 )
 from autoft.options import GenOptions
 from autoft.parser import parse_module
+from autoft.tracecheck import Trace, eval_property
 
 from conftest import FIXTURE_NAMES, GOLDEN, REPO, gen_fixture, load_fixture
 from wellformed import balanced, commented_declarations, declared_twice, lone_eq
@@ -391,6 +392,15 @@ class TestDeclaredSignals:
             "m.sv:1:12: warning[unknown-data-width]: data width of 't' is not a known range (type 'dat_t'),"
             " sampled data defaults to 1 bit"
         )
+
+    def test_typed_data_is_compared_at_its_declared_width(self):
+        # `logic t_sampled_data;` keeps one bit of the 5 sent, so the 5 returned does not match it.
+        bundle = generate_bundle(TYPED_DECLS, "m.sv", GenOptions())
+        assert "logic t_sampled_data;" in bundle.property_module.text
+        prop = next(p for p in bundle.properties if p.name == "t_data_integrity")
+        trace = Trace({"a_val": [1, 0], "a_transid": [0, 0], "a_data": [5, 0],
+                       "b_val": [0, 1], "b_transid": [0, 0], "b_data": [0, 5], "symb_t_transid": [0, 0]})
+        assert str(eval_property(prop, trace)) == "t_data_integrity: violated at cycle 1"
 
     def test_data_assigned_without_range_warns(self):
         src = TYPED_DECLS.replace("input dat_t a_data", "a_data = a_id").replace("input dat_t b_data;", "b_data = b_id")

@@ -55,7 +55,7 @@ class TestModelTraces:
         assert [t.columns for t in a] == [t.columns for t in b]
 
     def test_fifo_never_overfills(self):
-        model = FifoModel(depth=2)
+        model = FifoModel()
         for trace in model.traces():
             occupancy = 0
             for i in range(trace.length):
@@ -159,6 +159,13 @@ class TestReportShape:
         assert all(e.symb_values == (("symb_buf_transid", e.symb_values[0][1]),) for e in tracked)
         seen_values = {e.symb_values[0][1] for e in tracked}
         assert seen_values == {0, 1, 2, 3}
+
+    def test_only_id_reading_entries_carry_an_id(self):
+        report = run("noc_buffer", NocBufferModel(buggy=False))
+        reads_id = {"liveness", "transid_integrity", "uniqueness", "data_integrity"}
+        assert {e.kind for e in report.entries} > reads_id
+        for e in report.entries:
+            assert bool(e.symb_values) == (e.kind in reads_id), e
 
     def test_symbolic_id_takes_every_value_of_its_width(self):
         # `[2:0]` gives 8 values, whatever the model drives.

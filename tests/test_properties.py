@@ -35,7 +35,7 @@ def props_for(source: str, direction_override=None, opts=None):
             t.direction = direction_override
     opts = opts or GenOptions()
     aux, _ = synth_module_aux(txns, pm, opts)
-    return [gen_properties(t, a, opts) for t, a in zip(txns, aux)]
+    return [gen_properties(t, a, opts, []) for t, a in zip(txns, aux)]
 
 
 def module(ports: str, annotations: str) -> str:
@@ -167,7 +167,6 @@ class TestEmissionSets:
         (props,) = props_for(VAL_ONLY)
         xprops = [p for p in props if p.kind == "xprop"]
         assert [p.name for p in xprops] == ["t_xprop_p", "t_xprop_q"]
-        assert all(p.guard_macro == "XPROP" for p in xprops)
         assert all(p.ltl_text.startswith("!$isunknown") for p in xprops)
 
     def test_xprop_concatenates_bound_attributes(self):

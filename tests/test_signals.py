@@ -51,7 +51,7 @@ def inflight_trace(set_hsk, set_id, clr_hsk, clr_id, symb):
 
 
 def sampled_trace(hsk, idc, symb, data):
-    smp = Sampled("smp", matched(Sig("hsk"), Sig("id"), Symbolic("symb")), Sig("data"))
+    smp = Sampled("smp", matched(Sig("hsk"), Sig("id"), Symbolic("symb")), Sig("data"), "[7:0]")
     return column(smp, Trace({"hsk": hsk, "id": idc, "symb": symb, "data": data}))
 
 
@@ -154,6 +154,34 @@ class TestTracking:
                 run = counter_trace(inc, dec)
                 closed = [naive.outstanding_at(inc, dec, i, width=4) for i in range(4)]
                 assert run == closed
+
+
+class TestWidthWarnings:
+    """The symbolic id and the sampled data take one width rule."""
+
+    @staticmethod
+    def warnings_of(ports: str, annotations: str) -> list[str]:
+        pm, txns = transactions_of(module(ports, "// AUTOSVA t: a -in> b\n" + annotations))
+        _, diags = synth_module_aux(txns, pm, GenOptions())
+        return [f"{d.code}: {d.message}" for d in diags]
+
+    def test_plain_one_bit_id_port_does_not_warn(self):
+        ports = "input wire a_val,\ninput wire a_transid,\noutput wire b_val,\noutput wire b_transid"
+        assert self.warnings_of(ports, "") == []
+
+    def test_typed_id_warning_names_its_type(self):
+        ports = "input wire a_val,\noutput wire b_val"
+        annotations = "// AUTOSVA input id_t a_transid\n// AUTOSVA output id_t b_transid"
+        assert self.warnings_of(ports, annotations) == [
+            "unknown-id-width: id width of 't' is not a known range (type 'id_t'), symbolic id defaults to 1 bit"
+        ]
+
+    def test_assigned_id_without_range_warns(self):
+        ports = "input wire a_val,\ninput wire [1:0] a_id,\noutput wire b_val,\noutput wire [1:0] b_id"
+        annotations = "// AUTOSVA a_transid = a_id\n// AUTOSVA b_transid = b_id"
+        assert self.warnings_of(ports, annotations) == [
+            "unknown-id-width: id width of 't' is not a known range, symbolic id defaults to 1 bit"
+        ]
 
 
 class TestNaming:
@@ -282,6 +310,7 @@ class TestRuleFormsAgree:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12))
     def test_sampled(self, data, n):
-        node = Sampled("smp", Sig("cap"), Sig("data"), "[7:0]")
         cols, rows = _rows(data.draw, [("cap", BIT), ("data", DATA)], n)
-        assert column(node, Trace(cols)) == simulate_declaration(node.declare(GenOptions()), rows, {})
+        for width in ("", "[3:0]", "[7:0]"):
+            node = Sampled("smp", Sig("cap"), Sig("data"), width)
+            assert column(node, Trace(cols)) == simulate_declaration(node.declare(GenOptions()), rows, {}), width

@@ -128,7 +128,7 @@ class TestEvalExamples:
             evaluate(LIVENESS, t)
 
     def test_empty_trace_is_vacuous(self):
-        assert evaluate(LIVENESS, Trace({}, length=0)).outcome == VACUOUS
+        assert evaluate(LIVENESS, Trace({})).outcome == VACUOUS
 
     def test_unknowns_read_as_zero_outside_xprop(self):
         t = Trace({"p_hsk": [None, 1, 0], "q_val": [0, None, 1]})
