@@ -24,9 +24,10 @@ A model is a `_Model` subclass that declares, then simulates:
 
 `check_bundle_on_model` reads only what a model declares. It takes the values
 of each symbolic id from the id's node: every value of its literal width,
-which is what `(* anyconst *)` ranges over. A property that reads no id is
-evaluated once per trace and its entry names no id value. The queue models
-hold `depth` = 2 entries, the fixtures' default `DEPTH`.
+which is what `(* anyconst *)` ranges over. Each property is evaluated under
+only the ids its body reads, and its entries name those alone: a property
+that reads no id is evaluated once per trace and its entry names no id value.
+The queue models hold `depth` = 2 entries, the fixtures' default `DEPTH`.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ from dataclasses import dataclass, replace
 from .diagnostics import SymbolicWidthError
 from .parser import literal_width_bits
 from .properties import GeneratedProperty
-from .sva import Eventually, Symbolic, walk
-from .tracecheck import Trace, Verdict, eval_property
+from .sva import CoverSeq, Eventually, Implies, Node, PropAnd, Symbolic, walk
+from .tracecheck import Memo, Trace, Verdict, column, eval_property
 
 
 @dataclass(frozen=True)
@@ -253,35 +254,56 @@ def _windowed(p: GeneratedProperty, window: int) -> GeneratedProperty:
     return p
 
 
+def _shared_roots(node: Node, roots: list[Node]) -> bool:
+    """Whether `node` is a column that reads no symbolic id. A node that is
+    not appends to `roots` each of its operands that is."""
+    kids = [x for v in node for x in (v if type(v) is tuple else (v,)) if isinstance(x, Node)]
+    free = [_shared_roots(x, roots) for x in kids]
+    shared = all(free) and not isinstance(node, (Symbolic, Implies, Eventually, CoverSeq, PropAnd))
+    roots += [] if shared else [x for x, f in zip(kids, free) if f]
+    return shared
+
+
 def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelCheckReport:
-    """Evaluate every property over every model trace and symbolic id value.
+    """Evaluate every property over every model trace, under every value of the ids it reads.
 
-    Each symbolic id takes every value of its literal width; an id whose
-    width is not literal raises SymbolicWidthError. Unbounded eventualities
-    are cut to the model's liveness window. `txns` is not read: every
-    property body already names the signals it needs.
+    Each property is evaluated under only the symbolic ids its body reads:
+    every value of each one's literal width, or their product if it reads
+    several, and its entries name those ids alone. An id whose width is not
+    literal raises SymbolicWidthError. Unbounded eventualities are cut to
+    the model's liveness window. `txns` is not read: every property body
+    already names the signals it needs.
+
+    The bundle is evaluated in one pass per trace. Every id-free column
+    (handshakes, counters, the operators over them) is derived once into the
+    trace's memo and shared by every property; an id-reading one is derived
+    once per lane, a copy of that memo plus the constant column of each id
+    value. Entries come lane by lane: the k-th assignment of every property
+    that has one, in property order.
     """
-    # (property, whether its body refers to a symbolic id)
-    prepared = [(_windowed(p, model.liveness_window), any(isinstance(n, Symbolic) for n in walk(p.body)))
-                for p in props]
-
-    assignments: list[tuple[tuple[str, int], ...]] = [()]
-    symbs = {n.name: n for p in props for n in walk(p.body) if isinstance(n, Symbolic)}
-    for name, symb in symbs.items():
-        bits = literal_width_bits(symb.width_expr)
-        if bits is None:
-            raise SymbolicWidthError(f"symbolic id '{name}' has no literal width: '{symb.width_expr}'")
-        assignments = [a + ((name, v),) for a in assignments for v in range(1 << bits)]
+    prepared, roots = [], []  # (property, its id assignments); the id-free columns of id-reading bodies
+    for p in props:
+        p = _windowed(p, model.liveness_window)
+        assigns: list[tuple[tuple[str, int], ...]] = [()]
+        for name, symb in {n.name: n for n in walk(p.body) if isinstance(n, Symbolic)}.items():
+            bits = literal_width_bits(symb.width_expr)
+            if bits is None:
+                raise SymbolicWidthError(f"symbolic id '{name}' has no literal width: '{symb.width_expr}'")
+            assigns = [a + ((name, v),) for a in assigns for v in range(1 << bits)]
+        if assigns[0]:
+            _shared_roots(p.body, roots)
+        prepared.append((p, assigns))
 
     entries: list[ModelCheckEntry] = []
     for idx, trace in enumerate(model.traces()):
-        for k, assign in enumerate(assignments):
-            extended = trace.extended({name: [v] * trace.length for name, v in assign}) if assign else trace
-            for p, needs_symb in prepared:
-                if not needs_symb and k > 0:
-                    continue  # id-independent checks need only one evaluation
-                verdict = eval_property(p, extended)
-                entries.append(ModelCheckEntry(idx, assign if needs_symb else (), p.name, p.kind, verdict))
+        shared = Memo(trace.columns)
+        for node in roots if trace.length else ():
+            column(node, trace, shared)
+        for k in range(max((len(a) for _, a in prepared), default=0)):
+            lanes = {(): shared}
+            for p, a in [(p, a[k]) for p, a in prepared if k < len(a)]:
+                memo = lanes.get(a) or lanes.setdefault(a, Memo(shared, **{n: [v] * trace.length for n, v in a}))
+                entries.append(ModelCheckEntry(idx, a, p.name, p.kind, eval_property(p, trace, memo)))
     return ModelCheckReport(model.name, entries)
 
 

@@ -6,9 +6,17 @@ cycle-by-cycle trace; it never reads the rendered text. Each aux register
 (outstanding counter, in-flight bit, sampled data) is derived by its node's
 own `step`, the Python form of the update rule its `declare()` emits, in the
 registered view: the value during cycle i reflects handshakes strictly
-before i, and the counter wraps at its declared width. A trace column with a
-wire's or register's own name overrides the derivation, which lets tests
-inject counterexample states.
+before i, and the counter wraps at its declared width.
+
+Derived columns are kept in a memo, a dict seeded with a copy of the trace's
+columns. `eval_property(p, trace)` starts from a fresh memo; given a `Memo`,
+it adds to it, so calls that share a memo derive each node once. A memo holds
+one trace's columns, or one lane's: `models.check_bundle_on_model` keeps a
+memo per trace for every node that reads no symbolic id, and per id value a
+lane memo, a copy of the trace's memo plus the id's constant column, for the
+nodes that read it. A trace column with a wire's or register's own name
+overrides the derivation in the trace's memo and in every lane memo alike,
+which lets tests inject counterexample states.
 
 Finite-trace readings:
 
@@ -113,14 +121,25 @@ class Verdict:
         return f"{self.property_name}: {self.outcome}{at}"
 
 
+class Memo(dict):
+    """A memo that several evaluations share: it keeps operators' columns too."""
+
+
 # Evaluation is column-wise: a node yields one list per trace, a value per
-# cycle. `cols` starts as a copy of the trace's columns. A signal, wire or
-# register is read from the column of its name; a derived one missing there is
-# derived once and stored under its name, so a trace column overrides it.
+# cycle. `cols` is the memo, seeded with a copy of the trace's columns. A
+# signal, wire or register is read from the column of its name; a derived one
+# missing there is derived once and stored under its name, so a trace column
+# overrides it. A `Memo` stores an operator's column under the node's id,
+# beside the node itself, which the memo so keeps alive and its id unique. A
+# plain dict serves one evaluation and keeps named columns only: storing every
+# operator's column would cost a short evaluation more than it saves.
 
 def _col(node: Node, cols: dict) -> list:
     if not isinstance(node, Sig):
-        return _COLUMN[node.__class__](node, cols)
+        if cols.__class__ is dict:
+            return _COLUMN[node.__class__](node, cols)
+        hit = cols.get(id(node)) or cols.setdefault(id(node), (node, _COLUMN[node.__class__](node, cols)))
+        return hit[1]
     out = cols.get(node.name)
     if out is None:
         if node.__class__ not in _COLUMN:  # a port, verbatim wire or free id: the trace must have it
@@ -185,9 +204,9 @@ _COLUMN = {
 }
 
 
-def column(node: Node, trace: Trace) -> list:
-    """The per-cycle values of an expression node over a trace."""
-    return _col(node, dict(trace.columns))
+def column(node: Node, trace: Trace, memo: dict | None = None) -> list:
+    """The per-cycle values of an expression node over a trace; `memo` as for `eval_property`."""
+    return _col(node, dict(trace.columns) if memo is None else memo)
 
 
 def _eventually(node: Eventually, fires: list[int], c: list, n: int) -> tuple[list[int], bool]:
@@ -225,12 +244,17 @@ def _obligations(body: Node, cols: dict, n: int) -> tuple[bool, list[int], bool]
     return any(a), [i for i in range(n) if a[i] and not c[i]], False
 
 
-def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:
-    """Evaluate one generated property against one trace."""
+def eval_property(p: GeneratedProperty, trace: Trace, memo: dict | None = None) -> Verdict:
+    """Evaluate one generated property against one trace.
+
+    `memo` holds the columns derived so far, seeded with a copy of the trace's
+    columns; calls over the same trace that pass the same `Memo` derive each
+    node once. Without one, the call starts from a fresh memo.
+    """
     n = trace.length
     if n == 0:
         return Verdict(p.name, VACUOUS)
-    cols = dict(trace.columns)
+    cols = dict(trace.columns) if memo is None else memo
     body = p.body
     if body.__class__ is CoverSeq:
         a, b = _col(body.a, cols), _col(body.b, cols)

@@ -1,20 +1,27 @@
 import hashlib
+import json
+import subprocess
+import sys
 
 import pytest
 
+from autoft import tracecheck
 from autoft.models import (
     MODEL_REGISTRY,
     FifoModel,
+    ModelCheckEntry,
     NocBufferModel,
     PipelineModel,
+    _windowed,
     check_bundle_on_model,
 )
 from autoft.diagnostics import SymbolicWidthError
+from autoft.parser import literal_width_bits
 from autoft.properties import GeneratedProperty
-from autoft.sva import Eq, Implies, Sig, Symbolic
-from autoft.tracecheck import HOLDS, VACUOUS, VIOLATED, Trace
+from autoft.sva import Counter, Eq, Implies, Inflight, Sampled, Sig, Symbolic, walk
+from autoft.tracecheck import HOLDS, VACUOUS, VIOLATED, Trace, eval_property
 
-from conftest import gen_fixture
+from conftest import REPO, gen_fixture
 
 
 def run(fixture_name, model):
@@ -189,3 +196,116 @@ class _OneCycle:
 
     def traces(self):
         return [Trace({"v": [1], "id": [5]})]
+
+
+class _TwoIds(_OneCycle):
+    """One trace, one cycle long, that requests id 2."""
+
+    def traces(self):
+        return [Trace({"v": [1], "id": [2]})]
+
+
+def test_each_property_takes_only_the_ids_it_reads():
+    sa, sb = Symbolic("sa", "[1:0]"), Symbolic("sb", "[1:0]")
+    props = [GeneratedProperty(f"p_{s.name}", "transid_integrity", "assert", Implies(Sig("v"), Eq(Sig("id"), s)))
+             for s in (sa, sb)]
+    both = GeneratedProperty("p_both", "transid_integrity", "assert", Implies(Eq(Sig("id"), sa), Eq(Sig("id"), sb)))
+    report = check_bundle_on_model([], [*props, both], _TwoIds())
+    for prop in props:
+        entries = [e for e in report.entries if e.property_name == prop.name]
+        assert [(e.symb_values, e.verdict.outcome) for e in entries] == [
+            (((prop.name[2:], v),), HOLDS if v == 2 else VIOLATED) for v in range(4)
+        ]
+    # A property that reads both ids takes the product of their values.
+    assert [(e.symb_values, e.verdict.outcome) for e in report.entries if e.property_name == "p_both"] == [
+        ((("sa", a), ("sb", b)), VIOLATED if a == 2 and b != 2 else HOLDS if a == 2 else VACUOUS)
+        for a in range(4) for b in range(4)
+    ]
+
+
+def one_at_a_time(props, model) -> list[ModelCheckEntry]:
+    """The loop that `check_bundle_on_model` replaced, kept as the reference.
+
+    Per trace and id assignment it builds a copy of the trace with the ids'
+    columns (`Trace.extended`); then each property is evaluated by itself,
+    from a fresh copy of the columns. Every id-reading property is evaluated
+    under every assignment, which is right for at most one symbolic id.
+    """
+    prepared = [(_windowed(p, model.liveness_window), any(isinstance(n, Symbolic) for n in walk(p.body)))
+                for p in props]
+    assignments = [()]
+    symbs = {n.name: n for p in props for n in walk(p.body) if isinstance(n, Symbolic)}
+    for name, symb in symbs.items():
+        assignments = [a + ((name, v),) for a in assignments
+                       for v in range(1 << literal_width_bits(symb.width_expr))]
+    entries = []
+    for idx, trace in enumerate(model.traces()):
+        for k, assign in enumerate(assignments):
+            extended = trace.extended({name: [v] * trace.length for name, v in assign}) if assign else trace
+            for p, needs_symb in prepared:
+                if needs_symb or k == 0:
+                    entries.append(ModelCheckEntry(idx, assign if needs_symb else (), p.name, p.kind,
+                                                   eval_property(p, extended)))
+    return entries
+
+
+# name -> (fixture, model factory, generation options)
+ONE_PASS_CASES = {
+    **{name: (name, factory, {}) for name, factory in MODEL_REGISTRY.items()},
+    "pipeline_double_issue": ("pipeline", lambda: PipelineModel(double_issue=True), {}),
+    "noc_buffer_max_outstanding_1": ("noc_buffer", MODEL_REGISTRY["noc_buffer"], {"max_outstanding": 1}),
+}
+
+
+class _Overridden(NocBufferModel):
+    """The fixed buffer, its traces carrying an outstanding count of 0 and an in-flight bit of 0."""
+
+    def traces(self):
+        return [t.extended({"buf_outstanding": [0] * t.length, "buf_inflight": [0] * t.length})
+                for t in super().traces()]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("assert_inputs", [False, True])
+    @pytest.mark.parametrize("case", sorted(ONE_PASS_CASES))
+    def test_entries_equal_the_one_at_a_time_loop(self, case, assert_inputs):
+        fixture, factory, kwargs = ONE_PASS_CASES[case]
+        props = gen_fixture(fixture, assert_inputs=assert_inputs, **kwargs).properties
+        assert check_bundle_on_model([], props, factory()).entries == one_at_a_time(props, factory())
+
+    def test_a_trace_column_overrides_in_the_shared_and_the_lane_memo(self):
+        # The counter is derived into the shared memo, the in-flight bit into each lane.
+        props = gen_fixture("noc_buffer").properties
+        report = check_bundle_on_model([], props, _Overridden())
+        assert report.entries == one_at_a_time(props, _Overridden())
+        assert {"response_had_request", "transid_integrity"} <= report.violated_kinds()
+        assert not check_bundle_on_model([], props, NocBufferModel()).violated()
+
+    @pytest.mark.parametrize("fixture, per_trace, before", [("noc_buffer", 9, 14), ("pipeline", 9, 15),
+                                                            ("fifo", 1, 2)])
+    def test_registers_are_derived_once_per_trace_and_lane(self, monkeypatch, fixture, per_trace, before):
+        calls = []
+
+        def counting(node, cols):
+            calls.append(node.name)
+            return tracecheck._register(node, cols)
+
+        for cls in (Counter, Inflight, Sampled):
+            monkeypatch.setitem(tracecheck._COLUMN, cls, counting)
+        props, model = gen_fixture(fixture).properties, MODEL_REGISTRY[fixture]()
+        check_bundle_on_model([], props, model)
+        assert len(calls) == per_trace * model.n_traces
+        calls.clear()
+        one_at_a_time(props, model)
+        assert len(calls) == before * model.n_traces
+
+
+def test_model_check_bench_runs_at_tiny_size(tmp_path):
+    # The before/after script, with this checkout on both sides so that both packages load.
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(REPO / "bench" / "model_check.py"), "--src", str(REPO / "src"),
+                    "--rounds", "2", "--traces", "1", "--drive", "10", "--out", str(out)],
+                   capture_output=True, text=True, check=True)
+    report = json.loads(out.read_text())
+    assert set(report["after_over_before"]) == set(MODEL_REGISTRY)
+    assert [report[side]["noc_buffer"]["registers_per_trace"] for side in ("before", "after")] == [9, 9]
