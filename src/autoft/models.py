@@ -38,8 +38,8 @@ from dataclasses import dataclass, replace
 from .diagnostics import SymbolicWidthError
 from .parser import literal_width_bits
 from .properties import GeneratedProperty
-from .sva import CoverSeq, Eventually, Implies, Node, PropAnd, Symbolic, walk
-from .tracecheck import Memo, Trace, Verdict, column, eval_property
+from .sva import CoverSeq, Eventually, Implies, Node, PropAnd, Symbolic, children, walk
+from .tracecheck import Trace, Verdict, column, eval_property
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def _windowed(p: GeneratedProperty, window: int) -> GeneratedProperty:
 def _shared_roots(node: Node, roots: list[Node]) -> bool:
     """Whether `node` is a column that reads no symbolic id. A node that is
     not appends to `roots` each of its operands that is."""
-    kids = [x for v in node for x in (v if type(v) is tuple else (v,)) if isinstance(x, Node)]
+    kids = list(children(node))
     free = [_shared_roots(x, roots) for x in kids]
     shared = all(free) and not isinstance(node, (Symbolic, Implies, Eventually, CoverSeq, PropAnd))
     roots += [] if shared else [x for x, f in zip(kids, free) if f]
@@ -296,13 +296,13 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
 
     entries: list[ModelCheckEntry] = []
     for idx, trace in enumerate(model.traces()):
-        shared = Memo(trace.columns)
+        shared = dict(trace.columns)
         for node in roots if trace.length else ():
             column(node, trace, shared)
         for k in range(max((len(a) for _, a in prepared), default=0)):
             lanes = {(): shared}
             for p, a in [(p, a[k]) for p, a in prepared if k < len(a)]:
-                memo = lanes.get(a) or lanes.setdefault(a, Memo(shared, **{n: [v] * trace.length for n, v in a}))
+                memo = lanes.get(a) or lanes.setdefault(a, shared | {n: [v] * trace.length for n, v in a})
                 entries.append(ModelCheckEntry(idx, a, p.name, p.kind, eval_property(p, trace, memo)))
     return ModelCheckReport(model.name, entries)
 

@@ -288,12 +288,17 @@ def matched(hsk: Node, ident: Node, symb: Node) -> And:
     return And(hsk, Eq(ident, symb))
 
 
+def children(node: Node) -> Iterator[Node]:
+    """The nodes directly below `node`, a register's update rule included."""
+    for value in node:
+        if isinstance(value, Node):
+            yield value
+        elif isinstance(value, tuple):  # the operands of `||`, `$stable`, `$isunknown`
+            yield from value
+
+
 def walk(node: Node) -> Iterator[Node]:
     """The node and every node below it, registers' update rules included."""
     yield node
-    for value in node:
-        if isinstance(value, Node):
-            yield from walk(value)
-        elif isinstance(value, tuple):  # the operands of `||`, `$stable`, `$isunknown`
-            for x in value:
-                yield from walk(x)
+    for x in children(node):
+        yield from walk(x)

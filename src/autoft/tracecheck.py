@@ -9,8 +9,8 @@ registered view: the value during cycle i reflects handshakes strictly
 before i, and the counter wraps at its declared width.
 
 Derived columns are kept in a memo, a dict seeded with a copy of the trace's
-columns. `eval_property(p, trace)` starts from a fresh memo; given a `Memo`,
-it adds to it, so calls that share a memo derive each node once. A memo holds
+columns. `eval_property(p, trace)` starts from a fresh memo; given one, it
+adds to it, so calls that share a memo derive each node once. A memo holds
 one trace's columns, or one lane's: `models.check_bundle_on_model` keeps a
 memo per trace for every node that reads no symbolic id, and per id value a
 lane memo, a copy of the trace's memo plus the id's constant column, for the
@@ -121,24 +121,18 @@ class Verdict:
         return f"{self.property_name}: {self.outcome}{at}"
 
 
-class Memo(dict):
-    """A memo that several evaluations share: it keeps operators' columns too."""
-
-
 # Evaluation is column-wise: a node yields one list per trace, a value per
 # cycle. `cols` is the memo, seeded with a copy of the trace's columns. A
 # signal, wire or register is read from the column of its name; a derived one
 # missing there is derived once and stored under its name, so a trace column
-# overrides it. A `Memo` stores an operator's column under the node's id,
-# beside the node itself, which the memo so keeps alive and its id unique. A
-# plain dict serves one evaluation and keeps named columns only: storing every
-# operator's column would cost a short evaluation more than it saves.
+# overrides it. An operator's column is stored under the node's id, beside the
+# node itself, which the memo so keeps alive and its id unique.
 
 def _col(node: Node, cols: dict) -> list:
     if not isinstance(node, Sig):
-        if cols.__class__ is dict:
-            return _COLUMN[node.__class__](node, cols)
-        hit = cols.get(id(node)) or cols.setdefault(id(node), (node, _COLUMN[node.__class__](node, cols)))
+        hit = cols.get(id(node))
+        if hit is None:
+            hit = cols[id(node)] = (node, _COLUMN[node.__class__](node, cols))
         return hit[1]
     out = cols.get(node.name)
     if out is None:
@@ -248,7 +242,7 @@ def eval_property(p: GeneratedProperty, trace: Trace, memo: dict | None = None) 
     """Evaluate one generated property against one trace.
 
     `memo` holds the columns derived so far, seeded with a copy of the trace's
-    columns; calls over the same trace that pass the same `Memo` derive each
+    columns; calls over the same trace that pass the same memo derive each
     node once. Without one, the call starts from a fresh memo.
     """
     n = trace.length

@@ -15,7 +15,7 @@ from autoft.models import (
     _windowed,
     check_bundle_on_model,
 )
-from autoft.diagnostics import SymbolicWidthError
+from autoft.diagnostics import SymbolicWidthError, UnknownSignalError
 from autoft.parser import literal_width_bits
 from autoft.properties import GeneratedProperty
 from autoft.sva import Counter, Eq, Implies, Inflight, Sampled, Sig, Symbolic, walk
@@ -221,6 +221,19 @@ def test_each_property_takes_only_the_ids_it_reads():
         ((("sa", a), ("sb", b)), VIOLATED if a == 2 and b != 2 else HOLDS if a == 2 else VACUOUS)
         for a in range(4) for b in range(4)
     ]
+
+
+def test_a_missing_signal_under_an_id_reading_body_is_named_first():
+    # The id-free columns of id-reading bodies are derived before any property
+    # is evaluated, so `y` (read by the later, id-reading property) is named,
+    # where evaluating property by property names `x`.
+    early = GeneratedProperty("p_early", "liveness", "assert", Implies(Sig("x"), Sig("v")))
+    late = GeneratedProperty("p_late", "transid_integrity", "assert",
+                             Implies(Sig("y"), Eq(Sig("id"), Symbolic("symb", "[1:0]"))))
+    for check, named in ((check_bundle_on_model, "y"), (lambda _, props, model: one_at_a_time(props, model), "x")):
+        with pytest.raises(UnknownSignalError) as exc:
+            check([], [early, late], _OneCycle())
+        assert exc.value.name == named
 
 
 def one_at_a_time(props, model) -> list[ModelCheckEntry]:
