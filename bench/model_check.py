@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
-import importlib.util
 import json
 import os
 import platform
@@ -39,6 +37,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import twin
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("emit", "models", "options", "sva", "tracecheck")
@@ -49,16 +49,6 @@ CONFIGS = {
     "noc_buffer_buggy": ("NocBufferModel", {"buggy": True, "tail": 20}),
     "pipeline": ("PipelineModel", {"tail": 12}),
 }
-
-
-def load(src: Path, alias: str) -> argparse.Namespace:
-    """The `autoft` package under `src`, imported as `alias` so that two checkouts can coexist."""
-    pkg = src / "autoft"
-    spec = importlib.util.spec_from_file_location(alias, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[alias] = module
-    spec.loader.exec_module(module)
-    return argparse.Namespace(**{m: importlib.import_module(f"{alias}.{m}") for m in MODULES})
 
 
 class Side:
@@ -113,9 +103,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", help="write the JSON here instead of standard output")
     args = ap.parse_args(argv)
 
-    sides = {"after": Side(load(ROOT / "src", "autoft_after"), args.traces, args.drive)}
+    sides = {"after": Side(twin.load(ROOT / "src", "autoft_after", MODULES), args.traces, args.drive)}
     if args.src:
-        sides = {"before": Side(load(Path(args.src).resolve(), "autoft_before"), args.traces, args.drive), **sides}
+        before = twin.load(Path(args.src).resolve(), "autoft_before", MODULES)
+        sides = {"before": Side(before, args.traces, args.drive), **sides}
     registers, entries = {}, {}
     for side, s in sides.items():
         for name in CONFIGS:

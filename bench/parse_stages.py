@@ -36,8 +36,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import importlib
-import importlib.util
 import io
 import json
 import os
@@ -52,20 +50,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402
+import twin  # noqa: E402
 
 FIXTURES = ("fifo", "pipeline", "noc_buffer", "noc_buffer_buggy", "mmu_stub")
 STAGES = ("parse", "build", "synth", "props", "emit", "write")
 MODULES = ("cli", "emit", "options", "parser", "properties", "signals", "transactions")
-
-
-def load(src: Path, alias: str) -> argparse.Namespace:
-    """The `autoft` package under `src`, imported as `alias` so that two checkouts can coexist."""
-    pkg = src / "autoft"
-    spec = importlib.util.spec_from_file_location(alias, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[alias] = module
-    spec.loader.exec_module(module)
-    return argparse.Namespace(**{m: importlib.import_module(f"{alias}.{m}") for m in MODULES})
 
 
 def write_inputs(seed: int, into: Path) -> list[dict]:
@@ -181,9 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", help="write the JSON here instead of standard output")
     args = ap.parse_args(argv)
 
-    sides = {"after": load(ROOT / "src", "autoft_after")}
+    sides = {"after": twin.load(ROOT / "src", "autoft_after", MODULES)}
     if args.src:
-        sides = {"before": load(Path(args.src).resolve(), "autoft_before"), **sides}
+        sides = {"before": twin.load(Path(args.src).resolve(), "autoft_before", MODULES), **sides}
     with tempfile.TemporaryDirectory() as tmp:
         files = write_inputs(args.seed, Path(tmp))
         runs: dict[str, dict[str, list]] = {side: {f["name"]: [] for f in files} for side in sides}

@@ -27,6 +27,9 @@ of each symbolic id from the id's node: every value of its literal width,
 which is what `(* anyconst *)` ranges over. Each property is evaluated under
 only the ids its body reads, and its entries name those alone: a property
 that reads no id is evaluated once per trace and its entry names no id value.
+Each body is fixed once per value of the ids it reads, each id becoming a
+constant, before any trace is drawn; a trace is then evaluated into one memo,
+in which a subtree shared by two fixed bodies is derived once.
 The queue models hold `depth` = 2 entries, the fixtures' default `DEPTH`.
 """
 from __future__ import annotations
@@ -38,8 +41,8 @@ from dataclasses import dataclass, replace
 from .diagnostics import SymbolicWidthError
 from .parser import literal_width_bits
 from .properties import GeneratedProperty
-from .sva import CoverSeq, Eventually, Implies, Node, PropAnd, Symbolic, children, walk
-from .tracecheck import Trace, Verdict, column, eval_property
+from .sva import Const, Eventually, Implies, Node, PropAnd, Symbolic, children, mapped
+from .tracecheck import Trace, Verdict, eval_property
 
 
 @dataclass(frozen=True)
@@ -246,22 +249,31 @@ class PipelineModel(_Model):
                 pending = None
 
 
-def _windowed(p: GeneratedProperty, window: int) -> GeneratedProperty:
-    """The property with an unbounded eventuality cut to `window` cycles."""
-    con = getattr(p.body, "con", None)
-    if isinstance(con, Eventually) and con.hi is None:
-        return replace(p, body=p.body._replace(con=con._replace(hi=window)))
-    return p
+def _reads(node: Node, memo: dict[int, dict[str, Symbolic]]) -> dict[str, Symbolic]:
+    """The symbolic ids `node` reads, by name, in the order `walk` meets them."""
+    if id(node) not in memo:
+        memo[id(node)] = {node.name: node} if node.__class__ is Symbolic else {
+            name: symb for x in children(node) for name, symb in _reads(x, memo).items()}
+    return memo[id(node)]
 
 
-def _shared_roots(node: Node, roots: list[Node]) -> bool:
-    """Whether `node` is a column that reads no symbolic id. A node that is
-    not appends to `roots` each of its operands that is."""
-    kids = list(children(node))
-    free = [_shared_roots(x, roots) for x in kids]
-    shared = all(free) and not isinstance(node, (Symbolic, Implies, Eventually, CoverSeq, PropAnd))
-    roots += [] if shared else [x for x, f in zip(kids, free) if f]
-    return shared
+def _fixed(node: Node, assign: tuple[tuple[str, int], ...], window: int, memo: dict, reads: dict) -> Node:
+    """`node` with each symbolic id a constant of its value in `assign` and each
+    unbounded eventuality cut to `window` cycles.
+
+    An expression that reads no id (`reads` as `_reads` fills it) is kept as
+    it is, the same object in every body; the property nodes above it are
+    rebuilt, so an eventuality is cut wherever it stands. Every other node is
+    fixed once per assignment (`memo`), so an expression that reads an id is
+    one object per value, shared by every body that reads it.
+    """
+    if not reads[id(node)] and node.__class__ not in (Implies, PropAnd, Eventually):
+        return node
+    if (id(node), assign) not in memo:
+        out = Const(dict(assign)[node.name]) if node.__class__ is Symbolic else mapped(
+            node, lambda x: _fixed(x, assign, window, memo, reads))
+        memo[id(node), assign] = out._replace(hi=window) if out.__class__ is Eventually and out.hi is None else out
+    return memo[id(node), assign]
 
 
 def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelCheckReport:
@@ -274,36 +286,31 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     the model's liveness window. `txns` is not read: every property body
     already names the signals it needs.
 
-    The bundle is evaluated in one pass per trace. Every id-free column
-    (handshakes, counters, the operators over them) is derived once into the
-    trace's memo and shared by every property; an id-reading one is derived
-    once per lane, a copy of that memo plus the constant column of each id
-    value. Entries come lane by lane: the k-th assignment of every property
-    that has one, in property order.
+    Before any trace is drawn, each body is fixed once per id assignment it
+    reads: each id becomes a constant of its value. The rewrite is memoised,
+    so a subtree that reads no id (handshakes, the counter) is the same object
+    in every body, and one that reads an id (the in-flight bit, the sampled
+    register, matched handshakes) is one object per value, shared by every
+    property that reads it. Each trace is then evaluated into one memo, keyed
+    by node, so each of those objects is derived once per trace. Entries come
+    in assignment order: the k-th assignment of every property that has one,
+    in property order.
     """
-    prepared, roots = [], []  # (property, its id assignments); the id-free columns of id-reading bodies
+    fixed, rewrites, reads = [], {}, {}  # per property, (assignment, property with its body fixed under it)
     for p in props:
-        p = _windowed(p, model.liveness_window)
         assigns: list[tuple[tuple[str, int], ...]] = [()]
-        for name, symb in {n.name: n for n in walk(p.body) if isinstance(n, Symbolic)}.items():
+        for name, symb in _reads(p.body, reads).items():
             bits = literal_width_bits(symb.width_expr)
             if bits is None:
                 raise SymbolicWidthError(f"symbolic id '{name}' has no literal width: '{symb.width_expr}'")
             assigns = [a + ((name, v),) for a in assigns for v in range(1 << bits)]
-        if assigns[0]:
-            _shared_roots(p.body, roots)
-        prepared.append((p, assigns))
+        fixed.append([(a, replace(p, body=_fixed(p.body, a, model.liveness_window, rewrites, reads))) for a in assigns])
+    order = [row[k] for k in range(max(map(len, fixed), default=0)) for row in fixed if k < len(row)]
 
     entries: list[ModelCheckEntry] = []
     for idx, trace in enumerate(model.traces()):
-        shared = dict(trace.columns)
-        for node in roots if trace.length else ():
-            column(node, trace, shared)
-        for k in range(max((len(a) for _, a in prepared), default=0)):
-            lanes = {(): shared}
-            for p, a in [(p, a[k]) for p, a in prepared if k < len(a)]:
-                memo = lanes.get(a) or lanes.setdefault(a, shared | {n: [v] * trace.length for n, v in a})
-                entries.append(ModelCheckEntry(idx, a, p.name, p.kind, eval_property(p, trace, memo)))
+        memo = dict(trace.columns)
+        entries += [ModelCheckEntry(idx, a, p.name, p.kind, eval_property(p, trace, memo)) for a, p in order]
     return ModelCheckReport(model.name, entries)
 
 

@@ -51,6 +51,7 @@ turned into a line and column by one line map.
 from __future__ import annotations
 
 import bisect
+import functools
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -162,6 +163,7 @@ class ParsedModule:
         return {s.name for s in self.signals} | {s.name for s in self.declared_signals()}
 
 
+@functools.cache
 def literal_width_bits(width_expr: str) -> int | None:
     """`[N:0]` with integer N gives N+1 bits; empty means 1; else unknown."""
     if not width_expr:

@@ -9,14 +9,13 @@ registered view: the value during cycle i reflects handshakes strictly
 before i, and the counter wraps at its declared width.
 
 Derived columns are kept in a memo, a dict seeded with a copy of the trace's
-columns. `eval_property(p, trace)` starts from a fresh memo; given one, it
-adds to it, so calls that share a memo derive each node once. A memo holds
-one trace's columns, or one lane's: `models.check_bundle_on_model` keeps a
-memo per trace for every node that reads no symbolic id, and per id value a
-lane memo, a copy of the trace's memo plus the id's constant column, for the
-nodes that read it. A trace column with a wire's or register's own name
-overrides the derivation in the trace's memo and in every lane memo alike,
-which lets tests inject counterexample states.
+columns: one memo per trace, keyed by node; a trace column of a node's name
+wins. `eval_property(p, trace)` starts from a fresh memo; given one, it adds
+to it, so calls that share a memo derive each node object once.
+`models.check_bundle_on_model` evaluates a whole bundle into one memo per
+trace, its bodies fixed per id value so that a shared subtree is one object.
+A trace column with a wire's or register's own name overrides its
+derivation, which lets tests inject counterexample states.
 
 Finite-trace readings:
 
@@ -47,7 +46,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .diagnostics import SpaceTooLargeError, UnknownSignalError
 from .properties import GeneratedProperty
 from .sva import (
-    And, Counter, CoverSeq, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Node,
+    And, Const, Counter, CoverSeq, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Node,
     Not, Or, PropAnd, Sampled, Sig, Stable,
 )
 
@@ -121,25 +120,23 @@ class Verdict:
         return f"{self.property_name}: {self.outcome}{at}"
 
 
-# Evaluation is column-wise: a node yields one list per trace, a value per
-# cycle. `cols` is the memo, seeded with a copy of the trace's columns. A
-# signal, wire or register is read from the column of its name; a derived one
-# missing there is derived once and stored under its name, so a trace column
-# overrides it. An operator's column is stored under the node's id, beside the
-# node itself, which the memo so keeps alive and its id unique.
+# Evaluation is column-wise: a node yields one column per trace, a value per
+# cycle. `cols` is the memo: one per trace, keyed by node; a trace column of a
+# node's name wins. A signal, wire or register is first looked up by its name,
+# so a trace column overrides its derivation. Every other column is derived
+# once and stored under the node's id, beside the node itself, which the memo
+# so keeps alive and its id unique. A constant's column is an endless repeat,
+# which zips with any column.
 
 def _col(node: Node, cols: dict) -> list:
-    if not isinstance(node, Sig):
-        hit = cols.get(id(node))
-        if hit is None:
-            hit = cols[id(node)] = (node, _COLUMN[node.__class__](node, cols))
-        return hit[1]
-    out = cols.get(node.name)
-    if out is None:
+    if isinstance(node, Sig) and (out := cols.get(node.name)) is not None:
+        return out
+    hit = cols.get(id(node))
+    if hit is None:
         if node.__class__ not in _COLUMN:  # a port, verbatim wire or free id: the trace must have it
             raise UnknownSignalError(node.name)
-        out = cols[node.name] = _COLUMN[node.__class__](node, cols)
-    return out
+        hit = cols[id(node)] = (node, _COLUMN[node.__class__](node, cols))
+    return hit[1]
 
 
 def _register(node: Counter | Inflight | Sampled, cols: dict) -> list[int]:
@@ -184,6 +181,7 @@ def _isunknown(node: IsUnknown, cols: dict) -> list[bool]:
 # Boolean operators read values by truth, so an unknown (None) reads as 0
 # there; comparisons see raw values.
 _COLUMN = {
+    Const: lambda node, cols: itertools.repeat(node.value),
     Handshake: lambda node, cols: _col(node.expr, cols),
     Counter: _register,
     Inflight: _register,
@@ -198,9 +196,9 @@ _COLUMN = {
 }
 
 
-def column(node: Node, trace: Trace, memo: dict | None = None) -> list:
-    """The per-cycle values of an expression node over a trace; `memo` as for `eval_property`."""
-    return _col(node, dict(trace.columns) if memo is None else memo)
+def column(node: Node, trace: Trace) -> list:
+    """The per-cycle values of an expression node over a trace."""
+    return _col(node, dict(trace.columns))
 
 
 def _eventually(node: Eventually, fires: list[int], c: list, n: int) -> tuple[list[int], bool]:
