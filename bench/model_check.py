@@ -21,10 +21,10 @@ full collection. A time is the median over rounds.
 
 Once per side and configuration, outside the timed turns, the register
 derivations of one check are counted by wrapping the evaluator's register
-rule, and divided by the number of traces. The two sides must give equal
-report entries. The JSON written holds, per side and configuration, the
-median and quartiles in ms and the registers derived per trace, and, with two
-sides, the ratio after/before of each median.
+seam, `tracecheck._register`, and divided by the number of traces. The two
+sides must give equal report entries. The JSON written holds, per side and
+configuration, the median and quartiles in ms and the registers derived per
+trace, and, with two sides, the ratio after/before of each median.
 """
 from __future__ import annotations
 
@@ -75,20 +75,31 @@ class Side:
 
     def registers(self, name: str) -> tuple[float, list[tuple]]:
         """Registers derived per trace by one check, and its entries as plain tuples."""
-        sva, table = self.af.sva, self.af.tracecheck._COLUMN
-        saved = {cls: table[cls] for cls in (sva.Counter, sva.Inflight, sva.Sampled)}
-        calls = 0
+        tc, sva, calls = self.af.tracecheck, self.af.sva, 0
 
-        def counting(node, cols):
-            nonlocal calls
-            calls += 1
-            return saved[node.__class__](node, cols)
+        def counting(derive):
+            def counted(node, *args):
+                nonlocal calls
+                calls += 1
+                return derive(node, *args)
+            return counted
 
-        table.update(dict.fromkeys(saved, counting))
+        # The evaluator derives each register through `tracecheck._register(node, a, b)`; a
+        # checkout from before the compiled evaluator looks it up in its `_COLUMN` table instead.
+        table = getattr(tc, "_COLUMN", None)
+        if table is None:
+            saved = tc._register
+            tc._register = counting(saved)
+        else:
+            saved = {cls: table[cls] for cls in (sva.Counter, sva.Inflight, sva.Sampled)}
+            table.update({cls: counting(derive) for cls, derive in saved.items()})
         try:
             report = self.check(name)
         finally:
-            table.update(saved)
+            if table is None:
+                tc._register = saved
+            else:
+                table.update(saved)
         entries = [(e.trace_index, e.symb_values, e.property_name, e.kind, e.verdict.outcome, e.verdict.cycle)
                    for e in report.entries]
         return calls / self.models[name][1]["n_traces"], entries

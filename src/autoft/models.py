@@ -27,22 +27,23 @@ of each symbolic id from the id's node: every value of its literal width,
 which is what `(* anyconst *)` ranges over. Each property is evaluated under
 only the ids its body reads, and its entries name those alone: a property
 that reads no id is evaluated once per trace and its entry names no id value.
-Each body is fixed once per value of the ids it reads, each id becoming a
-constant, before any trace is drawn; a trace is then evaluated into one memo,
-in which a subtree shared by two fixed bodies is derived once.
+Before any trace is drawn, each body is compiled once per value of the ids
+it reads, each id compiled as a constant and no node rewritten; a trace is
+then evaluated into one memo, in which a subtree shared by two bodies is
+derived once.
 The queue models hold `depth` = 2 entries, the fixtures' default `DEPTH`.
 """
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .diagnostics import SymbolicWidthError
 from .parser import literal_width_bits
 from .properties import GeneratedProperty
-from .sva import Const, Eventually, Implies, Node, PropAnd, Symbolic, children, mapped
-from .tracecheck import Trace, Verdict, eval_property
+# `eval_property` is not called here, but perfbench's traced run patches it under this name.
+from .tracecheck import VACUOUS, Compiler, Trace, Verdict, eval_property  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -249,33 +250,6 @@ class PipelineModel(_Model):
                 pending = None
 
 
-def _reads(node: Node, memo: dict[int, dict[str, Symbolic]]) -> dict[str, Symbolic]:
-    """The symbolic ids `node` reads, by name, in the order `walk` meets them."""
-    if id(node) not in memo:
-        memo[id(node)] = {node.name: node} if node.__class__ is Symbolic else {
-            name: symb for x in children(node) for name, symb in _reads(x, memo).items()}
-    return memo[id(node)]
-
-
-def _fixed(node: Node, assign: tuple[tuple[str, int], ...], window: int, memo: dict, reads: dict) -> Node:
-    """`node` with each symbolic id a constant of its value in `assign` and each
-    unbounded eventuality cut to `window` cycles.
-
-    An expression that reads no id (`reads` as `_reads` fills it) is kept as
-    it is, the same object in every body; the property nodes above it are
-    rebuilt, so an eventuality is cut wherever it stands. Every other node is
-    fixed once per assignment (`memo`), so an expression that reads an id is
-    one object per value, shared by every body that reads it.
-    """
-    if not reads[id(node)] and node.__class__ not in (Implies, PropAnd, Eventually):
-        return node
-    if (id(node), assign) not in memo:
-        out = Const(dict(assign)[node.name]) if node.__class__ is Symbolic else mapped(
-            node, lambda x: _fixed(x, assign, window, memo, reads))
-        memo[id(node), assign] = out._replace(hi=window) if out.__class__ is Eventually and out.hi is None else out
-    return memo[id(node), assign]
-
-
 def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelCheckReport:
     """Evaluate every property over every model trace, under every value of the ids it reads.
 
@@ -286,31 +260,34 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     the model's liveness window. `txns` is not read: every property body
     already names the signals it needs.
 
-    Before any trace is drawn, each body is fixed once per id assignment it
-    reads: each id becomes a constant of its value. The rewrite is memoised,
-    so a subtree that reads no id (handshakes, the counter) is the same object
-    in every body, and one that reads an id (the in-flight bit, the sampled
-    register, matched handshakes) is one object per value, shared by every
-    property that reads it. Each trace is then evaluated into one memo, keyed
-    by node, so each of those objects is derived once per trace. Entries come
+    Before any trace is drawn, each body is compiled once per id assignment
+    it reads, every id a constant of its value, all through one compiler:
+    a subtree that reads no id (handshakes, the counter) is one closure in
+    every body, and one that reads an id (the in-flight bit, the sampled
+    register, matched handshakes) is one closure per value, shared by every
+    property that reads it. Each trace is then evaluated into one memo, so
+    each of those closures derives its column once per trace. Entries come
     in assignment order: the k-th assignment of every property that has one,
     in property order.
     """
-    fixed, rewrites, reads = [], {}, {}  # per property, (assignment, property with its body fixed under it)
+    compiler = Compiler(model.liveness_window)
+    rows = []  # per property, (assignment, property, evaluator with the body's ids fixed under it)
     for p in props:
         assigns: list[tuple[tuple[str, int], ...]] = [()]
-        for name, symb in _reads(p.body, reads).items():
+        for name, symb in compiler.ids(p.body).items():
             bits = literal_width_bits(symb.width_expr)
             if bits is None:
                 raise SymbolicWidthError(f"symbolic id '{name}' has no literal width: '{symb.width_expr}'")
             assigns = [a + ((name, v),) for a in assigns for v in range(1 << bits)]
-        fixed.append([(a, replace(p, body=_fixed(p.body, a, model.liveness_window, rewrites, reads))) for a in assigns])
-    order = [row[k] for k in range(max(map(len, fixed), default=0)) for row in fixed if k < len(row)]
+        rows.append([(a, p, compiler.property(p.body, dict(a))) for a in assigns])
+    order = [row[k] for k in range(max(map(len, rows), default=0)) for row in rows if k < len(row)]
 
     entries: list[ModelCheckEntry] = []
     for idx, trace in enumerate(model.traces()):
-        memo = dict(trace.columns)
-        entries += [ModelCheckEntry(idx, a, p.name, p.kind, eval_property(p, trace, memo)) for a, p in order]
+        memo, n = dict(trace.columns), trace.length
+        entries += [ModelCheckEntry(idx, a, p.name, p.kind,
+                                    Verdict(p.name, *run(memo, n)) if n else Verdict(p.name, VACUOUS))
+                    for a, p, run in order]
     return ModelCheckReport(model.name, entries)
 
 

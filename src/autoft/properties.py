@@ -43,7 +43,7 @@ evaluates it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, warning
 from .options import GenOptions
@@ -99,6 +99,8 @@ class GeneratedProperty:
     kind: str
     directive: str  # assert | assume | cover
     body: Node
+    # (body, evaluator) as `tracecheck.eval_property` last compiled it; recompiled when `body` is another object
+    compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ltl_text(self) -> str:

@@ -25,7 +25,7 @@ expression are not.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .options import GenOptions
 from .parser import literal_width_bits
@@ -60,15 +60,6 @@ class Sig(namedtuple("Sig", "name"), Node):
         return self.name
 
     operand = render
-
-
-class Const(namedtuple("Const", "value"), Node):
-    """A constant, such as a symbolic id fixed to one of its values."""
-
-    __slots__ = ()
-
-    def render(self) -> str:
-        return str(self.value)
 
 
 class Not(namedtuple("Not", "x"), Node):
@@ -304,11 +295,6 @@ def children(node: Node) -> Iterator[Node]:
             yield value
         elif isinstance(value, tuple):  # the operands of `||`, `$stable`, `$isunknown`
             yield from value
-
-
-def mapped(node: Node, f: Callable[[Node], Node]) -> Node:
-    """`node` rebuilt with `f` of each node `children` lists in its place."""
-    return node._make(f(v) if isinstance(v, Node) else tuple(map(f, v)) if isinstance(v, tuple) else v for v in node)
 
 
 def walk(node: Node) -> Iterator[Node]:

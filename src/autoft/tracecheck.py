@@ -8,14 +8,20 @@ own `step`, the Python form of the update rule its `declare()` emits, in the
 registered view: the value during cycle i reflects handshakes strictly
 before i, and the counter wraps at its declared width.
 
-Derived columns are kept in a memo, a dict seeded with a copy of the trace's
-columns: one memo per trace, keyed by node; a trace column of a node's name
-wins. `eval_property(p, trace)` starts from a fresh memo; given one, it adds
-to it, so calls that share a memo derive each node object once.
-`models.check_bundle_on_model` evaluates a whole bundle into one memo per
-trace, its bodies fixed per id value so that a shared subtree is one object.
-A trace column with a wire's or register's own name overrides its
-derivation, which lets tests inject counterexample states.
+Each property body is compiled once into closures (`Compiler`), so no trace
+pays for walking the node tree: every expression node becomes a column
+function over a per-trace memo, and the property above it one function
+giving (outcome, cycle). The memo is a dict seeded with a copy of the trace's
+columns. A signal, wire or register is first looked up by its name, so a
+trace column with a wire's or register's own name overrides its derivation,
+which lets tests inject counterexample states; every other derived column
+is stored under a key of its own closure, so one closure derives its column
+once per trace. `eval_property(p, trace)` compiles `p.body` on first use and
+keeps the evaluator on `p`. `models.check_bundle_on_model` compiles a whole
+bundle through one `Compiler`, fixing each symbolic id to a constant while
+it compiles: a subtree compiles once per value of the ids it reads, so
+properties that share a subtree share its closure and its column. No node is
+rewritten on the way.
 
 Finite-trace readings:
 
@@ -28,7 +34,8 @@ Finite-trace readings:
 
 Unknown values (None, written `x` in CSV files) are read the way the naive
 checkers of the test suite read them: in a boolean position (a valid, an ack, a
-handshake, an operand of `&&`, `||`, `!`) an unknown reads as 0. Id
+handshake, an operand of `&&`, `||`, `!`) an unknown reads as 0, and so
+does an operand of `>`, the outstanding count's comparison. Id
 comparisons are raw, so an unknown id equals only an unknown id: with symb=0,
 a response carrying an X id does not fire transid_integrity. Data
 comparisons and the sampled-data register are two-valued and read an
@@ -39,15 +46,16 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass
+import math
+from functools import reduce
 from operator import eq, not_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .diagnostics import SpaceTooLargeError, UnknownSignalError
 from .properties import GeneratedProperty
 from .sva import (
-    And, Const, Counter, CoverSeq, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Node,
-    Not, Or, PropAnd, Sampled, Sig, Stable,
+    And, Counter, CoverSeq, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Node, Not, Or,
+    PropAnd, Sampled, Sig, Stable, Symbolic, children,
 )
 
 DEFAULT_TRACE_BOUND = 2**20
@@ -80,9 +88,7 @@ class Trace:
         return f"Trace(length={self.length}, signals={sorted(self.columns)})"
 
     def extended(self, extra: Mapping[str, Sequence[int | None]]) -> "Trace":
-        merged = dict(self.columns)
-        merged.update({k: list(v) for k, v in extra.items()})
-        return Trace(merged)
+        return Trace({**self.columns, **extra})
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -109,170 +115,246 @@ class Trace:
         return cls(columns)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     property_name: str
     outcome: str  # holds | violated | vacuous | pending
     cycle: int | None = None  # earliest violating cycle when violated
 
     def __str__(self) -> str:
-        at = f" at cycle {self.cycle}" if self.cycle is not None else ""
-        return f"{self.property_name}: {self.outcome}{at}"
+        return f"{self.property_name}: {self.outcome}" + ("" if self.cycle is None else f" at cycle {self.cycle}")
 
 
-# Evaluation is column-wise: a node yields one column per trace, a value per
-# cycle. `cols` is the memo: one per trace, keyed by node; a trace column of a
-# node's name wins. A signal, wire or register is first looked up by its name,
-# so a trace column overrides its derivation. Every other column is derived
-# once and stored under the node's id, beside the node itself, which the memo
-# so keeps alive and its id unique. A constant's column is an endless repeat,
-# which zips with any column.
+# Evaluation is column-wise: an expression compiles to a column function,
+# which gives the node's column over a trace's memo, a value per cycle. The
+# memo is one dict per trace, seeded with a copy of the trace's columns. A
+# signal, wire or register is first looked up by its name, so a trace column
+# overrides its derivation. Every other column is derived once and stored
+# under a key of its own closure. A fixed id's column is an endless repeat,
+# which zips with any column. No closure refers to the compiler that built
+# it, so compiled bodies build no reference cycle.
 
-def _col(node: Node, cols: dict) -> list:
-    if isinstance(node, Sig) and (out := cols.get(node.name)) is not None:
+def _signal(name: str) -> Callable[[dict], list]:
+    """A port, verbatim wire or free id: the trace must have it."""
+    def col(memo):
+        out = memo.get(name)
+        if out is None:
+            raise UnknownSignalError(name)
         return out
-    hit = cols.get(id(node))
-    if hit is None:
-        if node.__class__ not in _COLUMN:  # a port, verbatim wire or free id: the trace must have it
-            raise UnknownSignalError(node.name)
-        hit = cols[id(node)] = (node, _COLUMN[node.__class__](node, cols))
-    return hit[1]
+    return col
 
 
-def _register(node: Counter | Inflight | Sampled, cols: dict) -> list[int]:
+def _memoized(fn: Callable[[dict], list], name: str | None) -> Callable[[dict], list]:
+    """`fn`, its column derived once per memo; a trace column called `name` wins.
+
+    The memo holds the column under `key` only once it is derived, which it
+    is only when no column called `name` is in the memo.
+    """
+    key = object()
+
+    def col(memo):
+        out = memo.get(key) or memo.get(name)
+        if out is None:
+            out = memo[key] = fn(memo)
+        return out
+    return col
+
+
+def _register(node: Counter | Inflight | Sampled, a: list, b: list) -> list[int]:
     """The register's value per cycle: 0 at cycle 0, then its node's step over its two input columns."""
     out, v, step = [], 0, node.step
-    for a, b in zip(_col(node[1], cols), _col(node[2], cols)):
+    for x, y in zip(a, b):
         out.append(v)
-        v = step(v, a, b)
+        v = step(v, x, y)
     return out
 
 
-def _or(node: Or, cols: dict) -> list:
-    out = _col(node.args[0], cols)
-    for x in node.args[1:]:
-        out = [u or v for u, v in zip(out, _col(x, cols))]
-    return out
+def _and(a, b):
+    return lambda memo: [u and v for u, v in zip(a(memo), b(memo))]
 
 
-def _eq(node: Eq, cols: dict) -> list[bool]:
-    a, b = _col(node.a, cols), _col(node.b, cols)
-    if node.two_valued:
-        return [(0 if x is None else x) == (0 if y is None else y) for x, y in zip(a, b)]
-    return list(map(eq, a, b))
+def _or(a, b):
+    return lambda memo: [u or v for u, v in zip(a(memo), b(memo))]
 
 
-def _stable(node: Stable, cols: dict) -> list[bool]:
-    out = None
-    for x in node.items:
-        c = _col(x, cols)
-        held = [True] + [c[i] == c[i - 1] for i in range(1, len(c))]
-        out = held if out is None else [u and v for u, v in zip(out, held)]
-    return out
+def _unknown(x):
+    return lambda memo: [v is None for v in x(memo)]
 
 
-def _isunknown(node: IsUnknown, cols: dict) -> list[bool]:
-    out = [v is None for v in _col(node.items[0], cols)]
-    for x in node.items[1:]:
-        out = [u or v is None for u, v in zip(out, _col(x, cols))]
-    return out
+def _held(x):
+    """Per cycle, whether x holds its value of the cycle before; the first cycle holds."""
+    def col(memo):
+        c = x(memo)
+        return [True, *map(eq, c[1:], c)]
+    return col
 
 
-# Boolean operators read values by truth, so an unknown (None) reads as 0
-# there; comparisons see raw values.
-_COLUMN = {
-    Const: lambda node, cols: itertools.repeat(node.value),
-    Handshake: lambda node, cols: _col(node.expr, cols),
-    Counter: _register,
-    Inflight: _register,
-    Sampled: _register,
-    Not: lambda node, cols: list(map(not_, _col(node.x, cols))),
-    And: lambda node, cols: [x and y for x, y in zip(_col(node.a, cols), _col(node.b, cols))],
-    Or: _or,
-    Eq: _eq,
-    Gt: lambda node, cols: [v > node.k for v in _col(node.a, cols)],
-    Stable: _stable,
-    IsUnknown: _isunknown,
+# One rule per derived node class: the node and the column functions of the
+# nodes `children` lists give the node's column function; an operator over a
+# tuple of operands folds its binary form over them. Boolean operators read
+# values by truth, so an unknown (None) reads as 0 there; `>` reads an
+# unknown as 0 too; `==` sees raw values unless two-valued.
+_RULES = {
+    Handshake: lambda node, expr: expr,
+    **dict.fromkeys((Counter, Inflight, Sampled), lambda node, a, b: lambda memo: _register(node, a(memo), b(memo))),
+    Not: lambda node, x: lambda memo: list(map(not_, x(memo))),
+    And: lambda node, a, b: _and(a, b),
+    Or: lambda node, *args: reduce(_or, args),
+    Eq: lambda node, a, b: (lambda memo: [(x or 0) == (y or 0) for x, y in zip(a(memo), b(memo))]) if node.two_valued
+    else lambda memo: list(map(eq, a(memo), b(memo))),
+    Gt: lambda node, a: lambda memo, k=node.k: [(v or 0) > k for v in a(memo)],
+    Stable: lambda node, *items: reduce(_and, map(_held, items)),
+    IsUnknown: lambda node, *items: reduce(_or, map(_unknown, items)),
 }
+
+
+class Compiler:
+    """Compiles property bodies into evaluators, each subtree once.
+
+    `property(body, ids)` gives the body's evaluator, a function
+    `(memo, n) -> (outcome, cycle)` over a trace's memo and length. `ids`
+    fixes symbolic ids to values: an id it names compiles to a constant
+    column, while without it an id is read from the trace like any signal. A
+    subtree compiles once per value of the ids it reads, so one that reads
+    no id is one closure shared by every body this compiler builds, and one
+    that reads an id is one closure per value. `window`, if given, cuts each
+    unbounded eventuality to that many cycles.
+    """
+
+    def __init__(self, window: int | None = None):
+        self.window = window
+        self.columns: dict[tuple, Callable[[dict], list]] = {}  # (id(node), its ids' values) -> column function
+        self.reads: dict[int, dict[str, Symbolic]] = {}
+
+    def ids(self, node: Node) -> dict[str, Symbolic]:
+        """The symbolic ids `node` reads, by name, in the order `walk` meets them."""
+        if id(node) not in self.reads:
+            self.reads[id(node)] = {node.name: node} if node.__class__ is Symbolic else {
+                name: symb for x in children(node) for name, symb in self.ids(x).items()}
+        return self.reads[id(node)]
+
+    def column(self, node: Node, ids: Mapping[str, int] = {}) -> Callable[[dict], list]:
+        """The column function of an expression node, its ids fixed by `ids`."""
+        key = (id(node), tuple(ids.get(name) for name in self.ids(node)))
+        if key not in self.columns:
+            cls, name = node.__class__, node.name if isinstance(node, Sig) else None
+            if cls is Symbolic and name in ids:
+                col = itertools.repeat(ids[name])
+                self.columns[key] = lambda memo: col
+            elif cls in _RULES:
+                self.columns[key] = _memoized(_RULES[cls](node, *(self.column(x, ids) for x in children(node))), name)
+            else:
+                self.columns[key] = _signal(name)
+        return self.columns[key]
+
+    def property(self, body: Node, ids: Mapping[str, int] = {}) -> Callable[[dict, int], tuple[str, int | None]]:
+        """The evaluator of a property body, its ids fixed by `ids`, for traces of n >= 1 cycles."""
+        cls = body.__class__
+        if cls is PropAnd:
+            return _both(self.property(body.a, ids), self.property(body.b, ids))
+        if cls is CoverSeq:
+            return _cover(self.column(body.a, ids), self.column(body.b, ids), body.hi)
+        if cls is not Implies:  # a boolean body is checked at every cycle
+            return _always(self.column(body, ids))
+        ant, con = self.column(body.ant, ids), body.con
+        if con.__class__ is Eventually:
+            hi = self.window if con.hi is None else con.hi
+            return (_ever if hi is None else _within)(ant, self.column(con.x, ids), hi)
+        return _implies(ant, self.column(con, ids), 1 if body.next_cycle else 0)
+
+
+# The property layer: each shape gives (outcome, cycle) over a memo and a
+# length. A conjunction is as bad as its worse half, in the order violated
+# (at the earlier cycle), pending, holds, vacuous.
+_RANK = {VIOLATED: 0, PENDING: 1, HOLDS: 2, VACUOUS: 3}
+
+
+def _both(first, second):
+    return lambda memo, n: min(first(memo, n), second(memo, n), key=lambda v: (_RANK[v[0]], v[1] or 0))
+
+
+def _cover(a, b, hi):
+    def run(memo, n):
+        x, y = a(memo), b(memo)
+        span = n if hi is None else hi + 1
+        return (HOLDS if any(x[i] and any(y[i:i + span]) for i in range(n)) else PENDING), None
+    return run
+
+
+def _always(c):
+    def run(memo, n):
+        for i, v in enumerate(c(memo)):
+            if not v:
+                return VIOLATED, i
+        return HOLDS, None
+    return run
+
+
+def _implies(ant, con, d):
+    """`ant |-> con` when d is 0, `ant |=> con` when d is 1."""
+    def run(memo, n):
+        a, c = ant(memo), con(memo)
+        for i in range(n - d):
+            if a[i] and not c[i + d]:
+                return VIOLATED, i + d
+        return (HOLDS if any(a[:n - d]) else VACUOUS), None
+    return run
+
+
+def _ever(ant, x, hi):
+    """An eventuality still open at the end is pending: only the latest opening matters."""
+    def run(memo, n):
+        a, c = ant(memo), x(memo)
+        for i in range(n - 1, -1, -1):
+            if a[i]:
+                return (HOLDS if any(c[i:]) else PENDING), None
+        return VACUOUS, None
+    return run
+
+
+def _within(ant, x, hi):
+    """The first opening not discharged within hi cycles decides: it fails when its window
+    closes, or is pending, as every later one is, if the trace ends first."""
+    def run(memo, n):
+        a, c = ant(memo), x(memo)
+        fired = False
+        for i in range(n):
+            if a[i]:
+                if not any(c[i:i + hi + 1]):
+                    return (VIOLATED, i + hi) if i + hi < n else (PENDING, None)
+                fired = True
+        return (HOLDS if fired else VACUOUS), None
+    return run
 
 
 def column(node: Node, trace: Trace) -> list:
     """The per-cycle values of an expression node over a trace."""
-    return _col(node, dict(trace.columns))
-
-
-def _eventually(node: Eventually, fires: list[int], c: list, n: int) -> tuple[list[int], bool]:
-    """Violations and whether one is still open, for obligations opened at
-    `fires` that `c`, the column of node.x, discharges."""
-    if node.hi is None:
-        return [], bool(fires) and not any(c[fires[-1]:])
-    fails, pending = [], False
-    for i in fires:
-        if any(c[i:i + node.hi + 1]):
-            continue
-        if i + node.hi < n:
-            fails.append(i + node.hi)
-        else:
-            pending = True
-    return fails, pending
-
-
-def _obligations(body: Node, cols: dict, n: int) -> tuple[bool, list[int], bool]:
-    """(fired, violating cycles, pending) of a property body."""
-    if body.__class__ is PropAnd:
-        f1, x1, p1 = _obligations(body.a, cols, n)
-        f2, x2, p2 = _obligations(body.b, cols, n)
-        return f1 or f2, x1 + x2, p1 or p2
-    if body.__class__ is not Implies:  # a boolean body is checked at every cycle
-        c = _col(body, cols)
-        return True, [i for i in range(n) if not c[i]], False
-    a, con = _col(body.ant, cols), body.con
-    if con.__class__ is Eventually:
-        fires = [i for i in range(n) if a[i]]
-        return (bool(fires), *_eventually(con, fires, _col(con.x, cols), n))
-    c = _col(con, cols)
-    if body.next_cycle:
-        return any(a[:n - 1]), [i + 1 for i in range(n - 1) if a[i] and not c[i + 1]], False
-    return any(a), [i for i in range(n) if a[i] and not c[i]], False
+    return Compiler().column(node)(dict(trace.columns))
 
 
 def eval_property(p: GeneratedProperty, trace: Trace, memo: dict | None = None) -> Verdict:
     """Evaluate one generated property against one trace.
 
-    `memo` holds the columns derived so far, seeded with a copy of the trace's
-    columns; calls over the same trace that pass the same memo derive each
-    node once. Without one, the call starts from a fresh memo.
+    The property's body is compiled on first use and kept with the property
+    until its body is another object. `memo` holds the columns derived so far,
+    seeded with a copy of the trace's columns; calls over the same trace that
+    pass the same memo derive each of the property's subtrees once. Without
+    one, the call starts from a fresh memo.
     """
-    n = trace.length
-    if n == 0:
+    if not (n := trace.length):
         return Verdict(p.name, VACUOUS)
-    cols = dict(trace.columns) if memo is None else memo
-    body = p.body
-    if body.__class__ is CoverSeq:
-        a, b = _col(body.a, cols), _col(body.b, cols)
-        span = n if body.hi is None else body.hi + 1
-        hit = any(a[i] and any(b[i:i + span]) for i in range(n))
-        return Verdict(p.name, HOLDS if hit else PENDING)
-    fired, fails, pending = _obligations(body, cols, n)
-    if fails:
-        return Verdict(p.name, VIOLATED, min(fails))
-    if pending:
-        return Verdict(p.name, PENDING)
-    return Verdict(p.name, HOLDS if fired else VACUOUS)
+    compiled = p.compiled
+    if compiled is None or compiled[0] is not p.body:
+        compiled = p.compiled = (p.body, Compiler().property(p.body))
+    return Verdict(p.name, *compiled[1](dict(trace.columns) if memo is None else memo, n))
 
 
 def trace_space_size(domain_sizes: Iterable[int], max_len: int) -> int:
-    per_cycle = 1
-    for size in domain_sizes:
-        per_cycle *= size
+    per_cycle = math.prod(domain_sizes)
     return sum(per_cycle**length for length in range(1, max_len + 1))
 
 
-def enumerate_traces(
-    signals: Mapping[str, int],
-    max_len: int,
-    domains: Mapping[str, Sequence[int | None]] | None = None,
-) -> Iterator[Trace]:
+def enumerate_traces(signals: Mapping[str, int], max_len: int,
+                     domains: Mapping[str, Sequence[int | None]] | None = None) -> Iterator[Trace]:
     """Yield every trace of lengths 1..max_len over the given signals.
 
     `signals` maps names to bit widths; `domains` can replace a signal's value
@@ -280,21 +362,12 @@ def enumerate_traces(
     ascending, then lexicographic in cycle-major order. Raises
     SpaceTooLargeError when the total count exceeds DEFAULT_TRACE_BOUND.
     """
-    names = list(signals)
-    value_sets: list[Sequence[int | None]] = []
-    for name in names:
-        if domains and name in domains:
-            value_sets.append(tuple(domains[name]))
-        else:
-            value_sets.append(tuple(range(1 << signals[name])))
+    names, domains = list(signals), domains or {}
+    value_sets = [tuple(domains[name]) if name in domains else tuple(range(1 << signals[name])) for name in names]
     total = trace_space_size((len(v) for v in value_sets), max_len)
     if total > DEFAULT_TRACE_BOUND:
         raise SpaceTooLargeError(f"{total} traces exceed the bound of {DEFAULT_TRACE_BOUND}")
     states = list(itertools.product(*value_sets))
     for length in range(1, max_len + 1):
         for assignment in itertools.product(states, repeat=length):
-            columns = {
-                name: [assignment[cycle][k] for cycle in range(length)]
-                for k, name in enumerate(names)
-            }
-            yield Trace(columns)
+            yield Trace(dict(zip(names, zip(*assignment))))

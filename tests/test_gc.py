@@ -5,15 +5,20 @@ the caller's state however the command ends. That is safe only while
 generation, model checking and linking leave nothing that reference
 counting cannot free: every test here runs them with the collector off and
 asserts that a full collection afterwards finds no unreachable object.
+Evaluation keeps each compiled body with its property and nowhere else, so
+repeated evaluation and model checking retain no memory either.
 """
 import gc
+import tracemalloc
 
 import pytest
 
 from autoft import cli
 from autoft.emit import generate_bundle, link_submodule_fts
-from autoft.models import MODEL_REGISTRY, check_bundle_on_model
+from autoft.models import MODEL_REGISTRY, NocBufferModel, check_bundle_on_model
 from autoft.options import GenOptions
+from autoft.properties import GeneratedProperty
+from autoft.tracecheck import Trace, eval_property
 
 from conftest import FIXTURE_NAMES, fixture_path, gen_fixture
 from test_emit import EMITTED, OPTION_MIXES
@@ -39,6 +44,22 @@ def cyclic_garbage(fn) -> int:
     finally:
         if was:
             gc.enable()
+
+
+def retained(fn, calls: int) -> int:
+    """Bytes still allocated after `calls` more calls of `fn` than after a few calls to warm up."""
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            fn()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(calls):
+            fn()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def wide_header(n: int) -> str:
@@ -112,3 +133,25 @@ def test_wide_header_leaves_no_cycles():
         link_submodule_fts(parent, [(gen_fixture("pipeline"), True, True)])
 
     assert cyclic_garbage(run) == 0
+
+
+def fresh_evaluations():
+    """Every noc_buffer property, each a fresh object, evaluated over one model trace."""
+    trace = MODEL_REGISTRY["noc_buffer"]().traces()[0]
+    trace = trace.extended({"symb_buf_transid": [1] * trace.length})
+    bodies = [(p.name, p.kind, p.directive, p.body) for p in gen_fixture("noc_buffer").properties]
+    return lambda: [eval_property(GeneratedProperty(*fields), trace) for fields in bodies]
+
+
+def test_evaluating_fresh_properties_leaves_no_cycles():
+    assert cyclic_garbage(fresh_evaluations()) == 0
+
+
+def test_evaluating_fresh_properties_retains_nothing():
+    # A compiled body kept anywhere but on its property would stay behind, one per call.
+    assert retained(fresh_evaluations(), 200) < 8_000
+
+
+def test_repeated_model_checks_retain_nothing():
+    props = gen_fixture("noc_buffer").properties
+    assert retained(lambda: check_bundle_on_model([], props, NocBufferModel(n_traces=1)), 100) < 8_000

@@ -19,7 +19,7 @@ from autoft.models import (
 from autoft.diagnostics import SymbolicWidthError, UnknownSignalError
 from autoft.parser import literal_width_bits
 from autoft.properties import GeneratedProperty
-from autoft.sva import Counter, Eq, Eventually, Implies, Inflight, Sampled, Sig, Symbolic, walk
+from autoft.sva import Eq, Eventually, Implies, Sig, Symbolic, walk
 from autoft.tracecheck import HOLDS, VACUOUS, VIOLATED, Trace, eval_property
 
 from conftest import REPO, gen_fixture
@@ -300,14 +300,6 @@ class _Overridden(NocBufferModel):
                 for t in super().traces()]
 
 
-def _outcome(run):
-    """What `run()` returns, or the type and text of the error it raises."""
-    try:
-        return run()
-    except TypeError as exc:  # an unknown in an overridden counter column fails `>`, in both
-        return type(exc), str(exc)
-
-
 class _Drawn:
     """A stand-in for `model` whose traces are the given ones."""
 
@@ -326,8 +318,8 @@ class TestOnePass:
         props = gen_fixture(fixture, assert_inputs=assert_inputs, **kwargs).properties
         assert check_bundle_on_model([], props, factory()).entries == one_at_a_time(props, factory())
 
-    def test_a_trace_column_overrides_in_the_shared_and_the_lane_memo(self):
-        # The counter is derived into the shared memo, the in-flight bit into each lane.
+    def test_a_trace_column_overrides_a_derived_register(self):
+        # The counter reads no id and the in-flight bit reads one: a trace column of its name overrides each.
         props = gen_fixture("noc_buffer").properties
         report = check_bundle_on_model([], props, _Overridden())
         assert report.entries == one_at_a_time(props, _Overridden())
@@ -347,20 +339,18 @@ class TestOnePass:
             {c: st.lists(st.sampled_from([0, 1, 2, 3, None]), min_size=n, max_size=n) for c in columns}))
         traces = [Trace(t) for t in data.draw(st.lists(trace, min_size=1, max_size=3))]
         model = _Drawn(MODEL_REGISTRY[fixture](), traces)
-        assert _outcome(lambda: check_bundle_on_model([], props, model).entries) == \
-            _outcome(lambda: one_at_a_time(props, model))
+        assert check_bundle_on_model([], props, model).entries == one_at_a_time(props, model)
 
     @pytest.mark.parametrize("fixture, per_trace, before", [("noc_buffer", 9, 14), ("pipeline", 9, 15),
                                                             ("fifo", 1, 2)])
-    def test_registers_are_derived_once_per_trace_and_lane(self, monkeypatch, fixture, per_trace, before):
-        calls = []
+    def test_registers_are_derived_once_per_trace_and_id_value(self, monkeypatch, fixture, per_trace, before):
+        calls, register = [], tracecheck._register
 
-        def counting(node, cols):
+        def counting(node, a, b):
             calls.append(node.name)
-            return tracecheck._register(node, cols)
+            return register(node, a, b)
 
-        for cls in (Counter, Inflight, Sampled):
-            monkeypatch.setitem(tracecheck._COLUMN, cls, counting)
+        monkeypatch.setattr(tracecheck, "_register", counting)
         props, model = gen_fixture(fixture).properties, MODEL_REGISTRY[fixture]()
         check_bundle_on_model([], props, model)
         assert len(calls) == per_trace * model.n_traces

@@ -1,3 +1,8 @@
+import itertools
+import json
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +24,7 @@ from autoft.tracecheck import (
 )
 
 import differential
+from conftest import REPO
 
 
 def prop(kind, body, directive="assert"):
@@ -172,6 +178,24 @@ class TestEnumeration:
         traces = list(enumerate_traces({"a": 1}, 1, domains={"a": (0, 1, None)}))
         assert [t.columns["a"] for t in traces] == [[0], [1], [None]]
 
+    @pytest.mark.parametrize("signals, max_len, domains", [
+        ({"a": 1}, 4, None),
+        ({"a": 1, "b": 2}, 3, None),
+        ({"v": 1, "o": 1, "d": 1}, 3, {"v": (0, 1, None), "o": (None, 1)}),
+    ])
+    def test_order_equals_the_nested_comprehension(self, signals, max_len, domains):
+        assert list(enumerate_traces(signals, max_len, domains)) == list(_nested(signals, max_len, domains))
+
+
+def _nested(signals, max_len, domains=None):
+    """Every trace, each column built by a comprehension per signal and cycle: the reference order."""
+    names = list(signals)
+    value_sets = [tuple(domains[n]) if domains and n in domains else tuple(range(1 << signals[n])) for n in names]
+    states = list(itertools.product(*value_sets))
+    for length in range(1, max_len + 1):
+        for assignment in itertools.product(states, repeat=length):
+            yield Trace({name: [assignment[cycle][k] for cycle in range(length)] for k, name in enumerate(names)})
+
 
 class TestDifferentialSpotChecks:
     """Fast subset of the exhaustive agreement run (the full run is in the
@@ -212,6 +236,14 @@ class TestCsvRegressionFixtures:
         assert (v.outcome, v.cycle) == (VIOLATED, 0)
         u = verdicts["fifo_counter_no_underflow"]
         assert (u.outcome, u.cycle) == (VIOLATED, 0)
+
+    def test_an_unknown_outstanding_count_reads_as_zero(self):
+        # `>` reads an unknown operand as 0, as the two-valued comparisons do.
+        from conftest import gen_fixture
+
+        p = next(p for p in gen_fixture("noc_buffer").properties if p.kind == "response_had_request")
+        trace = Trace.from_csv("buf_in_val,buf_in_ack,buf_out_val,buf_outstanding\n1,0,0,x\n0,0,1,x\n1,1,1,x\n")
+        assert str(eval_property(p, trace)) == "buf_response_had_request: violated at cycle 1"
 
     def test_unknown_payload_trips_xprop_only(self):
         verdicts = self._verdicts("xprop_unknown.csv")
@@ -302,3 +334,14 @@ class TestInvariants:
         first = eval_property(LIVENESS, t)
         second = eval_property(LIVENESS, t)
         assert first == second
+
+
+def test_oracle_rate_bench_runs_at_tiny_size(tmp_path):
+    # The before/after script, with this checkout on both sides so that both packages load.
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(REPO / "bench" / "oracle_rate.py"), "--src", str(REPO / "src"),
+                    "--rounds", "1", "--max-len", "2", "--out", str(out)],
+                   capture_output=True, text=True, check=True)
+    report = json.loads(out.read_text())
+    assert report["before"]["traces"] == report["after"]["traces"] > 0
+    assert set(report["after_over_before"]["spaces"]) == {c.name for c in differential.CASES}
