@@ -25,7 +25,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
-from parse_stages import FIXTURES, load  # noqa: E402
+import twin  # noqa: E402
+from parse_stages import FIXTURES  # noqa: E402
 
 TOKENS = ("(", ")", "[", "]", "{", "}", ",", ";", "=", "==", "<=", '"', '")"')
 _HEADER_RE = re.compile(r"^module\b.*?^\);", re.MULTILINE | re.DOTALL)
@@ -50,7 +51,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--mutants", type=int, default=20000, help="mutants in total")
     args = ap.parse_args()
-    before, after = load(args.src.resolve(), "autoft_before"), load(ROOT / "src", "autoft_after")
+    before = twin.load(args.src.resolve(), "autoft_before", ("parser",))
+    after = twin.load(ROOT / "src", "autoft_after", ("parser",))
     texts = [(ROOT / "fixtures" / f"{name}.sv").read_text(encoding="utf-8") for name in FIXTURES]
     headers = [_HEADER_RE.search(text).span() for text in texts]
     rng = random.Random(args.seed)

@@ -41,7 +41,7 @@ from pathlib import Path
 import twin
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("emit", "models", "options", "sva", "tracecheck")
+MODULES = ("emit", "models", "options", "tracecheck")
 # fixture -> (model class, its keyword arguments besides the size)
 CONFIGS = {
     "fifo": ("FifoModel", {"tail": 12}),
@@ -75,33 +75,21 @@ class Side:
 
     def registers(self, name: str) -> tuple[float, list[tuple]]:
         """Registers derived per trace by one check, and its entries as plain tuples."""
-        tc, sva, calls = self.af.tracecheck, self.af.sva, 0
+        tc, calls = self.af.tracecheck, 0
+        derive = tc._register
 
-        def counting(derive):
-            def counted(node, *args):
-                nonlocal calls
-                calls += 1
-                return derive(node, *args)
-            return counted
+        def counted(node, *args):
+            nonlocal calls
+            calls += 1
+            return derive(node, *args)
 
-        # The evaluator derives each register through `tracecheck._register(node, a, b)`; a
-        # checkout from before the compiled evaluator looks it up in its `_COLUMN` table instead.
-        table = getattr(tc, "_COLUMN", None)
-        if table is None:
-            saved = tc._register
-            tc._register = counting(saved)
-        else:
-            saved = {cls: table[cls] for cls in (sva.Counter, sva.Inflight, sva.Sampled)}
-            table.update({cls: counting(derive) for cls, derive in saved.items()})
+        tc._register = counted
         try:
             report = self.check(name)
         finally:
-            if table is None:
-                tc._register = saved
-            else:
-                table.update(saved)
-        entries = [(e.trace_index, e.symb_values, e.property_name, e.kind, e.verdict.outcome, e.verdict.cycle)
-                   for e in report.entries]
+            tc._register = derive
+        entries = [(e.trace_index, e.symb_values, e.verdict.property_name, e.kind,
+                    e.verdict.outcome, e.verdict.cycle) for e in report.entries]
         return calls / self.models[name][1]["n_traces"], entries
 
 

@@ -9,10 +9,10 @@ Subcommands:
            parent's testbench.
 
 Exit codes: 0 success, 1 validation or check failure (every diagnostic is
-printed, not just the first), 2 usage errors, also a module whose reference
-model cannot evaluate its properties. Warnings go to stderr and never
-block generation. Set AUTOFT_COLOR=1/0 to force or suppress colored
-diagnostics.
+printed, not just the first), 2 usage errors, also an input file that is
+not UTF-8 and a module whose reference model cannot evaluate its
+properties. Warnings go to stderr and never block generation. Set
+AUTOFT_COLOR=1/0 to force or suppress colored diagnostics.
 
 `main` pauses the cyclic garbage collector from the end of argument parsing
 until the command returns or raises, then restores the caller's setting.
@@ -98,7 +98,13 @@ def _options_from_args(args: argparse.Namespace) -> GenOptions:
 
 def _generate(path: Path, opts: GenOptions) -> TestbenchBundle:
     """Generate one bundle and print its warnings, which never block."""
-    bundle = generate_bundle(path.read_text(encoding="utf-8"), str(path), opts)
+    try:
+        source = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # The whole file is decoded in one call, so `start` is the byte's offset in the file.
+        bad = exc.object[exc.start]
+        raise UsageError(f"file '{path}' is not UTF-8: byte 0x{bad:02x} at offset {exc.start}") from None
+    bundle = generate_bundle(source, str(path), opts)
     for w in bundle.warnings:
         print(w, file=sys.stderr)
     return bundle

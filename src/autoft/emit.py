@@ -6,7 +6,7 @@ paths, so regenerating a bundle always reproduces it byte for byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, error, errors_in
@@ -35,15 +35,20 @@ class TestbenchBundle:
     bind_file: GeneratedFile
     tool_files: list[GeneratedFile]
     warnings: list[str]
-    transactions: list[Transaction] = field(default_factory=list)
-    properties: list[GeneratedProperty] = field(default_factory=list)
-    aux: list[TransactionAux] = field(default_factory=list)
-    parameters: list[str] = field(default_factory=list)
-    opts: GenOptions = field(default_factory=GenOptions)
-    source_module: ParsedModule | None = None
+    transactions: list[Transaction]
+    properties: list[GeneratedProperty]
+    aux: list[TransactionAux]
+    parameters: list[str]
+    opts: GenOptions
+    source_module: ParsedModule
 
     def files(self) -> list[GeneratedFile]:
         return [self.property_module, self.bind_file, *self.tool_files]
+
+
+def _listed(items: list[str]) -> list[str]:
+    """The lines of an indented comma list of `items`."""
+    return [f"    {item}," for item in items[:-1]] + [f"    {item}" for item in items[-1:]]
 
 
 def _port_lines(pm: ParsedModule) -> list[str]:
@@ -89,10 +94,9 @@ def emit_property_module(
 
     imports = f" {' '.join(pm.imports)}" if pm.imports else ""
     lines.append(f"module {dut}_prop{imports} #(")
-    lines.extend(f"    {p}{',' if i < len(params) - 1 else ''}" for i, p in enumerate(params))
+    lines.extend(_listed(params))
     lines.append(") (")
-    ports = _port_lines(pm)
-    lines.extend(f"    {p}{',' if i < len(ports) - 1 else ''}" for i, p in enumerate(ports))
+    lines.extend(_listed(_port_lines(pm)))
     lines.append(");")
 
     for t, t_aux, t_props in zip(txns, aux, props):
@@ -124,9 +128,7 @@ def emit_bind_file(pm: ParsedModule) -> GeneratedFile:
     lines = [f"// Bind {dut}_prop into {dut}. {_BANNER}"]
     if pm.parameters:
         lines.append(f"bind {dut} {dut}_prop #(")
-        for i, p in enumerate(pm.parameters):
-            comma = "," if i < len(pm.parameters) - 1 else ""
-            lines.append(f"    .{p.name}({p.name}){comma}")
+        lines.extend(_listed([f".{p.name}({p.name})" for p in pm.parameters]))
         lines.append(f") {dut}_prop_i (.*);")
     else:
         lines.append(f"bind {dut} {dut}_prop {dut}_prop_i (.*);")
@@ -186,6 +188,14 @@ def _tcl_text(dut: str, sources: list[str], opts: GenOptions) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each tool's driver files, as (file name suffix, renderer), in the order they are written.
+_DRIVERS = {
+    TOOL_SYMBIYOSYS: ((".sby", _sby_text),),
+    TOOL_JASPERGOLD: ((".tcl", _tcl_text),),
+    TOOL_BOTH: ((".tcl", _tcl_text), (".sby", _sby_text)),
+}
+
+
 def emit_tool_files(
     pm: ParsedModule, tool: str, opts: GenOptions, extra_sources: tuple[str, ...] = ()
 ) -> list[GeneratedFile]:
@@ -194,18 +204,12 @@ def emit_tool_files(
     Sources are listed by basename; run the tool next to the bundle with the
     DUT file copied or linked alongside (see the README recipe).
     """
+    drivers = _DRIVERS.get(tool)
+    if drivers is None:
+        raise UnsupportedToolError(f"unsupported tool '{tool}'")
     dut = pm.module_name
     sources = [f"{dut}.sv", f"{dut}_prop.sv", f"{dut}_bind.svh", *extra_sources]
-    if tool == TOOL_SYMBIYOSYS:
-        return [GeneratedFile(f"{dut}.sby", _sby_text(dut, sources, opts))]
-    if tool == TOOL_JASPERGOLD:
-        return [GeneratedFile(f"{dut}.tcl", _tcl_text(dut, sources, opts))]
-    if tool == TOOL_BOTH:
-        return [
-            GeneratedFile(f"{dut}.tcl", _tcl_text(dut, sources, opts)),
-            GeneratedFile(f"{dut}.sby", _sby_text(dut, sources, opts)),
-        ]
-    raise UnsupportedToolError(f"unsupported tool '{tool}'")
+    return [GeneratedFile(f"{dut}{suffix}", render(dut, sources, opts)) for suffix, render in drivers]
 
 
 def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle:
@@ -223,15 +227,13 @@ def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle
     aux, synth_diags = synth_module_aux(txns, pm, opts)
     diags.extend(synth_diags)
 
-    props: list[list[GeneratedProperty]] = []
-    for t, t_aux in zip(txns, aux):
-        t_props = gen_properties(t, t_aux, opts, diags)
-        props.append(apply_link_transforms(t_props, assert_inputs=opts.assert_inputs))
+    props = [apply_link_transforms(gen_properties(t, t_aux, opts, diags), assert_inputs=opts.assert_inputs)
+             for t, t_aux in zip(txns, aux)]
 
     if errors_in(diags):
         raise GenerationError(diags)
 
-    bundle = TestbenchBundle(
+    return TestbenchBundle(
         dut=pm.module_name,
         property_module=emit_property_module(pm, txns, aux, props, opts),
         bind_file=emit_bind_file(pm),
@@ -244,7 +246,6 @@ def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle
         opts=opts,
         source_module=pm,
     )
-    return bundle
 
 
 def link_submodule_fts(
@@ -258,11 +259,13 @@ def link_submodule_fts(
     files, and the child's properties join the parent's under the child's
     name; without am the child leaves no trace in the parent.
     """
+    linked = [(child, as_) for child, am, as_ in children if am]
+    if not linked:
+        return parent
+
     tnames: dict[str, str] = {t.tname: parent.dut for t in parent.transactions}
     diags: list[Diagnostic] = []
-    for child, am, _ in children:
-        if not am:
-            continue
+    for child, _ in linked:
         for t in child.transactions:
             if t.tname in tnames:
                 diags.append(
@@ -279,28 +282,20 @@ def link_submodule_fts(
     bind_lines = []
     extra_sources: list[str] = []
     linked_props = list(parent.properties)
-    for child, am, as_ in children:
-        if not am:
-            continue
+    for child, as_ in linked:
         override = " #(.ASSERT_INPUTS(1))" if as_ else ""
         bind_lines.append(f"bind {child.dut} {child.dut}_prop{override} {child.dut}_prop_i (.*);")
         extra_sources += [f"{child.dut}.sv", f"{child.dut}_prop.sv"]
         linked_props += scope_names(apply_link_transforms(child.properties, assert_inputs=as_), child.dut)
 
-    if not bind_lines:
-        return parent
-
     text = parent.property_module.text
     insert = "// ---- linked submodule testbenches ----\n" + "\n".join(bind_lines) + "\n\n"
     text = text.replace("endmodule\n", insert + "endmodule\n")
 
-    pm = parent.source_module
-    if pm is None:
-        raise ValueError("parent bundle has no parsed module attached")
     return replace(
         parent,
         property_module=GeneratedFile(parent.property_module.name, text),
-        tool_files=emit_tool_files(pm, parent.opts.tool, parent.opts, tuple(extra_sources)),
+        tool_files=emit_tool_files(parent.source_module, parent.opts.tool, parent.opts, tuple(extra_sources)),
         warnings=list(parent.warnings),
         properties=linked_props,
     )

@@ -50,7 +50,6 @@ from .tracecheck import VACUOUS, Compiler, Trace, Verdict, eval_property  # noqa
 class ModelCheckEntry:
     trace_index: int
     symb_values: tuple[tuple[str, int], ...]  # (symbolic column, value) pairs; () if the property reads none
-    property_name: str
     kind: str
     verdict: Verdict
 
@@ -285,7 +284,7 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     entries: list[ModelCheckEntry] = []
     for idx, trace in enumerate(model.traces()):
         memo, n = dict(trace.columns), trace.length
-        entries += [ModelCheckEntry(idx, a, p.name, p.kind,
+        entries += [ModelCheckEntry(idx, a, p.kind,
                                     Verdict(p.name, *run(memo, n)) if n else Verdict(p.name, VACUOUS))
                     for a, p, run in order]
     return ModelCheckReport(model.name, entries)

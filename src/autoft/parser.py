@@ -30,6 +30,12 @@ trailing one, a `=` in a right-hand side that is not part of a comparison
 are errors at that token. A transaction name is declared once: a later
 relation that reuses it is an error and is dropped.
 
+Each payload line that parses becomes an `Annotation` whose payload is a
+`RelationDecl`, an `ExplicitAttrib` or an `InterfaceSignal`; the payload's
+type is the annotation's kind. A field name is kept as written: the parser
+splits it only to check its suffix, and `transactions` splits it where it
+binds it.
+
 The supported Verilog subset is ANSI-style headers: `input`/`output`
 directions, optional wire/logic/reg keyword, one declarator per list item,
 packed ranges. Ports with a user-defined (struct) type are kept opaque:
@@ -64,12 +70,11 @@ ANNOTATION_MARKER = "AUTOSVA"
 SUFFIXES = ("transid_unique", "transid", "active", "stable", "data", "val", "ack")
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_IDENT_FULL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
 _LITERAL_WIDTH_RE = re.compile(r"^\[\s*(\d+)\s*:\s*0\s*\]$")
 
 
 def is_identifier(text: str) -> bool:
-    return bool(_IDENT_FULL_RE.match(text))
+    return IDENT_RE.fullmatch(text) is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,15 +102,6 @@ class InterfaceSignal:
 
 
 @dataclass(frozen=True, slots=True)
-class FieldName:
-    prefix: str
-    suffix: str
-
-    def __str__(self) -> str:
-        return f"{self.prefix}_{self.suffix}"
-
-
-@dataclass(frozen=True, slots=True)
 class RelationDecl:
     tname: str
     p: str
@@ -117,14 +113,10 @@ class RelationDecl:
 class ExplicitAttrib:
     """A `[width] field = expr` binding."""
 
-    field_name: FieldName
+    name: str  # the field as written, `<interface>_<suffix>`
     width_expr: str  # "" when not given: width unknown
     expr: str
     span: SourceSpan
-
-    @property
-    def name(self) -> str:
-        return str(self.field_name)
 
     @property
     def width_bits(self) -> int | None:
@@ -134,7 +126,8 @@ class ExplicitAttrib:
 
 @dataclass(frozen=True, slots=True)
 class Annotation:
-    kind: str  # "relation", "explicit_attrib" (an assign) or "signal" (a declaration)
+    """One payload line; the payload's type says which kind of annotation it is."""
+
     raw_text: str
     span: SourceSpan
     payload: RelationDecl | ExplicitAttrib | InterfaceSignal
@@ -150,13 +143,13 @@ class ParsedModule:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     def relations(self) -> list[RelationDecl]:
-        return [a.payload for a in self.annotations if a.kind == "relation"]
+        return [a.payload for a in self.annotations if isinstance(a.payload, RelationDecl)]
 
     def explicit_attribs(self) -> list[Annotation]:
-        return [a for a in self.annotations if a.kind == "explicit_attrib"]
+        return [a for a in self.annotations if isinstance(a.payload, ExplicitAttrib)]
 
     def declared_signals(self) -> list[InterfaceSignal]:
-        return [a.payload for a in self.annotations if a.kind == "signal"]
+        return [a.payload for a in self.annotations if isinstance(a.payload, InterfaceSignal)]
 
     def port_names(self) -> set[str]:
         """The property module's ports: the header's and the declared signals."""
@@ -174,14 +167,14 @@ def literal_width_bits(width_expr: str) -> int | None:
     return None
 
 
-def split_field(name: str) -> FieldName | None:
-    """Split `<prefix>_<suffix>` using the longest legal suffix, if any."""
+def split_field(name: str) -> tuple[str, str] | None:
+    """`(prefix, suffix)` of `<prefix>_<suffix>`, by the longest legal suffix; None if there is none."""
     for suffix in SUFFIXES:
         tail = "_" + suffix
         if name.endswith(tail) and len(name) > len(tail):
             prefix = name[: -len(tail)]
             if is_identifier(prefix):
-                return FieldName(prefix, suffix)
+                return prefix, suffix
     return None
 
 
@@ -368,7 +361,7 @@ def _parse_annotation_line(line: str, offset: int, lmap: _LineMap, diags: list[D
         except ParseError as exc:
             diags.extend(exc.diagnostics)
             return None
-        return Annotation("relation", line, span, rel)
+        return Annotation(line, span, rel)
 
     m = _ATTRIB_ASSIGN_RE.match(line)
     bad = _bad_token(line, m)
@@ -389,13 +382,10 @@ def _parse_annotation_line(line: str, offset: int, lmap: _LineMap, diags: list[D
     else:
         diags.append(error("bad-annotation", "not a relation or attribute definition", span, line))
         return None
-    fname = split_field(name)
-    if fname is None:
+    if split_field(name) is None:
         diags.append(error("bad-field-suffix", f"'{name}' does not end in a legal attribute suffix", span, line))
         return None
-    if m:
-        return Annotation("explicit_attrib", line, span, ExplicitAttrib(fname, m["width"] or "", m["expr"], span))
-    return Annotation("signal", line, span, sig)
+    return Annotation(line, span, ExplicitAttrib(name, m["width"] or "", m["expr"], span) if m else sig)
 
 
 # A string literal, matched whole so that the brackets and separators it holds
@@ -638,7 +628,7 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
                 annotations.append(ann)
 
     seen_tnames: dict[str, SourceSpan] = {}
-    for ann in [a for a in annotations if a.kind == "relation"]:
+    for ann in [a for a in annotations if isinstance(a.payload, RelationDecl)]:
         rel = ann.payload
         if rel.tname in seen_tnames:
             diags.append(
@@ -654,7 +644,7 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
             seen_tnames[rel.tname] = ann.span
 
     seen_ports: set[str] = set()
-    for sig in signals + [a.payload for a in annotations if a.kind == "signal"]:
+    for sig in signals + [a.payload for a in annotations if isinstance(a.payload, InterfaceSignal)]:
         if sig.name in seen_ports:
             diags.append(error("malformed-port-decl", f"port '{sig.name}' declared twice", sig.span))
         seen_ports.add(sig.name)

@@ -331,21 +331,19 @@ def column(node: Node, trace: Trace) -> list:
     return Compiler().column(node)(dict(trace.columns))
 
 
-def eval_property(p: GeneratedProperty, trace: Trace, memo: dict | None = None) -> Verdict:
+def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:
     """Evaluate one generated property against one trace.
 
     The property's body is compiled on first use and kept with the property
-    until its body is another object. `memo` holds the columns derived so far,
-    seeded with a copy of the trace's columns; calls over the same trace that
-    pass the same memo derive each of the property's subtrees once. Without
-    one, the call starts from a fresh memo.
+    until its body is another object. Each call evaluates into a fresh memo,
+    seeded with a copy of the trace's columns.
     """
     if not (n := trace.length):
         return Verdict(p.name, VACUOUS)
     compiled = p.compiled
     if compiled is None or compiled[0] is not p.body:
         compiled = p.compiled = (p.body, Compiler().property(p.body))
-    return Verdict(p.name, *compiled[1](dict(trace.columns) if memo is None else memo, n))
+    return Verdict(p.name, *compiled[1](dict(trace.columns), n))
 
 
 def trace_space_size(domain_sizes: Iterable[int], max_len: int) -> int:

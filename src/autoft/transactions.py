@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, SourceSpan, error, warning
-from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule, split_field
+from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule, RelationDecl, split_field
 
 Binding = InterfaceSignal | ExplicitAttrib
 
@@ -57,40 +57,40 @@ def _candidate_bindings(
     """Collect bindings per interface name: an assign beats a signal."""
     per_iface: dict[str, dict[str, Binding]] = {p: {} for p in prefixes}
     for ann in pm.annotations:
-        if ann.kind == "relation":
+        if isinstance(ann.payload, RelationDecl):
             continue
-        fname = split_field(ann.payload.name)
-        if fname.prefix not in prefixes:
+        prefix, suffix = split_field(ann.payload.name)
+        if prefix not in prefixes:
             diags.append(
                 error(
                     "unbound-attribute",
-                    f"'{fname}' names interface '{fname.prefix}' which appears in no relation",
+                    f"'{ann.payload.name}' names interface '{prefix}' which appears in no relation",
                     ann.span,
                     ann.raw_text,
                 )
             )
-        elif ann.kind == "explicit_attrib":
-            first = per_iface[fname.prefix].setdefault(fname.suffix, ann.payload)
+        elif isinstance(ann.payload, ExplicitAttrib):
+            first = per_iface[prefix].setdefault(suffix, ann.payload)
             if first is not ann.payload:
                 diags.append(
                     error(
                         "duplicate-binding",
-                        f"attribute '{fname}' bound twice (first at {first.span})",
+                        f"attribute '{ann.payload.name}' bound twice (first at {first.span})",
                         ann.span,
                         ann.raw_text,
                     )
                 )
 
     for sig in pm.signals + pm.declared_signals():
-        fname = split_field(sig.name)
-        if fname is None or fname.prefix not in prefixes:
+        prefix, suffix = split_field(sig.name) or (None, None)
+        if prefix not in prefixes:
             continue  # not an attribute of any declared interface
-        bound = per_iface[fname.prefix].setdefault(fname.suffix, sig)
+        bound = per_iface[prefix].setdefault(suffix, sig)
         if isinstance(bound, ExplicitAttrib):
             diags.append(
                 warning(
                     "explicit-overrides-port",
-                    f"explicit definition of '{fname}' overrides port '{sig.name}'",
+                    f"explicit definition of '{bound.name}' overrides port '{sig.name}'",
                     bound.span,
                     sig.name,
                 )
@@ -133,12 +133,9 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
     data, self loop).
     """
     diags: list[Diagnostic] = []
-    relations = [a for a in pm.annotations if a.kind == "relation"]  # names unique: see parse_module
+    relations = [a for a in pm.annotations if isinstance(a.payload, RelationDecl)]  # names unique: see parse_module
 
-    prefixes: set[str] = set()
-    for ann in relations:
-        prefixes.add(ann.payload.p)
-        prefixes.add(ann.payload.q)
+    prefixes = {side for ann in relations for side in (ann.payload.p, ann.payload.q)}
 
     per_iface = _candidate_bindings(pm, prefixes, diags)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from autoft import GenOptions, generate_bundle
-from autoft.parser import Annotation, InterfaceSignal, ParsedModule
+from autoft.parser import Annotation, InterfaceSignal, ParsedModule, RelationDecl
 
 ACCEPTANCE_RESULTS: list[str] = []
 
@@ -48,15 +48,15 @@ def fixture_bundles():
 
 
 def render_annotation(ann: Annotation) -> str:
-    if ann.kind == "relation":
+    if isinstance(ann.payload, RelationDecl):
         rel = ann.payload
         arrow = "-in>" if rel.direction == "incoming" else "-out>"
         return f"{rel.tname}: {rel.p} {arrow} {rel.q}"
-    if ann.kind == "signal":
+    if isinstance(ann.payload, InterfaceSignal):
         return render_signal(ann.payload)
     attr = ann.payload
     width = f"{attr.width_expr} " if attr.width_expr else ""
-    return f"{width}{attr.field_name} = {attr.expr}"
+    return f"{width}{attr.name} = {attr.expr}"
 
 
 def render_signal(s: InterfaceSignal) -> str:
@@ -86,6 +86,6 @@ def module_projection(pm: ParsedModule):
         pm.module_name,
         tuple((p.name, p.value_expr) for p in pm.parameters),
         tuple((s.direction, s.name, s.width_expr, s.opaque_type) for s in pm.signals),
-        tuple((a.kind, a.payload if a.kind == "relation" else replace(a.payload, span=None))
+        tuple(a.payload if isinstance(a.payload, RelationDecl) else replace(a.payload, span=None)
               for a in pm.annotations),
     )

@@ -198,7 +198,7 @@ def test_criterion_5_queue_drop_bug_at_desk_scale():
     record_acceptance(5, "queue drop bug reproduction", "PASS" if ok else "FAIL",
                       f"{len(buggy.violated())} violated on buggy, {len(fixed.violated())} on fixed")
     assert buggy.violated_kinds() == frozenset({"liveness"})
-    assert any(e.property_name == "buf_liveness" for e in buggy.violated())
+    assert any(e.verdict.property_name == "buf_liveness" for e in buggy.violated())
     assert fixed.violated() == []
 
 

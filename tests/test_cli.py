@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,6 +125,28 @@ class TestGen:
         assert err == f"error: {message.format(**paths)}\n"
         assert out == ""
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "{bad}", "-o", "o"], ["check", "{bad}"], ["link", "{parent}", "--child", "{bad}=am", "-o", "o"]],
+        ids=["gen", "check", "link-child"],
+    )
+    def test_input_that_is_not_utf8_is_usage_error(self, argv, tmp_path):
+        # A Latin-1 byte in a comment far past the text reader's chunk size, run as a user's
+        # process so that a traceback would show.
+        text = (load_fixture("fifo") + "// filler line\n" * 10000).encode()
+        bad = tmp_path / "latin1.sv"
+        bad.write_bytes(text + b"// (c) 2021 \xa9 ACME\n")
+        args = [a.format(bad=bad, parent=fixture_path("fifo")) for a in argv]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        run = subprocess.run([sys.executable, "-m", "autoft.cli", *args], cwd=tmp_path, env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        errors = [line for line in run.stderr.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: file '{bad}' is not UTF-8: byte 0xa9 at offset {len(text) + 12}"]
+        assert run.stdout == ""
+        assert not (tmp_path / "o").exists()
 
     def test_misspelled_tool_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -127,7 +127,7 @@ class TestBrokenModels:
     def test_buggy_buffer_violates_liveness_only(self):
         report = run("noc_buffer_buggy", NocBufferModel(buggy=True))
         assert report.violated_kinds() == frozenset({"liveness"})
-        names = {e.property_name for e in report.violated()}
+        names = {e.verdict.property_name for e in report.violated()}
         assert names == {"buf_liveness"}
 
     def test_double_issue_violates_uniqueness(self):
@@ -213,12 +213,12 @@ def test_each_property_takes_only_the_ids_it_reads():
     both = GeneratedProperty("p_both", "transid_integrity", "assert", Implies(Eq(Sig("id"), sa), Eq(Sig("id"), sb)))
     report = check_bundle_on_model([], [*props, both], _TwoIds())
     for prop in props:
-        entries = [e for e in report.entries if e.property_name == prop.name]
+        entries = [e for e in report.entries if e.verdict.property_name == prop.name]
         assert [(e.symb_values, e.verdict.outcome) for e in entries] == [
             (((prop.name[2:], v),), HOLDS if v == 2 else VIOLATED) for v in range(4)
         ]
     # A property that reads both ids takes the product of their values.
-    assert [(e.symb_values, e.verdict.outcome) for e in report.entries if e.property_name == "p_both"] == [
+    assert [(e.symb_values, e.verdict.outcome) for e in report.entries if e.verdict.property_name == "p_both"] == [
         ((("sa", a), ("sb", b)), VIOLATED if a == 2 and b != 2 else HOLDS if a == 2 else VACUOUS)
         for a in range(4) for b in range(4)
     ]
@@ -279,7 +279,7 @@ def one_at_a_time(props, model) -> list[ModelCheckEntry]:
             extended = trace.extended({name: [v] * trace.length for name, v in assign}) if assign else trace
             for p, needs_symb in prepared:
                 if needs_symb or k == 0:
-                    entries.append(ModelCheckEntry(idx, assign if needs_symb else (), p.name, p.kind,
+                    entries.append(ModelCheckEntry(idx, assign if needs_symb else (), p.kind,
                                                    eval_property(p, extended)))
     return entries
 

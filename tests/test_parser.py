@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +9,8 @@ import naive_lexer
 from autoft.diagnostics import ParseError
 from autoft.parser import (
     SUFFIXES,
-    FieldName,
+    ExplicitAttrib,
+    RelationDecl,
     _lex,
     _LineMap,
     extract_annotation_regions,
@@ -15,7 +20,7 @@ from autoft.parser import (
 )
 from autoft.diagnostics import SourceSpan
 
-from conftest import load_fixture, module_projection, render_module
+from conftest import REPO, load_fixture, module_projection, render_module
 
 SPAN = SourceSpan("<test>", 1, 1)
 
@@ -127,11 +132,11 @@ class TestLexer:
 
 class TestFieldSplitting:
     def test_longest_suffix_wins(self):
-        assert split_field("x_transid_unique") == FieldName("x", "transid_unique")
+        assert split_field("x_transid_unique") == ("x", "transid_unique")
 
     def test_all_suffixes_split(self):
         for suffix in SUFFIXES:
-            assert split_field(f"eng_{suffix}") == FieldName("eng", suffix)
+            assert split_field(f"eng_{suffix}") == ("eng", suffix)
 
     def test_no_legal_suffix(self):
         assert split_field("timer_interval") is None
@@ -139,12 +144,12 @@ class TestFieldSplitting:
 
     def test_split_does_not_know_interfaces(self):
         # Whether the prefix names an interface is decided when transactions are built.
-        assert split_field("dcache_req_val") == FieldName("dcache_req", "val")
-        assert split_field("dcache_req_transid_unique") == FieldName("dcache_req", "transid_unique")
-        assert split_field("foo_val") == FieldName("foo", "val")
+        assert split_field("dcache_req_val") == ("dcache_req", "val")
+        assert split_field("dcache_req_transid_unique") == ("dcache_req", "transid_unique")
+        assert split_field("foo_val") == ("foo", "val")
 
     def test_multi_underscore_prefix(self):
-        assert split_field("a_b_data") == FieldName("a_b", "data")
+        assert split_field("a_b_data") == ("a_b", "data")
 
     @given(
         st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True),
@@ -154,7 +159,7 @@ class TestFieldSplitting:
         name = f"{prefix}_{suffix}"
         first = split_field(name)
         assert first == split_field(name)
-        assert f"{first.prefix}_{first.suffix}" == name
+        assert "_".join(first) == name
 
 
 class TestParseRelation:
@@ -229,14 +234,14 @@ GRAMMAR_CORPUS = [
     (
         "attrib_unique_suffix",
         "// AUTOSVA a_transid_unique = 1'b1",
-        lambda pm: pm.explicit_attribs()[0].payload.field_name.suffix == "transid_unique",
+        lambda pm: split_field(pm.explicit_attribs()[0].payload.name)[1] == "transid_unique",
     ),
     # every SUFFIX is accepted
     *[
         (
             f"suffix_{suffix}",
             f"// AUTOSVA a_{suffix} = x",
-            (lambda s: lambda pm: pm.explicit_attribs()[0].payload.field_name.suffix == s)(suffix),
+            (lambda s: lambda pm: split_field(pm.explicit_attribs()[0].payload.name)[1] == s)(suffix),
         )
         for suffix in SUFFIXES
     ],
@@ -447,7 +452,7 @@ class TestParseModule:
             "ptw_dcache", "dcache_req", "dcache_res", "outgoing",
         )
         attribs = [a.payload for a in pm.explicit_attribs()]
-        assert [(str(a.field_name), a.expr) for a in attribs] == [
+        assert [(a.name, a.expr) for a in attribs] == [
             ("dcache_req_val", "dcache_req_o.req"),
             ("dcache_res_val", "dcache_res_i.valid"),
         ]
@@ -483,7 +488,7 @@ class TestParseModule:
         )
         pm = parse_module(src)
         assert not [d for d in pm.diagnostics if d.is_error]
-        assert [a.kind for a in pm.annotations] == ["relation", "explicit_attrib"]
+        assert [type(a.payload) for a in pm.annotations] == [RelationDecl, ExplicitAttrib]
 
 
 class TestRoundTrip:
@@ -533,3 +538,13 @@ class TestRoundTrip:
         assert not [d for d in pm.diagnostics if d.is_error]
         again = parse_module(render_module(pm))
         assert module_projection(again) == module_projection(pm)
+
+
+def test_header_differential_runs_at_tiny_size():
+    # The parser's before/after gate, with this checkout on both sides so that both packages load.
+    run = subprocess.run([sys.executable, str(REPO / "bench" / "header_differential.py"), "--src", str(REPO / "src"),
+                          "--mutants", "300"], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert (report["mutants"], report["mismatches"]) == (300, 0)
+    assert report["raised"] > 0
