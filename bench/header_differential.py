@@ -36,7 +36,7 @@ def projection(af, source: str) -> tuple:
     """What the two sides must agree on for one source."""
     try:
         pm = af.parser.parse_module(source, "m.sv")
-    except af.parser.ParseError as exc:
+    except af.diagnostics.AutoFtError as exc:
         return ("raised", [(d.code, d.message, d.span.line, d.span.column) for d in exc.diagnostics])
     return (
         [(d.code, d.message, d.span.line, d.span.column) for d in pm.diagnostics],
@@ -51,8 +51,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--mutants", type=int, default=20000, help="mutants in total")
     args = ap.parse_args()
-    before = twin.load(args.src.resolve(), "autoft_before", ("parser",))
-    after = twin.load(ROOT / "src", "autoft_after", ("parser",))
+    before = twin.load(args.src.resolve(), "autoft_before", ("parser", "diagnostics"))
+    after = twin.load(ROOT / "src", "autoft_after", ("parser", "diagnostics"))
     texts = [(ROOT / "fixtures" / f"{name}.sv").read_text(encoding="utf-8") for name in FIXTURES]
     headers = [_HEADER_RE.search(text).span() for text in texts]
     rng = random.Random(args.seed)

@@ -31,7 +31,7 @@ import os
 import sys
 from pathlib import Path
 
-from .diagnostics import Diagnostic, GenerationError, ParseError, SymbolicWidthError, UnknownSignalError
+from .diagnostics import Diagnostic, GenerationError, SymbolicWidthError, UnknownSignalError
 from .emit import TestbenchBundle, generate_bundle, link_submodule_fts, write_bundle
 from .models import MODEL_REGISTRY, check_bundle_on_model
 from .options import DEFAULT_MAX_OUTSTANDING, TOOLS, GenOptions
@@ -44,17 +44,10 @@ class UsageError(Exception):
     """A bad command line or a missing input; `main` prints it and exits 2."""
 
 
-def _use_color() -> bool:
-    env = os.environ.get("AUTOFT_COLOR")
-    if env == "1":
-        return True
-    if env == "0":
-        return False
-    return sys.stderr.isatty()
-
-
 def _print_diagnostics(diags: list[Diagnostic]) -> None:
-    color = _use_color()
+    """Print errors and warnings alike to stderr, colored as AUTOFT_COLOR says, else when it is a terminal."""
+    env = os.environ.get("AUTOFT_COLOR")
+    color = env == "1" if env in ("0", "1") else sys.stderr.isatty()
     for d in diags:
         print(d.render(color), file=sys.stderr)
 
@@ -71,6 +64,8 @@ def _parse_max_outstanding(values: list[str] | None) -> tuple[int, dict[str, int
         try:
             if "=" in item:
                 tname, _, num = item.partition("=")
+                if not tname.strip():
+                    raise ValueError("no transaction name")
                 overrides[tname.strip()] = int(num)
             else:
                 default = int(item)
@@ -96,17 +91,20 @@ def _options_from_args(args: argparse.Namespace) -> GenOptions:
         raise UsageError(str(exc)) from None
 
 
-def _generate(path: Path, opts: GenOptions) -> TestbenchBundle:
-    """Generate one bundle and print its warnings, which never block."""
+def _read(path: Path) -> str:
+    """The text of an input file; one that is not UTF-8 is a usage error."""
     try:
-        source = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         # The whole file is decoded in one call, so `start` is the byte's offset in the file.
         bad = exc.object[exc.start]
         raise UsageError(f"file '{path}' is not UTF-8: byte 0x{bad:02x} at offset {exc.start}") from None
+
+
+def _generate(path: Path, source: str, opts: GenOptions) -> TestbenchBundle:
+    """Generate one bundle from the text of `path` and print its warnings, which never block."""
     bundle = generate_bundle(source, str(path), opts)
-    for w in bundle.warnings:
-        print(w, file=sys.stderr)
+    _print_diagnostics(bundle.warnings)
     return bundle
 
 
@@ -117,13 +115,14 @@ def _write(bundle: TestbenchBundle, outdir: Path) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    bundle = _generate(Path(args.input), _options_from_args(args))
-    _write(bundle, Path(args.outdir))
+    opts, path = _options_from_args(args), Path(args.input)
+    _write(_generate(path, _read(path), opts), Path(args.outdir))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    bundle = _generate(Path(args.input), _options_from_args(args))
+    opts, path = _options_from_args(args), Path(args.input)
+    bundle = _generate(path, _read(path), opts)
     factory = MODEL_REGISTRY.get(bundle.dut)
     if factory is None:
         known = ", ".join(sorted(MODEL_REGISTRY))
@@ -159,11 +158,12 @@ def _cmd_link(args: argparse.Namespace) -> int:
     for child_path, _, _ in specs:
         _require_file(child_path, "child")
     opts = _options_from_args(args)
-    parent = _generate(Path(args.input), opts)
-    children = [(_generate(path, opts), am, as_) for path, am, as_ in specs]
-    linked = link_submodule_fts(parent, children)
+    # Every source is read before any is generated, so a bad child stops the run before a warning is printed.
+    sources = [(path, _read(path)) for path in [Path(args.input), *(path for path, _, _ in specs)]]
+    parent, *kids = [_generate(path, source, opts) for path, source in sources]
+    children = [(kid, am, as_) for kid, (_, am, as_) in zip(kids, specs)]
     outdir = Path(args.outdir)
-    _write(linked, outdir)
+    _write(link_submodule_fts(parent, children), outdir)
     for child, am, _ in children:
         if am:
             _write(child, outdir)
@@ -235,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, SymbolicWidthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (GenerationError, ParseError) as exc:
+    except GenerationError as exc:
         _print_diagnostics(exc.diagnostics)
         return VALIDATION_ERROR
     finally:

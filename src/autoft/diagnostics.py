@@ -3,7 +3,8 @@
 Every parse or validation problem is reported as a :class:`Diagnostic` so a
 single run can surface all of them at once instead of stopping at the first.
 Only conditions that make it impossible to continue (no module header, an
-unterminated annotation region) are raised as exceptions.
+unterminated annotation region) stop a stage at once. Whatever stops a run
+raises one type, :class:`GenerationError`, carrying its diagnostics.
 """
 from __future__ import annotations
 
@@ -68,19 +69,8 @@ class AutoFtError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(AutoFtError):
-    """Input could not be parsed far enough to continue.
-
-    Carries the diagnostics collected up to the fatal point.
-    """
-
-    def __init__(self, diagnostics: list[Diagnostic]):
-        self.diagnostics = diagnostics
-        super().__init__("; ".join(d.message for d in diagnostics) or "parse error")
-
-
 class GenerationError(AutoFtError):
-    """Validation failed, no testbench was produced."""
+    """Parsing or validation failed, no testbench was produced; carries the diagnostics."""
 
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics

@@ -34,7 +34,7 @@ class TestbenchBundle:
     property_module: GeneratedFile
     bind_file: GeneratedFile
     tool_files: list[GeneratedFile]
-    warnings: list[str]
+    warnings: list[Diagnostic]
     transactions: list[Transaction]
     properties: list[GeneratedProperty]
     aux: list[TransactionAux]
@@ -238,7 +238,7 @@ def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle
         property_module=emit_property_module(pm, txns, aux, props, opts),
         bind_file=emit_bind_file(pm),
         tool_files=emit_tool_files(pm, opts.tool, opts),
-        warnings=[d.render() for d in diags],
+        warnings=diags,
         transactions=txns,
         properties=[p for group in props for p in group],
         aux=aux,

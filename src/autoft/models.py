@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import product
 from dataclasses import dataclass
 
 from .diagnostics import SymbolicWidthError
@@ -249,15 +250,20 @@ class PipelineModel(_Model):
                 pending = None
 
 
+# The most id assignments one property is checked under: 10 bits of ids.
+MAX_ID_ASSIGNMENTS = 1 << 10
+
+
 def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelCheckReport:
     """Evaluate every property over every model trace, under every value of the ids it reads.
 
     Each property is evaluated under only the symbolic ids its body reads:
     every value of each one's literal width, or their product if it reads
     several, and its entries name those ids alone. An id whose width is not
-    literal raises SymbolicWidthError. Unbounded eventualities are cut to
-    the model's liveness window. `txns` is not read: every property body
-    already names the signals it needs.
+    literal, or ids with more than MAX_ID_ASSIGNMENTS values together, raise
+    SymbolicWidthError before the property is compiled. Unbounded
+    eventualities are cut to the model's liveness window. `txns` is not
+    read: every property body already names the signals it needs.
 
     Before any trace is drawn, each body is compiled once per id assignment
     it reads, every id a constant of its value, all through one compiler:
@@ -272,12 +278,16 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     compiler = Compiler(model.liveness_window)
     rows = []  # per property, (assignment, property, evaluator with the body's ids fixed under it)
     for p in props:
-        assigns: list[tuple[tuple[str, int], ...]] = [()]
+        widths = {}
         for name, symb in compiler.ids(p.body).items():
-            bits = literal_width_bits(symb.width_expr)
-            if bits is None:
+            widths[name] = literal_width_bits(symb.width_expr)
+            if widths[name] is None:
                 raise SymbolicWidthError(f"symbolic id '{name}' has no literal width: '{symb.width_expr}'")
-            assigns = [a + ((name, v),) for a in assigns for v in range(1 << bits)]
+        if (count := 1 << sum(widths.values())) > MAX_ID_ASSIGNMENTS:
+            ids = ", ".join(f"'{name}' of {bits} bits" for name, bits in widths.items())
+            raise SymbolicWidthError(f"property '{p.name}' reads symbolic ids {ids}: {count} values to check, "
+                                     f"more than {MAX_ID_ASSIGNMENTS}")
+        assigns = [tuple(zip(widths, values)) for values in product(*(range(1 << b) for b in widths.values()))]
         rows.append([(a, p, compiler.property(p.body, dict(a))) for a in assigns])
     order = [row[k] for k in range(max(map(len, rows), default=0)) for row in rows if k < len(row)]
 

@@ -62,7 +62,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, ParseError, SourceSpan, error, warning
+from .diagnostics import Diagnostic, GenerationError, SourceSpan, error, warning
 
 ANNOTATION_MARKER = "AUTOSVA"
 
@@ -247,9 +247,9 @@ def extract_annotation_regions(source: str, path: str = "<string>") -> list[tupl
     line comment, or every line of a marked block comment. The span points at
     the first payload character. Ordinary comments contribute nothing.
 
-    Raises ParseError (code `unterminated-block-comment`) when a marked block
-    comment never closes; an unmarked one is silently treated as running to
-    the end of input, matching compiler behavior.
+    Raises GenerationError (code `unterminated-block-comment`) when a marked
+    block comment never closes; an unmarked one is silently treated as
+    running to the end of input, matching compiler behavior.
     """
     comments, _ = _lex(source)
     lmap = _LineMap(source, path)
@@ -274,7 +274,7 @@ def _regions(source: str, comments: list[tuple[int, int, str]], lmap: _LineMap) 
             if payload is None:
                 continue
             if kind == "open_block":
-                raise ParseError(
+                raise GenerationError(
                     [
                         error(
                             "unterminated-block-comment",
@@ -317,33 +317,29 @@ _ARROW_RE = re.compile(r"(-in>|-out>)")
 _RELATION_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_$]*)\s*:\s*(.*?)\s*$")
 
 
-def parse_relation(line: str, span: SourceSpan) -> RelationDecl:
-    """Parse `tname: p -in> q` or `tname: p -out> q`.
+def parse_relation(line: str, span: SourceSpan, diags: list[Diagnostic]) -> RelationDecl | None:
+    """Parse `tname: p -in> q` or `tname: p -out> q`, or record a diagnostic and return None.
 
-    Raises ParseError with code `bad-arrow` when the token between the two
-    interface names is not one of the two arrows, and `bad-relation` when the
-    line cannot be shaped into name, interface, arrow, interface at all.
+    The code is `bad-arrow` when the token between the two interface names is
+    not one of the two arrows, and `bad-relation` when the line cannot be
+    shaped into name, interface, arrow, interface at all.
     """
     m = _RELATION_RE.match(line)
-    if not m:
-        raise ParseError([error("bad-relation", "relation must start with 'name:'", span, line)])
-    tname, rhs = m.group(1), m.group(2)
+    rhs = m.group(2) if m else ""
     arrows = _ARROW_RE.findall(rhs)
-    if len(arrows) == 1:
-        left, _, right = _ARROW_RE.split(rhs)
-        p, q = left.strip(), right.strip()
+    if not m:
+        code, message = "bad-relation", "relation must start with 'name:'"
+    elif len(arrows) == 1:
+        p, q = (side.strip() for side in _ARROW_RE.split(rhs)[::2])
         if is_identifier(p) and is_identifier(q):
-            direction = "incoming" if arrows[0] == "-in>" else "outgoing"
-            return RelationDecl(tname, p, q, direction)
-        raise ParseError(
-            [error("bad-relation", f"interface names must be identifiers: '{p}', '{q}'", span, line)]
-        )
-    parts = rhs.split()
-    if len(parts) == 3:
-        raise ParseError(
-            [error("bad-arrow", f"expected '-in>' or '-out>' between interfaces, got '{parts[1]}'", span, line)]
-        )
-    raise ParseError([error("bad-relation", "expected 'tname: p -in> q' or 'tname: p -out> q'", span, line)])
+            return RelationDecl(m.group(1), p, q, "incoming" if arrows[0] == "-in>" else "outgoing")
+        code, message = "bad-relation", f"interface names must be identifiers: '{p}', '{q}'"
+    elif len(parts := rhs.split()) == 3:
+        code, message = "bad-arrow", f"expected '-in>' or '-out>' between interfaces, got '{parts[1]}'"
+    else:
+        code, message = "bad-relation", "expected 'tname: p -in> q' or 'tname: p -out> q'"
+    diags.append(error(code, message, span, line))
+    return None
 
 
 _ATTRIB_ASSIGN_RE = re.compile(
@@ -356,12 +352,8 @@ def _parse_annotation_line(line: str, offset: int, lmap: _LineMap, diags: list[D
     """Parse one payload line, found at source `offset`, into an Annotation, or record a diagnostic."""
     span = lmap.span(offset)
     if _RELATION_RE.match(line):
-        try:
-            rel = parse_relation(line, span)
-        except ParseError as exc:
-            diags.extend(exc.diagnostics)
-            return None
-        return Annotation(line, span, rel)
+        rel = parse_relation(line, span, diags)
+        return None if rel is None else Annotation(line, span, rel)
 
     m = _ATTRIB_ASSIGN_RE.match(line)
     bad = _bad_token(line, m)
@@ -557,8 +549,9 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
 
     Problems that allow parsing to continue (a malformed port line, a bad
     annotation) are collected into the returned module's diagnostics. The only
-    fatal cases are a missing module header (`no-module-header`) and an
-    unterminated annotation region.
+    fatal cases, which raise GenerationError, are a missing module header or an
+    unclosed header list (`no-module-header`) and an unterminated annotation
+    region.
     """
     lmap = _LineMap(source, path)
     comments, masked = _lex(source)
@@ -572,7 +565,7 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
 
     header = _MODULE_RE.search(masked)
     if not header:
-        raise ParseError([error("no-module-header", "no 'module <name>' found in input", SourceSpan(path, 1, 1))])
+        raise GenerationError([error("no-module-header", "no 'module <name>' found in input", SourceSpan(path, 1, 1))])
     module_name = header.group(1)
     pos = header.end()
 
@@ -586,7 +579,7 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     if m:
         listed = _header_list(masked, m.end() - 1)
         if listed is None:
-            raise ParseError([error("no-module-header", "unclosed parameter list", lmap.span(m.end() - 1))])
+            raise GenerationError([error("no-module-header", "unclosed parameter list", lmap.span(m.end() - 1))])
         items, pos = listed
         for item, off in items:
             param = _parse_parameter_item(item, lmap.span(off), diags)
@@ -598,7 +591,7 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     if m:
         listed = _header_list(masked, m.end() - 1)
         if listed is None:
-            raise ParseError([error("no-module-header", "unclosed port list", lmap.span(m.end() - 1))])
+            raise GenerationError([error("no-module-header", "unclosed port list", lmap.span(m.end() - 1))])
         items, pos = listed
         for item, off in items:
             pad = len(item) - len(item.lstrip())

@@ -104,10 +104,10 @@ def synth_transaction_aux(
 
     def wire(key, base: str, cls: type[Aux], *fields) -> Aux:
         """One declaration per distinct wire across the module."""
-        if key not in shared_wires:
-            shared_wires[key] = cls(namer.alloc(base), *fields)
-            signals.append(shared_wires[key])
-        return shared_wires[key]
+        if (found := shared_wires.get(key)) is None:
+            found = shared_wires[key] = cls(namer.alloc(base), *fields)
+            signals.append(found)
+        return found
 
     def bound(b) -> Node:
         """Referable node for a bound attribute, a wire for assigns."""
@@ -129,8 +129,7 @@ def synth_transaction_aux(
     for side_role, side in (("p", t.p), ("q", t.q)):
         val, ack = roles[f"{side_role}_val"], roles.get(f"{side_role}_ack")
         expr = And(val, ack) if ack else val
-        key = (side.name, expr.render())
-        roles[f"{side_role}_hsk"] = wire(key, f"{side.name}_hsk", Handshake, expr)
+        roles[f"{side_role}_hsk"] = wire((side.name, expr), f"{side.name}_hsk", Handshake, expr)
     p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
 
     counter = Counter(namer.alloc(f"{t.tname}_outstanding"), p_hsk, q_hsk, limit, *_cnt_param_names(t.tname))

@@ -8,20 +8,23 @@ own `step`, the Python form of the update rule its `declare()` emits, in the
 registered view: the value during cycle i reflects handshakes strictly
 before i, and the counter wraps at its declared width.
 
+A trace supplies the ports, the verbatim wires of explicit attribute
+bindings and any free symbolic id, each read by its name. Every other
+generated signal (a handshake, a register) is derived by its node's rule and
+never read from the trace, so a trace column of such a name changes nothing.
+
 Each property body is compiled once into closures (`Compiler`), so no trace
 pays for walking the node tree: every expression node becomes a column
 function over a per-trace memo, and the property above it one function
 giving (outcome, cycle). The memo is a dict seeded with a copy of the trace's
-columns. A signal, wire or register is first looked up by its name, so a
-trace column with a wire's or register's own name overrides its derivation,
-which lets tests inject counterexample states; every other derived column
-is stored under a key of its own closure, so one closure derives its column
-once per trace. `eval_property(p, trace)` compiles `p.body` on first use and
-keeps the evaluator on `p`. `models.check_bundle_on_model` compiles a whole
-bundle through one `Compiler`, fixing each symbolic id to a constant while
-it compiles: a subtree compiles once per value of the ids it reads, so
-properties that share a subtree share its closure and its column. No node is
-rewritten on the way.
+columns; each derived column is stored under a key of its own closure, so
+one closure derives its column once per trace. `eval_property(p, trace)`
+compiles `p.body` on first use and keeps the evaluator on `p`.
+`models.check_bundle_on_model` compiles a whole bundle through one
+`Compiler`, fixing each symbolic id to a constant while it compiles: a
+subtree compiles once per value of the ids it reads, so properties that
+share a subtree share its closure and its column. No node is rewritten on
+the way.
 
 Finite-trace readings:
 
@@ -34,8 +37,8 @@ Finite-trace readings:
 
 Unknown values (None, written `x` in CSV files) are read the way the naive
 checkers of the test suite read them: in a boolean position (a valid, an ack, a
-handshake, an operand of `&&`, `||`, `!`) an unknown reads as 0, and so
-does an operand of `>`, the outstanding count's comparison. Id
+handshake, an operand of `&&`, `||`, `!`) an unknown reads as 0. The
+outstanding count, the only operand of `>`, is derived and never unknown. Id
 comparisons are raw, so an unknown id equals only an unknown id: with symb=0,
 a response carrying an X id does not fire transid_integrity. Data
 comparisons and the sampled-data register are two-valued and read an
@@ -55,7 +58,7 @@ from .diagnostics import SpaceTooLargeError, UnknownSignalError
 from .properties import GeneratedProperty
 from .sva import (
     And, Counter, CoverSeq, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Node, Not, Or,
-    PropAnd, Sampled, Sig, Stable, Symbolic, children,
+    PropAnd, Sampled, Stable, Symbolic, children,
 )
 
 DEFAULT_TRACE_BOUND = 2**20
@@ -101,17 +104,27 @@ class Trace:
 
     @classmethod
     def from_csv(cls, text: str) -> "Trace":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows:
+        """A trace from a header of names and one row of cells per cycle; blank rows are skipped.
+
+        A name given twice, or a row whose cell count is not the header's, is a ValueError.
+        """
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header is None:
             raise ValueError("empty trace file")
-        names = [n.strip() for n in rows[0]]
+        names = [n.strip() for n in header]
         columns: dict[str, list[int | None]] = {n: [] for n in names}
-        for row in rows[1:]:
-            if not row or all(not cell.strip() for cell in row):
+        if len(columns) < len(names):
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ValueError(f"trace file names column '{twice}' twice")
+        for row in reader:
+            if not any(cell.strip() for cell in row):
                 continue
-            for name, cell in zip(names, row):
-                cell = cell.strip()
-                columns[name].append(None if cell.lower() == "x" else int(cell))
+            if len(row) != len(names):
+                raise ValueError(f"line {reader.line_num} of the trace file has cell count {len(row)}, "
+                                 f"the header {len(names)}")
+            for column, cell in zip(columns.values(), row):
+                column.append(None if cell.strip().lower() == "x" else int(cell))
         return cls(columns)
 
 
@@ -126,12 +139,12 @@ class Verdict(NamedTuple):
 
 # Evaluation is column-wise: an expression compiles to a column function,
 # which gives the node's column over a trace's memo, a value per cycle. The
-# memo is one dict per trace, seeded with a copy of the trace's columns. A
-# signal, wire or register is first looked up by its name, so a trace column
-# overrides its derivation. Every other column is derived once and stored
-# under a key of its own closure. A fixed id's column is an endless repeat,
-# which zips with any column. No closure refers to the compiler that built
-# it, so compiled bodies build no reference cycle.
+# memo is one dict per trace, seeded with a copy of the trace's columns, from
+# which a port, verbatim wire or free id is read by its name. Every other
+# column is derived once and stored under a key of its own closure. A fixed
+# id's column is an endless repeat, which zips with any column. No closure
+# refers to the compiler that built it, so compiled bodies build no
+# reference cycle.
 
 def _signal(name: str) -> Callable[[dict], list]:
     """A port, verbatim wire or free id: the trace must have it."""
@@ -143,16 +156,12 @@ def _signal(name: str) -> Callable[[dict], list]:
     return col
 
 
-def _memoized(fn: Callable[[dict], list], name: str | None) -> Callable[[dict], list]:
-    """`fn`, its column derived once per memo; a trace column called `name` wins.
-
-    The memo holds the column under `key` only once it is derived, which it
-    is only when no column called `name` is in the memo.
-    """
+def _memoized(fn: Callable[[dict], list]) -> Callable[[dict], list]:
+    """`fn`, its column derived once per memo."""
     key = object()
 
     def col(memo):
-        out = memo.get(key) or memo.get(name)
+        out = memo.get(key)
         if out is None:
             out = memo[key] = fn(memo)
         return out
@@ -191,8 +200,8 @@ def _held(x):
 # One rule per derived node class: the node and the column functions of the
 # nodes `children` lists give the node's column function; an operator over a
 # tuple of operands folds its binary form over them. Boolean operators read
-# values by truth, so an unknown (None) reads as 0 there; `>` reads an
-# unknown as 0 too; `==` sees raw values unless two-valued.
+# values by truth, so an unknown (None) reads as 0 there; `==` sees raw
+# values unless two-valued.
 _RULES = {
     Handshake: lambda node, expr: expr,
     **dict.fromkeys((Counter, Inflight, Sampled), lambda node, a, b: lambda memo: _register(node, a(memo), b(memo))),
@@ -201,7 +210,7 @@ _RULES = {
     Or: lambda node, *args: reduce(_or, args),
     Eq: lambda node, a, b: (lambda memo: [(x or 0) == (y or 0) for x, y in zip(a(memo), b(memo))]) if node.two_valued
     else lambda memo: list(map(eq, a(memo), b(memo))),
-    Gt: lambda node, a: lambda memo, k=node.k: [(v or 0) > k for v in a(memo)],
+    Gt: lambda node, a: lambda memo, k=node.k: [v > k for v in a(memo)],
     Stable: lambda node, *items: reduce(_and, map(_held, items)),
     IsUnknown: lambda node, *items: reduce(_or, map(_unknown, items)),
 }
@@ -236,14 +245,14 @@ class Compiler:
         """The column function of an expression node, its ids fixed by `ids`."""
         key = (id(node), tuple(ids.get(name) for name in self.ids(node)))
         if key not in self.columns:
-            cls, name = node.__class__, node.name if isinstance(node, Sig) else None
-            if cls is Symbolic and name in ids:
-                col = itertools.repeat(ids[name])
+            cls = node.__class__
+            if cls is Symbolic and node.name in ids:
+                col = itertools.repeat(ids[node.name])
                 self.columns[key] = lambda memo: col
             elif cls in _RULES:
-                self.columns[key] = _memoized(_RULES[cls](node, *(self.column(x, ids) for x in children(node))), name)
+                self.columns[key] = _memoized(_RULES[cls](node, *(self.column(x, ids) for x in children(node))))
             else:
-                self.columns[key] = _signal(name)
+                self.columns[key] = _signal(node.name)
         return self.columns[key]
 
     def property(self, body: Node, ids: Mapping[str, int] = {}) -> Callable[[dict, int], tuple[str, int | None]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from autoft.diagnostics import ParseError, SourceSpan, error
+from autoft.diagnostics import GenerationError, SourceSpan, error
 
 MARKER = "AUTOSVA"
 
@@ -82,7 +82,7 @@ def _marker_payload(body: str) -> str | None:
 
 
 def extract_annotation_regions(source: str, path: str = "<string>") -> list[tuple[str, SourceSpan]]:
-    """Payload text and span of every marked comment; ParseError on an open marked block."""
+    """Payload text and span of every marked comment; GenerationError on an open marked block."""
     starts = line_starts(source)
     regions = []
     for start, end, kind in scan_comments(source):
@@ -101,8 +101,8 @@ def extract_annotation_regions(source: str, path: str = "<string>") -> list[tupl
             continue
         if kind == "open_block":
             snippet = source[start : start + 40].split("\n")[0]
-            raise ParseError([error("unterminated-block-comment", "annotation region is never closed with */",
-                                    _span(starts, path, start), snippet)])
+            raise GenerationError([error("unterminated-block-comment", "annotation region is never closed with */",
+                                         _span(starts, path, start), snippet)])
         if payload.strip():
             text = "\n".join([payload] + lines[1:])
             offset = start + 2 + len(lines[0]) - len(payload)

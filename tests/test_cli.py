@@ -143,8 +143,8 @@ class TestGen:
                              capture_output=True, text=True)
         assert run.returncode == 2
         assert "Traceback" not in run.stderr
-        errors = [line for line in run.stderr.splitlines() if line.startswith("error:")]
-        assert errors == [f"error: file '{bad}' is not UTF-8: byte 0xa9 at offset {len(text) + 12}"]
+        # Every source is read before any is generated, so no warning of the parent precedes the error.
+        assert run.stderr == f"error: file '{bad}' is not UTF-8: byte 0xa9 at offset {len(text) + 12}\n"
         assert run.stdout == ""
         assert not (tmp_path / "o").exists()
 
@@ -163,14 +163,15 @@ class TestGen:
     @pytest.mark.parametrize("command", ["gen", "check", "link"])
     def test_bad_max_outstanding_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        code, out, err = run_cli(
-            [command, fixture_path("fifo"), "--max-outstanding", "lots"],
-            capsys,
-        )
-        assert code == 2
-        assert err == "error: --max-outstanding expects N or TNAME=N, got 'lots'\n"
-        assert out == ""
-        assert list(tmp_path.iterdir()) == []
+        for value in ("lots", "=3"):  # `=3` names no transaction
+            code, out, err = run_cli(
+                [command, fixture_path("fifo"), "--max-outstanding", value],
+                capsys,
+            )
+            assert code == 2
+            assert err == f"error: --max-outstanding expects N or TNAME=N, got '{value}'\n"
+            assert out == ""
+            assert list(tmp_path.iterdir()) == []
 
     def test_one_sided_transid_message(self, tmp_path, capsys):
         bad = tmp_path / "one_sided.sv"
@@ -193,8 +194,35 @@ class TestGen:
         _, _, err = run_cli(["gen", bad, "-o", tmp_path / "o"], capsys)
         assert "\x1b[" not in err
 
+    def test_color_env_colors_warnings_as_errors(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AUTOFT_COLOR", "1")
+        code, _, err = run_cli(["gen", fixture_path("fifo"), "-o", tmp_path / "o"], capsys)
+        assert code == 0
+        assert "\x1b[33mwarning\x1b[0m[data-without-transid]: " in err
+        monkeypatch.setenv("AUTOFT_COLOR", "0")
+        _, _, err = run_cli(["gen", fixture_path("fifo"), "-o", tmp_path / "o"], capsys)
+        assert "warning[data-without-transid]: " in err and "\x1b[" not in err
+
 
 class TestCheck:
+    @staticmethod
+    def widened_buffer(tmp_path, width):
+        src = tmp_path / "noc_buffer.sv"
+        src.write_text(fixture_path("noc_buffer").read_text().replace("[1:0] buf_in_transid", f"{width} buf_in_transid")
+                       .replace("[1:0] buf_out_transid", f"{width} buf_out_transid"))
+        return src
+
+    def test_ids_of_ten_bits_are_checked(self, tmp_path, capsys):
+        # Every value of the id is checked on every trace; 1,024 values still are.
+        code, out, err = run_cli(["check", self.widened_buffer(tmp_path, "[9:0]")], capsys)
+        assert code == 0 and "violated" not in err
+
+    def test_ids_of_more_than_ten_bits_are_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(["check", self.widened_buffer(tmp_path, "[11:0]")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: property 'buf_")
+        assert err.endswith(" reads symbolic ids 'symb_buf_transid' of 12 bits: 4096 values to check, more than 1024\n")
+
     def test_check_well_behaved_fifo(self, capsys):
         code, out, _ = run_cli(["check", fixture_path("fifo")], capsys)
         assert code == 0

@@ -385,10 +385,10 @@ class TestDeclaredSignals:
     def test_typed_declarations_keep_their_type(self):
         bundle = generate_bundle(TYPED_DECLS, "m.sv", GenOptions())
         assert "    input dat_t a_data,\n    input dat_t b_data\n);" in bundle.property_module.text
-        assert [w.split("]")[0].split("[")[-1] for w in bundle.warnings] == [
+        assert [w.code for w in bundle.warnings] == [
             "opaque-port-type", "opaque-port-type", "unknown-data-width",
         ]
-        assert bundle.warnings[-1] == (
+        assert bundle.warnings[-1].render() == (
             "m.sv:1:12: warning[unknown-data-width]: data width of 't' is not a known range (type 'dat_t'),"
             " sampled data defaults to 1 bit"
         )
@@ -406,7 +406,7 @@ class TestDeclaredSignals:
         src = TYPED_DECLS.replace("input dat_t a_data", "a_data = a_id").replace("input dat_t b_data;", "b_data = b_id")
         bundle = generate_bundle(src, "m.sv", GenOptions())
         assert "logic t_sampled_data;" in bundle.property_module.text
-        assert bundle.warnings == [
+        assert [w.render() for w in bundle.warnings] == [
             "m.sv:1:12: warning[unknown-data-width]: data width of 't' is not a known range,"
             " sampled data defaults to 1 bit"
         ]
@@ -421,7 +421,7 @@ class TestDeclaredSignals:
         text = bundle.property_module.text
         assert "    input wire a_ack\n);" in text
         assert "wire a_ack_1 = !busy;" in text and "wire a_hsk = a_val && a_ack_1;" in text
-        assert [w.split("]")[0].split("[")[-1] for w in bundle.warnings] == [
+        assert [w.code for w in bundle.warnings] == [
             "explicit-overrides-port", "name-collision-renamed",
         ]
 

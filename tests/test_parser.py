@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_lexer
-from autoft.diagnostics import ParseError
+from autoft.diagnostics import GenerationError
 from autoft.parser import (
     SUFFIXES,
     ExplicitAttrib,
@@ -55,7 +55,7 @@ class TestAnnotationRegions:
         assert extract_annotation_regions("/* ordinary\n comment */\n") == []
 
     def test_unterminated_marked_block_is_fatal(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(GenerationError) as exc:
             extract_annotation_regions("/*AUTOSVA\n t: a -in> b\n")
         assert exc.value.diagnostics[0].code == "unterminated-block-comment"
 
@@ -83,7 +83,7 @@ LEX_TOKENS = [
 def regions_or_diagnostics(extract, source: str):
     try:
         return extract(source, "f.sv")
-    except ParseError as exc:
+    except GenerationError as exc:
         return exc.diagnostics
 
 
@@ -164,20 +164,28 @@ class TestFieldSplitting:
 
 class TestParseRelation:
     def test_incoming(self):
-        rel = parse_relation("lsu: lsu_req -in> lsu_res", SPAN)
+        diags = []
+        rel = parse_relation("lsu: lsu_req -in> lsu_res", SPAN, diags)
         assert (rel.tname, rel.p, rel.q, rel.direction) == ("lsu", "lsu_req", "lsu_res", "incoming")
+        assert diags == []
 
     def test_outgoing(self):
-        rel = parse_relation("t: a -out> b", SPAN)
+        rel = parse_relation("t: a -out> b", SPAN, [])
         assert (rel.tname, rel.p, rel.q, rel.direction) == ("t", "a", "b", "outgoing")
 
     def test_bad_arrow(self):
-        with pytest.raises(ParseError) as exc:
-            parse_relation("t: a => b", SPAN)
-        assert exc.value.diagnostics[0].code == "bad-arrow"
+        diags = []
+        assert parse_relation("t: a => b", SPAN, diags) is None
+        assert [(d.code, d.severity, d.span, d.snippet) for d in diags] == [("bad-arrow", "error", SPAN, "t: a => b")]
+
+    @pytest.mark.parametrize("line", ["no colon here", "t: a -in> b -out> c", "t: a -in> 1b", "t: a b"])
+    def test_bad_relation(self, line):
+        diags = []
+        assert parse_relation(line, SPAN, diags) is None
+        assert [d.code for d in diags] == ["bad-relation"]
 
     def test_interior_whitespace_tolerated(self):
-        rel = parse_relation("t :   a    -in>     b  ", SPAN)
+        rel = parse_relation("t :   a    -in>     b  ", SPAN, [])
         assert (rel.p, rel.q) == ("a", "b")
 
 
@@ -366,7 +374,7 @@ class TestParseModule:
         assert len(pm.annotations) == 1  # only the relation
 
     def test_no_module_header(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(GenerationError) as exc:
             parse_module("// AUTOSVA t: a -in> b\nnothing here\n")
         assert exc.value.diagnostics[0].code == "no-module-header"
 
