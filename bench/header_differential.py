@@ -1,17 +1,21 @@
-"""Compare `parse_module` of two checkouts on seeded mutants of the fixtures' module headers.
+"""Compare `parse_module` of two checkouts on seeded mutants of the fixtures.
 
     python3 bench/header_differential.py --src OTHER/src             # OTHER against this checkout
     python3 bench/header_differential.py --src OTHER/src --mutants 20000 --seed 1
 
-Run from anywhere; stdlib only. A mutant inserts one token from `TOKENS` at a
-random place between the start of a fixture's `module` keyword and the end of
-the `);` that closes its port list, so it exercises the header lists: where a
-list closes, where it splits, and how a parameter item splits at its `=`.
-Each mutant is parsed by both sides, and these must agree: whether it raises,
-with which error codes; every diagnostic (code, message, line, column); the
-parameters; and the ports. One JSON object is printed, with the number of
-mutants, of those that raised, of mismatches and the first few mismatches.
-The exit status is 1 when any mutant differs.
+Run from anywhere; stdlib only. A mutant inserts one token from `TOKENS` into
+a fixture. Half the mutants insert it at a random place between the start of
+the fixture's `module` keyword and the end of the `);` that closes its port
+list, so they exercise the header lists: where a list closes, where it
+splits, and how a parameter item splits at its `=`. The other half insert it
+anywhere in the file, body included, so they exercise where lexing may stop:
+comment openers and closers, markers, marked lines, a second `module` and
+directive lines. Each mutant is parsed by both sides, and these must agree:
+whether it raises, with which error codes; every diagnostic (code, message,
+line, column); the parameters; the ports; and the annotations. One JSON
+object is printed, with the number of mutants, of those that raised, of
+mismatches and the first few mismatches. The exit status is 1 when any
+mutant differs.
 """
 from __future__ import annotations
 
@@ -28,7 +32,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import twin  # noqa: E402
 from parse_stages import FIXTURES  # noqa: E402
 
-TOKENS = ("(", ")", "[", "]", "{", "}", ",", ";", "=", "==", "<=", '"', '")"')
+TOKENS = ("(", ")", "[", "]", "{", "}", ",", ";", "=", "==", "<=", '"', '")"', "//", "/*", "*/", "AUTOSVA",
+          "\n// AUTOSVA z: zp -in> zq\n", "module z (input a);", "\n`ifdef Z\n")
 _HEADER_RE = re.compile(r"^module\b.*?^\);", re.MULTILINE | re.DOTALL)
 
 
@@ -42,6 +47,7 @@ def projection(af, source: str) -> tuple:
         [(d.code, d.message, d.span.line, d.span.column) for d in pm.diagnostics],
         [(p.name, p.value_expr) for p in pm.parameters],
         [(s.direction, s.name, s.width_expr, s.opaque_type, s.span.line, s.span.column) for s in pm.signals],
+        [(a.raw_text, a.span.line, a.span.column, repr(a.payload)) for a in pm.annotations],
     )
 
 
@@ -60,7 +66,7 @@ def main() -> int:
     mismatches = []
     for _ in range(args.mutants):
         k = rng.randrange(len(texts))
-        at = rng.randint(*headers[k])
+        at = rng.randint(*headers[k]) if rng.random() < 0.5 else rng.randint(0, len(texts[k]))
         mutant = texts[k][:at] + rng.choice(TOKENS) + texts[k][at:]
         old, new = projection(before, mutant), projection(after, mutant)
         raised += old[0] == "raised"

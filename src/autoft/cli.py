@@ -101,11 +101,19 @@ def _read(path: Path) -> str:
         raise UsageError(f"file '{path}' is not UTF-8: byte 0x{bad:02x} at offset {exc.start}") from None
 
 
-def _generate(path: Path, source: str, opts: GenOptions) -> TestbenchBundle:
-    """Generate one bundle from the text of `path` and print its warnings, which never block."""
-    bundle = generate_bundle(source, str(path), opts)
-    _print_diagnostics(bundle.warnings)
-    return bundle
+def _generate(opts: GenOptions, *inputs: tuple[Path, str]) -> list[TestbenchBundle]:
+    """One bundle per (path, text), each one's warnings, which never block, printed as it is generated.
+
+    A `--max-outstanding TNAME=N` whose TNAME no bundle declares is a usage error.
+    """
+    bundles = []
+    for path, source in inputs:
+        bundles.append(generate_bundle(source, str(path), opts))
+        _print_diagnostics(bundles[-1].warnings)
+    unknown = set(opts.max_outstanding_overrides) - {t.tname for b in bundles for t in b.transactions}
+    if unknown:
+        raise UsageError(f"--max-outstanding: no transaction named {', '.join(sorted(unknown))}")
+    return bundles
 
 
 def _write(bundle: TestbenchBundle, outdir: Path) -> None:
@@ -116,13 +124,14 @@ def _write(bundle: TestbenchBundle, outdir: Path) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     opts, path = _options_from_args(args), Path(args.input)
-    _write(_generate(path, _read(path), opts), Path(args.outdir))
+    [bundle] = _generate(opts, (path, _read(path)))
+    _write(bundle, Path(args.outdir))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     opts, path = _options_from_args(args), Path(args.input)
-    bundle = _generate(path, _read(path), opts)
+    [bundle] = _generate(opts, (path, _read(path)))
     factory = MODEL_REGISTRY.get(bundle.dut)
     if factory is None:
         known = ", ".join(sorted(MODEL_REGISTRY))
@@ -160,7 +169,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
     opts = _options_from_args(args)
     # Every source is read before any is generated, so a bad child stops the run before a warning is printed.
     sources = [(path, _read(path)) for path in [Path(args.input), *(path for path, _, _ in specs)]]
-    parent, *kids = [_generate(path, source, opts) for path, source in sources]
+    parent, *kids = _generate(opts, *sources)
     children = [(kid, am, as_) for kid, (_, am, as_) in zip(kids, specs)]
     outdir = Path(args.outdir)
     _write(link_submodule_fts(parent, children), outdir)

@@ -42,17 +42,23 @@ packed ranges. Ports with a user-defined (struct) type are kept opaque:
 emitted with their type as written, with an unknown width; their fields are
 reachable only through explicit `= expr` attribute bindings.
 
-Each source is lexed once: one regex pass over strings and comments yields
-the comment list, which the annotations are read from, and a masked copy in
-which every comment (not string) is blanked to spaces. Newlines stay, also
-inside block comments, so offsets and spans in the masked text are those of
-the source. The header is read from the masked copy, with backtick directive
-lines blanked as well. One tokenizer, which skips string literals, reads both
-the header and the annotations: it closes and splits the header lists, splits
-a parameter item at its lone `=` (an item whose first `=` outside brackets is
-part of a comparison is skipped with a warning), and finds the tokens an
-attribute line may not hold. Every position reported is a source offset
-turned into a line and column by one line map.
+One regex pass over strings and comments yields the comment list, which the
+annotations are read from, and a masked copy in which those comments (not
+strings) are blanked to spaces. Newlines stay, also inside block comments,
+so offsets and spans in the masked text are those of the source. The pass
+stops at the last AUTOSVA marker, since no marked comment starts after it,
+and the header is read from that masked copy with backtick directive lines
+blanked to spaces as well. That read is the whole file's unless a comment or
+a directive starts between the stop and the header's end; then the source is
+lexed again through the header's end, and through the whole source when the
+read fails or that still does not settle it. So the body past the header and
+the last marker is never lexed. One tokenizer, which skips string literals,
+reads both the header and the annotations: it closes and splits the header
+lists, splits a parameter item at its lone `=` (an item whose first `=`
+outside brackets is part of a comparison is skipped with a warning), and
+finds the tokens an attribute line may not hold. Every position reported is
+a source offset turned into a line and column by one line map, which finds
+line starts no further than twice the furthest offset it is asked for.
 """
 from __future__ import annotations
 
@@ -178,55 +184,83 @@ def split_field(name: str) -> tuple[str, str] | None:
     return None
 
 
+_NEWLINE_RE = re.compile("\n")
+
+
 class _LineMap:
-    """Offset to 1-based (line, column) translation for one source text."""
+    """Offset to 1-based (line, column) translation for one source text.
+
+    Line starts are found no further than twice the furthest offset asked
+    for; `starts` finds and returns them all.
+    """
 
     def __init__(self, source: str, path: str):
         self.path = path
-        self.starts = [0]
-        i = source.find("\n")
-        while i != -1:
-            self.starts.append(i + 1)
-            i = source.find("\n", i + 1)
+        self._source = source
+        self._starts = [0]
+        self._scanned = 0  # every newline before this offset is in `_starts`
+
+    @property
+    def starts(self) -> list[int]:
+        self.span(len(self._source))
+        return self._starts
 
     def span(self, offset: int) -> SourceSpan:
-        line = bisect.bisect_right(self.starts, offset)
-        column = offset - self.starts[line - 1] + 1
+        if offset > self._scanned:
+            # At least double the scanned text, so that spans asked for in source order scan it once.
+            end = max(offset, 2 * self._scanned)
+            self._starts += [m.end() for m in _NEWLINE_RE.finditer(self._source, self._scanned, end)]
+            self._scanned = end
+        line = bisect.bisect_right(self._starts, offset)
+        column = offset - self._starts[line - 1] + 1
         return SourceSpan(self.path, line, column)
 
 
-_STRING = r'"(?:[^"\\\n]|\\.)*"'  # a string literal, matched only to be skipped
+# A string literal, matched only to be skipped; unrolled, so that each run of
+# plain characters is one step of the regex engine.
+_STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
 
 # Leftmost match wins, so a comment opener in a string or a quote in a comment
 # is never seen. Every alternative begins with `"` or `/`, which lets the regex
-# engine skip ahead to the next candidate.
+# engine skip ahead to the next candidate. The block comment is unrolled too.
 _LEX_RE = re.compile(
     _STRING
-    + r"|/(?:(?P<line>/[^\n]*)|(?P<block>\*[\s\S]*?\*/)"
+    + r"|/(?:(?P<line>/[^\n]*)|(?P<block>\*[^*]*\*+(?:[^/*][^*]*\*+)*/)"
     r"|(?P<open_block>\*[\s\S]*))"  # never closed, runs to end of input
 )
 
 
-def _lex(source: str) -> tuple[list[tuple[int, int, str]], str]:
-    """Comments as (start, end, kind), and the source with them blanked.
+def _lex(source: str, stop: int | None = None) -> tuple[list[tuple[int, int, str]], str]:
+    """Comments that start before `stop` as (start, end, kind), and the source with them blanked.
 
-    kind is 'line', 'block', or 'open_block' for a block comment that never
-    closes; the caller decides whether that is fatal. A blanked comment keeps
-    its newlines, so offsets into the masked text are offsets into `source`.
+    `stop` defaults to the end of the source; text after the last comment
+    lexed is left as it is. kind is 'line', 'block', or 'open_block' for a
+    block comment that never closes; the caller decides whether that is
+    fatal. A blanked comment keeps its newlines, so offsets into the masked
+    text are offsets into `source`.
     """
+    stop = len(source) if stop is None else stop
     comments: list[tuple[int, int, str]] = []
-
-    def blank(m: re.Match) -> str:
-        kind = m.lastgroup
+    parts, done = [], 0
+    for m in _LEX_RE.finditer(source):
+        start, kind = m.start(), m.lastgroup
+        if start >= stop:
+            break
         if kind is None:
-            return m.group()
-        start, end = m.span()
+            continue
+        end = m.end()
         comments.append((start, end, kind))
-        if kind == "line":
-            return " " * (end - start)
-        return "\n".join(" " * len(line) for line in m.group().split("\n"))
+        text = " " * (end - start) if kind == "line" else "\n".join(" " * len(line) for line in m[0].split("\n"))
+        parts += source[done:start], text
+        done = end
+    parts.append(source[done:])
+    return comments, "".join(parts)
 
-    return comments, _LEX_RE.sub(blank, source)
+
+def _line_end(source: str, offset: int) -> int:
+    """The offset of the newline that ends the line holding `offset`, or the source's length."""
+    end = source.find("\n", offset)
+    return len(source) if end == -1 else end
 
 
 def _marker_payload(body: str) -> str | None:
@@ -251,7 +285,7 @@ def extract_annotation_regions(source: str, path: str = "<string>") -> list[tupl
     block comment never closes; an unmarked one is silently treated as
     running to the end of input, matching compiler behavior.
     """
-    comments, _ = _lex(source)
+    comments, _ = _lex(source, source.rfind(ANNOTATION_MARKER) + 1)  # no marked comment starts after it
     lmap = _LineMap(source, path)
     return [(text, lmap.span(offset)) for text, offset in _regions(source, comments, lmap)]
 
@@ -536,7 +570,7 @@ def _parse_port_item(
     return None
 
 
-_DIRECTIVE_RE = re.compile(r"^([ \t]*)`[^\n]*$", re.MULTILINE)
+_DIRECTIVE_RE = re.compile(r"^[ \t]*`[^\n]*$", re.MULTILINE)
 _MODULE_RE = re.compile(r"\bmodule\s+([A-Za-z_][A-Za-z0-9_$]*)")
 _IMPORT_RE = re.compile(r"\s*import\s+[^;]+;")
 _PARAMS_OPEN_RE = re.compile(r"\s*#\s*\(")
@@ -544,29 +578,21 @@ _PORTS_OPEN_RE = re.compile(r"\s*\(")
 _SEMI_RE = re.compile(r"\s*;")
 
 
-def parse_module(source: str, path: str = "<string>") -> ParsedModule:
-    """Parse one annotated module header out of `source`.
+def _read_header(source: str, masked: str, stop: int, lmap: _LineMap) -> tuple[ParsedModule, int]:
+    """The header read from `masked`, which `_lex` blanked before `stop`, and the offset past the header.
 
-    Problems that allow parsing to continue (a malformed port line, a bad
-    annotation) are collected into the returned module's diagnostics. The only
-    fatal cases, which raise GenerationError, are a missing module header or an
-    unclosed header list (`no-module-header`) and an unterminated annotation
-    region.
+    `stop` ends a line, and directive lines before it are blanked to spaces.
+    The module has no annotations yet. The offset is the source's length
+    when neither a port list nor `;` follows the module name.
     """
-    lmap = _LineMap(source, path)
-    comments, masked = _lex(source)
-    regions = _regions(source, comments, lmap)
-    diags: list[Diagnostic] = []
-
-    # Backtick directive lines would confuse port parsing: blank them all.
-    directives = list(_DIRECTIVE_RE.finditer(masked)) if "`" in masked else []
+    directives = list(_DIRECTIVE_RE.finditer(masked, 0, stop)) if masked.find("`", 0, stop) != -1 else []
     if directives:
-        masked = _DIRECTIVE_RE.sub(r"\1", masked)
+        masked = _DIRECTIVE_RE.sub(lambda d: " " * len(d[0]), masked[:stop]) + masked[stop:]
+    diags: list[Diagnostic] = []
 
     header = _MODULE_RE.search(masked)
     if not header:
-        raise GenerationError([error("no-module-header", "no 'module <name>' found in input", SourceSpan(path, 1, 1))])
-    module_name = header.group(1)
+        raise GenerationError([error("no-module-header", "no 'module <name>' found in input", lmap.span(0))])
     pos = header.end()
 
     imports: list[str] = []
@@ -612,6 +638,39 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
         for d in directives
         if header.start() <= d.start() < pos
     ]
+    # `m` is None when neither a port list nor `;` follows: the header has no end.
+    return ParsedModule(header.group(1), parameters, signals, [], imports, diags), pos if m else len(source)
+
+
+def parse_module(source: str, path: str = "<string>") -> ParsedModule:
+    """Parse one annotated module header out of `source`.
+
+    Problems that allow parsing to continue (a malformed port line, a bad
+    annotation) are collected into the returned module's diagnostics. The only
+    fatal cases, which raise GenerationError, are a missing module header or an
+    unclosed header list (`no-module-header`) and an unterminated annotation
+    region.
+    """
+    lmap = _LineMap(source, path)
+    # Lex through the line of the last marker first. The header read from that
+    # text is the whole file's unless a comment or a directive starts between
+    # the stop and the header's end (the source's end when the read fails):
+    # then lex again through the header's line, the second time through the
+    # whole source.
+    stop, relexed = _line_end(source, source.rfind(ANNOTATION_MARKER) + 1), False
+    while True:
+        comments, masked = _lex(source, stop)
+        try:
+            (module, end), failure = _read_header(source, masked, stop, lmap), None
+        except GenerationError as exc:
+            end, failure = len(source), exc
+        if all(source.find(tok, stop, end) == -1 for tok in ("//", "/*", "`")):
+            break
+        stop, relexed = len(source) if relexed else _line_end(source, end), True
+    regions = _regions(source, comments, lmap)  # an open marked block is fatal first
+    if failure:
+        raise failure
+    diags = module.diagnostics
 
     annotations: list[Annotation] = []
     for text, offset in regions:
@@ -637,16 +696,10 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
             seen_tnames[rel.tname] = ann.span
 
     seen_ports: set[str] = set()
-    for sig in signals + [a.payload for a in annotations if isinstance(a.payload, InterfaceSignal)]:
+    for sig in module.signals + [a.payload for a in annotations if isinstance(a.payload, InterfaceSignal)]:
         if sig.name in seen_ports:
             diags.append(error("malformed-port-decl", f"port '{sig.name}' declared twice", sig.span))
         seen_ports.add(sig.name)
 
-    return ParsedModule(
-        module_name=module_name,
-        parameters=parameters,
-        signals=signals,
-        annotations=annotations,
-        imports=imports,
-        diagnostics=diags,
-    )
+    module.annotations = annotations
+    return module

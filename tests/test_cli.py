@@ -173,6 +173,21 @@ class TestGen:
             assert out == ""
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["gen", "check", "link"])
+    def test_unknown_max_outstanding_name_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli([command, fixture_path("fifo"), "--max-outstanding", "nosuch=3",
+                                  "--max-outstanding", "fifo=2"], capsys)
+        assert code == 2
+        assert err.endswith("error: --max-outstanding: no transaction named nosuch\n")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_max_outstanding_may_name_a_child_transaction(self, tmp_path, capsys):
+        code, _, _ = run_cli(["link", fixture_path("mmu_stub"), "--child", f"{fixture_path('pipeline')}=am",
+                              "--max-outstanding", "pipe=2", "-o", tmp_path / "o"], capsys)
+        assert code == 0
+
     def test_one_sided_transid_message(self, tmp_path, capsys):
         bad = tmp_path / "one_sided.sv"
         bad.write_text(

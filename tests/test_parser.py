@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_lexer
 from autoft.diagnostics import GenerationError
+from autoft import parser
 from autoft.parser import (
     SUFFIXES,
     ExplicitAttrib,
@@ -128,6 +130,92 @@ class TestLexer:
         assert extract_annotation_regions("// AUTOSVA t: a -in> b\n/* open\n") != []
         pm = parse_module("module m (input wire a);\n/* body comment never closed\n")
         assert [s.name for s in pm.signals] == ["a"]
+
+
+def whole_file_parse(source: str):
+    """`parse_module` with the naive lexer's scan and mask of the whole source under the same header reader."""
+
+    def lex(text, stop=None):
+        comments = naive_lexer.scan_comments(text)
+        return comments, naive_lexer.mask(text, comments)
+
+    def read_header(text, masked, stop, lmap):
+        return read(text, masked, len(text), lmap)
+
+    read = parser._read_header
+    with mock.patch.object(parser, "_lex", lex), mock.patch.object(parser, "_read_header", read_header):
+        return module_or_diagnostics(source)
+
+
+def module_or_diagnostics(source: str):
+    try:
+        return parse_module(source, "f.sv")
+    except GenerationError as exc:
+        return exc.diagnostics
+
+
+BASE_MODULE = (
+    "// AUTOSVA t: a -in> b\n",
+    "module m #(parameter W = 8, parameter D = W == 2) (\n",
+    "    input wire a_val,\n",
+    "    output wire [W-1:0] b_data,\n",
+    "    input wire b_val\n",
+    ");\n",
+    "    assign x = 1; // body\n",
+    '    initial $display("/* s */");\n',
+    "endmodule\n",
+)
+# Tokens that can move the lexer's stop, the header's end, or where the header is found.
+STOP_TOKENS = [
+    "//", "/*", "*/", '"', '"// /*"', "AUTOSVA", "// AUTOSVA u: c -in> d\n", "/*AUTOSVA\n v: e -out> f\n*/",
+    "// AUTOSVA a_transid = 1\n", "module z (input a);", "module ", "\n`ifdef X\n", "`", "\n", "(", ")", ",",
+    ";", "=", "input wire q", "\\",
+]
+
+
+class TestLexStop:
+    @settings(max_examples=800, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(STOP_TOKENS)), max_size=6))
+    def test_parse_matches_whole_file_lex(self, inserts):
+        source = "".join(BASE_MODULE)
+        for at, tok in inserts:
+            at %= len(source) + 1
+            source = source[:at] + tok + source[at:]
+        assert module_or_diagnostics(source) == whole_file_parse(source)
+
+    @pytest.mark.parametrize("source", [
+        "module m (input wire a, // )\n input wire b, // )\n input wire c);\n",  # relexed twice
+        "// AUTOSVA t: a -in> b\nmodule/**/m (input wire a);\n",
+        "// AUTOSVA t: a -in> b\n// module z (input wire q);\nmodule m (input wire a_val);\n",
+        "// AUTOSVA t: a -in> b\nmodule m ( // \"\n input wire a_val);\n",
+        "// AUTOSVA t: a -in> b\nmodule m #(parameter W = 1)\n`ifdef X\n(input wire a_val);\n",
+        "// AUTOSVA t: a -in> b\nmodule m /* ( */ ;\n",
+        "module m ( /* AUTOSVA\n",
+        "`define X /*AUTOSVA t: a -in> b */ module z (input wire q);\nmodule m (input wire a_val);\n",
+    ])
+    def test_relexed_cases_match_whole_file_lex(self, source):
+        assert module_or_diagnostics(source) == whole_file_parse(source)
+
+    def test_body_length_does_not_add_lexer_matches(self):
+        head = "// AUTOSVA t: a -in> b\nmodule m (\n    input wire a_val,\n    output wire b_val\n);\n"
+
+        def matches(body_lines: int) -> int:
+            counted = []
+
+            class Counting:
+                def finditer(self, *args):
+                    for m in lex_re.finditer(*args):
+                        counted.append(m)
+                        yield m
+
+            source = head + "    assign x = y; // body comment\n" * body_lines + "endmodule\n"
+            with mock.patch.object(parser, "_LEX_RE", Counting()):
+                pm = parse_module(source)
+            assert [s.name for s in pm.signals] == ["a_val", "b_val"]
+            return len(counted)
+
+        lex_re = parser._LEX_RE
+        assert matches(1_000) == matches(100_000) < 5
 
 
 class TestFieldSplitting:
@@ -416,6 +504,15 @@ class TestParseModule:
         assert [d for d in pm.diagnostics if d.code == "preprocessor-ignored"] == []
         pm = parse_module("module m;\n`define W 4\nendmodule\n")
         assert pm.diagnostics == []
+
+    def test_spans_after_directive_lines_are_source_positions(self):
+        # A directive line is blanked to spaces of its own length, so later offsets stay the source's.
+        pm = parse_module("`timescale 1ns/1ps\nmodule m (\n`ifdef FOO\n    input wire a,\n`endif\n"
+                          "    input wire b\n);\n")
+        assert [(s.name, s.span.line, s.span.column) for s in pm.signals] == [("a", 4, 5), ("b", 6, 5)]
+        assert [(d.code, d.span.line, d.span.column) for d in pm.diagnostics] == [
+            ("preprocessor-ignored", 3, 1), ("preprocessor-ignored", 5, 1)
+        ]
 
     def test_preprocessor_lines_blanked_everywhere(self):
         pm = parse_module("`define M module fake (input wire z);\nmodule m (input wire a);\nendmodule\n")
