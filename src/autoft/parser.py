@@ -49,14 +49,14 @@ so offsets and spans in the masked text are those of the source. The pass
 stops at the last AUTOSVA marker, since no marked comment starts after it,
 and the header is read from that masked copy with backtick directive lines
 blanked to spaces as well. That read is the whole file's unless a comment or
-a directive starts between the stop and the header's end; then the source is
-lexed again through the header's end, and through the whole source when the
-read fails or that still does not settle it. So the body past the header and
-the last marker is never lexed. One tokenizer, which skips string literals,
-reads both the header and the annotations: it closes and splits the header
-lists, splits a parameter item at its lone `=` (an item whose first `=`
-outside brackets is part of a comparison is skipped with a warning), and
-finds the tokens an attribute line may not hold. Every position reported is
+a directive starts between the stop and the header's end (the source's end
+when the read fails); then the whole source is lexed and the header read
+again. So a body past the header and the last marker is lexed only when such
+a comment or directive sits in the header. One tokenizer, which skips string
+literals, reads both the header and the annotations: it closes and splits the
+header lists, splits a parameter item at its lone `=` (an item whose first `=`
+outside brackets is part of a comparison is skipped with a warning), and finds
+the tokens an attribute line may not hold. Every position reported is
 a source offset turned into a line and column by one line map, which finds
 line starts no further than twice the furthest offset it is asked for.
 """
@@ -257,9 +257,9 @@ def _lex(source: str, stop: int | None = None) -> tuple[list[tuple[int, int, str
     return comments, "".join(parts)
 
 
-def _line_end(source: str, offset: int) -> int:
-    """The offset of the newline that ends the line holding `offset`, or the source's length."""
-    end = source.find("\n", offset)
+def _marker_stop(source: str) -> int:
+    """The end of the last AUTOSVA marker's line: no marked comment starts after it."""
+    end = source.find("\n", source.rfind(ANNOTATION_MARKER) + 1)
     return len(source) if end == -1 else end
 
 
@@ -285,7 +285,7 @@ def extract_annotation_regions(source: str, path: str = "<string>") -> list[tupl
     block comment never closes; an unmarked one is silently treated as
     running to the end of input, matching compiler behavior.
     """
-    comments, _ = _lex(source, source.rfind(ANNOTATION_MARKER) + 1)  # no marked comment starts after it
+    comments, _ = _lex(source, _marker_stop(source))
     lmap = _LineMap(source, path)
     return [(text, lmap.span(offset)) for text, offset in _regions(source, comments, lmap)]
 
@@ -655,10 +655,8 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     # Lex through the line of the last marker first. The header read from that
     # text is the whole file's unless a comment or a directive starts between
     # the stop and the header's end (the source's end when the read fails):
-    # then lex again through the header's line, the second time through the
-    # whole source.
-    stop, relexed = _line_end(source, source.rfind(ANNOTATION_MARKER) + 1), False
-    while True:
+    # then lex the whole source and read again.
+    for stop in (_marker_stop(source), len(source)):
         comments, masked = _lex(source, stop)
         try:
             (module, end), failure = _read_header(source, masked, stop, lmap), None
@@ -666,7 +664,6 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
             end, failure = len(source), exc
         if all(source.find(tok, stop, end) == -1 for tok in ("//", "/*", "`")):
             break
-        stop, relexed = len(source) if relexed else _line_end(source, end), True
     regions = _regions(source, comments, lmap)  # an open marked block is fatal first
     if failure:
         raise failure

@@ -184,7 +184,7 @@ class TestLexStop:
         assert module_or_diagnostics(source) == whole_file_parse(source)
 
     @pytest.mark.parametrize("source", [
-        "module m (input wire a, // )\n input wire b, // )\n input wire c);\n",  # relexed twice
+        "module m (input wire a, // )\n input wire b, // )\n input wire c);\n",  # no marker: line 1, then the whole source
         "// AUTOSVA t: a -in> b\nmodule/**/m (input wire a);\n",
         "// AUTOSVA t: a -in> b\n// module z (input wire q);\nmodule m (input wire a_val);\n",
         "// AUTOSVA t: a -in> b\nmodule m ( // \"\n input wire a_val);\n",
