@@ -47,12 +47,13 @@ annotations are read from, and a masked copy in which those comments (not
 strings) are blanked to spaces. Newlines stay, also inside block comments,
 so offsets and spans in the masked text are those of the source. The pass
 stops at the last AUTOSVA marker, since no marked comment starts after it,
-and the header is read from that masked copy with backtick directive lines
-blanked to spaces as well. That read is the whole file's unless a comment or
-a directive starts between the stop and the header's end (the source's end
-when the read fails); then the whole source is lexed and the header read
-again. So a body past the header and the last marker is lexed only when such
-a comment or directive sits in the header. One tokenizer, which skips string
+and the header is read from that masked copy, continued with the source up
+to the first comment or directive after the stop, with backtick directive
+lines blanked to spaces as well. That read is the whole file's unless the
+header runs past that comment or directive (or the read fails); then the
+whole source is lexed and the header read again. So a body past the header
+and the last marker is neither lexed nor copied unless such a comment or
+directive sits in the header. One tokenizer, which skips string
 literals, reads both the header and the annotations: it closes and splits the
 header lists, splits a parameter item at its lone `=` (an item whose first `=`
 outside brackets is part of a comparison is skipped with a warning), and finds
@@ -231,10 +232,11 @@ _LEX_RE = re.compile(
 
 
 def _lex(source: str, stop: int | None = None) -> tuple[list[tuple[int, int, str]], str]:
-    """Comments that start before `stop` as (start, end, kind), and the source with them blanked.
+    """Comments that start before `stop` as (start, end, kind), and the source through them blanked.
 
-    `stop` defaults to the end of the source; text after the last comment
-    lexed is left as it is. kind is 'line', 'block', or 'open_block' for a
+    `stop` defaults to the end of the source. The masked text runs to `stop`
+    or to the end of the last comment lexed, whichever is later; the source
+    past it is not copied. kind is 'line', 'block', or 'open_block' for a
     block comment that never closes; the caller decides whether that is
     fatal. A blanked comment keeps its newlines, so offsets into the masked
     text are offsets into `source`.
@@ -253,7 +255,7 @@ def _lex(source: str, stop: int | None = None) -> tuple[list[tuple[int, int, str
         text = " " * (end - start) if kind == "line" else "\n".join(" " * len(line) for line in m[0].split("\n"))
         parts += source[done:start], text
         done = end
-    parts.append(source[done:])
+    parts.append(source[done:stop])
     return comments, "".join(parts)
 
 
@@ -571,6 +573,7 @@ def _parse_port_item(
 
 
 _DIRECTIVE_RE = re.compile(r"^[ \t]*`[^\n]*$", re.MULTILINE)
+_OPENER_RE = re.compile(r"//|/\*|`")  # a comment or a directive
 _MODULE_RE = re.compile(r"\bmodule\s+([A-Za-z_][A-Za-z0-9_$]*)")
 _IMPORT_RE = re.compile(r"\s*import\s+[^;]+;")
 _PARAMS_OPEN_RE = re.compile(r"\s*#\s*\(")
@@ -581,9 +584,10 @@ _SEMI_RE = re.compile(r"\s*;")
 def _read_header(source: str, masked: str, stop: int, lmap: _LineMap) -> tuple[ParsedModule, int]:
     """The header read from `masked`, which `_lex` blanked before `stop`, and the offset past the header.
 
-    `stop` ends a line, and directive lines before it are blanked to spaces.
-    The module has no annotations yet. The offset is the source's length
-    when neither a port list nor `;` follows the module name.
+    `masked` may end before the source does. `stop` ends a line, and
+    directive lines before it are blanked to spaces. The module has no
+    annotations yet. The offset is the source's length when neither a port
+    list nor `;` follows the module name.
     """
     directives = list(_DIRECTIVE_RE.finditer(masked, 0, stop)) if masked.find("`", 0, stop) != -1 else []
     if directives:
@@ -652,17 +656,21 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     region.
     """
     lmap = _LineMap(source, path)
-    # Lex through the line of the last marker first. The header read from that
-    # text is the whole file's unless a comment or a directive starts between
-    # the stop and the header's end (the source's end when the read fails):
-    # then lex the whole source and read again.
-    for stop in (_marker_stop(source), len(source)):
+    # Lex through the line of the last marker first, and read the header from
+    # that text as far as the first comment or directive opener after it. The
+    # read is the whole file's if the header ends by that opener; if it runs
+    # past it (to the source's end when the read fails), lex the whole source
+    # and read again.
+    stop = _marker_stop(source)
+    opener = _OPENER_RE.search(source, stop)
+    for stop, cut in ((stop, opener.start() if opener else len(source)), (len(source), len(source))):
         comments, masked = _lex(source, stop)
+        masked += source[len(masked) : cut]
         try:
             (module, end), failure = _read_header(source, masked, stop, lmap), None
         except GenerationError as exc:
             end, failure = len(source), exc
-        if all(source.find(tok, stop, end) == -1 for tok in ("//", "/*", "`")):
+        if end <= cut:
             break
     regions = _regions(source, comments, lmap)  # an open marked block is fatal first
     if failure:

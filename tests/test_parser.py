@@ -126,6 +126,12 @@ class TestLexer:
         _, masked = _lex(source)
         assert masked == 'a     \n      "/* s */"     \ne'
 
+    def test_mask_ends_at_stop_or_last_comment_lexed(self):
+        source = "a /* b\n c */ x // d\ny"
+        assert _lex(source, 3) == ([(2, 12, "block")], "a     \n     ")
+        assert _lex(source, 14) == ([(2, 12, "block")], "a     \n      x")
+        assert _lex(source, 1) == ([], "a")
+
     def test_unterminated_unmarked_block_is_not_fatal(self):
         assert extract_annotation_regions("// AUTOSVA t: a -in> b\n/* open\n") != []
         pm = parse_module("module m (input wire a);\n/* body comment never closed\n")
