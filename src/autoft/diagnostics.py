@@ -5,37 +5,36 @@ single run can surface all of them at once instead of stopping at the first.
 Only conditions that make it impossible to continue (no module header, an
 unterminated annotation region) stop a stage at once. Whatever stops a run
 raises one type, :class:`GenerationError`, carrying its diagnostics.
+
+A span and a diagnostic are named tuples of their fields, as the parser's
+records are: immutable, cheap to build, and compared by value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
+class SourceSpan(namedtuple("SourceSpan", "file line column")):
     """A 1-based position in an input file."""
 
-    file: str
-    line: int
-    column: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.line < 1 or self.column < 1:
-            raise ValueError(f"span must be 1-based, got {self.line}:{self.column}")
+    def __new__(cls, file: str, line: int, column: int) -> SourceSpan:
+        if line < 1 or column < 1:
+            raise ValueError(f"span must be 1-based, got {line}:{column}")
+        return tuple.__new__(cls, (file, line, column))
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    """One reportable problem, keyed by a stable machine-readable code."""
+class Diagnostic(namedtuple("Diagnostic", "severity code message span snippet", defaults=(None, ""))):
+    """One reportable problem, keyed by a stable machine-readable code.
 
-    severity: str  # "error" or "warning"
-    code: str
-    message: str
-    span: SourceSpan | None = None
-    snippet: str = ""
+    severity is "error" or "warning"; span may be None and snippet empty.
+    """
+
+    __slots__ = ()
 
     @property
     def is_error(self) -> bool:

@@ -57,18 +57,18 @@ def _port_lines(pm: ParsedModule) -> list[str]:
     return [f"{d} {s.opaque_type or 'wire'} {width_prefix(s.width_expr)}{s.name}" for d, s in ports]
 
 
-def _render_property(p: GeneratedProperty, opts: GenOptions) -> list[str]:
-    head = f"@(posedge {opts.clk}) disable iff ({opts.rst_expr})"
-    body = f"{head}\n    {p.ltl_text}"
+def _render_property(p: GeneratedProperty, head: str) -> str:
+    """The property's text, of one or more lines; `head` is the module's `@(posedge clk) disable iff (...)`."""
+    body = f"{head}\n    {p.body.render()}"
     if p.directive == ASSUME:
-        return [
-            f"if (ASSERT_INPUTS) begin : {p.name}_asrt",
-            f"    {p.name}: assert property ({body});",
-            f"end else begin : {p.name}_assm",
-            f"    {p.name}: assume property ({body});",
-            "end",
-        ]
-    return [f"{p.name}: {p.directive} property ({body});"]
+        return (
+            f"if (ASSERT_INPUTS) begin : {p.name}_asrt\n"
+            f"    {p.name}: assert property ({body});\n"
+            f"end else begin : {p.name}_assm\n"
+            f"    {p.name}: assume property ({body});\n"
+            "end"
+        )
+    return f"{p.name}: {p.directive} property ({body});"
 
 
 def _relation_text(t: Transaction) -> str:
@@ -99,27 +99,22 @@ def emit_property_module(
     lines.extend(_listed(_port_lines(pm)))
     lines.append(");")
 
+    head = f"@(posedge {opts.clk}) disable iff ({opts.rst_expr})"
     for t, t_aux, t_props in zip(txns, aux, props):
-        lines.append("")
-        lines.append(f"// ---- transaction {_relation_text(t)} ----")
-        lines.append("")
+        lines += ["", f"// ---- transaction {_relation_text(t)} ----", ""]
         for a in t_aux.signals:
-            lines.extend(a.declare(opts))
-        regular = [p for p in t_props if p.kind != "xprop"]
-        guarded = [p for p in t_props if p.kind == "xprop"]
-        for p in regular:
-            lines.append("")
-            lines.extend(_render_property(p, opts))
+            lines += a.declare(opts)
+        guarded = []
+        for p in t_props:
+            if p.kind == "xprop":
+                guarded.append(_render_property(p, head))
+            else:
+                lines += ("", _render_property(p, head))
         if guarded:
-            lines.append("")
-            lines.append("`ifdef XPROP")
-            for p in guarded:
-                lines.extend(_render_property(p, opts))
-            lines.append("`endif")
+            lines += ["", "`ifdef XPROP", *guarded, "`endif"]
 
-    lines.append("")
-    lines.append("endmodule")
-    return GeneratedFile(f"{dut}_prop.sv", "\n".join(lines) + "\n")
+    lines += ["", "endmodule", ""]  # the last "" ends the text with a newline, joined without a copy
+    return GeneratedFile(f"{dut}_prop.sv", "\n".join(lines))
 
 
 def emit_bind_file(pm: ParsedModule) -> GeneratedFile:

@@ -53,19 +53,31 @@ lines blanked to spaces as well. That read is the whole file's unless the
 header runs past that comment or directive (or the read fails); then the
 whole source is lexed and the header read again. So a body past the header
 and the last marker is neither lexed nor copied unless such a comment or
-directive sits in the header. One tokenizer, which skips string
+directive sits in the header. The header is the first `module` keyword
+that starts a word. One tokenizer, which skips string
 literals, reads both the header and the annotations: it closes and splits the
 header lists, splits a parameter item at its lone `=` (an item whose first `=`
 outside brackets is part of a comparison is skipped with a warning), and finds
-the tokens an attribute line may not hold. Every position reported is
-a source offset turned into a line and column by one line map, which finds
-line starts no further than twice the furthest offset it is asked for.
+the tokens an attribute line may not hold. Three common shapes skip it and
+read alike in one regex match: a plain port item (a one-bit port, or one
+`[...:0]` range), a well-formed relation, and an attribute line whose range
+and right-hand side hold no bracket, quote, `=`, `;`, `/` or `*`. Every
+position reported is a source offset turned into a line and column by one
+line map, which finds line starts no further than twice the furthest offset
+it is asked for.
+
+Every record this module returns (`Parameter`, `InterfaceSignal`,
+`RelationDecl`, `ExplicitAttrib`, `Annotation`) is a named tuple of its
+fields, like the spans and diagnostics of `autoft.diagnostics` and the nodes
+of `autoft.sva`: immutable and cheap to build. Like any tuple it compares by
+value, not by type.
 """
 from __future__ import annotations
 
 import bisect
 import functools
 import re
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -73,32 +85,27 @@ from .diagnostics import Diagnostic, GenerationError, SourceSpan, error, warning
 
 ANNOTATION_MARKER = "AUTOSVA"
 
-# Legal attribute suffixes, longest first so that longest-match wins.
+# Legal attribute suffixes. No `_<suffix>` ends another, so at most one ends a field name.
 SUFFIXES = ("transid_unique", "transid", "active", "stable", "data", "val", "ack")
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_$]*"
+IDENT_RE = re.compile(_IDENT)
 _LITERAL_WIDTH_RE = re.compile(r"^\[\s*(\d+)\s*:\s*0\s*\]$")
 
 
-def is_identifier(text: str) -> bool:
-    return IDENT_RE.fullmatch(text) is not None
+class Parameter(namedtuple("Parameter", "name value_expr")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Parameter:
-    name: str
-    value_expr: str
+class InterfaceSignal(namedtuple("InterfaceSignal", "direction name width_expr span opaque_type", defaults=(None,))):
+    """A header port, or a signal an `input`/`output` annotation declares.
 
+    direction is "input" or "output"; width_expr the packed range verbatim,
+    such as "[WIDTH-1:0]", or "" for 1 bit; opaque_type a user-defined type
+    name, whose width is unknown, or None.
+    """
 
-@dataclass(frozen=True, slots=True)
-class InterfaceSignal:
-    """A header port, or a signal an `input`/`output` annotation declares."""
-
-    direction: str  # "input" or "output"
-    name: str
-    width_expr: str  # verbatim packed range such as "[WIDTH-1:0]", "" for 1-bit
-    span: SourceSpan
-    opaque_type: str | None = None  # user-defined type name, width unknown
+    __slots__ = ()
 
     @property
     def width_bits(self) -> int | None:
@@ -108,22 +115,20 @@ class InterfaceSignal:
         return literal_width_bits(self.width_expr)
 
 
-@dataclass(frozen=True, slots=True)
-class RelationDecl:
-    tname: str
-    p: str
-    q: str
-    direction: str  # "incoming" or "outgoing"
+class RelationDecl(namedtuple("RelationDecl", "tname p q direction")):
+    """`tname: p -in> q`; direction is "incoming" or "outgoing"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ExplicitAttrib:
-    """A `[width] field = expr` binding."""
+class ExplicitAttrib(namedtuple("ExplicitAttrib", "name width_expr expr span")):
+    """A `[width] field = expr` binding.
 
-    name: str  # the field as written, `<interface>_<suffix>`
-    width_expr: str  # "" when not given: width unknown
-    expr: str
-    span: SourceSpan
+    name is the field as written, `<interface>_<suffix>`; width_expr is ""
+    when no range is given, and the width is then unknown.
+    """
+
+    __slots__ = ()
 
     @property
     def width_bits(self) -> int | None:
@@ -131,13 +136,13 @@ class ExplicitAttrib:
         return literal_width_bits(self.width_expr) if self.width_expr else None
 
 
-@dataclass(frozen=True, slots=True)
-class Annotation:
-    """One payload line; the payload's type says which kind of annotation it is."""
+class Annotation(namedtuple("Annotation", "raw_text span payload")):
+    """One payload line; the payload's type says which kind of annotation it is.
 
-    raw_text: str
-    span: SourceSpan
-    payload: RelationDecl | ExplicitAttrib | InterfaceSignal
+    The payload is a `RelationDecl`, an `ExplicitAttrib` or an `InterfaceSignal`.
+    """
+
+    __slots__ = ()
 
 
 @dataclass
@@ -174,15 +179,14 @@ def literal_width_bits(width_expr: str) -> int | None:
     return None
 
 
+# The one `_<suffix>` that ends a name, if any, is where the lazy prefix stops.
+_FIELD_RE = re.compile(rf"([A-Za-z_][A-Za-z0-9_$]*?)_({'|'.join(SUFFIXES)})")
+
+
 def split_field(name: str) -> tuple[str, str] | None:
     """`(prefix, suffix)` of `<prefix>_<suffix>`, by the longest legal suffix; None if there is none."""
-    for suffix in SUFFIXES:
-        tail = "_" + suffix
-        if name.endswith(tail) and len(name) > len(tail):
-            prefix = name[: -len(tail)]
-            if is_identifier(prefix):
-                return prefix, suffix
-    return None
+    m = _FIELD_RE.fullmatch(name)
+    return m.groups() if m else None
 
 
 _NEWLINE_RE = re.compile("\n")
@@ -252,7 +256,7 @@ def _lex(source: str, stop: int | None = None) -> tuple[list[tuple[int, int, str
             continue
         end = m.end()
         comments.append((start, end, kind))
-        text = " " * (end - start) if kind == "line" else "\n".join(" " * len(line) for line in m[0].split("\n"))
+        text = " " * (end - start) if kind == "line" else "\n".join([" " * len(line) for line in m[0].split("\n")])
         parts += source[done:start], text
         done = end
     parts.append(source[done:stop])
@@ -351,6 +355,9 @@ def _region_lines(text: str, offset: int) -> list[tuple[str, int]]:
 
 _ARROW_RE = re.compile(r"(-in>|-out>)")
 _RELATION_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_$]*)\s*:\s*(.*?)\s*$")
+# A relation that `parse_relation` accepts, read in one match: `_RELATION_RE`'s
+# right-hand side holds no newline, so no whitespace around the arrow does.
+_WELL_FORMED_RELATION_RE = re.compile(rf"\s*({_IDENT})\s*:\s*({_IDENT})[^\S\n]*-(in|out)>[^\S\n]*({_IDENT})\s*")
 
 
 def parse_relation(line: str, span: SourceSpan, diags: list[Diagnostic]) -> RelationDecl | None:
@@ -360,6 +367,10 @@ def parse_relation(line: str, span: SourceSpan, diags: list[Diagnostic]) -> Rela
     not one of the two arrows, and `bad-relation` when the line cannot be
     shaped into name, interface, arrow, interface at all.
     """
+    m = _WELL_FORMED_RELATION_RE.fullmatch(line)
+    if m:
+        tname, p, arrow, q = m.groups()
+        return RelationDecl(tname, p, q, "incoming" if arrow == "in" else "outgoing")
     m = _RELATION_RE.match(line)
     rhs = m.group(2) if m else ""
     arrows = _ARROW_RE.findall(rhs)
@@ -367,8 +378,6 @@ def parse_relation(line: str, span: SourceSpan, diags: list[Diagnostic]) -> Rela
         code, message = "bad-relation", "relation must start with 'name:'"
     elif len(arrows) == 1:
         p, q = (side.strip() for side in _ARROW_RE.split(rhs)[::2])
-        if is_identifier(p) and is_identifier(q):
-            return RelationDecl(m.group(1), p, q, "incoming" if arrows[0] == "-in>" else "outgoing")
         code, message = "bad-relation", f"interface names must be identifiers: '{p}', '{q}'"
     elif len(parts := rhs.split()) == 3:
         code, message = "bad-arrow", f"expected '-in>' or '-out>' between interfaces, got '{parts[1]}'"
@@ -421,6 +430,8 @@ def _parse_annotation_line(line: str, offset: int, lmap: _LineMap, diags: list[D
 # tokens; and each bracket and separator. Every alternative begins with a
 # literal character, which lets the regex engine skip ahead to candidates.
 _TOKEN_RE = re.compile("|".join([_STRING, "===?", "!==?", "<=", ">=", "//", r"/\*", r"\*/", *map(re.escape, "=()[]{},;")]))
+# Text in which `_TOKEN_RE` finds commas at most.
+_UNTOKENED_RE = re.compile(r'[^()\[\]{}"=;/*]*')
 _OPENERS = "([{"
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
 _COMMENT_TOKENS = ("//", "/*", "*/")
@@ -453,6 +464,10 @@ def _bad_token(line: str, assign: re.Match | None) -> tuple[int, str] | None:
     off, every `;` and every lone `=` is. Failing all of these, the first
     opener left open does not balance.
     """
+    if assign and _UNTOKENED_RE.fullmatch(line, assign.start("expr")) and (
+        not assign["width"] or _UNTOKENED_RE.fullmatch(line, assign.start("width") + 1, assign.end("width") - 1)
+    ):
+        return None  # no token but the range's brackets, the `=` and commas
     rhs_start, rhs_end = assign.span("expr") if assign else (len(line), len(line))
     opened: list[int] = []
     for off, tok, _ in _tokens(line):
@@ -534,6 +549,14 @@ _OPAQUE_PORT_RE = re.compile(
     r"^\s*(input|output)\s+(?!(?:wire|logic|reg|var|signed|unsigned)\s)"
     r"([A-Za-z_][A-Za-z0-9_$]*)\s+([A-Za-z_][A-Za-z0-9_$]*)\s*$"
 )
+# A port list item that `_parse_port_item` reads without a warning, with the
+# `,` or `)` after it: a one-bit port, or one range that ends at `:0` and holds
+# no bracket, separator, quote or newline. That range is its only bracket pair
+# and it holds no string, so `_header_list` ends or splits the list there too.
+_PLAIN_PORT_RE = re.compile(
+    r"\s*(input|output)\s+(?:(?:wire|logic|reg|var)\s+)?(?:(?:signed|unsigned)\s+)?"
+    rf'(?:(\[[^\[\](){{}}",\n]*:0\])\s*)?({_IDENT})\s*([,)])'
+)
 _RANGE_RE = re.compile(r"\[[^\]]+\]")
 _CANONICAL_RANGE_RE = re.compile(r"^\[.*:0\]$")
 
@@ -574,7 +597,10 @@ def _parse_port_item(
 
 _DIRECTIVE_RE = re.compile(r"^[ \t]*`[^\n]*$", re.MULTILINE)
 _OPENER_RE = re.compile(r"//|/\*|`")  # a comment or a directive
-_MODULE_RE = re.compile(r"\bmodule\s+([A-Za-z_][A-Za-z0-9_$]*)")
+# No leading `\b`, which would keep the regex engine from skipping ahead to the
+# literal `module`; a hit that follows a word character is stepped past instead.
+_MODULE_RE = re.compile(rf"module\s+({_IDENT})")
+_WORD_RE = re.compile(r"\w")
 _IMPORT_RE = re.compile(r"\s*import\s+[^;]+;")
 _PARAMS_OPEN_RE = re.compile(r"\s*#\s*\(")
 _PORTS_OPEN_RE = re.compile(r"\s*\(")
@@ -595,6 +621,8 @@ def _read_header(source: str, masked: str, stop: int, lmap: _LineMap) -> tuple[P
     diags: list[Diagnostic] = []
 
     header = _MODULE_RE.search(masked)
+    while header and header.start() and _WORD_RE.match(masked, header.start() - 1):  # as `\bmodule` would skip it
+        header = _MODULE_RE.search(masked, header.start() + 1)
     if not header:
         raise GenerationError([error("no-module-header", "no 'module <name>' found in input", lmap.span(0))])
     pos = header.end()
@@ -619,15 +647,24 @@ def _read_header(source: str, masked: str, stop: int, lmap: _LineMap) -> tuple[P
     signals: list[InterfaceSignal] = []
     m = _PORTS_OPEN_RE.match(masked, pos)
     if m:
-        listed = _header_list(masked, m.end() - 1)
-        if listed is None:
-            raise GenerationError([error("no-module-header", "unclosed port list", lmap.span(m.end() - 1))])
-        items, pos = listed
-        for item, off in items:
-            pad = len(item) - len(item.lstrip())
-            sig = _parse_port_item(item, lmap.span(off + pad), diags)
-            if sig:
-                signals.append(sig)
+        pos = m.end()
+        while plain := _PLAIN_PORT_RE.match(masked, pos):  # one match per plain item
+            direction, width, name, sep = plain.groups()
+            width = width.replace(" ", "") if width else ""
+            signals.append(InterfaceSignal(direction, name, width, lmap.span(plain.start(1))))
+            pos = plain.end()
+            if sep == ")":
+                break
+        else:  # the rest of the list, from the first item that is not plain
+            listed = _header_list(masked, pos - 1)
+            if listed is None:
+                raise GenerationError([error("no-module-header", "unclosed port list", lmap.span(m.end() - 1))])
+            items, pos = listed
+            for item, off in items:
+                pad = len(item) - len(item.lstrip())
+                sig = _parse_port_item(item, lmap.span(off + pad), diags)
+                if sig:
+                    signals.append(sig)
     elif m := _SEMI_RE.match(masked, pos):
         pos = m.end()
     else:

@@ -91,6 +91,10 @@ def plan_polarity(direction: str, kind: str) -> str:
     return ASSERT  # active_covered and xprop
 
 
+# Direction -> kind -> directive, by `plan_polarity`.
+_POLARITY = {d: {kind: plan_polarity(d, kind) for kind in KINDS} for d in ("incoming", "outgoing")}
+
+
 @dataclass(slots=True)
 class GeneratedProperty:
     """One property: its IR body, rendered on demand as SVA text."""
@@ -170,10 +174,10 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     tn = t.tname
     tracked = "inflight" in roles  # synth tracks a transaction with an id on both sides
     props: list[GeneratedProperty] = []
+    polarity = _POLARITY[t.direction]
 
     def emit(kind: str, body: Node, *, name: str | None = None, directive: str | None = None) -> None:
-        directive = directive or plan_polarity(t.direction, kind)
-        props.append(GeneratedProperty(name or f"{tn}_{kind}", kind, directive, body))
+        props.append(GeneratedProperty(name or f"{tn}_{kind}", kind, directive or polarity[kind], body))
 
     p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
     p_val, q_val = roles["p_val"], roles["q_val"]
@@ -243,11 +247,10 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
         )
 
     # xprop: per side, no attribute is X while the valid is high
-    for side_role in ("p", "q"):
-        others = tuple(roles[f"{side_role}_{sfx}"] for sfx in ("ack", "transid", "data")
-                       if f"{side_role}_{sfx}" in roles)
-        emit("xprop", xprop(roles[f"{side_role}_val"], others),
-             name=f"{tn}_xprop_{side_role}")
+    for side_role, val, controls in (("p", p_val, ("p_ack", "p_transid", "p_data")),
+                                     ("q", q_val, ("q_ack", "q_transid", "q_data"))):
+        others = tuple(roles[r] for r in controls if r in roles)
+        emit("xprop", xprop(val, others), name=f"{tn}_xprop_{side_role}")
 
     return props
 

@@ -116,8 +116,9 @@ def synth_transaction_aux(
         return wire((b.name, b.expr), b.name, AttribWire, b.expr, b.width_expr)
 
     for side_role, side in (("p", t.p), ("q", t.q)):
+        bindings = side.bindings
         for suffix in ("val", "ack", "transid", "data", "stable"):
-            binding = side.get(suffix)
+            binding = bindings.get(suffix)
             if binding is None:
                 continue
             if suffix == "stable" and isinstance(binding, ExplicitAttrib) and _is_flag_expr(binding.expr):

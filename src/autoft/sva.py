@@ -82,7 +82,7 @@ class Or(namedtuple("Or", "args"), _Infix):
     __slots__ = ()
 
     def render(self) -> str:
-        return " || ".join(a.operand() for a in self.args)
+        return " || ".join([a.operand() for a in self.args])
 
 
 class Eq(namedtuple("Eq", "a b two_valued", defaults=(False,)), _Infix):
@@ -108,7 +108,7 @@ def _concat(items: tuple[Node, ...]) -> str:
     """`{a, b, ...}`; a single item is emitted bare."""
     if len(items) == 1:
         return items[0].render()
-    return "{" + ", ".join(x.render() for x in items) + "}"
+    return "{" + ", ".join([x.render() for x in items]) + "}"
 
 
 class Stable(namedtuple("Stable", "items"), Node):

@@ -57,25 +57,26 @@ def _candidate_bindings(
     """Collect bindings per interface name: an assign beats a signal."""
     per_iface: dict[str, dict[str, Binding]] = {p: {} for p in prefixes}
     for ann in pm.annotations:
-        if isinstance(ann.payload, RelationDecl):
+        payload = ann.payload
+        if isinstance(payload, RelationDecl):
             continue
-        prefix, suffix = split_field(ann.payload.name)
-        if prefix not in prefixes:
+        prefix, suffix = split_field(payload.name)
+        if prefix not in per_iface:
             diags.append(
                 error(
                     "unbound-attribute",
-                    f"'{ann.payload.name}' names interface '{prefix}' which appears in no relation",
+                    f"'{payload.name}' names interface '{prefix}' which appears in no relation",
                     ann.span,
                     ann.raw_text,
                 )
             )
-        elif isinstance(ann.payload, ExplicitAttrib):
-            first = per_iface[prefix].setdefault(suffix, ann.payload)
-            if first is not ann.payload:
+        elif isinstance(payload, ExplicitAttrib):
+            first = per_iface[prefix].setdefault(suffix, payload)
+            if first is not payload:
                 diags.append(
                     error(
                         "duplicate-binding",
-                        f"attribute '{ann.payload.name}' bound twice (first at {first.span})",
+                        f"attribute '{payload.name}' bound twice (first at {first.span})",
                         ann.span,
                         ann.raw_text,
                     )
@@ -83,7 +84,7 @@ def _candidate_bindings(
 
     for sig in pm.signals + pm.declared_signals():
         prefix, suffix = split_field(sig.name) or (None, None)
-        if prefix not in prefixes:
+        if prefix not in per_iface:
             continue  # not an attribute of any declared interface
         bound = per_iface[prefix].setdefault(suffix, sig)
         if isinstance(bound, ExplicitAttrib):
@@ -101,6 +102,7 @@ def _candidate_bindings(
 def _check_paired_widths(
     t_name: str, suffix: str, p: Binding | None, q: Binding | None, diags: list[Diagnostic],
 ) -> None:
+    """Report an attribute bound on one side only, or with two known widths that differ; one side is bound."""
     if (p is None) != (q is None):
         diags.append(
             error(
@@ -109,8 +111,6 @@ def _check_paired_widths(
                 (p or q).span,
             )
         )
-        return
-    if p is None:
         return
     wp, wq = p.width_bits, q.width_bits
     if wp is not None and wq is not None and wp != wq:
@@ -152,32 +152,34 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
 
         p_side = InterfaceSide(rel.p, dict(per_iface[rel.p]))
         q_side = InterfaceSide(rel.q, dict(per_iface[rel.q]))
+        p_bindings, q_bindings = p_side.bindings, q_side.bindings
 
         for side in (p_side, q_side):
-            if not side.has("val"):
+            if "val" not in side.bindings:
                 diags.append(
                     error("missing-val", f"interface '{side.name}' of '{rel.tname}' has no 'val' binding", ann.span, ann.raw_text)
                 )
                 bad = True
 
         for suffix in ("transid", "data"):
-            pb, qb = p_side.get(suffix), q_side.get(suffix)
-            _check_paired_widths(rel.tname, suffix, pb, qb, diags)
-            bad |= (pb is None) != (qb is None)
+            pb, qb = p_bindings.get(suffix), q_bindings.get(suffix)
+            if pb is not None or qb is not None:
+                _check_paired_widths(rel.tname, suffix, pb, qb, diags)
+                bad |= (pb is None) != (qb is None)
 
         for side in (p_side, q_side):
-            if side.has("transid_unique") and not side.has("transid"):
+            if "transid_unique" in side.bindings and "transid" not in side.bindings:
                 diags.append(
                     error(
                         "unique-without-transid",
                         f"'{side.name}_transid_unique' needs '{side.name}_transid' on the same interface",
-                        side.get("transid_unique").span,
+                        side.bindings["transid_unique"].span,
                     )
                 )
                 bad = True
 
         active = None
-        pa, qa = p_side.bindings.pop("active", None), q_side.bindings.pop("active", None)
+        pa, qa = p_bindings.pop("active", None), q_bindings.pop("active", None)
         if pa and qa:
             diags.append(
                 error("duplicate-binding", f"'active' of '{rel.tname}' is bound on both interfaces", qa.span)

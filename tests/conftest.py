@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -86,6 +85,6 @@ def module_projection(pm: ParsedModule):
         pm.module_name,
         tuple((p.name, p.value_expr) for p in pm.parameters),
         tuple((s.direction, s.name, s.width_expr, s.opaque_type) for s in pm.signals),
-        tuple(a.payload if isinstance(a.payload, RelationDecl) else replace(a.payload, span=None)
+        tuple(a.payload if isinstance(a.payload, RelationDecl) else a.payload._replace(span=None)
               for a in pm.annotations),
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_lexer
-from autoft.diagnostics import GenerationError
+from autoft.diagnostics import Diagnostic, GenerationError
 from autoft import parser
 from autoft.parser import (
     SUFFIXES,
@@ -255,6 +255,36 @@ class TestFieldSplitting:
         assert first == split_field(name)
         assert "_".join(first) == name
 
+    @staticmethod
+    def split_by_suffix_loop(name: str):
+        """The loop over the suffixes, longest first, that `split_field` replaced, kept as the reference."""
+        for suffix in SUFFIXES:
+            tail = "_" + suffix
+            if name.endswith(tail) and len(name) > len(tail):
+                prefix = name[: -len(tail)]
+                if parser.IDENT_RE.fullmatch(prefix):
+                    return prefix, suffix
+        return None
+
+    # Pieces of names: identifier characters, `$`, digits, lone and doubled
+    # underscores, whole suffixes, suffixes run together, and characters no
+    # identifier holds.
+    NAME_PIECES = st.sampled_from(
+        ["a", "x", "Z", "0", "9", "$", "_", "__", *SUFFIXES, *(f"_{s}" for s in SUFFIXES),
+         "_transid_unique_x", "unique", "_unique", "val_", " ", "-", ".", "é"]
+    )
+
+    @given(st.lists(NAME_PIECES, max_size=6).map("".join))
+    def test_matches_suffix_loop(self, name):
+        assert split_field(name) == self.split_by_suffix_loop(name)
+
+    @pytest.mark.parametrize("name", [
+        "", "_", "_val", "__val", "$_val", "9_val", "a$_val", "a_val_transid", "x_transid_unique_x",
+        "a_transid_unique", "a__transid", "a_unique", "a_val_", "a_valx", "a_val\n", "a b_val", "é_val",
+    ])
+    def test_matches_suffix_loop_on_edges(self, name):
+        assert split_field(name) == self.split_by_suffix_loop(name)
+
 
 class TestParseRelation:
     def test_incoming(self):
@@ -281,6 +311,123 @@ class TestParseRelation:
     def test_interior_whitespace_tolerated(self):
         rel = parse_relation("t :   a    -in>     b  ", SPAN, [])
         assert (rel.p, rel.q) == ("a", "b")
+
+    @pytest.mark.parametrize("line", ["\nt: a -in> b", "t\n:\na -in> b\n", "t: a\t-out>\tb"])
+    def test_newline_outside_the_arrow_tolerated(self, line):
+        assert parse_relation(line, SPAN, []) is not None
+
+    @pytest.mark.parametrize("line", ["t: a\n-in> b", "t: a -in>\nb"])
+    def test_newline_around_the_arrow_rejected(self, line):
+        diags = []
+        assert parse_relation(line, SPAN, diags) is None
+        assert [d.code for d in diags] == ["bad-relation"]
+
+
+class TestRecords:
+    """The parser's and the diagnostics' records are immutable and print as they always have."""
+
+    SPAN = SourceSpan("m.sv", 3, 7)
+    RECORDS = [
+        (SPAN, "line", "SourceSpan(file='m.sv', line=3, column=7)"),
+        (Diagnostic("warning", "c", "msg"), "code",
+         "Diagnostic(severity='warning', code='c', message='msg', span=None, snippet='')"),
+        (parser.Parameter("W", "8"), "value_expr", "Parameter(name='W', value_expr='8')"),
+        (parser.InterfaceSignal("input", "a_val", "[3:0]", SPAN), "width_expr",
+         "InterfaceSignal(direction='input', name='a_val', width_expr='[3:0]', "
+         "span=SourceSpan(file='m.sv', line=3, column=7), opaque_type=None)"),
+        (RelationDecl("t", "a", "b", "incoming"), "q",
+         "RelationDecl(tname='t', p='a', q='b', direction='incoming')"),
+        (ExplicitAttrib("a_data", "", "x", SPAN), "expr",
+         "ExplicitAttrib(name='a_data', width_expr='', expr='x', span=SourceSpan(file='m.sv', line=3, column=7))"),
+        (parser.Annotation("t: a -in> b", SPAN, RelationDecl("t", "a", "b", "incoming")), "payload",
+         "Annotation(raw_text='t: a -in> b', span=SourceSpan(file='m.sv', line=3, column=7), "
+         "payload=RelationDecl(tname='t', p='a', q='b', direction='incoming'))"),
+    ]
+
+    @pytest.mark.parametrize("record, field, text", RECORDS, ids=lambda x: type(x).__name__)
+    def test_field_cannot_be_assigned(self, record, field, text):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None  # no instance dictionary either
+
+    @pytest.mark.parametrize("record, field, text", RECORDS, ids=lambda x: type(x).__name__)
+    def test_repr_unchanged(self, record, field, text):
+        assert repr(record) == text
+
+    def test_span_prints_as_a_location(self):
+        assert str(self.SPAN) == "m.sv:3:7"
+        assert Diagnostic("error", "c", "msg", self.SPAN, " x ").render() == "m.sv:3:7: error[c]: msg\n    x"
+
+    @pytest.mark.parametrize("line, column", [(0, 1), (1, 0), (-1, 5)])
+    def test_span_must_be_one_based(self, line, column):
+        with pytest.raises(ValueError, match="1-based"):
+            SourceSpan("m.sv", line, column)
+
+    def test_width_bits(self):
+        assert parser.InterfaceSignal("input", "a", "[7:0]", self.SPAN).width_bits == 8
+        assert parser.InterfaceSignal("input", "a", "", self.SPAN, "t_t").width_bits is None
+        assert ExplicitAttrib("a_data", "", "x", self.SPAN).width_bits is None
+        assert ExplicitAttrib("a_data", "[1:0]", "x", self.SPAN).width_bits == 2
+
+
+class TestHeaderSearch:
+    """The header starts at the first `module` keyword that begins a word."""
+
+    @pytest.mark.parametrize("before", [
+        "endmodule\n", "xmodule q (input a);\n", "_module q;\n", "m1module q;\n", "émodule q;\n",
+        "endmodule endmodule\n", "// module c (input a);\n",
+    ])
+    def test_word_prefixed_keyword_skipped(self, before):
+        pm = parse_module(f"{before}module m (input a_val);\nendmodule\n")
+        assert pm.module_name == "m"
+        assert [s.name for s in pm.signals] == ["a_val"]
+
+    @pytest.mark.parametrize("source", [
+        "module m (input a_val);", "  \n\tmodule m (input a_val);", "x;module m (input a_val);",
+        "endmodule;module m (input a_val);", "(module m (input a_val);", "$module m (input a_val);",
+        "endmodule\nmodule\nm (input a_val);",
+    ])
+    def test_keyword_found(self, source):
+        pm = parse_module(source)
+        assert pm.module_name == "m"
+        assert [s.name for s in pm.signals] == ["a_val"]
+
+    def test_no_keyword_that_starts_a_word(self):
+        with pytest.raises(GenerationError) as exc:
+            parse_module("endmodule xmodule m (input a);")
+        assert [d.code for d in exc.value.diagnostics] == ["no-module-header"]
+
+
+class TestPortList:
+    """A plain port item is read by one match; the items after the first that is not are read one by one."""
+
+    ITEMS = st.sampled_from([
+        "input a_val", "output  wire b_ack", "input logic signed [W-1:0] c_data", "input [7 :0] d_transid",
+        "input wire [ 3 : 0 ] e", "output reg [0:7] f", "input [1:0][3:0] g", "input dat_t h", "inout i",
+        "input wire [a[1]:0] j", "input [W-1:\n0] k", "input [W\n-1:0] n", "input [a,b:0] o",
+        'input [a"b:0] p, input q"', "", "  input\n  var\n  l  ", "input m_val\t",
+    ])
+
+    @staticmethod
+    def one_by_one(source: str):
+        """Every item through `_header_list` and `_parse_port_item`, as the reference."""
+        open_pos = source.index("(")
+        items, _ = parser._header_list(source, open_pos)
+        lmap, diags, signals = _LineMap(source, "m.sv"), [], []
+        for item, off in items:
+            sig = parser._parse_port_item(item, lmap.span(off + len(item) - len(item.lstrip())), diags)
+            if sig:
+                signals.append(sig)
+        return signals, [(d.code, d.message, d.span) for d in diags]
+
+    @given(st.lists(ITEMS, min_size=1, max_size=8))
+    def test_matches_item_by_item_reading(self, items):
+        source = "module m (" + ",\n".join(items) + ");\n"
+        pm = parse_module(source, "m.sv")
+        got = pm.signals, [(d.code, d.message, d.span) for d in pm.diagnostics if d.code != "malformed-port-decl"
+                           or "declared twice" not in d.message]
+        assert got == self.one_by_one(source)
 
 
 # One corpus entry per language production or error rule: (source, check).
