@@ -57,8 +57,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--mutants", type=int, default=20000, help="mutants in total")
     args = ap.parse_args()
-    before = twin.load(args.src.resolve(), "autoft_before", ("parser", "diagnostics"))
-    after = twin.load(ROOT / "src", "autoft_after", ("parser", "diagnostics"))
+    before, after = twin.sides(args, ("parser", "diagnostics")).values()
     texts = [(ROOT / "fixtures" / f"{name}.sv").read_text(encoding="utf-8") for name in FIXTURES]
     headers = [_HEADER_RE.search(text).span() for text in texts]
     rng = random.Random(args.seed)

@@ -6,15 +6,9 @@
 Run from the root of a checkout; stdlib only. The inputs are the five bundled
 fixtures and perfbench's seeded wide files (250 to 4000 transactions, empty
 body) and deep files (1 to 8 transactions, 10k to 50k body lines), drawn by
-`perfbench/inputs.py`, which is only imported. `--src` names the `src/`
-directory of another checkout, such as a `git archive` of the parent commit;
-it is measured as "before" and this checkout's `src/` as "after".
-
-Both sides run in this one process: each side's `autoft` package is loaded
-under its own name (`autoft_before`, `autoft_after`), and the two sides take
-turns on every input, the first side alternating between inputs and rounds,
-so drift in the speed of a shared host lands on both sides alike. A side's
-turn on an input runs three measurements, each after a full collection:
+`perfbench/inputs.py`, which is only imported. `bench/twin.py` loads the two
+sides and runs their turns, one per input and round. A side's turn on an
+input runs three measurements, each after a full collection:
 
 - `gc_on`: `generate_bundle` followed by `write_bundle`, with the time of
   each stage summed over the calls `generate_bundle` makes for it (parse,
@@ -30,17 +24,15 @@ the same bytes as each other. A time is the median over rounds. The JSON
 written has the per-input medians of each side, group totals (wide
 transactions per second through `cli.main`, deep parse MB/s, per-stage sums
 over the wide files) and, with two sides, the ratio after/before of each
-total.
+total, and under `paired_after_over_before` that ratio's quartiles over the
+rounds' pairs of turns, in which host drift cancels: a stage is judged
+against its own spread.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import io
-import json
-import os
-import platform
 import statistics
 import sys
 import tempfile
@@ -173,47 +165,34 @@ def summarize(files: list[dict], runs: dict[str, list[dict]]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", help="the src/ directory of the checkout to measure as 'before'")
+    ap = twin.options(__doc__, rounds=5)
     ap.add_argument("--seed", type=int, default=1, help="perfbench input seed (default 1)")
-    ap.add_argument("--rounds", type=int, default=5, help="turns per side and input (default 5)")
-    ap.add_argument("--out", help="write the JSON here instead of standard output")
     args = ap.parse_args(argv)
 
-    sides = {"after": twin.load(ROOT / "src", "autoft_after", MODULES)}
-    if args.src:
-        sides = {"before": twin.load(Path(args.src).resolve(), "autoft_before", MODULES), **sides}
+    sides = twin.sides(args, MODULES)
     with tempfile.TemporaryDirectory() as tmp:
         files = write_inputs(args.seed, Path(tmp))
         runs: dict[str, dict[str, list]] = {side: {f["name"]: [] for f in files} for side in sides}
-        order = list(sides)
-        for k in range(args.rounds):
-            for i, f in enumerate(files):
-                written = []
-                for side in order if (k + i) % 2 == 0 else order[::-1]:
-                    with tempfile.TemporaryDirectory(dir=tmp) as outdir:
-                        out, tree = turn(sides[side], f["path"], Path(outdir))
-                    runs[side][f["name"]].append(out)
-                    written.append(tree)
-                if any(tree != written[0] for tree in written):
-                    raise RuntimeError(f"the two sides wrote different files for {f['name']}")
-            print(f"round {k + 1}/{args.rounds} done", file=sys.stderr)
+        for _, f, order in twin.turns(sides, files, args.rounds):
+            written = []
+            for side in order:
+                with tempfile.TemporaryDirectory(dir=tmp) as outdir:
+                    out, tree = turn(sides[side], f["path"], Path(outdir))
+                runs[side][f["name"]].append(out)
+                written.append(tree)
+            if any(tree != written[0] for tree in written):
+                raise RuntimeError(f"the two sides wrote different files for {f['name']}")
 
     result = {
-        "command": "python3 bench/parse_stages.py" + (" --src <before>/src" if args.src else "")
-        + f" --seed {args.seed} --rounds {args.rounds}",
-        "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "inputs": [{k: f[k] for k in ("name", "group", "bytes", "txns")} for f in files],
         **{side: summarize(files, runs[side]) for side in sides},
     }
     if args.src:
-        before, after = result["before"]["totals"], result["after"]["totals"]
-        result["after_over_before"] = {k: round(after[k] / before[k], 3) if before[k] else None for k in before}
-    text = json.dumps(result, indent=1) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        result["after_over_before"] = twin.ratios(result["after"]["totals"], result["before"]["totals"])
+        rounds = {side: [summarize(files, {n: [rs[k]] for n, rs in runs[side].items()})["totals"]
+                         for k in range(args.rounds)] for side in sides}
+        result["paired_after_over_before"] = twin.paired(rounds["after"], rounds["before"])
+    twin.write(__file__, args, result)
     return 0
 
 

@@ -145,7 +145,8 @@ class NocBufferModel(_Model):
 
     With buggy=True the acknowledge ignores the full condition and a request
     accepted while full is silently dropped, so the response for its id never
-    appears: the tracked liveness check must catch exactly that.
+    appears: the tracked liveness check must catch exactly that. As in the
+    RTL, "full" is the occupancy at the start of the cycle, before its pop.
     """
 
     n_ids = 4
@@ -172,7 +173,8 @@ class NocBufferModel(_Model):
             in_val = 1 if driving and free and st.flip(0.8) else 0
             in_id = free[st.rng.randrange(len(free))] if in_val else 0
             in_data = st.rng.randrange(256)
-            in_ack = 1 if self.buggy or len(queue) < self.depth else 0
+            full = len(queue) == self.depth  # before this cycle's pop, as the RTL reads it
+            in_ack = 1 if self.buggy or not full else 0
             out_val = 1 if queue else 0
             out_id, out_data = queue[0] if queue else (0, 0)
             out_ack = st.ack(0.5) if driving else 1
@@ -183,9 +185,9 @@ class NocBufferModel(_Model):
                 env_outstanding.discard(out_id)
             if in_val and in_ack:
                 env_outstanding.add(in_id)
-                if len(queue) < self.depth:
+                if not full:
                     queue.append((in_id, in_data))
-                # else: accepted while full, entry dropped (the bug)
+                # else: accepted while full, entry dropped (the bug), even if this cycle pops
 
 
 class PipelineModel(_Model):

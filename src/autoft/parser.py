@@ -48,12 +48,12 @@ strings) are blanked to spaces. Newlines stay, also inside block comments,
 so offsets and spans in the masked text are those of the source. The pass
 stops at the last AUTOSVA marker, since no marked comment starts after it,
 and the header is read from that masked copy, continued with the source up
-to the first comment or directive after the stop, with backtick directive
-lines blanked to spaces as well. That read is the whole file's unless the
-header runs past that comment or directive (or the read fails); then the
+to the first comment, directive or string literal after the stop, with
+backtick directive lines blanked to spaces as well. That read is the whole
+file's unless the header runs past that opener (or the read fails); then the
 whole source is lexed and the header read again. So a body past the header
-and the last marker is neither lexed nor copied unless such a comment or
-directive sits in the header. The header is the first `module` keyword
+and the last marker is neither lexed nor copied unless such an opener sits
+in the header. The header is the first `module` keyword
 that starts a word. One tokenizer, which skips string
 literals, reads both the header and the annotations: it closes and splits the
 header lists, splits a parameter item at its lone `=` (an item whose first `=`
@@ -596,7 +596,7 @@ def _parse_port_item(
 
 
 _DIRECTIVE_RE = re.compile(r"^[ \t]*`[^\n]*$", re.MULTILINE)
-_OPENER_RE = re.compile(r"//|/\*|`")  # a comment or a directive
+_OPENER_RE = re.compile(r'//|/\*|`|"')  # a comment, a directive or a string literal
 # No leading `\b`, which would keep the regex engine from skipping ahead to the
 # literal `module`; a hit that follows a word character is stepped past instead.
 _MODULE_RE = re.compile(rf"module\s+({_IDENT})")
@@ -694,10 +694,10 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     """
     lmap = _LineMap(source, path)
     # Lex through the line of the last marker first, and read the header from
-    # that text as far as the first comment or directive opener after it. The
-    # read is the whole file's if the header ends by that opener; if it runs
-    # past it (to the source's end when the read fails), lex the whole source
-    # and read again.
+    # that text as far as the first comment, directive or string opener after
+    # it (a string may hold a comment opener). The read is the whole file's if
+    # the header ends by that opener; if it runs past it (to the source's end
+    # when the read fails), lex the whole source and read again.
     stop = _marker_stop(source)
     opener = _OPENER_RE.search(source, stop)
     for stop, cut in ((stop, opener.start() if opener else len(source)), (len(source), len(source))):

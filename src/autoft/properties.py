@@ -195,7 +195,7 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
 
     # ack: requests are eventually accepted
     if "p_ack" in roles:
-        if t.p.has("stable"):
+        if "stable" in t.p.bindings:
             emit("ack_eventually", eventually(p_val, roles["p_ack"], opts.bounded))
         else:
             # A dropped request also discharges the obligation, which would
@@ -203,7 +203,7 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
             emit("ack_eventually", ack_cover(p_val, roles["p_ack"], opts.bounded), directive=COVER)
 
     # stable: pending requests hold their payload
-    if t.q.has("stable"):
+    if "stable" in t.q.bindings:
         diags.append(
             warning(
                 "stable-on-response-side",
@@ -212,7 +212,7 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
                 t.span,
             )
         )
-    if t.p.has("stable"):
+    if "stable" in t.p.bindings:
         if "p_ack" not in roles:
             diags.append(
                 warning(
@@ -233,7 +233,7 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     # transid / transid_unique / data: id-tracked integrity
     if tracked:
         emit("transid_integrity", transid_integrity(inflight.clr, inflight))
-        if t.p.has("transid_unique") or t.q.has("transid_unique"):
+        if "transid_unique" in t.p.bindings or "transid_unique" in t.q.bindings:
             emit("uniqueness", uniqueness(inflight.set, inflight))
         if "sampled" in roles:
             emit("data_integrity", data_integrity(inflight.clr, roles["q_data"], roles["sampled"]))

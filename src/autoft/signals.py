@@ -20,7 +20,7 @@ from .diagnostics import Diagnostic, warning
 from .options import GenOptions
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule
 from .sva import And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched
-from .transactions import Transaction, transaction_kind
+from .transactions import Transaction
 
 _CONST_TRUE = {"1", "1'b1", "'1", "1'd1", "1'h1"}
 
@@ -73,7 +73,7 @@ def _attr_width(t: Transaction, suffix: str, diags: list[Diagnostic]) -> str:
     "" (1 bit) when neither has one; unless both sides are then known to be
     1 bit wide, this warns, naming a side's user type if there is one.
     """
-    sides = (t.p.get(suffix), t.q.get(suffix))
+    sides = (t.p.bindings[suffix], t.q.bindings[suffix])
     for b in sides:
         if b.width_expr:
             return b.width_expr
@@ -137,7 +137,7 @@ def synth_transaction_aux(
     roles["counter"] = counter
     signals.append(counter)
 
-    if transaction_kind(t) == "tracked":
+    if "transid" in t.p.bindings and "transid" in t.q.bindings:
         symb = roles["symb"] = Symbolic(namer.alloc(f"symb_{t.tname}_transid"), _attr_width(t, "transid", diags))
         signals.append(symb)
         request = matched(p_hsk, roles["p_transid"], symb)

@@ -266,8 +266,7 @@ class Compiler:
             return _always(self.column(body, ids))
         ant, con = self.column(body.ant, ids), body.con
         if con.__class__ is Eventually:
-            hi = self.window if con.hi is None else con.hi
-            return (_ever if hi is None else _within)(ant, self.column(con.x, ids), hi)
+            return _eventually(ant, self.column(con.x, ids), self.window if con.hi is None else con.hi)
         return _implies(ant, self.column(con, ids), 1 if body.next_cycle else 0)
 
 
@@ -309,29 +308,23 @@ def _implies(ant, con, d):
     return run
 
 
-def _ever(ant, x, hi):
-    """An eventuality still open at the end is pending: only the latest opening matters."""
+def _eventually(ant, x, hi):
+    """`ant |-> x` within hi cycles, or ever when hi is None, in one forward pass that keeps the oldest
+    open obligation: a discharge closes every open one, the oldest fails when its window closes, and it
+    is pending if the trace ends first. An unbounded window never closes."""
     def run(memo, n):
         a, c = ant(memo), x(memo)
-        for i in range(n - 1, -1, -1):
-            if a[i]:
-                return (HOLDS if any(c[i:]) else PENDING), None
-        return VACUOUS, None
-    return run
-
-
-def _within(ant, x, hi):
-    """The first opening not discharged within hi cycles decides: it fails when its window
-    closes, or is pending, as every later one is, if the trace ends first."""
-    def run(memo, n):
-        a, c = ant(memo), x(memo)
-        fired = False
+        opened = None
         for i in range(n):
-            if a[i]:
-                if not any(c[i:i + hi + 1]):
-                    return (VIOLATED, i + hi) if i + hi < n else (PENDING, None)
-                fired = True
-        return (HOLDS if fired else VACUOUS), None
+            if opened is None:
+                if not a[i]:
+                    continue
+                opened = i
+            if c[i]:
+                opened = None
+            elif i - opened == hi:
+                return VIOLATED, i
+        return (PENDING if opened is not None else HOLDS if any(a) else VACUOUS), None
     return run
 
 

@@ -27,12 +27,6 @@ class InterfaceSide:
     name: str
     bindings: dict[str, Binding] = field(default_factory=dict)
 
-    def get(self, suffix: str) -> Binding | None:
-        return self.bindings.get(suffix)
-
-    def has(self, suffix: str) -> bool:
-        return suffix in self.bindings
-
 
 @dataclass(slots=True)
 class Transaction:
@@ -44,11 +38,6 @@ class Transaction:
     q: InterfaceSide
     active: Binding | None = None  # transaction-level, not per side
     span: SourceSpan | None = None
-
-
-def transaction_kind(t: Transaction) -> str:
-    """"tracked" when a transaction id is bound on both sides, else "untracked"."""
-    return "tracked" if t.p.has("transid") and t.q.has("transid") else "untracked"
 
 
 def _candidate_bindings(

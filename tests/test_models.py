@@ -22,6 +22,7 @@ from autoft.properties import GeneratedProperty
 from autoft.sva import AttribWire, Eq, Eventually, Implies, Sig, Symbolic, walk
 from autoft.tracecheck import HOLDS, VACUOUS, VIOLATED, Trace, eval_property
 
+import differential
 from conftest import REPO, gen_fixture
 
 
@@ -38,14 +39,14 @@ PINNED_TRACES = {
     "noc_buffer": (MODEL_REGISTRY["noc_buffer"],
                    "f32cd914217e23fcfb70d065e1c3928f7031f56e58e0b51e0775c86733a66f10"),
     "noc_buffer_buggy": (MODEL_REGISTRY["noc_buffer_buggy"],
-                         "7a3340203999c5de5af043685357c7c08704efaf10a5f4fc338398dd35c3b942"),
+                         "e0a62fb67ce29ce100844cb5598146642aa517e55ff2f7cc270b24eccd4cbb3e"),
     "pipeline": (MODEL_REGISTRY["pipeline"],
                  "6fcd41d853565e8ddda4848d55d9af8083514442820fa0ae7aca7329114195b7"),
     "pipeline_double_issue": (lambda: PipelineModel(double_issue=True),
                               "40c6c9490246d1ca90ddc3fe69fbd76db6e9f13e357a49b5d54b0f5ad303e0d0"),
     # The oracle benchmark's size: more and longer traces.
     "noc_buffer_buggy_long": (lambda: NocBufferModel(buggy=True, n_traces=12, drive=100, tail=20),
-                              "5514874e102f7b3bf916bd816422b605a1100811a3c828904d4577d7ee156688"),
+                              "47820bc3da349956534c4ee83c4cb6fe648a66611e79aa7f56f8396c3afdd174"),
 }
 
 
@@ -87,6 +88,25 @@ class TestModelTraces:
             if pushes > pops:
                 dropped_somewhere = True
         assert dropped_somewhere
+
+    def test_buggy_buffer_follows_its_rtl(self):
+        # `fixtures/noc_buffer_buggy.sv` stores a request only when `!full`, with `full` read at the start of
+        # its cycle, before `rd_ptr` moves: one accepted while `depth` entries were queued never comes out.
+        model = NocBufferModel(buggy=True, n_traces=12, drive=100, tail=20)
+        dropped = 0
+        for trace in model.traces():
+            c, queue = trace.columns, []
+            for i in range(trace.length):
+                full = len(queue) == model.depth
+                assert c["buf_out_val"][i] == (1 if queue else 0)
+                if c["buf_out_val"][i] and c["buf_out_ack"][i]:
+                    assert (c["buf_out_mshrid"][i], c["buf_out_data"][i]) == queue.pop(0)
+                if c["buf_in_val"][i] and c["buf_in_ack"][i]:
+                    if full:
+                        dropped += 1
+                    else:
+                        queue.append((c["buf_in_mshrid"][i], c["buf_in_data"][i]))
+        assert dropped > 0
 
     def test_pipeline_holds_pending_request_stable(self):
         model = PipelineModel()
@@ -354,12 +374,25 @@ class TestOnePass:
         assert len(calls) == before * model.n_traces
 
 
-def test_model_check_bench_runs_at_tiny_size(tmp_path):
+def test_evaluator_bench_runs_at_tiny_size(tmp_path):
     # The before/after script, with this checkout on both sides so that both packages load.
     out = tmp_path / "bench.json"
-    subprocess.run([sys.executable, str(REPO / "bench" / "model_check.py"), "--src", str(REPO / "src"),
-                    "--rounds", "2", "--traces", "1", "--drive", "10", "--out", str(out)],
+    subprocess.run([sys.executable, str(REPO / "bench" / "evaluator.py"), "--src", str(REPO / "src"), "--rounds", "2",
+                    "--max-len", "2", "--traces", "1", "--drive", "10", "--out", str(out)],
                    capture_output=True, text=True, check=True)
     report = json.loads(out.read_text())
-    assert set(report["after_over_before"]) == set(MODEL_REGISTRY)
-    assert [report[side]["noc_buffer"]["registers_per_trace"] for side in ("before", "after")] == [9, 9]
+    assert report["before"]["traces"] == report["after"]["traces"] > 0
+    assert report["traces_differ"] == []
+    for side in ("before", "after"):
+        assert {"traces_per_s", "q1_traces_per_s", "q3_traces_per_s"} <= set(report[side])
+        assert set(report[side]["spaces"]) == {c.name for c in differential.CASES}
+        assert set(report[side]["models"]) == {"oracle_size", "default_size"}
+        for models in report[side]["models"].values():
+            assert set(models) == set(MODEL_REGISTRY)
+            assert all(set(m) == {"median_ms", "q1_ms", "q3_ms", "registers_per_trace", "entries"}
+                       for m in models.values())
+    for config in ("oracle_size", "default_size"):
+        assert [report[side]["models"][config]["noc_buffer"]["registers_per_trace"]
+                for side in ("before", "after")] == [9, 9]
+    assert set(report["paired_after_over_before"]) == set(report["after_over_before"])
+    assert {"traces_per_s", "spaces/liveness", "default_size/noc_buffer"} <= set(report["after_over_before"])

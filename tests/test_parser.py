@@ -198,6 +198,7 @@ class TestLexStop:
         "// AUTOSVA t: a -in> b\nmodule m /* ( */ ;\n",
         "module m ( /* AUTOSVA\n",
         "`define X /*AUTOSVA t: a -in> b */ module z (input wire q);\nmodule m (input wire a_val);\n",
+        "// AUTOSVA t: a -in> b\nmodule m (\")// /*\"\n input wire a_val);\n",  # a comment opener in a header string
     ])
     def test_relexed_cases_match_whole_file_lex(self, source):
         assert module_or_diagnostics(source) == whole_file_parse(source)

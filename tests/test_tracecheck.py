@@ -1,7 +1,4 @@
 import itertools
-import json
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +21,7 @@ from autoft.tracecheck import (
 )
 
 import differential
-from conftest import REPO
+import naive_checkers as naive
 
 
 def prop(kind, body, directive="assert"):
@@ -339,12 +336,13 @@ class TestInvariants:
         assert first == second
 
 
-def test_oracle_rate_bench_runs_at_tiny_size(tmp_path):
-    # The before/after script, with this checkout on both sides so that both packages load.
-    out = tmp_path / "bench.json"
-    subprocess.run([sys.executable, str(REPO / "bench" / "oracle_rate.py"), "--src", str(REPO / "src"),
-                    "--rounds", "1", "--max-len", "2", "--out", str(out)],
-                   capture_output=True, text=True, check=True)
-    report = json.loads(out.read_text())
-    assert report["before"]["traces"] == report["after"]["traces"] > 0
-    assert set(report["after_over_before"]["spaces"]) == {c.name for c in differential.CASES}
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), hi=st.sampled_from([None, 1, 3, 14]))
+def test_eventuality_agrees_with_naive_liveness_on_long_traces(data, hi):
+    # The exhaustive spaces stop at 6 cycles and window 3, while model checks run windows of 10-14 over
+    # 100-cycle traces. Discharges are drawn sparse so that bounded windows close undischarged.
+    n = data.draw(st.integers(1, 60))
+    ant = data.draw(st.lists(st.sampled_from([0, 1, None]), min_size=n, max_size=n))
+    con = data.draw(st.lists(st.sampled_from([0] * 6 + [1, None]), min_size=n, max_size=n))
+    verdict = eval_property(prop("liveness", P.eventually(P_HSK, Q_VAL, hi)), Trace({"p_hsk": ant, "q_val": con}))
+    assert (verdict.outcome, verdict.cycle) == naive.liveness(ant, con, hi)

@@ -1,5 +1,7 @@
+from autoft.options import GenOptions
 from autoft.parser import ExplicitAttrib, InterfaceSignal, parse_module
-from autoft.transactions import build_transactions, transaction_kind
+from autoft.signals import synth_module_aux
+from autoft.transactions import build_transactions
 
 from conftest import load_fixture
 
@@ -44,8 +46,8 @@ class TestBuild:
         (t,) = txns
         assert t.direction == "incoming"
         assert set(t.p.bindings) == {"val", "ack", "stable"}
-        assert isinstance(t.p.get("ack"), ExplicitAttrib)
-        assert t.p.get("ack").expr == "!ptw_active"
+        assert isinstance(t.p.bindings["ack"], ExplicitAttrib)
+        assert t.p.bindings["ack"].expr == "!ptw_active"
         assert set(t.q.bindings) == {"val"}
 
     def test_one_sided_transid(self):
@@ -126,7 +128,7 @@ class TestPrecedence:
         )
         pm = parse_module(src)
         txns, diags = build_transactions(pm)
-        assert isinstance(txns[0].p.get("ack"), ExplicitAttrib)
+        assert isinstance(txns[0].p.bindings["ack"], ExplicitAttrib)
         assert "explicit-overrides-port" in [d.code for d in diags if d.severity == "warning"]
 
     def test_explicit_decl_beats_port(self):
@@ -149,7 +151,7 @@ class TestPrecedence:
         )
         txns, diags = build(src)
         assert error_codes(diags) == []
-        ids = (txns[0].p.get("transid"), txns[0].q.get("transid"))
+        ids = (txns[0].p.bindings["transid"], txns[0].q.bindings["transid"])
         assert [(type(b), b.direction, b.width_bits) for b in ids] == [
             (InterfaceSignal, "input", 2), (InterfaceSignal, "output", 2)
         ]
@@ -160,7 +162,7 @@ class TestPrecedence:
             "// AUTOSVA t: a -in> b\n// AUTOSVA input a_ack\n// AUTOSVA a_ack = !busy",
         )
         txns, diags = build(src)
-        assert isinstance(txns[0].p.get("ack"), ExplicitAttrib)
+        assert isinstance(txns[0].p.bindings["ack"], ExplicitAttrib)
         assert [(d.code, d.span.line) for d in diags if not d.is_error] == [("explicit-overrides-port", 3)]
 
     def test_two_explicit_defs_conflict(self):
@@ -203,19 +205,29 @@ class TestActive:
         assert "duplicate-binding" in error_codes(diags)
 
 
+def aux_roles(source: str) -> dict:
+    """The roles `synth_module_aux` gives the module's one transaction."""
+    pm = parse_module(source)
+    (t,), _ = build_transactions(pm)
+    (aux,), _ = synth_module_aux([t], pm, GenOptions())
+    return aux.roles
+
+
 class TestKind:
+    # A transaction is tracked when its id is bound on both sides; synth then gives it a symbolic id.
     def test_tracked_when_id_on_both_sides(self):
         txns, _ = build(load_fixture("noc_buffer"))
-        assert transaction_kind(txns[0]) == "tracked"
+        assert "transid" in txns[0].p.bindings and "transid" in txns[0].q.bindings
+        assert {"symb", "inflight", "sampled"} <= set(aux_roles(load_fixture("noc_buffer")))
 
     def test_untracked_without_id(self):
         txns, _ = build(load_fixture("fifo"))
-        assert transaction_kind(txns[0]) == "untracked"
+        assert "transid" not in txns[0].p.bindings and "transid" not in txns[0].q.bindings
+        assert not {"symb", "inflight", "sampled"} & set(aux_roles(load_fixture("fifo")))
 
     def test_minimal_val_only_untracked(self):
         src = module("input wire a_val,\noutput wire b_val", "// AUTOSVA t: a -in> b")
-        txns, _ = build(src)
-        assert transaction_kind(txns[0]) == "untracked"
+        assert set(aux_roles(src)) == {"p_val", "q_val", "p_hsk", "q_hsk", "counter"}
 
     def test_interface_may_appear_in_two_transactions(self):
         src = module(
