@@ -374,18 +374,14 @@ class TestOnePass:
         assert len(calls) == before * model.n_traces
 
 
-def test_evaluator_bench_runs_at_tiny_size(tmp_path):
-    # The before/after script, with this checkout on both sides so that both packages load.
+def test_model_check_bench_runs_at_tiny_size(tmp_path):
+    # The model-check half of the before/after script, with this checkout on both sides so that both packages load.
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(REPO / "bench" / "evaluator.py"), "--src", str(REPO / "src"), "--rounds", "2",
                     "--max-len", "2", "--traces", "1", "--drive", "10", "--out", str(out)],
                    capture_output=True, text=True, check=True)
     report = json.loads(out.read_text())
-    assert report["before"]["traces"] == report["after"]["traces"] > 0
-    assert report["traces_differ"] == []
     for side in ("before", "after"):
-        assert {"traces_per_s", "q1_traces_per_s", "q3_traces_per_s"} <= set(report[side])
-        assert set(report[side]["spaces"]) == {c.name for c in differential.CASES}
         assert set(report[side]["models"]) == {"oracle_size", "default_size"}
         for models in report[side]["models"].values():
             assert set(models) == set(MODEL_REGISTRY)
@@ -395,4 +391,4 @@ def test_evaluator_bench_runs_at_tiny_size(tmp_path):
         assert [report[side]["models"][config]["noc_buffer"]["registers_per_trace"]
                 for side in ("before", "after")] == [9, 9]
     assert set(report["paired_after_over_before"]) == set(report["after_over_before"])
-    assert {"traces_per_s", "spaces/liveness", "default_size/noc_buffer"} <= set(report["after_over_before"])
+    assert {"default_size/noc_buffer", "oracle_size/noc_buffer"} <= set(report["after_over_before"])

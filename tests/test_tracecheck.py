@@ -1,4 +1,7 @@
 import itertools
+import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +25,7 @@ from autoft.tracecheck import (
 
 import differential
 import naive_checkers as naive
+from conftest import REPO
 
 
 def prop(kind, body, directive="assert"):
@@ -346,3 +350,18 @@ def test_eventuality_agrees_with_naive_liveness_on_long_traces(data, hi):
     con = data.draw(st.lists(st.sampled_from([0] * 6 + [1, None]), min_size=n, max_size=n))
     verdict = eval_property(prop("liveness", P.eventually(P_HSK, Q_VAL, hi)), Trace({"p_hsk": ant, "q_val": con}))
     assert (verdict.outcome, verdict.cycle) == naive.liveness(ant, con, hi)
+
+
+def test_oracle_rate_bench_runs_at_tiny_size(tmp_path):
+    # The trace-space half of the before/after script, with this checkout on both sides so that both packages load.
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(REPO / "bench" / "evaluator.py"), "--src", str(REPO / "src"), "--rounds", "1",
+                    "--max-len", "2", "--traces", "1", "--drive", "10", "--out", str(out)],
+                   capture_output=True, text=True, check=True)
+    report = json.loads(out.read_text())
+    assert report["before"]["traces"] == report["after"]["traces"] > 0
+    assert report["traces_differ"] == []
+    for side in ("before", "after"):
+        assert {"traces_per_s", "q1_traces_per_s", "q3_traces_per_s"} <= set(report[side])
+        assert set(report[side]["spaces"]) == {c.name for c in differential.CASES}
+    assert {"traces_per_s", "spaces/liveness"} <= set(report["after_over_before"])
