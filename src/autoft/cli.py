@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation or check failure (every diagnostic is
 printed, not just the first), 2 usage errors, also an input file that is
-not UTF-8 and a module whose reference model cannot evaluate its
-properties. Warnings go to stderr and never block generation. Set
+not UTF-8, an output that cannot be written and a module whose reference
+model cannot evaluate its properties. Warnings go to stderr and never block generation. Set
 AUTOFT_COLOR=1/0 to force or suppress colored diagnostics.
 
 `main` pauses the cyclic garbage collector from the end of argument parsing
@@ -117,7 +117,11 @@ def _generate(opts: GenOptions, *inputs: tuple[Path, str]) -> list[TestbenchBund
 
 
 def _write(bundle: TestbenchBundle, outdir: Path) -> None:
-    target = write_bundle(bundle, outdir)
+    """Write the bundle under `outdir`; a directory or file that cannot be made or written is a usage error."""
+    try:
+        target = write_bundle(bundle, outdir)
+    except OSError as exc:
+        raise UsageError(f"cannot write '{exc.filename or outdir / bundle.dut}': {exc.strerror or exc}") from None
     for f in bundle.files():
         print(f"wrote {target / f.name}")
 
@@ -155,6 +159,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _parse_child_spec(spec: str) -> tuple[Path, bool, bool]:
     path_text, _, flag_text = spec.partition("=")
+    if not path_text:
+        raise UsageError(f"no child file in '{spec}'")
     flags = {f.strip() for f in flag_text.split(",") if f.strip()}
     unknown = flags - {"am", "as"}
     if unknown:

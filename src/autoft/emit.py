@@ -6,7 +6,7 @@ paths, so regenerating a bundle always reproduces it byte for byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from pathlib import Path
 
 from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, error, errors_in
@@ -20,27 +20,21 @@ from .transactions import Transaction, build_transactions
 _BANNER = "Machine generated; do not edit."
 
 
-@dataclass(frozen=True)
-class GeneratedFile:
-    name: str
-    text: str
+class GeneratedFile(namedtuple("GeneratedFile", "name text")):
+    __slots__ = ()
 
 
-@dataclass
-class TestbenchBundle:
-    """Everything one generation run produces."""
+class TestbenchBundle(namedtuple("TestbenchBundle", "dut property_module bind_file tool_files warnings transactions "
+                                                     "properties aux parameters opts source_module")):
+    """Everything one generation run produces.
 
-    dut: str
-    property_module: GeneratedFile
-    bind_file: GeneratedFile
-    tool_files: list[GeneratedFile]
-    warnings: list[Diagnostic]
-    transactions: list[Transaction]
-    properties: list[GeneratedProperty]
-    aux: list[TransactionAux]
-    parameters: list[str]
-    opts: GenOptions
-    source_module: ParsedModule
+    dut is the module name; property_module and bind_file are `GeneratedFile`s
+    and tool_files a list of them; warnings the run's diagnostics; then the
+    pipeline's transactions, properties (flat, in emitted order) and aux, the
+    module's parameter names, the options and the parsed module.
+    """
+
+    __slots__ = ()
 
     def files(self) -> list[GeneratedFile]:
         return [self.property_module, self.bind_file, *self.tool_files]
@@ -287,8 +281,7 @@ def link_submodule_fts(
     insert = "// ---- linked submodule testbenches ----\n" + "\n".join(bind_lines) + "\n\n"
     text = text.replace("endmodule\n", insert + "endmodule\n")
 
-    return replace(
-        parent,
+    return parent._replace(
         property_module=GeneratedFile(parent.property_module.name, text),
         tool_files=emit_tool_files(parent.source_module, parent.opts.tool, parent.opts, tuple(extra_sources)),
         warnings=list(parent.warnings),

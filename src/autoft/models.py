@@ -36,9 +36,8 @@ The queue models hold `depth` = 2 entries, the fixtures' default `DEPTH`.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import product
-from dataclasses import dataclass
 
 from .diagnostics import SymbolicWidthError
 from .parser import literal_width_bits
@@ -47,18 +46,14 @@ from .properties import GeneratedProperty
 from .tracecheck import VACUOUS, Compiler, Trace, Verdict, eval_property  # noqa: F401
 
 
-@dataclass(frozen=True)
-class ModelCheckEntry:
-    trace_index: int
-    symb_values: tuple[tuple[str, int], ...]  # (symbolic column, value) pairs; () if the property reads none
-    kind: str
-    verdict: Verdict
+class ModelCheckEntry(namedtuple("ModelCheckEntry", "trace_index symb_values kind verdict")):
+    """One property's verdict on one trace; symb_values holds (symbolic column, value) pairs, () if it reads none."""
+
+    __slots__ = ()
 
 
-@dataclass
-class ModelCheckReport:
-    model: str
-    entries: list[ModelCheckEntry]
+class ModelCheckReport(namedtuple("ModelCheckReport", "model entries")):
+    __slots__ = ()
 
     def violated(self) -> list[ModelCheckEntry]:
         return [e for e in self.entries if e.verdict.outcome == "violated"]

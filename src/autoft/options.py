@@ -1,7 +1,7 @@
 """Generation options shared by the property generator, emitter, and CLI."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 TOOL_JASPERGOLD = "jaspergold"
 TOOL_SYMBIYOSYS = "symbiyosys"
@@ -11,8 +11,8 @@ TOOLS = (TOOL_JASPERGOLD, TOOL_SYMBIYOSYS, TOOL_BOTH)
 DEFAULT_MAX_OUTSTANDING = 8
 
 
-@dataclass
-class GenOptions:
+class GenOptions(namedtuple("GenOptions", "tool clk rst rst_active_low assert_inputs bounded max_outstanding "
+                                         "max_outstanding_overrides")):
     """Knobs for one generation run.
 
     tool selects the proof tool driver files to emit. clk and rst name the DUT
@@ -21,26 +21,24 @@ class GenOptions:
     every assumption as an assertion and sets the ASSERT_INPUTS parameter.
     bounded, when set, replaces unbounded eventualities with a finite window of
     that many cycles. max_outstanding sizes the per-transaction outstanding
-    counters (overridable per transaction name).
+    counters (overridable per transaction name); each instance holds its own
+    copy of the overrides. A bound below 1 is a ValueError.
     """
 
-    tool: str = TOOL_SYMBIYOSYS
-    clk: str = "clk"
-    rst: str = "rst_n"
-    rst_active_low: bool = True
-    assert_inputs: bool = False
-    bounded: int | None = None
-    max_outstanding: int = DEFAULT_MAX_OUTSTANDING
-    max_outstanding_overrides: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.bounded is not None and self.bounded < 1:
+    def __new__(cls, tool: str = TOOL_SYMBIYOSYS, clk: str = "clk", rst: str = "rst_n", rst_active_low: bool = True,
+                assert_inputs: bool = False, bounded: int | None = None, max_outstanding: int = DEFAULT_MAX_OUTSTANDING,
+                max_outstanding_overrides: dict[str, int] | None = None):
+        if bounded is not None and bounded < 1:
             raise ValueError("bounded window must be >= 1")
-        if self.max_outstanding < 1:
+        if max_outstanding < 1:
             raise ValueError("max_outstanding must be >= 1")
-        for tname, value in self.max_outstanding_overrides.items():
+        overrides = dict(max_outstanding_overrides or ())
+        for tname, value in overrides.items():
             if value < 1:
                 raise ValueError(f"max_outstanding override for '{tname}' must be >= 1")
+        return super().__new__(cls, tool, clk, rst, rst_active_low, assert_inputs, bounded, max_outstanding, overrides)
 
     @property
     def rst_expr(self) -> str:

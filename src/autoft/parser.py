@@ -79,7 +79,6 @@ import functools
 import re
 from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, GenerationError, SourceSpan, error, warning
 
@@ -145,14 +144,10 @@ class Annotation(namedtuple("Annotation", "raw_text span payload")):
     __slots__ = ()
 
 
-@dataclass
-class ParsedModule:
-    module_name: str
-    parameters: list[Parameter]
-    signals: list[InterfaceSignal]  # the header's ports in source order, matched or not
-    annotations: list[Annotation]
-    imports: list[str] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class ParsedModule(namedtuple("ParsedModule", "module_name parameters signals annotations imports diagnostics")):
+    """One module's header and annotations; signals are the header's ports in source order, matched or not."""
+
+    __slots__ = ()
 
     def relations(self) -> list[RelationDecl]:
         return [a.payload for a in self.annotations if isinstance(a.payload, RelationDecl)]
@@ -743,5 +738,4 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
             diags.append(error("malformed-port-decl", f"port '{sig.name}' declared twice", sig.span))
         seen_ports.add(sig.name)
 
-    module.annotations = annotations
-    return module
+    return module._replace(annotations=annotations)

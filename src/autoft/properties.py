@@ -43,8 +43,6 @@ evaluates it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .diagnostics import Diagnostic, warning
 from .options import GenOptions
 from .signals import TransactionAux
@@ -95,16 +93,26 @@ def plan_polarity(direction: str, kind: str) -> str:
 _POLARITY = {d: {kind: plan_polarity(d, kind) for kind in KINDS} for d in ("incoming", "outgoing")}
 
 
-@dataclass(slots=True)
 class GeneratedProperty:
-    """One property: its IR body, rendered on demand as SVA text."""
+    """One property: its IR body, rendered on demand as SVA text.
 
-    name: str
-    kind: str
-    directive: str  # assert | assume | cover
-    body: Node
-    # (body, evaluator) as `tracecheck.eval_property` last compiled it; recompiled when `body` is another object
-    compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    compiled is (body, evaluator) as `tracecheck.eval_property` last compiled
+    it; it is recompiled when `body` is another object.
+    """
+
+    __slots__ = ("name", "kind", "directive", "body", "compiled")
+
+    def __init__(self, name: str, kind: str, directive: str, body: Node):
+        self.name = name
+        self.kind = kind
+        self.directive = directive  # assert | assume | cover
+        self.body = body
+        self.compiled = None
+
+    def _replace(self, **changes) -> GeneratedProperty:
+        """A copy with the given fields changed, not yet compiled."""
+        fields = {"name": self.name, "kind": self.kind, "directive": self.directive, "body": self.body}
+        return GeneratedProperty(**{**fields, **changes})
 
     @property
     def ltl_text(self) -> str:
@@ -265,9 +273,9 @@ def apply_link_transforms(
     with ASSERT_INPUTS=1, or linked under a parent with the `as` flag. Names
     are scoped under a parent by `scope_names`, not here.
     """
-    return [replace(p, directive=ASSERT) if assert_inputs and p.directive == ASSUME else p for p in props]
+    return [p._replace(directive=ASSERT) if assert_inputs and p.directive == ASSUME else p for p in props]
 
 
 def scope_names(props: list[GeneratedProperty], scope: str) -> list[GeneratedProperty]:
     """Prefix property names with a submodule scope for parent-level reports."""
-    return [replace(p, name=f"{scope}_{p.name}") for p in props]
+    return [p._replace(name=f"{scope}_{p.name}") for p in props]

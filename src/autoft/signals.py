@@ -14,8 +14,6 @@ numeric suffix and emitting a warning.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagnostics import Diagnostic, warning
 from .options import GenOptions
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule
@@ -50,12 +48,14 @@ class _Namer:
         return name
 
 
-@dataclass(slots=True)
 class TransactionAux:
-    """Aux signals declared for one transaction plus the role map properties use."""
+    """Aux signals declared for one transaction plus the role map properties use (role -> signal node)."""
 
-    signals: list[Aux]
-    roles: dict[str, Node]  # role -> signal node
+    __slots__ = ("signals", "roles")
+
+    def __init__(self, signals: list[Aux], roles: dict[str, Node]):
+        self.signals = signals
+        self.roles = roles
 
 
 def _cnt_param_names(tname: str) -> tuple[str, str]:

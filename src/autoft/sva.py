@@ -25,7 +25,7 @@ expression are not.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterator
+from collections.abc import Iterator
 
 from .options import GenOptions
 from .parser import literal_width_bits

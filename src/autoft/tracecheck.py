@@ -46,13 +46,13 @@ unknown as 0. `$isunknown` sees unknowns and `$stable` compares raw values.
 """
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from operator import eq, not_
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .diagnostics import SpaceTooLargeError, UnknownSignalError
 from .properties import GeneratedProperty
@@ -94,6 +94,8 @@ class Trace:
         return Trace({**self.columns, **extra})
 
     def to_csv(self) -> str:
+        import csv  # here, not at the top: only trace files need it, and every `autoft` process imports this module
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         names = list(self.columns)
@@ -108,6 +110,8 @@ class Trace:
 
         A name given twice, or a row whose cell count is not the header's, is a ValueError.
         """
+        import csv
+
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
         if header is None:
@@ -128,10 +132,10 @@ class Trace:
         return cls(columns)
 
 
-class Verdict(NamedTuple):
-    property_name: str
-    outcome: str  # holds | violated | vacuous | pending
-    cycle: int | None = None  # earliest violating cycle when violated
+class Verdict(namedtuple("Verdict", "property_name outcome cycle", defaults=(None,))):
+    """outcome is holds, violated, vacuous or pending; cycle is the earliest violating cycle when violated."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.property_name}: {self.outcome}" + ("" if self.cycle is None else f" at cycle {self.cycle}")

@@ -12,32 +12,39 @@ is in no relation is an error; a port's is not an attribute at all.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagnostics import Diagnostic, SourceSpan, error, warning
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule, RelationDecl, split_field
 
 Binding = InterfaceSignal | ExplicitAttrib
 
 
-@dataclass(slots=True)
 class InterfaceSide:
     """An interface participating in a transaction, with its bindings."""
 
-    name: str
-    bindings: dict[str, Binding] = field(default_factory=dict)
+    __slots__ = ("name", "bindings")
+
+    def __init__(self, name: str, bindings: dict[str, Binding]):
+        self.name = name
+        self.bindings = bindings
 
 
-@dataclass(slots=True)
 class Transaction:
-    """A named request/response implication between two interfaces."""
+    """A named request/response implication between two interfaces.
 
-    tname: str
-    direction: str  # "incoming" or "outgoing"
-    p: InterfaceSide
-    q: InterfaceSide
-    active: Binding | None = None  # transaction-level, not per side
-    span: SourceSpan | None = None
+    direction is "incoming" or "outgoing"; active is the transaction-level
+    binding, not a side's.
+    """
+
+    __slots__ = ("tname", "direction", "p", "q", "active", "span")
+
+    def __init__(self, tname: str, direction: str, p: InterfaceSide, q: InterfaceSide,
+                 active: Binding | None = None, span: SourceSpan | None = None):
+        self.tname = tname
+        self.direction = direction
+        self.p = p
+        self.q = q
+        self.active = active
+        self.span = span
 
 
 def _candidate_bindings(

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -147,6 +148,14 @@ class TestGen:
         assert run.stderr == f"error: file '{bad}' is not UTF-8: byte 0xa9 at offset {len(text) + 12}\n"
         assert run.stdout == ""
         assert not (tmp_path / "o").exists()
+
+    def test_output_that_cannot_be_written_is_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(["gen", fixture_path("fifo"), "-o", blocker], capsys)
+        assert code == 2
+        assert err.endswith(f"error: cannot write '{blocker / 'fifo'}': Not a directory\n")
+        assert out == ""
 
     def test_misspelled_tool_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -351,9 +360,61 @@ class TestLink:
         assert code == 1
         assert "duplicate-transaction-name" in err
 
+    @pytest.mark.parametrize("blocked, failed", [("out", "out/mmu_stub"), ("out/pipeline", "out/pipeline")],
+                             ids=["parent", "child"])
+    def test_output_that_cannot_be_written_is_usage_error(self, blocked, failed, tmp_path, capsys):
+        (tmp_path / blocked).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / blocked).write_text("")
+        code, _, err = run_cli(
+            ["link", fixture_path("mmu_stub"), "--child", f"{fixture_path('pipeline')}=am", "-o", tmp_path / "out"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write '{tmp_path / failed}': ")
+        assert err.count("\n") == 1
+
+    def test_link_child_without_path_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(["link", fixture_path("mmu_stub"), "--child", "=am", "-o", tmp_path / "o"], capsys)
+        assert code == 2
+        assert err == "error: no child file in '=am'\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_link_bad_flag(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["link", fixture_path("fifo"), "--child", f"{fixture_path('pipeline')}=xx"],
             capsys,
         )
         assert code == 2
+
+
+# perfbench's traced run (`perfbench/layers.py:import_times`) takes a median import time of each of
+# these modules and crashes if `import autoft.cli` stops loading one (the `import_times` FOUND line of
+# CHANGES.md), so none of them may become a lazy import until that is mended.
+EAGER = ("cli", "parser", "emit", "models", "tracecheck")
+
+
+def test_import_set():
+    # Without `site` (-S), whose `.pth` files may load any module first, every module the import needs shows.
+    code = "import sys; n = set(sys.modules); import autoft.cli; print(*sorted(set(sys.modules) - n))"
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+                         capture_output=True, text=True, check=True)
+    added = set(run.stdout.split())
+    assert not added & {"dataclasses", "inspect", "csv", "typing"}
+    assert {f"autoft.{m}" for m in EAGER} <= added
+
+
+def test_startup_bench_runs_at_one_round(tmp_path):
+    # This checkout on both sides, so that the before/after half runs too.
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(REPO / "bench" / "startup.py"), "--src", str(REPO / "src"), "--rounds", "1",
+                    "--out", str(out)], capture_output=True, text=True, check=True)
+    report = json.loads(out.read_text())
+    items = {"floor", "import", "gen_fifo", "gen_mmu_stub_both", "check_noc_buffer", "link_mmu_stub"}
+    assert set(report["items"]) == set(report["paired_after_over_before"]) == items
+    for side in ("before", "after"):
+        assert set(report[side]["ms"]) == items
+        assert set(report[side]["above_floor_ms"]) == items - {"floor"}
+        adds = report[side]["import_adds"]
+        assert adds["count"] == len(adds["modules"])
+        assert {f"autoft.{m}" for m in EAGER} <= set(adds["modules"])

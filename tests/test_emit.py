@@ -260,6 +260,14 @@ class TestOptions:
         with pytest.raises(ValueError):
             GenOptions(max_outstanding_overrides={"t": 0})
 
+    def test_instances_do_not_share_overrides(self):
+        given = {"t": 2}
+        a, b, c = GenOptions(), GenOptions(), GenOptions(max_outstanding_overrides=given)
+        a.max_outstanding_overrides["t"] = 3
+        c.max_outstanding_overrides["t"] = 4
+        assert b.max_outstanding_overrides == {}
+        assert given == {"t": 2}
+
     def test_per_transaction_outstanding_override(self):
         bundle = gen_fixture("mmu_stub", tool="both",
                              max_outstanding_overrides={"ptw": 4})

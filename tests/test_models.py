@@ -2,7 +2,6 @@ import hashlib
 import json
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,7 +273,7 @@ def _windowed(p: GeneratedProperty, window: int) -> GeneratedProperty:
     """The property with an unbounded eventuality cut to `window` cycles."""
     con = getattr(p.body, "con", None)
     if isinstance(con, Eventually) and con.hi is None:
-        return replace(p, body=p.body._replace(con=con._replace(hi=window)))
+        return p._replace(body=p.body._replace(con=con._replace(hi=window)))
     return p
 
 

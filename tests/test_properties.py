@@ -279,6 +279,16 @@ class TestLinkTransforms:
             (p.name, p.directive) for p in via_link
         ]
 
+    def test_replace_gives_an_uncompiled_copy(self):
+        (props,) = props_for(VAL_ONLY)
+        live = next(p for p in props if p.kind == "liveness")
+        eval_property(live, Trace({"p_val": [1, 0], "q_val": [1, 0]}))
+        assert live.compiled is not None
+        copy = live._replace(directive=ASSUME)
+        assert copy.compiled is None
+        assert (copy.name, copy.kind, copy.directive, copy.body) == (live.name, live.kind, ASSUME, live.body)
+        assert live.directive == ASSERT
+
     def test_cover_never_transformed(self):
         (props,) = props_for(load_fixture("fifo"))
         out = apply_link_transforms(props, assert_inputs=True)
