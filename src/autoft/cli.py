@@ -116,20 +116,27 @@ def _generate(opts: GenOptions, *inputs: tuple[Path, str]) -> list[TestbenchBund
     return bundles
 
 
-def _write(bundle: TestbenchBundle, outdir: Path) -> None:
-    """Write the bundle under `outdir`; a directory or file that cannot be made or written is a usage error."""
+def _write(outdir: Path, *bundles: TestbenchBundle) -> None:
+    """Write each bundle under `<outdir>/<dut>/`, making every directory before writing any file.
+
+    A directory or file that cannot be made or written is a usage error, so a
+    directory that cannot be made leaves nothing written.
+    """
     try:
-        target = write_bundle(bundle, outdir)
+        for bundle in bundles:
+            (outdir / bundle.dut).mkdir(parents=True, exist_ok=True)
+        targets = [write_bundle(bundle, outdir) for bundle in bundles]
     except OSError as exc:
-        raise UsageError(f"cannot write '{exc.filename or outdir / bundle.dut}': {exc.strerror or exc}") from None
-    for f in bundle.files():
-        print(f"wrote {target / f.name}")
+        raise UsageError(f"cannot write '{exc.filename or outdir}': {exc.strerror or exc}") from None
+    for bundle, target in zip(bundles, targets):
+        for f in bundle.files():
+            print(f"wrote {target / f.name}")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     opts, path = _options_from_args(args), Path(args.input)
     [bundle] = _generate(opts, (path, _read(path)))
-    _write(bundle, Path(args.outdir))
+    _write(Path(args.outdir), bundle)
     return 0
 
 
@@ -177,11 +184,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
     sources = [(path, _read(path)) for path in [Path(args.input), *(path for path, _, _ in specs)]]
     parent, *kids = _generate(opts, *sources)
     children = [(kid, am, as_) for kid, (_, am, as_) in zip(kids, specs)]
-    outdir = Path(args.outdir)
-    _write(link_submodule_fts(parent, children), outdir)
-    for child, am, _ in children:
-        if am:
-            _write(child, outdir)
+    _write(Path(args.outdir), link_submodule_fts(parent, children), *(child for child, am, _ in children if am))
     return 0
 
 

@@ -61,9 +61,6 @@ class ModelCheckReport(namedtuple("ModelCheckReport", "model entries")):
     def violated_kinds(self) -> frozenset[str]:
         return frozenset(e.kind for e in self.violated())
 
-    def pending(self) -> list[ModelCheckEntry]:
-        return [e for e in self.entries if e.verdict.outcome == "pending"]
-
     def summary(self) -> str:
         counts = Counter(e.verdict.outcome for e in self.entries)
         return f"{self.model}: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))

@@ -149,12 +149,6 @@ class ParsedModule(namedtuple("ParsedModule", "module_name parameters signals an
 
     __slots__ = ()
 
-    def relations(self) -> list[RelationDecl]:
-        return [a.payload for a in self.annotations if isinstance(a.payload, RelationDecl)]
-
-    def explicit_attribs(self) -> list[Annotation]:
-        return [a for a in self.annotations if isinstance(a.payload, ExplicitAttrib)]
-
     def declared_signals(self) -> list[InterfaceSignal]:
         return [a.payload for a in self.annotations if isinstance(a.payload, InterfaceSignal)]
 
@@ -533,16 +527,12 @@ def _split_eq(text: str) -> tuple[str, str] | None:
     return None
 
 
+# A stripped port declaration, in one of two forms: net type, sign and ranges,
+# each optional, then the name; or a user type name, led by none of those
+# keywords, then the name, when the width is unknown.
 _PORT_RE = re.compile(
-    r"^\s*(input|output)\s+"
-    r"(?:(wire|logic|reg|var)\s+)?"
-    r"(?:(signed|unsigned)\s+)?"
-    r"((?:\[[^\]]+\]\s*)*)"
-    r"([A-Za-z_][A-Za-z0-9_$]*)\s*$"
-)
-_OPAQUE_PORT_RE = re.compile(
-    r"^\s*(input|output)\s+(?!(?:wire|logic|reg|var|signed|unsigned)\s)"
-    r"([A-Za-z_][A-Za-z0-9_$]*)\s+([A-Za-z_][A-Za-z0-9_$]*)\s*$"
+    rf"(input|output)\s+(?:(?:(?:wire|logic|reg|var)\s+)?(?:(?:signed|unsigned)\s+)?((?:\[[^\]]+\]\s*)*)({_IDENT})"
+    rf"|(?!(?:wire|logic|reg|var|signed|unsigned)\s)({_IDENT})\s+({_IDENT}))"
 )
 # A port list item that `_parse_port_item` reads without a warning, with the
 # `,` or `)` after it: a one-bit port, or one range that ends at `:0` and holds
@@ -562,10 +552,16 @@ def _parse_port_item(
     text = item.strip()
     if not text:
         return None
-    m = _PORT_RE.match(text)
+    m = _PORT_RE.fullmatch(text)
+    if m and m[4]:
+        direction, type_name, name = m.group(1, 4, 5)
+        diags.append(
+            warning("opaque-port-type", f"port '{name}' has user type '{type_name}', width unknown", span, text)
+        )
+        return InterfaceSignal(direction, name, "", span, opaque_type=type_name)
     if m:
-        direction, _net, _sign, ranges, name = m.groups()
-        range_list = _RANGE_RE.findall(ranges or "")
+        direction, ranges, name = m.group(1, 2, 3)
+        range_list = _RANGE_RE.findall(ranges)
         width = "".join(range_list).replace(" ", "")
         if len(range_list) > 1:
             diags.append(
@@ -576,13 +572,6 @@ def _parse_port_item(
                 warning("non-canonical-range", f"range '{width}' on '{name}' does not end at :0", span, text)
             )
         return InterfaceSignal(direction, name, width, span)
-    m = _OPAQUE_PORT_RE.match(text)
-    if m:
-        direction, type_name, name = m.groups()
-        diags.append(
-            warning("opaque-port-type", f"port '{name}' has user type '{type_name}', width unknown", span, text)
-        )
-        return InterfaceSignal(direction, name, "", span, opaque_type=type_name)
     if text.startswith("inout"):
         diags.append(error("malformed-port-decl", "inout ports are not supported", span, text))
         return None

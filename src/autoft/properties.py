@@ -94,7 +94,7 @@ _POLARITY = {d: {kind: plan_polarity(d, kind) for kind in KINDS} for d in ("inco
 
 
 class GeneratedProperty:
-    """One property: its IR body, rendered on demand as SVA text.
+    """One property: its IR body, which `body.render()` gives as SVA text.
 
     compiled is (body, evaluator) as `tracecheck.eval_property` last compiled
     it; it is recompiled when `body` is another object.
@@ -113,10 +113,6 @@ class GeneratedProperty:
         """A copy with the given fields changed, not yet compiled."""
         fields = {"name": self.name, "kind": self.kind, "directive": self.directive, "body": self.body}
         return GeneratedProperty(**{**fields, **changes})
-
-    @property
-    def ltl_text(self) -> str:
-        return self.body.render()
 
 
 # One builder per kind (liveness and ack_eventually share `eventually`).

@@ -295,10 +295,3 @@ def children(node: Node) -> Iterator[Node]:
             yield value
         elif isinstance(value, tuple):  # the operands of `||`, `$stable`, `$isunknown`
             yield from value
-
-
-def walk(node: Node) -> Iterator[Node]:
-    """The node and every node below it, registers' update rules included."""
-    yield node
-    for x in children(node):
-        yield from walk(x)

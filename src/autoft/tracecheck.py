@@ -239,7 +239,7 @@ class Compiler:
         self.reads: dict[int, dict[str, Symbolic]] = {}
 
     def ids(self, node: Node) -> dict[str, Symbolic]:
-        """The symbolic ids `node` reads, by name, in the order `walk` meets them."""
+        """The symbolic ids `node` reads, by name, in pre-order over `children`."""
         if id(node) not in self.reads:
             self.reads[id(node)] = {node.name: node} if node.__class__ is Symbolic else {
                 name: symb for x in children(node) for name, symb in self.ids(x).items()}
@@ -330,11 +330,6 @@ def _eventually(ant, x, hi):
                 return VIOLATED, i
         return (PENDING if opened is not None else HOLDS if any(a) else VACUOUS), None
     return run
-
-
-def column(node: Node, trace: Trace) -> list:
-    """The per-cycle values of an expression node over a trace."""
-    return Compiler().column(node)(dict(trace.columns))
 
 
 def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:

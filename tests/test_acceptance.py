@@ -157,7 +157,7 @@ def test_criterion_3_polarity_transforms():
         bundle = gen_fixture(name)
         flipped = apply_link_transforms(bundle.properties, assert_inputs=True)
         for before, after in zip(bundle.properties, flipped):
-            assert after.ltl_text == before.ltl_text
+            assert after.body.render() == before.body.render()
             assert after.name == before.name
             if before.directive == ASSUME:
                 checked += 1

@@ -373,6 +373,19 @@ class TestLink:
         assert err.startswith(f"error: cannot write '{tmp_path / failed}': ")
         assert err.count("\n") == 1
 
+    def test_child_directory_that_cannot_be_made_writes_nothing(self, tmp_path, capsys):
+        # Every directory is made before any file is written, so the parent's bundle is not left behind.
+        (tmp_path / "o3").mkdir()
+        (tmp_path / "o3" / "pipeline").write_text("")
+        code, out, err = run_cli(
+            ["link", fixture_path("mmu_stub"), "--child", f"{fixture_path('pipeline')}=am", "-o", tmp_path / "o3"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write '{tmp_path / 'o3' / 'pipeline'}': ")
+        assert "wrote" not in out
+        assert not [p for p in (tmp_path / "o3").rglob("*") if p.parent.name == "mmu_stub"]
+
     def test_link_child_without_path_is_usage_error(self, tmp_path, capsys):
         code, out, err = run_cli(["link", fixture_path("mmu_stub"), "--child", "=am", "-o", tmp_path / "o"], capsys)
         assert code == 2

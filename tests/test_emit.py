@@ -89,7 +89,7 @@ class TestPropertyModule:
         bundle = gen_fixture(name, tool="both", **opts)
         head = f"@(posedge {bundle.opts.clk}) disable iff ({bundle.opts.rst_expr})"
         for p in bundle.properties:
-            stmt = f"{p.name}: {p.directive} property ({head}\n    {p.ltl_text});\n"
+            stmt = f"{p.name}: {p.directive} property ({head}\n    {p.body.render()});\n"
             assert stmt in bundle.property_module.text, p.name
 
     def test_all_files_end_with_newline_lf_only(self):

@@ -31,6 +31,11 @@ def annotations_of(source: str):
     return parse_module(source).annotations
 
 
+def payloads(pm, kind: type) -> list:
+    """The payloads of `pm`'s annotations that are of type `kind`."""
+    return [a.payload for a in pm.annotations if isinstance(a.payload, kind)]
+
+
 def header(ports: str, annotations: str = "", params: str = "") -> str:
     param_text = f" #({params})" if params else ""
     return f"{annotations}\nmodule m{param_text} (\n{ports}\n);\nendmodule\n"
@@ -406,6 +411,7 @@ class TestPortList:
     ITEMS = st.sampled_from([
         "input a_val", "output  wire b_ack", "input logic signed [W-1:0] c_data", "input [7 :0] d_transid",
         "input wire [ 3 : 0 ] e", "output reg [0:7] f", "input [1:0][3:0] g", "input dat_t h", "inout i",
+        "output logic_t x", "input wire dat_t h",
         "input wire [a[1]:0] j", "input [W-1:\n0] k", "input [W\n-1:0] n", "input [a,b:0] o",
         'input [a"b:0] p, input q"', "", "  input\n  var\n  l  ", "input m_val\t",
     ])
@@ -434,26 +440,26 @@ class TestPortList:
 # One corpus entry per language production or error rule: (source, check).
 GRAMMAR_CORPUS = [
     # TRANSACTION ::= TNAME: RELATION, incoming arrow
-    ("relation_in", "// AUTOSVA fifo: in -in> out", lambda pm: pm.relations()[0].direction == "incoming"),
+    ("relation_in", "// AUTOSVA fifo: in -in> out", lambda pm: payloads(pm, RelationDecl)[0].direction == "incoming"),
     # outgoing arrow
-    ("relation_out", "// AUTOSVA t: a -out> b", lambda pm: pm.relations()[0].direction == "outgoing"),
+    ("relation_out", "// AUTOSVA t: a -out> b", lambda pm: payloads(pm, RelationDecl)[0].direction == "outgoing"),
     # TNAME uniqueness holds for distinct names
     (
         "two_relations",
         "// AUTOSVA t1: a -in> b\n// AUTOSVA t2: c -out> d",
-        lambda pm: [r.tname for r in pm.relations()] == ["t1", "t2"],
+        lambda pm: [r.tname for r in payloads(pm, RelationDecl)] == ["t1", "t2"],
     ),
     # ATTRIB ::= SIG = ASSIGN
     (
         "attrib_assign",
         "// AUTOSVA a_ack = !busy",
-        lambda pm: pm.explicit_attribs()[0].payload.expr == "!busy",
+        lambda pm: payloads(pm, ExplicitAttrib)[0].expr == "!busy",
     ),
     # ATTRIB with [STR:0] width prefix
     (
         "attrib_assign_width",
         "// AUTOSVA [W-1:0] a_data = s.field",
-        lambda pm: pm.explicit_attribs()[0].payload.width_expr == "[W-1:0]",
+        lambda pm: payloads(pm, ExplicitAttrib)[0].width_expr == "[W-1:0]",
     ),
     # ATTRIB ::= input SIG
     (
@@ -478,20 +484,20 @@ GRAMMAR_CORPUS = [
     (
         "attrib_assign_string_bracket",
         '// AUTOSVA a_ack = x != ")"',
-        lambda pm: pm.explicit_attribs()[0].payload.expr == 'x != ")"',
+        lambda pm: payloads(pm, ExplicitAttrib)[0].expr == 'x != ")"',
     ),
     # FIELD ::= P_SUFFIX with longest-match suffix
     (
         "attrib_unique_suffix",
         "// AUTOSVA a_transid_unique = 1'b1",
-        lambda pm: split_field(pm.explicit_attribs()[0].payload.name)[1] == "transid_unique",
+        lambda pm: split_field(payloads(pm, ExplicitAttrib)[0].name)[1] == "transid_unique",
     ),
     # every SUFFIX is accepted
     *[
         (
             f"suffix_{suffix}",
             f"// AUTOSVA a_{suffix} = x",
-            (lambda s: lambda pm: split_field(pm.explicit_attribs()[0].payload.name)[1] == s)(suffix),
+            (lambda s: lambda pm: split_field(payloads(pm, ExplicitAttrib)[0].name)[1] == s)(suffix),
         )
         for suffix in SUFFIXES
     ],
@@ -505,7 +511,7 @@ GRAMMAR_CORPUS = [
     (
         "block_inline_payload",
         "/*AUTOSVA t: a -in> b */",
-        lambda pm: pm.relations()[0].tname == "t",
+        lambda pm: payloads(pm, RelationDecl)[0].tname == "t",
     ),
 ]
 
@@ -547,6 +553,32 @@ def test_grammar_error_corpus(label, annot, code):
     assert code in [d.code for d in pm.diagnostics if d.is_error]
 
 
+# Where a port declaration's two forms meet: a keyword before a type name is
+# not read as either form, and a keyword that only begins a type name is a
+# user type. (item with `{}` for the port name, diagnostic code, opaque type)
+PORT_FORM_EDGES = [
+    ("input wire dat_t {}", "malformed-port-decl", None),
+    ("input [3:0] dat_t {}", "malformed-port-decl", None),
+    ("input signed dat_t {}", "malformed-port-decl", None),
+    ("output logic_t {}", "opaque-port-type", "logic_t"),
+    ("input wire_t {}", "opaque-port-type", "wire_t"),
+]
+
+
+@pytest.mark.parametrize("item,code,opaque", PORT_FORM_EDGES, ids=[e[0].format("x") for e in PORT_FORM_EDGES])
+@pytest.mark.parametrize("where", ["header", "declaration"])
+def test_port_form_edges(item, code, opaque, where):
+    name = "x" if where == "header" else "a_data"
+    text = item.format(name)
+    pm = parse_module(header(text) if where == "header" else header("input wire a_val", f"// AUTOSVA {text}"))
+    message = (f"port '{name}' has user type '{opaque}', width unknown" if opaque
+               else f"cannot classify port declaration '{text}'")
+    assert [(d.code, d.message) for d in pm.diagnostics] == [(code, message)]
+    got = pm.signals if where == "header" else pm.declared_signals()
+    want = [(text.split()[0], name, "", opaque)] if opaque else []
+    assert [(s.direction, s.name, s.width_expr, s.opaque_type) for s in got] == want
+
+
 class TestParseModule:
     def test_unbalanced_bracket_is_located(self):
         pm = parse_module(header("input wire a_val", "/*AUTOSVA\n[1:0] a_transid = {b[1), c}\n*/"))
@@ -583,7 +615,7 @@ class TestParseModule:
         assert [s.name for s in pm.signals] == [
             "clk", "rst_n", "in_val", "in_ack", "in_data", "out_val", "out_ack", "out_data",
         ]
-        assert len(pm.relations()) == 1
+        assert len(payloads(pm, RelationDecl)) == 1
 
     def test_parameter_values_verbatim(self):
         pm = parse_module(header("input wire a", params="parameter int unsigned W = 4 + 2"))
@@ -608,7 +640,7 @@ class TestParseModule:
     def test_duplicate_transaction_name_drops_the_later_relation(self):
         pm = parse_module(header("input wire a_val", "// AUTOSVA t: a -in> b\n// AUTOSVA t: c -out> d"))
         assert [d.code for d in pm.diagnostics] == ["duplicate-transaction-name"]
-        assert [(r.tname, r.p, r.q) for r in pm.relations()] == [("t", "a", "b")]
+        assert [(r.tname, r.p, r.q) for r in payloads(pm, RelationDecl)] == [("t", "a", "b")]
 
     def test_unmatched_val_port_is_retained_not_annotated(self):
         pm = parse_module(header("input wire foo_val", "// AUTOSVA t: a -in> b"))
@@ -706,11 +738,11 @@ class TestParseModule:
         )
         pm = parse_module(src)
         assert not [d for d in pm.diagnostics if d.is_error]
-        (rel,) = pm.relations()
+        (rel,) = payloads(pm, RelationDecl)
         assert (rel.tname, rel.p, rel.q, rel.direction) == (
             "ptw_dcache", "dcache_req", "dcache_res", "outgoing",
         )
-        attribs = [a.payload for a in pm.explicit_attribs()]
+        attribs = payloads(pm, ExplicitAttrib)
         assert [(a.name, a.expr) for a in attribs] == [
             ("dcache_req_val", "dcache_req_o.req"),
             ("dcache_res_val", "dcache_res_i.valid"),
@@ -738,7 +770,7 @@ class TestParseModule:
         pm = parse_module(src)
         assert not [d for d in pm.diagnostics if d.is_error]
         assert [s.name for s in pm.signals] == ["a_val", "b_val"]
-        assert len(pm.relations()) == 1
+        assert len(payloads(pm, RelationDecl)) == 1
 
     def test_star_decorated_block_region(self):
         src = (

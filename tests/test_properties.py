@@ -87,27 +87,27 @@ class TestEmissionSets:
         src = load_fixture("noc_buffer")
         (props,) = props_for(src)
         live = next(p for p in props if p.kind == "liveness")
-        assert "symb_buf_transid" in live.ltl_text
-        assert "s_eventually (buf_out_val && (buf_out_transid == symb_buf_transid))" in live.ltl_text
+        assert "symb_buf_transid" in live.body.render()
+        assert "s_eventually (buf_out_val && (buf_out_transid == symb_buf_transid))" in live.body.render()
 
     def test_ack_with_stable_is_directional(self):
         src = load_fixture("pipeline")
         (props,) = props_for(src)
         ack = next(p for p in props if p.kind == "ack_eventually")
         assert ack.directive == ASSERT
-        assert "s_eventually" in ack.ltl_text
+        assert "s_eventually" in ack.body.render()
 
     def test_ack_without_stable_becomes_cover(self):
         (props,) = props_for(load_fixture("fifo"))
         ack = next(p for p in props if p.kind == "ack_eventually")
         assert ack.directive == COVER
-        assert "##[0:$]" in ack.ltl_text
+        assert "##[0:$]" in ack.body.render()
 
     def test_stability_uses_nonoverlapped_implication(self):
         (props,) = props_for(load_fixture("pipeline"))
         stab = next(p for p in props if p.kind == "stability")
-        assert "|=>" in stab.ltl_text
-        assert "|->" not in stab.ltl_text
+        assert "|=>" in stab.body.render()
+        assert "|->" not in stab.body.render()
         assert [x.name for x in stab.body.con.b.items] == ["pipe_in_transid", "pipe_in_data"]
 
     def test_stability_signal_mode_asserts_the_signal(self):
@@ -117,7 +117,7 @@ class TestEmissionSets:
         )
         (props,) = props_for(src)
         stab = next(p for p in props if p.kind == "stability")
-        assert stab.ltl_text.endswith("|=> p_stable")
+        assert stab.body.render().endswith("|=> p_stable")
 
     def test_stable_without_ack_warns_and_skips(self):
         from autoft import GenOptions, generate_bundle
@@ -144,7 +144,7 @@ class TestEmissionSets:
         (props,) = props_for(load_fixture("pipeline"))
         active = [p for p in props if p.kind == "active_covered"]
         assert len(active) == 1
-        assert " and " in active[0].ltl_text
+        assert " and " in active[0].body.render()
 
     def test_uniqueness_only_with_flag(self):
         (props_noc,) = props_for(load_fixture("noc_buffer"))
@@ -167,12 +167,12 @@ class TestEmissionSets:
         (props,) = props_for(VAL_ONLY)
         xprops = [p for p in props if p.kind == "xprop"]
         assert [p.name for p in xprops] == ["t_xprop_p", "t_xprop_q"]
-        assert all(p.ltl_text.startswith("!$isunknown") for p in xprops)
+        assert all(p.body.render().startswith("!$isunknown") for p in xprops)
 
     def test_xprop_concatenates_bound_attributes(self):
         (props,) = props_for(load_fixture("pipeline"))
         xp = next(p for p in props if p.name == "pipe_xprop_p")
-        assert xp.ltl_text == (
+        assert xp.body.render() == (
             "pipe_in_val |-> !$isunknown({pipe_in_ack, pipe_in_transid, pipe_in_data})"
         )
 
@@ -187,16 +187,16 @@ class TestEmissionSets:
     def test_bounded_option_rewrites_eventualities(self):
         (props,) = props_for(VAL_ONLY, opts=GenOptions(bounded=5))
         live = next(p for p in props if p.kind == "liveness")
-        assert "##[0:5]" in live.ltl_text
+        assert "##[0:5]" in live.body.render()
         assert live.body.con.hi == 5
-        assert "s_eventually" not in live.ltl_text
+        assert "s_eventually" not in live.body.render()
 
     def test_bounded_liveness_window_includes_request_cycle(self):
         # As in s_eventually and the bounded ack, a response in the request
         # cycle discharges the request.
         (props,) = props_for(VAL_ONLY, opts=GenOptions(bounded=1))
         live = next(p for p in props if p.kind == "liveness")
-        assert live.ltl_text == "p_hsk |-> ##[0:1] (q_val)"
+        assert live.body.render() == "p_hsk |-> ##[0:1] (q_val)"
         trace = Trace({"p_val": [1, 0], "q_val": [1, 0]})
         assert eval_property(live, trace).outcome == HOLDS
 
@@ -205,7 +205,7 @@ class TestEmissionSets:
         # cycle discharges it, in the text and in the evaluator alike.
         (props,) = props_for(load_fixture("pipeline"), opts=GenOptions(bounded=2))
         ack = next(p for p in props if p.kind == "ack_eventually")
-        assert ack.ltl_text == "pipe_in_val |-> ##[0:2] (pipe_in_ack)"
+        assert ack.body.render() == "pipe_in_val |-> ##[0:2] (pipe_in_ack)"
         trace = Trace({"pipe_in_val": [1, 0, 0, 0], "pipe_in_ack": [1, 0, 0, 0]})
         assert eval_property(ack, trace).outcome == HOLDS
 
@@ -214,8 +214,8 @@ class TestDeterminismAndClosure:
     def test_generation_is_deterministic(self):
         a = props_for(load_fixture("pipeline"))
         b = props_for(load_fixture("pipeline"))
-        assert [(p.name, p.directive, p.ltl_text) for p in a[0]] == [
-            (p.name, p.directive, p.ltl_text) for p in b[0]
+        assert [(p.name, p.directive, p.body.render()) for p in a[0]] == [
+            (p.name, p.directive, p.body.render()) for p in b[0]
         ]
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -234,12 +234,12 @@ class TestDeterminismAndClosure:
             "s_eventually", "and", "or", "not", "if", "else", "posedge", "disable", "iff",
         }
         for p in bundle.properties:
-            idents = set(re.findall(r"(?<![\w$'])[A-Za-z_][A-Za-z0-9_$]*", p.ltl_text))
+            idents = set(re.findall(r"(?<![\w$'])[A-Za-z_][A-Za-z0-9_$]*", p.body.render()))
             unknown = idents - known - sv_words
             assert not unknown, f"{p.name} references undeclared {unknown}"
             # End-to-end form: flat interface/auxiliary names only, never a
             # hierarchical path into the DUT (expressions live behind wires).
-            assert "." not in p.ltl_text, p.name
+            assert "." not in p.body.render(), p.name
 
 
 class TestLinkTransforms:
@@ -249,8 +249,8 @@ class TestLinkTransforms:
     def test_standalone_is_identity(self):
         for props in props_for(load_fixture("mmu_stub")):
             out = apply_link_transforms(props)
-            assert [(p.name, p.directive, p.ltl_text) for p in out] == [
-                (p.name, p.directive, p.ltl_text) for p in props
+            assert [(p.name, p.directive, p.body.render()) for p in out] == [
+                (p.name, p.directive, p.body.render()) for p in props
             ]
 
     def test_as_mode_flips_every_assume(self):
@@ -258,7 +258,7 @@ class TestLinkTransforms:
         for props in groups:
             out = apply_link_transforms(props, assert_inputs=True)
             for before, after in zip(props, out):
-                assert after.ltl_text == before.ltl_text
+                assert after.body.render() == before.body.render()
                 assert after.name == before.name
                 if before.directive == ASSUME:
                     assert after.directive == ASSERT
@@ -301,5 +301,5 @@ class TestLinkTransforms:
             flipped = apply_link_transforms(bundle.properties, assert_inputs=True)
             for before, after in zip(bundle.properties, flipped):
                 if before.directive == ASSUME:
-                    assert (after.directive, after.ltl_text) == (ASSERT, before.ltl_text)
+                    assert (after.directive, after.body.render()) == (ASSERT, before.body.render())
             assert not self._assumes(flipped)

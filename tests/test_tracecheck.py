@@ -15,8 +15,8 @@ from autoft.tracecheck import (
     PENDING,
     VACUOUS,
     VIOLATED,
+    Compiler,
     Trace,
-    column,
     enumerate_traces,
     eval_property,
     eval_property as evaluate,
@@ -217,7 +217,7 @@ class TestDifferentialSpotChecks:
     def test_short_lengths_agree(self, case):
         import dataclasses
 
-        assert case.prop().ltl_text == case.sva
+        assert case.prop().body.render() == case.sva
         small = dataclasses.replace(case, max_len=min(case.max_len, 3))
         count, mismatches = small.run()
         assert mismatches == [], mismatches[:1]
@@ -323,7 +323,7 @@ class TestInvariants:
     def test_counter_conservation(self, inc, dec):
         n = min(len(inc), len(dec))
         inc, dec = inc[:n], dec[:n]
-        run = column(CNT, Trace({"p_hsk": inc, "q_hsk": dec}))
+        run = Compiler().column(CNT)({"p_hsk": inc, "q_hsk": dec})
         for i in range(n):
             assert run[i] == (sum(inc[:i]) - sum(dec[:i])) % 16
 
