@@ -19,13 +19,15 @@ until the command returns or raises, then restores the caller's setting.
 That is safe because generating, checking and linking create no reference
 cycles: reference counting frees everything they drop, and a collection
 would only rescan the node trees of a large bundle, finding nothing. (The
-argument parser is cyclic; it is dropped before the pause and left to the
-next collection.) `tests/test_gc.py` pins both the restore on every exit
-path and the absence of cyclic garbage.
+argument parser is cyclic, so it is built once per process, by the first
+call, and kept: `parse_args` leaves it unchanged, and no call drops one.)
+`tests/test_gc.py` pins both the restore on every exit path and the absence
+of cyclic garbage.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import sys
@@ -215,7 +217,9 @@ def _add_gen_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The `autoft` parser, built by the first call and returned by every later one."""
     parser = argparse.ArgumentParser(
         prog="autoft",
         description="Generate formal testbenches from annotated RTL module interfaces.",

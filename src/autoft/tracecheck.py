@@ -33,7 +33,10 @@ Finite-trace readings:
   `holds`, because only an unbounded proof could close it; a bounded window
   closed without a discharge is violated at the cycle it closed;
 * a cover reports `holds` once its sequence matches, else `pending`;
-* a property whose antecedent never fires reports `vacuous`.
+* a property whose antecedent never fires reports `vacuous`;
+* `|=>` starts its consequent in the cycle after the antecedent, so an
+  antecedent firing in the last cycle starts no attempt: with nothing else
+  firing, `a |=> b` and `a |=> s_eventually (b)` alike report `vacuous`.
 
 Unknown values (None, written `x` in CSV files) are read the way the naive
 checkers of the test suite read them: in a boolean position (a valid, an ack, a
@@ -193,6 +196,11 @@ def _unknown(x):
     return lambda memo: [v is None for v in x(memo)]
 
 
+def _delayed(x):
+    """x one cycle later: the first cycle reads 0, and x's last cycle falls off the trace."""
+    return lambda memo: [False, *x(memo)[:-1]]
+
+
 def _held(x):
     """Per cycle, whether x holds its value of the cycle before; the first cycle holds."""
     def col(memo):
@@ -270,6 +278,8 @@ class Compiler:
             return _always(self.column(body, ids))
         ant, con = self.column(body.ant, ids), body.con
         if con.__class__ is Eventually:
+            # `ant |=> ev` is `ant |-> ev` one cycle later, so it runs on the antecedent shifted by one cycle.
+            ant = _delayed(ant) if body.next_cycle else ant
             return _eventually(ant, self.column(con.x, ids), self.window if con.hi is None else con.hi)
         return _implies(ant, self.column(con, ids), 1 if body.next_cycle else 0)
 

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from autoft.cli import main
+from autoft.cli import build_arg_parser, main
 
 from conftest import GOLDEN, REPO, fixture_path, load_fixture
 
@@ -399,6 +400,58 @@ class TestLink:
             capsys,
         )
         assert code == 2
+
+
+# One process's calls, in this order: each pair differs by one option, so an option carried over to the
+# next call would change what that call writes or prints.
+REUSE_SEQUENCE = [
+    ["gen", fixture_path("fifo"), "--max-outstanding", "fifo=2"],
+    ["gen", fixture_path("fifo")],
+    ["gen", fixture_path("pipeline"), "--assert-inputs"],
+    ["gen", fixture_path("pipeline")],
+    ["gen", fixture_path("mmu_stub"), "--tool", "both"],
+    ["gen", fixture_path("mmu_stub")],
+    ["link", fixture_path("mmu_stub"), "--child", f"{fixture_path('pipeline')}=am,as"],
+    ["gen", fixture_path("noc_buffer")],
+    ["check", fixture_path("noc_buffer"), "--max-outstanding", "1"],
+    ["check", fixture_path("noc_buffer")],
+]
+
+
+class TestParserReuse:
+    @staticmethod
+    def outcome(argv, outdir, capsys):
+        """Exit code, stdout, stderr and the bytes written of one call, its output directory removed after."""
+        args = [*argv, "-o", outdir] if argv[0] != "check" else argv
+        code, out, err = run_cli(args, capsys)
+        written = bundle_hashes(outdir) if outdir.exists() else {}
+        shutil.rmtree(outdir, ignore_errors=True)
+        return code, out, err, written
+
+    def test_every_call_matches_the_first_call_of_a_fresh_parser(self, tmp_path, capsys):
+        dirs = [tmp_path / f"o{i}" for i in range(len(REUSE_SEQUENCE))]
+        first = []
+        for argv, outdir in zip(REUSE_SEQUENCE, dirs):
+            build_arg_parser.cache_clear()
+            first.append(self.outcome(argv, outdir, capsys))
+        build_arg_parser.cache_clear()
+        assert [self.outcome(argv, outdir, capsys) for argv, outdir in zip(REUSE_SEQUENCE, dirs)] == first
+        assert all(a != b for a, b in zip(first[:6:2], first[1:6:2]))
+        assert first[-2] != first[-1]
+        assert build_arg_parser() is build_arg_parser()
+
+    def test_help_is_the_same_on_a_later_call(self, tmp_path, capsys):
+        def help_text():
+            with pytest.raises(SystemExit) as exc:
+                main(["gen", "--help"])
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        build_arg_parser.cache_clear()
+        fresh = help_text()
+        assert run_cli(["gen", fixture_path("fifo"), "-o", tmp_path / "o"], capsys)[0] == 0
+        assert help_text() == fresh
+        assert "--max-outstanding N|TNAME=N" in fresh
 
 
 # perfbench's traced run (`perfbench/layers.py:import_times`) takes a median import time of each of

@@ -4,7 +4,9 @@
 the caller's state however the command ends. That is safe only while
 generation, model checking and linking leave nothing that reference
 counting cannot free: every test here runs them with the collector off and
-asserts that a full collection afterwards finds no unreachable object.
+asserts that a full collection afterwards finds no unreachable object. The
+same holds for whole `cli.main` calls after the first, which builds the
+argument parser that later calls reuse.
 Evaluation keeps each compiled body with its property and nowhere else, so
 repeated evaluation and model checking retain no memory either.
 """
@@ -109,6 +111,24 @@ class TestMainRestoresCollector:
             cli.main(["gen", str(fixture_path("fifo")), "-o", str(tmp_path / "o")])
         assert seen == [False]  # paused while the command ran
         assert gc.isenabled() is collector
+
+
+def test_cli_calls_leave_no_cycles(tmp_path, capsys):
+    bad = tmp_path / "bad.sv"
+    bad.write_text("// AUTOSVA t: a -in> b\nmodule m (input wire a_val);\nendmodule\n")
+    out = str(tmp_path / "out")
+    runs = {f"gen-{n}": ["gen", str(fixture_path(n)), "--tool", "both", "-o", out] for n in FIXTURE_NAMES}
+    runs.update({f"check-{n}": ["check", str(fixture_path(n))] for n in FIXTURE_NAMES if n in MODEL_REGISTRY})
+    runs["link"] = ["link", str(fixture_path("mmu_stub")), "--child", f"{fixture_path('pipeline')}=am,as", "-o", out]
+    runs["invalid"] = ["gen", str(bad), "-o", out]
+    # The first call may build what later calls reuse; every call after it must leave nothing to collect.
+    assert cli.main(runs["gen-fifo"]) == 0
+    codes = {}
+    garbage = {label: cyclic_garbage(lambda: codes.setdefault(label, cli.main(argv))) for label, argv in runs.items()}
+    capsys.readouterr()
+    assert garbage == dict.fromkeys(runs, 0)
+    assert codes["invalid"] == codes["check-noc_buffer_buggy"] == cli.VALIDATION_ERROR
+    assert codes["link"] == codes["gen-mmu_stub"] == codes["check-fifo"] == 0
 
 
 @pytest.mark.parametrize("label", EMITTED)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from autoft import properties as P
 from autoft.diagnostics import SpaceTooLargeError, UnknownSignalError
 from autoft.properties import GeneratedProperty
-from autoft.sva import Counter, Inflight, Sig, Symbolic, matched
+from autoft.sva import Counter, Eventually, Implies, Inflight, Sig, Symbolic, matched
 from autoft.tracecheck import (
     HOLDS,
     PENDING,
@@ -350,6 +350,56 @@ def test_eventuality_agrees_with_naive_liveness_on_long_traces(data, hi):
     con = data.draw(st.lists(st.sampled_from([0] * 6 + [1, None]), min_size=n, max_size=n))
     verdict = eval_property(prop("liveness", P.eventually(P_HSK, Q_VAL, hi)), Trace({"p_hsk": ant, "q_val": con}))
     assert (verdict.outcome, verdict.cycle) == naive.liveness(ant, con, hi)
+
+
+def next_cycle_eventually(ant, con, hi):
+    """Reference reading of `ant |=> ##[0:hi] (con)`, or `ant |=> s_eventually (con)` when hi is None.
+
+    An antecedent at cycle i demands con at some cycle in [i+1, i+1+hi]; one in the last cycle starts no
+    attempt, as under `ant |=> con`. Kept out of `differential.CASES`, which perfbench's oracle runs.
+    """
+    n = len(ant)
+    fails, pending, fired = [], False, False
+    for i in range(n - 1):
+        if not naive.bit(ant[i]):
+            continue
+        fired = True
+        close = n - 1 if hi is None else i + 1 + hi
+        if any(naive.bit(con[j]) for j in range(i + 1, min(close, n - 1) + 1)):
+            continue
+        if hi is not None and close <= n - 1:
+            fails.append(close)
+        else:
+            pending = True
+    if fails:
+        return (VIOLATED, min(fails))
+    if pending:
+        return (PENDING, None)
+    return (HOLDS, None) if fired else (VACUOUS, None)
+
+
+class TestNextCycleEventuality:
+    @staticmethod
+    def verdict(hi, columns):
+        v = evaluate(prop("liveness", Implies(P_HSK, Eventually(Q_VAL, hi), next_cycle=True)), Trace(columns))
+        return v.outcome, v.cycle
+
+    def test_discharge_in_the_antecedent_cycle_does_not_count(self):
+        # `a |=> s_eventually (b)` with a and b high only in cycle 0: the obligation starts at cycle 1.
+        assert self.verdict(None, {"p_hsk": [1, 0, 0], "q_val": [1, 0, 0]}) == (PENDING, None)
+        assert self.verdict(1, {"p_hsk": [1, 0, 0, 0], "q_val": [1, 0, 0, 0]}) == (VIOLATED, 2)
+        assert self.verdict(None, {"p_hsk": [1, 0, 0], "q_val": [0, 1, 0]}) == (HOLDS, None)
+
+    def test_antecedent_in_the_last_cycle_starts_no_attempt(self):
+        assert self.verdict(None, {"p_hsk": [0, 1], "q_val": [0, 0]}) == (VACUOUS, None)
+        assert self.verdict(0, {"p_hsk": [1], "q_val": [0]}) == (VACUOUS, None)
+
+    @pytest.mark.parametrize("hi", [None, 0, 1, 2])
+    def test_agrees_with_the_reference_on_every_short_trace(self, hi):
+        space = enumerate_traces({"p_hsk": 1, "q_val": 1}, 5, domains={"p_hsk": (0, 1, None)})
+        for t in space:
+            cols = t.columns
+            assert self.verdict(hi, cols) == next_cycle_eventually(cols["p_hsk"], cols["q_val"], hi), cols
 
 
 def test_oracle_rate_bench_runs_at_tiny_size(tmp_path):
