@@ -12,8 +12,9 @@ payload line of the fixture by one operator:
 - `rename`: one identifier of the line becomes a port or an attribute field of
   the fixture;
 - `add`: a new annotation line after it, from `_added_line`: a declaration
-  (`input`/`output`, with a range or a user type, of a port or of a field) or
-  an assignment, balanced or not.
+  (`input`/`output`, with a range or a user type, of a port or of a field),
+  an assignment, balanced or not, or a copy of one of the fixture's relations
+  under its transaction name in the other case (`FIFO: in -in> out`).
 
 Each mutant goes through `generate_bundle` with default options. A mutant is
 rejected when that raises autoft's own error, crashed when it raises anything
@@ -43,7 +44,7 @@ TOKENS = ("(", ")", "[", "]", "{", "}", "[1:0] ", "= ", ";", ",", "!", " && x", 
 OPERATORS = ("insert", "delete", "rename", "add")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_RELATION_RE = re.compile(r"(\w+)\s*-(?:in|out)>\s*(\w+)")
+_RELATION_RE = re.compile(r"(\w+)\s*:\s*((\w+)\s*-(?:in|out)>\s*(\w+))")
 _PORT_RE = re.compile(r"^\s*(?:input|output)\b[^,\n]*?(\w+)\s*,?\s*$", re.MULTILINE)
 
 
@@ -63,14 +64,16 @@ def payload_lines(lines: list[str]) -> list[tuple[int, int]]:
     return out
 
 
-def _added_line(rng: random.Random, ports: list[str], fields: list[str]) -> str:
+def _added_line(rng: random.Random, ports: list[str], fields: list[str], relations: list[tuple]) -> str:
     field, port = rng.choice(fields), rng.choice(ports)
+    tname, relation = rng.choice(relations)[:2]
     return rng.choice((
         f"input {port}",
         f"{rng.choice(('input', 'output'))} {rng.choice(('', '[1:0] ', 'logic [7:0] ', 'dat_t '))}{field}",
         f"{field} = {port}",
         f"[1:0] {field} = ({port}",
         f"{field} = {{{port}, {port}",
+        f"{tname.swapcase()}: {relation}",
     ))
 
 
@@ -78,7 +81,8 @@ def mutate(rng: random.Random, text: str) -> tuple[str, str]:
     """One mutant of a fixture's text and the operator that made it."""
     lines = text.split("\n")
     ports = _PORT_RE.findall(text[text.index("module"):])
-    fields = [f"{iface}_{s}" for pair in _RELATION_RE.findall(text) for iface in pair for s in SUFFIXES]
+    relations = _RELATION_RE.findall(text)  # (tname, relation, p, q)
+    fields = [f"{iface}_{s}" for _, _, *pair in relations for iface in pair for s in SUFFIXES]
     i, col = rng.choice(payload_lines(lines))
     head, payload = lines[i][:col], lines[i][col:]
     op = rng.choice(OPERATORS)
@@ -92,7 +96,7 @@ def mutate(rng: random.Random, text: str) -> tuple[str, str]:
         m = rng.choice(list(_IDENT_RE.finditer(payload)))
         payload = payload[: m.start()] + rng.choice(ports + fields) + payload[m.end():]
     else:
-        lines.insert(i + 1, head + _added_line(rng, ports, fields))
+        lines.insert(i + 1, head + _added_line(rng, ports, fields, relations))
     lines[i] = head + payload
     return "\n".join(lines), op
 

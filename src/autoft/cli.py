@@ -9,10 +9,11 @@ Subcommands:
            parent's testbench.
 
 Exit codes: 0 success, 1 validation or check failure (every diagnostic is
-printed, not just the first), 2 usage errors, also an input file that is
-not UTF-8, an output that cannot be written and a module whose reference
-model cannot evaluate its properties. Warnings go to stderr and never block generation. Set
-AUTOFT_COLOR=1/0 to force or suppress colored diagnostics.
+printed, not just the first), 2 usage errors, also an input file that
+cannot be read or is not UTF-8, an output that cannot be written and a
+module whose reference model cannot evaluate its properties. Warnings go to
+stderr and never block generation. Set AUTOFT_COLOR=1/0 to force or
+suppress colored diagnostics.
 
 `main` pauses the cyclic garbage collector from the end of argument parsing
 until the command returns or raises, then restores the caller's setting.
@@ -94,9 +95,11 @@ def _options_from_args(args: argparse.Namespace) -> GenOptions:
 
 
 def _read(path: Path) -> str:
-    """The text of an input file; one that is not UTF-8 is a usage error."""
+    """The text of an input file; one that cannot be read or is not UTF-8 is a usage error."""
     try:
         return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read '{path}': {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         # The whole file is decoded in one call, so `start` is the byte's offset in the file.
         bad = exc.object[exc.start]

@@ -12,7 +12,7 @@ from pathlib import Path
 from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, error, errors_in
 from .options import TOOL_BOTH, TOOL_JASPERGOLD, TOOL_SYMBIYOSYS, GenOptions
 from .parser import ParsedModule, parse_module
-from .properties import ASSUME, GeneratedProperty, apply_link_transforms, gen_properties, scope_names
+from .properties import ASSUME, GeneratedProperty, apply_link_transforms, gen_properties
 from .signals import TransactionAux, synth_module_aux
 from .sva import width_prefix
 from .transactions import Transaction, build_transactions
@@ -244,9 +244,11 @@ def link_submodule_fts(
 
     `children` pairs each child bundle with its (am, as) flags. With am the
     parent property module gains a bind of the child's property module (with
-    ASSERT_INPUTS=1 when as is also set), the tool files list the child's
-    files, and the child's properties join the parent's under the child's
-    name; without am the child leaves no trace in the parent.
+    ASSERT_INPUTS=1 when as is also set) and the tool files list the child's
+    files; without am the child leaves no trace in the parent. The binds go
+    in one block before the module's final `endmodule`. The linked bundle
+    keeps the parent's properties and warnings: a child's properties are
+    proved, and checked, in the child's own property module.
     """
     linked = [(child, as_) for child, am, as_ in children if am]
     if not linked:
@@ -268,24 +270,17 @@ def link_submodule_fts(
     if diags:
         raise GenerationError(diags)
 
-    bind_lines = []
+    lines = ["// ---- linked submodule testbenches ----"]
     extra_sources: list[str] = []
-    linked_props = list(parent.properties)
     for child, as_ in linked:
         override = " #(.ASSERT_INPUTS(1))" if as_ else ""
-        bind_lines.append(f"bind {child.dut} {child.dut}_prop{override} {child.dut}_prop_i (.*);")
+        lines.append(f"bind {child.dut} {child.dut}_prop{override} {child.dut}_prop_i (.*);")
         extra_sources += [f"{child.dut}.sv", f"{child.dut}_prop.sv"]
-        linked_props += scope_names(apply_link_transforms(child.properties, assert_inputs=as_), child.dut)
 
-    text = parent.property_module.text
-    insert = "// ---- linked submodule testbenches ----\n" + "\n".join(bind_lines) + "\n\n"
-    text = text.replace("endmodule\n", insert + "endmodule\n")
-
+    text = parent.property_module.text.removesuffix("endmodule\n")  # the emitted text's last line
     return parent._replace(
-        property_module=GeneratedFile(parent.property_module.name, text),
+        property_module=GeneratedFile(parent.property_module.name, text + "\n".join(lines) + "\n\nendmodule\n"),
         tool_files=emit_tool_files(parent.source_module, parent.opts.tool, parent.opts, tuple(extra_sources)),
-        warnings=list(parent.warnings),
-        properties=linked_props,
     )
 
 

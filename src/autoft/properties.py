@@ -266,12 +266,6 @@ def apply_link_transforms(
 
     Names, bodies and all other directives are kept. This is the polarity a
     testbench takes when its inputs are checked rather than assumed: generated
-    with ASSERT_INPUTS=1, or linked under a parent with the `as` flag. Names
-    are scoped under a parent by `scope_names`, not here.
+    with ASSERT_INPUTS=1, or linked under a parent with the `as` flag.
     """
     return [p._replace(directive=ASSERT) if assert_inputs and p.directive == ASSUME else p for p in props]
-
-
-def scope_names(props: list[GeneratedProperty], scope: str) -> list[GeneratedProperty]:
-    """Prefix property names with a submodule scope for parent-level reports."""
-    return [p._replace(name=f"{scope}_{p.name}") for p in props]

@@ -8,13 +8,20 @@ for tracked transactions (id bound on both sides) a `Symbolic` id with its
 `Inflight` bit and, when data is bound, a `Sampled` capture register.
 The id and the capture register take one width rule (`_attr_width`).
 Whether a transaction is tracked is decided here, once: later stages read
-the roles this module fills in. Generated names are checked against the
-parsed port and parameter names; a collision is resolved by appending a
-numeric suffix and emitting a warning.
+the roles this module fills in.
+
+Every name the property module declares beyond the header's is allocated
+here, by one `_Namer` seeded with the ports, the declared signals, the
+parameters, the clock and the reset: the aux signals and each counter's
+`<TNAME>_MAX_OUTSTANDING` and `<TNAME>_CNT_WIDTH` parameters. A collision,
+with a header name or between transactions whose names differ only in case,
+is resolved by appending a numeric suffix and emitting a warning. The one
+fixed name, the `ASSERT_INPUTS` parameter, cannot be renamed, because `link`
+sets it by name; a header parameter or port of that name is an error.
 """
 from __future__ import annotations
 
-from .diagnostics import Diagnostic, warning
+from .diagnostics import Diagnostic, error, warning
 from .options import GenOptions
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule
 from .sva import And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched
@@ -56,11 +63,6 @@ class TransactionAux:
     def __init__(self, signals: list[Aux], roles: dict[str, Node]):
         self.signals = signals
         self.roles = roles
-
-
-def _cnt_param_names(tname: str) -> tuple[str, str]:
-    upper = tname.upper()
-    return f"{upper}_MAX_OUTSTANDING", f"{upper}_CNT_WIDTH"
 
 
 # Attribute suffix -> (what its width is called, the register it sizes).
@@ -133,7 +135,9 @@ def synth_transaction_aux(
         roles[f"{side_role}_hsk"] = wire((side.name, expr), f"{side.name}_hsk", Handshake, expr)
     p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
 
-    counter = Counter(namer.alloc(f"{t.tname}_outstanding"), p_hsk, q_hsk, limit, *_cnt_param_names(t.tname))
+    upper = t.tname.upper()
+    counter = Counter(namer.alloc(f"{t.tname}_outstanding"), p_hsk, q_hsk, limit,
+                      namer.alloc(f"{upper}_MAX_OUTSTANDING"), namer.alloc(f"{upper}_CNT_WIDTH"))
     roles["counter"] = counter
     signals.append(counter)
 
@@ -160,7 +164,9 @@ def synth_module_aux(
     """Synthesize aux signals for every transaction with module-wide naming."""
     diags: list[Diagnostic] = []
     taken = pm.port_names() | {p.name for p in pm.parameters} | {opts.clk, opts.rst}
-    taken.update(*(_cnt_param_names(t.tname) for t in txns))
+    if "ASSERT_INPUTS" in taken:
+        diags.append(error("reserved-name", "'ASSERT_INPUTS' is reserved: the property module declares a "
+                                            "parameter of that name, which link's `as` flag sets"))
     namer = _Namer(taken)
     shared: dict = {}
     out = [synth_transaction_aux(t, opts.outstanding_limit(t.tname), namer, shared, diags) for t in txns]

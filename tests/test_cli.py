@@ -1,9 +1,11 @@
+import errno
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +150,31 @@ class TestGen:
         # Every source is read before any is generated, so no warning of the parent precedes the error.
         assert run.stderr == f"error: file '{bad}' is not UTF-8: byte 0xa9 at offset {len(text) + 12}\n"
         assert run.stdout == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "{locked}", "-o", "o"], ["check", "{locked}"],
+         ["link", "{parent}", "--child", "{locked}=am", "-o", "o"]],
+        ids=["gen", "check", "link-child"],
+    )
+    def test_input_that_cannot_be_read_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        # chmod does not deny a read to root, so the read itself is made to fail.
+        locked = tmp_path / "locked.sv"
+        locked.write_text(load_fixture("fifo"))
+        read_text = Path.read_text
+
+        def deny(path, *args, **kwargs):
+            if path == locked:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", deny)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli([a.format(locked=locked, parent=fixture_path("fifo")) for a in argv], capsys)
+        assert code == 2
+        assert err == f"error: cannot read '{locked}': {os.strerror(errno.EACCES)}\n"
+        assert out == ""
         assert not (tmp_path / "o").exists()
 
     def test_output_that_cannot_be_written_is_usage_error(self, tmp_path, capsys):

@@ -299,8 +299,14 @@ class TestLinking:
         assert "bind pipeline pipeline_prop #(.ASSERT_INPUTS(1)) pipeline_prop_i (.*);" in (
             linked.property_module.text
         )
-        scoped = [p for p in linked.properties if p.name.startswith("pipeline_")]
-        assert scoped and all(p.directive != "assume" for p in scoped)
+
+    def test_binds_go_once_before_the_final_endmodule(self):
+        linked, parent, _ = self._parent_child(as_flag=True)
+        assert linked.property_module.text == parent.property_module.text.removesuffix("endmodule\n") + (
+            "// ---- linked submodule testbenches ----\n"
+            "bind pipeline pipeline_prop #(.ASSERT_INPUTS(1)) pipeline_prop_i (.*);\n\nendmodule\n"
+        )
+        assert (linked.properties, linked.warnings) == (parent.properties, parent.warnings)
 
     def test_no_am_returns_parent_unchanged(self):
         parent = gen_fixture("mmu_stub")
@@ -337,6 +343,19 @@ DECL_AND_ASSIGN = _module(
     "// AUTOSVA t: a -in> b\n// AUTOSVA input a_ack\n// AUTOSVA a_ack = !busy",
 )
 
+# Names the property module declares that clash with a header's, or with each other's.
+FIFO_WITH = {
+    name: load_fixture("fifo").replace("parameter DEPTH = 2", f"parameter DEPTH = 2,\n    parameter {name} = 4")
+    for name in ("FIFO_MAX_OUTSTANDING", "FIFO_CNT_WIDTH", "ASSERT_INPUTS")
+}
+CASE_TWINS = _module(
+    "input wire x_val,\noutput wire y_val,\ninput wire u_val,\noutput wire v_val",
+    "// AUTOSVA a: x -in> y\n// AUTOSVA A: u -in> v",
+)
+# A parent whose last port ends in `endmodule`, so that its port list does too.
+MMU_DBG_ENDMODULE = load_fixture("mmu_stub").replace(
+    "ptw_res_tag\n);", "ptw_res_tag,\n    input  wire            dbg_endmodule\n);")
+
 # The option mixes every emitted module is checked under.
 OPTION_MIXES = {
     "default": {},
@@ -357,8 +376,12 @@ def _emitted_modules():
                 src = src.replace("clk", "clock_i").replace("rst_n", "reset")
             yield f"{name}-{mix}", lambda src=src, kw=kw: generate_bundle(src, "m.sv", GenOptions(**kw))
     yield "link", lambda: link_submodule_fts(gen_fixture("mmu_stub"), [(gen_fixture("pipeline"), True, True)])
+    yield "link_dbg_endmodule", lambda: link_submodule_fts(generate_bundle(MMU_DBG_ENDMODULE, "m.sv", GenOptions()),
+                                                           [(gen_fixture("pipeline"), True, True)])
     for label, src in (("typed", TYPED_DECLS), ("typed_vs_port", TYPED_DECL_VS_PORT),
-                       ("decl_and_assign", DECL_AND_ASSIGN)):
+                       ("decl_and_assign", DECL_AND_ASSIGN),
+                       ("fifo_max_outstanding", FIFO_WITH["FIFO_MAX_OUTSTANDING"]),
+                       ("fifo_cnt_width", FIFO_WITH["FIFO_CNT_WIDTH"]), ("case_twins", CASE_TWINS)):
         yield label, lambda src=src: generate_bundle(src, "m.sv", GenOptions())
 
 
@@ -372,6 +395,34 @@ def test_each_name_declared_once(label):
     assert balanced(text)
     assert lone_eq(text) == []
     assert commented_declarations(text) == []
+
+
+class TestNames:
+    def test_a_clashing_counter_parameter_is_renamed_and_keeps_its_override(self):
+        bundle = generate_bundle(FIFO_WITH["FIFO_MAX_OUTSTANDING"], "m.sv",
+                                 GenOptions(max_outstanding_overrides={"fifo": 3}))
+        text = bundle.property_module.text
+        assert "parameter FIFO_MAX_OUTSTANDING = 4," in text
+        assert "parameter FIFO_MAX_OUTSTANDING_1 = 3\n" in text
+        assert "localparam FIFO_CNT_WIDTH = $clog2(FIFO_MAX_OUTSTANDING_1 + 1);" in text
+        [renamed] = [d for d in bundle.warnings if d.code == "name-collision-renamed"]
+        assert "'FIFO_MAX_OUTSTANDING'" in renamed.message and "'FIFO_MAX_OUTSTANDING_1'" in renamed.message
+
+    def test_transactions_differing_in_case_get_their_own_counter_parameters(self):
+        text = generate_bundle(CASE_TWINS, "m.sv", GenOptions()).property_module.text
+        for name in ("A_MAX_OUTSTANDING", "A_MAX_OUTSTANDING_1"):
+            assert f"parameter {name} = 8" in text
+        for name, limit in (("A_CNT_WIDTH", "A_MAX_OUTSTANDING"), ("A_CNT_WIDTH_1", "A_MAX_OUTSTANDING_1")):
+            assert f"localparam {name} = $clog2({limit} + 1);" in text
+
+    @pytest.mark.parametrize("src", [
+        FIFO_WITH["ASSERT_INPUTS"],
+        _module("input wire a_val,\noutput wire b_val,\ninput wire ASSERT_INPUTS", "// AUTOSVA t: a -in> b"),
+    ], ids=["parameter", "port"])
+    def test_assert_inputs_is_reserved(self, src):
+        with pytest.raises(GenerationError) as exc:
+            generate_bundle(src, "m.sv", GenOptions())
+        assert [d.code for d in exc.value.diagnostics if d.is_error] == ["reserved-name"]
 
 
 def test_wellformed_reads_wire_right_hand_sides():
