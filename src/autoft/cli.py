@@ -5,8 +5,11 @@ Subcommands:
 * `gen`    parse one annotated RTL file and write the testbench bundle;
 * `check`  generate in memory and run the built-in reference machine for the
            module over the generated properties;
-* `link`   generate a parent and child bundles and fold the children into the
-           parent's testbench.
+* `link`   generate a parent and child bundles and bind each `=am` child's
+           property module into the parent's, `=am,as` with its assumptions
+           asserted (`as` without `am` is a usage error). The parent and the
+           `am` children must be distinct modules (else a `duplicate-module`
+           error); transaction names may repeat across them.
 
 Exit codes: 0 success, 1 validation or check failure (every diagnostic is
 printed, not just the first), 2 usage errors, also an input file that
@@ -55,11 +58,6 @@ def _print_diagnostics(diags: list[Diagnostic]) -> None:
         print(d.render(color), file=sys.stderr)
 
 
-def _require_file(path: Path, what: str) -> None:
-    if not path.is_file():
-        raise UsageError(f"{what} file '{path}' not found")
-
-
 def _parse_max_outstanding(values: list[str] | None) -> tuple[int, dict[str, int]]:
     default = DEFAULT_MAX_OUTSTANDING
     overrides: dict[str, int] = {}
@@ -94,10 +92,12 @@ def _options_from_args(args: argparse.Namespace) -> GenOptions:
         raise UsageError(str(exc)) from None
 
 
-def _read(path: Path) -> str:
-    """The text of an input file; one that cannot be read or is not UTF-8 is a usage error."""
+def _read(path: Path, what: str) -> str:
+    """The text of the `what` ("input" or "child") file; one that cannot be read or is not UTF-8 is a usage error."""
     try:
         return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise UsageError(f"{what} file '{path}' not found") from None
     except OSError as exc:
         raise UsageError(f"cannot read '{path}': {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -139,15 +139,17 @@ def _write(outdir: Path, *bundles: TestbenchBundle) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    opts, path = _options_from_args(args), Path(args.input)
-    [bundle] = _generate(opts, (path, _read(path)))
+    path = Path(args.input)
+    source = _read(path, "input")
+    [bundle] = _generate(_options_from_args(args), (path, source))
     _write(Path(args.outdir), bundle)
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    opts, path = _options_from_args(args), Path(args.input)
-    [bundle] = _generate(opts, (path, _read(path)))
+    path = Path(args.input)
+    source = _read(path, "input")
+    [bundle] = _generate(_options_from_args(args), (path, source))
     factory = MODEL_REGISTRY.get(bundle.dut)
     if factory is None:
         known = ", ".join(sorted(MODEL_REGISTRY))
@@ -177,17 +179,18 @@ def _parse_child_spec(spec: str) -> tuple[Path, bool, bool]:
     unknown = flags - {"am", "as"}
     if unknown:
         raise UsageError(f"unknown child flags {sorted(unknown)} in '{spec}'")
+    if "as" in flags and "am" not in flags:
+        raise UsageError(f"child flag 'as' needs 'am' in '{spec}'")
     return Path(path_text), "am" in flags, "as" in flags
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
+    path = Path(args.input)
+    source = _read(path, "input")
     specs = [_parse_child_spec(spec) for spec in args.child or []]
-    for child_path, _, _ in specs:
-        _require_file(child_path, "child")
-    opts = _options_from_args(args)
     # Every source is read before any is generated, so a bad child stops the run before a warning is printed.
-    sources = [(path, _read(path)) for path in [Path(args.input), *(path for path, _, _ in specs)]]
-    parent, *kids = _generate(opts, *sources)
+    sources = [(path, source), *((child, _read(child, "child")) for child, _, _ in specs)]
+    parent, *kids = _generate(_options_from_args(args), *sources)
     children = [(kid, am, as_) for kid, (_, am, as_) in zip(kids, specs)]
     _write(Path(args.outdir), link_submodule_fts(parent, children), *(child for child, am, _ in children if am))
     return 0
@@ -255,7 +258,6 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        _require_file(Path(args.input), "input")
         return args.func(args)
     except (UsageError, SymbolicWidthError) as exc:
         print(f"error: {exc}", file=sys.stderr)

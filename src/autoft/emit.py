@@ -6,7 +6,7 @@ paths, so regenerating a bundle always reproduces it byte for byte.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from pathlib import Path
 
 from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, error, errors_in
@@ -249,26 +249,21 @@ def link_submodule_fts(
     in one block before the module's final `endmodule`. The linked bundle
     keeps the parent's properties and warnings: a child's properties are
     proved, and checked, in the child's own property module.
+
+    The parent and the am children must be distinct modules, so that no
+    module is bound twice and no bundle overwrites another; a repeated one
+    is a `duplicate-module` error. Transaction names may repeat across
+    modules, since each property module is its own scope.
     """
     linked = [(child, as_) for child, am, as_ in children if am]
     if not linked:
         return parent
 
-    tnames: dict[str, str] = {t.tname: parent.dut for t in parent.transactions}
-    diags: list[Diagnostic] = []
-    for child, _ in linked:
-        for t in child.transactions:
-            if t.tname in tnames:
-                diags.append(
-                    error(
-                        "duplicate-transaction-name",
-                        f"transaction '{t.tname}' defined by both '{tnames[t.tname]}' and '{child.dut}'",
-                    )
-                )
-            else:
-                tnames[t.tname] = child.dut
-    if diags:
-        raise GenerationError(diags)
+    duts = Counter([parent.dut, *(child.dut for child, _ in linked)])
+    repeated = [error("duplicate-module", f"module '{dut}' is linked {n} times; the parent and each am child "
+                      "must be distinct modules") for dut, n in duts.items() if n > 1]
+    if repeated:
+        raise GenerationError(repeated)
 
     lines = ["// ---- linked submodule testbenches ----"]
     extra_sources: list[str] = []

@@ -132,6 +132,22 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "argv",
+        [["gen", "{dir}", "-o", "o"], ["check", "{dir}"], ["link", "{dir}", "--child", "{child}=am", "-o", "o"],
+         ["link", "{parent}", "--child", "{dir}=am", "-o", "o"]],
+        ids=["gen", "check", "link-parent", "link-child"],
+    )
+    def test_directory_as_input_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        paths = dict(dir=tmp_path / "rtl.sv", parent=fixture_path("mmu_stub"), child=fixture_path("pipeline"))
+        paths["dir"].mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli([a.format(**paths) for a in argv], capsys)
+        assert code == 2
+        assert err == f"error: cannot read '{paths['dir']}': {os.strerror(errno.EISDIR)}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
         [["gen", "{bad}", "-o", "o"], ["check", "{bad}"], ["link", "{parent}", "--child", "{bad}=am", "-o", "o"]],
         ids=["gen", "check", "link-child"],
     )
@@ -345,6 +361,13 @@ class TestCheckGolden:
         assert check_transcript(case, capsys, monkeypatch) == golden
 
 
+def _fifo2(tmp_path):
+    """fifo.sv with the module renamed to fifo2: a second module whose transaction is named `fifo` too."""
+    clone = tmp_path / "fifo2.sv"
+    clone.write_text(load_fixture("fifo").replace("module fifo", "module fifo2"))
+    return clone
+
+
 class TestLink:
     def test_link_with_am_as(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -378,15 +401,43 @@ class TestLink:
         assert code == 0
         assert err.count("warning[data-without-transid]") == 1
 
-    def test_link_duplicate_tname_fails(self, tmp_path, capsys):
-        clone = tmp_path / "fifo2.sv"
-        clone.write_text(fixture_path("fifo").read_text().replace("module fifo", "module fifo2"))
-        code, _, err = run_cli(
-            ["link", fixture_path("fifo"), "--child", f"{clone}=am", "-o", tmp_path / "o"],
-            capsys,
-        )
+    def test_link_shared_tname_binds_each_module(self, tmp_path, capsys):
+        code, _, _ = run_cli(["link", fixture_path("fifo"), "--child", f"{_fifo2(tmp_path)}=am", "-o", tmp_path / "o"],
+                             capsys)
+        assert code == 0
+        assert "bind fifo2 fifo2_prop fifo2_prop_i (.*);\n" in (tmp_path / "o" / "fifo" / "fifo_prop.sv").read_text()
+        sby = (tmp_path / "o" / "fifo" / "fifo.sby").read_text()
+        assert sby.endswith("[files]\nfifo.sv\nfifo_prop.sv\nfifo_bind.svh\nfifo2.sv\nfifo2_prop.sv\n")
+
+    def test_max_outstanding_sets_a_shared_name_in_each_module(self, tmp_path, capsys):
+        code, _, _ = run_cli(["link", fixture_path("fifo"), "--child", f"{_fifo2(tmp_path)}=am",
+                              "--max-outstanding", "fifo=3", "-o", tmp_path / "o"], capsys)
+        assert code == 0
+        for dut in ("fifo", "fifo2"):
+            assert "parameter FIFO_MAX_OUTSTANDING = 3\n" in (tmp_path / "o" / dut / f"{dut}_prop.sv").read_text()
+
+    @pytest.mark.parametrize("parent, children", [("fifo", ["leaf", "leaf"]), ("leaf", ["leaf"])],
+                             ids=["child-twice", "parent-as-child"])
+    def test_repeated_module_writes_nothing(self, parent, children, tmp_path, capsys):
+        leaf = tmp_path / "leaf.sv"
+        leaf.write_text("module leaf (\ninput wire clk,\ninput wire rst_n,\ninput wire a\n);\nendmodule\n")
+        paths = {"fifo": fixture_path("fifo"), "leaf": leaf}
+        argv = ["link", paths[parent], *(a for c in children for a in ("--child", f"{paths[c]}=am")),
+                "-o", tmp_path / "o"]
+        code, out, err = run_cli(argv, capsys)
         assert code == 1
-        assert "duplicate-transaction-name" in err
+        assert err.endswith("error[duplicate-module]: module 'leaf' is linked 2 times; the parent and each am child "
+                            "must be distinct modules\n")
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_as_without_am_is_usage_error(self, tmp_path, capsys):
+        spec = f"{fixture_path('pipeline')}=as"
+        code, out, err = run_cli(["link", fixture_path("mmu_stub"), "--child", spec, "-o", tmp_path / "o"], capsys)
+        assert code == 2
+        assert err == f"error: child flag 'as' needs 'am' in '{spec}'\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("blocked, failed", [("out", "out/mmu_stub"), ("out/pipeline", "out/pipeline")],
                              ids=["parent", "child"])

@@ -19,7 +19,7 @@ from autoft.parser import parse_module
 from autoft.tracecheck import Trace, eval_property
 
 from conftest import FIXTURE_NAMES, GOLDEN, REPO, gen_fixture, load_fixture
-from wellformed import balanced, commented_declarations, declared_twice, lone_eq
+from wellformed import balanced, bound_twice, commented_declarations, declared_twice, lone_eq
 
 SV_KEYWORDS = {
     "module", "endmodule", "parameter", "localparam", "input", "output", "wire",
@@ -311,16 +311,31 @@ class TestLinking:
     def test_no_am_returns_parent_unchanged(self):
         parent = gen_fixture("mmu_stub")
         child = gen_fixture("pipeline")
-        linked = link_submodule_fts(parent, [(child, False, False)])
+        # A child without am is not bound, so repeating a module there is no duplicate-module.
+        linked = link_submodule_fts(parent, [(child, False, False), (child, False, False), (parent, False, False)])
         assert linked is parent
 
-    def test_duplicate_tname_across_link_set_rejected(self):
-        parent = gen_fixture("fifo")
-        src = load_fixture("fifo").replace("module fifo", "module fifo2")
-        child = generate_bundle(src, "fifo2.sv", GenOptions())
+    def test_transaction_names_may_repeat_across_modules(self):
+        # fifo2 declares fifo's transaction `fifo` again; each property module is its own scope.
+        linked = _link_shared_tname()
+        assert "bind fifo2 fifo2_prop fifo2_prop_i (.*);" in linked.property_module.text
+        sby = [f for f in linked.tool_files if f.name.endswith(".sby")][0]
+        assert sby.text.endswith("[files]\nfifo.sv\nfifo_prop.sv\nfifo_bind.svh\nfifo2.sv\nfifo2_prop.sv\n")
+
+    @pytest.mark.parametrize("name", ["leaf", "fifo"])
+    def test_a_child_linked_twice_is_a_duplicate_module(self, name):
+        child = generate_bundle(LEAF, "leaf.sv", GenOptions()) if name == "leaf" else gen_fixture("fifo")
         with pytest.raises(GenerationError) as exc:
-            link_submodule_fts(parent, [(child, True, False)])
-        assert any(d.code == "duplicate-transaction-name" for d in exc.value.diagnostics)
+            link_submodule_fts(gen_fixture("mmu_stub"), [(child, True, False), (child, True, True)])
+        [diag] = exc.value.diagnostics
+        assert diag.code == "duplicate-module"
+        assert f"module '{name}' is linked 2 times" in diag.message
+
+    def test_the_parent_as_its_own_child_is_a_duplicate_module(self):
+        leaf = generate_bundle(LEAF, "leaf.sv", GenOptions())
+        with pytest.raises(GenerationError) as exc:
+            link_submodule_fts(leaf, [(leaf, True, False)])
+        assert [(d.code, "'leaf'" in d.message) for d in exc.value.diagnostics] == [("duplicate-module", True)]
 
 
 def _module(ports: str, annotations: str) -> str:
@@ -352,6 +367,15 @@ CASE_TWINS = _module(
     "input wire x_val,\noutput wire y_val,\ninput wire u_val,\noutput wire v_val",
     "// AUTOSVA a: x -in> y\n// AUTOSVA A: u -in> v",
 )
+# A module without annotations, and fifo again under another name: its transaction is named `fifo` too.
+LEAF = "module leaf (\ninput wire clk,\ninput wire rst_n,\ninput wire a\n);\nendmodule\n"
+FIFO2 = load_fixture("fifo").replace("module fifo", "module fifo2")
+
+
+def _link_shared_tname():
+    return link_submodule_fts(gen_fixture("fifo"), [(generate_bundle(FIFO2, "fifo2.sv", GenOptions()), True, False)])
+
+
 # A parent whose last port ends in `endmodule`, so that its port list does too.
 MMU_DBG_ENDMODULE = load_fixture("mmu_stub").replace(
     "ptw_res_tag\n);", "ptw_res_tag,\n    input  wire            dbg_endmodule\n);")
@@ -378,6 +402,7 @@ def _emitted_modules():
     yield "link", lambda: link_submodule_fts(gen_fixture("mmu_stub"), [(gen_fixture("pipeline"), True, True)])
     yield "link_dbg_endmodule", lambda: link_submodule_fts(generate_bundle(MMU_DBG_ENDMODULE, "m.sv", GenOptions()),
                                                            [(gen_fixture("pipeline"), True, True)])
+    yield "link_shared_tname", _link_shared_tname
     for label, src in (("typed", TYPED_DECLS), ("typed_vs_port", TYPED_DECL_VS_PORT),
                        ("decl_and_assign", DECL_AND_ASSIGN),
                        ("fifo_max_outstanding", FIFO_WITH["FIFO_MAX_OUTSTANDING"]),
@@ -390,8 +415,10 @@ EMITTED = dict(_emitted_modules())
 
 @pytest.mark.parametrize("label", EMITTED)
 def test_each_name_declared_once(label):
-    text = EMITTED[label]().property_module.text
+    bundle = EMITTED[label]()
+    text = bundle.property_module.text
     assert declared_twice(text) == []
+    assert bound_twice(text + bundle.bind_file.text) == []
     assert balanced(text)
     assert lone_eq(text) == []
     assert commented_declarations(text) == []
@@ -429,6 +456,19 @@ def test_wellformed_reads_wire_right_hand_sides():
     text = 'wire a = bu= sy;\nwire b = = 1;\nwire c = x <= y && z === w;\nwire d = "=" == e;\nwire f = g // h;\n'
     assert lone_eq(text) == ["wire a = bu= sy", "wire b = = 1"]
     assert commented_declarations(text + "logic [1:0] k /* l;\n") == ["wire f = g // h", "logic   k /* l"]
+
+
+def test_wellformed_finds_a_repeated_bind():
+    text = (
+        "bind leaf leaf_prop leaf_prop_i (.*);\n"
+        "bind fifo fifo_prop #(\n    .DEPTH(DEPTH)\n) fifo_prop_i (.*);\n"
+        "bind leaf leaf_prop #(.ASSERT_INPUTS(1)) leaf_prop_j (.*);\n"
+        "  bind leaf leaf_prop leaf_prop_i (.*);\n"
+        "// bind fifo fifo_prop fifo_prop_i (.*);\n"
+    )
+    assert bound_twice(text) == [("leaf", "leaf_prop_i")]
+    assert bound_twice(text + "bind fifo fifo_prop fifo_prop_i (.a(b), .*);\n") == [
+        ("fifo", "fifo_prop_i"), ("leaf", "leaf_prop_i")]
 
 
 def test_mutation_probe_accepts_only_well_formed_output():

@@ -17,6 +17,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 _STRING_RE = re.compile(r'"(?:[^"\\\n]|\\.)*"')
 _COMPARISON_RE = re.compile(r"===|!==|==|!=|<=|>=")
 _COMMENT_OPENER_RE = re.compile(r"//|/\*")
+_BIND_RE = re.compile(r"^[ \t]*bind\s([^;]*);", re.M)
+_PAREN_GROUP_RE = re.compile(r"\([^()]*\)")
 
 
 def balanced(text: str) -> bool:
@@ -73,3 +75,21 @@ def lone_eq(text: str) -> list[str]:
 def commented_declarations(text: str) -> list[str]:
     """Declaration statements that hold `//` or `/*`, which comments out the rest of the line."""
     return [stmt for word, stmt in _statements(text) if word in _DECL_KEYWORDS and _COMMENT_OPENER_RE.search(stmt)]
+
+
+def bound_twice(text: str) -> list[tuple[str, str]]:
+    """(target module, instance) of each `bind` statement that occurs more than once.
+
+    A bind statement starts a line and ends at its `;`. Its parenthesized
+    groups, the parameter overrides and port connections, are dropped
+    innermost first, which leaves the target as the first identifier and the
+    instance as the last.
+    """
+    binds = []
+    for m in _BIND_RE.finditer(text):
+        stmt = m.group(1)
+        while (bare := _PAREN_GROUP_RE.sub(" ", stmt)) != stmt:
+            stmt = bare
+        idents = _IDENT_RE.findall(stmt)
+        binds.append((idents[0], idents[-1]))
+    return sorted(pair for pair, n in Counter(binds).items() if n > 1)
