@@ -5,11 +5,13 @@ Subcommands:
 * `gen`    parse one annotated RTL file and write the testbench bundle;
 * `check`  generate in memory and run the built-in reference machine for the
            module over the generated properties;
-* `link`   generate a parent and child bundles and bind each `=am` child's
-           property module into the parent's, `=am,as` with its assumptions
-           asserted (`as` without `am` is a usage error). The parent and the
-           `am` children must be distinct modules (else a `duplicate-module`
-           error); transaction names may repeat across them.
+* `link`   generate a parent and child bundles and bind each child's
+           property module into the parent's: every `--child` spec is
+           `PATH=am`, or `PATH=am,as` to assert the child's assumptions, and
+           a spec without `am` is a usage error, raised before any module is
+           generated. The parent and the children must be distinct modules
+           (else a `duplicate-module` error); transaction names may repeat
+           across them.
 
 Exit codes: 0 success, 1 validation or check failure (every diagnostic is
 printed, not just the first), 2 usage errors, also an input file that
@@ -171,7 +173,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_child_spec(spec: str) -> tuple[Path, bool, bool]:
+def _parse_child_spec(spec: str) -> tuple[Path, bool]:
+    """The child's path and its `as` flag; `am` must be given, since a child is linked only by its bind."""
     path_text, _, flag_text = spec.partition("=")
     if not path_text:
         raise UsageError(f"no child file in '{spec}'")
@@ -179,9 +182,10 @@ def _parse_child_spec(spec: str) -> tuple[Path, bool, bool]:
     unknown = flags - {"am", "as"}
     if unknown:
         raise UsageError(f"unknown child flags {sorted(unknown)} in '{spec}'")
-    if "as" in flags and "am" not in flags:
-        raise UsageError(f"child flag 'as' needs 'am' in '{spec}'")
-    return Path(path_text), "am" in flags, "as" in flags
+    if "am" not in flags:
+        raise UsageError(f"child flag 'as' needs 'am' in '{spec}'" if flags else
+                         f"no flag 'am' in '{spec}': a child is linked as PATH=am or PATH=am,as")
+    return Path(path_text), "as" in flags
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
@@ -189,10 +193,10 @@ def _cmd_link(args: argparse.Namespace) -> int:
     source = _read(path, "input")
     specs = [_parse_child_spec(spec) for spec in args.child or []]
     # Every source is read before any is generated, so a bad child stops the run before a warning is printed.
-    sources = [(path, source), *((child, _read(child, "child")) for child, _, _ in specs)]
+    sources = [(path, source), *((child, _read(child, "child")) for child, _ in specs)]
     parent, *kids = _generate(_options_from_args(args), *sources)
-    children = [(kid, am, as_) for kid, (_, am, as_) in zip(kids, specs)]
-    _write(Path(args.outdir), link_submodule_fts(parent, children), *(child for child, am, _ in children if am))
+    _write(Path(args.outdir), link_submodule_fts(parent, [(kid, True, as_) for kid, (_, as_) in zip(kids, specs)]),
+           *kids)
     return 0
 
 
@@ -245,7 +249,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(link)
     _add_gen_flags(link)
     link.add_argument(
-        "--child", action="append", metavar="PATH[=am[,as]]",
+        "--child", action="append", metavar="PATH=am[,as]",
         help="child RTL file with link flags, repeatable",
     )
     link.set_defaults(func=_cmd_link)

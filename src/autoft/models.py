@@ -30,7 +30,7 @@ that reads no id is evaluated once per trace and its entry names no id value.
 Before any trace is drawn, each body is compiled once per value of the ids
 it reads, each id compiled as a constant and no node rewritten; a trace is
 then evaluated into one memo, in which a subtree shared by two bodies is
-derived once.
+stored and derived once, and no other column is stored.
 The queue models hold `depth` = 2 entries, the fixtures' default `DEPTH`.
 """
 from __future__ import annotations
@@ -259,18 +259,21 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     eventualities are cut to the model's liveness window. `txns` is not
     read: every property body already names the signals it needs.
 
-    Before any trace is drawn, each body is compiled once per id assignment
-    it reads, every id a constant of its value, all through one compiler:
-    a subtree that reads no id (handshakes, the counter) is one closure in
-    every body, and one that reads an id (the in-flight bit, the sampled
-    register, matched handshakes) is one closure per value, shared by every
-    property that reads it. Each trace is then evaluated into one memo, so
-    each of those closures derives its column once per trace. Entries come
-    in assignment order: the k-th assignment of every property that has one,
+    Before any trace is drawn, every (body, id assignment) pair goes to one
+    compiler, every id a constant of its value. A subtree that reads no id
+    (handshakes, the counter) is one closure in every body, and one that
+    reads an id (the in-flight bit, the sampled register, matched
+    handshakes) is one closure per value, shared by every property that
+    reads it. The compiler walks all the pairs before it builds a closure,
+    so it knows which columns more than one parent reads, across the
+    bundle: only those are memoized. Each trace is then evaluated into one
+    memo, so each column is derived once per trace, and the memo holds
+    only the trace's columns and the shared ones. Entries come in
+    assignment order: the k-th assignment of every property that has one,
     in property order.
     """
     compiler = Compiler(model.liveness_window)
-    rows = []  # per property, (assignment, property, evaluator with the body's ids fixed under it)
+    rows = []  # per property, (assignment, property) pairs
     for p in props:
         widths = {}
         for name, symb in compiler.ids(p.body).items():
@@ -281,16 +284,16 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
             ids = ", ".join(f"'{name}' of {bits} bits" for name, bits in widths.items())
             raise SymbolicWidthError(f"property '{p.name}' reads symbolic ids {ids}: {count} values to check, "
                                      f"more than {MAX_ID_ASSIGNMENTS}")
-        assigns = [tuple(zip(widths, values)) for values in product(*(range(1 << b) for b in widths.values()))]
-        rows.append([(a, p, compiler.property(p.body, dict(a))) for a in assigns])
+        rows.append([(tuple(zip(widths, values)), p) for values in product(*(range(1 << b) for b in widths.values()))])
     order = [row[k] for k in range(max(map(len, rows), default=0)) for row in rows if k < len(row)]
+    runs = compiler.properties([(p.body, dict(a)) for a, p in order])
 
     entries: list[ModelCheckEntry] = []
     for idx, trace in enumerate(model.traces()):
         memo, n = dict(trace.columns), trace.length
         entries += [ModelCheckEntry(idx, a, p.kind,
                                     Verdict(p.name, *run(memo, n)) if n else Verdict(p.name, VACUOUS))
-                    for a, p, run in order]
+                    for (a, p), run in zip(order, runs)]
     return ModelCheckReport(model.name, entries)
 
 

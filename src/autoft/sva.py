@@ -6,13 +6,16 @@ SystemVerilog expression and `declare()` an aux signal's declaration and
 update rule. `autoft.tracecheck` is the other back-end; it evaluates the same
 nodes over explicit traces and never reads the rendered text.
 
-A register node (`Counter`, `Inflight`, `Sampled`) holds its rule twice, side
-by side: `declare()` writes it as an `always` block, and `step(value, a, b)`
-gives the value after one cycle whose two input columns (the node's fields
-1 and 2) read `a` and `b`. The evaluator derives every register from `step`
-alone, starting from the reset value 0. The counter carries its `limit` and
+A register node (`Counter`, `Inflight`, `Sampled`) holds its rule in two
+forms, side by side: `declare()` writes it as an `always` block, and
+`values(a, b)` runs it as one loop over its two input columns (the node's
+fields 1 and 2), giving the register's value per cycle: the reset value 0 at
+cycle 0, then each cycle's update of the value before. The evaluator derives
+every register from `values` alone. The counter carries its `limit` and
 wraps at the `$clog2(limit + 1)` bits it is declared with; the sampled
-register keeps the low bits of a literal range.
+register keeps the low bits of a literal range. What does not change from
+cycle to cycle, the counter's wrap mask and the sampled register's width, is
+computed once per column.
 
 A node is a named tuple of its fields, so it is immutable and cheap to build
 and to define. Like any tuple it compares by value, not by type; nothing in
@@ -242,12 +245,12 @@ class Counter(namedtuple("Counter", "name inc dec limit limit_param width_param"
                                      (And(self.dec, Not(self.inc)), f"{n} - 1'b1")]),
         ]
 
-    def step(self, value: int, inc, dec) -> int:
-        if inc and not dec:
-            return (value + 1) % (1 << self.limit.bit_length())
-        if dec and not inc:
-            return (value - 1) % (1 << self.limit.bit_length())
-        return value
+    def values(self, inc: list, dec: list) -> list[int]:
+        out, v, mask = [], 0, (1 << self.limit.bit_length()) - 1
+        for x, y in zip(inc, dec):
+            out.append(v)
+            v = (v + (not y) - (not x)) & mask  # +1 on inc alone, -1 on dec alone
+        return out
 
 
 class Inflight(namedtuple("Inflight", "name set clr"), Aux):
@@ -259,8 +262,12 @@ class Inflight(namedtuple("Inflight", "name set clr"), Aux):
         return [f"logic {self.name};",
                 *_always(opts, self.name, "1'b0", [(self.set, "1'b1"), (self.clr, "1'b0")])]
 
-    def step(self, value: int, set_, clr) -> int:
-        return 1 if set_ else 0 if clr else value
+    def values(self, set_: list, clr: list) -> list[int]:
+        out, v = [], 0
+        for s, c in zip(set_, clr):
+            out.append(v)
+            v = 1 if s else 0 if c else v
+        return out
 
 
 class Sampled(namedtuple("Sampled", "name capture data width_expr", defaults=("",)), Aux):
@@ -276,11 +283,13 @@ class Sampled(namedtuple("Sampled", "name capture data width_expr", defaults=(""
         return [f"logic {width_prefix(self.width_expr)}{self.name};",
                 *_always(opts, self.name, "'0", [(self.capture, self.data.render())])]
 
-    def step(self, value: int, capture, data) -> int:
-        if not capture:
-            return value
-        bits = literal_width_bits(self.width_expr)
-        return (data or 0) if bits is None else (data or 0) & ((1 << bits) - 1)
+    def values(self, capture: list, data: list) -> list[int]:
+        bits = literal_width_bits(self.width_expr)  # the width, found once per column; None keeps every bit
+        out, v, mask = [], 0, -1 if bits is None else (1 << bits) - 1
+        for c, d in zip(capture, data):
+            out.append(v)
+            v = (d or 0) & mask if c else v
+        return out
 
 
 def matched(hsk: Node, ident: Node, symb: Node) -> And:

@@ -4,9 +4,10 @@ This is the desk-scale oracle. `eval_property` evaluates a property's node
 tree (`autoft.sva`), the same tree the emitter renders, against a concrete
 cycle-by-cycle trace; it never reads the rendered text. Each aux register
 (outstanding counter, in-flight bit, sampled data) is derived by its node's
-own `step`, the Python form of the update rule its `declare()` emits, in the
-registered view: the value during cycle i reflects handshakes strictly
-before i, and the counter wraps at its declared width.
+own `values`, one loop over its two input columns that is the Python form of
+the update rule its `declare()` emits, in the registered view: the value
+during cycle i reflects handshakes strictly before i, and the counter wraps
+at its declared width.
 
 A trace supplies the ports, the verbatim wires of explicit attribute
 bindings and any free symbolic id, each read by its name. Every other
@@ -17,14 +18,20 @@ Each property body is compiled once into closures (`Compiler`), so no trace
 pays for walking the node tree: every expression node becomes a column
 function over a per-trace memo, and the property above it one function
 giving (outcome, cycle). The memo is a dict seeded with a copy of the trace's
-columns; each derived column is stored under a key of its own closure, so
-one closure derives its column once per trace. `eval_property(p, trace)`
-compiles `p.body` on first use and keeps the evaluator on `p`.
-`models.check_bundle_on_model` compiles a whole bundle through one
-`Compiler`, fixing each symbolic id to a constant while it compiles: a
-subtree compiles once per value of the ids it reads, so properties that
-share a subtree share its closure and its column. No node is rewritten on
-the way.
+columns. It holds, besides those, only the derived columns that more than
+one parent reads, each under a key of its own closure, so such a column is
+derived once per trace; a column with one reader is derived by that
+reader's call and never stored. `eval_property(p, trace)` compiles `p.body`
+alone on first use and keeps the evaluator on `p`, so the memo holds the
+subtrees read twice within that body. `models.check_bundle_on_model`
+compiles a whole bundle through one `Compiler`, fixing each symbolic id to a
+constant while it compiles: a subtree compiles once per value of the ids it
+reads, so properties that share a subtree share its closure, and that
+closure is memoized. No node is rewritten on the way.
+
+`enumerate_traces` builds each trace's columns in one transposition and
+sets them, with the length it already knows, without the checks and copies
+of `Trace(columns)`; the traces are equal to the constructor's.
 
 Finite-trace readings:
 
@@ -148,10 +155,10 @@ class Verdict(namedtuple("Verdict", "property_name outcome cycle", defaults=(Non
 # which gives the node's column over a trace's memo, a value per cycle. The
 # memo is one dict per trace, seeded with a copy of the trace's columns, from
 # which a port, verbatim wire or free id is read by its name. Every other
-# column is derived once and stored under a key of its own closure. A fixed
-# id's column is an endless repeat, which zips with any column. No closure
-# refers to the compiler that built it, so compiled bodies build no
-# reference cycle.
+# column is derived by its rule; one that several parents read is stored
+# under a key of its own closure (`_memoized`). A fixed id's column is an
+# endless repeat, which zips with any column. No closure refers to the
+# compiler that built it, so compiled bodies build no reference cycle.
 
 def _signal(name: str) -> Callable[[dict], list]:
     """A port, verbatim wire or free id: the trace must have it."""
@@ -176,12 +183,8 @@ def _memoized(fn: Callable[[dict], list]) -> Callable[[dict], list]:
 
 
 def _register(node: Counter | Inflight | Sampled, a: list, b: list) -> list[int]:
-    """The register's value per cycle: 0 at cycle 0, then its node's step over its two input columns."""
-    out, v, step = [], 0, node.step
-    for x, y in zip(a, b):
-        out.append(v)
-        v = step(v, x, y)
-    return out
+    """The register's value per cycle, by its node's loop over its two input columns."""
+    return node.values(a, b)
 
 
 def _and(a, b):
@@ -231,57 +234,90 @@ _RULES = {
 class Compiler:
     """Compiles property bodies into evaluators, each subtree once.
 
-    `property(body, ids)` gives the body's evaluator, a function
-    `(memo, n) -> (outcome, cycle)` over a trace's memo and length. `ids`
-    fixes symbolic ids to values: an id it names compiles to a constant
-    column, while without it an id is read from the trace like any signal. A
-    subtree compiles once per value of the ids it reads, so one that reads
-    no id is one closure shared by every body this compiler builds, and one
-    that reads an id is one closure per value. `window`, if given, cuts each
-    unbounded eventuality to that many cycles.
+    `properties(bodies)` gives the evaluator of each (body, ids) pair, a
+    function `(memo, n) -> (outcome, cycle)` over a trace's memo and length.
+    `ids` fixes symbolic ids to values: an id it names compiles to a
+    constant column, while without it an id is read from the trace like any
+    signal. A subtree compiles once per value of the ids it reads, so one
+    that reads no id is one closure shared by every body this compiler
+    builds, and one that reads an id is one closure per value. `window`, if
+    given, cuts each unbounded eventuality to that many cycles.
+
+    `properties` walks every body before it builds any closure, counting the
+    parents that read each column; each body's evaluator is one more reader
+    of the columns its shape reads. Only a derived column read by more than
+    one parent is memoized; any other is derived by its one reader's call.
+    `column(node, ids)` follows the same rule, the node itself its one
+    reader.
     """
 
     def __init__(self, window: int | None = None):
         self.window = window
-        self.columns: dict[tuple, Callable[[dict], list]] = {}  # (id(node), its ids' values) -> column function
         self.reads: dict[int, dict[str, Symbolic]] = {}
+        # Keyed by (id(node), the values `ids` gives the ids it reads, or () when `ids` fixes none): how many
+        # parents read the column, and its column function.
+        self.readers: dict[tuple, int] = {}
+        self.columns: dict[tuple, Callable[[dict], list]] = {}
+        # Each derived column walked and not yet built, after its children: (key, node, the children's keys).
+        self.pending: list[tuple[tuple, Node, list[tuple]]] = []
 
     def ids(self, node: Node) -> dict[str, Symbolic]:
         """The symbolic ids `node` reads, by name, in pre-order over `children`."""
-        if id(node) not in self.reads:
-            self.reads[id(node)] = {node.name: node} if node.__class__ is Symbolic else {
+        reads = self.reads.get(id(node))
+        if reads is None:
+            reads = self.reads[id(node)] = {node.name: node} if node.__class__ is Symbolic else {
                 name: symb for x in children(node) for name, symb in self.ids(x).items()}
-        return self.reads[id(node)]
+        return reads
+
+    def properties(self, bodies: Iterable[tuple[Node, Mapping[str, int]]]) -> list[Callable]:
+        """The evaluator of each (body, ids) pair, for traces of n >= 1 cycles."""
+        plans = [self._plan(body, ids) for body, ids in bodies]
+        self._build()
+        return [plan() for plan in plans]
 
     def column(self, node: Node, ids: Mapping[str, int] = {}) -> Callable[[dict], list]:
         """The column function of an expression node, its ids fixed by `ids`."""
-        key = (id(node), tuple(ids.get(name) for name in self.ids(node)))
-        if key not in self.columns:
-            cls = node.__class__
-            if cls is Symbolic and node.name in ids:
-                col = itertools.repeat(ids[node.name])
-                self.columns[key] = lambda memo: col
-            elif cls in _RULES:
-                self.columns[key] = _memoized(_RULES[cls](node, *(self.column(x, ids) for x in children(node))))
-            else:
-                self.columns[key] = _signal(node.name)
+        key = self._walk(node, ids)
+        self._build()
         return self.columns[key]
 
-    def property(self, body: Node, ids: Mapping[str, int] = {}) -> Callable[[dict, int], tuple[str, int | None]]:
-        """The evaluator of a property body, its ids fixed by `ids`, for traces of n >= 1 cycles."""
-        cls = body.__class__
+    def _walk(self, node: Node, ids: Mapping[str, int]) -> tuple:
+        """One more reader of the node's column, walking its subtree on the first: the column's key."""
+        key = (id(node), tuple(map(ids.get, self.ids(node))) if ids else ())
+        seen = self.readers.get(key, 0)
+        self.readers[key] = seen + 1
+        if not seen and node.__class__ in _RULES:
+            self.pending.append((key, node, [self._walk(x, ids) for x in children(node)]))
+        elif not seen:
+            fixed = node.__class__ is Symbolic and node.name in ids
+            self.columns[key] = (lambda memo, v=itertools.repeat(ids[node.name]): v) if fixed else _signal(node.name)
+        return key
+
+    def _build(self) -> None:
+        columns, readers = self.columns, self.readers
+        for key, node, below in self.pending:  # children first, so each rule finds its operands' columns
+            col = _RULES[node.__class__](node, *[columns[k] for k in below])
+            columns[key] = _memoized(col) if readers[key] > 1 else col
+        self.pending.clear()
+
+    def _plan(self, body: Node, ids: Mapping[str, int]) -> Callable[[], Callable]:
+        """Walk a property body's columns now: a function giving its evaluator once they are built.
+
+        Each walk is a default argument, so it runs when its lambda is made.
+        """
+        cls, col = body.__class__, self.columns.__getitem__
         if cls is PropAnd:
-            return _both(self.property(body.a, ids), self.property(body.b, ids))
+            return lambda a=self._plan(body.a, ids), b=self._plan(body.b, ids): _both(a(), b())
         if cls is CoverSeq:
-            return _cover(self.column(body.a, ids), self.column(body.b, ids), body.hi)
+            return lambda a=self._walk(body.a, ids), b=self._walk(body.b, ids): _cover(col(a), col(b), body.hi)
         if cls is not Implies:  # a boolean body is checked at every cycle
-            return _always(self.column(body, ids))
-        ant, con = self.column(body.ant, ids), body.con
+            return lambda c=self._walk(body, ids): _always(col(c))
+        ant, con = self._walk(body.ant, ids), body.con
         if con.__class__ is Eventually:
             # `ant |=> ev` is `ant |-> ev` one cycle later, so it runs on the antecedent shifted by one cycle.
-            ant = _delayed(ant) if body.next_cycle else ant
-            return _eventually(ant, self.column(con.x, ids), self.window if con.hi is None else con.hi)
-        return _implies(ant, self.column(con, ids), 1 if body.next_cycle else 0)
+            x, hi = self._walk(con.x, ids), self.window if con.hi is None else con.hi
+            return lambda: _eventually(_delayed(col(ant)) if body.next_cycle else col(ant), col(x), hi)
+        return lambda c=self._walk(con, ids): _implies(col(ant), col(c), 1 if body.next_cycle else 0)
 
 
 # The property layer: each shape gives (outcome, cycle) over a memo and a
@@ -353,7 +389,7 @@ def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:
         return Verdict(p.name, VACUOUS)
     compiled = p.compiled
     if compiled is None or compiled[0] is not p.body:
-        compiled = p.compiled = (p.body, Compiler().property(p.body))
+        compiled = p.compiled = (p.body, Compiler().properties([(p.body, {})])[0])
     return Verdict(p.name, *compiled[1](dict(trace.columns), n))
 
 
@@ -376,7 +412,10 @@ def enumerate_traces(signals: Mapping[str, int], max_len: int,
     total = trace_space_size((len(v) for v in value_sets), max_len)
     if total > DEFAULT_TRACE_BOUND:
         raise SpaceTooLargeError(f"{total} traces exceed the bound of {DEFAULT_TRACE_BOUND}")
-    states = list(itertools.product(*value_sets))
+    states, new = list(itertools.product(*value_sets)), object.__new__
     for length in range(1, max_len + 1):
         for assignment in itertools.product(states, repeat=length):
-            yield Trace(dict(zip(names, zip(*assignment))))
+            # Built here, not by the constructor: the columns are transposed once and have this length.
+            trace = new(Trace)
+            trace.columns, trace.length = dict(zip(names, map(list, zip(*assignment)))), length
+            yield trace

@@ -439,6 +439,17 @@ class TestLink:
         assert out == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("suffix", ["", "="], ids=["PATH", "PATH="])
+    def test_child_without_am_is_usage_error(self, suffix, tmp_path, capsys):
+        # Such a child used to be generated and then dropped, so `pipe=2` passed the name check and changed nothing.
+        spec = f"{fixture_path('pipeline')}{suffix}"
+        code, out, err = run_cli(["link", fixture_path("mmu_stub"), "--child", spec, "--max-outstanding", "pipe=2",
+                                  "-o", tmp_path / "o"], capsys)
+        assert code == 2
+        assert err == f"error: no flag 'am' in '{spec}': a child is linked as PATH=am or PATH=am,as\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("blocked, failed", [("out", "out/mmu_stub"), ("out/pipeline", "out/pipeline")],
                              ids=["parent", "child"])
     def test_output_that_cannot_be_written_is_usage_error(self, blocked, failed, tmp_path, capsys):

@@ -18,7 +18,7 @@ from autoft.models import (
 from autoft.diagnostics import SymbolicWidthError, UnknownSignalError
 from autoft.parser import literal_width_bits
 from autoft.properties import GeneratedProperty
-from autoft.sva import AttribWire, Eq, Eventually, Implies, Sig, Symbolic
+from autoft.sva import And, AttribWire, Counter, Eq, Eventually, Gt, Implies, Not, Sig, Symbolic
 from autoft.tracecheck import HOLDS, PENDING, VACUOUS, VIOLATED, Trace, eval_property
 
 import differential
@@ -255,6 +255,14 @@ def test_a_missing_signal_is_named_in_property_order():
         assert exc.value.name == "x"
 
 
+def test_a_missing_signal_below_an_unshared_column_is_named():
+    # `v && !gone` has one reader, so it is derived by the evaluator's own call, not through the memo.
+    p = GeneratedProperty("p", "liveness", "assert", Implies(And(Sig("v"), Not(Sig("gone"))), Sig("id")))
+    with pytest.raises(UnknownSignalError) as exc:
+        check_bundle_on_model([], [p], _OneCycle())
+    assert exc.value.name == "gone"
+
+
 class _NoResponse(_OneCycle):
     """One trace, three cycles long: a request at cycle 0 that `w` never answers."""
 
@@ -377,6 +385,19 @@ class TestOnePass:
         calls.clear()
         one_at_a_time(props, model)
         assert len(calls) == before * model.n_traces
+
+    def test_a_subtree_two_bodies_share_is_derived_once_per_trace(self, monkeypatch):
+        calls, register = [], tracecheck._register
+        monkeypatch.setattr(tracecheck, "_register", lambda node, a, b: calls.append(node.name) or register(node, a, b))
+        busy = Gt(Counter("cnt", Sig("v"), Sig("w"), 3, "C_MAX_OUTSTANDING", "C_CNT_WIDTH"), 0)
+        props = [GeneratedProperty("p_busy", "active_covered", "assert", Implies(busy, Sig("v"))),
+                 GeneratedProperty("p_idle", "active_covered", "assert", Implies(Sig("w"), busy))]
+        model = _Drawn(_OneCycle(), [Trace({"v": [1, 0, 1, 0], "w": [0, 1, 0, 1]})] * 3)
+        entries = check_bundle_on_model([], props, model).entries
+        assert calls == ["cnt"] * 3  # `cnt > 0` is read by both bodies, and the counter below it once
+        calls.clear()
+        assert entries == one_at_a_time(props, model)
+        assert calls == ["cnt"] * 6
 
 
 def test_model_check_bench_runs_at_tiny_size(tmp_path):

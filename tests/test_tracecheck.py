@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from autoft import properties as P
 from autoft.diagnostics import SpaceTooLargeError, UnknownSignalError
 from autoft.properties import GeneratedProperty
-from autoft.sva import Counter, Eventually, Implies, Inflight, Sig, Symbolic, matched
+from autoft.sva import And, Counter, Eventually, Gt, Implies, Inflight, Not, PropAnd, Sig, Symbolic, matched
 from autoft.tracecheck import (
     HOLDS,
     PENDING,
@@ -194,9 +194,16 @@ class TestEnumeration:
         ({"a": 1}, 4, None),
         ({"a": 1, "b": 2}, 3, None),
         ({"v": 1, "o": 1, "d": 1}, 3, {"v": (0, 1, None), "o": (None, 1)}),
+        ({"a": 1, "b": 2}, 4, None),
+        ({"v": 1, "d": 2}, 4, {"v": (0, 1, None), "d": (None,)}),
     ])
     def test_order_equals_the_nested_comprehension(self, signals, max_len, domains):
-        assert list(enumerate_traces(signals, max_len, domains)) == list(_nested(signals, max_len, domains))
+        # Enumerated traces are not built by `Trace.__init__`: each must be the trace it builds, field for field.
+        got, want = list(enumerate_traces(signals, max_len, domains)), list(_nested(signals, max_len, domains))
+        assert got == want
+        assert [(t.length, t.columns, t.to_csv()) for t in got] == [(t.length, t.columns, t.to_csv()) for t in want]
+        assert all(type(c) is list and len(c) == t.length for t in got for c in t.columns.values())
+        assert len({id(c) for t in got for c in t.columns.values()}) == len(got) * len(signals)  # none shared
 
 
 def _nested(signals, max_len, domains=None):
@@ -207,6 +214,32 @@ def _nested(signals, max_len, domains=None):
     for length in range(1, max_len + 1):
         for assignment in itertools.product(states, repeat=length):
             yield Trace({name: [assignment[cycle][k] for cycle in range(length)] for k, name in enumerate(names)})
+
+
+class TestMemo:
+    """A compiled body memoizes only the derived columns that more than one parent reads."""
+
+    COLS = {"p_hsk": [1, 0, 1], "q_hsk": [0, 1, 0], "q_val": [1, 1, 0]}
+
+    def test_a_body_alone_stores_no_column_with_one_reader(self):
+        # `q_val |-> ((cnt > 0) || p_hsk)`: the counter, `>` and `||` each have one reader.
+        [run] = Compiler().properties([(RESPONSE.body, {})])
+        memo = dict(self.COLS)
+        assert run(memo, 3) == tuple(evaluate(RESPONSE, Trace(self.COLS)))[1:]
+        assert memo == self.COLS
+
+    def test_a_column_two_parents_read_is_stored_once(self):
+        busy = Gt(CNT, 0)  # read by both halves; the counter only by it
+        [run] = Compiler().properties([(PropAnd(Implies(Q_VAL, busy), Implies(busy, Not(Q_HSK))), {})])
+        memo = dict(self.COLS)
+        run(memo, 3)
+        assert len(memo) == len(self.COLS) + 1
+
+    def test_a_missing_signal_below_a_single_reader_raises(self):
+        body = Implies(And(P_HSK, Not(Sig("gone"))), Q_VAL)
+        with pytest.raises(UnknownSignalError) as exc:
+            evaluate(prop("response_had_request", body), Trace(self.COLS))
+        assert exc.value.name == "gone"
 
 
 class TestDifferentialSpotChecks:
