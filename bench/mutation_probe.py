@@ -20,10 +20,11 @@ Each mutant goes through `generate_bundle` with default options. A mutant is
 rejected when that raises autoft's own error, crashed when it raises anything
 else, and otherwise accepted. An accepted mutant's `_prop.sv` is checked with
 `tests/wellformed.py`: brackets outside strings balance (else `unbalanced`), no
-name is declared twice as a parameter, port, wire, logic or localparam (else
-`declared_twice`), no `wire` or `assign` right-hand side holds a `=` that no
-comparison takes (else `lone_eq`), and no declaration holds `//` or `/*`
-(else `comment_in_decl`). A module that fails any of them is `ill_formed`.
+name is declared twice in the module's scope, as a parameter, port, wire,
+logic or localparam or as a label (of an assertion outside a block, or of a
+block; else `declared_twice`), no `wire` or `assign` right-hand side holds a
+`=` that no comparison takes (else `lone_eq`), and no declaration holds `//`
+or `/*` (else `comment_in_decl`). A module that fails any of them is `ill_formed`.
 One JSON object is printed, with the counts in total and per operator.
 """
 from __future__ import annotations

@@ -20,7 +20,13 @@ input runs three measurements, each after a full collection:
   collections that ran inside it.
 
 The staged runs must write the same bytes as `cli.main`, and the two sides
-the same bytes as each other. A time is the median over rounds. The JSON
+the same bytes as each other. A time is the median over rounds.
+
+After the timed rounds, each side makes one untimed pass over each wide input
+under `tracemalloc`: `generate_bundle` followed by `write_bundle`, the source
+already read. Its peak of traced memory, in MB, is under
+`tracemalloc_peak_mb`, and with two sides the ratio after/before of each
+input's two peaks under `tracemalloc_peak_after_over_before`. The JSON
 written has the per-input medians of each side, group totals (wide
 transactions per second through `cli.main`, deep parse MB/s, per-stage sums
 over the wide files) and, with two sides, the ratio after/before of each
@@ -37,6 +43,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,12 +53,13 @@ import inputs  # noqa: E402
 import twin  # noqa: E402
 
 FIXTURES = ("fifo", "pipeline", "noc_buffer", "noc_buffer_buggy", "mmu_stub")
-# Stage -> the functions that `emit.generate_bundle` calls for it, looked up in `emit`'s module globals.
+# Stage -> the functions that `emit.generate_bundle` calls for it, looked up in `emit`'s module globals;
+# a side whose `emit` lacks one of them (an older or newer checkout) skips it.
 STAGE_CALLS = {
     "parse": ("parse_module",),
     "build": ("build_transactions",),
-    "synth": ("synth_module_aux",),
-    "props": ("gen_properties", "apply_link_transforms"),
+    "synth": ("synth_module_aux", "synth_module"),
+    "props": ("gen_properties", "apply_link_transforms", "_name_labels"),
     "emit": ("emit_property_module", "emit_bind_file", "emit_tool_files"),
 }
 STAGES = (*STAGE_CALLS, "write")
@@ -90,10 +98,12 @@ def staged(af, path: str, outdir: Path) -> dict[str, float]:
                 seconds[stage] += clock() - t0
         return call
 
-    saved = {name: getattr(af.emit, name) for names in STAGE_CALLS.values() for name in names}
+    saved = {name: getattr(af.emit, name) for names in STAGE_CALLS.values() for name in names
+             if hasattr(af.emit, name)}
     for stage, names in STAGE_CALLS.items():
         for name in names:
-            setattr(af.emit, name, timed(stage, saved[name]))
+            if name in saved:
+                setattr(af.emit, name, timed(stage, saved[name]))
     try:
         bundle = af.emit.generate_bundle(source, path, opts)
     finally:
@@ -103,6 +113,18 @@ def staged(af, path: str, outdir: Path) -> dict[str, float]:
     af.emit.write_bundle(bundle, outdir)
     seconds["write"] = clock() - t0
     return {f"{s}_ms": v * 1e3 for s, v in seconds.items()}
+
+
+def peak_mb(af, path: str, outdir: Path) -> float:
+    """The `tracemalloc` peak, in MB, of `generate_bundle` then `write_bundle` on one input, read beforehand."""
+    source = Path(path).read_text(encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        af.emit.write_bundle(af.emit.generate_bundle(source, path, af.options.GenOptions(tool="both")), outdir)
+        return round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+    finally:
+        tracemalloc.stop()
 
 
 def collections() -> int:
@@ -182,13 +204,17 @@ def main(argv: list[str] | None = None) -> int:
                 written.append(tree)
             if any(tree != written[0] for tree in written):
                 raise RuntimeError(f"the two sides wrote different files for {f['name']}")
+        peaks = {side: {f["name"]: peak_mb(af, f["path"], Path(tmp) / "peak" / side)
+                        for f in files if f["group"] == "wide"} for side, af in sides.items()}
 
     result = {
         "inputs": [{k: f[k] for k in ("name", "group", "bytes", "txns")} for f in files],
         **{side: summarize(files, runs[side]) for side in sides},
+        "tracemalloc_peak_mb": peaks,
     }
     if args.src:
         result["after_over_before"] = twin.ratios(result["after"]["totals"], result["before"]["totals"])
+        result["tracemalloc_peak_after_over_before"] = twin.ratios(peaks["after"], peaks["before"])
         rounds = {side: [summarize(files, {n: [rs[k]] for n, rs in runs[side].items()})["totals"]
                          for k in range(args.rounds)] for side in sides}
         result["paired_after_over_before"] = twin.paired(rounds["after"], rounds["before"])

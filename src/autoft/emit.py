@@ -3,21 +3,28 @@
 All output is a pure function of the parsed input and the options. Files use
 LF line endings, end with a newline, and contain no timestamps or absolute
 paths, so regenerating a bundle always reproduces it byte for byte.
+
+Each file's text exists once in memory, and only briefly twice: the property
+module is joined from one block per transaction (and one for its header), each
+joined from its lines as the transaction is rendered, and `write_bundle`
+encodes and writes a text in fixed slices rather than as one bytes copy.
 """
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import chain
 from pathlib import Path
 
 from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, error, errors_in
 from .options import TOOL_BOTH, TOOL_JASPERGOLD, TOOL_SYMBIYOSYS, GenOptions
 from .parser import ParsedModule, parse_module
 from .properties import ASSUME, GeneratedProperty, apply_link_transforms, gen_properties
-from .signals import TransactionAux, synth_module_aux
+from .signals import TransactionAux, _Namer, synth_module
 from .sva import width_prefix
 from .transactions import Transaction, build_transactions
 
 _BANNER = "Machine generated; do not edit."
+_WRITE_SLICE = 64 * 1024  # characters encoded and written at a time by `write_bundle`
 
 
 class GeneratedFile(namedtuple("GeneratedFile", "name text")):
@@ -65,6 +72,19 @@ def _render_property(p: GeneratedProperty, head: str) -> str:
     return f"{p.name}: {p.directive} property ({body});"
 
 
+def _name_labels(namer: _Namer, props: list[list[GeneratedProperty]]) -> None:
+    """Rename each property whose label, or an assumption's generate block, is a name the namer holds.
+
+    A label that clashes with nothing is not added to the namer's names. The
+    test is made here, before calling the namer, because one call per
+    property would cost more than the rest of this pass.
+    """
+    taken = namer.taken
+    for p in chain.from_iterable(props):
+        if p.name in taken or p.directive == ASSUME and (p.name + "_asrt" in taken or p.name + "_assm" in taken):
+            p.name = namer.alloc(p.name, ("_asrt", "_assm") if p.directive == ASSUME else ())
+
+
 def _relation_text(t: Transaction) -> str:
     arrow = "-in>" if t.direction == "incoming" else "-out>"
     return f"{t.tname}: {t.p.name} {arrow} {t.q.name}"
@@ -77,7 +97,12 @@ def emit_property_module(
     props: list[list[GeneratedProperty]],
     opts: GenOptions,
 ) -> GeneratedFile:
-    """Render `<dut>_prop.sv` with modeling and properties per transaction."""
+    """Render `<dut>_prop.sv` with modeling and properties per transaction.
+
+    The header, and each transaction as it is rendered, is joined into one
+    block of text, and the module is one join over the blocks, so the lines
+    of the whole module are never held at once.
+    """
     dut = pm.module_name
     lines: list[str] = [f"// Interface transaction properties for {dut}. {_BANNER}", ""]
 
@@ -93,9 +118,10 @@ def emit_property_module(
     lines.extend(_listed(_port_lines(pm)))
     lines.append(");")
 
+    blocks = ["\n".join(lines)]
     head = f"@(posedge {opts.clk}) disable iff ({opts.rst_expr})"
     for t, t_aux, t_props in zip(txns, aux, props):
-        lines += ["", f"// ---- transaction {_relation_text(t)} ----", ""]
+        lines = ["", f"// ---- transaction {_relation_text(t)} ----", ""]
         for a in t_aux.signals:
             lines += a.declare(opts)
         guarded = []
@@ -106,9 +132,10 @@ def emit_property_module(
                 lines += ("", _render_property(p, head))
         if guarded:
             lines += ["", "`ifdef XPROP", *guarded, "`endif"]
+        blocks.append("\n".join(lines))
 
-    lines += ["", "endmodule", ""]  # the last "" ends the text with a newline, joined without a copy
-    return GeneratedFile(f"{dut}_prop.sv", "\n".join(lines))
+    blocks.append("\nendmodule\n")
+    return GeneratedFile(f"{dut}_prop.sv", "\n".join(blocks))
 
 
 def emit_bind_file(pm: ParsedModule) -> GeneratedFile:
@@ -213,11 +240,12 @@ def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle
     txns, build_diags = build_transactions(pm)
     diags.extend(build_diags)
 
-    aux, synth_diags = synth_module_aux(txns, pm, opts)
-    diags.extend(synth_diags)
+    aux, namer = synth_module(txns, pm, opts, diags)
 
     props = [apply_link_transforms(gen_properties(t, t_aux, opts, diags), assert_inputs=opts.assert_inputs)
              for t, t_aux in zip(txns, aux)]
+    _name_labels(namer, props)
+    del namer  # it holds every declared name (about 4 MB at 4000 transactions), not needed to build the text
 
     if errors_in(diags):
         raise GenerationError(diags)
@@ -272,17 +300,25 @@ def link_submodule_fts(
         lines.append(f"bind {child.dut} {child.dut}_prop{override} {child.dut}_prop_i (.*);")
         extra_sources += [f"{child.dut}.sv", f"{child.dut}_prop.sv"]
 
-    text = parent.property_module.text.removesuffix("endmodule\n")  # the emitted text's last line
+    # The emitted text's last line, `endmodule`, moves below the binds: one join, no concatenated copies.
+    text = "\n".join([parent.property_module.text.removesuffix("\nendmodule\n"), *lines, "", "endmodule", ""])
     return parent._replace(
-        property_module=GeneratedFile(parent.property_module.name, text + "\n".join(lines) + "\n\nendmodule\n"),
+        property_module=GeneratedFile(parent.property_module.name, text),
         tool_files=emit_tool_files(parent.source_module, parent.opts.tool, parent.opts, tuple(extra_sources)),
     )
 
 
 def write_bundle(bundle: TestbenchBundle, outdir: Path) -> Path:
-    """Write all files under `<outdir>/<dut>/` and return that directory."""
+    """Write all files under `<outdir>/<dut>/` and return that directory.
+
+    Each file's text is written as UTF-8, without line-ending translation, in
+    slices of `_WRITE_SLICE` characters encoded one at a time, so no bytes
+    copy of a whole file is made.
+    """
     target = outdir / bundle.dut
     target.mkdir(parents=True, exist_ok=True)
     for f in bundle.files():
-        (target / f.name).write_text(f.text, encoding="utf-8", newline="\n")
+        with open(target / f.name, "wb") as out:
+            for start in range(0, len(f.text), _WRITE_SLICE):
+                out.write(f.text[start:start + _WRITE_SLICE].encode("utf-8"))
     return target

@@ -13,11 +13,16 @@ the roles this module fills in.
 Every name the property module declares beyond the header's is allocated
 here, by one `_Namer` seeded with the ports, the declared signals, the
 parameters, the clock and the reset: the aux signals and each counter's
-`<TNAME>_MAX_OUTSTANDING` and `<TNAME>_CNT_WIDTH` parameters. A collision,
-with a header name or between transactions whose names differ only in case,
-is resolved by appending a numeric suffix and emitting a warning. The one
-fixed name, the `ASSERT_INPUTS` parameter, cannot be renamed, because `link`
-sets it by name; a header parameter or port of that name is an error.
+`<TNAME>_MAX_OUTSTANDING` and `<TNAME>_CNT_WIDTH` parameters. The same
+namer then checks the labels the module declares: each property's and an
+assumption's generate blocks (`emit` renames a property whose label clashes),
+and a symbolic id's `<symb>_stable` assumption (the id is named so that its
+label is free). A label that clashes with nothing is not added to the
+namer's names. A collision, with a header name or between transactions whose
+names differ only in case, is resolved by appending a numeric suffix and
+emitting a warning. The one fixed name, the `ASSERT_INPUTS` parameter, cannot
+be renamed, because `link` sets it by name; a header parameter or port of
+that name is an error.
 """
 from __future__ import annotations
 
@@ -36,22 +41,25 @@ def _is_flag_expr(expr: str) -> bool:
 
 
 class _Namer:
-    """Allocates module-unique names, renaming on collision."""
+    """Allocates module-unique names, renaming on collision with a warning."""
 
-    def __init__(self, taken: set[str]):
+    def __init__(self, taken: set[str], diags: list[Diagnostic]):
         self.taken = set(taken)
-        self.renamed: list[tuple[str, str]] = []
+        self.diags = diags
 
-    def alloc(self, base: str) -> str:
-        if base not in self.taken:
-            self.taken.add(base)
-            return base
-        n = 1
-        while f"{base}_{n}" in self.taken:
+    def alloc(self, base: str, suffixes: tuple[str, ...] = ()) -> str:
+        """`base`, or `base_<n>` for the least n, such that neither it nor it plus a suffix is taken.
+
+        The suffixes name what a name also declares: a symbolic id its
+        `_stable` assumption, an assumed property its generate blocks.
+        """
+        name, n = base, 0
+        while name in self.taken or suffixes and any(name + s in self.taken for s in suffixes):
             n += 1
-        name = f"{base}_{n}"
+            name = f"{base}_{n}"
+        if n:
+            self.diags.append(warning("name-collision-renamed", f"generated name '{base}' collides, renamed to '{name}'"))
         self.taken.add(name)
-        self.renamed.append((base, name))
         return name
 
 
@@ -142,7 +150,8 @@ def synth_transaction_aux(
     signals.append(counter)
 
     if "transid" in t.p.bindings and "transid" in t.q.bindings:
-        symb = roles["symb"] = Symbolic(namer.alloc(f"symb_{t.tname}_transid"), _attr_width(t, "transid", diags))
+        symb = roles["symb"] = Symbolic(namer.alloc(f"symb_{t.tname}_transid", ("_stable",)),
+                                        _attr_width(t, "transid", diags))
         signals.append(symb)
         request = matched(p_hsk, roles["p_transid"], symb)
         inflight = Inflight(namer.alloc(f"{t.tname}_inflight"), request,
@@ -158,20 +167,26 @@ def synth_transaction_aux(
     return TransactionAux(signals, roles)
 
 
-def synth_module_aux(
-    txns: list[Transaction], pm: ParsedModule, opts: GenOptions
-) -> tuple[list[TransactionAux], list[Diagnostic]]:
-    """Synthesize aux signals for every transaction with module-wide naming."""
-    diags: list[Diagnostic] = []
+def synth_module(
+    txns: list[Transaction], pm: ParsedModule, opts: GenOptions, diags: list[Diagnostic]
+) -> tuple[list[TransactionAux], _Namer]:
+    """Synthesize aux signals for every transaction with module-wide naming, reporting into `diags`.
+
+    Also returns the namer, holding every name declared so far, by which the
+    property labels are checked next; it reports into `diags` too.
+    """
     taken = pm.port_names() | {p.name for p in pm.parameters} | {opts.clk, opts.rst}
     if "ASSERT_INPUTS" in taken:
         diags.append(error("reserved-name", "'ASSERT_INPUTS' is reserved: the property module declares a "
                                             "parameter of that name, which link's `as` flag sets"))
-    namer = _Namer(taken)
+    namer = _Namer(taken, diags)
     shared: dict = {}
-    out = [synth_transaction_aux(t, opts.outstanding_limit(t.tname), namer, shared, diags) for t in txns]
-    for base, final in namer.renamed:
-        diags.append(
-            warning("name-collision-renamed", f"generated name '{base}' collides, renamed to '{final}'")
-        )
-    return out, diags
+    return [synth_transaction_aux(t, opts.outstanding_limit(t.tname), namer, shared, diags) for t in txns], namer
+
+
+def synth_module_aux(
+    txns: list[Transaction], pm: ParsedModule, opts: GenOptions
+) -> tuple[list[TransactionAux], list[Diagnostic]]:
+    """`synth_module` with a diagnostics list of its own and without the namer."""
+    diags: list[Diagnostic] = []
+    return synth_module(txns, pm, opts, diags)[0], diags

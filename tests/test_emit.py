@@ -3,12 +3,15 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from autoft.diagnostics import GenerationError, UnsupportedToolError
 from autoft.emit import (
+    _WRITE_SLICE,
     emit_bind_file,
+    emit_property_module,
     emit_tool_files,
     generate_bundle,
     link_submodule_fts,
@@ -16,10 +19,13 @@ from autoft.emit import (
 )
 from autoft.options import GenOptions
 from autoft.parser import parse_module
+from autoft.properties import gen_properties
+from autoft.signals import synth_module_aux
 from autoft.tracecheck import Trace, eval_property
+from autoft.transactions import build_transactions
 
 from conftest import FIXTURE_NAMES, GOLDEN, REPO, gen_fixture, load_fixture
-from wellformed import balanced, bound_twice, commented_declarations, declared_twice, lone_eq
+from wellformed import balanced, bound_twice, commented_declarations, declared_twice, labels, lone_eq
 
 SV_KEYWORDS = {
     "module", "endmodule", "parameter", "localparam", "input", "output", "wire",
@@ -215,6 +221,20 @@ class TestDeterminism:
         second = {f.name: f.text for f in gen_fixture(name).files()}
         assert first == second
 
+    @pytest.mark.parametrize("text", [
+        # characters of 2, 3 and 4 bytes on both sides of the first slice boundary, and a CR that stays
+        "a" * (_WRITE_SLICE - 1) + "\u00e9\u20ac\U0001F600\r\n" * 3,
+        "",
+        "\u00fc" * _WRITE_SLICE,
+    ], ids=["straddling", "empty", "one_slice"])
+    def test_sliced_write_matches_write_text(self, text, tmp_path):
+        bundle = gen_fixture("fifo")
+        bundle = bundle._replace(property_module=bundle.property_module._replace(text=text))
+        target = write_bundle(bundle, tmp_path / "sliced")
+        reference = tmp_path / "reference"
+        reference.write_text(text, encoding="utf-8", newline="\n")
+        assert (target / bundle.property_module.name).read_bytes() == reference.read_bytes()
+
     def test_write_bundle_idempotent(self, tmp_path):
         import hashlib
 
@@ -376,6 +396,15 @@ def _link_shared_tname():
     return link_submodule_fts(gen_fixture("fifo"), [(generate_bundle(FIFO2, "fifo2.sv", GenOptions()), True, False)])
 
 
+# Ports named like a label the property module declares: a property's, an assumed
+# property's generate block, and a symbolic id's `_stable` assumption.
+LABEL_PORTS = {
+    port: load_fixture(name).replace("rst_n,", f"rst_n,\n    input  wire {port},", 1)
+    for name, port in (("fifo", "fifo_liveness"), ("pipeline", "pipe_stability_asrt"),
+                       ("noc_buffer", "symb_buf_transid_stable"))
+}
+
+
 # A parent whose last port ends in `endmodule`, so that its port list does too.
 MMU_DBG_ENDMODULE = load_fixture("mmu_stub").replace(
     "ptw_res_tag\n);", "ptw_res_tag,\n    input  wire            dbg_endmodule\n);")
@@ -406,7 +435,8 @@ def _emitted_modules():
     for label, src in (("typed", TYPED_DECLS), ("typed_vs_port", TYPED_DECL_VS_PORT),
                        ("decl_and_assign", DECL_AND_ASSIGN),
                        ("fifo_max_outstanding", FIFO_WITH["FIFO_MAX_OUTSTANDING"]),
-                       ("fifo_cnt_width", FIFO_WITH["FIFO_CNT_WIDTH"]), ("case_twins", CASE_TWINS)):
+                       ("fifo_cnt_width", FIFO_WITH["FIFO_CNT_WIDTH"]), ("case_twins", CASE_TWINS),
+                       *((f"port_{port}", src) for port, src in LABEL_PORTS.items())):
         yield label, lambda src=src: generate_bundle(src, "m.sv", GenOptions())
 
 
@@ -442,6 +472,22 @@ class TestNames:
         for name, limit in (("A_CNT_WIDTH", "A_MAX_OUTSTANDING"), ("A_CNT_WIDTH_1", "A_MAX_OUTSTANDING_1")):
             assert f"localparam {name} = $clog2({limit} + 1);" in text
 
+    @pytest.mark.parametrize("port, base, renamed", [
+        ("fifo_liveness", "fifo_liveness", "fifo_liveness_1: assert property"),
+        ("pipe_stability_asrt", "pipe_stability", "if (ASSERT_INPUTS) begin : pipe_stability_1_asrt"),
+        ("symb_buf_transid_stable", "symb_buf_transid", "symb_buf_transid_1_stable: assume property"),
+    ], ids=list(LABEL_PORTS))
+    def test_a_port_named_like_a_label_renames_the_label(self, port, base, renamed):
+        bundle = generate_bundle(LABEL_PORTS[port], "m.sv", GenOptions())
+        assert renamed in bundle.property_module.text
+        assert [d.message for d in bundle.warnings if d.code == "name-collision-renamed"] == [
+            f"generated name '{base}' collides, renamed to '{base}_1'"]
+
+    def test_an_asserted_input_property_has_no_block_to_clash(self):
+        bundle = generate_bundle(LABEL_PORTS["pipe_stability_asrt"], "m.sv", GenOptions(assert_inputs=True))
+        assert "pipe_stability: assert property" in bundle.property_module.text
+        assert "name-collision-renamed" not in [d.code for d in bundle.warnings]
+
     @pytest.mark.parametrize("src", [
         FIFO_WITH["ASSERT_INPUTS"],
         _module("input wire a_val,\noutput wire b_val,\ninput wire ASSERT_INPUTS", "// AUTOSVA t: a -in> b"),
@@ -450,6 +496,41 @@ class TestNames:
         with pytest.raises(GenerationError) as exc:
             generate_bundle(src, "m.sv", GenOptions())
         assert [d.code for d in exc.value.diagnostics if d.is_error] == ["reserved-name"]
+
+
+def test_wellformed_counts_labels_of_the_module_scope():
+    text = ('a: assert property (x);\nif (P) begin : b\n    a: assume property (y);\nend else begin : c\n'
+            '    a: assume property (y);\nend\nalways @(posedge clk) begin\nend\nwire b = "end"; // d: cover\n')
+    assert labels(text) == ["a", "b", "c"]
+    assert declared_twice(text) == ["b"]
+
+
+def _noc_buffers(n: int) -> str:
+    """A header with `n` copies of noc_buffer's annotation block and ports, `buf` renamed `buf<i>` in copy i."""
+    src = load_fixture("noc_buffer")
+    notes = src[src.index("/*AUTOSVA") + len("/*AUTOSVA"):src.index("*/")]
+    ports = ",\n".join(re.findall(r"^\s*((?:input|output)\s.*\bbuf_\w+),?$", src, re.M))
+    notes, ports = ([re.sub(r"\bbuf", f"buf{i}", text) for i in range(n)] for text in (notes, ports))
+    return ("/*AUTOSVA" + "".join(notes) + "*/\nmodule wide #(parameter DW = 8) (\n"
+            "input wire clk,\ninput wire rst_n,\n" + ",\n".join(ports) + "\n);\nendmodule\n")
+
+
+def test_property_module_text_is_held_about_twice_at_most():
+    # One block per transaction, then their join: a list of every line of the module peaks near 3x the text.
+    opts = GenOptions()
+    pm = parse_module(_noc_buffers(300), "wide.sv")
+    txns, _ = build_transactions(pm)
+    aux, _ = synth_module_aux(txns, pm, opts)
+    props = [gen_properties(t, a, opts, []) for t, a in zip(txns, aux)]
+    assert len(txns) == 300
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = emit_property_module(pm, txns, aux, props, opts).text
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2.3 * len(text)
 
 
 def test_wellformed_reads_wire_right_hand_sides():

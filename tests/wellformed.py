@@ -19,6 +19,8 @@ _COMPARISON_RE = re.compile(r"===|!==|==|!=|<=|>=")
 _COMMENT_OPENER_RE = re.compile(r"//|/\*")
 _BIND_RE = re.compile(r"^[ \t]*bind\s([^;]*);", re.M)
 _PAREN_GROUP_RE = re.compile(r"\([^()]*\)")
+_LABEL_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_$]*)\s*:\s*(?:assert|assume|cover)\b")
+_SCOPE_RE = re.compile(r"\b(?:begin\s*:\s*([A-Za-z_][A-Za-z0-9_$]*)|begin|end)\b")
 
 
 def balanced(text: str) -> bool:
@@ -62,8 +64,30 @@ def declared_names(text: str) -> list[str]:
     return names
 
 
+def labels(text: str) -> list[str]:
+    """Labels of the module's own scope, in order: of each assertion outside any block, and each block's name.
+
+    A block runs from a `begin` to its `end`; a label inside one belongs to
+    the block's scope. String literals and `//` comments are skipped.
+    """
+    names, depth = [], 0
+    for line in _STRING_RE.sub('""', text).split("\n"):
+        line = line.split("//", 1)[0]
+        if depth == 0 and (m := _LABEL_RE.match(line)):
+            names.append(m[1])
+        for m in _SCOPE_RE.finditer(line):
+            if m[0] == "end":
+                depth -= 1
+                continue
+            if m[1] and depth == 0:
+                names.append(m[1])
+            depth += 1
+    return names
+
+
 def declared_twice(text: str) -> list[str]:
-    return sorted(name for name, n in Counter(declared_names(text)).items() if n > 1)
+    """Names declared more than once in the module's scope, as a declaration or a label."""
+    return sorted(name for name, n in Counter(declared_names(text) + labels(text)).items() if n > 1)
 
 
 def lone_eq(text: str) -> list[str]:
