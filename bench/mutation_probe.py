@@ -23,8 +23,10 @@ else, and otherwise accepted. An accepted mutant's `_prop.sv` is checked with
 name is declared twice in the module's scope, as a parameter, port, wire,
 logic or localparam or as a label (of an assertion outside a block, or of a
 block; else `declared_twice`), no `wire` or `assign` right-hand side holds a
-`=` that no comparison takes (else `lone_eq`), and no declaration holds `//`
-or `/*` (else `comment_in_decl`). A module that fails any of them is `ill_formed`.
+`=` that no comparison takes (else `lone_eq`), no declaration holds `//`
+or `/*` (else `comment_in_decl`), and every name that clocks an `@(posedge ...)`
+or resets a `disable iff` is declared (else `undeclared_clock_reset`). A module
+that fails any of them is `ill_formed`.
 One JSON object is printed, with the counts in total and per operator.
 """
 from __future__ import annotations
@@ -112,7 +114,7 @@ def main() -> int:
     from autoft.diagnostics import AutoFtError
     from autoft.emit import generate_bundle
     from autoft.options import GenOptions
-    from wellformed import balanced, commented_declarations, declared_twice, lone_eq
+    from wellformed import balanced, commented_declarations, declared_twice, lone_eq, undeclared_clock_reset
 
     rng = random.Random(args.seed)
     counts: Counter = Counter()
@@ -140,13 +142,15 @@ def main() -> int:
                     outcome.append("lone_eq")
                 if commented_declarations(module):
                     outcome.append("comment_in_decl")
+                if undeclared_clock_reset(module):
+                    outcome.append("undeclared_clock_reset")
                 if len(outcome) > 1:
                     outcome.append("ill_formed")
             for c in tally:
                 c["mutants"] += 1
                 c.update(outcome)
     keys = ("mutants", "rejected", "accepted", "unbalanced", "declared_twice", "lone_eq", "comment_in_decl",
-            "ill_formed", "crashed")
+            "undeclared_clock_reset", "ill_formed", "crashed")
     report = {
         "src": args.src, "seed": args.seed,
         **{k: counts[k] for k in keys},

@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* `gen`    parse one annotated RTL file and write the testbench bundle;
+* `gen`    parse one annotated RTL file and write the testbench bundle: gen
+           is link without children, and runs as `link`;
 * `check`  generate in memory and run the built-in reference machine for the
            module over the generated properties;
 * `link`   generate a parent and child bundles and bind each child's
@@ -12,6 +13,10 @@ Subcommands:
            generated. The parent and the children must be distinct modules
            (else a `duplicate-module` error); transaction names may repeat
            across them.
+
+All three share one front half, `_bundles`: it reads the input and every
+child before it generates any bundle, each one's warnings printed as it is
+generated. `check` then runs the model, and `gen` and `link` write.
 
 Exit codes: 0 success, 1 validation or check failure (every diagnostic is
 printed, not just the first), 2 usage errors, also an input file that
@@ -140,18 +145,41 @@ def _write(outdir: Path, *bundles: TestbenchBundle) -> None:
             print(f"wrote {target / f.name}")
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _parse_child_spec(spec: str) -> tuple[Path, bool]:
+    """The child's path and its `as` flag; `am` must be given, since a child is linked only by its bind."""
+    path_text, _, flag_text = spec.partition("=")
+    if not path_text:
+        raise UsageError(f"no child file in '{spec}'")
+    flags = {f.strip() for f in flag_text.split(",") if f.strip()}
+    unknown = flags - {"am", "as"}
+    if unknown:
+        raise UsageError(f"unknown child flags {sorted(unknown)} in '{spec}'")
+    if "am" not in flags:
+        raise UsageError(f"child flag 'as' needs 'am' in '{spec}'" if flags else
+                         f"no flag 'am' in '{spec}': a child is linked as PATH=am or PATH=am,as")
+    return Path(path_text), "as" in flags
+
+
+def _bundles(args: argparse.Namespace) -> tuple[TestbenchBundle, list[tuple[TestbenchBundle, bool]]]:
+    """The input's bundle, and each `--child`'s with its `as` flag."""
     path = Path(args.input)
     source = _read(path, "input")
-    [bundle] = _generate(_options_from_args(args), (path, source))
-    _write(Path(args.outdir), bundle)
+    specs = [_parse_child_spec(spec) for spec in args.child or ()]
+    # Every source is read before any is generated, so a bad child stops the run before a warning is printed.
+    sources = [(path, source), *((child, _read(child, "child")) for child, _ in specs)]
+    parent, *kids = _generate(_options_from_args(args), *sources)
+    return parent, [(kid, as_) for kid, (_, as_) in zip(kids, specs)]
+
+
+def _cmd_link(args: argparse.Namespace) -> int:
+    parent, kids = _bundles(args)
+    _write(Path(args.outdir), link_submodule_fts(parent, [(kid, True, as_) for kid, as_ in kids]),
+           *(kid for kid, _ in kids))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    path = Path(args.input)
-    source = _read(path, "input")
-    [bundle] = _generate(_options_from_args(args), (path, source))
+    bundle, _ = _bundles(args)
     factory = MODEL_REGISTRY.get(bundle.dut)
     if factory is None:
         known = ", ".join(sorted(MODEL_REGISTRY))
@@ -170,33 +198,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             where = f"trace {e.trace_index}" + (f", {ids}" if ids else "")
             print(f"  {e.verdict} [{e.kind}, {where}]", file=sys.stderr)
         return VALIDATION_ERROR
-    return 0
-
-
-def _parse_child_spec(spec: str) -> tuple[Path, bool]:
-    """The child's path and its `as` flag; `am` must be given, since a child is linked only by its bind."""
-    path_text, _, flag_text = spec.partition("=")
-    if not path_text:
-        raise UsageError(f"no child file in '{spec}'")
-    flags = {f.strip() for f in flag_text.split(",") if f.strip()}
-    unknown = flags - {"am", "as"}
-    if unknown:
-        raise UsageError(f"unknown child flags {sorted(unknown)} in '{spec}'")
-    if "am" not in flags:
-        raise UsageError(f"child flag 'as' needs 'am' in '{spec}'" if flags else
-                         f"no flag 'am' in '{spec}': a child is linked as PATH=am or PATH=am,as")
-    return Path(path_text), "as" in flags
-
-
-def _cmd_link(args: argparse.Namespace) -> int:
-    path = Path(args.input)
-    source = _read(path, "input")
-    specs = [_parse_child_spec(spec) for spec in args.child or []]
-    # Every source is read before any is generated, so a bad child stops the run before a warning is printed.
-    sources = [(path, source), *((child, _read(child, "child")) for child, _ in specs)]
-    parent, *kids = _generate(_options_from_args(args), *sources)
-    _write(Path(args.outdir), link_submodule_fts(parent, [(kid, True, as_) for kid, (_, as_) in zip(kids, specs)]),
-           *kids)
     return 0
 
 
@@ -239,11 +240,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a testbench bundle")
     _add_common(gen)
     _add_gen_flags(gen)
-    gen.set_defaults(func=_cmd_gen)
+    gen.set_defaults(func=_cmd_link, child=None)
 
     check = sub.add_parser("check", help="run the built-in reference machine against the generated properties")
     _add_common(check)
-    check.set_defaults(func=_cmd_check)
+    check.set_defaults(func=_cmd_check, child=None)
 
     link = sub.add_parser("link", help="generate a parent bundle with child testbenches folded in")
     _add_common(link)

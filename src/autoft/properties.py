@@ -31,7 +31,9 @@ always              one xprop check per side: no control attribute is X
                     the XPROP macro)
 ==================  ====================================================
 
-Directions: for incoming transactions the starred design obligations
+Directions: one table, `_POLARITY`, gives each kind its directive on an
+incoming transaction and on an outgoing one, in the order kinds are emitted,
+and `KINDS` is its keys. For incoming transactions the design obligations
 (liveness, response_had_request, counter_no_underflow, ack_eventually,
 transid_integrity, data_integrity) are asserted and the environment
 obligations (stability, uniqueness) are assumed; outgoing transactions swap
@@ -51,46 +53,35 @@ from .sva import (
 )
 from .transactions import Transaction
 
-KINDS = (
-    "liveness",
-    "response_had_request",
-    "counter_no_underflow",
-    "ack_eventually",
-    "stability",
-    "active_covered",
-    "transid_integrity",
-    "uniqueness",
-    "data_integrity",
-    "xprop",
-)
-
 ASSERT = "assert"
 ASSUME = "assume"
 COVER = "cover"
 
-# Kinds whose polarity follows the transaction direction.
-_DUT_OBLIGATIONS = frozenset(
-    ("liveness", "response_had_request", "counter_no_underflow",
-     "ack_eventually", "transid_integrity", "data_integrity")
-)
-_ENV_OBLIGATIONS = frozenset(("stability", "uniqueness"))
+_DIRECTIONS = ("incoming", "outgoing")
+
+# Kind -> (directive on an incoming transaction, on an outgoing one), in emission order.
+_POLARITY = {
+    "liveness": (ASSERT, ASSUME),
+    "response_had_request": (ASSERT, ASSUME),
+    "counter_no_underflow": (ASSERT, ASSUME),
+    "ack_eventually": (ASSERT, ASSUME),
+    "stability": (ASSUME, ASSERT),
+    "active_covered": (ASSERT, ASSERT),
+    "transid_integrity": (ASSERT, ASSUME),
+    "uniqueness": (ASSUME, ASSERT),
+    "data_integrity": (ASSERT, ASSUME),
+    "xprop": (ASSERT, ASSERT),
+}
+KINDS = tuple(_POLARITY)
 
 
 def plan_polarity(direction: str, kind: str) -> str:
     """Directive for a property kind on a transaction of the given direction."""
-    if kind not in KINDS:
+    if kind not in _POLARITY:
         raise ValueError(f"unknown property kind '{kind}'")
-    if direction not in ("incoming", "outgoing"):
+    if direction not in _DIRECTIONS:
         raise ValueError(f"unknown direction '{direction}'")
-    if kind in _DUT_OBLIGATIONS:
-        return ASSERT if direction == "incoming" else ASSUME
-    if kind in _ENV_OBLIGATIONS:
-        return ASSUME if direction == "incoming" else ASSERT
-    return ASSERT  # active_covered and xprop
-
-
-# Direction -> kind -> directive, by `plan_polarity`.
-_POLARITY = {d: {kind: plan_polarity(d, kind) for kind in KINDS} for d in ("incoming", "outgoing")}
+    return _POLARITY[kind][_DIRECTIONS.index(direction)]
 
 
 class GeneratedProperty:
@@ -178,10 +169,10 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     tn = t.tname
     tracked = "inflight" in roles  # synth tracks a transaction with an id on both sides
     props: list[GeneratedProperty] = []
-    polarity = _POLARITY[t.direction]
+    side = _DIRECTIONS.index(t.direction)
 
     def emit(kind: str, body: Node, *, name: str | None = None, directive: str | None = None) -> None:
-        props.append(GeneratedProperty(name or f"{tn}_{kind}", kind, directive or polarity[kind], body))
+        props.append(GeneratedProperty(name or f"{tn}_{kind}", kind, directive or _POLARITY[kind][side], body))
 
     p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
     p_val, q_val = roles["p_val"], roles["q_val"]

@@ -11,8 +11,8 @@ Whether a transaction is tracked is decided here, once: later stages read
 the roles this module fills in.
 
 Every name the property module declares beyond the header's is allocated
-here, by one `_Namer` seeded with the ports, the declared signals, the
-parameters, the clock and the reset: the aux signals and each counter's
+here, by one `_Namer` seeded with the ports, the declared signals and the
+parameters: the aux signals and each counter's
 `<TNAME>_MAX_OUTSTANDING` and `<TNAME>_CNT_WIDTH` parameters. The same
 namer then checks the labels the module declares: each property's and an
 assumption's generate blocks (`emit` renames a property whose label clashes),
@@ -22,7 +22,9 @@ namer's names. A collision, with a header name or between transactions whose
 names differ only in case, is resolved by appending a numeric suffix and
 emitting a warning. The one fixed name, the `ASSERT_INPUTS` parameter, cannot
 be renamed, because `link` sets it by name; a header parameter or port of
-that name is an error.
+that name is an error. The clock and the reset are read, not declared: each
+must be a port of the property module (else an `unknown-clock` or
+`unknown-reset` error naming the module), so the namer holds them already.
 """
 from __future__ import annotations
 
@@ -175,10 +177,14 @@ def synth_module(
     Also returns the namer, holding every name declared so far, by which the
     property labels are checked next; it reports into `diags` too.
     """
-    taken = pm.port_names() | {p.name for p in pm.parameters} | {opts.clk, opts.rst}
+    ports = pm.port_names()
+    taken = ports | {p.name for p in pm.parameters}
     if "ASSERT_INPUTS" in taken:
         diags.append(error("reserved-name", "'ASSERT_INPUTS' is reserved: the property module declares a "
                                             "parameter of that name, which link's `as` flag sets"))
+    for code, what, name in (("unknown-clock", "clock", opts.clk), ("unknown-reset", "reset", opts.rst)):
+        if name not in ports:
+            diags.append(error(code, f"{what} '{name}' is not a port of module '{pm.module_name}'"))
     namer = _Namer(taken, diags)
     shared: dict = {}
     return [synth_transaction_aux(t, opts.outstanding_limit(t.tname), namer, shared, diags) for t in txns], namer

@@ -11,7 +11,7 @@ import pytest
 
 from autoft.cli import build_arg_parser, main
 
-from conftest import GOLDEN, REPO, fixture_path, load_fixture
+from conftest import FIXTURE_NAMES, GOLDEN, REPO, fixture_path, load_fixture
 
 
 def run_cli(args, capsys):
@@ -92,13 +92,22 @@ class TestGen:
             "// AUTOSVA u: c -in> d\n"
             "// AUTOSVA u: c -in> d\n"  # duplicate tname
             "// AUTOSVA e_bogus = x\n"  # bad suffix
-            "module m (\ninput wire c_val,\noutput wire d_val\n);\nendmodule\n"
+            "module m (\ninput wire clk,\ninput wire rst_n,\ninput wire c_val,\noutput wire d_val\n);\nendmodule\n"
         )
         code, out, err = run_cli(["gen", bad, "-o", tmp_path / "o"], capsys)
         assert code == 1
         for needle in ("bad-arrow", "duplicate-transaction-name", "bad-field-suffix"):
             assert needle in err
         assert err.count("error[") == 3  # exactly one diagnostic per problem
+        assert not (tmp_path / "o").exists()
+
+    def test_clock_or_reset_that_is_no_port_exits_one(self, tmp_path, capsys):
+        code, out, err = run_cli(["gen", fixture_path("fifo"), "--clk", "clock", "--rst", "reset",
+                                  "-o", tmp_path / "o"], capsys)
+        assert code == 1
+        assert err.startswith("error[unknown-clock]: clock 'clock' is not a port of module 'fifo'\n"
+                              "error[unknown-reset]: reset 'reset' is not a port of module 'fifo'\n")
+        assert out == ""
         assert not (tmp_path / "o").exists()
 
     def test_diagnostics_carry_position_and_text(self, tmp_path, capsys):
@@ -113,10 +122,11 @@ class TestGen:
         "argv, message",
         [
             (["gen", "{missing}"], "input file '{missing}' not found"),
+            (["check", "{missing}"], "input file '{missing}' not found"),
             (["link", "{missing}", "--child", "{child}=am"], "input file '{missing}' not found"),
             (["link", "{parent}", "--child", "{missing}=am"], "child file '{missing}' not found"),
         ],
-        ids=["gen", "link-parent", "link-child"],
+        ids=["gen", "check", "link-parent", "link-child"],
     )
     def test_missing_input_is_usage_error(self, argv, message, tmp_path, capsys, monkeypatch):
         paths = dict(missing=tmp_path / "nope.sv", parent=fixture_path("mmu_stub"),
@@ -148,8 +158,9 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "argv",
-        [["gen", "{bad}", "-o", "o"], ["check", "{bad}"], ["link", "{parent}", "--child", "{bad}=am", "-o", "o"]],
-        ids=["gen", "check", "link-child"],
+        [["gen", "{bad}", "-o", "o"], ["check", "{bad}"], ["link", "{bad}", "-o", "o"],
+         ["link", "{parent}", "--child", "{bad}=am", "-o", "o"]],
+        ids=["gen", "check", "link-parent", "link-child"],
     )
     def test_input_that_is_not_utf8_is_usage_error(self, argv, tmp_path):
         # A Latin-1 byte in a comment far past the text reader's chunk size, run as a user's
@@ -232,7 +243,9 @@ class TestGen:
         code, out, err = run_cli([command, fixture_path("fifo"), "--max-outstanding", "nosuch=3",
                                   "--max-outstanding", "fifo=2"], capsys)
         assert code == 2
-        assert err.endswith("error: --max-outstanding: no transaction named nosuch\n")
+        assert err == (f"{fixture_path('fifo')}:3:12: warning[data-without-transid]: data integrity of 'fifo' needs "
+                       "a transaction id on both interfaces; check skipped\n"
+                       "error: --max-outstanding: no transaction named nosuch\n")
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -482,6 +495,31 @@ class TestLink:
         assert err == "error: no child file in '=am'\n"
         assert out == ""
         assert not (tmp_path / "o").exists()
+
+    def test_child_without_the_clock_writes_nothing(self, tmp_path, capsys):
+        child = tmp_path / "pipeline.sv"
+        child.write_text(load_fixture("pipeline").replace("clk", "clock"))
+        code, out, err = run_cli(["link", fixture_path("mmu_stub"), "--child", f"{child}=am", "-o", tmp_path / "o"],
+                                 capsys)
+        assert code == 1
+        assert "error[unknown-clock]: clock 'clk' is not a port of module 'pipeline'\n" in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--assert-inputs"]], ids=["default", "assert_inputs"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_gen_is_link_without_children(self, name, flags, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+        def outcome(command):
+            code, out, err = run_cli([command, fixture_path(name), *flags, "-o", "o"], capsys)
+            written = bundle_hashes(tmp_path / "o")
+            shutil.rmtree(tmp_path / "o")
+            return code, out, err, written
+
+        gen = outcome("gen")
+        assert gen[0] == 0 and gen[3]
+        assert outcome("link") == gen
 
     def test_link_bad_flag(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -25,7 +25,9 @@ from autoft.tracecheck import Trace, eval_property
 from autoft.transactions import build_transactions
 
 from conftest import FIXTURE_NAMES, GOLDEN, REPO, gen_fixture, load_fixture
-from wellformed import balanced, bound_twice, commented_declarations, declared_twice, labels, lone_eq
+from wellformed import (
+    balanced, bound_twice, commented_declarations, declared_twice, labels, lone_eq, undeclared_clock_reset,
+)
 
 SV_KEYWORDS = {
     "module", "endmodule", "parameter", "localparam", "input", "output", "wire",
@@ -452,6 +454,7 @@ def test_each_name_declared_once(label):
     assert balanced(text)
     assert lone_eq(text) == []
     assert commented_declarations(text) == []
+    assert undeclared_clock_reset(text) == []
 
 
 class TestNames:
@@ -496,6 +499,26 @@ class TestNames:
         with pytest.raises(GenerationError) as exc:
             generate_bundle(src, "m.sv", GenOptions())
         assert [d.code for d in exc.value.diagnostics if d.is_error] == ["reserved-name"]
+
+    @pytest.mark.parametrize("kw, codes", [
+        (dict(clk="clock"), ["unknown-clock"]),
+        (dict(rst="reset", rst_active_low=False), ["unknown-reset"]),
+        (dict(clk="WIDTH", rst="in_hsk"), ["unknown-clock", "unknown-reset"]),
+    ], ids=["clock", "reset", "parameter_and_aux_name"])
+    def test_clock_and_reset_must_be_ports(self, kw, codes):
+        # Else the module would clock on, or be reset by, a name that it does not declare.
+        with pytest.raises(GenerationError) as exc:
+            generate_bundle(load_fixture("fifo"), "fifo.sv", GenOptions(**kw))
+        assert [d.code for d in exc.value.diagnostics if d.is_error] == codes
+
+
+def test_wellformed_finds_an_undeclared_clock_or_reset():
+    text = ("module m_prop (\n    input wire clk,\n    input wire rst_n\n);\n"
+            "always @(posedge clk) begin\n    if (!rst_n)\n        c <= '0;\nend\n"
+            "a: assert property (@(posedge clock) disable iff (!reset) x);\n"
+            "b: assert property (@(posedge clk) disable iff (rst_n) y);\n"
+            "c: assume property (@( posedge clk_i ) $stable(s));\nendmodule\n")
+    assert undeclared_clock_reset(text) == ["clk_i", "clock", "reset"]
 
 
 def test_wellformed_counts_labels_of_the_module_scope():

@@ -122,7 +122,7 @@ class TestEmissionSets:
         from autoft import GenOptions, generate_bundle
 
         src = module(
-            "input wire p_val,\noutput wire q_val",
+            "input wire clk,\ninput wire rst_n,\ninput wire p_val,\noutput wire q_val",
             "// AUTOSVA t: p -in> q\n// AUTOSVA p_stable = 1'b1",
         )
         bundle = generate_bundle(src, "m.sv", GenOptions())
@@ -133,7 +133,7 @@ class TestEmissionSets:
         from autoft import GenOptions, generate_bundle
 
         src = module(
-            "input wire p_val,\noutput wire q_val,\noutput wire q_ack_dummy",
+            "input wire clk,\ninput wire rst_n,\ninput wire p_val,\noutput wire q_val,\noutput wire q_ack_dummy",
             "// AUTOSVA t: p -in> q\n// AUTOSVA q_stable = 1'b1",
         )
         bundle = generate_bundle(src, "m.sv", GenOptions())

@@ -166,21 +166,34 @@ class TestWidthWarnings:
         return [f"{d.code}: {d.message}" for d in diags]
 
     def test_plain_one_bit_id_port_does_not_warn(self):
-        ports = "input wire a_val,\ninput wire a_transid,\noutput wire b_val,\noutput wire b_transid"
+        ports = ("input wire clk,\ninput wire rst_n,\n"
+                 "input wire a_val,\ninput wire a_transid,\noutput wire b_val,\noutput wire b_transid")
         assert self.warnings_of(ports, "") == []
 
     def test_typed_id_warning_names_its_type(self):
-        ports = "input wire a_val,\noutput wire b_val"
+        ports = "input wire clk,\ninput wire rst_n,\ninput wire a_val,\noutput wire b_val"
         annotations = "// AUTOSVA input id_t a_transid\n// AUTOSVA output id_t b_transid"
         assert self.warnings_of(ports, annotations) == [
             "unknown-id-width: id width of 't' is not a known range (type 'id_t'), symbolic id defaults to 1 bit"
         ]
 
     def test_assigned_id_without_range_warns(self):
-        ports = "input wire a_val,\ninput wire [1:0] a_id,\noutput wire b_val,\noutput wire [1:0] b_id"
+        ports = ("input wire clk,\ninput wire rst_n,\n"
+                 "input wire a_val,\ninput wire [1:0] a_id,\noutput wire b_val,\noutput wire [1:0] b_id")
         annotations = "// AUTOSVA a_transid = a_id\n// AUTOSVA b_transid = b_id"
         assert self.warnings_of(ports, annotations) == [
             "unknown-id-width: id width of 't' is not a known range, symbolic id defaults to 1 bit"
+        ]
+
+
+class TestClockReset:
+    def test_clock_and_reset_that_are_no_ports_are_errors(self):
+        pm, txns = transactions_of(module("input wire clock,\ninput wire a_val,\noutput wire b_val",
+                                          "// AUTOSVA t: a -in> b"))
+        _, diags = synth_module_aux(txns, pm, GenOptions(rst="reset"))
+        assert [(d.severity, d.code, d.message) for d in diags] == [
+            ("error", "unknown-clock", "clock 'clk' is not a port of module 'm'"),
+            ("error", "unknown-reset", "reset 'reset' is not a port of module 'm'"),
         ]
 
 

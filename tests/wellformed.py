@@ -21,6 +21,8 @@ _BIND_RE = re.compile(r"^[ \t]*bind\s([^;]*);", re.M)
 _PAREN_GROUP_RE = re.compile(r"\([^()]*\)")
 _LABEL_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_$]*)\s*:\s*(?:assert|assume|cover)\b")
 _SCOPE_RE = re.compile(r"\b(?:begin\s*:\s*([A-Za-z_][A-Za-z0-9_$]*)|begin|end)\b")
+_CLOCK_RESET_RE = re.compile(r"@\(\s*posedge\s+([A-Za-z_][A-Za-z0-9_$]*)\s*\)"
+                             r"|disable\s+iff\s*\(\s*!?\s*([A-Za-z_][A-Za-z0-9_$]*)\s*\)")
 
 
 def balanced(text: str) -> bool:
@@ -88,6 +90,12 @@ def labels(text: str) -> list[str]:
 def declared_twice(text: str) -> list[str]:
     """Names declared more than once in the module's scope, as a declaration or a label."""
     return sorted(name for name, n in Counter(declared_names(text) + labels(text)).items() if n > 1)
+
+
+def undeclared_clock_reset(text: str) -> list[str]:
+    """Names that clock an `@(posedge X)` or reset a `disable iff (X)` or `(!X)` but that the module does not declare."""
+    used = {name for m in _CLOCK_RESET_RE.finditer(_STRING_RE.sub('""', text)) for name in m.groups() if name}
+    return sorted(used - set(declared_names(text)))
 
 
 def lone_eq(text: str) -> list[str]:
