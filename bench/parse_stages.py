@@ -22,11 +22,15 @@ input runs three measurements, each after a full collection:
 The staged runs must write the same bytes as `cli.main`, and the two sides
 the same bytes as each other. A time is the median over rounds.
 
-After the timed rounds, each side makes one untimed pass over each wide input
-under `tracemalloc`: `generate_bundle` followed by `write_bundle`, the source
-already read. Its peak of traced memory, in MB, is under
-`tracemalloc_peak_mb`, and with two sides the ratio after/before of each
-input's two peaks under `tracemalloc_peak_after_over_before`. The JSON
+After the timed rounds, each side makes two untimed passes over each wide
+input under `tracemalloc`, and their peaks of traced memory, in MB, are
+recorded: `generate_bundle` followed by `write_bundle`, the source already
+read, under `tracemalloc_peak_mb`, and `cli.main(["gen", PATH, "--tool",
+"both", "-o", DIR])`, which reads the source itself and is what `gen` runs,
+under `tracemalloc_cli_peak_mb`. With two sides, the ratio after/before of
+each input's two peaks of either kind is under
+`tracemalloc_peak_after_over_before` and
+`tracemalloc_cli_peak_after_over_before`. The JSON
 written has the per-input medians of each side, group totals (wide
 transactions per second through `cli.main`, deep parse MB/s, per-stage sums
 over the wide files) and, with two sides, the ratio after/before of each
@@ -115,16 +119,28 @@ def staged(af, path: str, outdir: Path) -> dict[str, float]:
     return {f"{s}_ms": v * 1e3 for s, v in seconds.items()}
 
 
-def peak_mb(af, path: str, outdir: Path) -> float:
-    """The `tracemalloc` peak, in MB, of `generate_bundle` then `write_bundle` on one input, read beforehand."""
-    source = Path(path).read_text(encoding="utf-8")
+def traced_peak_mb(fn) -> float:
+    """The `tracemalloc` peak, in MB, of calling `fn`, after a full collection."""
     gc.collect()
     tracemalloc.start()
     try:
-        af.emit.write_bundle(af.emit.generate_bundle(source, path, af.options.GenOptions(tool="both")), outdir)
+        fn()
         return round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
     finally:
         tracemalloc.stop()
+
+
+def peak_mb(af, path: str, outdir: Path) -> float:
+    """The `tracemalloc` peak of `generate_bundle` then `write_bundle` on one input, read beforehand."""
+    source = Path(path).read_text(encoding="utf-8")
+    opts = af.options.GenOptions(tool="both")
+    return traced_peak_mb(lambda: af.emit.write_bundle(af.emit.generate_bundle(source, path, opts), outdir))
+
+
+def cli_peak_mb(af, path: str, outdir: Path) -> float:
+    """The `tracemalloc` peak of `cli.main(["gen", ...])` on one input, as `gen` runs it; it reads the input."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return traced_peak_mb(lambda: af.cli.main(["gen", path, "--tool", "both", "-o", str(outdir)]))
 
 
 def collections() -> int:
@@ -204,17 +220,22 @@ def main(argv: list[str] | None = None) -> int:
                 written.append(tree)
             if any(tree != written[0] for tree in written):
                 raise RuntimeError(f"the two sides wrote different files for {f['name']}")
-        peaks = {side: {f["name"]: peak_mb(af, f["path"], Path(tmp) / "peak" / side)
-                        for f in files if f["group"] == "wide"} for side, af in sides.items()}
+        wide = [f for f in files if f["group"] == "wide"]
+        peaks = {side: {f["name"]: peak_mb(af, f["path"], Path(tmp) / "peak" / side) for f in wide}
+                 for side, af in sides.items()}
+        cli_peaks = {side: {f["name"]: cli_peak_mb(af, f["path"], Path(tmp) / "cli_peak" / side) for f in wide}
+                     for side, af in sides.items()}
 
     result = {
         "inputs": [{k: f[k] for k in ("name", "group", "bytes", "txns")} for f in files],
         **{side: summarize(files, runs[side]) for side in sides},
         "tracemalloc_peak_mb": peaks,
+        "tracemalloc_cli_peak_mb": cli_peaks,
     }
     if args.src:
         result["after_over_before"] = twin.ratios(result["after"]["totals"], result["before"]["totals"])
         result["tracemalloc_peak_after_over_before"] = twin.ratios(peaks["after"], peaks["before"])
+        result["tracemalloc_cli_peak_after_over_before"] = twin.ratios(cli_peaks["after"], cli_peaks["before"])
         rounds = {side: [summarize(files, {n: [rs[k]] for n, rs in runs[side].items()})["totals"]
                          for k in range(args.rounds)] for side in sides}
         result["paired_after_over_before"] = twin.paired(rounds["after"], rounds["before"])

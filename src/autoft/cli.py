@@ -14,9 +14,16 @@ Subcommands:
            (else a `duplicate-module` error); transaction names may repeat
            across them.
 
-All three share one front half, `_bundles`: it reads the input and every
-child before it generates any bundle, each one's warnings printed as it is
-generated. `check` then runs the model, and `gen` and `link` write.
+All three share one front half, `_models`: it reads the input and every
+child, then generates every module's model (parse, transactions, aux
+signals), each one's warnings printed as it is generated, so every error is
+known before anything is made from a model. `check` then makes the
+properties and runs the reference machine. `gen` and `link` check the binds,
+make every directory, then stream each file: a property module is written one
+transaction at a time, its properties made as its block is reached and
+dropped once it is written, so its text is never held. A property label that
+the module's namer renames is the one warning found while writing; each
+module's are printed once its files are written, or fail to be.
 
 Exit codes: 0 success, 1 validation or check failure (every diagnostic is
 printed, not just the first), 2 usage errors, also an input file that
@@ -45,7 +52,7 @@ import sys
 from pathlib import Path
 
 from .diagnostics import Diagnostic, GenerationError, SymbolicWidthError, UnknownSignalError
-from .emit import TestbenchBundle, generate_bundle, link_submodule_fts, write_bundle
+from .emit import ModuleModel, bind_block, generate_model, write_files
 from .models import MODEL_REGISTRY, check_bundle_on_model
 from .options import DEFAULT_MAX_OUTSTANDING, TOOLS, GenOptions
 
@@ -113,36 +120,43 @@ def _read(path: Path, what: str) -> str:
         raise UsageError(f"file '{path}' is not UTF-8: byte 0x{bad:02x} at offset {exc.start}") from None
 
 
-def _generate(opts: GenOptions, *inputs: tuple[Path, str]) -> list[TestbenchBundle]:
-    """One bundle per (path, text), each one's warnings, which never block, printed as it is generated.
+def _generate(opts: GenOptions, *inputs: tuple[Path, str]) -> list[ModuleModel]:
+    """One model per (path, text), each one's warnings, which never block, printed as it is generated.
 
-    A `--max-outstanding TNAME=N` whose TNAME no bundle declares is a usage error.
+    A `--max-outstanding TNAME=N` whose TNAME no model declares is a usage error.
     """
-    bundles = []
+    models = []
     for path, source in inputs:
-        bundles.append(generate_bundle(source, str(path), opts))
-        _print_diagnostics(bundles[-1].warnings)
-    unknown = set(opts.max_outstanding_overrides) - {t.tname for b in bundles for t in b.transactions}
+        models.append(generate_model(source, str(path), opts))
+        _print_diagnostics(models[-1].warnings)
+    unknown = set(opts.max_outstanding_overrides) - {t.tname for m in models for t in m.txns}
     if unknown:
         raise UsageError(f"--max-outstanding: no transaction named {', '.join(sorted(unknown))}")
-    return bundles
+    return models
 
 
-def _write(outdir: Path, *bundles: TestbenchBundle) -> None:
-    """Write each bundle under `<outdir>/<dut>/`, making every directory before writing any file.
+def _write(outdir: Path, *modules: tuple[ModuleModel, list]) -> None:
+    """Write each (model, its `files`) under `<outdir>/<dut>/`, making every directory before writing any file.
 
     A directory or file that cannot be made or written is a usage error, so a
-    directory that cannot be made leaves nothing written.
+    directory that cannot be made leaves nothing written. The label renames a
+    module's files add to its warnings are printed once they are written, or
+    fail to be, so before the error.
     """
     try:
-        for bundle in bundles:
-            (outdir / bundle.dut).mkdir(parents=True, exist_ok=True)
-        targets = [write_bundle(bundle, outdir) for bundle in bundles]
+        for m, _ in modules:
+            (outdir / m.dut).mkdir(parents=True, exist_ok=True)
+        for m, files in modules:
+            seen = len(m.warnings)
+            try:
+                write_files(outdir / m.dut, files)
+            finally:
+                _print_diagnostics(m.warnings[seen:])
     except OSError as exc:
         raise UsageError(f"cannot write '{exc.filename or outdir}': {exc.strerror or exc}") from None
-    for bundle, target in zip(bundles, targets):
-        for f in bundle.files():
-            print(f"wrote {target / f.name}")
+    for m, files in modules:
+        for name, _ in files:
+            print(f"wrote {outdir / m.dut / name}")
 
 
 def _parse_child_spec(spec: str) -> tuple[Path, bool]:
@@ -160,8 +174,8 @@ def _parse_child_spec(spec: str) -> tuple[Path, bool]:
     return Path(path_text), "as" in flags
 
 
-def _bundles(args: argparse.Namespace) -> tuple[TestbenchBundle, list[tuple[TestbenchBundle, bool]]]:
-    """The input's bundle, and each `--child`'s with its `as` flag."""
+def _models(args: argparse.Namespace) -> tuple[ModuleModel, list[tuple[ModuleModel, bool]]]:
+    """The input's model, and each `--child`'s with its `as` flag."""
     path = Path(args.input)
     source = _read(path, "input")
     specs = [_parse_child_spec(spec) for spec in args.child or ()]
@@ -172,21 +186,24 @@ def _bundles(args: argparse.Namespace) -> tuple[TestbenchBundle, list[tuple[Test
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
-    parent, kids = _bundles(args)
-    _write(Path(args.outdir), link_submodule_fts(parent, [(kid, True, as_) for kid, as_ in kids]),
-           *(kid for kid, _ in kids))
+    parent, kids = _models(args)
+    binds, sources = bind_block(parent.dut, [(kid.dut, as_) for kid, as_ in kids])
+    _write(Path(args.outdir), (parent, parent.files(binds, sources)), *((kid, kid.files()) for kid, _ in kids))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    bundle, _ = _bundles(args)
-    factory = MODEL_REGISTRY.get(bundle.dut)
+    module, _ = _models(args)
+    seen = len(module.warnings)
+    props = [p for group in module.properties() for p in group]
+    _print_diagnostics(module.warnings[seen:])
+    factory = MODEL_REGISTRY.get(module.dut)
     if factory is None:
         known = ", ".join(sorted(MODEL_REGISTRY))
-        raise UsageError(f"no reference model for module '{bundle.dut}' (known: {known})")
+        raise UsageError(f"no reference model for module '{module.dut}' (known: {known})")
     model = factory()
     try:
-        report = check_bundle_on_model(bundle.transactions, bundle.properties, model)
+        report = check_bundle_on_model(module.txns, props, model)
     except UnknownSignalError as exc:
         raise UsageError(f"reference model '{model.name}' has no signal '{exc.name}'") from None
     print(report.summary())

@@ -4,15 +4,20 @@ All output is a pure function of the parsed input and the options. Files use
 LF line endings, end with a newline, and contain no timestamps or absolute
 paths, so regenerating a bundle always reproduces it byte for byte.
 
-Each file's text exists once in memory, and only briefly twice: the property
-module is joined from one block per transaction (and one for its header), each
-joined from its lines as the transaction is rendered, and `write_bundle`
-encodes and writes a text in fixed slices rather than as one bytes copy.
+The property module is rendered by one generator, `_blocks`: its header, then
+one block per transaction, each joined from its lines as that transaction is
+rendered, then the closing lines. `gen` and `link` never hold the property
+module's text: `ModuleModel.files` makes each transaction's properties when
+its block is reached, and `write_files` writes the block and drops it, along
+with the properties. `check` holds only the properties, and `generate_bundle`
+holds every file's text, the property module joined over the same generator.
+`write_files` encodes and writes a text in fixed slices rather than as one
+bytes copy.
 """
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, error, errors_in
@@ -24,7 +29,8 @@ from .sva import width_prefix
 from .transactions import Transaction, build_transactions
 
 _BANNER = "Machine generated; do not edit."
-_WRITE_SLICE = 64 * 1024  # characters encoded and written at a time by `write_bundle`
+_WRITE_SLICE = 64 * 1024  # characters encoded and written at a time by `write_files`
+_END = "\n\nendmodule\n"  # the property module's closing lines
 
 
 class GeneratedFile(namedtuple("GeneratedFile", "name text")):
@@ -72,7 +78,7 @@ def _render_property(p: GeneratedProperty, head: str) -> str:
     return f"{p.name}: {p.directive} property ({body});"
 
 
-def _name_labels(namer: _Namer, props: list[list[GeneratedProperty]]) -> None:
+def _name_labels(namer: _Namer, props: list[GeneratedProperty]) -> None:
     """Rename each property whose label, or an assumption's generate block, is a name the namer holds.
 
     A label that clashes with nothing is not added to the namer's names. The
@@ -80,9 +86,42 @@ def _name_labels(namer: _Namer, props: list[list[GeneratedProperty]]) -> None:
     property would cost more than the rest of this pass.
     """
     taken = namer.taken
-    for p in chain.from_iterable(props):
+    for p in props:
         if p.name in taken or p.directive == ASSUME and (p.name + "_asrt" in taken or p.name + "_assm" in taken):
             p.name = namer.alloc(p.name, ("_asrt", "_assm") if p.directive == ASSUME else ())
+
+
+class ModuleModel(namedtuple("ModuleModel", "pm txns aux namer warnings opts")):
+    """One module parsed, its transactions built and its aux signals synthesized, without an error.
+
+    warnings is the module's diagnostics list, into which the namer, holding
+    every name the module declares, reports each property label it renames.
+    """
+
+    __slots__ = ()
+
+    @property
+    def dut(self) -> str:
+        return self.pm.module_name
+
+    def properties(self) -> Iterator[list[GeneratedProperty]]:
+        """Each transaction's properties in turn, made when it is reached, labels checked against the namer."""
+        for t, t_aux in zip(self.txns, self.aux):
+            props = apply_link_transforms(gen_properties(t, t_aux, self.opts, self.warnings),
+                                          assert_inputs=self.opts.assert_inputs)
+            _name_labels(self.namer, props)
+            yield props
+
+    def files(self, binds: str = "", sources: tuple[str, ...] = ()) -> list[tuple[str, Iterable[str]]]:
+        """Each file's name and its text in pieces; the property module's are made as they are read.
+
+        `binds` goes before the property module's closing lines, and the tool
+        files list `sources` after the module's own (see `bind_block`).
+        """
+        pm, opts = self.pm, self.opts
+        small = [emit_bind_file(pm), *emit_tool_files(pm, opts.tool, opts, sources)]
+        return [(f"{self.dut}_prop.sv", _blocks(pm, self.txns, self.aux, self.properties(), opts, binds)),
+                *((f.name, (f.text,)) for f in small)]
 
 
 def _relation_text(t: Transaction) -> str:
@@ -90,18 +129,14 @@ def _relation_text(t: Transaction) -> str:
     return f"{t.tname}: {t.p.name} {arrow} {t.q.name}"
 
 
-def emit_property_module(
-    pm: ParsedModule,
-    txns: list[Transaction],
-    aux: list[TransactionAux],
-    props: list[list[GeneratedProperty]],
-    opts: GenOptions,
-) -> GeneratedFile:
-    """Render `<dut>_prop.sv` with modeling and properties per transaction.
+def _blocks(pm: ParsedModule, txns: list[Transaction], aux: list[TransactionAux],
+            props: Iterable[list[GeneratedProperty]], opts: GenOptions, binds: str = "") -> Iterator[str]:
+    """`<dut>_prop.sv` in pieces that concatenate to it: its header, each transaction's block, then the closing lines.
 
-    The header, and each transaction as it is rendered, is joined into one
-    block of text, and the module is one join over the blocks, so the lines
-    of the whole module are never held at once.
+    Each transaction's lines are joined into one block as it is rendered, so
+    the lines of the whole module are never held at once; `props` is read one
+    transaction at a time, as its block is rendered. `binds`, if any, goes
+    before the final `endmodule`.
     """
     dut = pm.module_name
     lines: list[str] = [f"// Interface transaction properties for {dut}. {_BANNER}", ""]
@@ -117,11 +152,11 @@ def emit_property_module(
     lines.append(") (")
     lines.extend(_listed(_port_lines(pm)))
     lines.append(");")
+    yield "\n".join(lines)
 
-    blocks = ["\n".join(lines)]
     head = f"@(posedge {opts.clk}) disable iff ({opts.rst_expr})"
     for t, t_aux, t_props in zip(txns, aux, props):
-        lines = ["", f"// ---- transaction {_relation_text(t)} ----", ""]
+        lines = ["", "", f"// ---- transaction {_relation_text(t)} ----", ""]
         for a in t_aux.signals:
             lines += a.declare(opts)
         guarded = []
@@ -132,10 +167,15 @@ def emit_property_module(
                 lines += ("", _render_property(p, head))
         if guarded:
             lines += ["", "`ifdef XPROP", *guarded, "`endif"]
-        blocks.append("\n".join(lines))
+        yield "\n".join(lines)
 
-    blocks.append("\nendmodule\n")
-    return GeneratedFile(f"{dut}_prop.sv", "\n".join(blocks))
+    yield binds + _END
+
+
+def emit_property_module(pm: ParsedModule, txns: list[Transaction], aux: list[TransactionAux],
+                         props: list[list[GeneratedProperty]], opts: GenOptions) -> GeneratedFile:
+    """Render `<dut>_prop.sv` with modeling and properties per transaction, in memory: one join over `_blocks`."""
+    return GeneratedFile(f"{pm.module_name}_prop.sv", "".join(_blocks(pm, txns, aux, props, opts)))
 
 
 def emit_bind_file(pm: ParsedModule) -> GeneratedFile:
@@ -228,11 +268,12 @@ def emit_tool_files(
     return [GeneratedFile(f"{dut}{suffix}", render(dut, sources, opts)) for suffix, render in drivers]
 
 
-def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle:
-    """Run the whole pipeline on one annotated source text.
+def generate_model(source: str, path: str, opts: GenOptions) -> ModuleModel:
+    """Parse one annotated source text, build its transactions and synthesize their aux signals.
 
     Raises GenerationError carrying every collected diagnostic when any stage
-    reports an error; warnings are attached to the returned bundle.
+    reports an error. Making the properties then reports nothing but label
+    renames, which are warnings, so once this returns no error is left to find.
     """
     pm = parse_module(source, path)
     diags: list[Diagnostic] = list(pm.diagnostics)
@@ -241,14 +282,21 @@ def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle
     diags.extend(build_diags)
 
     aux, namer = synth_module(txns, pm, opts, diags)
-
-    props = [apply_link_transforms(gen_properties(t, t_aux, opts, diags), assert_inputs=opts.assert_inputs)
-             for t, t_aux in zip(txns, aux)]
-    _name_labels(namer, props)
-    del namer  # it holds every declared name (about 4 MB at 4000 transactions), not needed to build the text
-
     if errors_in(diags):
         raise GenerationError(diags)
+    return ModuleModel(pm, txns, aux, namer, diags, opts)
+
+
+def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle:
+    """Run the whole pipeline on one annotated source text, every file and property held in memory.
+
+    Raises GenerationError as `generate_model` does; warnings are attached to
+    the returned bundle.
+    """
+    model = generate_model(source, path, opts)
+    props = list(model.properties())
+    pm, txns, aux, _, diags, _ = model
+    del model  # its namer holds every declared name (about 4 MB at 4000 transactions), not needed to build the text
 
     return TestbenchBundle(
         dut=pm.module_name,
@@ -265,60 +313,71 @@ def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle
     )
 
 
-def link_submodule_fts(
-    parent: TestbenchBundle, children: list[tuple[TestbenchBundle, bool, bool]]
-) -> TestbenchBundle:
-    """Fold child testbenches into a parent bundle.
+def bind_block(parent: str, children: list[tuple[str, bool]]) -> tuple[str, tuple[str, ...]]:
+    """The text binding each (dut, as) child's property module into the parent's, and the sources it adds.
 
-    `children` pairs each child bundle with its (am, as) flags. With am the
-    parent property module gains a bind of the child's property module (with
-    ASSERT_INPUTS=1 when as is also set) and the tool files list the child's
-    files; without am the child leaves no trace in the parent. The binds go
-    in one block before the module's final `endmodule`. The linked bundle
-    keeps the parent's properties and warnings: a child's properties are
-    proved, and checked, in the child's own property module.
-
-    The parent and the am children must be distinct modules, so that no
-    module is bound twice and no bundle overwrites another; a repeated one
-    is a `duplicate-module` error. Transaction names may repeat across
-    modules, since each property module is its own scope.
+    ("", ()) without children. A child with as is bound with ASSERT_INPUTS=1.
+    The parent and the children must be distinct modules, so that no module
+    is bound twice and no bundle overwrites another; a repeated one is a
+    `duplicate-module` error. Transaction names may repeat across modules,
+    since each property module is its own scope.
     """
-    linked = [(child, as_) for child, am, as_ in children if am]
-    if not linked:
-        return parent
-
-    duts = Counter([parent.dut, *(child.dut for child, _ in linked)])
+    duts = Counter([parent, *(dut for dut, _ in children)])
     repeated = [error("duplicate-module", f"module '{dut}' is linked {n} times; the parent and each am child "
                       "must be distinct modules") for dut, n in duts.items() if n > 1]
     if repeated:
         raise GenerationError(repeated)
 
-    lines = ["// ---- linked submodule testbenches ----"]
-    extra_sources: list[str] = []
-    for child, as_ in linked:
+    lines = ["", "", "// ---- linked submodule testbenches ----"]
+    sources: list[str] = []
+    for dut, as_ in children:
         override = " #(.ASSERT_INPUTS(1))" if as_ else ""
-        lines.append(f"bind {child.dut} {child.dut}_prop{override} {child.dut}_prop_i (.*);")
-        extra_sources += [f"{child.dut}.sv", f"{child.dut}_prop.sv"]
+        lines.append(f"bind {dut} {dut}_prop{override} {dut}_prop_i (.*);")
+        sources += [f"{dut}.sv", f"{dut}_prop.sv"]
+    return "\n".join(lines) if children else "", tuple(sources)
 
-    # The emitted text's last line, `endmodule`, moves below the binds: one join, no concatenated copies.
-    text = "\n".join([parent.property_module.text.removesuffix("\nendmodule\n"), *lines, "", "endmodule", ""])
+
+def link_submodule_fts(
+    parent: TestbenchBundle, children: list[tuple[TestbenchBundle, bool, bool]]
+) -> TestbenchBundle:
+    """Fold child testbenches into a parent bundle held in memory.
+
+    `children` pairs each child bundle with its (am, as) flags. With am the
+    parent property module gains the child's bind (see `bind_block`) and the
+    tool files list the child's files; without am the child leaves no trace
+    in the parent. The linked bundle keeps the parent's properties and
+    warnings: a child's properties are proved, and checked, in the child's
+    own property module.
+    """
+    binds, sources = bind_block(parent.dut, [(child.dut, as_) for child, am, as_ in children if am])
+    if not binds:
+        return parent
+    text = "".join([parent.property_module.text.removesuffix(_END), binds, _END])
     return parent._replace(
         property_module=GeneratedFile(parent.property_module.name, text),
-        tool_files=emit_tool_files(parent.source_module, parent.opts.tool, parent.opts, tuple(extra_sources)),
+        tool_files=emit_tool_files(parent.source_module, parent.opts.tool, parent.opts, sources),
     )
 
 
-def write_bundle(bundle: TestbenchBundle, outdir: Path) -> Path:
-    """Write all files under `<outdir>/<dut>/` and return that directory.
+def write_files(target: Path, files: Iterable[tuple[str, Iterable[str]]]) -> None:
+    """Write each (name, pieces of text) under the directory `target`, in order.
 
-    Each file's text is written as UTF-8, without line-ending translation, in
-    slices of `_WRITE_SLICE` characters encoded one at a time, so no bytes
-    copy of a whole file is made.
+    The text is written as UTF-8, without line-ending translation, in slices
+    of `_WRITE_SLICE` characters encoded one at a time, so no bytes copy of a
+    piece is made, and each piece is dropped once it is written. A buffer of
+    `_WRITE_SLICE` bytes gathers the small pieces, one per transaction, into
+    writes of that size.
     """
+    for name, pieces in files:
+        with open(target / name, "wb", buffering=_WRITE_SLICE) as out:
+            for piece in pieces:
+                for start in range(0, len(piece), _WRITE_SLICE):
+                    out.write(piece[start:start + _WRITE_SLICE].encode("utf-8"))
+
+
+def write_bundle(bundle: TestbenchBundle, outdir: Path) -> Path:
+    """Write all files of a bundle held in memory under `<outdir>/<dut>/` and return that directory."""
     target = outdir / bundle.dut
     target.mkdir(parents=True, exist_ok=True)
-    for f in bundle.files():
-        with open(target / f.name, "wb") as out:
-            for start in range(0, len(f.text), _WRITE_SLICE):
-                out.write(f.text[start:start + _WRITE_SLICE].encode("utf-8"))
+    write_files(target, ((f.name, (f.text,)) for f in bundle.files()))
     return target

@@ -45,7 +45,7 @@ evaluates it.
 """
 from __future__ import annotations
 
-from .diagnostics import Diagnostic, warning
+from .diagnostics import Diagnostic
 from .options import GenOptions
 from .signals import TransactionAux
 from .sva import (
@@ -163,7 +163,10 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
 
     The result is deterministic: kinds appear in a fixed order, names follow
     `<tname>_<kind>[_<side>]`, and the body depends only on the transaction,
-    its aux signals, and the options.
+    its aux signals, and the options. Nothing is reported into `diags`:
+    synthesis (`signals.synth_module`) warns of each binding that generates no
+    property, so a module's diagnostics are all known before its first
+    property is made.
     """
     roles = aux.roles
     tn = t.tname
@@ -197,29 +200,11 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
             # make the assertion vacuous; keep it as reachability coverage.
             emit("ack_eventually", ack_cover(p_val, roles["p_ack"], opts.bounded), directive=COVER)
 
-    # stable: pending requests hold their payload
-    if "stable" in t.q.bindings:
-        diags.append(
-            warning(
-                "stable-on-response-side",
-                f"'{t.q.name}_stable' is bound on the response interface; stability is "
-                "checked for the request side only and this binding generates nothing",
-                t.span,
-            )
-        )
-    if "stable" in t.p.bindings:
-        if "p_ack" not in roles:
-            diags.append(
-                warning(
-                    "stable-without-ack",
-                    f"'{t.p.name}_stable' has no matching ack, a request is never pending; check skipped",
-                    t.span,
-                )
-            )
-        else:
-            # A flag binding has no p_stable signal: the valid and payload are checked.
-            payload = tuple(roles[r] for r in ("p_transid", "p_data") if r in roles)
-            emit("stability", stability(p_val, roles["p_ack"], roles.get("p_stable"), payload))
+    # stable: pending requests hold their payload (synthesis warns of a binding that checks nothing)
+    if "stable" in t.p.bindings and "p_ack" in roles:
+        # A flag binding has no p_stable signal: the valid and payload are checked.
+        payload = tuple(roles[r] for r in ("p_transid", "p_data") if r in roles)
+        emit("stability", stability(p_val, roles["p_ack"], roles.get("p_stable"), payload))
 
     # active: high exactly while the transaction is ongoing
     if "active" in roles:
@@ -232,14 +217,6 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
             emit("uniqueness", uniqueness(inflight.set, inflight))
         if "sampled" in roles:
             emit("data_integrity", data_integrity(inflight.clr, roles["q_data"], roles["sampled"]))
-    elif "p_data" in roles and "q_data" in roles:
-        diags.append(
-            warning(
-                "data-without-transid",
-                f"data integrity of '{tn}' needs a transaction id on both interfaces; check skipped",
-                t.span,
-            )
-        )
 
     # xprop: per side, no attribute is X while the valid is high
     for side_role, val, controls in (("p", p_val, ("p_ack", "p_transid", "p_data")),

@@ -25,6 +25,11 @@ be renamed, because `link` sets it by name; a header parameter or port of
 that name is an error. The clock and the reset are read, not declared: each
 must be a port of the property module (else an `unknown-clock` or
 `unknown-reset` error naming the module), so the namer holds them already.
+
+Synthesis also warns of each binding that generates no property
+(`stable-on-response-side`, `stable-without-ack`, `data-without-transid`),
+after all of a module's aux signals, so that property generation reports
+nothing and only a label rename is found after synthesis.
 """
 from __future__ import annotations
 
@@ -187,7 +192,19 @@ def synth_module(
             diags.append(error(code, f"{what} '{name}' is not a port of module '{pm.module_name}'"))
     namer = _Namer(taken, diags)
     shared: dict = {}
-    return [synth_transaction_aux(t, opts.outstanding_limit(t.tname), namer, shared, diags) for t in txns], namer
+    aux = [synth_transaction_aux(t, opts.outstanding_limit(t.tname), namer, shared, diags) for t in txns]
+    for t, roles in zip(txns, (t_aux.roles for t_aux in aux)):  # bindings that generate no property
+        if "stable" in t.q.bindings:
+            diags.append(warning("stable-on-response-side", f"'{t.q.name}_stable' is bound on the response interface; "
+                                 "stability is checked for the request side only and this binding generates nothing",
+                                 t.span))
+        if "stable" in t.p.bindings and "p_ack" not in roles:
+            diags.append(warning("stable-without-ack", f"'{t.p.name}_stable' has no matching ack, a request is never "
+                                 "pending; check skipped", t.span))
+        if "inflight" not in roles and "p_data" in roles and "q_data" in roles:
+            diags.append(warning("data-without-transid", f"data integrity of '{t.tname}' needs a transaction id on "
+                                 "both interfaces; check skipped", t.span))
+    return aux, namer
 
 
 def synth_module_aux(

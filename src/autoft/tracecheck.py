@@ -118,7 +118,8 @@ class Trace:
     def from_csv(cls, text: str) -> "Trace":
         """A trace from a header of names and one row of cells per cycle; blank rows are skipped.
 
-        A name given twice, or a row whose cell count is not the header's, is a ValueError.
+        A name given twice, a row whose cell count is not the header's, or a
+        cell that is neither a decimal integer nor x, is a ValueError naming it.
         """
         import csv
 
@@ -137,8 +138,12 @@ class Trace:
             if len(row) != len(names):
                 raise ValueError(f"line {reader.line_num} of the trace file has cell count {len(row)}, "
                                  f"the header {len(names)}")
-            for column, cell in zip(columns.values(), row):
-                column.append(None if cell.strip().lower() == "x" else int(cell))
+            for i, (column, cell) in enumerate(zip(columns.values(), row), 1):
+                try:
+                    column.append(None if cell.strip().lower() == "x" else int(cell))
+                except ValueError:
+                    raise ValueError(f"line {reader.line_num}, column {i} ('{names[i - 1]}') of the trace file "
+                                     f"holds '{cell}', neither an integer nor x") from None
         return cls(columns)
 
 

@@ -414,6 +414,23 @@ class TestLink:
         assert code == 0
         assert err.count("warning[data-without-transid]") == 1
 
+    def test_label_renames_print_as_each_module_is_written(self, tmp_path, capsys, monkeypatch):
+        # A label rename is found while its module is written, after every module's synthesis warnings.
+        monkeypatch.setenv("AUTOFT_COLOR", "0")
+        text = load_fixture("fifo").replace(" clk,", " clk,\n    input wire fifo_liveness,")
+        for dut in ("fifo", "fifo2"):
+            (tmp_path / f"{dut}.sv").write_text(text.replace("module fifo", f"module {dut}"))
+        skipped = ("warning[data-without-transid]: data integrity of 'fifo' needs a transaction id on both "
+                   "interfaces; check skipped\n")
+        renamed = ("warning[name-collision-renamed]: generated name 'fifo_liveness' collides, "
+                   "renamed to 'fifo_liveness_1'\n")
+        code, _, err = run_cli(["link", tmp_path / "fifo.sv", "--child", f"{tmp_path / 'fifo2.sv'}=am",
+                                "-o", tmp_path / "o"], capsys)
+        assert code == 0
+        assert err == f"{tmp_path / 'fifo.sv'}:3:12: {skipped}{tmp_path / 'fifo2.sv'}:3:12: {skipped}{renamed}{renamed}"
+        for dut in ("fifo", "fifo2"):
+            assert "fifo_liveness_1: assert property" in (tmp_path / "o" / dut / f"{dut}_prop.sv").read_text()
+
     def test_link_shared_tname_binds_each_module(self, tmp_path, capsys):
         code, _, _ = run_cli(["link", fixture_path("fifo"), "--child", f"{_fifo2(tmp_path)}=am", "-o", tmp_path / "o"],
                              capsys)

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import shutil
@@ -7,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from autoft import cli
 from autoft.diagnostics import GenerationError, UnsupportedToolError
 from autoft.emit import (
     _WRITE_SLICE,
@@ -554,6 +556,33 @@ def test_property_module_text_is_held_about_twice_at_most():
     finally:
         tracemalloc.stop()
     assert peak - before < 2.3 * len(text)
+
+
+def _peak(fn) -> int:
+    """The `tracemalloc` peak, in bytes, of calling `fn`."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_never_holds_the_property_module(tmp_path, capsys):
+    # `gen` writes each transaction's block as it is made, so its peak is below the in-memory bundle's
+    # by more than the text of the property module it writes.
+    src = tmp_path / "wide.sv"
+    src.write_text(_noc_buffers(300), encoding="utf-8")
+    argv = ["gen", str(src), "--tool", "both", "-o", str(tmp_path / "cli")]
+    assert cli.main(argv) == 0  # builds the argument parser, which every later call reuses
+    in_memory = _peak(lambda: write_bundle(generate_bundle(src.read_text(encoding="utf-8"), str(src),
+                                                           GenOptions(tool="both")), tmp_path / "bundle"))
+    streamed = _peak(lambda: cli.main(argv))
+    written = (tmp_path / "cli" / "wide" / "wide_prop.sv").stat().st_size
+    assert (tmp_path / "bundle" / "wide" / "wide_prop.sv").read_bytes() == (tmp_path / "cli" / "wide" /
+                                                                            "wide_prop.sv").read_bytes()
+    assert in_memory - streamed >= written, (in_memory, streamed, written)
 
 
 def test_wellformed_reads_wire_right_hand_sides():

@@ -106,7 +106,7 @@ class TestMainRestoresCollector:
             seen.append(gc.isenabled())
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "generate_bundle", boom)
+        monkeypatch.setattr(cli, "generate_model", boom)
         with pytest.raises(RuntimeError):
             cli.main(["gen", str(fixture_path("fifo")), "-o", str(tmp_path / "o")])
         assert seen == [False]  # paused while the command ran

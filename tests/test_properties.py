@@ -139,6 +139,21 @@ class TestEmissionSets:
         bundle = generate_bundle(src, "m.sv", GenOptions())
         assert any(w.code == "stable-on-response-side" for w in bundle.warnings)
 
+    def test_skipped_checks_warn_from_synthesis(self):
+        # Each binding that generates no property is reported by synthesis, in emission order per transaction.
+        src = module(
+            "input wire clk,\ninput wire rst_n,\ninput wire p_val,\noutput wire q_val,\n"
+            "input wire [7:0] p_data,\noutput wire [7:0] q_data",
+            "// AUTOSVA t: p -in> q\n// AUTOSVA p_stable = 1'b1\n// AUTOSVA q_stable = 1'b1",
+        )
+        pm = parse_module(src, "m.sv")
+        txns, _ = build_transactions(pm)
+        aux, diags = synth_module_aux(txns, pm, GenOptions())
+        assert [d.code for d in diags] == ["stable-on-response-side", "stable-without-ack", "data-without-transid"]
+        more = []
+        gen_properties(txns[0], aux[0], GenOptions(), more)
+        assert more == []
+
     def test_active_emits_single_conjoined_property(self):
         (props,) = props_for(load_fixture("pipeline"))
         active = [p for p in props if p.kind == "active_covered"]
@@ -297,3 +312,27 @@ class TestLinkTransforms:
                 if before.directive == ASSUME:
                     assert (after.directive, after.body.render()) == (ASSERT, before.body.render())
             assert not self._assumes(flipped)
+
+
+# The option mixes of the golden files: bundles (`tests/golden/<fixture>`), the
+# assert-inputs variant, and the `check` transcripts, one with a limit of 1.
+GOLDEN_OPTIONS = {
+    "bundle": GenOptions(tool="both"),
+    "assert_inputs": GenOptions(tool="both", assert_inputs=True),
+    "check": GenOptions(),
+    "max_outstanding_1": GenOptions(max_outstanding=1),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(GOLDEN_OPTIONS))
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_gen_properties_reports_nothing(name, mix):
+    # Every error and warning but a label rename is known once synthesis returns, before `gen` writes a byte.
+    opts = GOLDEN_OPTIONS[mix]
+    pm = parse_module(load_fixture(name), f"{name}.sv")
+    txns, _ = build_transactions(pm)
+    aux, _ = synth_module_aux(txns, pm, opts)
+    diags = []
+    for t, a in zip(txns, aux):
+        assert gen_properties(t, a, opts, diags)
+    assert diags == []

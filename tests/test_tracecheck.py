@@ -63,7 +63,9 @@ class TestTrace:
         ("a,a\n1,2\n", "trace file names column 'a' twice"),
         ("a,b\n1,2\n3,4,5\n", "line 3 of the trace file has cell count 3, the header 2"),
         ("a,b\n1,2\n\n3\n", "line 4 of the trace file has cell count 1, the header 2"),
-    ], ids=["duplicate-name", "surplus-cell", "short-row"])
+        ("a,b\n1,2\n3,zz\n", "line 3, column 2 ('b') of the trace file holds 'zz', neither an integer nor x"),
+        ("a\n\nx\n1.5\n", "line 4, column 1 ('a') of the trace file holds '1.5', neither an integer nor x"),
+    ], ids=["duplicate-name", "surplus-cell", "short-row", "bad-cell", "bad-cell-after-blank"])
     def test_malformed_csv_is_rejected(self, text, message):
         with pytest.raises(ValueError) as exc:
             Trace.from_csv(text)
