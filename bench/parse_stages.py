@@ -13,7 +13,10 @@ input runs three measurements, each after a full collection:
 - `gc_on`: `generate_bundle` followed by `write_bundle`, with the time of
   each stage summed over the calls `generate_bundle` makes for it (parse,
   build, synth, props, emit; see `STAGE_CALLS`) and `write_bundle` timed as
-  the write stage, with the cyclic garbage collector enabled;
+  the write stage, with the cyclic garbage collector enabled. The label
+  pass, which renames a property label that clashes with a declared name,
+  is timed in synth: it runs inside `synth_module`, and an older checkout's
+  `emit._name_labels`, which ran after `gen_properties`, is timed there too;
 - `gc_off`: the same with the collector disabled;
 - `cli`: `cli.main(["gen", PATH, "--tool", "both", "-o", DIR])` as a user's
   process calls it, with the collector enabled on entry, and the number of
@@ -36,7 +39,8 @@ transactions per second through `cli.main`, deep parse MB/s, per-stage sums
 over the wide files) and, with two sides, the ratio after/before of each
 total, and under `paired_after_over_before` that ratio's quartiles over the
 rounds' pairs of turns, in which host drift cancels: a stage is judged
-against its own spread.
+against its own spread. The totals also hold synth + props on the largest
+wide file alone, with and without the collector.
 """
 from __future__ import annotations
 
@@ -62,8 +66,8 @@ FIXTURES = ("fifo", "pipeline", "noc_buffer", "noc_buffer_buggy", "mmu_stub")
 STAGE_CALLS = {
     "parse": ("parse_module",),
     "build": ("build_transactions",),
-    "synth": ("synth_module_aux", "synth_module"),
-    "props": ("gen_properties", "apply_link_transforms", "_name_labels"),
+    "synth": ("synth_module_aux", "synth_module", "_name_labels"),
+    "props": ("gen_properties", "apply_link_transforms"),
     "emit": ("emit_property_module", "emit_bind_file", "emit_tool_files"),
 }
 STAGES = (*STAGE_CALLS, "write")
@@ -195,6 +199,9 @@ def summarize(files: list[dict], runs: dict[str, list[dict]]) -> dict:
         "wide_cli_over_gc_off": round(total("wide", "cli", "gen_ms") / total("wide", "gc_off", "total_ms"), 3),
         f"{biggest}_cli_over_gc_off": round(per_input[biggest]["cli"]["gen_ms"]
                                             / per_input[biggest]["gc_off"]["total_ms"], 3),
+        **{f"{biggest}_{mode}_synth_props_ms": round(per_input[biggest][mode]["synth_ms"]
+                                                     + per_input[biggest][mode]["props_ms"], 1)
+           for mode in ("gc_on", "gc_off")},
         "deep_parse_mb_per_s": round(deep_mb / total("deep", "gc_on", "parse_ms") * 1e3, 3),
         "deep_cli_mb_per_s": round(deep_mb / total("deep", "cli", "gen_ms") * 1e3, 3),
         "fixtures_cli_ms": round(total("fixtures", "cli", "gen_ms"), 3),

@@ -16,14 +16,13 @@ Subcommands:
 
 All three share one front half, `_models`: it reads the input and every
 child, then generates every module's model (parse, transactions, aux
-signals), each one's warnings printed as it is generated, so every error is
-known before anything is made from a model. `check` then makes the
-properties and runs the reference machine. `gen` and `link` check the binds,
-make every directory, then stream each file: a property module is written one
-transaction at a time, its properties made as its block is reached and
-dropped once it is written, so its text is never held. A property label that
-the module's namer renames is the one warning found while writing; each
-module's are printed once its files are written, or fail to be.
+signals, property labels), each one's warnings printed as it is generated,
+so every error and warning is known before anything is made from a model.
+`check` then makes the properties and runs the reference machine. `gen` and
+`link` check the binds, make every directory, then stream each file: a
+property module is written one transaction at a time, its properties made as
+its block is reached and dropped once it is written, so its text is never
+held.
 
 Exit codes: 0 success, 1 validation or check failure (every diagnostic is
 printed, not just the first), 2 usage errors, also an input file that
@@ -139,19 +138,13 @@ def _write(outdir: Path, *modules: tuple[ModuleModel, list]) -> None:
     """Write each (model, its `files`) under `<outdir>/<dut>/`, making every directory before writing any file.
 
     A directory or file that cannot be made or written is a usage error, so a
-    directory that cannot be made leaves nothing written. The label renames a
-    module's files add to its warnings are printed once they are written, or
-    fail to be, so before the error.
+    directory that cannot be made leaves nothing written.
     """
     try:
         for m, _ in modules:
             (outdir / m.dut).mkdir(parents=True, exist_ok=True)
         for m, files in modules:
-            seen = len(m.warnings)
-            try:
-                write_files(outdir / m.dut, files)
-            finally:
-                _print_diagnostics(m.warnings[seen:])
+            write_files(outdir / m.dut, files)
     except OSError as exc:
         raise UsageError(f"cannot write '{exc.filename or outdir}': {exc.strerror or exc}") from None
     for m, files in modules:
@@ -194,9 +187,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     module, _ = _models(args)
-    seen = len(module.warnings)
     props = [p for group in module.properties() for p in group]
-    _print_diagnostics(module.warnings[seen:])
     factory = MODEL_REGISTRY.get(module.dut)
     if factory is None:
         known = ", ".join(sorted(MODEL_REGISTRY))

@@ -12,7 +12,8 @@ its block is reached, and `write_files` writes the block and drops it, along
 with the properties. `check` holds only the properties, and `generate_bundle`
 holds every file's text, the property module joined over the same generator.
 `write_files` encodes and writes a text in fixed slices rather than as one
-bytes copy.
+bytes copy. Synthesis has decided every property and its label by the time
+`generate_model` returns, so making and writing them reports nothing.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, erro
 from .options import TOOL_BOTH, TOOL_JASPERGOLD, TOOL_SYMBIYOSYS, GenOptions
 from .parser import ParsedModule, parse_module
 from .properties import ASSUME, GeneratedProperty, apply_link_transforms, gen_properties
-from .signals import TransactionAux, _Namer, synth_module
+from .signals import TransactionAux, synth_module
 from .sva import width_prefix
 from .transactions import Transaction, build_transactions
 
@@ -78,24 +79,11 @@ def _render_property(p: GeneratedProperty, head: str) -> str:
     return f"{p.name}: {p.directive} property ({body});"
 
 
-def _name_labels(namer: _Namer, props: list[GeneratedProperty]) -> None:
-    """Rename each property whose label, or an assumption's generate block, is a name the namer holds.
-
-    A label that clashes with nothing is not added to the namer's names. The
-    test is made here, before calling the namer, because one call per
-    property would cost more than the rest of this pass.
-    """
-    taken = namer.taken
-    for p in props:
-        if p.name in taken or p.directive == ASSUME and (p.name + "_asrt" in taken or p.name + "_assm" in taken):
-            p.name = namer.alloc(p.name, ("_asrt", "_assm") if p.directive == ASSUME else ())
-
-
-class ModuleModel(namedtuple("ModuleModel", "pm txns aux namer warnings opts")):
+class ModuleModel(namedtuple("ModuleModel", "pm txns aux warnings opts")):
     """One module parsed, its transactions built and its aux signals synthesized, without an error.
 
-    warnings is the module's diagnostics list, into which the namer, holding
-    every name the module declares, reports each property label it renames.
+    warnings is the module's diagnostics list, complete: synthesis has
+    decided every property and its label, so making them reports nothing.
     """
 
     __slots__ = ()
@@ -105,12 +93,10 @@ class ModuleModel(namedtuple("ModuleModel", "pm txns aux namer warnings opts")):
         return self.pm.module_name
 
     def properties(self) -> Iterator[list[GeneratedProperty]]:
-        """Each transaction's properties in turn, made when it is reached, labels checked against the namer."""
+        """Each transaction's properties in turn, made when it is reached."""
         for t, t_aux in zip(self.txns, self.aux):
-            props = apply_link_transforms(gen_properties(t, t_aux, self.opts, self.warnings),
-                                          assert_inputs=self.opts.assert_inputs)
-            _name_labels(self.namer, props)
-            yield props
+            yield apply_link_transforms(gen_properties(t, t_aux, self.opts, self.warnings),
+                                        assert_inputs=self.opts.assert_inputs)
 
     def files(self, binds: str = "", sources: tuple[str, ...] = ()) -> list[tuple[str, Iterable[str]]]:
         """Each file's name and its text in pieces; the property module's are made as they are read.
@@ -272,8 +258,9 @@ def generate_model(source: str, path: str, opts: GenOptions) -> ModuleModel:
     """Parse one annotated source text, build its transactions and synthesize their aux signals.
 
     Raises GenerationError carrying every collected diagnostic when any stage
-    reports an error. Making the properties then reports nothing but label
-    renames, which are warnings, so once this returns no error is left to find.
+    reports an error. Synthesis also checks every property label, and making
+    the properties reports nothing, so once this returns the module's
+    warnings are complete.
     """
     pm = parse_module(source, path)
     diags: list[Diagnostic] = list(pm.diagnostics)
@@ -281,10 +268,10 @@ def generate_model(source: str, path: str, opts: GenOptions) -> ModuleModel:
     txns, build_diags = build_transactions(pm)
     diags.extend(build_diags)
 
-    aux, namer = synth_module(txns, pm, opts, diags)
+    aux = synth_module(txns, pm, opts, diags)
     if errors_in(diags):
         raise GenerationError(diags)
-    return ModuleModel(pm, txns, aux, namer, diags, opts)
+    return ModuleModel(pm, txns, aux, diags, opts)
 
 
 def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle:
@@ -293,10 +280,8 @@ def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle
     Raises GenerationError as `generate_model` does; warnings are attached to
     the returned bundle.
     """
-    model = generate_model(source, path, opts)
+    pm, txns, aux, diags, _ = model = generate_model(source, path, opts)
     props = list(model.properties())
-    pm, txns, aux, _, diags, _ = model
-    del model  # its namer holds every declared name (about 4 MB at 4000 transactions), not needed to build the text
 
     return TestbenchBundle(
         dut=pm.module_name,

@@ -17,7 +17,8 @@ ack                 ack_eventually (a pending request is eventually
                     also discharges it, which makes the assertion
                     vacuously satisfiable, so it is emitted as a cover
 stable              stability (a pending un-accepted request holds its
-                    payload into the next cycle)
+                    payload into the next cycle); request side with an
+                    ack only, otherwise skipped with a warning
 active              active_covered (the activity signal is high exactly
                     while something is outstanding or transferring)
 transid             transid_integrity (a response carrying the tracked id
@@ -38,6 +39,13 @@ and `KINDS` is its keys. For incoming transactions the design obligations
 transid_integrity, data_integrity) are asserted and the environment
 obligations (stability, uniqueness) are assumed; outgoing transactions swap
 both groups. active_covered and xprop are always asserted.
+
+Synthesis (`autoft.signals`) decides which of these checks a transaction
+gets, and under which label: it fills in a role for each deciding attribute
+(`p_stable` only on a request side with an ack, `inflight` when tracked,
+`unique`, `sampled`, `active`) and renames a label that clashes with a
+declared name. `gen_properties` reads only the roles and the renamed labels,
+never the bindings, and reports nothing.
 
 Each body is a node tree of the property IR (`autoft.sva`) built by the
 per-kind builders below: the emitter renders it and `autoft.tracecheck`
@@ -162,20 +170,22 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     """Emit the full property set for one transaction.
 
     The result is deterministic: kinds appear in a fixed order, names follow
-    `<tname>_<kind>[_<side>]`, and the body depends only on the transaction,
-    its aux signals, and the options. Nothing is reported into `diags`:
-    synthesis (`signals.synth_module`) warns of each binding that generates no
-    property, so a module's diagnostics are all known before its first
-    property is made.
+    `<tname>_<kind>[_<side>]` unless synthesis renamed the label, and the body
+    depends only on the transaction's name and direction, its aux signals and
+    the options. Which properties are made is read from the roles alone:
+    synthesis (`signals.synth_module`) decides them, and warns of each binding
+    that generates none, so nothing is reported into `diags`.
     """
-    roles = aux.roles
+    roles, labels = aux.roles, aux.labels
     tn = t.tname
     tracked = "inflight" in roles  # synth tracks a transaction with an id on both sides
     props: list[GeneratedProperty] = []
     side = _DIRECTIONS.index(t.direction)
 
     def emit(kind: str, body: Node, *, name: str | None = None, directive: str | None = None) -> None:
-        props.append(GeneratedProperty(name or f"{tn}_{kind}", kind, directive or _POLARITY[kind][side], body))
+        name = name or f"{tn}_{kind}"
+        props.append(GeneratedProperty(labels.get(name, name) if labels else name, kind,
+                                       directive or _POLARITY[kind][side], body))
 
     p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
     p_val, q_val = roles["p_val"], roles["q_val"]
@@ -193,18 +203,18 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
 
     # ack: requests are eventually accepted
     if "p_ack" in roles:
-        if "stable" in t.p.bindings:
+        if "p_stable" in roles:
             emit("ack_eventually", eventually(p_val, roles["p_ack"], opts.bounded))
         else:
             # A dropped request also discharges the obligation, which would
             # make the assertion vacuous; keep it as reachability coverage.
             emit("ack_eventually", ack_cover(p_val, roles["p_ack"], opts.bounded), directive=COVER)
 
-    # stable: pending requests hold their payload (synthesis warns of a binding that checks nothing)
-    if "stable" in t.p.bindings and "p_ack" in roles:
-        # A flag binding has no p_stable signal: the valid and payload are checked.
+    # stable: pending requests hold their payload
+    if "p_stable" in roles:
+        # A flag binding gives no signal (None): the valid and payload are checked.
         payload = tuple(roles[r] for r in ("p_transid", "p_data") if r in roles)
-        emit("stability", stability(p_val, roles["p_ack"], roles.get("p_stable"), payload))
+        emit("stability", stability(p_val, roles["p_ack"], roles["p_stable"], payload))
 
     # active: high exactly while the transaction is ongoing
     if "active" in roles:
@@ -213,7 +223,7 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     # transid / transid_unique / data: id-tracked integrity
     if tracked:
         emit("transid_integrity", transid_integrity(inflight.clr, inflight))
-        if "transid_unique" in t.p.bindings or "transid_unique" in t.q.bindings:
+        if "unique" in roles:
             emit("uniqueness", uniqueness(inflight.set, inflight))
         if "sampled" in roles:
             emit("data_integrity", data_integrity(inflight.clr, roles["q_data"], roles["sampled"]))

@@ -1,4 +1,4 @@
-"""Synthesize the auxiliary modeling signals each transaction needs.
+"""Synthesize the auxiliary modeling signals each transaction needs, and decide its checks.
 
 Each is a node of the property IR (`autoft.sva`) that carries its own update
 rule, so the emitter and the evaluator read the same rule: an `AttribWire`
@@ -7,44 +7,44 @@ outstanding `Counter` that carries the transaction's outstanding limit, and
 for tracked transactions (id bound on both sides) a `Symbolic` id with its
 `Inflight` bit and, when data is bound, a `Sampled` capture register.
 The id and the capture register take one width rule (`_attr_width`).
-Whether a transaction is tracked is decided here, once: later stages read
-the roles this module fills in.
+
+Synthesis decides every check a transaction gets, by the roles it fills in:
+`inflight` when it is tracked, `p_stable` exactly when stability is checked
+(`None` for a flag binding, whose valid and payload are checked), and
+`unique` when uniqueness is. `properties.gen_properties` reads only the
+roles. A binding that generates no check gets no role and declares nothing;
+synthesis warns of it (`stable-on-response-side`, `stable-without-ack`,
+`data-without-transid`) after all of a module's aux signals.
 
 Every name the property module declares beyond the header's is allocated
 here, by one `_Namer` seeded with the ports, the declared signals and the
 parameters: the aux signals and each counter's
 `<TNAME>_MAX_OUTSTANDING` and `<TNAME>_CNT_WIDTH` parameters. The same
-namer then checks the labels the module declares: each property's and an
-assumption's generate blocks (`emit` renames a property whose label clashes),
-and a symbolic id's `<symb>_stable` assumption (the id is named so that its
-label is free). A label that clashes with nothing is not added to the
-namer's names. A collision, with a header name or between transactions whose
-names differ only in case, is resolved by appending a numeric suffix and
-emitting a warning. The one fixed name, the `ASSERT_INPUTS` parameter, cannot
-be renamed, because `link` sets it by name; a header parameter or port of
-that name is an error. The clock and the reset are read, not declared: each
-must be a port of the property module (else an `unknown-clock` or
-`unknown-reset` error naming the module), so the namer holds them already.
-
-Synthesis also warns of each binding that generates no property
-(`stable-on-response-side`, `stable-without-ack`, `data-without-transid`),
-after all of a module's aux signals, so that property generation reports
-nothing and only a label rename is found after synthesis.
+namer then checks the labels the module declares: a symbolic id's
+`<symb>_stable` assumption (the id is named so that its label is free) and,
+once every aux name is allocated and only when the module has no error,
+each property's label and an assumption's generate blocks (`_name_labels`).
+A label that clashes with nothing is not added to the namer's names, and
+`TransactionAux.labels` keeps only the renamed ones. A collision, with a
+header name or between transactions whose names differ only in case, is
+resolved by appending a numeric suffix and emitting a warning, so a module's
+warnings are all known once synthesis returns. The one fixed name, the
+`ASSERT_INPUTS` parameter, cannot be renamed, because `link` sets it by name;
+a header parameter or port of that name is an error. The clock and the reset
+are read, not declared: each must be a port of the property module (else an
+`unknown-clock` or `unknown-reset` error naming the module), so the namer
+holds them already.
 """
 from __future__ import annotations
 
-from .diagnostics import Diagnostic, error, warning
+from .diagnostics import Diagnostic, error, errors_in, warning
 from .options import GenOptions
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule
 from .sva import And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched
 from .transactions import Transaction
 
+# Constant-true right-hand sides: a `stable` binding to one is a presence flag, which checks the valid and payload.
 _CONST_TRUE = {"1", "1'b1", "'1", "1'd1", "1'h1"}
-
-
-def _is_flag_expr(expr: str) -> bool:
-    """True for a constant-true right-hand side used as a presence flag."""
-    return expr.strip() in _CONST_TRUE
 
 
 class _Namer:
@@ -71,13 +71,17 @@ class _Namer:
 
 
 class TransactionAux:
-    """Aux signals declared for one transaction plus the role map properties use (role -> signal node)."""
+    """Aux signals declared for one transaction, the role map properties use (role -> signal node).
 
-    __slots__ = ("signals", "roles")
+    labels maps each property label the namer renamed to its new name; None when none was.
+    """
 
-    def __init__(self, signals: list[Aux], roles: dict[str, Node]):
+    __slots__ = ("signals", "roles", "labels")
+
+    def __init__(self, signals: list[Aux], roles: dict[str, Node | None]):
         self.signals = signals
         self.roles = roles
+        self.labels: dict[str, str] | None = None
 
 
 # Attribute suffix -> (what its width is called, the register it sizes).
@@ -117,7 +121,7 @@ def synth_transaction_aux(
 ) -> TransactionAux:
     """Build all aux signals and the role map for one transaction; `limit` sizes its counter."""
     signals: list[Aux] = []
-    roles: dict[str, Node] = {}
+    roles: dict[str, Node | None] = {}
 
     def wire(key, base: str, cls: type[Aux], *fields) -> Aux:
         """One declaration per distinct wire across the module."""
@@ -133,14 +137,12 @@ def synth_transaction_aux(
         return wire((b.name, b.expr), b.name, AttribWire, b.expr, b.width_expr)
 
     for side_role, side in (("p", t.p), ("q", t.q)):
-        bindings = side.bindings
         for suffix in ("val", "ack", "transid", "data", "stable"):
-            binding = bindings.get(suffix)
-            if binding is None:
-                continue
-            if suffix == "stable" and isinstance(binding, ExplicitAttrib) and _is_flag_expr(binding.expr):
-                continue  # presence flag, the payload itself is checked
-            roles[f"{side_role}_{suffix}"] = bound(binding)
+            binding = side.bindings.get(suffix)
+            if binding is None or suffix == "stable" and (side_role == "q" or "p_ack" not in roles):
+                continue  # stability is checked on a request side with an ack: other bindings generate nothing
+            flag = suffix == "stable" and isinstance(binding, ExplicitAttrib) and binding.expr.strip() in _CONST_TRUE
+            roles[f"{side_role}_{suffix}"] = None if flag else bound(binding)
     if t.active is not None:
         roles["active"] = bound(t.active)
 
@@ -165,6 +167,8 @@ def synth_transaction_aux(
                             matched(q_hsk, roles["q_transid"], symb))
         roles["inflight"] = inflight
         signals.append(inflight)
+        if "transid_unique" in t.p.bindings or "transid_unique" in t.q.bindings:
+            roles["unique"] = inflight
         if "p_data" in roles:
             sampled = Sampled(namer.alloc(f"{t.tname}_sampled_data"), request, roles["p_data"],
                               _attr_width(t, "data", diags))
@@ -174,13 +178,39 @@ def synth_transaction_aux(
     return TransactionAux(signals, roles)
 
 
+# A transaction shape (the options' assert_inputs, its direction, its role names) -> (label suffix, assumed) of
+# each property it gets, in order; filled by `_name_labels` as shapes are met. There are few shapes.
+_CHECKS: dict[tuple, list[tuple[str, bool]]] = {}
+
+
+def _name_labels(txns: list[Transaction], aux: list[TransactionAux], opts: GenOptions, namer: _Namer) -> None:
+    """Rename each property whose label, or an assumption's generate block, is a name the namer holds.
+
+    A transaction's labels and directives follow from its shape alone, so
+    its properties are made only for the first transaction of a shape, and
+    each label is derived from the shape's suffixes. The test is made here,
+    before calling the namer, because one call per label would cost more
+    than the rest of this pass.
+    """
+    for t, a in zip(txns, aux):
+        if (checks := _CHECKS.get(shape := (opts.assert_inputs, t.direction, *a.roles))) is None:
+            from .properties import ASSUME, apply_link_transforms, gen_properties  # which imports this module
+
+            props = apply_link_transforms(gen_properties(t, a, opts, []), assert_inputs=opts.assert_inputs)
+            checks = _CHECKS[shape] = [(p.name[len(t.tname):], p.directive == ASSUME) for p in props]
+        for suffix, assumed in checks:
+            label = t.tname + suffix
+            if label in namer.taken or assumed and (label + "_asrt" in namer.taken or label + "_assm" in namer.taken):
+                a.labels = {**(a.labels or {}), label: namer.alloc(label, ("_asrt", "_assm") if assumed else ())}
+
+
 def synth_module(
     txns: list[Transaction], pm: ParsedModule, opts: GenOptions, diags: list[Diagnostic]
-) -> tuple[list[TransactionAux], _Namer]:
+) -> list[TransactionAux]:
     """Synthesize aux signals for every transaction with module-wide naming, reporting into `diags`.
 
-    Also returns the namer, holding every name declared so far, by which the
-    property labels are checked next; it reports into `diags` too.
+    Then, unless `diags` holds an error, each property label is checked
+    against every name declared, so every warning is reported on return.
     """
     ports = pm.port_names()
     taken = ports | {p.name for p in pm.parameters}
@@ -204,12 +234,14 @@ def synth_module(
         if "inflight" not in roles and "p_data" in roles and "q_data" in roles:
             diags.append(warning("data-without-transid", f"data integrity of '{t.tname}' needs a transaction id on "
                                  "both interfaces; check skipped", t.span))
-    return aux, namer
+    if not errors_in(diags):
+        _name_labels(txns, aux, opts, namer)
+    return aux
 
 
 def synth_module_aux(
     txns: list[Transaction], pm: ParsedModule, opts: GenOptions
 ) -> tuple[list[TransactionAux], list[Diagnostic]]:
-    """`synth_module` with a diagnostics list of its own and without the namer."""
+    """`synth_module` with a diagnostics list of its own."""
     diags: list[Diagnostic] = []
-    return synth_module(txns, pm, opts, diags)[0], diags
+    return synth_module(txns, pm, opts, diags), diags

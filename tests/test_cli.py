@@ -20,6 +20,13 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+# fifo with a port named like its liveness label, which synthesis renames, and the warnings `gen` prints for it.
+FIFO_LIVENESS = load_fixture("fifo").replace(" clk,", " clk,\n    input wire fifo_liveness,")
+SKIPPED = ("warning[data-without-transid]: data integrity of 'fifo' needs a transaction id on both interfaces; "
+           "check skipped\n")
+RENAMED = "warning[name-collision-renamed]: generated name 'fifo_liveness' collides, renamed to 'fifo_liveness_1'\n"
+
+
 def bundle_hashes(directory):
     return {
         str(p.relative_to(directory)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -249,6 +256,40 @@ class TestGen:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["gen", "check"])
+    def test_a_label_rename_prints_after_the_synthesis_warnings(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AUTOFT_COLOR", "0")
+        src = tmp_path / "fifo.sv"
+        src.write_text(FIFO_LIVENESS)
+        code, _, err = run_cli([command, src, *(["-o", tmp_path / "o"] if command == "gen" else [])], capsys)
+        assert code == 0
+        assert err == f"{src}:3:12: {SKIPPED}{RENAMED}"
+
+    @pytest.mark.parametrize("command", ["gen", "check", "link"])
+    def test_a_label_rename_prints_before_an_unknown_max_outstanding_name(self, command, tmp_path, capsys,
+                                                                           monkeypatch):
+        # Synthesis renames the label, so it prints with the module's warnings, before the names are checked.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("AUTOFT_COLOR", "0")
+        src = tmp_path / "fifo.sv"
+        src.write_text(FIFO_LIVENESS)
+        code, out, err = run_cli([command, src, "--max-outstanding", "nosuch=3"], capsys)
+        assert code == 2
+        assert err == f"{src}:3:12: {SKIPPED}{RENAMED}error: --max-outstanding: no transaction named nosuch\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == [src]
+
+    def test_a_failed_gen_prints_no_label_rename(self, tmp_path, capsys, monkeypatch):
+        # Labels are checked only when the module has no error.
+        monkeypatch.setenv("AUTOFT_COLOR", "0")
+        src = tmp_path / "fifo.sv"
+        src.write_text(FIFO_LIVENESS)
+        code, out, err = run_cli(["gen", src, "--clk", "clock", "-o", tmp_path / "o"], capsys)
+        assert code == 1
+        assert err == f"error[unknown-clock]: clock 'clock' is not a port of module 'fifo'\n{src}:3:12: {SKIPPED}"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_max_outstanding_may_name_a_child_transaction(self, tmp_path, capsys):
         code, _, _ = run_cli(["link", fixture_path("mmu_stub"), "--child", f"{fixture_path('pipeline')}=am",
                               "--max-outstanding", "pipe=2", "-o", tmp_path / "o"], capsys)
@@ -414,20 +455,15 @@ class TestLink:
         assert code == 0
         assert err.count("warning[data-without-transid]") == 1
 
-    def test_label_renames_print_as_each_module_is_written(self, tmp_path, capsys, monkeypatch):
-        # A label rename is found while its module is written, after every module's synthesis warnings.
+    def test_label_renames_print_with_each_modules_warnings(self, tmp_path, capsys, monkeypatch):
+        # Synthesis renames a label, so each module's renames print with its other warnings, as it is generated.
         monkeypatch.setenv("AUTOFT_COLOR", "0")
-        text = load_fixture("fifo").replace(" clk,", " clk,\n    input wire fifo_liveness,")
         for dut in ("fifo", "fifo2"):
-            (tmp_path / f"{dut}.sv").write_text(text.replace("module fifo", f"module {dut}"))
-        skipped = ("warning[data-without-transid]: data integrity of 'fifo' needs a transaction id on both "
-                   "interfaces; check skipped\n")
-        renamed = ("warning[name-collision-renamed]: generated name 'fifo_liveness' collides, "
-                   "renamed to 'fifo_liveness_1'\n")
+            (tmp_path / f"{dut}.sv").write_text(FIFO_LIVENESS.replace("module fifo", f"module {dut}"))
         code, _, err = run_cli(["link", tmp_path / "fifo.sv", "--child", f"{tmp_path / 'fifo2.sv'}=am",
                                 "-o", tmp_path / "o"], capsys)
         assert code == 0
-        assert err == f"{tmp_path / 'fifo.sv'}:3:12: {skipped}{tmp_path / 'fifo2.sv'}:3:12: {skipped}{renamed}{renamed}"
+        assert err == f"{tmp_path / 'fifo.sv'}:3:12: {SKIPPED}{RENAMED}{tmp_path / 'fifo2.sv'}:3:12: {SKIPPED}{RENAMED}"
         for dut in ("fifo", "fifo2"):
             assert "fifo_liveness_1: assert property" in (tmp_path / "o" / dut / f"{dut}_prop.sv").read_text()
 

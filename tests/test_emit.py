@@ -21,7 +21,7 @@ from autoft.emit import (
 )
 from autoft.options import GenOptions
 from autoft.parser import parse_module
-from autoft.properties import gen_properties
+from autoft.properties import apply_link_transforms, gen_properties
 from autoft.signals import synth_module_aux
 from autoft.tracecheck import Trace, eval_property
 from autoft.transactions import build_transactions
@@ -407,6 +407,40 @@ LABEL_PORTS = {
     for name, port in (("fifo", "fifo_liveness"), ("pipeline", "pipe_stability_asrt"),
                        ("noc_buffer", "symb_buf_transid_stable"))
 }
+
+
+# The golden option mixes as `gen` flags, each with the options they give.
+GEN_MIXES = {
+    "bundle": (["--tool", "both"], GenOptions(tool="both")),
+    "assert_inputs": (["--tool", "both", "--assert-inputs"], GenOptions(tool="both", assert_inputs=True)),
+    "check": ([], GenOptions()),
+    "max_outstanding_1": (["--max-outstanding", "1"], GenOptions(max_outstanding=1)),
+}
+
+
+def _staged_prop(src: str, path: str, opts: GenOptions) -> str:
+    """`<dut>_prop.sv` made by one public call per stage, as `perfbench/layers.py:Staged.bundle` calls them."""
+    pm = parse_module(src, path)
+    txns, _ = build_transactions(pm)
+    aux, _ = synth_module_aux(txns, pm, opts)
+    props = [apply_link_transforms(gen_properties(t, a, opts, []), assert_inputs=opts.assert_inputs)
+             for t, a in zip(txns, aux)]
+    return emit_property_module(pm, txns, aux, props, opts).text
+
+
+@pytest.mark.parametrize("src, mix", [
+    *(pytest.param(load_fixture(name), mix, id=f"{name}-{mix}") for name in FIXTURE_NAMES for mix in GEN_MIXES),
+    *(pytest.param(LABEL_PORTS[port], "check", id=f"port_{port}")
+      for port in ("fifo_liveness", "pipe_stability_asrt")),
+])
+def test_staged_public_calls_write_what_gen_writes(src, mix, tmp_path):
+    # Synthesis renames a clashing label, so the public calls need no label pass of their own.
+    flags, opts = GEN_MIXES[mix]
+    path = tmp_path / "in.sv"
+    path.write_text(src, encoding="utf-8")
+    assert cli.main(["gen", str(path), *flags, "-o", str(tmp_path / "o")]) == 0
+    dut = parse_module(src).module_name
+    assert _staged_prop(src, str(path), opts) == (tmp_path / "o" / dut / f"{dut}_prop.sv").read_text(encoding="utf-8")
 
 
 # A parent whose last port ends in `endmodule`, so that its port list does too.

@@ -139,6 +139,21 @@ class TestEmissionSets:
         bundle = generate_bundle(src, "m.sv", GenOptions())
         assert any(w.code == "stable-on-response-side" for w in bundle.warnings)
 
+    @pytest.mark.parametrize("src, code, name", [
+        (load_fixture("fifo").replace("in -in> out", "in -in> out\n// AUTOSVA out_stable = out_data != 0"),
+         "stable-on-response-side", "out_stable"),
+        (module("input wire clk,\ninput wire rst_n,\ninput wire p_val,\ninput wire [7:0] p_bits,\n"
+                "output wire q_val",
+                "// AUTOSVA t: p -in> q\n// AUTOSVA p_stable = p_bits != 0"), "stable-without-ack", "p_stable"),
+    ], ids=["response-side", "without-ack"])
+    def test_a_stable_binding_that_checks_nothing_declares_nothing(self, src, code, name):
+        from autoft import GenOptions, generate_bundle
+
+        bundle = generate_bundle(src, "m.sv", GenOptions())
+        assert code in [w.code for w in bundle.warnings]
+        assert not any(p.kind == "stability" for p in bundle.properties)
+        assert name not in bundle.property_module.text
+
     def test_skipped_checks_warn_from_synthesis(self):
         # Each binding that generates no property is reported by synthesis, in emission order per transaction.
         src = module(
@@ -324,15 +339,30 @@ GOLDEN_OPTIONS = {
 }
 
 
+# Fixtures with a port named like a property label, or like an assumption's generate block: (fixture, label).
+LABEL_CLASHES = {"fifo_liveness": ("fifo", "fifo_liveness"), "pipe_stability_asrt": ("pipeline", "pipe_stability")}
+
+
 @pytest.mark.parametrize("mix", sorted(GOLDEN_OPTIONS))
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, *LABEL_CLASHES])
 def test_gen_properties_reports_nothing(name, mix):
-    # Every error and warning but a label rename is known once synthesis returns, before `gen` writes a byte.
+    # Every error and warning, label renames included, is known once synthesis returns, before `gen` writes a byte.
     opts = GOLDEN_OPTIONS[mix]
-    pm = parse_module(load_fixture(name), f"{name}.sv")
+    fixture, label = LABEL_CLASHES.get(name, (name, None))
+    src = load_fixture(fixture)
+    if label:
+        src = src.replace("rst_n,", f"rst_n,\n    input  wire {name},", 1)
+    pm = parse_module(src, f"{fixture}.sv")
     txns, _ = build_transactions(pm)
-    aux, _ = synth_module_aux(txns, pm, opts)
-    diags = []
+    aux, synth_diags = synth_module_aux(txns, pm, opts)
+    renamed = [d.message for d in synth_diags if d.code == "name-collision-renamed"]
+    # An asserted input property has no generate block to clash.
+    clashes = label is not None and not (name.endswith("_asrt") and opts.assert_inputs)
+    assert renamed == ([f"generated name '{label}' collides, renamed to '{label}_1'"] if clashes else [])
+    diags, names = [], []
     for t, a in zip(txns, aux):
-        assert gen_properties(t, a, opts, diags)
+        props = gen_properties(t, a, opts, diags)
+        assert props
+        names += [p.name for p in props]
     assert diags == []
+    assert (f"{label}_1" in names) == clashes
