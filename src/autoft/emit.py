@@ -25,9 +25,9 @@ from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, erro
 from .options import TOOL_BOTH, TOOL_JASPERGOLD, TOOL_SYMBIYOSYS, GenOptions
 from .parser import ParsedModule, parse_module
 from .properties import ASSUME, GeneratedProperty, apply_link_transforms, gen_properties
-from .signals import TransactionAux, synth_module
+from .signals import synth_module
 from .sva import width_prefix
-from .transactions import Transaction, build_transactions
+from .transactions import Transaction, TransactionAux, build_transactions
 
 _BANNER = "Machine generated; do not edit."
 _WRITE_SLICE = 64 * 1024  # characters encoded and written at a time by `write_files`

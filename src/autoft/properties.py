@@ -55,11 +55,10 @@ from __future__ import annotations
 
 from .diagnostics import Diagnostic
 from .options import GenOptions
-from .signals import TransactionAux
 from .sva import (
     And, CoverSeq, Eq, Eventually, Gt, Implies, IsUnknown, Node, Not, Or, PropAnd, Stable, matched,
 )
-from .transactions import Transaction
+from .transactions import Transaction, TransactionAux
 
 ASSERT = "assert"
 ASSUME = "assume"

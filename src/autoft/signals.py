@@ -40,8 +40,9 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, error, errors_in, warning
 from .options import GenOptions
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule
+from .properties import ASSUME, apply_link_transforms, gen_properties
 from .sva import And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched
-from .transactions import Transaction
+from .transactions import Transaction, TransactionAux
 
 # Constant-true right-hand sides: a `stable` binding to one is a presence flag, which checks the valid and payload.
 _CONST_TRUE = {"1", "1'b1", "'1", "1'd1", "1'h1"}
@@ -68,20 +69,6 @@ class _Namer:
             self.diags.append(warning("name-collision-renamed", f"generated name '{base}' collides, renamed to '{name}'"))
         self.taken.add(name)
         return name
-
-
-class TransactionAux:
-    """Aux signals declared for one transaction, the role map properties use (role -> signal node).
-
-    labels maps each property label the namer renamed to its new name; None when none was.
-    """
-
-    __slots__ = ("signals", "roles", "labels")
-
-    def __init__(self, signals: list[Aux], roles: dict[str, Node | None]):
-        self.signals = signals
-        self.roles = roles
-        self.labels: dict[str, str] | None = None
 
 
 # Attribute suffix -> (what its width is called, the register it sizes).
@@ -178,29 +165,24 @@ def synth_transaction_aux(
     return TransactionAux(signals, roles)
 
 
-# A transaction shape (the options' assert_inputs, its direction, its role names) -> (label suffix, assumed) of
-# each property it gets, in order; filled by `_name_labels` as shapes are met. There are few shapes.
-_CHECKS: dict[tuple, list[tuple[str, bool]]] = {}
-
-
 def _name_labels(txns: list[Transaction], aux: list[TransactionAux], opts: GenOptions, namer: _Namer) -> None:
     """Rename each property whose label, or an assumption's generate block, is a name the namer holds.
 
-    A transaction's labels and directives follow from its shape alone, so
-    its properties are made only for the first transaction of a shape, and
-    each label is derived from the shape's suffixes. The test is made here,
-    before calling the namer, because one call per label would cost more
-    than the rest of this pass.
+    A label is the transaction's name plus a suffix. The suffixes and the
+    directives follow from the options and the transaction's shape (its
+    direction and its role names) alone, so properties are made only for the
+    first transaction of each shape in the module, into a table that lives
+    for this call. The test is made here, before calling the namer, because
+    one call per label would cost more than the rest of this pass.
     """
+    taken, checks = namer.taken, {}
     for t, a in zip(txns, aux):
-        if (checks := _CHECKS.get(shape := (opts.assert_inputs, t.direction, *a.roles))) is None:
-            from .properties import ASSUME, apply_link_transforms, gen_properties  # which imports this module
-
+        if (check := checks.get(shape := (t.direction, *a.roles))) is None:
             props = apply_link_transforms(gen_properties(t, a, opts, []), assert_inputs=opts.assert_inputs)
-            checks = _CHECKS[shape] = [(p.name[len(t.tname):], p.directive == ASSUME) for p in props]
-        for suffix, assumed in checks:
-            label = t.tname + suffix
-            if label in namer.taken or assumed and (label + "_asrt" in namer.taken or label + "_assm" in namer.taken):
+            check = checks[shape] = [(p.name[len(t.tname):], p.directive == ASSUME) for p in props]
+        tn = t.tname
+        for suffix, assumed in check:
+            if (label := tn + suffix) in taken or assumed and (label + "_asrt" in taken or label + "_assm" in taken):
                 a.labels = {**(a.labels or {}), label: namer.alloc(label, ("_asrt", "_assm") if assumed else ())}
 
 

@@ -9,11 +9,17 @@ with a warning, since the annotation states the designer's intent; two
 assignments of one field are an error. A repeated signal name is the
 parser's error, and the first signal binds. An annotation whose interface
 is in no relation is an error; a port's is not an attribute at all.
+
+`TransactionAux` is what synthesis (`autoft.signals`) gives a transaction;
+it is defined here so that `autoft.properties`, which reads it, and
+`autoft.signals`, which makes properties to check their labels, import it
+without importing each other in a cycle.
 """
 from __future__ import annotations
 
 from .diagnostics import Diagnostic, SourceSpan, error, warning
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule, RelationDecl, split_field
+from .sva import Aux, Node
 
 Binding = InterfaceSignal | ExplicitAttrib
 
@@ -45,6 +51,21 @@ class Transaction:
         self.q = q
         self.active = active
         self.span = span
+
+
+class TransactionAux:
+    """What synthesis (`autoft.signals`) gives one transaction: its aux signals and the role map.
+
+    roles maps each role the properties read to its signal node; labels maps
+    each property label the namer renamed to its new name, None when none was.
+    """
+
+    __slots__ = ("signals", "roles", "labels")
+
+    def __init__(self, signals: list[Aux], roles: dict[str, Node | None]):
+        self.signals = signals
+        self.roles = roles
+        self.labels: dict[str, str] | None = None
 
 
 def _candidate_bindings(
