@@ -23,7 +23,11 @@ input runs three measurements, each after a full collection:
   collections that ran inside it.
 
 The staged runs must write the same bytes as `cli.main`, and the two sides
-the same bytes as each other. A time is the median over rounds.
+the same bytes as each other. A time is the median over rounds. Each wide
+input's record holds, next to its transaction count, its count of distinct
+transaction shapes as this checkout's synthesis groups them (`shapes`):
+`gen` makes and renders the properties of one transaction per shape and
+fills in the others from templates, so its gain rests on that ratio.
 
 After the timed rounds, each side makes two untimed passes over each wide
 input under `tracemalloc`, and their peaks of traced memory, in MB, are
@@ -123,6 +127,12 @@ def staged(af, path: str, outdir: Path) -> dict[str, float]:
     return {f"{s}_ms": v * 1e3 for s, v in seconds.items()}
 
 
+def shape_count(af, path: str) -> int:
+    """The count of one input's distinct transaction shapes (direction, role names, None roles), as `af` groups them."""
+    model = af.emit.generate_model(Path(path).read_text(encoding="utf-8"), path, af.options.GenOptions(tool="both"))
+    return len({id(a.shape) for a in model.aux})
+
+
 def traced_peak_mb(fn) -> float:
     """The `tracemalloc` peak, in MB, of calling `fn`, after a full collection."""
     gc.collect()
@@ -217,6 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     sides = twin.sides(args, MODULES)
     with tempfile.TemporaryDirectory() as tmp:
         files = write_inputs(args.seed, Path(tmp))
+        for f in files:
+            if f["group"] == "wide":
+                f["shapes"] = shape_count(sides["after"], f["path"])
         runs: dict[str, dict[str, list]] = {side: {f["name"]: [] for f in files} for side in sides}
         for _, f, order in twin.turns(sides, files, args.rounds):
             written = []
@@ -234,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
                      for side, af in sides.items()}
 
     result = {
-        "inputs": [{k: f[k] for k in ("name", "group", "bytes", "txns")} for f in files],
+        "inputs": [{k: f[k] for k in ("name", "group", "bytes", "txns", "shapes") if k in f} for f in files],
         **{side: summarize(files, runs[side]) for side in sides},
         "tracemalloc_peak_mb": peaks,
         "tracemalloc_cli_peak_mb": cli_peaks,

@@ -20,9 +20,9 @@ signals, property labels), each one's warnings printed as it is generated,
 so every error and warning is known before anything is made from a model.
 `check` then makes the properties and runs the reference machine. `gen` and
 `link` check the binds, make every directory, then stream each file: a
-property module is written one transaction at a time, its properties made as
-its block is reached and dropped once it is written, so its text is never
-held.
+property module is written one transaction at a time, each block rendered
+from its transaction's shape (see `emit`) and dropped once it is written, so
+its text is never held.
 
 Exit codes: 0 success, 1 validation or check failure (every diagnostic is
 printed, not just the first), 2 usage errors, also an input file that

@@ -6,17 +6,26 @@ paths, so regenerating a bundle always reproduces it byte for byte.
 
 The property module is rendered by one generator, `_blocks`: its header, then
 one block per transaction, each joined from its lines as that transaction is
-rendered, then the closing lines. `gen` and `link` never hold the property
-module's text: `ModuleModel.files` makes each transaction's properties when
-its block is reached, and `write_files` writes the block and drops it, along
-with the properties. `check` holds only the properties, and `generate_bundle`
-holds every file's text, the property module joined over the same generator.
+rendered, then the closing lines. A transaction's properties come from its
+shape (`TransactionAux.shape`): the label pass made the properties of the
+first transaction of each shape, and `_blocks` renders those. Every later
+transaction of the shape fills its own signal names into templates of that
+text, one per body with a slot per role (`_templates`), and its labels and
+directives wrap the bodies through `_render_property`. So `render()` stays
+the only source of SVA text, while `gen` and `link` make and render one
+transaction's property trees per shape, not per transaction.
+`gen` and `link` never hold the property module's text: `write_files`
+writes each block as `ModuleModel.files` yields it, and drops it. `check`
+holds the properties, every transaction's made by `gen_properties`, since
+the evaluator needs the trees, and renders no text; `generate_bundle` holds
+both, its property module joined over the same generator.
 `write_files` encodes and writes a text in fixed slices rather than as one
 bytes copy. Synthesis has decided every property and its label by the time
 `generate_model` returns, so making and writing them reports nothing.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -26,7 +35,7 @@ from .options import TOOL_BOTH, TOOL_JASPERGOLD, TOOL_SYMBIYOSYS, GenOptions
 from .parser import ParsedModule, parse_module
 from .properties import ASSUME, GeneratedProperty, apply_link_transforms, gen_properties
 from .signals import synth_module
-from .sva import width_prefix
+from .sva import Node, width_prefix
 from .transactions import Transaction, TransactionAux, build_transactions
 
 _BANNER = "Machine generated; do not edit."
@@ -65,18 +74,36 @@ def _port_lines(pm: ParsedModule) -> list[str]:
     return [f"{d} {s.opaque_type or 'wire'} {width_prefix(s.width_expr)}{s.name}" for d, s in ports]
 
 
-def _render_property(p: GeneratedProperty, head: str) -> str:
-    """The property's text, of one or more lines; `head` is the module's `@(posedge clk) disable iff (...)`."""
-    body = f"{head}\n    {p.body.render()}"
-    if p.directive == ASSUME:
+def _render_property(name: str, directive: str, body: str, head: str) -> str:
+    """A property's text, of one or more lines, around its rendered body.
+
+    `head` is the module's `@(posedge clk) disable iff (...)`.
+    """
+    body = f"{head}\n    {body}"
+    if directive == ASSUME:
         return (
-            f"if (ASSERT_INPUTS) begin : {p.name}_asrt\n"
-            f"    {p.name}: assert property ({body});\n"
-            f"end else begin : {p.name}_assm\n"
-            f"    {p.name}: assume property ({body});\n"
+            f"if (ASSERT_INPUTS) begin : {name}_asrt\n"
+            f"    {name}: assert property ({body});\n"
+            f"end else begin : {name}_assm\n"
+            f"    {name}: assume property ({body});\n"
             "end"
         )
-    return f"{p.name}: {p.directive} property ({body});"
+    return f"{name}: {directive} property ({body});"
+
+
+_TOKEN_RE = re.compile(r"[\w$]+")  # an identifier, a number or a system function: one token of a rendered body
+
+
+def _templates(roles: dict[str, Node | None], checks: list[tuple[str, str, str, Node]]) -> list[str]:
+    """Each body of a shape's checks, rendered, as a `str.format` template: a `{i}` slot for the i-th role's name.
+
+    `roles` is the role map the bodies were made from; every transaction of
+    the shape has the same roles in the same order. Two roles of one name
+    are the same node in every transaction of a shape.
+    """
+    slots = {n.name: f"{{{i}}}" for i, n in enumerate(roles.values()) if n is not None}
+    return [_TOKEN_RE.sub(lambda m: slots.get(m[0], m[0]), body.render().replace("{", "{{").replace("}", "}}"))
+            for _, _, _, body in checks]
 
 
 class ModuleModel(namedtuple("ModuleModel", "pm txns aux warnings opts")):
@@ -106,7 +133,7 @@ class ModuleModel(namedtuple("ModuleModel", "pm txns aux warnings opts")):
         """
         pm, opts = self.pm, self.opts
         small = [emit_bind_file(pm), *emit_tool_files(pm, opts.tool, opts, sources)]
-        return [(f"{self.dut}_prop.sv", _blocks(pm, self.txns, self.aux, self.properties(), opts, binds)),
+        return [(f"{self.dut}_prop.sv", _blocks(pm, self.txns, self.aux, opts, binds)),
                 *((f.name, (f.text,)) for f in small)]
 
 
@@ -115,14 +142,17 @@ def _relation_text(t: Transaction) -> str:
     return f"{t.tname}: {t.p.name} {arrow} {t.q.name}"
 
 
-def _blocks(pm: ParsedModule, txns: list[Transaction], aux: list[TransactionAux],
-            props: Iterable[list[GeneratedProperty]], opts: GenOptions, binds: str = "") -> Iterator[str]:
+def _blocks(pm: ParsedModule, txns: list[Transaction], aux: list[TransactionAux], opts: GenOptions,
+            binds: str = "") -> Iterator[str]:
     """`<dut>_prop.sv` in pieces that concatenate to it: its header, each transaction's block, then the closing lines.
 
     Each transaction's lines are joined into one block as it is rendered, so
-    the lines of the whole module are never held at once; `props` is read one
-    transaction at a time, as its block is rendered. `binds`, if any, goes
-    before the final `endmodule`.
+    the lines of the whole module are never held at once. Its properties
+    come from its shape's checks: the first transaction of a shape renders
+    the bodies made by the label pass, and each later one fills its own
+    signal names into templates of that text (`_templates`), built when the
+    shape's second transaction is reached. `binds`, if any, goes before the
+    final `endmodule`.
     """
     dut = pm.module_name
     lines: list[str] = [f"// Interface transaction properties for {dut}. {_BANNER}", ""]
@@ -141,16 +171,28 @@ def _blocks(pm: ParsedModule, txns: list[Transaction], aux: list[TransactionAux]
     yield "\n".join(lines)
 
     head = f"@(posedge {opts.clk}) disable iff ({opts.rst_expr})"
-    for t, t_aux, t_props in zip(txns, aux, props):
+    templates: dict[int, list[str]] = {}  # id of a shape's checks -> `_templates` of them
+    for t, t_aux in zip(txns, aux):
+        first, checks = t_aux.shape
+        if t_aux.roles is first:
+            bodies = [check[3].render() for check in checks]
+        else:
+            if (filled := templates.get(id(checks))) is None:
+                filled = templates[id(checks)] = _templates(first, checks)
+            names = [n.name if n is not None else "" for n in t_aux.roles.values()]
+            bodies = [template.format(*names) for template in filled]
         lines = ["", "", f"// ---- transaction {_relation_text(t)} ----", ""]
         for a in t_aux.signals:
             lines += a.declare(opts)
         guarded = []
-        for p in t_props:
-            if p.kind == "xprop":
-                guarded.append(_render_property(p, head))
+        tn, labels = t.tname, t_aux.labels
+        for (suffix, kind, directive, _), body in zip(checks, bodies):
+            name = tn + suffix
+            text = _render_property(labels.get(name, name) if labels else name, directive, body, head)
+            if kind == "xprop":
+                guarded.append(text)
             else:
-                lines += ("", _render_property(p, head))
+                lines += ("", text)
         if guarded:
             lines += ["", "`ifdef XPROP", *guarded, "`endif"]
         yield "\n".join(lines)
@@ -160,8 +202,12 @@ def _blocks(pm: ParsedModule, txns: list[Transaction], aux: list[TransactionAux]
 
 def emit_property_module(pm: ParsedModule, txns: list[Transaction], aux: list[TransactionAux],
                          props: list[list[GeneratedProperty]], opts: GenOptions) -> GeneratedFile:
-    """Render `<dut>_prop.sv` with modeling and properties per transaction, in memory: one join over `_blocks`."""
-    return GeneratedFile(f"{pm.module_name}_prop.sv", "".join(_blocks(pm, txns, aux, props, opts)))
+    """Render `<dut>_prop.sv` with modeling and properties per transaction, in memory: one join over `_blocks`.
+
+    The text is rendered from each transaction's shape (`TransactionAux.shape`),
+    so `props` is not read.
+    """
+    return GeneratedFile(f"{pm.module_name}_prop.sv", "".join(_blocks(pm, txns, aux, opts)))
 
 
 def emit_bind_file(pm: ParsedModule) -> GeneratedFile:

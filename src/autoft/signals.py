@@ -24,7 +24,9 @@ namer then checks the labels the module declares: a symbolic id's
 `<symb>_stable` assumption (the id is named so that its label is free) and,
 once every aux name is allocated and only when the module has no error,
 each property's label and an assumption's generate blocks (`_name_labels`).
-A label that clashes with nothing is not added to the namer's names, and
+That pass makes the properties of the first transaction of each shape and
+points every transaction of the shape at them (`TransactionAux.shape`), for
+the emitter to render once per shape. A label that clashes with nothing is not added to the namer's names, and
 `TransactionAux.labels` keeps only the renamed ones. A collision, with a
 header name or between transactions whose names differ only in case, is
 resolved by appending a numeric suffix and emitting a warning, so a module's
@@ -166,22 +168,30 @@ def synth_transaction_aux(
 
 
 def _name_labels(txns: list[Transaction], aux: list[TransactionAux], opts: GenOptions, namer: _Namer) -> None:
-    """Rename each property whose label, or an assumption's generate block, is a name the namer holds.
+    """Point each transaction at its shape's properties, and rename each label the namer holds.
 
-    A label is the transaction's name plus a suffix. The suffixes and the
-    directives follow from the options and the transaction's shape (its
-    direction and its role names) alone, so properties are made only for the
-    first transaction of each shape in the module, into a table that lives
-    for this call. The test is made here, before calling the namer, because
-    one call per label would cost more than the rest of this pass.
+    A label is the transaction's name plus a suffix; it is renamed when it,
+    or an assumption's generate block, is a name the namer holds. The
+    suffixes, kinds and directives follow from the options and the
+    transaction's shape (its direction, its role names and which roles are
+    None) alone, and so do the bodies up to signal names. So properties are
+    made only for the first transaction of each shape in the module, into
+    the entry that every transaction of the shape points at
+    (`TransactionAux.shape`); the emitter renders them, and fills in the
+    others' bodies from their text. The label test is made here, before
+    calling the namer, because one call per label would cost more than the
+    rest of this pass.
     """
-    taken, checks = namer.taken, {}
+    taken, shapes = namer.taken, {}
     for t, a in zip(txns, aux):
-        if (check := checks.get(shape := (t.direction, *a.roles))) is None:
+        roles = a.roles  # `p_stable` is the one role that may be None (a flag binding)
+        if (found := shapes.get(key := (t.direction, *roles, roles.get("p_stable", 0) is None))) is None:
             props = apply_link_transforms(gen_properties(t, a, opts, []), assert_inputs=opts.assert_inputs)
-            check = checks[shape] = [(p.name[len(t.tname):], p.directive == ASSUME) for p in props]
+            checks = [(p.name[len(t.tname):], p.kind, p.directive, p.body) for p in props]
+            found = shapes[key] = (roles, checks), [(c[0], c[2] == ASSUME) for c in checks]
+        a.shape, tests = found
         tn = t.tname
-        for suffix, assumed in check:
+        for suffix, assumed in tests:
             if (label := tn + suffix) in taken or assumed and (label + "_asrt" in taken or label + "_assm" in taken):
                 a.labels = {**(a.labels or {}), label: namer.alloc(label, ("_asrt", "_assm") if assumed else ())}
 

@@ -58,14 +58,21 @@ class TransactionAux:
 
     roles maps each role the properties read to its signal node; labels maps
     each property label the namer renamed to its new name, None when none was.
+    shape is the module's entry for the transaction's shape (its direction,
+    its role names and which roles are None), set by the label pass:
+    (roles, checks), where roles is the first such transaction's role map and
+    checks holds (label suffix, kind, directive, body) for each of that
+    transaction's properties, in emitted order. Every transaction of the
+    shape has these checks, its bodies differing only in signal names.
     """
 
-    __slots__ = ("signals", "roles", "labels")
+    __slots__ = ("signals", "roles", "labels", "shape")
 
     def __init__(self, signals: list[Aux], roles: dict[str, Node | None]):
         self.signals = signals
         self.roles = roles
         self.labels: dict[str, str] | None = None
+        self.shape: tuple[dict[str, Node | None], list[tuple[str, str, str, Node]]] | None = None
 
 
 def _candidate_bindings(

@@ -16,6 +16,7 @@ from autoft.emit import (
     emit_property_module,
     emit_tool_files,
     generate_bundle,
+    generate_model,
     link_submodule_fts,
     write_bundle,
 )
@@ -441,6 +442,86 @@ def test_staged_public_calls_write_what_gen_writes(src, mix, tmp_path):
     assert cli.main(["gen", str(path), *flags, "-o", str(tmp_path / "o")]) == 0
     dut = parse_module(src).module_name
     assert _staged_prop(src, str(path), opts) == (tmp_path / "o" / dut / f"{dut}_prop.sv").read_text(encoding="utf-8")
+
+
+# Transactions that repeat shapes, so that later ones are filled in from a template: in one shape a role name
+# that prefixes others (`x_val`, `x_val_val`, `x_val_hsk`), a namer-renamed wire (`w_val_1`, since the port
+# `w_val` is taken), `$` in names and a renamed label (`t4_liveness`, a port); a flag `stable` and an
+# expression `stable` in one direction; two transactions on one interface; tracked outgoing ones and active ones.
+REPEATED_SHAPES = _module(
+    "input wire x_val,\noutput wire x_ack,\noutput wire x_val_val,\n"
+    "input wire w_val,\ninput wire w_go,\noutput wire w_ack,\noutput wire w_val_val,\n"
+    "input wire a$b_val,\noutput wire a$b_ack,\noutput wire c$_val,\n"
+    "input wire l_val,\noutput wire l_ack,\noutput wire o_val,\ninput wire t4_liveness,\n"
+    + "".join(f"input wire {i}_val,\noutput wire {i}_ack,\ninput wire [7:0] {i}_data,\n"
+              f"output wire {i}r_val,\noutput wire [7:0] {i}r_data,\n" for i in "sfeg")
+    + "input wire m_val,\noutput wire m_ack,\noutput wire n_val,\ninput wire n_ack,\n"
+    "output wire k_val,\ninput wire k_ack,\n"
+    + "".join(f"output wire {i}_val,\ninput wire {i}_ack,\noutput wire [3:0] {i}_transid,\n"
+              f"output wire [7:0] {i}_data,\ninput wire {i}r_val,\ninput wire [3:0] {i}r_transid,\n"
+              f"input wire [7:0] {i}r_data,\n" for i in "hj")
+    + "input wire u_val,\noutput wire ur_val,\ninput wire u_active,\ninput wire v_val,\noutput wire vr_val,\n"
+    "input wire busy",
+    "/*AUTOSVA\nt1: x -in> x_val\nt2: w -in> w_val\nw_val = w_go\nt$3: a$b -in> c$\nt4: l -in> o\n"
+    "t5: s -in> sr\ns_stable = 1'b1\nt5b: f -in> fr\nf_stable = 1\n"
+    "t6: e -in> er\ne_stable = e_data\nt6b: g -in> gr\ng_stable = g_data\n"
+    "t7: m -in> n\nt8: m -in> k\n"
+    "t9: h -out> hr\nh_transid_unique = 1'b1\nt10: j -out> jr\nj_transid_unique = 1'b1\n"
+    "t11: u -in> ur\nt12: v -in> vr\nv_active = busy\n*/",
+)
+
+
+def _own_trees_prop(model) -> str:
+    """`<dut>_prop.sv` with every property rendered from its own transaction's `gen_properties` trees."""
+    pm, txns, aux, _, opts = model
+    text = emit_property_module(pm, txns, aux, [], opts).text
+    head = f"@(posedge {opts.clk}) disable iff ({opts.rst_expr})"
+
+    def render(p):
+        body = f"{head}\n    {p.body.render()}"
+        if p.directive != "assume":
+            return f"{p.name}: {p.directive} property ({body});"
+        return (f"if (ASSERT_INPUTS) begin : {p.name}_asrt\n    {p.name}: assert property ({body});\n"
+                f"end else begin : {p.name}_assm\n    {p.name}: assume property ({body});\nend")
+
+    blocks = [text[:text.index("\n\n// ---- transaction")]]
+    for t, a in zip(txns, aux):
+        props = apply_link_transforms(gen_properties(t, a, opts, []), assert_inputs=opts.assert_inputs)
+        arrow = "-in>" if t.direction == "incoming" else "-out>"
+        lines = ["", "", f"// ---- transaction {t.tname}: {t.p.name} {arrow} {t.q.name} ----", ""]
+        for signal in a.signals:
+            lines += signal.declare(opts)
+        for p in props:
+            lines += ["", render(p)] if p.kind != "xprop" else []
+        xprops = [render(p) for p in props if p.kind == "xprop"]
+        lines += ["", "`ifdef XPROP", *xprops, "`endif"] if xprops else []
+        blocks.append("\n".join(lines))
+    return "".join(blocks) + "\n\nendmodule\n"
+
+
+@pytest.mark.parametrize("src, opts", [
+    *(pytest.param(load_fixture(name), opts, id=f"{name}-{mix}")
+      for name in FIXTURE_NAMES for mix, (_, opts) in GEN_MIXES.items()),
+    *(pytest.param(REPEATED_SHAPES, opts, id=f"repeated_shapes-{mix}") for mix, opts in [
+        *((mix, opts) for mix, (_, opts) in GEN_MIXES.items()),
+        ("bounded_assert_inputs", GenOptions(bounded=3, assert_inputs=True))]),
+])
+def test_shape_templates_write_what_each_transactions_own_trees_render(src, opts):
+    model = generate_model(src, "in.sv", opts)
+    (_, pieces), *_ = model.files()
+    assert "".join(pieces) == _own_trees_prop(model)
+
+
+def test_repeated_shapes_header_fills_templates():
+    model = generate_model(REPEATED_SHAPES, "in.sv", GenOptions())
+    codes = [d.code for d in model.warnings]
+    assert codes.count("name-collision-renamed") == 2 and "explicit-overrides-port" in codes  # w_val_1, t4_liveness
+    shapes = [id(a.shape) for a in model.aux]
+    assert [shapes.count(s) for s in dict.fromkeys(shapes)] == [4, 2, 2, 2, 2, 2]  # transactions per shape
+    text = "".join(model.files()[0][1])
+    assert "t4_liveness_1: assert" in text and "t1_liveness: assert" in text
+    assert "w_hsk |-> s_eventually (w_val_val)" in text and "w_val_1 ##[0:$] w_ack" in text
+    assert "a$b_val |-> !$isunknown(a$b_ack)" in text
 
 
 # A parent whose last port ends in `endmodule`, so that its port list does too.

@@ -65,7 +65,7 @@ def retained(fn, calls: int) -> int:
 
 
 def wide_header(n: int) -> str:
-    """A module header with `n` tracked transactions, half of them bound by assignments."""
+    """A module header with `n` tracked transactions, half of them bound by assignments: two shapes, repeated."""
     notes, ports = [], ["input wire clk", "input wire rst_n"]
     for i in range(n):
         notes.append(f"// AUTOSVA t{i}: r{i} -in> s{i}")
@@ -150,6 +150,7 @@ def test_wide_header_leaves_no_cycles():
     def run():
         parent = generate_bundle(text, "wide.sv", GenOptions(tool="both", bounded=3))
         assert len(parent.transactions) == 240
+        assert len({id(a.shape) for a in parent.aux}) == 2  # all but two transactions are filled in from templates
         link_submodule_fts(parent, [(gen_fixture("pipeline"), True, True)])
 
     assert cyclic_garbage(run) == 0
