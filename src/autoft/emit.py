@@ -6,14 +6,11 @@ paths, so regenerating a bundle always reproduces it byte for byte.
 
 The property module is rendered by one generator, `_blocks`: its header, then
 one block per transaction, each joined from its lines as that transaction is
-rendered, then the closing lines. A transaction's properties come from its
-shape (`TransactionAux.shape`): the label pass made the properties of the
-first transaction of each shape, and `_blocks` renders those. Every later
-transaction of the shape fills its own signal names into templates of that
-text, one per body with a slot per role (`_templates`), and its labels and
-directives wrap the bodies through `_render_property`. So `render()` stays
-the only source of SVA text, while `gen` and `link` make and render one
-transaction's property trees per shape, not per transaction.
+rendered, then the closing lines. A transaction's checks and their bodies'
+text come from its shape (`TransactionAux.shape`, a `properties.Shape`), and
+its labels and directives wrap the bodies through `_render_property`. So
+`render()` stays the only source of SVA text, while `gen` and `link` make
+and render one transaction's property trees per shape, not per transaction.
 `gen` and `link` never hold the property module's text: `write_files`
 writes each block as `ModuleModel.files` yields it, and drops it. `check`
 holds the properties, every transaction's made by `gen_properties`, since
@@ -25,7 +22,6 @@ bytes copy. Synthesis has decided every property and its label by the time
 """
 from __future__ import annotations
 
-import re
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -33,9 +29,9 @@ from pathlib import Path
 from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, error, errors_in
 from .options import TOOL_BOTH, TOOL_JASPERGOLD, TOOL_SYMBIYOSYS, GenOptions
 from .parser import ParsedModule, parse_module
-from .properties import ASSUME, GeneratedProperty, apply_link_transforms, gen_properties
+from .properties import ASRT_BLOCK, ASSM_BLOCK, ASSUME, GeneratedProperty, gen_properties
 from .signals import synth_module
-from .sva import Node, width_prefix
+from .sva import width_prefix
 from .transactions import Transaction, TransactionAux, build_transactions
 
 _BANNER = "Machine generated; do not edit."
@@ -82,28 +78,13 @@ def _render_property(name: str, directive: str, body: str, head: str) -> str:
     body = f"{head}\n    {body}"
     if directive == ASSUME:
         return (
-            f"if (ASSERT_INPUTS) begin : {name}_asrt\n"
+            f"if (ASSERT_INPUTS) begin : {name}{ASRT_BLOCK}\n"
             f"    {name}: assert property ({body});\n"
-            f"end else begin : {name}_assm\n"
+            f"end else begin : {name}{ASSM_BLOCK}\n"
             f"    {name}: assume property ({body});\n"
             "end"
         )
     return f"{name}: {directive} property ({body});"
-
-
-_TOKEN_RE = re.compile(r"[\w$]+")  # an identifier, a number or a system function: one token of a rendered body
-
-
-def _templates(roles: dict[str, Node | None], checks: list[tuple[str, str, str, Node]]) -> list[str]:
-    """Each body of a shape's checks, rendered, as a `str.format` template: a `{i}` slot for the i-th role's name.
-
-    `roles` is the role map the bodies were made from; every transaction of
-    the shape has the same roles in the same order. Two roles of one name
-    are the same node in every transaction of a shape.
-    """
-    slots = {n.name: f"{{{i}}}" for i, n in enumerate(roles.values()) if n is not None}
-    return [_TOKEN_RE.sub(lambda m: slots.get(m[0], m[0]), body.render().replace("{", "{{").replace("}", "}}"))
-            for _, _, _, body in checks]
 
 
 class ModuleModel(namedtuple("ModuleModel", "pm txns aux warnings opts")):
@@ -122,8 +103,7 @@ class ModuleModel(namedtuple("ModuleModel", "pm txns aux warnings opts")):
     def properties(self) -> Iterator[list[GeneratedProperty]]:
         """Each transaction's properties in turn, made when it is reached."""
         for t, t_aux in zip(self.txns, self.aux):
-            yield apply_link_transforms(gen_properties(t, t_aux, self.opts, self.warnings),
-                                        assert_inputs=self.opts.assert_inputs)
+            yield gen_properties(t, t_aux, self.opts, self.warnings)
 
     def files(self, binds: str = "", sources: tuple[str, ...] = ()) -> list[tuple[str, Iterable[str]]]:
         """Each file's name and its text in pieces; the property module's are made as they are read.
@@ -148,11 +128,8 @@ def _blocks(pm: ParsedModule, txns: list[Transaction], aux: list[TransactionAux]
 
     Each transaction's lines are joined into one block as it is rendered, so
     the lines of the whole module are never held at once. Its properties
-    come from its shape's checks: the first transaction of a shape renders
-    the bodies made by the label pass, and each later one fills its own
-    signal names into templates of that text (`_templates`), built when the
-    shape's second transaction is reached. `binds`, if any, goes before the
-    final `endmodule`.
+    are its shape's checks, with the bodies `Shape.bodies` renders for it.
+    `binds`, if any, goes before the final `endmodule`.
     """
     dut = pm.module_name
     lines: list[str] = [f"// Interface transaction properties for {dut}. {_BANNER}", ""]
@@ -171,22 +148,13 @@ def _blocks(pm: ParsedModule, txns: list[Transaction], aux: list[TransactionAux]
     yield "\n".join(lines)
 
     head = f"@(posedge {opts.clk}) disable iff ({opts.rst_expr})"
-    templates: dict[int, list[str]] = {}  # id of a shape's checks -> `_templates` of them
     for t, t_aux in zip(txns, aux):
-        first, checks = t_aux.shape
-        if t_aux.roles is first:
-            bodies = [check[3].render() for check in checks]
-        else:
-            if (filled := templates.get(id(checks))) is None:
-                filled = templates[id(checks)] = _templates(first, checks)
-            names = [n.name if n is not None else "" for n in t_aux.roles.values()]
-            bodies = [template.format(*names) for template in filled]
         lines = ["", "", f"// ---- transaction {_relation_text(t)} ----", ""]
         for a in t_aux.signals:
             lines += a.declare(opts)
         guarded = []
         tn, labels = t.tname, t_aux.labels
-        for (suffix, kind, directive, _), body in zip(checks, bodies):
+        for (suffix, kind, directive), body in zip(t_aux.shape.checks, t_aux.shape.bodies(t_aux.roles)):
             name = tn + suffix
             text = _render_property(labels.get(name, name) if labels else name, directive, body, head)
             if kind == "xprop":
@@ -224,39 +192,17 @@ def emit_bind_file(pm: ParsedModule) -> GeneratedFile:
 
 
 def _sby_text(dut: str, sources: list[str], opts: GenOptions) -> str:
-    lines = [f"# SymbiYosys configuration for {dut}. {_BANNER}"]
-    depth = 20 if opts.bounded is None else max(20, opts.bounded * 2 + 10)
-    if opts.bounded is None:
-        lines += [
-            "",
-            "[tasks]",
-            "prove",
-            "live",
-            "",
-            "[options]",
-            "prove: mode prove",
-            "live: mode live",
-            f"depth {depth}",
-            "",
-            "[engines]",
-            "prove: smtbmc",
-            "live: aiger suprove",
-        ]
-    else:
-        lines += [
-            "",
-            "[options]",
-            "mode prove",
-            f"depth {depth}",
-            "",
-            "[engines]",
-            "smtbmc",
-        ]
-    lines += ["", "[script]"]
-    lines.append(f"read -formal -sv {' '.join(sources)}")
-    lines.append(f"prep -top {dut}")
-    lines += ["", "[files]"]
-    lines.extend(sources)
+    """Unbounded, a `prove` task and a `live` one; bounded, one prove run, deep enough for the bound."""
+    bounded = opts.bounded is not None
+    lines = [  # a section a line
+        f"# SymbiYosys configuration for {dut}. {_BANNER}",
+        *(() if bounded else ("", "[tasks]", "prove", "live")),
+        "", "[options]", *(("mode prove",) if bounded else ("prove: mode prove", "live: mode live")),
+        f"depth {max(20, opts.bounded * 2 + 10) if bounded else 20}",
+        "", "[engines]", *(("smtbmc",) if bounded else ("prove: smtbmc", "live: aiger suprove")),
+        "", "[script]", f"read -formal -sv {' '.join(sources)}", f"prep -top {dut}",
+        "", "[files]", *sources,
+    ]
     return "\n".join(lines) + "\n"
 
 

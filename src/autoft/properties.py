@@ -44,14 +44,25 @@ Synthesis (`autoft.signals`) decides which of these checks a transaction
 gets, and under which label: it fills in a role for each deciding attribute
 (`p_stable` only on a request side with an ack, `inflight` when tracked,
 `unique`, `sampled`, `active`) and renames a label that clashes with a
-declared name. `gen_properties` reads only the roles and the renamed labels,
-never the bindings, and reports nothing.
+declared name. This module alone turns the roles into checks: `_checks`
+gives each check's label suffix, kind, directive (every assumption asserted
+under `assert_inputs`) and body, reading only the roles, never the bindings,
+and reporting nothing. `gen_properties` adds the renamed labels.
+
+The checks follow from the options and the transaction's shape (its
+direction, its role names and which roles are None) alone, and so do the
+bodies up to signal names. So synthesis makes one `Shape` per shape in a
+module, from its first transaction, and `gen` and `link` render every
+transaction of the shape through it: the first from its own trees, each
+later one by filling its signal names into templates of that text.
 
 Each body is a node tree of the property IR (`autoft.sva`) built by the
 per-kind builders below: the emitter renders it and `autoft.tracecheck`
 evaluates it.
 """
 from __future__ import annotations
+
+import re
 
 from .diagnostics import Diagnostic
 from .options import GenOptions
@@ -63,6 +74,8 @@ from .transactions import Transaction, TransactionAux
 ASSERT = "assert"
 ASSUME = "assume"
 COVER = "cover"
+# After an assumption's label, its generate blocks': `if (ASSERT_INPUTS) begin : <label>_asrt`, else `<label>_assm`.
+ASRT_BLOCK, ASSM_BLOCK = "_asrt", "_assm"
 
 _DIRECTIONS = ("incoming", "outgoing")
 
@@ -80,6 +93,8 @@ _POLARITY = {
     "xprop": (ASSERT, ASSERT),
 }
 KINDS = tuple(_POLARITY)
+# `_POLARITY` with every assumption asserted: the directives under `assert_inputs`.
+_ASSERTED = {kind: tuple(ASSERT if d == ASSUME else d for d in directives) for kind, directives in _POLARITY.items()}
 
 
 def plan_polarity(direction: str, kind: str) -> str:
@@ -164,27 +179,20 @@ def xprop(val: Node, others: tuple[Node, ...]) -> Node:
     return Not(IsUnknown((val,)))
 
 
-def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
-                   diags: list[Diagnostic]) -> list[GeneratedProperty]:
-    """Emit the full property set for one transaction.
+def _checks(t: Transaction, roles: dict[str, Node | None], opts: GenOptions) -> list[tuple[str, str, str, Node]]:
+    """(label suffix, kind, directive, body) of each property of a transaction with these roles, in emitted order.
 
-    The result is deterministic: kinds appear in a fixed order, names follow
-    `<tname>_<kind>[_<side>]` unless synthesis renamed the label, and the body
-    depends only on the transaction's name and direction, its aux signals and
-    the options. Which properties are made is read from the roles alone:
-    synthesis (`signals.synth_module`) decides them, and warns of each binding
-    that generates none, so nothing is reported into `diags`.
+    The suffix is `_<kind>`, or `_xprop_<side>`. The directive is the
+    kind's on the transaction's direction, an assumption asserted if
+    `opts.assert_inputs`. The body depends only on the direction, the roles
+    and the options.
     """
-    roles, labels = aux.roles, aux.labels
-    tn = t.tname
     tracked = "inflight" in roles  # synth tracks a transaction with an id on both sides
-    props: list[GeneratedProperty] = []
-    side = _DIRECTIONS.index(t.direction)
+    checks: list[tuple[str, str, str, Node]] = []
+    side, polarity = _DIRECTIONS.index(t.direction), _ASSERTED if opts.assert_inputs else _POLARITY
 
-    def emit(kind: str, body: Node, *, name: str | None = None, directive: str | None = None) -> None:
-        name = name or f"{tn}_{kind}"
-        props.append(GeneratedProperty(labels.get(name, name) if labels else name, kind,
-                                       directive or _POLARITY[kind][side], body))
+    def emit(kind: str, body: Node, *, suffix: str | None = None, directive: str | None = None) -> None:
+        checks.append((suffix or f"_{kind}", kind, directive or polarity[kind][side], body))
 
     p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
     p_val, q_val = roles["p_val"], roles["q_val"]
@@ -231,9 +239,63 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     for side_role, val, controls in (("p", p_val, ("p_ack", "p_transid", "p_data")),
                                      ("q", q_val, ("q_ack", "q_transid", "q_data"))):
         others = tuple(roles[r] for r in controls if r in roles)
-        emit("xprop", xprop(val, others), name=f"{tn}_xprop_{side_role}")
+        emit("xprop", xprop(val, others), suffix=f"_xprop_{side_role}")
 
-    return props
+    return checks
+
+
+def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
+                   diags: list[Diagnostic]) -> list[GeneratedProperty]:
+    """Emit the full property set for one transaction.
+
+    The result is deterministic: kinds appear in a fixed order, names follow
+    `<tname>_<kind>[_<side>]` unless synthesis renamed the label, and the
+    checks are `_checks`'. Synthesis (`signals.synth_module`) has decided
+    them, and warned of each binding that generates none, so nothing is
+    reported into `diags`.
+    """
+    tn, labels = t.tname, aux.labels
+    return [GeneratedProperty(labels.get(tn + suffix, tn + suffix) if labels else tn + suffix, kind, directive, body)
+            for suffix, kind, directive, body in _checks(t, aux.roles, opts)]
+
+
+_TOKEN_RE = re.compile(r"[\w$]+")  # an identifier, a number or a system function: one token of a rendered body
+
+
+class Shape:
+    """The checks of every transaction of one shape in a module, made from its first transaction.
+
+    checks holds (label suffix, kind, directive) for each, in emitted order.
+    Every transaction of the shape has these checks, its bodies differing
+    only in signal names; `bodies` renders them.
+    """
+
+    __slots__ = ("checks", "_roles", "_trees", "_templates")
+
+    def __init__(self, t: Transaction, roles: dict[str, Node | None], opts: GenOptions):
+        checks = _checks(t, roles, opts)
+        self.checks = [check[:3] for check in checks]
+        self._roles, self._trees = roles, [check[3] for check in checks]
+        self._templates: list[str] | None = None
+
+    def bodies(self, roles: dict[str, Node | None]) -> list[str]:
+        """Each check's body as SVA text, for the transaction of this shape whose role map is `roles`.
+
+        The first transaction renders its own trees. Each later one fills its
+        signal names into templates of that text, made when the second is
+        reached: one per body, with a `{i}` slot for the i-th role's name.
+        Every transaction of the shape has the same roles in the same order,
+        and two roles of one name are the same node in each.
+        """
+        if roles is self._roles:
+            return [tree.render() for tree in self._trees]
+        if self._templates is None:
+            slots = {n.name: f"{{{i}}}" for i, n in enumerate(self._roles.values()) if n is not None}
+            self._templates = [_TOKEN_RE.sub(lambda m: slots.get(m[0], m[0]),
+                                             tree.render().replace("{", "{{").replace("}", "}}"))
+                               for tree in self._trees]
+        names = [n.name if n is not None else "" for n in roles.values()]
+        return [template.format(*names) for template in self._templates]
 
 
 def apply_link_transforms(

@@ -11,8 +11,8 @@ The id and the capture register take one width rule (`_attr_width`).
 Synthesis decides every check a transaction gets, by the roles it fills in:
 `inflight` when it is tracked, `p_stable` exactly when stability is checked
 (`None` for a flag binding, whose valid and payload are checked), and
-`unique` when uniqueness is. `properties.gen_properties` reads only the
-roles. A binding that generates no check gets no role and declares nothing;
+`unique` when uniqueness is. `autoft.properties` turns the roles into
+checks. A binding that generates no check gets no role and declares nothing;
 synthesis warns of it (`stable-on-response-side`, `stable-without-ack`,
 `data-without-transid`) after all of a module's aux signals.
 
@@ -24,15 +24,16 @@ namer then checks the labels the module declares: a symbolic id's
 `<symb>_stable` assumption (the id is named so that its label is free) and,
 once every aux name is allocated and only when the module has no error,
 each property's label and an assumption's generate blocks (`_name_labels`).
-That pass makes the properties of the first transaction of each shape and
-points every transaction of the shape at them (`TransactionAux.shape`), for
-the emitter to render once per shape. A label that clashes with nothing is not added to the namer's names, and
-`TransactionAux.labels` keeps only the renamed ones. A collision, with a
-header name or between transactions whose names differ only in case, is
-resolved by appending a numeric suffix and emitting a warning, so a module's
-warnings are all known once synthesis returns. The one fixed name, the
-`ASSERT_INPUTS` parameter, cannot be renamed, because `link` sets it by name;
-a header parameter or port of that name is an error. The clock and the reset
+That pass makes one `properties.Shape` per transaction shape and sets it on
+every transaction of the shape (`TransactionAux.shape`); its label suffixes
+are what the pass checks. A label that clashes with nothing is not added to
+the namer's names, and `TransactionAux.labels` keeps only the renamed ones.
+A collision, with a header name or between transactions whose names differ
+only in case, is resolved by appending a numeric suffix and emitting a
+warning, so a module's warnings are all known once synthesis returns. The
+one fixed name, the `ASSERT_INPUTS` parameter, cannot be renamed, because
+`link` sets it by name; a header parameter or port of that name is an
+error. The clock and the reset
 are read, not declared: each must be a port of the property module (else an
 `unknown-clock` or `unknown-reset` error naming the module), so the namer
 holds them already.
@@ -42,8 +43,10 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, error, errors_in, warning
 from .options import GenOptions
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule
-from .properties import ASSUME, apply_link_transforms, gen_properties
-from .sva import And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched
+from .properties import ASRT_BLOCK, ASSM_BLOCK, ASSUME, Shape
+from .sva import (
+    STABLE_LABEL, And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched,
+)
 from .transactions import Transaction, TransactionAux
 
 # Constant-true right-hand sides: a `stable` binding to one is a presence flag, which checks the valid and payload.
@@ -148,7 +151,7 @@ def synth_transaction_aux(
     signals.append(counter)
 
     if "transid" in t.p.bindings and "transid" in t.q.bindings:
-        symb = roles["symb"] = Symbolic(namer.alloc(f"symb_{t.tname}_transid", ("_stable",)),
+        symb = roles["symb"] = Symbolic(namer.alloc(f"symb_{t.tname}_transid", (STABLE_LABEL,)),
                                         _attr_width(t, "transid", diags))
         signals.append(symb)
         request = matched(p_hsk, roles["p_transid"], symb)
@@ -168,32 +171,26 @@ def synth_transaction_aux(
 
 
 def _name_labels(txns: list[Transaction], aux: list[TransactionAux], opts: GenOptions, namer: _Namer) -> None:
-    """Point each transaction at its shape's properties, and rename each label the namer holds.
+    """Set each transaction's `properties.Shape`, and rename each label the namer holds.
 
-    A label is the transaction's name plus a suffix; it is renamed when it,
-    or an assumption's generate block, is a name the namer holds. The
-    suffixes, kinds and directives follow from the options and the
-    transaction's shape (its direction, its role names and which roles are
-    None) alone, and so do the bodies up to signal names. So properties are
-    made only for the first transaction of each shape in the module, into
-    the entry that every transaction of the shape points at
-    (`TransactionAux.shape`); the emitter renders them, and fills in the
-    others' bodies from their text. The label test is made here, before
-    calling the namer, because one call per label would cost more than the
-    rest of this pass.
+    A transaction's shape is its direction, its role names and which roles
+    are None; one `Shape` is made per shape in the module, from its first
+    transaction. A label is the transaction's name plus a check's suffix; it
+    is renamed when it, or an assumption's generate block, is a name the
+    namer holds. The label test is made here, before calling the namer,
+    because one call per label would cost more than the rest of this pass.
     """
     taken, shapes = namer.taken, {}
     for t, a in zip(txns, aux):
         roles = a.roles  # `p_stable` is the one role that may be None (a flag binding)
-        if (found := shapes.get(key := (t.direction, *roles, roles.get("p_stable", 0) is None))) is None:
-            props = apply_link_transforms(gen_properties(t, a, opts, []), assert_inputs=opts.assert_inputs)
-            checks = [(p.name[len(t.tname):], p.kind, p.directive, p.body) for p in props]
-            found = shapes[key] = (roles, checks), [(c[0], c[2] == ASSUME) for c in checks]
-        a.shape, tests = found
-        tn = t.tname
-        for suffix, assumed in tests:
-            if (label := tn + suffix) in taken or assumed and (label + "_asrt" in taken or label + "_assm" in taken):
-                a.labels = {**(a.labels or {}), label: namer.alloc(label, ("_asrt", "_assm") if assumed else ())}
+        if (shape := shapes.get(key := (t.direction, *roles, roles.get("p_stable", 0) is None))) is None:
+            shape = shapes[key] = Shape(t, roles, opts)
+        a.shape, tn = shape, t.tname
+        for suffix, _, directive in shape.checks:
+            blocks = (ASRT_BLOCK, ASSM_BLOCK) if directive == ASSUME else ()  # the generate blocks its label names
+            if (label := tn + suffix) in taken or blocks and (label + ASRT_BLOCK in taken
+                                                              or label + ASSM_BLOCK in taken):
+                a.labels = {**(a.labels or {}), label: namer.alloc(label, blocks)}
 
 
 def synth_module(

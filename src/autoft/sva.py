@@ -206,6 +206,9 @@ class AttribWire(namedtuple("AttribWire", "name text width_expr", defaults=("",)
         return [f"wire {width_prefix(self.width_expr)}{self.name} = {self.text};"]
 
 
+STABLE_LABEL = "_stable"  # after a symbolic id's name, the label of the assumption that holds it
+
+
 class Symbolic(namedtuple("Symbolic", "name width_expr", defaults=("",)), Aux):
     """A rigid free id the checks quantify over."""
 
@@ -214,7 +217,7 @@ class Symbolic(namedtuple("Symbolic", "name width_expr", defaults=("",)), Aux):
     def declare(self, opts: GenOptions) -> list[str]:
         return [
             f"(* anyconst *) logic {width_prefix(self.width_expr)}{self.name};",
-            f"{self.name}_stable: assume property (@(posedge {opts.clk}) $stable({self.name}));",
+            f"{self.name}{STABLE_LABEL}: assume property (@(posedge {opts.clk}) $stable({self.name}));",
         ]
 
 

@@ -119,7 +119,9 @@ class Trace:
         """A trace from a header of names and one row of cells per cycle; blank rows are skipped.
 
         A name given twice, a row whose cell count is not the header's, or a
-        cell that is neither a decimal integer nor x, is a ValueError naming it.
+        cell that is neither x nor a decimal integer in ASCII digits, is a
+        ValueError naming it: `int` alone would also read `1_0` and other
+        scripts' digits.
         """
         import csv
 
@@ -139,11 +141,15 @@ class Trace:
                 raise ValueError(f"line {reader.line_num} of the trace file has cell count {len(row)}, "
                                  f"the header {len(names)}")
             for i, (column, cell) in enumerate(zip(columns.values(), row), 1):
-                try:
-                    column.append(None if cell.strip().lower() == "x" else int(cell))
-                except ValueError:
+                text = cell.strip()
+                digits = text[1:] if text[:1] in ("+", "-") else text
+                if text in ("x", "X"):
+                    column.append(None)
+                elif digits.isascii() and digits.isdigit():
+                    column.append(int(text))
+                else:
                     raise ValueError(f"line {reader.line_num}, column {i} ('{names[i - 1]}') of the trace file "
-                                     f"holds '{cell}', neither an integer nor x") from None
+                                     f"holds '{cell}', neither an integer nor x")
         return cls(columns)
 
 

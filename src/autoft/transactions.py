@@ -12,8 +12,8 @@ is in no relation is an error; a port's is not an attribute at all.
 
 `TransactionAux` is what synthesis (`autoft.signals`) gives a transaction;
 it is defined here so that `autoft.properties`, which reads it, and
-`autoft.signals`, which makes properties to check their labels, import it
-without importing each other in a cycle.
+`autoft.signals`, which sets each transaction's `properties.Shape` on it,
+import it without importing each other in a cycle.
 """
 from __future__ import annotations
 
@@ -58,12 +58,9 @@ class TransactionAux:
 
     roles maps each role the properties read to its signal node; labels maps
     each property label the namer renamed to its new name, None when none was.
-    shape is the module's entry for the transaction's shape (its direction,
-    its role names and which roles are None), set by the label pass:
-    (roles, checks), where roles is the first such transaction's role map and
-    checks holds (label suffix, kind, directive, body) for each of that
-    transaction's properties, in emitted order. Every transaction of the
-    shape has these checks, its bodies differing only in signal names.
+    shape is the `properties.Shape` of the transaction's shape (its
+    direction, its role names and which roles are None) in its module, set
+    by the label pass: the checks it has and the text of their bodies.
     """
 
     __slots__ = ("signals", "roles", "labels", "shape")
@@ -72,7 +69,7 @@ class TransactionAux:
         self.signals = signals
         self.roles = roles
         self.labels: dict[str, str] | None = None
-        self.shape: tuple[dict[str, Node | None], list[tuple[str, str, str, Node]]] | None = None
+        self.shape = None
 
 
 def _candidate_bindings(

@@ -27,7 +27,7 @@ from autoft.signals import synth_module_aux
 from autoft.tracecheck import Trace, eval_property
 from autoft.transactions import build_transactions
 
-from conftest import FIXTURE_NAMES, GOLDEN, REPO, gen_fixture, load_fixture
+from conftest import FIXTURE_NAMES, GOLDEN, REPO, fixture_path, gen_fixture, load_fixture
 from wellformed import (
     balanced, bound_twice, commented_declarations, declared_twice, labels, lone_eq, undeclared_clock_reset,
 )
@@ -200,6 +200,16 @@ class TestToolFiles:
         text = bundle.tool_files[0].text
         assert "mode prove" in text
         assert "live" not in text
+
+    def test_bounded_sby_bytes(self, tmp_path):
+        assert cli.main(["gen", str(fixture_path("fifo")), "--bounded", "3", "-o", str(tmp_path)]) == 0
+        assert (tmp_path / "fifo" / "fifo.sby").read_bytes() == (
+            b"# SymbiYosys configuration for fifo. Machine generated; do not edit.\n"
+            b"\n[options]\nmode prove\ndepth 20\n"
+            b"\n[engines]\nsmtbmc\n"
+            b"\n[script]\nread -formal -sv fifo.sv fifo_prop.sv fifo_bind.svh\nprep -top fifo\n"
+            b"\n[files]\nfifo.sv\nfifo_prop.sv\nfifo_bind.svh\n"
+        )
 
     def test_tcl_clock_and_reset(self):
         text = gen_fixture("fifo").tool_files[0].text
@@ -419,13 +429,20 @@ GEN_MIXES = {
 }
 
 
-def _staged_prop(src: str, path: str, opts: GenOptions) -> str:
-    """`<dut>_prop.sv` made by one public call per stage, as `perfbench/layers.py:Staged.bundle` calls them."""
+def _staged(src: str, path: str, opts: GenOptions):
+    """(pm, txns, aux, each transaction's properties) by one public call per stage, as
+    `perfbench/layers.py:Staged.bundle` makes them."""
     pm = parse_module(src, path)
     txns, _ = build_transactions(pm)
     aux, _ = synth_module_aux(txns, pm, opts)
     props = [apply_link_transforms(gen_properties(t, a, opts, []), assert_inputs=opts.assert_inputs)
              for t, a in zip(txns, aux)]
+    return pm, txns, aux, props
+
+
+def _staged_prop(src: str, path: str, opts: GenOptions) -> str:
+    """`<dut>_prop.sv` made by one public call per stage."""
+    pm, txns, aux, props = _staged(src, path, opts)
     return emit_property_module(pm, txns, aux, props, opts).text
 
 
@@ -510,6 +527,20 @@ def test_shape_templates_write_what_each_transactions_own_trees_render(src, opts
     model = generate_model(src, "in.sv", opts)
     (_, pieces), *_ = model.files()
     assert "".join(pieces) == _own_trees_prop(model)
+
+
+@pytest.mark.parametrize("src, opts", [
+    pytest.param(src, opts, id=f"{name}-{mix}")
+    for name, src in [*((name, load_fixture(name)) for name in FIXTURE_NAMES), ("repeated_shapes", REPEATED_SHAPES)]
+    for mix, (_, opts) in GEN_MIXES.items()
+])
+def test_staged_property_calls_make_what_check_makes(src, opts):
+    # The staged calls still end in `apply_link_transforms`, which `check`'s own path no longer makes.
+    def fields(groups):
+        return [[(p.name, p.kind, p.directive, p.body.render()) for p in props] for props in groups]
+
+    *_, staged = _staged(src, "in.sv", opts)
+    assert fields(staged) == fields(generate_model(src, "in.sv", opts).properties())
 
 
 def test_repeated_shapes_header_fills_templates():

@@ -55,6 +55,9 @@ class TestTrace:
         again = Trace.from_csv(t.to_csv())
         assert again == t
 
+    def test_csv_reads_signed_spaced_and_upper_x_cells(self):
+        assert Trace.from_csv("a,b\n +3 ,X\n-1, x\n") == Trace({"a": [3, -1], "b": [None, None]})
+
     def test_csv_format_is_decimal_rows(self):
         t = Trace({"a": [1, 0], "b": [2, 3]})
         assert t.to_csv() == "a,b\n1,2\n0,3\n"
@@ -65,7 +68,11 @@ class TestTrace:
         ("a,b\n1,2\n\n3\n", "line 4 of the trace file has cell count 1, the header 2"),
         ("a,b\n1,2\n3,zz\n", "line 3, column 2 ('b') of the trace file holds 'zz', neither an integer nor x"),
         ("a\n\nx\n1.5\n", "line 4, column 1 ('a') of the trace file holds '1.5', neither an integer nor x"),
-    ], ids=["duplicate-name", "surplus-cell", "short-row", "bad-cell", "bad-cell-after-blank"])
+        ("a,b\n1,1_0\n", "line 2, column 2 ('b') of the trace file holds '1_0', neither an integer nor x"),
+        ("a\n\u0663\n", "line 2, column 1 ('a') of the trace file holds '\u0663', neither an integer nor x"),
+        ("a\n-\n", "line 2, column 1 ('a') of the trace file holds '-', neither an integer nor x"),
+    ], ids=["duplicate-name", "surplus-cell", "short-row", "bad-cell", "bad-cell-after-blank", "underscore-digits",
+            "arabic-indic-digit", "sign-alone"])
     def test_malformed_csv_is_rejected(self, text, message):
         with pytest.raises(ValueError) as exc:
             Trace.from_csv(text)
