@@ -27,6 +27,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 FIXTURE_NAMES = ["fifo", "pipeline", "noc_buffer", "noc_buffer_buggy", "mmu_stub"]
 
+# The option mixes of the golden files as `gen` flags, each with the options they give: the bundles
+# (`tests/golden/<fixture>`), the assert-inputs variant, and the `check` transcripts, one with a limit of 1.
+GOLDEN_MIXES = {
+    "bundle": (["--tool", "both"], GenOptions(tool="both")),
+    "assert_inputs": (["--tool", "both", "--assert-inputs"], GenOptions(tool="both", assert_inputs=True)),
+    "check": ([], GenOptions()),
+    "max_outstanding_1": (["--max-outstanding", "1"], GenOptions(max_outstanding=1)),
+}
+
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / f"{name}.sv"

@@ -27,7 +27,7 @@ from autoft.signals import synth_module_aux
 from autoft.tracecheck import Trace, eval_property
 from autoft.transactions import build_transactions
 
-from conftest import FIXTURE_NAMES, GOLDEN, REPO, fixture_path, gen_fixture, load_fixture
+from conftest import FIXTURE_NAMES, GOLDEN, GOLDEN_MIXES, REPO, fixture_path, gen_fixture, load_fixture
 from wellformed import (
     balanced, bound_twice, commented_declarations, declared_twice, labels, lone_eq, undeclared_clock_reset,
 )
@@ -420,15 +420,6 @@ LABEL_PORTS = {
 }
 
 
-# The golden option mixes as `gen` flags, each with the options they give.
-GEN_MIXES = {
-    "bundle": (["--tool", "both"], GenOptions(tool="both")),
-    "assert_inputs": (["--tool", "both", "--assert-inputs"], GenOptions(tool="both", assert_inputs=True)),
-    "check": ([], GenOptions()),
-    "max_outstanding_1": (["--max-outstanding", "1"], GenOptions(max_outstanding=1)),
-}
-
-
 def _staged(src: str, path: str, opts: GenOptions):
     """(pm, txns, aux, each transaction's properties) by one public call per stage, as
     `perfbench/layers.py:Staged.bundle` makes them."""
@@ -447,13 +438,13 @@ def _staged_prop(src: str, path: str, opts: GenOptions) -> str:
 
 
 @pytest.mark.parametrize("src, mix", [
-    *(pytest.param(load_fixture(name), mix, id=f"{name}-{mix}") for name in FIXTURE_NAMES for mix in GEN_MIXES),
+    *(pytest.param(load_fixture(name), mix, id=f"{name}-{mix}") for name in FIXTURE_NAMES for mix in GOLDEN_MIXES),
     *(pytest.param(LABEL_PORTS[port], "check", id=f"port_{port}")
       for port in ("fifo_liveness", "pipe_stability_asrt")),
 ])
 def test_staged_public_calls_write_what_gen_writes(src, mix, tmp_path):
     # Synthesis renames a clashing label, so the public calls need no label pass of their own.
-    flags, opts = GEN_MIXES[mix]
+    flags, opts = GOLDEN_MIXES[mix]
     path = tmp_path / "in.sv"
     path.write_text(src, encoding="utf-8")
     assert cli.main(["gen", str(path), *flags, "-o", str(tmp_path / "o")]) == 0
@@ -518,9 +509,9 @@ def _own_trees_prop(model) -> str:
 
 @pytest.mark.parametrize("src, opts", [
     *(pytest.param(load_fixture(name), opts, id=f"{name}-{mix}")
-      for name in FIXTURE_NAMES for mix, (_, opts) in GEN_MIXES.items()),
+      for name in FIXTURE_NAMES for mix, (_, opts) in GOLDEN_MIXES.items()),
     *(pytest.param(REPEATED_SHAPES, opts, id=f"repeated_shapes-{mix}") for mix, opts in [
-        *((mix, opts) for mix, (_, opts) in GEN_MIXES.items()),
+        *((mix, opts) for mix, (_, opts) in GOLDEN_MIXES.items()),
         ("bounded_assert_inputs", GenOptions(bounded=3, assert_inputs=True))]),
 ])
 def test_shape_templates_write_what_each_transactions_own_trees_render(src, opts):
@@ -532,7 +523,7 @@ def test_shape_templates_write_what_each_transactions_own_trees_render(src, opts
 @pytest.mark.parametrize("src, opts", [
     pytest.param(src, opts, id=f"{name}-{mix}")
     for name, src in [*((name, load_fixture(name)) for name in FIXTURE_NAMES), ("repeated_shapes", REPEATED_SHAPES)]
-    for mix, (_, opts) in GEN_MIXES.items()
+    for mix, (_, opts) in GOLDEN_MIXES.items()
 ])
 def test_staged_property_calls_make_what_check_makes(src, opts):
     # The staged calls still end in `apply_link_transforms`, which `check`'s own path no longer makes.

@@ -15,7 +15,7 @@ from autoft.signals import synth_module_aux
 from autoft.tracecheck import HOLDS, Trace, eval_property
 from autoft.transactions import build_transactions
 
-from conftest import FIXTURE_NAMES, gen_fixture, load_fixture
+from conftest import FIXTURE_NAMES, GOLDEN_MIXES, gen_fixture, load_fixture
 
 STARRED = {
     "liveness", "response_had_request", "counter_no_underflow",
@@ -329,25 +329,15 @@ class TestLinkTransforms:
             assert not self._assumes(flipped)
 
 
-# The option mixes of the golden files: bundles (`tests/golden/<fixture>`), the
-# assert-inputs variant, and the `check` transcripts, one with a limit of 1.
-GOLDEN_OPTIONS = {
-    "bundle": GenOptions(tool="both"),
-    "assert_inputs": GenOptions(tool="both", assert_inputs=True),
-    "check": GenOptions(),
-    "max_outstanding_1": GenOptions(max_outstanding=1),
-}
-
-
 # Fixtures with a port named like a property label, or like an assumption's generate block: (fixture, label).
 LABEL_CLASHES = {"fifo_liveness": ("fifo", "fifo_liveness"), "pipe_stability_asrt": ("pipeline", "pipe_stability")}
 
 
-@pytest.mark.parametrize("mix", sorted(GOLDEN_OPTIONS))
+@pytest.mark.parametrize("mix", sorted(GOLDEN_MIXES))
 @pytest.mark.parametrize("name", [*FIXTURE_NAMES, *LABEL_CLASHES])
 def test_gen_properties_reports_nothing(name, mix):
     # Every error and warning, label renames included, is known once synthesis returns, before `gen` writes a byte.
-    opts = GOLDEN_OPTIONS[mix]
+    _, opts = GOLDEN_MIXES[mix]
     fixture, label = LABEL_CLASHES.get(name, (name, None))
     src = load_fixture(fixture)
     if label:
