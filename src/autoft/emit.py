@@ -29,7 +29,7 @@ from pathlib import Path
 from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, error, errors_in
 from .options import TOOL_BOTH, TOOL_JASPERGOLD, TOOL_SYMBIYOSYS, GenOptions
 from .parser import ParsedModule, parse_module
-from .properties import ASRT_BLOCK, ASSM_BLOCK, ASSUME, GeneratedProperty, gen_properties
+from .properties import GeneratedProperty, gen_properties
 from .signals import synth_module
 from .sva import width_prefix
 from .transactions import Transaction, TransactionAux, build_transactions
@@ -70,23 +70,6 @@ def _port_lines(pm: ParsedModule) -> list[str]:
     return [f"{d} {s.opaque_type or 'wire'} {width_prefix(s.width_expr)}{s.name}" for d, s in ports]
 
 
-def _render_property(name: str, directive: str, body: str, head: str) -> str:
-    """A property's text, of one or more lines, around its rendered body.
-
-    `head` is the module's `@(posedge clk) disable iff (...)`.
-    """
-    body = f"{head}\n    {body}"
-    if directive == ASSUME:
-        return (
-            f"if (ASSERT_INPUTS) begin : {name}{ASRT_BLOCK}\n"
-            f"    {name}: assert property ({body});\n"
-            f"end else begin : {name}{ASSM_BLOCK}\n"
-            f"    {name}: assume property ({body});\n"
-            "end"
-        )
-    return f"{name}: {directive} property ({body});"
-
-
 class ModuleModel(namedtuple("ModuleModel", "pm txns aux warnings opts")):
     """One module parsed, its transactions built and its aux signals synthesized, without an error.
 
@@ -113,31 +96,23 @@ class ModuleModel(namedtuple("ModuleModel", "pm txns aux warnings opts")):
         """
         pm, opts = self.pm, self.opts
         small = [emit_bind_file(pm), *emit_tool_files(pm, opts.tool, opts, sources)]
-        return [(f"{self.dut}_prop.sv", _blocks(pm, self.txns, self.aux, opts, binds)),
+        return [(f"{self.dut}_prop.sv", _blocks(pm, self.aux, opts, binds)),
                 *((f.name, (f.text,)) for f in small)]
 
 
-def _relation_text(t: Transaction) -> str:
-    arrow = "-in>" if t.direction == "incoming" else "-out>"
-    return f"{t.tname}: {t.p.name} {arrow} {t.q.name}"
-
-
-def _blocks(pm: ParsedModule, txns: list[Transaction], aux: list[TransactionAux], opts: GenOptions,
-            binds: str = "") -> Iterator[str]:
+def _blocks(pm: ParsedModule, aux: list[TransactionAux], opts: GenOptions, binds: str = "") -> Iterator[str]:
     """`<dut>_prop.sv` in pieces that concatenate to it: its header, each transaction's block, then the closing lines.
 
-    Each transaction's lines are joined into one block as it is rendered, so
-    the lines of the whole module are never held at once. Its properties
-    are its shape's checks, with the bodies `Shape.bodies` renders for it.
-    `binds`, if any, goes before the final `endmodule`.
+    Each transaction's block is its shape's template filled in with its
+    names (`Shape.render`), so the lines of the whole module are never held
+    at once. `binds`, if any, goes before the final `endmodule`.
     """
     dut = pm.module_name
     lines: list[str] = [f"// Interface transaction properties for {dut}. {_BANNER}", ""]
 
     params = [f"parameter {p.name} = {p.value_expr}" for p in pm.parameters]
     params.append(f"parameter ASSERT_INPUTS = {1 if opts.assert_inputs else 0}")
-    for counter in (t_aux.roles["counter"] for t_aux in aux):
-        params.append(f"parameter {counter.limit_param} = {counter.limit}")
+    params += [f"parameter {a.names[3]} = {a.names[4]}" for a in aux]
 
     imports = f" {' '.join(pm.imports)}" if pm.imports else ""
     lines.append(f"module {dut}_prop{imports} #(")
@@ -147,23 +122,8 @@ def _blocks(pm: ParsedModule, txns: list[Transaction], aux: list[TransactionAux]
     lines.append(");")
     yield "\n".join(lines)
 
-    head = f"@(posedge {opts.clk}) disable iff ({opts.rst_expr})"
-    for t, t_aux in zip(txns, aux):
-        lines = ["", "", f"// ---- transaction {_relation_text(t)} ----", ""]
-        for a in t_aux.signals:
-            lines += a.declare(opts)
-        guarded = []
-        tn, labels = t.tname, t_aux.labels
-        for (suffix, kind, directive), body in zip(t_aux.shape.checks, t_aux.shape.bodies(t_aux.roles)):
-            name = tn + suffix
-            text = _render_property(labels.get(name, name) if labels else name, directive, body, head)
-            if kind == "xprop":
-                guarded.append(text)
-            else:
-                lines += ("", text)
-        if guarded:
-            lines += ["", "`ifdef XPROP", *guarded, "`endif"]
-        yield "\n".join(lines)
+    for a in aux:
+        yield a.shape.render(a.names)
 
     yield binds + _END
 
@@ -175,7 +135,7 @@ def emit_property_module(pm: ParsedModule, txns: list[Transaction], aux: list[Tr
     The text is rendered from each transaction's shape (`TransactionAux.shape`),
     so `props` is not read.
     """
-    return GeneratedFile(f"{pm.module_name}_prop.sv", "".join(_blocks(pm, txns, aux, opts)))
+    return GeneratedFile(f"{pm.module_name}_prop.sv", "".join(_blocks(pm, aux, opts)))
 
 
 def emit_bind_file(pm: ParsedModule) -> GeneratedFile:

@@ -62,12 +62,12 @@ evaluates it.
 """
 from __future__ import annotations
 
-import re
+from operator import itemgetter
 
 from .diagnostics import Diagnostic
 from .options import GenOptions
 from .sva import (
-    And, CoverSeq, Eq, Eventually, Gt, Implies, IsUnknown, Node, Not, Or, PropAnd, Stable, matched,
+    And, Aux, CoverSeq, Eq, Eventually, Gt, Implies, IsUnknown, Node, Not, Or, PropAnd, Stable, matched,
 )
 from .transactions import Transaction, TransactionAux
 
@@ -78,6 +78,7 @@ COVER = "cover"
 ASRT_BLOCK, ASSM_BLOCK = "_asrt", "_assm"
 
 _DIRECTIONS = ("incoming", "outgoing")
+_ARROWS = {"incoming": "-in>", "outgoing": "-out>"}  # each direction as a relation writes it
 
 # Kind -> (directive on an incoming transaction, on an outgoing one), in emission order.
 _POLARITY = {
@@ -109,18 +110,24 @@ def plan_polarity(direction: str, kind: str) -> str:
 class GeneratedProperty:
     """One property: its IR body, which `body.render()` gives as SVA text.
 
-    compiled is (body, evaluator) as `tracecheck.eval_property` last compiled
-    it; it is recompiled when `body` is another object.
+    Made with `aux`, `body` is the index of its check in the shape of that
+    transaction (`TransactionAux`), and the body is bound from the shape's
+    tree when first read. compiled is (body, evaluator) as
+    `tracecheck.eval_property` last compiled it; it is recompiled when `body`
+    is another object.
     """
 
-    __slots__ = ("name", "kind", "directive", "body", "compiled")
+    __slots__ = ("name", "kind", "directive", "_body", "_aux", "compiled")
 
-    def __init__(self, name: str, kind: str, directive: str, body: Node):
-        self.name = name
-        self.kind = kind
-        self.directive = directive  # assert | assume | cover
-        self.body = body
-        self.compiled = None
+    def __init__(self, name: str, kind: str, directive: str, body: Node | int, aux: TransactionAux | None = None):
+        # directive is assert, assume or cover
+        self.name, self.kind, self.directive, self._body, self._aux, self.compiled = name, kind, directive, body, aux, None
+
+    @property
+    def body(self) -> Node:
+        if self._aux is not None:
+            self._body, self._aux = self._aux.shape.bind(self._aux.names)[2][self._body], None
+        return self._body
 
     def _replace(self, **changes) -> GeneratedProperty:
         """A copy with the given fields changed, not yet compiled."""
@@ -179,7 +186,7 @@ def xprop(val: Node, others: tuple[Node, ...]) -> Node:
     return Not(IsUnknown((val,)))
 
 
-def _checks(t: Transaction, roles: dict[str, Node | None], opts: GenOptions) -> list[tuple[str, str, str, Node]]:
+def _checks(direction: str, roles: dict[str, Node | None], opts: GenOptions) -> list[tuple[str, str, str, Node]]:
     """(label suffix, kind, directive, body) of each property of a transaction with these roles, in emitted order.
 
     The suffix is `_<kind>`, or `_xprop_<side>`. The directive is the
@@ -189,7 +196,7 @@ def _checks(t: Transaction, roles: dict[str, Node | None], opts: GenOptions) -> 
     """
     tracked = "inflight" in roles  # synth tracks a transaction with an id on both sides
     checks: list[tuple[str, str, str, Node]] = []
-    side, polarity = _DIRECTIONS.index(t.direction), _ASSERTED if opts.assert_inputs else _POLARITY
+    side, polarity = _DIRECTIONS.index(direction), _ASSERTED if opts.assert_inputs else _POLARITY
 
     def emit(kind: str, body: Node, *, suffix: str | None = None, directive: str | None = None) -> None:
         checks.append((suffix or f"_{kind}", kind, directive or polarity[kind][side], body))
@@ -250,52 +257,107 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
 
     The result is deterministic: kinds appear in a fixed order, names follow
     `<tname>_<kind>[_<side>]` unless synthesis renamed the label, and the
-    checks are `_checks`'. Synthesis (`signals.synth_module`) has decided
-    them, and warned of each binding that generates none, so nothing is
-    reported into `diags`.
+    checks are those of the transaction's shape, made under the options
+    synthesis was given. Each body is bound from the shape's tree when it is
+    first read. Synthesis (`signals.synth_module`) has decided the checks,
+    and warned of each binding that generates none, so nothing is reported
+    into `diags`.
     """
-    tn, labels = t.tname, aux.labels
-    return [GeneratedProperty(labels.get(tn + suffix, tn + suffix) if labels else tn + suffix, kind, directive, body)
-            for suffix, kind, directive, body in _checks(t, aux.roles, opts)]
+    shape = aux.shape
+    return [GeneratedProperty(label, kind, directive, i, aux)
+            for i, ((_, kind, directive, _), label) in enumerate(zip(shape.checks, aux.names[shape.size:]))]
 
 
-_TOKEN_RE = re.compile(r"[\w$]+")  # an identifier, a number or a system function: one token of a rendered body
+def slot(i: int) -> str:
+    """The name that stands for a transaction's i-th name in its shape's trees: chr(i) between two U+FFFF.
+
+    U+FFFF is a noncharacter, which no text that autoft renders holds.
+    """
+    return f"\uffff{chr(i)}\uffff"
+
+
+def _bind(node: Node, names: tuple, memo: dict[int, Node]) -> Node:
+    """`node` with each slot name in it replaced by that slot of `names`; `memo` binds a node reached twice once.
+
+    A node is a named tuple, so it is made as a tuple of its fields.
+    """
+    got = memo.get(id(node))
+    if got is None:
+        got = memo[id(node)] = tuple.__new__(node.__class__, [
+            _bind(f, names, memo) if isinstance(f, Node) else tuple([_bind(x, names, memo) for x in f])
+            if f.__class__ is tuple else names[ord(f[1])] if f.__class__ is str and f[:1] == "\uffff" else f
+            for f in node])
+    return got
+
+
+def _render_property(name: str, directive: str, body: str) -> str:
+    """A property's text, of one or more lines, around its body: `@(posedge clk) disable iff (...)`, then its tree."""
+    if directive != ASSUME:
+        return f"{name}: {directive} property ({body});"
+    return (f"if (ASSERT_INPUTS) begin : {name}{ASRT_BLOCK}\n    {name}: assert property ({body});\n"
+            f"end else begin : {name}{ASSM_BLOCK}\n    {name}: assume property ({body});\nend")
 
 
 class Shape:
-    """The checks of every transaction of one shape in a module, made from its first transaction.
+    """The trees and the text of every transaction of one shape in a module, over slot names.
 
-    checks holds (label suffix, kind, directive) for each, in emitted order.
-    Every transaction of the shape has these checks, its bodies differing
-    only in signal names; `bodies` renders them.
+    A transaction's names are a flat tuple (`TransactionAux.names`): its
+    name, its interfaces', its counter's limit parameter and limit, its
+    signals' names, assigns and ranges in the order synthesis allocates
+    them, `size` in all, then its property labels. roles and signals are the
+    role map and the aux signals over `slot(i)` for the i-th name, and checks
+    holds (label suffix, kind, directive, body) of each check, in emitted
+    order. A transaction binds these trees to its names (`bind`), and fills
+    its names into the text they render (`render`).
     """
 
-    __slots__ = ("checks", "_roles", "_trees", "_templates")
+    __slots__ = ("checks", "roles", "signals", "size", "_relation", "_opts", "_pieces", "_names", "_bound")
 
-    def __init__(self, t: Transaction, roles: dict[str, Node | None], opts: GenOptions):
-        checks = _checks(t, roles, opts)
-        self.checks = [check[:3] for check in checks]
-        self._roles, self._trees = roles, [check[3] for check in checks]
-        self._templates: list[str] | None = None
+    def __init__(self, direction: str, roles: dict[str, Node | None], signals: list[Aux], size: int,
+                 opts: GenOptions):
+        self.checks = _checks(direction, roles, opts)
+        self.roles, self.signals, self.size, self._opts, self._pieces, self._bound = roles, signals, size, opts, None, {}
+        self._relation = f"// ---- transaction {slot(0)}: {slot(1)} {_ARROWS[direction]} {slot(2)} ----"
 
-    def bodies(self, roles: dict[str, Node | None]) -> list[str]:
-        """Each check's body as SVA text, for the transaction of this shape whose role map is `roles`.
+    def bind(self, names: tuple) -> tuple[dict[str, Node | None], list[Aux], list[Node]]:
+        """The role map, aux signals and check bodies of the transaction of this shape named by `names`.
 
-        The first transaction renders its own trees. Each later one fills its
-        signal names into templates of that text, made when the second is
-        reached: one per body, with a `{i}` slot for the i-th role's name.
-        Every transaction of the shape has the same roles in the same order,
-        and two roles of one name are the same node in each.
+        They are bound on the first call for those names, and kept. Each node
+        of the shape's trees is bound to one node, so the nodes that its
+        trees share, the transaction's trees share too.
         """
-        if roles is self._roles:
-            return [tree.render() for tree in self._trees]
-        if self._templates is None:
-            slots = {n.name: f"{{{i}}}" for i, n in enumerate(self._roles.values()) if n is not None}
-            self._templates = [_TOKEN_RE.sub(lambda m: slots.get(m[0], m[0]),
-                                             tree.render().replace("{", "{{").replace("}", "}}"))
-                               for tree in self._trees]
-        names = [n.name if n is not None else "" for n in roles.values()]
-        return [template.format(*names) for template in self._templates]
+        if (bound := self._bound.get(names)) is None:
+            memo: dict[int, Node] = {}
+            roles = {role: None if node is None else _bind(node, names, memo) for role, node in self.roles.items()}
+            bound = self._bound[names] = (roles, [_bind(a, names, memo) for a in self.signals],
+                                          [_bind(c[3], names, memo) for c in self.checks])
+        return bound
+
+    def render(self, names: tuple) -> str:
+        """The block of `<dut>_prop.sv` of the transaction named by `names`: its relation, declarations and properties.
+
+        The first call renders the shape's trees into pieces of text between
+        slot names, and each call, the first included, joins the pieces
+        with the names in the slots.
+        """
+        if self._pieces is None:
+            opts, guarded = self._opts, []
+            head, lines = f"@(posedge {opts.clk}) disable iff ({opts.rst_expr})", ["", "", self._relation, ""]
+            for a in self.signals:
+                lines += a.declare(opts)
+            for i, (_, kind, directive, tree) in enumerate(self.checks, self.size):
+                text = _render_property(slot(i), directive, f"{head}\n    {tree.render()}")
+                if kind == "xprop":
+                    guarded.append(text)
+                else:
+                    lines += ("", text)
+            if guarded:
+                lines += ["", "`ifdef XPROP", *guarded, "`endif"]
+            self._pieces = "\n".join(lines).split("\uffff")  # every odd piece is a slot's chr(index)
+            self._names = itemgetter(*map(ord, self._pieces[1::2]))  # three slots at least, so it gives a tuple
+        pieces = self._pieces.copy()
+        pieces[1::2] = self._names(names)
+        return "".join(pieces)
 
 
 def apply_link_transforms(

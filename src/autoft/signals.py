@@ -40,10 +40,12 @@ holds them already.
 """
 from __future__ import annotations
 
+import itertools
+
 from .diagnostics import Diagnostic, error, errors_in, warning
 from .options import GenOptions
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule
-from .properties import ASRT_BLOCK, ASSM_BLOCK, ASSUME, Shape
+from .properties import ASRT_BLOCK, ASSM_BLOCK, ASSUME, Shape, slot
 from .sva import (
     STABLE_LABEL, And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched,
 )
@@ -104,93 +106,118 @@ def _attr_width(t: Transaction, suffix: str, diags: list[Diagnostic]) -> str:
     return ""
 
 
-def synth_transaction_aux(
-    t: Transaction,
-    limit: int,
-    namer: _Namer,
-    shared_wires: dict,
-    diags: list[Diagnostic],
-) -> TransactionAux:
-    """Build all aux signals and the role map for one transaction; `limit` sizes its counter."""
-    signals: list[Aux] = []
-    roles: dict[str, Node | None] = {}
-
-    def wire(key, base: str, cls: type[Aux], *fields) -> Aux:
-        """One declaration per distinct wire across the module."""
-        if (found := shared_wires.get(key)) is None:
-            found = shared_wires[key] = cls(namer.alloc(base), *fields)
-            signals.append(found)
-        return found
-
-    def bound(b) -> Node:
-        """Referable node for a bound attribute, a wire for assigns."""
-        if not isinstance(b, ExplicitAttrib):
-            return Sig(b.name)
-        return wire((b.name, b.expr), b.name, AttribWire, b.expr, b.width_expr)
-
-    for side_role, side in (("p", t.p), ("q", t.q)):
-        for suffix in ("val", "ack", "transid", "data", "stable"):
-            binding = side.bindings.get(suffix)
-            if binding is None or suffix == "stable" and (side_role == "q" or "p_ack" not in roles):
-                continue  # stability is checked on a request side with an ack: other bindings generate nothing
-            flag = suffix == "stable" and isinstance(binding, ExplicitAttrib) and binding.expr.strip() in _CONST_TRUE
-            roles[f"{side_role}_{suffix}"] = None if flag else bound(binding)
-    if t.active is not None:
-        roles["active"] = bound(t.active)
-
-    for side_role, side in (("p", t.p), ("q", t.q)):
-        val, ack = roles[f"{side_role}_val"], roles.get(f"{side_role}_ack")
-        expr = And(val, ack) if ack else val
-        roles[f"{side_role}_hsk"] = wire((side.name, expr), f"{side.name}_hsk", Handshake, expr)
-    p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
-
-    upper = t.tname.upper()
-    counter = Counter(namer.alloc(f"{t.tname}_outstanding"), p_hsk, q_hsk, limit,
-                      namer.alloc(f"{upper}_MAX_OUTSTANDING"), namer.alloc(f"{upper}_CNT_WIDTH"))
-    roles["counter"] = counter
-    signals.append(counter)
-
-    if "transid" in t.p.bindings and "transid" in t.q.bindings:
-        symb = roles["symb"] = Symbolic(namer.alloc(f"symb_{t.tname}_transid", (STABLE_LABEL,)),
-                                        _attr_width(t, "transid", diags))
-        signals.append(symb)
-        request = matched(p_hsk, roles["p_transid"], symb)
-        inflight = Inflight(namer.alloc(f"{t.tname}_inflight"), request,
-                            matched(q_hsk, roles["q_transid"], symb))
-        roles["inflight"] = inflight
-        signals.append(inflight)
-        if "transid_unique" in t.p.bindings or "transid_unique" in t.q.bindings:
-            roles["unique"] = inflight
-        if "p_data" in roles:
-            sampled = Sampled(namer.alloc(f"{t.tname}_sampled_data"), request, roles["p_data"],
-                              _attr_width(t, "data", diags))
-            roles["sampled"] = sampled
-            signals.append(sampled)
-
-    return TransactionAux(signals, roles)
+# The roles a binding fills, in the order their names are taken; a key gives each one's binding in this order.
+_BOUND_ROLES = ("p_val", "p_ack", "p_transid", "p_data", "p_stable", "q_val", "q_ack", "q_transid", "q_data", "active")
+_SIDE = ("val", "ack", "transid", "data")  # the attributes that may fill a role on either side
+# How a key gives a binding: a port; a wire over an assign that the transaction declares, of one bit or with a
+# range; a wire that an earlier transaction declared; a flag, which checks the valid and payload. None: unbound.
+_PORT, _WIRE, _WIDE, _SHARED, _FLAG = "port", "wire", "wire[]", "shared", "flag"
 
 
-def _name_labels(txns: list[Transaction], aux: list[TransactionAux], opts: GenOptions, namer: _Namer) -> None:
-    """Set each transaction's `properties.Shape`, and rename each label the namer holds.
+def _transaction_names(t: Transaction, limit: int, namer: _Namer, shared: dict,
+                       diags: list[Diagnostic]) -> tuple[list, tuple]:
+    """One transaction's names, allocated in the namer's order, and its shape key; `limit` sizes its counter.
 
-    A transaction's shape is its direction, its role names and which roles
-    are None; one `Shape` is made per shape in the module, from its first
-    transaction. A label is the transaction's name plus a check's suffix; it
-    is renamed when it, or an assumption's generate block, is a name the
-    namer holds. The label test is made here, before calling the namer,
-    because one call per label would cost more than the rest of this pass.
+    `shared` maps each wire the module declares to its name. The names are
+    the transaction's and its interfaces', its counter's limit parameter and
+    limit, then each bound role's (a port's name, or a wire's name, assign
+    and range), the handshakes', the counter's, the symbolic id's and its
+    range, the in-flight bit's, and the sampled data's and its range.
     """
-    taken, shapes = namer.taken, {}
-    for t, a in zip(txns, aux):
-        roles = a.roles  # `p_stable` is the one role that may be None (a flag binding)
-        if (shape := shapes.get(key := (t.direction, *roles, roles.get("p_stable", 0) is None))) is None:
-            shape = shapes[key] = Shape(t, roles, opts)
-        a.shape, tn = shape, t.tname
-        for suffix, _, directive in shape.checks:
-            blocks = (ASRT_BLOCK, ASSM_BLOCK) if directive == ASSUME else ()  # the generate blocks its label names
-            if (label := tn + suffix) in taken or blocks and (label + ASRT_BLOCK in taken
-                                                              or label + ASSM_BLOCK in taken):
-                a.labels = {**(a.labels or {}), label: namer.alloc(label, blocks)}
+    names, key, p, q = [t.tname, t.p.name, t.q.name, None, limit], [t.direction], t.p.bindings, t.q.bindings
+
+    def wire(k, base: str) -> bool:
+        """Add a wire's name; True when this transaction declares it, once per distinct wire in the module."""
+        if new := k not in shared:
+            shared[k] = namer.alloc(base)
+        names.append(shared[k])
+        return new
+
+    stable = p.get("stable") if "ack" in p else None  # stability is checked on a request side with an ack
+    if isinstance(stable, ExplicitAttrib) and stable.expr.strip() in _CONST_TRUE:
+        stable = _FLAG
+    for b in (*map(p.get, _SIDE), stable, *map(q.get, _SIDE), t.active):
+        if b is None or b is _FLAG:
+            key.append(b)
+        elif not isinstance(b, ExplicitAttrib):
+            key.append(_PORT)
+            names.append(b.name)
+        else:
+            key.append((_WIDE if b.width_expr else _WIRE) if wire((b.name, b.expr), b.name) else _SHARED)
+            names += (b.expr, b.width_expr)
+    key += [wire(side.name, f"{side.name}_hsk") for side in (t.p, t.q)]
+
+    names.append(namer.alloc(f"{t.tname}_outstanding"))
+    names[3] = namer.alloc(f"{t.tname.upper()}_MAX_OUTSTANDING")
+    names.append(namer.alloc(f"{t.tname.upper()}_CNT_WIDTH"))
+    if "transid" in p and "transid" in q:
+        names += (namer.alloc(f"symb_{t.tname}_transid", (STABLE_LABEL,)), width := _attr_width(t, "transid", diags),
+                  namer.alloc(f"{t.tname}_inflight"))
+        key += ("transid_unique" in p or "transid_unique" in q, bool(width))
+        if "data" in p:
+            names += (namer.alloc(f"{t.tname}_sampled_data"), width := _attr_width(t, "data", diags))
+            key.append(bool(width))
+    return names, tuple(key)
+
+
+def _slotted(key: tuple) -> tuple[dict[str, Node | None], list[Aux], int]:
+    """The role map and the aux signals of each transaction of shape `key`, over slot names, and its count of slots.
+
+    The slots are taken in the order of `_transaction_names`' names; a range
+    the key says is empty takes its slot but is "".
+    """
+    count, roles, signals = itertools.count(5), {}, []
+
+    def take(used: bool = True) -> str:
+        name = slot(next(count))
+        return name if used else ""
+
+    for role, kind in zip(_BOUND_ROLES, key[1:]):
+        if kind == _PORT:
+            roles[role] = Sig(take())
+        elif kind == _FLAG:
+            roles[role] = None  # its valid and payload are checked
+        elif kind is not None:
+            roles[role] = node = AttribWire(take(), take(), take(kind != _WIRE))
+            signals += [node] * (kind != _SHARED)
+    tokens = iter(key[len(_BOUND_ROLES) + 1:])
+    for side_role in ("p", "q"):
+        val, ack = roles[f"{side_role}_val"], roles.get(f"{side_role}_ack")
+        roles[f"{side_role}_hsk"] = hsk = Handshake(take(), And(val, ack) if ack else val)
+        signals += [hsk] * next(tokens)
+    p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
+    roles["counter"] = counter = Counter(take(), p_hsk, q_hsk, slot(4), slot(3), take())
+    signals.append(counter)
+    if "p_transid" in roles:
+        unique, symb = next(tokens), Symbolic(take(), take(next(tokens)))
+        request = matched(p_hsk, roles["p_transid"], symb)
+        inflight = Inflight(take(), request, matched(q_hsk, roles["q_transid"], symb))
+        roles.update(symb=symb, inflight=inflight, **{"unique": inflight} if unique else {})
+        signals += (symb, inflight)
+        if "p_data" in roles:
+            roles["sampled"] = sampled = Sampled(take(), request, roles["p_data"], take(next(tokens)))
+            signals.append(sampled)
+    return roles, signals, next(count)
+
+
+def _labelled(made: list[tuple[list, Shape]], namer: _Namer, rename: bool) -> list[TransactionAux]:
+    """Each transaction's aux: its names, its property labels added; with `rename`, each label the namer holds renamed.
+
+    A label is the transaction's name plus a check's suffix; it is renamed
+    when it, or an assumption's generate block, is a name the namer holds.
+    The label test is made here, before calling the namer, because one call
+    per label would cost more than the rest of this pass.
+    """
+    taken, aux = namer.taken, []
+    for names, shape in made:
+        for suffix, _, directive, _ in shape.checks:
+            label = names[0] + suffix
+            blocks = (ASRT_BLOCK, ASSM_BLOCK) if directive == ASSUME else ()  # the generate blocks it names
+            if rename and (label in taken or blocks and (label + ASRT_BLOCK in taken or label + ASSM_BLOCK in taken)):
+                label = namer.alloc(label, blocks)
+            names.append(label)
+        aux.append(TransactionAux(tuple(names), shape))
+    return aux
 
 
 def synth_module(
@@ -209,23 +236,23 @@ def synth_module(
     for code, what, name in (("unknown-clock", "clock", opts.clk), ("unknown-reset", "reset", opts.rst)):
         if name not in ports:
             diags.append(error(code, f"{what} '{name}' is not a port of module '{pm.module_name}'"))
-    namer = _Namer(taken, diags)
-    shared: dict = {}
-    aux = [synth_transaction_aux(t, opts.outstanding_limit(t.tname), namer, shared, diags) for t in txns]
-    for t, roles in zip(txns, (t_aux.roles for t_aux in aux)):  # bindings that generate no property
-        if "stable" in t.q.bindings:
+    namer, shared, shapes, made = _Namer(taken, diags), {}, {}, []
+    for t in txns:
+        names, key = _transaction_names(t, opts.outstanding_limit(t.tname), namer, shared, diags)
+        made.append((names, shapes.get(key) or shapes.setdefault(key, Shape(key[0], *_slotted(key), opts))))
+    for t in txns:  # bindings that generate no property
+        p, q = t.p.bindings, t.q.bindings
+        if "stable" in q:
             diags.append(warning("stable-on-response-side", f"'{t.q.name}_stable' is bound on the response interface; "
                                  "stability is checked for the request side only and this binding generates nothing",
                                  t.span))
-        if "stable" in t.p.bindings and "p_ack" not in roles:
+        if "stable" in p and "ack" not in p:
             diags.append(warning("stable-without-ack", f"'{t.p.name}_stable' has no matching ack, a request is never "
                                  "pending; check skipped", t.span))
-        if "inflight" not in roles and "p_data" in roles and "q_data" in roles:
+        if "data" in p and "data" in q and not ("transid" in p and "transid" in q):
             diags.append(warning("data-without-transid", f"data integrity of '{t.tname}' needs a transaction id on "
                                  "both interfaces; check skipped", t.span))
-    if not errors_in(diags):
-        _name_labels(txns, aux, opts, namer)
-    return aux
+    return _labelled(made, namer, not errors_in(diags))
 
 
 def synth_module_aux(

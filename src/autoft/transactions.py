@@ -17,6 +17,8 @@ import it without importing each other in a cycle.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .diagnostics import Diagnostic, SourceSpan, error, warning
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule, RelationDecl, split_field
 from .sva import Aux, Node
@@ -53,23 +55,25 @@ class Transaction:
         self.span = span
 
 
-class TransactionAux:
-    """What synthesis (`autoft.signals`) gives one transaction: its aux signals and the role map.
+class TransactionAux(namedtuple("TransactionAux", "names shape")):
+    """What synthesis (`autoft.signals`) gives one transaction: its names and its shape.
 
-    roles maps each role the properties read to its signal node; labels maps
-    each property label the namer renamed to its new name, None when none was.
-    shape is the `properties.Shape` of the transaction's shape (its
-    direction, its role names and which roles are None) in its module, set
-    by the label pass: the checks it has and the text of their bodies.
+    names is the flat tuple of every name its text fills in, its property
+    labels last; shape is the `properties.Shape` of every transaction of its
+    shape in its module, whose trees are over slot names. roles and signals
+    are its role map and aux signals, which the shape binds to its names
+    when first read (`Shape.bind`).
     """
 
-    __slots__ = ("signals", "roles", "labels", "shape")
+    __slots__ = ()
 
-    def __init__(self, signals: list[Aux], roles: dict[str, Node | None]):
-        self.signals = signals
-        self.roles = roles
-        self.labels: dict[str, str] | None = None
-        self.shape = None
+    @property
+    def roles(self) -> dict[str, Node | None]:
+        return self.shape.bind(self.names)[0]
+
+    @property
+    def signals(self) -> list[Aux]:
+        return self.shape.bind(self.names)[1]
 
 
 def _candidate_bindings(
