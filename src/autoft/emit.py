@@ -5,20 +5,20 @@ LF line endings, end with a newline, and contain no timestamps or absolute
 paths, so regenerating a bundle always reproduces it byte for byte.
 
 The property module is rendered by one generator, `_blocks`: its header, then
-one block per transaction, each joined from its lines as that transaction is
-rendered, then the closing lines. A transaction's checks and their bodies'
-text come from its shape (`TransactionAux.shape`, a `properties.Shape`), and
-its labels and directives wrap the bodies through `_render_property`. So
-`render()` stays the only source of SVA text, while `gen` and `link` make
-and render one transaction's property trees per shape, not per transaction.
-`gen` and `link` never hold the property module's text: `write_files`
-writes each block as `ModuleModel.files` yields it, and drops it. `check`
-holds the properties, every transaction's made by `gen_properties`, since
-the evaluator needs the trees, and renders no text; `generate_bundle` holds
-both, its property module joined over the same generator.
-`write_files` encodes and writes a text in fixed slices rather than as one
-bytes copy. Synthesis has decided every property and its label by the time
-`generate_model` returns, so making and writing them reports nothing.
+one block per transaction, then the closing lines. A transaction's block is
+its shape's text with its names filled in (`properties.Shape.render`): each
+shape renders its slotted trees once, its aux declarations and its
+properties with their labels and directives, and `render()` stays the only
+source of SVA text. `gen` and `link` never hold the property module's text:
+`write_files` writes each block as `ModuleModel.files` yields it, and drops
+it, and they bind no transaction's trees. `check` holds the properties,
+made by `gen_properties`, whose bodies the shape binds to each
+transaction's names when the evaluator reads them, and renders no text;
+`generate_bundle` holds both, its property module joined over the same
+generator. `write_files` encodes and writes a text in fixed slices rather
+than as one bytes copy. Synthesis has decided every property and its label
+by the time `generate_model` returns, so making and writing them reports
+nothing.
 """
 from __future__ import annotations
 
@@ -84,7 +84,7 @@ class ModuleModel(namedtuple("ModuleModel", "pm txns aux warnings opts")):
         return self.pm.module_name
 
     def properties(self) -> Iterator[list[GeneratedProperty]]:
-        """Each transaction's properties in turn, made when it is reached."""
+        """Each transaction's properties in turn, made when it is reached; a body is bound when first read."""
         for t, t_aux in zip(self.txns, self.aux):
             yield gen_properties(t, t_aux, self.opts, self.warnings)
 
@@ -108,23 +108,14 @@ def _blocks(pm: ParsedModule, aux: list[TransactionAux], opts: GenOptions, binds
     at once. `binds`, if any, goes before the final `endmodule`.
     """
     dut = pm.module_name
-    lines: list[str] = [f"// Interface transaction properties for {dut}. {_BANNER}", ""]
-
     params = [f"parameter {p.name} = {p.value_expr}" for p in pm.parameters]
     params.append(f"parameter ASSERT_INPUTS = {1 if opts.assert_inputs else 0}")
-    params += [f"parameter {a.names[3]} = {a.names[4]}" for a in aux]
-
+    params += [f"parameter {a.names[3]} = {a.names[4]}" for a in aux]  # each counter's limit
     imports = f" {' '.join(pm.imports)}" if pm.imports else ""
-    lines.append(f"module {dut}_prop{imports} #(")
-    lines.extend(_listed(params))
-    lines.append(") (")
-    lines.extend(_listed(_port_lines(pm)))
-    lines.append(");")
-    yield "\n".join(lines)
-
+    yield "\n".join([f"// Interface transaction properties for {dut}. {_BANNER}", "", f"module {dut}_prop{imports} #(",
+                     *_listed(params), ") (", *_listed(_port_lines(pm)), ");"])
     for a in aux:
         yield a.shape.render(a.names)
-
     yield binds + _END
 
 
@@ -132,8 +123,8 @@ def emit_property_module(pm: ParsedModule, txns: list[Transaction], aux: list[Tr
                          props: list[list[GeneratedProperty]], opts: GenOptions) -> GeneratedFile:
     """Render `<dut>_prop.sv` with modeling and properties per transaction, in memory: one join over `_blocks`.
 
-    The text is rendered from each transaction's shape (`TransactionAux.shape`),
-    so `props` is not read.
+    The text is rendered from each transaction's shape and names
+    (`TransactionAux`), so `txns` and `props` are not read.
     """
     return GeneratedFile(f"{pm.module_name}_prop.sv", "".join(_blocks(pm, aux, opts)))
 

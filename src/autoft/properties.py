@@ -47,14 +47,21 @@ gets, and under which label: it fills in a role for each deciding attribute
 declared name. This module alone turns the roles into checks: `_checks`
 gives each check's label suffix, kind, directive (every assumption asserted
 under `assert_inputs`) and body, reading only the roles, never the bindings,
-and reporting nothing. `gen_properties` adds the renamed labels.
+and reporting nothing.
 
-The checks follow from the options and the transaction's shape (its
-direction, its role names and which roles are None) alone, and so do the
-bodies up to signal names. So synthesis makes one `Shape` per shape in a
-module, from its first transaction, and `gen` and `link` render every
-transaction of the shape through it: the first from its own trees, each
-later one by filling its signal names into templates of that text.
+The checks follow from the options and the transaction's shape alone, and
+so do the bodies and the aux declarations up to names. So a `Shape` holds
+the role map, the aux signals and the checks of every transaction of one
+shape in a module once, over slot names: `slot(i)` stands for the i-th of a
+transaction's names (`TransactionAux.names`). This is partial evaluation:
+the generator is run once for the static part, the shape, and each
+transaction supplies only its names. `Shape.render` renders the trees once
+into the pieces of text between slot names, and each transaction's block of
+`<dut>_prop.sv`, its relation comment, its declarations and its properties,
+is those pieces joined with its names. `Shape.bind` binds the trees to a
+transaction's names, once, for the callers that read them: its role map
+and aux signals (`TransactionAux.roles`, `.signals`) and, through
+`gen_properties`, each property's body when it is first read.
 
 Each body is a node tree of the property IR (`autoft.sva`) built by the
 per-kind builders below: the emitter renders it and `autoft.tracecheck`

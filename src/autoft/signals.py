@@ -1,12 +1,13 @@
-"""Synthesize the auxiliary modeling signals each transaction needs, and decide its checks.
+"""Synthesize the auxiliary modeling signals each transaction needs, and decide its checks, once per shape.
 
-Each is a node of the property IR (`autoft.sva`) that carries its own update
-rule, so the emitter and the evaluator read the same rule: an `AttribWire`
-per explicit `field = expr` binding, a `Handshake` wire per side, an
-outstanding `Counter` that carries the transaction's outstanding limit, and
-for tracked transactions (id bound on both sides) a `Symbolic` id with its
-`Inflight` bit and, when data is bound, a `Sampled` capture register.
-The id and the capture register take one width rule (`_attr_width`).
+Each signal is a node of the property IR (`autoft.sva`) that carries its own
+update rule, so the emitter and the evaluator read the same rule: an
+`AttribWire` per explicit `field = expr` binding, a `Handshake` wire per
+side, an outstanding `Counter` that carries the transaction's outstanding
+limit, and for tracked transactions (id bound on both sides) a `Symbolic` id
+with its `Inflight` bit and, when data is bound, a `Sampled` capture
+register. The id and the capture register take one width rule
+(`_attr_width`).
 
 Synthesis decides every check a transaction gets, by the roles it fills in:
 `inflight` when it is tracked, `p_stable` exactly when stability is checked
@@ -16,6 +17,19 @@ checks. A binding that generates no check gets no role and declares nothing;
 synthesis warns of it (`stable-on-response-side`, `stable-without-ack`,
 `data-without-transid`) after all of a module's aux signals.
 
+Two transactions with the same attributes get the same checks, whose text
+differs only in names. So a transaction's signals are not built per
+transaction. `_transaction_names` reads its bindings and gives its names, as
+one flat list, and its shape key: its direction; how each role is bound (a
+port, a wire it declares, of one bit or with a range, a wire an earlier
+transaction declared, or a flag); which handshakes it declares; and, when
+tracked, whether its id is unique and which of its ranges are empty. The
+first transaction of each shape in a module runs the role-map builder,
+`_slotted`, over slot names (`properties.slot`), and its `properties.Shape`
+makes the checks over the same slots; every transaction of the shape shares
+that `Shape` (`TransactionAux.shape`), and binds its trees only when they
+are read.
+
 Every name the property module declares beyond the header's is allocated
 here, by one `_Namer` seeded with the ports, the declared signals and the
 parameters: the aux signals and each counter's
@@ -23,20 +37,17 @@ parameters: the aux signals and each counter's
 namer then checks the labels the module declares: a symbolic id's
 `<symb>_stable` assumption (the id is named so that its label is free) and,
 once every aux name is allocated and only when the module has no error,
-each property's label and an assumption's generate blocks (`_name_labels`).
-That pass makes one `properties.Shape` per transaction shape and sets it on
-every transaction of the shape (`TransactionAux.shape`); its label suffixes
-are what the pass checks. A label that clashes with nothing is not added to
-the namer's names, and `TransactionAux.labels` keeps only the renamed ones.
-A collision, with a header name or between transactions whose names differ
-only in case, is resolved by appending a numeric suffix and emitting a
-warning, so a module's warnings are all known once synthesis returns. The
+each property's label and an assumption's generate blocks (`_labelled`),
+which adds each transaction's labels, its shape's suffixes after its name,
+to its names. A label that clashes with nothing is not added to the namer's
+names. A collision, with a header name or between transactions whose names
+differ only in case, is resolved by appending a numeric suffix and emitting
+a warning, so a module's warnings are all known once synthesis returns. The
 one fixed name, the `ASSERT_INPUTS` parameter, cannot be renamed, because
 `link` sets it by name; a header parameter or port of that name is an
-error. The clock and the reset
-are read, not declared: each must be a port of the property module (else an
-`unknown-clock` or `unknown-reset` error naming the module), so the namer
-holds them already.
+error. The clock and the reset are read, not declared: each must be a port
+of the property module (else an `unknown-clock` or `unknown-reset` error
+naming the module), so the namer holds them already.
 """
 from __future__ import annotations
 
@@ -179,12 +190,14 @@ def _slotted(key: tuple) -> tuple[dict[str, Node | None], list[Aux], int]:
             roles[role] = None  # its valid and payload are checked
         elif kind is not None:
             roles[role] = node = AttribWire(take(), take(), take(kind != _WIRE))
-            signals += [node] * (kind != _SHARED)
+            if kind != _SHARED:
+                signals.append(node)
     tokens = iter(key[len(_BOUND_ROLES) + 1:])
     for side_role in ("p", "q"):
         val, ack = roles[f"{side_role}_val"], roles.get(f"{side_role}_ack")
         roles[f"{side_role}_hsk"] = hsk = Handshake(take(), And(val, ack) if ack else val)
-        signals += [hsk] * next(tokens)
+        if next(tokens):  # the transaction declares it
+            signals.append(hsk)
     p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
     roles["counter"] = counter = Counter(take(), p_hsk, q_hsk, slot(4), slot(3), take())
     signals.append(counter)
@@ -192,8 +205,10 @@ def _slotted(key: tuple) -> tuple[dict[str, Node | None], list[Aux], int]:
         unique, symb = next(tokens), Symbolic(take(), take(next(tokens)))
         request = matched(p_hsk, roles["p_transid"], symb)
         inflight = Inflight(take(), request, matched(q_hsk, roles["q_transid"], symb))
-        roles.update(symb=symb, inflight=inflight, **{"unique": inflight} if unique else {})
+        roles.update(symb=symb, inflight=inflight)
         signals += (symb, inflight)
+        if unique:
+            roles["unique"] = inflight
         if "p_data" in roles:
             roles["sampled"] = sampled = Sampled(take(), request, roles["p_data"], take(next(tokens)))
             signals.append(sampled)
@@ -223,10 +238,11 @@ def _labelled(made: list[tuple[list, Shape]], namer: _Namer, rename: bool) -> li
 def synth_module(
     txns: list[Transaction], pm: ParsedModule, opts: GenOptions, diags: list[Diagnostic]
 ) -> list[TransactionAux]:
-    """Synthesize aux signals for every transaction with module-wide naming, reporting into `diags`.
+    """Synthesize every transaction's names and shape with module-wide naming, reporting into `diags`.
 
-    Then, unless `diags` holds an error, each property label is checked
-    against every name declared, so every warning is reported on return.
+    Then each transaction's property labels are added to its names, each
+    checked against every name declared unless `diags` holds an error, so
+    every warning is reported on return.
     """
     ports = pm.port_names()
     taken = ports | {p.name for p in pm.parameters}

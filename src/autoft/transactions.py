@@ -10,9 +10,9 @@ assignments of one field are an error. A repeated signal name is the
 parser's error, and the first signal binds. An annotation whose interface
 is in no relation is an error; a port's is not an attribute at all.
 
-`TransactionAux` is what synthesis (`autoft.signals`) gives a transaction;
-it is defined here so that `autoft.properties`, which reads it, and
-`autoft.signals`, which sets each transaction's `properties.Shape` on it,
+`TransactionAux` is what synthesis (`autoft.signals`) gives a transaction:
+its names and its `properties.Shape`. It is defined here so that
+`autoft.properties`, which reads it, and `autoft.signals`, which makes it,
 import it without importing each other in a cycle.
 """
 from __future__ import annotations

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from autoft import cli
+from autoft import cli, signals
 from autoft.diagnostics import GenerationError, UnsupportedToolError
 from autoft.emit import (
     _WRITE_SLICE,
@@ -22,7 +22,7 @@ from autoft.emit import (
 )
 from autoft.options import GenOptions
 from autoft.parser import parse_module
-from autoft.properties import apply_link_transforms, gen_properties
+from autoft.properties import Shape, apply_link_transforms, gen_properties
 from autoft.signals import synth_module_aux
 from autoft.tracecheck import Trace, eval_property
 from autoft.transactions import build_transactions
@@ -546,6 +546,29 @@ def test_repeated_shapes_header_fills_templates():
     assert "t4_liveness_1: assert" in text and "t1_liveness: assert" in text
     assert "w_hsk |-> s_eventually (w_val_val)" in text and "w_val_1 ##[0:$] w_ack" in text
     assert "a$b_val |-> !$isunknown(a$b_ack)" in text
+
+
+def _repeated(n: int) -> str:
+    """A header of `n` transactions in two shapes: even ones on ports alone, odd ones with an assigned ack."""
+    return _module(",\n".join(f"input wire a{i}_val,\noutput wire a{i}_ack,\noutput wire b{i}_val" for i in range(n)),
+                   "\n".join(f"// AUTOSVA t{i}: a{i} -in> b{i}" + f"\n// AUTOSVA a{i}_ack = a{i}_val" * (i % 2)
+                             for i in range(n)))
+
+
+@pytest.mark.parametrize("src, txns, shapes", [(REPEATED_SHAPES, 14, 9), (_repeated(40), 40, 2)])
+def test_gen_builds_each_shapes_trees_once_and_binds_no_transaction(src, txns, shapes, monkeypatch, tmp_path,
+                                                                      capsys):
+    built, bound = [], []
+    slotted, bind = signals._slotted, Shape.bind
+    monkeypatch.setattr(signals, "_slotted", lambda key: built.append(key) or slotted(key))
+    monkeypatch.setattr(Shape, "bind", lambda self, names: bound.append(names) or bind(self, names))
+    path = tmp_path / "in.sv"
+    path.write_text(src, encoding="utf-8")
+    assert cli.main(["gen", str(path), "--tool", "both", "-o", str(tmp_path / "o")]) == 0
+    assert len(built) == len(set(built)) == shapes and bound == []
+    model = generate_model(src, "in.sv", GenOptions())
+    assert len(model.txns) == txns and len({id(a.shape) for a in model.aux}) == shapes
+    assert bound == [] and model.aux[-1].roles["p_hsk"].name == model.txns[-1].p.name + "_hsk" and len(bound) == 1
 
 
 # A parent whose last port ends in `endmodule`, so that its port list does too.
