@@ -283,7 +283,7 @@ def slot(i: int) -> str:
     return f"\uffff{chr(i)}\uffff"
 
 
-def _bind(node: Node, names: tuple, memo: dict[int, Node]) -> Node:
+def _bind(node: Node, names: list, memo: dict[int, Node]) -> Node:
     """`node` with each slot name in it replaced by that slot of `names`; `memo` binds a node reached twice once.
 
     A node is a named tuple, so it is made as a tuple of its fields.
@@ -308,7 +308,7 @@ def _render_property(name: str, directive: str, body: str) -> str:
 class Shape:
     """The trees and the text of every transaction of one shape in a module, over slot names.
 
-    A transaction's names are a flat tuple (`TransactionAux.names`): its
+    A transaction's names are one flat list (`TransactionAux.names`): its
     name, its interfaces', its counter's limit parameter and limit, its
     signals' names, assigns and ranges in the order synthesis allocates
     them, `size` in all, then its property labels. roles and signals are the
@@ -326,21 +326,22 @@ class Shape:
         self.roles, self.signals, self.size, self._opts, self._pieces, self._bound = roles, signals, size, opts, None, {}
         self._relation = f"// ---- transaction {slot(0)}: {slot(1)} {_ARROWS[direction]} {slot(2)} ----"
 
-    def bind(self, names: tuple) -> tuple[dict[str, Node | None], list[Aux], list[Node]]:
+    def bind(self, names: list) -> tuple[dict[str, Node | None], list[Aux], list[Node]]:
         """The role map, aux signals and check bodies of the transaction of this shape named by `names`.
 
-        They are bound on the first call for those names, and kept. Each node
+        They are bound on the first call for the transaction, whose name is
+        unique in its module, and kept. Each node
         of the shape's trees is bound to one node, so the nodes that its
         trees share, the transaction's trees share too.
         """
-        if (bound := self._bound.get(names)) is None:
+        if (bound := self._bound.get(names[0])) is None:
             memo: dict[int, Node] = {}
             roles = {role: None if node is None else _bind(node, names, memo) for role, node in self.roles.items()}
-            bound = self._bound[names] = (roles, [_bind(a, names, memo) for a in self.signals],
+            bound = self._bound[names[0]] = (roles, [_bind(a, names, memo) for a in self.signals],
                                           [_bind(c[3], names, memo) for c in self.checks])
         return bound
 
-    def render(self, names: tuple) -> str:
+    def render(self, names: list) -> str:
         """The block of `<dut>_prop.sv` of the transaction named by `names`: its relation, declarations and properties.
 
         The first call renders the shape's trees into pieces of text between

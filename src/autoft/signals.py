@@ -231,7 +231,7 @@ def _labelled(made: list[tuple[list, Shape]], namer: _Namer, rename: bool) -> li
             if rename and (label in taken or blocks and (label + ASRT_BLOCK in taken or label + ASSM_BLOCK in taken)):
                 label = namer.alloc(label, blocks)
             names.append(label)
-        aux.append(TransactionAux(tuple(names), shape))
+        aux.append(TransactionAux(names, shape))
     return aux
 
 

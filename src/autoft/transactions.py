@@ -58,7 +58,7 @@ class Transaction:
 class TransactionAux(namedtuple("TransactionAux", "names shape")):
     """What synthesis (`autoft.signals`) gives one transaction: its names and its shape.
 
-    names is the flat tuple of every name its text fills in, its property
+    names is the flat list of every name its text fills in, its property
     labels last; shape is the `properties.Shape` of every transaction of its
     shape in its module, whose trees are over slot names. roles and signals
     are its role map and aux signals, which the shape binds to its names
