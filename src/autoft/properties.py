@@ -85,7 +85,6 @@ COVER = "cover"
 ASRT_BLOCK, ASSM_BLOCK = "_asrt", "_assm"
 
 _DIRECTIONS = ("incoming", "outgoing")
-_ARROWS = {"incoming": "-in>", "outgoing": "-out>"}  # each direction as a relation writes it
 
 # Kind -> (directive on an incoming transaction, on an outgoing one), in emission order.
 _POLARITY = {
@@ -324,7 +323,8 @@ class Shape:
                  opts: GenOptions):
         self.checks = _checks(direction, roles, opts)
         self.roles, self.signals, self.size, self._opts, self._pieces, self._bound = roles, signals, size, opts, None, {}
-        self._relation = f"// ---- transaction {slot(0)}: {slot(1)} {_ARROWS[direction]} {slot(2)} ----"
+        arrow = "-in>" if direction == "incoming" else "-out>"
+        self._relation = f"// ---- transaction {slot(0)}: {slot(1)} {arrow} {slot(2)} ----"
 
     def bind(self, names: list) -> tuple[dict[str, Node | None], list[Aux], list[Node]]:
         """The role map, aux signals and check bodies of the transaction of this shape named by `names`.
