@@ -275,11 +275,12 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
 
 
 def slot(i: int) -> str:
-    """The name that stands for a transaction's i-th name in its shape's trees: chr(i) between two U+FFFF.
+    """The name that stands for a transaction's i-th name in its shape's trees: chr(i + 1) between two NULs.
 
-    U+FFFF is a noncharacter, which no text that autoft renders holds.
+    No text that autoft renders holds a NUL, and the text stays one byte a
+    character, as the names are.
     """
-    return f"\uffff{chr(i)}\uffff"
+    return f"\0{chr(i + 1)}\0"
 
 
 def _bind(node: Node, names: list, memo: dict[int, Node]) -> Node:
@@ -291,7 +292,7 @@ def _bind(node: Node, names: list, memo: dict[int, Node]) -> Node:
     if got is None:
         got = memo[id(node)] = tuple.__new__(node.__class__, [
             _bind(f, names, memo) if isinstance(f, Node) else tuple([_bind(x, names, memo) for x in f])
-            if f.__class__ is tuple else names[ord(f[1])] if f.__class__ is str and f[:1] == "\uffff" else f
+            if f.__class__ is tuple else names[ord(f[1]) - 1] if f.__class__ is str and f[:1] == "\0" else f
             for f in node])
     return got
 
@@ -361,8 +362,8 @@ class Shape:
                     lines += ("", text)
             if guarded:
                 lines += ["", "`ifdef XPROP", *guarded, "`endif"]
-            self._pieces = "\n".join(lines).split("\uffff")  # every odd piece is a slot's chr(index)
-            self._names = itemgetter(*map(ord, self._pieces[1::2]))  # three slots at least, so it gives a tuple
+            self._pieces = "\n".join(lines).split("\0")  # every odd piece is a slot's chr(index + 1)
+            self._names = itemgetter(*[ord(c) - 1 for c in self._pieces[1::2]])  # three slots at least: a tuple
         pieces = self._pieces.copy()
         pieces[1::2] = self._names(names)
         return "".join(pieces)
