@@ -13,7 +13,11 @@ user's process calls it, with the collector enabled on entry. The calls it
 makes for each stage are wrapped through the module globals they are looked
 up in (`STAGE_CALLS`) and timed: parse, build and synth inside
 `emit.generate_model`, and write, `write_files` with the rendering of the
-property module, which is made as it is written. A turn records each stage's
+property module, which is made as it is written. Parse's own sub-stages are
+timed the same way, through the globals of `parser` that `parse_module` looks
+them up in: lex (`_lex`, once or twice), header (`_read_header`), regions
+(`_regions`) and lines (`_read_annotations`, every annotation line from the
+regions). Their times are inside parse's. A turn records each stage's
 time, the whole call's (`gen_ms`) and the number of collections that ran
 inside it.
 
@@ -55,15 +59,19 @@ import twin  # noqa: E402
 
 FIXTURES = ("fifo", "pipeline", "noc_buffer", "noc_buffer_buggy", "mmu_stub")
 # Stage -> (the module whose globals `cli.main gen` looks the call up in, the call's name). A side whose module
-# lacks the call (an older or newer checkout) skips it.
+# lacks the call (an older or newer checkout) skips it, and its time reads 0.
 STAGE_CALLS = {
     "parse": ("emit", "parse_module"),
+    "lex": ("parser", "_lex"),
+    "header": ("parser", "_read_header"),
+    "regions": ("parser", "_regions"),
+    "lines": ("parser", "_read_annotations"),
     "build": ("emit", "build_transactions"),
     "synth": ("emit", "synth_module"),
     "write": ("cli", "write_files"),
 }
 STAGES = tuple(STAGE_CALLS)
-MODULES = ("cli", "emit", "options")
+MODULES = ("cli", "emit", "options", "parser")
 
 
 def write_inputs(seed: int, into: Path) -> list[dict]:

@@ -33,8 +33,9 @@ relation that reuses it is an error and is dropped.
 Each payload line that parses becomes an `Annotation` whose payload is a
 `RelationDecl`, an `ExplicitAttrib` or an `InterfaceSignal`; the payload's
 type is the annotation's kind. A field name is kept as written: the parser
-splits it only to check its suffix, and `transactions` splits it where it
-binds it.
+only checks its suffix, and `transactions` splits it where it binds it.
+`split_field` splits without a regex: at the last `_`, or before
+`transid_unique`, the one suffix that holds a `_`.
 
 The supported Verilog subset is ANSI-style headers: `input`/`output`
 directions, optional wire/logic/reg keyword, one declarator per list item,
@@ -60,11 +61,16 @@ header lists, splits a parameter item at its lone `=` (an item whose first `=`
 outside brackets is part of a comparison is skipped with a warning), and finds
 the tokens an attribute line may not hold. Three common shapes skip it and
 read alike in one regex match: a plain port item (a one-bit port, or one
-`[...:0]` range), a well-formed relation, and an attribute line whose range
-and right-hand side hold no bracket, quote, `=`, `;`, `/` or `*`. Every
-position reported is a source offset turned into a line and column by one
-line map, which finds line starts no further than twice the furthest offset
-it is asked for.
+`[...:0]` range), whose matches one `finditer` steps through up to the first
+item that is not plain; and, in the one pattern every payload line is tried
+against first, a well-formed relation and an assignment to a field with a
+legal suffix whose range and right-hand side hold no bracket, quote, `=`,
+`/`, `*` or newline, and no `;` but a trailing one. Every position reported
+is a source offset. The spans of ascending offsets, such as a header's ports
+or the payload lines, are made in one batch by calls into C alone: the
+newlines between consecutive offsets advance the line, and the last newline
+before an offset is where its column is counted from. Such a span is valid
+as made, and skips the check of `SourceSpan.__new__`.
 
 Every record this module returns (`Parameter`, `InterfaceSignal`,
 `RelationDecl`, `ExplicitAttrib`, `Annotation`) is a named tuple of its
@@ -74,11 +80,12 @@ value, not by type.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import re
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import accumulate, repeat
+from operator import sub
 
 from .diagnostics import Diagnostic, GenerationError, SourceSpan, error, warning
 
@@ -168,46 +175,34 @@ def literal_width_bits(width_expr: str) -> int | None:
     return None
 
 
-# The one `_<suffix>` that ends a name, if any, is where the lazy prefix stops.
-_FIELD_RE = re.compile(rf"([A-Za-z_][A-Za-z0-9_$]*?)_({'|'.join(SUFFIXES)})")
-
-
 def split_field(name: str) -> tuple[str, str] | None:
     """`(prefix, suffix)` of `<prefix>_<suffix>`, by the longest legal suffix; None if there is none."""
-    m = _FIELD_RE.fullmatch(name)
-    return m.groups() if m else None
+    prefix, _, suffix = name.rpartition("_")
+    if suffix == "unique" and prefix.endswith("_transid"):  # the one suffix that holds a `_`
+        prefix, suffix = prefix[:-8], "transid_unique"
+    # An identifier: ASCII, no leading digit or `$`, which a digit stands in for.
+    if suffix in SUFFIXES and prefix.isascii() and prefix.replace("$", "0").isidentifier():
+        return prefix, suffix
+    return None
 
 
-_NEWLINE_RE = re.compile("\n")
+def _spans(source: str, path: str, offsets: list[int]) -> list[SourceSpan]:
+    """The 1-based span of each of the ascending `offsets` into `source`.
 
-
-class _LineMap:
-    """Offset to 1-based (line, column) translation for one source text.
-
-    Line starts are found no further than twice the furthest offset asked
-    for; `starts` finds and returns them all.
+    The text between consecutive offsets is read once, and by calls into C
+    alone: its newlines advance the line, and the last of them is where the
+    column is counted from. A span made so is valid, and skips the check of
+    `SourceSpan.__new__`.
     """
+    starts = [0, *offsets]
+    lines = accumulate(map(source.count, repeat("\n"), starts, offsets), initial=1)
+    next(lines)  # the line of offset 0
+    newlines = accumulate(map(source.rfind, repeat("\n"), starts, offsets), max)  # -1 before the first
+    return list(map(tuple.__new__, repeat(SourceSpan), zip(repeat(path), lines, map(sub, offsets, newlines))))
 
-    def __init__(self, source: str, path: str):
-        self.path = path
-        self._source = source
-        self._starts = [0]
-        self._scanned = 0  # every newline before this offset is in `_starts`
 
-    @property
-    def starts(self) -> list[int]:
-        self.span(len(self._source))
-        return self._starts
-
-    def span(self, offset: int) -> SourceSpan:
-        if offset > self._scanned:
-            # At least double the scanned text, so that spans asked for in source order scan it once.
-            end = max(offset, 2 * self._scanned)
-            self._starts += [m.end() for m in _NEWLINE_RE.finditer(self._source, self._scanned, end)]
-            self._scanned = end
-        line = bisect.bisect_right(self._starts, offset)
-        column = offset - self._starts[line - 1] + 1
-        return SourceSpan(self.path, line, column)
+def _span(source: str, path: str, offset: int) -> SourceSpan:
+    return _spans(source, path, [offset])[0]
 
 
 # A string literal, matched only to be skipped; unrolled, so that each run of
@@ -227,7 +222,9 @@ _LEX_RE = re.compile(
 def _lex(source: str, stop: int | None = None) -> tuple[list[tuple[int, int, str]], str]:
     """Comments that start before `stop` as (start, end, kind), and the source through them blanked.
 
-    `stop` defaults to the end of the source. The masked text runs to `stop`
+    `stop` ends a line, or defaults to the end of the source: no string or
+    line comment runs past it, and the text past it is searched only for the
+    end of a block comment that does. The masked text runs to `stop`
     or to the end of the last comment lexed, whichever is later; the source
     past it is not copied. kind is 'line', 'block', or 'open_block' for a
     block comment that never closes; the caller decides whether that is
@@ -237,10 +234,10 @@ def _lex(source: str, stop: int | None = None) -> tuple[list[tuple[int, int, str
     stop = len(source) if stop is None else stop
     comments: list[tuple[int, int, str]] = []
     parts, done = [], 0
-    for m in _LEX_RE.finditer(source):
+    for m in _LEX_RE.finditer(source, 0, stop + 1):
+        if m.end() > stop:  # a block comment, which may close past the bound
+            m = _LEX_RE.match(source, m.start())
         start, kind = m.start(), m.lastgroup
-        if start >= stop:
-            break
         if kind is None:
             continue
         end = m.end()
@@ -281,11 +278,11 @@ def extract_annotation_regions(source: str, path: str = "<string>") -> list[tupl
     running to the end of input, matching compiler behavior.
     """
     comments, _ = _lex(source, _marker_stop(source))
-    lmap = _LineMap(source, path)
-    return [(text, lmap.span(offset)) for text, offset in _regions(source, comments, lmap)]
+    regions = _regions(source, comments, path)
+    return list(zip([text for text, _ in regions], _spans(source, path, [offset for _, offset in regions])))
 
 
-def _regions(source: str, comments: list[tuple[int, int, str]], lmap: _LineMap) -> list[tuple[str, int]]:
+def _regions(source: str, comments: list[tuple[int, int, str]], path: str) -> list[tuple[str, int]]:
     """`extract_annotation_regions` over comments that `_lex` already found, with source offsets."""
     regions: list[tuple[str, int]] = []
     for start, end, kind in comments:
@@ -308,7 +305,7 @@ def _regions(source: str, comments: list[tuple[int, int, str]], lmap: _LineMap) 
                         error(
                             "unterminated-block-comment",
                             "annotation region is never closed with */",
-                            lmap.span(start),
+                            _span(source, path, start),
                             source[start : start + 40].split("\n")[0],
                         )
                     ]
@@ -326,27 +323,41 @@ def _regions(source: str, comments: list[tuple[int, int, str]], lmap: _LineMap) 
     return regions
 
 
-def _region_lines(text: str, offset: int) -> list[tuple[str, int]]:
-    """Per-line payloads of a region that starts at source `offset`, each with its own offset.
+def _region_lines(regions: list[tuple[str, int]]) -> tuple[list[str], list[int]]:
+    """The payload lines of regions that each start at their source offset, and the offset of each.
 
     A leading `*` decoration (common in block comments) is stripped.
     """
-    out = []
-    for line in text.split("\n"):
-        payload = line.lstrip()
-        if payload.startswith("*"):
-            payload = payload[1:].lstrip()
-        if payload:
-            out.append((payload.rstrip(), offset + len(line) - len(payload)))
-        offset += len(line) + 1
-    return out
+    lines, offsets = [], []
+    for text, offset in regions:
+        for line in text.split("\n"):
+            payload = line.lstrip()
+            if payload.startswith("*"):
+                payload = payload[1:].lstrip()
+            if payload:
+                lines.append(payload.rstrip())
+                offsets.append(offset + len(line) - len(payload))
+            offset += len(line) + 1
+    return lines, offsets
 
 
 _ARROW_RE = re.compile(r"(-in>|-out>)")
 _RELATION_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_$]*)\s*:\s*(.*?)\s*$")
-# A relation that `parse_relation` accepts, read in one match: `_RELATION_RE`'s
-# right-hand side holds no newline, so no whitespace around the arrow does.
-_WELL_FORMED_RELATION_RE = re.compile(rf"\s*({_IDENT})\s*:\s*({_IDENT})[^\S\n]*-(in|out)>[^\S\n]*({_IDENT})\s*")
+# What a plain range or right-hand side does not hold: the first character of
+# every `_TOKEN_RE` token but a comma, and a newline, which
+# `_ATTRIB_ASSIGN_RE`'s right-hand side never holds.
+_PLAIN = r'()\[\]{}"=;/*\n'
+# A payload line that reads alike in one match, without a token: an
+# assignment to a field with a legal suffix whose range and right-hand side
+# are plain, or a relation that `parse_relation` accepts (`_RELATION_RE`'s
+# right-hand side holds no newline, so no whitespace around the arrow does).
+# The right-hand side runs from its first to its last non-space character, as
+# `_ATTRIB_ASSIGN_RE`'s does.
+_PLAIN_LINE_RE = re.compile(
+    rf"\s*(?:(?:(?P<width>\[[^{_PLAIN}]+\])\s*)?(?P<name>{_IDENT}_(?:{'|'.join(SUFFIXES)}))\s*="
+    rf"\s*(?P<expr>[^\s{_PLAIN}](?:[^{_PLAIN}]*[^\s{_PLAIN}])?)\s*;?"
+    rf"|(?P<tname>{_IDENT})\s*:\s*(?P<p>{_IDENT})[^\S\n]*-(?P<arrow>in|out)>[^\S\n]*(?P<q>{_IDENT}))\s*"
+)
 
 
 def parse_relation(line: str, span: SourceSpan, diags: list[Diagnostic]) -> RelationDecl | None:
@@ -356,10 +367,9 @@ def parse_relation(line: str, span: SourceSpan, diags: list[Diagnostic]) -> Rela
     not one of the two arrows, and `bad-relation` when the line cannot be
     shaped into name, interface, arrow, interface at all.
     """
-    m = _WELL_FORMED_RELATION_RE.fullmatch(line)
-    if m:
-        tname, p, arrow, q = m.groups()
-        return RelationDecl(tname, p, q, "incoming" if arrow == "in" else "outgoing")
+    m = _PLAIN_LINE_RE.fullmatch(line)
+    if m and m["tname"]:
+        return RelationDecl(m["tname"], m["p"], m["q"], "incoming" if m["arrow"] == "in" else "outgoing")
     m = _RELATION_RE.match(line)
     rhs = m.group(2) if m else ""
     arrows = _ARROW_RE.findall(rhs)
@@ -382,9 +392,37 @@ _ATTRIB_ASSIGN_RE = re.compile(
 _DECL_RE = re.compile(r"(?:input|output)\s")
 
 
-def _parse_annotation_line(line: str, offset: int, lmap: _LineMap, diags: list[Diagnostic]) -> Annotation | None:
-    """Parse one payload line, found at source `offset`, into an Annotation, or record a diagnostic."""
-    span = lmap.span(offset)
+def _read_annotations(source: str, path: str, regions: list[tuple[str, int]], diags: list[Diagnostic]) -> list[Annotation]:
+    """The annotations of the payload lines of `_regions`, in order; errors go to `diags`.
+
+    A plain line is read by its one match. A relation whose transaction name
+    an earlier one declared is dropped, with an error after every line's.
+    """
+    annotations, tnames, dups = [], {}, []
+    lines, offsets = _region_lines(regions)
+    for line, span in zip(lines, _spans(source, path, offsets)):
+        m = _PLAIN_LINE_RE.fullmatch(line)
+        if m is None:
+            ann = _parse_annotation_line(line, span, diags)
+            if ann is None:
+                continue
+        else:
+            width, name, expr, tname, p, arrow, q = m.groups()
+            payload = (tuple.__new__(ExplicitAttrib, (name, width or "", expr, span)) if name
+                       else tuple.__new__(RelationDecl, (tname, p, q, "incoming" if arrow == "in" else "outgoing")))
+            ann = tuple.__new__(Annotation, (line, span, payload))
+        rel = ann.payload  # the first declaration of a transaction name names the transaction
+        if type(rel) is RelationDecl and (first := tnames.setdefault(rel.tname, span)) is not span:
+            dups.append(error("duplicate-transaction-name", f"transaction '{rel.tname}' already declared at {first}",
+                              span, line))
+            continue
+        annotations.append(ann)
+    diags += dups
+    return annotations
+
+
+def _parse_annotation_line(line: str, span: SourceSpan, diags: list[Diagnostic]) -> Annotation | None:
+    """Parse one payload line, found at `span`, into an Annotation, or record a diagnostic."""
     if _RELATION_RE.match(line):
         rel = parse_relation(line, span, diags)
         return None if rel is None else Annotation(line, span, rel)
@@ -393,10 +431,11 @@ def _parse_annotation_line(line: str, offset: int, lmap: _LineMap, diags: list[D
     bad = _bad_token(line, m)
     if bad is not None:
         at, tok = bad
+        at = SourceSpan(span.file, span.line, span.column + at)  # a payload line holds no newline
         if tok in "()[]{}":
-            diags.append(error("unbalanced-brackets", f"'{tok}' does not balance", lmap.span(offset + at), line))
+            diags.append(error("unbalanced-brackets", f"'{tok}' does not balance", at, line))
         else:
-            diags.append(error("bad-annotation", f"stray '{tok}'", lmap.span(offset + at), line))
+            diags.append(error("bad-annotation", f"stray '{tok}'", at, line))
         return None
     if m:
         name = m["name"]
@@ -419,8 +458,6 @@ def _parse_annotation_line(line: str, offset: int, lmap: _LineMap, diags: list[D
 # tokens; and each bracket and separator. Every alternative begins with a
 # literal character, which lets the regex engine skip ahead to candidates.
 _TOKEN_RE = re.compile("|".join([_STRING, "===?", "!==?", "<=", ">=", "//", r"/\*", r"\*/", *map(re.escape, "=()[]{},;")]))
-# Text in which `_TOKEN_RE` finds commas at most.
-_UNTOKENED_RE = re.compile(r'[^()\[\]{}"=;/*]*')
 _OPENERS = "([{"
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
 _COMMENT_TOKENS = ("//", "/*", "*/")
@@ -453,10 +490,6 @@ def _bad_token(line: str, assign: re.Match | None) -> tuple[int, str] | None:
     off, every `;` and every lone `=` is. Failing all of these, the first
     opener left open does not balance.
     """
-    if assign and _UNTOKENED_RE.fullmatch(line, assign.start("expr")) and (
-        not assign["width"] or _UNTOKENED_RE.fullmatch(line, assign.start("width") + 1, assign.end("width") - 1)
-    ):
-        return None  # no token but the range's brackets, the `=` and commas
     rhs_start, rhs_end = assign.span("expr") if assign else (len(line), len(line))
     opened: list[int] = []
     for off, tok, _ in _tokens(line):
@@ -538,9 +571,11 @@ _PORT_RE = re.compile(
 # `,` or `)` after it: a one-bit port, or one range that ends at `:0` and holds
 # no bracket, separator, quote or newline. That range is its only bracket pair
 # and it holds no string, so `_header_list` ends or splits the list there too.
+# Else the empty match, so that each match of a `finditer` starts where the
+# last one ended.
 _PLAIN_PORT_RE = re.compile(
-    r"\s*(input|output)\s+(?:(?:wire|logic|reg|var)\s+)?(?:(?:signed|unsigned)\s+)?"
-    rf'(?:(\[[^\[\](){{}}",\n]*:0\])\s*)?({_IDENT})\s*([,)])'
+    r"(?:\s*(input|output)\s+(?:(?:wire|logic|reg|var)\s+)?(?:(?:signed|unsigned)\s+)?"
+    rf'(?:(\[[^\[\](){{}}",\n]*:0\])\s*)?({_IDENT})\s*([,)]))?'
 )
 _RANGE_RE = re.compile(r"\[[^\]]+\]")
 _CANONICAL_RANGE_RE = re.compile(r"^\[.*:0\]$")
@@ -580,7 +615,6 @@ def _parse_port_item(
 
 
 _DIRECTIVE_RE = re.compile(r"^[ \t]*`[^\n]*$", re.MULTILINE)
-_OPENER_RE = re.compile(r'//|/\*|`|"')  # a comment, a directive or a string literal
 # No leading `\b`, which would keep the regex engine from skipping ahead to the
 # literal `module`; a hit that follows a word character is stepped past instead.
 _MODULE_RE = re.compile(rf"module\s+({_IDENT})")
@@ -591,7 +625,7 @@ _PORTS_OPEN_RE = re.compile(r"\s*\(")
 _SEMI_RE = re.compile(r"\s*;")
 
 
-def _read_header(source: str, masked: str, stop: int, lmap: _LineMap) -> tuple[ParsedModule, int]:
+def _read_header(source: str, masked: str, stop: int, path: str) -> tuple[ParsedModule, int]:
     """The header read from `masked`, which `_lex` blanked before `stop`, and the offset past the header.
 
     `masked` may end before the source does. `stop` ends a line, and
@@ -608,7 +642,7 @@ def _read_header(source: str, masked: str, stop: int, lmap: _LineMap) -> tuple[P
     while header and header.start() and _WORD_RE.match(masked, header.start() - 1):  # as `\bmodule` would skip it
         header = _MODULE_RE.search(masked, header.start() + 1)
     if not header:
-        raise GenerationError([error("no-module-header", "no 'module <name>' found in input", lmap.span(0))])
+        raise GenerationError([error("no-module-header", "no 'module <name>' found in input", _span(source, path, 0))])
     pos = header.end()
 
     imports: list[str] = []
@@ -621,50 +655,67 @@ def _read_header(source: str, masked: str, stop: int, lmap: _LineMap) -> tuple[P
     if m:
         listed = _header_list(masked, m.end() - 1)
         if listed is None:
-            raise GenerationError([error("no-module-header", "unclosed parameter list", lmap.span(m.end() - 1))])
+            raise GenerationError([error("no-module-header", "unclosed parameter list", _span(source, path, m.end() - 1))])
         items, pos = listed
-        for item, off in items:
-            param = _parse_parameter_item(item, lmap.span(off), diags)
+        for (item, _), span in zip(items, _spans(source, path, [off for _, off in items])):
+            param = _parse_parameter_item(item, span, diags)
             if param:
                 parameters.append(param)
 
     signals: list[InterfaceSignal] = []
     m = _PORTS_OPEN_RE.match(masked, pos)
     if m:
-        pos = m.end()
-        while plain := _PLAIN_PORT_RE.match(masked, pos):  # one match per plain item
-            direction, width, name, sep = plain.groups()
-            width = width.replace(" ", "") if width else ""
-            signals.append(InterfaceSignal(direction, name, width, lmap.span(plain.start(1))))
+        pos, rows, offsets = m.end(), [], []
+        for plain in _PLAIN_PORT_RE.finditer(masked, pos):  # one match per plain item, then an empty one
+            if not (sep := plain[4]):
+                break
+            rows.append(plain.groups())
+            offsets.append(plain.start(1))
             pos = plain.end()
             if sep == ")":
                 break
-        else:  # the rest of the list, from the first item that is not plain
+        signals = [tuple.__new__(InterfaceSignal, (direction, name, width.replace(" ", "") if width else "", span, None))
+                   for (direction, width, name, _), span in zip(rows, _spans(source, path, offsets))]
+        if not sep:  # the rest of the list, from the first item that is not plain
             listed = _header_list(masked, pos - 1)
             if listed is None:
-                raise GenerationError([error("no-module-header", "unclosed port list", lmap.span(m.end() - 1))])
+                raise GenerationError([error("no-module-header", "unclosed port list", _span(source, path, m.end() - 1))])
             items, pos = listed
-            for item, off in items:
-                pad = len(item) - len(item.lstrip())
-                sig = _parse_port_item(item, lmap.span(off + pad), diags)
+            offsets = [off + len(item) - len(item.lstrip()) for item, off in items]
+            for (item, _), span in zip(items, _spans(source, path, offsets)):
+                sig = _parse_port_item(item, span, diags)
                 if sig:
                     signals.append(sig)
     elif m := _SEMI_RE.match(masked, pos):
         pos = m.end()
     else:
         diags.append(
-            error("malformed-port-decl", "expected '(' or ';' after module name", lmap.span(pos))
+            error("malformed-port-decl", "expected '(' or ';' after module name", _span(source, path, pos))
         )
 
     # Warn first about directives in the header: module keyword to port list or `;`.
     diags[:0] = [
-        warning("preprocessor-ignored", "preprocessor directive ignored in header", lmap.span(d.start()),
-                source[d.start() : d.end()])
-        for d in directives
+        warning("preprocessor-ignored", "preprocessor directive ignored in header", span, source[d.start() : d.end()])
+        for d, span in zip(directives, _spans(source, path, [d.start() for d in directives]))
         if header.start() <= d.start() < pos
     ]
     # `m` is None when neither a port list nor `;` follows: the header has no end.
     return ParsedModule(header.group(1), parameters, signals, [], imports, diags), pos if m else len(source)
+
+
+def _opener(source: str, start: int) -> int:
+    """The offset of the first comment, directive or string opener from `start` on, or the source's length.
+
+    Each search stops where an earlier one found an opener.
+    """
+    cut = source.find("/", start)
+    while cut != -1 and source[cut + 1 : cut + 2] not in ("/", "*"):  # a `/` that opens no comment
+        cut = source.find("/", cut + 1)
+    cut = len(source) if cut == -1 else cut
+    for opener in ('"', "`"):
+        at = source.find(opener, start, cut)
+        cut = cut if at == -1 else at
+    return cut
 
 
 def parse_module(source: str, path: str = "<string>") -> ParsedModule:
@@ -676,53 +727,31 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     unclosed header list (`no-module-header`) and an unterminated annotation
     region.
     """
-    lmap = _LineMap(source, path)
     # Lex through the line of the last marker first, and read the header from
     # that text as far as the first comment, directive or string opener after
     # it (a string may hold a comment opener). The read is the whole file's if
     # the header ends by that opener; if it runs past it (to the source's end
     # when the read fails), lex the whole source and read again.
     stop = _marker_stop(source)
-    opener = _OPENER_RE.search(source, stop)
-    for stop, cut in ((stop, opener.start() if opener else len(source)), (len(source), len(source))):
+    for stop, cut in ((stop, _opener(source, stop)), (len(source), len(source))):
         comments, masked = _lex(source, stop)
         masked += source[len(masked) : cut]
         try:
-            (module, end), failure = _read_header(source, masked, stop, lmap), None
+            (module, end), failure = _read_header(source, masked, stop, path), None
         except GenerationError as exc:
             end, failure = len(source), exc
         if end <= cut:
             break
-    regions = _regions(source, comments, lmap)  # an open marked block is fatal first
+    regions = _regions(source, comments, path)  # an open marked block is fatal first
     if failure:
         raise failure
     diags = module.diagnostics
 
-    annotations: list[Annotation] = []
-    for text, offset in regions:
-        for line, line_offset in _region_lines(text, offset):
-            ann = _parse_annotation_line(line, line_offset, lmap, diags)
-            if ann:
-                annotations.append(ann)
+    annotations = _read_annotations(source, path, regions, diags)
 
-    seen_tnames: dict[str, SourceSpan] = {}
-    for ann in [a for a in annotations if isinstance(a.payload, RelationDecl)]:
-        rel = ann.payload
-        if rel.tname in seen_tnames:
-            diags.append(
-                error(
-                    "duplicate-transaction-name",
-                    f"transaction '{rel.tname}' already declared at {seen_tnames[rel.tname]}",
-                    ann.span,
-                    ann.raw_text,
-                )
-            )
-            annotations.remove(ann)  # the first declaration names the transaction
-        else:
-            seen_tnames[rel.tname] = ann.span
-
+    signals = module.signals + [a.payload for a in annotations if type(a.payload) is InterfaceSignal]
     seen_ports: set[str] = set()
-    for sig in module.signals + [a.payload for a in annotations if isinstance(a.payload, InterfaceSignal)]:
+    for sig in signals if len({sig.name for sig in signals}) < len(signals) else ():
         if sig.name in seen_ports:
             diags.append(error("malformed-port-decl", f"port '{sig.name}' declared twice", sig.span))
         seen_ports.add(sig.name)

@@ -81,9 +81,10 @@ def _candidate_bindings(
 ) -> dict[str, dict[str, Binding]]:
     """Collect bindings per interface name: an assign beats a signal."""
     per_iface: dict[str, dict[str, Binding]] = {p: {} for p in prefixes}
+    declared: list[InterfaceSignal] = []  # the declared signals of interfaces, bound after the header's ports
     for ann in pm.annotations:
         payload = ann.payload
-        if isinstance(payload, RelationDecl):
+        if type(payload) is RelationDecl:
             continue
         prefix, suffix = split_field(payload.name)
         if prefix not in per_iface:
@@ -95,7 +96,9 @@ def _candidate_bindings(
                     ann.raw_text,
                 )
             )
-        elif isinstance(payload, ExplicitAttrib):
+        elif type(payload) is InterfaceSignal:
+            declared.append(payload)
+        else:
             first = per_iface[prefix].setdefault(suffix, payload)
             if first is not payload:
                 diags.append(
@@ -107,12 +110,12 @@ def _candidate_bindings(
                     )
                 )
 
-    for sig in pm.signals + pm.declared_signals():
+    for sig in pm.signals + declared:
         prefix, suffix = split_field(sig.name) or (None, None)
         if prefix not in per_iface:
             continue  # not an attribute of any declared interface
         bound = per_iface[prefix].setdefault(suffix, sig)
-        if isinstance(bound, ExplicitAttrib):
+        if type(bound) is ExplicitAttrib:
             diags.append(
                 warning(
                     "explicit-overrides-port",
@@ -158,7 +161,7 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
     data, self loop).
     """
     diags: list[Diagnostic] = []
-    relations = [a for a in pm.annotations if isinstance(a.payload, RelationDecl)]  # names unique: see parse_module
+    relations = [a for a in pm.annotations if type(a.payload) is RelationDecl]  # names unique: see parse_module
 
     prefixes = {side for ann in relations for side in (ann.payload.p, ann.payload.q)}
 

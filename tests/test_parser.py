@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -14,7 +15,7 @@ from autoft.parser import (
     ExplicitAttrib,
     RelationDecl,
     _lex,
-    _LineMap,
+    _spans,
     extract_annotation_regions,
     parse_module,
     parse_relation,
@@ -98,7 +99,8 @@ def assert_lex_matches_reference(source: str) -> list[tuple[int, int, str]]:
     comments, masked = _lex(source)
     assert comments == naive_lexer.scan_comments(source)
     assert masked == naive_lexer.mask(source, comments)
-    assert _LineMap(source, "f.sv").starts == naive_lexer.line_starts(source)
+    offsets, starts = range(len(source) + 1), naive_lexer.line_starts(source)
+    assert _spans(source, "f.sv", list(offsets)) == [naive_lexer._span(starts, "f.sv", off) for off in offsets]
     assert regions_or_diagnostics(extract_annotation_regions, source) == regions_or_diagnostics(
         naive_lexer.extract_annotation_regions, source
     )
@@ -284,12 +286,34 @@ class TestFieldSplitting:
     def test_matches_suffix_loop(self, name):
         assert split_field(name) == self.split_by_suffix_loop(name)
 
-    @pytest.mark.parametrize("name", [
+    EDGES = [
         "", "_", "_val", "__val", "$_val", "9_val", "a$_val", "a_val_transid", "x_transid_unique_x",
         "a_transid_unique", "a__transid", "a_unique", "a_val_", "a_valx", "a_val\n", "a b_val", "é_val",
-    ])
+        "_transid_unique", "a__val", "x_unique", "x_transid_unique", "__transid_unique", "a$_transid_unique",
+        "$_transid_unique", "9_transid_unique", "x_val_val", "x_transid_transid_unique", "transid_unique",
+        "x__transid_unique", "x_transid__unique", "é_transid_unique",
+    ]
+
+    @pytest.mark.parametrize("name", EDGES)
     def test_matches_suffix_loop_on_edges(self, name):
         assert split_field(name) == self.split_by_suffix_loop(name)
+
+    # The regex rule that the `rpartition` split replaced, kept as a second reference: the one `_<suffix>`
+    # that ends a name, if any, is where the lazy prefix stops.
+    FIELD_RE = re.compile(rf"([A-Za-z_][A-Za-z0-9_$]*?)_({'|'.join(SUFFIXES)})")
+
+    @classmethod
+    def split_by_field_re(cls, name: str):
+        m = cls.FIELD_RE.fullmatch(name)
+        return m.groups() if m else None
+
+    @given(st.lists(NAME_PIECES, max_size=6).map("".join))
+    def test_matches_field_regex(self, name):
+        assert split_field(name) == self.split_by_field_re(name)
+
+    @pytest.mark.parametrize("name", EDGES)
+    def test_matches_field_regex_on_edges(self, name):
+        assert split_field(name) == self.split_by_field_re(name)
 
 
 class TestParseRelation:
@@ -416,25 +440,96 @@ class TestPortList:
         'input [a"b:0] p, input q"', "", "  input\n  var\n  l  ", "input m_val\t",
     ])
 
+    # Pieces of items: the tokens the port pattern and the list tokenizer treat apart (no comment, which only
+    # `parse_module` would blank), `$` names and `x_val_val`-style names.
+    TOKEN_ITEMS = st.lists(st.sampled_from([
+        "input ", "output ", "inout ", "wire ", "logic ", "reg ", "var ", "signed ", "unsigned ", "dat_t ",
+        "[", "]", "7", ":0", ":", "W-1", "(", ")", "{", "}", '"', ",", " ", "\n", "\t",
+        "a_val", "x_val_val", "a$", "b$_data", "$c", "9d", "e_transid_unique",
+    ]), max_size=8).map("".join)
+
     @staticmethod
     def one_by_one(source: str):
-        """Every item through `_header_list` and `_parse_port_item`, as the reference."""
-        open_pos = source.index("(")
-        items, _ = parser._header_list(source, open_pos)
-        lmap, diags, signals = _LineMap(source, "m.sv"), [], []
-        for item, off in items:
-            sig = parser._parse_port_item(item, lmap.span(off + len(item) - len(item.lstrip())), diags)
+        """Every item through `_header_list` and `_parse_port_item`, as the reference; None if the list never closes."""
+        listed = parser._header_list(source, source.index("("))
+        if listed is None:
+            return None
+        diags, signals = [], []
+        for item, off in listed[0]:
+            sig = parser._parse_port_item(item, _spans(source, "m.sv", [off + len(item) - len(item.lstrip())])[0], diags)
             if sig:
                 signals.append(sig)
         return signals, [(d.code, d.message, d.span) for d in diags]
 
-    @given(st.lists(ITEMS, min_size=1, max_size=8))
-    def test_matches_item_by_item_reading(self, items):
+    def assert_reads_item_by_item(self, items: list[str]):
         source = "module m (" + ",\n".join(items) + ");\n"
-        pm = parse_module(source, "m.sv")
+        try:
+            pm = parse_module(source, "m.sv")
+        except GenerationError as exc:
+            assert [d.code for d in exc.diagnostics] == ["no-module-header"]
+            assert self.one_by_one(source) is None
+            return
         got = pm.signals, [(d.code, d.message, d.span) for d in pm.diagnostics if d.code != "malformed-port-decl"
                            or "declared twice" not in d.message]
         assert got == self.one_by_one(source)
+
+    @given(st.lists(ITEMS, min_size=1, max_size=8))
+    def test_matches_item_by_item_reading(self, items):
+        self.assert_reads_item_by_item(items)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(ITEMS, TOKEN_ITEMS), min_size=1, max_size=6))
+    def test_token_items_match_item_by_item_reading(self, items):
+        self.assert_reads_item_by_item(items)
+
+
+class TestPlainLines:
+    """A plain payload line is read by one match, exactly as the general branch of `_parse_annotation_line` reads it."""
+
+    NAMES = ["a_val", "x_val_val", "a$_data", "b$", "$c_ack", "t0", "e_transid_unique", "x_unique", "9f_val", "_val", "q"]
+    # Every token the lexer, the tokenizer or the plain pattern treats apart, and the names.
+    TOKENS = [*NAMES, " ", "\t", ":", "-in>", "-out>", "->", "-", ">", "=", "==", "===", "<=", ">=", "!=", ";", ",",
+              "[", "]", "3:0", "W-1", "(", ")", "{", "}", '"', "//", "/*", "*/", "*", "1'b1", "input ", "output "]
+    WS = st.sampled_from(["", " ", "\t "])
+    NAME = st.sampled_from(NAMES)
+    RUN = st.lists(st.sampled_from(TOKENS), max_size=6).map("".join)
+    RELATIONS = st.tuples(
+        NAME, WS, st.sampled_from([":", "::", "="]), WS, NAME, WS, st.sampled_from(["-in>", "-out>", "->", "-in >"]),
+        WS, NAME, WS,
+    ).map("".join)
+    ASSIGNMENTS = st.tuples(
+        st.sampled_from(["", "[3:0] ", "[W-1:0]", "[ ] ", "[a[1]:0] ", "[", "[a=b] ", "[x;y] "]), NAME, WS,
+        st.sampled_from(["=", "==", "<="]), WS, RUN, st.sampled_from(["", ";", " ;", ";;", "; x"]),
+    ).map("".join)
+
+    @staticmethod
+    def general(text: str):
+        """The payload lines of a one-line region through the general branch, and the diagnostics."""
+        lines, offsets = parser._region_lines([(text, 0)])
+        diags = []
+        anns = [parser._parse_annotation_line(line, span, diags) for line, span in zip(lines, _spans(text, "m.sv", offsets))]
+        return [a for a in anns if a is not None], diags
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(RELATIONS, ASSIGNMENTS, st.lists(st.sampled_from(TOKENS), max_size=12).map("".join)))
+    def test_matches_general_path(self, text):
+        diags = []
+        assert (parser._read_annotations(text, "m.sv", [(text, 0)], diags), diags) == self.general(text)
+
+    @pytest.mark.parametrize("text", [
+        "t: a -in> b", " t :a-out>b ", "[3:0] a_val = x", "a_val=x ;", "a$_data = b$ + 1'b1", "x_val_val = a, b",
+        "[ W-1 : 0 ] e_transid_unique = !q", "a_val = ;", "a_val = x;;", "x_unique = y", "a_val = (x)", "a_val == x",
+    ])
+    def test_matches_general_path_on_edges(self, text):
+        diags = []
+        assert (parser._read_annotations(text, "m.sv", [(text, 0)], diags), diags) == self.general(text)
+
+    def test_plain_lines_take_one_match(self):
+        lines = ["t: a -in> b", "[3:0] a_val = x", "a_val = x;", "a$_data = b$ + 1'b1", "x_val_val = a, b"]
+        assert all(parser._PLAIN_LINE_RE.fullmatch(line) for line in lines)
+        with mock.patch.object(parser, "_parse_annotation_line") as general:
+            assert len(parser._read_annotations("\n".join(lines), "m.sv", [("\n".join(lines), 0)], [])) == 5
+        general.assert_not_called()
 
 
 # One corpus entry per language production or error rule: (source, check).
@@ -641,6 +736,23 @@ class TestParseModule:
         pm = parse_module(header("input wire a_val", "// AUTOSVA t: a -in> b\n// AUTOSVA t: c -out> d"))
         assert [d.code for d in pm.diagnostics] == ["duplicate-transaction-name"]
         assert [(r.tname, r.p, r.q) for r in payloads(pm, RelationDecl)] == [("t", "a", "b")]
+
+    def test_interleaved_duplicate_transaction_names(self):
+        # The first declaration of a name wins; each later one is reported once, at its own line, after every
+        # other diagnostic, and the annotations that are kept keep their order.
+        pm = parse_module(header("input wire a_val", "\n".join(f"// AUTOSVA {line}" for line in [
+            "t0: a -in> b", "t1: c -in> d", "t0: e -in> f", "a_val = x", "t1: g -out> h", "t2: i -in> j",
+            "t0: k -in> l", "b_val = y(",
+        ])))
+        assert [(type(a.payload).__name__, a.span.line) for a in pm.annotations] == [
+            ("RelationDecl", 1), ("RelationDecl", 2), ("ExplicitAttrib", 4), ("RelationDecl", 6)]
+        assert [(r.tname, r.p) for r in payloads(pm, RelationDecl)] == [("t0", "a"), ("t1", "c"), ("t2", "i")]
+        assert [(d.code, d.message, d.span.line, d.snippet) for d in pm.diagnostics] == [
+            ("unbalanced-brackets", "'(' does not balance", 8, "b_val = y("),
+            ("duplicate-transaction-name", "transaction 't0' already declared at <string>:1:12", 3, "t0: e -in> f"),
+            ("duplicate-transaction-name", "transaction 't1' already declared at <string>:2:12", 5, "t1: g -out> h"),
+            ("duplicate-transaction-name", "transaction 't0' already declared at <string>:1:12", 7, "t0: k -in> l"),
+        ]
 
     def test_unmatched_val_port_is_retained_not_annotated(self):
         pm = parse_module(header("input wire foo_val", "// AUTOSVA t: a -in> b"))
