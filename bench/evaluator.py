@@ -14,17 +14,20 @@ sides. The items of a round are:
 - the model checks at oracle size (`oracle_size`), as perfbench's oracle
   workload runs them: `fifo`, `noc_buffer`, `noc_buffer_buggy` and
   `pipeline` with `--traces` traces, `--drive` driven cycles and a drain
-  of 12 to 20;
+  of 12 to 20, each on one bundle of its fixture made once per side;
 - the same at default size (`default_size`), as `autoft check` and
-  perfbench's probe `check` run them: `MODEL_REGISTRY[name]()`.
+  perfbench's probe `check` run them: `MODEL_REGISTRY[name]()`, each on a
+  fresh bundle of its fixture, made before the timer starts.
 
 A model turn times one `check_bundle_on_model` call on a fresh model after a
 full collection, drawing the traces and compiling the fixture's bundle
-included. One more check per side counts the registers it derives per trace
-(`tracecheck._register`). Sides that draw equal traces must give equal
-entries; the checks whose traces differ are named in `traces_differ`. Rates
-(traces per busy second) and model times (ms) are medians over rounds, with
-quartiles. With two sides, `after_over_before` holds each median's ratio and
+included; at default size, binding the bundle's property trees is included
+too, which a reused bundle did on its first turn only. One more check per
+side counts the registers it derives per trace (`tracecheck._register`).
+Sides that draw equal traces must give equal entries; the checks whose
+traces differ are named in `traces_differ`. Rates (traces per busy second)
+and model times (ms) are medians over rounds, with quartiles. With two
+sides, `after_over_before` holds each median's ratio and
 `paired_after_over_before` that ratio's quartiles over the rounds' pairs.
 """
 from __future__ import annotations
@@ -72,10 +75,10 @@ class Side:
     def __init__(self, af, alias: str, args):
         self.af = af
         self.cases = {case.name: case for case in load_cases(af, alias)}
-        self.props, self.models = {}, {}
+        self.texts, self.props, self.models = {}, {}, {}
         for name, (cls, kwargs) in ORACLE_SIZE.items():
-            text = (ROOT / "fixtures" / f"{name}.sv").read_text(encoding="utf-8")
-            self.props[name] = af.emit.generate_bundle(text, name, af.options.GenOptions()).properties
+            self.texts[name] = (ROOT / "fixtures" / f"{name}.sv").read_text(encoding="utf-8")
+            self.props[name] = self.bundle(name)
             kwargs = dict(kwargs, n_traces=args.traces, drive=args.drive)
             self.models["oracle_size", name] = lambda cls=getattr(af.models, cls), kwargs=kwargs: cls(**kwargs)
             self.models["default_size", name] = af.models.MODEL_REGISTRY[name]
@@ -102,10 +105,15 @@ class Side:
                 raise RuntimeError(f"{name}: the evaluator and the naive checker differ on {trace.columns}")
         return n, busy
 
+    def bundle(self, name: str) -> list:
+        """The properties of a fresh bundle of a fixture, none of their trees bound yet."""
+        return self.af.emit.generate_bundle(self.texts[name], name, self.af.options.GenOptions()).properties
+
     def timed(self, config: str, name: str) -> float:
+        props = self.props[name] if config == "oracle_size" else self.bundle(name)
         gc.collect()
         t0 = time.perf_counter()
-        self.af.models.check_bundle_on_model([], self.props[name], self.models[config, name]())
+        self.af.models.check_bundle_on_model([], props, self.models[config, name]())
         return (time.perf_counter() - t0) * 1e3
 
     def registers(self, config: str, name: str) -> tuple[float, list[tuple], list[dict]]:

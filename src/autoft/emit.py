@@ -11,14 +11,14 @@ shape renders its slotted trees once, its aux declarations and its
 properties with their labels and directives, and `render()` stays the only
 source of SVA text. `gen` and `link` never hold the property module's text:
 `write_files` writes each block as `ModuleModel.files` yields it, and drops
-it, and they bind no transaction's trees. `check` holds the properties,
-made by `gen_properties`, whose bodies the shape binds to each
-transaction's names when the evaluator reads them, and renders no text;
-`generate_bundle` holds both, its property module joined over the same
-generator. `write_files` encodes and writes a text in fixed slices rather
-than as one bytes copy. Synthesis has decided every property and its label
-by the time `generate_model` returns, so making and writing them reports
-nothing.
+it, and they build no transaction's own trees. `check` holds the
+properties, made by `gen_properties`, whose bodies the shape's builder makes
+over each transaction's names when the evaluator reads them, and renders no
+text; `generate_bundle` holds both, its property module joined over the
+same generator. `write_files` encodes and writes a text in fixed slices
+rather than as one bytes copy. Synthesis has decided every property and its
+label by the time `generate_model` returns, so making and writing them
+reports nothing.
 """
 from __future__ import annotations
 

@@ -50,18 +50,20 @@ under `assert_inputs`) and body, reading only the roles, never the bindings,
 and reporting nothing.
 
 The checks follow from the options and the transaction's shape alone, and
-so do the bodies and the aux declarations up to names. So a `Shape` holds
-the role map, the aux signals and the checks of every transaction of one
-shape in a module once, over slot names: `slot(i)` stands for the i-th of a
-transaction's names (`TransactionAux.names`). This is partial evaluation:
-the generator is run once for the static part, the shape, and each
-transaction supplies only its names. `Shape.render` renders the trees once
-into the pieces of text between slot names, and each transaction's block of
-`<dut>_prop.sv`, its relation comment, its declarations and its properties,
-is those pieces joined with its names. `Shape.bind` binds the trees to a
-transaction's names, once, for the callers that read them: its role map
-and aux signals (`TransactionAux.roles`, `.signals`) and, through
-`gen_properties`, each property's body when it is first read.
+so do the bodies and the aux declarations up to names. So one builder per
+shape, synthesis's role-map builder followed by `_checks`, makes every tree
+a transaction of that shape has, given a function that names its i-th
+name (`TransactionAux.names`). This is partial evaluation: the shape is the
+static part, and the names the dynamic one. A `Shape` runs the builder
+once over slot names, `slot(i)` for the i-th name, and `Shape.render`
+renders those trees once into the pieces of text between slot names: each
+transaction's block of `<dut>_prop.sv`, its relation comment, its
+declarations and its properties, is those pieces joined with its names.
+`Shape.bind` runs the same builder over a transaction's own names, once,
+for the callers that read its trees: its role map and aux signals
+(`TransactionAux.roles`, `.signals`) and, through `gen_properties`, each
+property's body when it is first read. Only `slot` writes a slot name, and
+only `Shape.render` reads one.
 
 Each body is a node tree of the property IR (`autoft.sva`) built by the
 per-kind builders below: the emitter renders it and `autoft.tracecheck`
@@ -69,6 +71,7 @@ evaluates it.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from operator import itemgetter
 
 from .diagnostics import Diagnostic
@@ -117,10 +120,10 @@ class GeneratedProperty:
     """One property: its IR body, which `body.render()` gives as SVA text.
 
     Made with `aux`, `body` is the index of its check in the shape of that
-    transaction (`TransactionAux`), and the body is bound from the shape's
-    tree when first read. compiled is (body, evaluator) as
-    `tracecheck.eval_property` last compiled it; it is recompiled when `body`
-    is another object.
+    transaction (`TransactionAux`), and the body is built over the
+    transaction's names when first read (`Shape.bind`). compiled is (body,
+    evaluator) as `tracecheck.eval_property` last compiled it; it is
+    recompiled when `body` is another object.
     """
 
     __slots__ = ("name", "kind", "directive", "_body", "_aux", "compiled")
@@ -264,10 +267,10 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     The result is deterministic: kinds appear in a fixed order, names follow
     `<tname>_<kind>[_<side>]` unless synthesis renamed the label, and the
     checks are those of the transaction's shape, made under the options
-    synthesis was given. Each body is bound from the shape's tree when it is
-    first read. Synthesis (`signals.synth_module`) has decided the checks,
-    and warned of each binding that generates none, so nothing is reported
-    into `diags`.
+    synthesis was given. Each body is built over the transaction's names when
+    it is first read. Synthesis (`signals.synth_module`) has decided the
+    checks, and warned of each binding that generates none, so nothing is
+    reported into `diags`.
     """
     shape = aux.shape
     return [GeneratedProperty(label, kind, directive, i, aux)
@@ -283,20 +286,6 @@ def slot(i: int) -> str:
     return f"\0{chr(i + 1)}\0"
 
 
-def _bind(node: Node, names: list, memo: dict[int, Node]) -> Node:
-    """`node` with each slot name in it replaced by that slot of `names`; `memo` binds a node reached twice once.
-
-    A node is a named tuple, so it is made as a tuple of its fields.
-    """
-    got = memo.get(id(node))
-    if got is None:
-        got = memo[id(node)] = tuple.__new__(node.__class__, [
-            _bind(f, names, memo) if isinstance(f, Node) else tuple([_bind(x, names, memo) for x in f])
-            if f.__class__ is tuple else names[ord(f[1]) - 1] if f.__class__ is str and f[:1] == "\0" else f
-            for f in node])
-    return got
-
-
 def _render_property(name: str, directive: str, body: str) -> str:
     """A property's text, of one or more lines, around its body: `@(posedge clk) disable iff (...)`, then its tree."""
     if directive != ASSUME:
@@ -306,40 +295,38 @@ def _render_property(name: str, directive: str, body: str) -> str:
 
 
 class Shape:
-    """The trees and the text of every transaction of one shape in a module, over slot names.
+    """The trees and the text of every transaction of one shape in a module.
 
     A transaction's names are one flat list (`TransactionAux.names`): its
     name, its interfaces', its counter's limit parameter and limit, its
     signals' names, assigns and ranges in the order synthesis allocates
-    them, `size` in all, then its property labels. roles and signals are the
-    role map and the aux signals over `slot(i)` for the i-th name, and checks
-    holds (label suffix, kind, directive, body) of each check, in emitted
-    order. A transaction binds these trees to its names (`bind`), and fills
-    its names into the text they render (`render`).
+    them, `size` in all, then its property labels. `build(name)` is the
+    shape's role-map builder (`signals._slotted`), which gives the role map,
+    the aux signals and `size` with `name(i)` for the i-th name. signals are
+    the aux signals over `slot(i)` for the i-th name, and checks holds
+    (label suffix, kind, directive, body) of each check over the same slots,
+    in emitted order. A transaction's own trees come from the same builder
+    run over its names (`bind`), and its text is the shape's with its names
+    filled in (`render`).
     """
 
-    __slots__ = ("checks", "roles", "signals", "size", "_relation", "_opts", "_pieces", "_names", "_bound")
+    __slots__ = ("checks", "signals", "size", "_direction", "_build", "_opts", "_pieces", "_names", "_bound")
 
-    def __init__(self, direction: str, roles: dict[str, Node | None], signals: list[Aux], size: int,
-                 opts: GenOptions):
+    def __init__(self, direction: str, build: Callable[[Callable[[int], str | int]], tuple], opts: GenOptions):
+        roles, self.signals, self.size = build(slot)
         self.checks = _checks(direction, roles, opts)
-        self.roles, self.signals, self.size, self._opts, self._pieces, self._bound = roles, signals, size, opts, None, {}
-        arrow = "-in>" if direction == "incoming" else "-out>"
-        self._relation = f"// ---- transaction {slot(0)}: {slot(1)} {arrow} {slot(2)} ----"
+        self._direction, self._build, self._opts, self._pieces, self._bound = direction, build, opts, None, {}
 
     def bind(self, names: list) -> tuple[dict[str, Node | None], list[Aux], list[Node]]:
         """The role map, aux signals and check bodies of the transaction of this shape named by `names`.
 
-        They are bound on the first call for the transaction, whose name is
-        unique in its module, and kept. Each node
-        of the shape's trees is bound to one node, so the nodes that its
-        trees share, the transaction's trees share too.
+        They are made on the first call for the transaction, whose name is
+        unique in its module, by the shape's builder and `_checks` over its
+        names, and kept.
         """
         if (bound := self._bound.get(names[0])) is None:
-            memo: dict[int, Node] = {}
-            roles = {role: None if node is None else _bind(node, names, memo) for role, node in self.roles.items()}
-            bound = self._bound[names[0]] = (roles, [_bind(a, names, memo) for a in self.signals],
-                                          [_bind(c[3], names, memo) for c in self.checks])
+            roles, signals, _ = self._build(names.__getitem__)
+            bound = self._bound[names[0]] = roles, signals, [c[3] for c in _checks(self._direction, roles, self._opts)]
         return bound
 
     def render(self, names: list) -> str:
@@ -350,8 +337,9 @@ class Shape:
         with the names in the slots.
         """
         if self._pieces is None:
-            opts, guarded = self._opts, []
-            head, lines = f"@(posedge {opts.clk}) disable iff ({opts.rst_expr})", ["", "", self._relation, ""]
+            opts, guarded, arrow = self._opts, [], "-in>" if self._direction == "incoming" else "-out>"
+            head = f"@(posedge {opts.clk}) disable iff ({opts.rst_expr})"
+            lines = ["", "", f"// ---- transaction {slot(0)}: {slot(1)} {arrow} {slot(2)} ----", ""]
             for a in self.signals:
                 lines += a.declare(opts)
             for i, (_, kind, directive, tree) in enumerate(self.checks, self.size):

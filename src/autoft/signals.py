@@ -24,11 +24,12 @@ one flat list, and its shape key: its direction; how each role is bound (a
 port, a wire it declares, of one bit or with a range, a wire an earlier
 transaction declared, or a flag); which handshakes it declares; and, when
 tracked, whether its id is unique and which of its ranges are empty. The
-first transaction of each shape in a module runs the role-map builder,
-`_slotted`, over slot names (`properties.slot`), and its `properties.Shape`
-makes the checks over the same slots; every transaction of the shape shares
-that `Shape` (`TransactionAux.shape`), and binds its trees only when they
-are read.
+first transaction of each shape in a module makes its `properties.Shape`,
+which keeps the role-map builder, `_slotted`, for the key: run over slot
+names (`properties.slot`), it gives the trees the shape renders; run over a
+transaction's names, that transaction's own. Every transaction of the shape
+shares that `Shape` (`TransactionAux.shape`), and its own trees are built
+only when they are read.
 
 Every name the property module declares beyond the header's is allocated
 here, by one `_Namer` seeded with the ports, the declared signals and the
@@ -52,11 +53,13 @@ naming the module), so the namer holds them already.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
+from functools import partial
 
 from .diagnostics import Diagnostic, error, errors_in, warning
 from .options import GenOptions
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule
-from .properties import ASRT_BLOCK, ASSM_BLOCK, ASSUME, Shape, slot
+from .properties import ASRT_BLOCK, ASSM_BLOCK, ASSUME, Shape
 from .sva import (
     STABLE_LABEL, And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched,
 )
@@ -171,17 +174,19 @@ def _transaction_names(t: Transaction, limit: int, namer: _Namer, shared: dict,
     return names, tuple(key)
 
 
-def _slotted(key: tuple) -> tuple[dict[str, Node | None], list[Aux], int]:
-    """The role map and the aux signals of each transaction of shape `key`, over slot names, and its count of slots.
+def _slotted(key: tuple, name: Callable[[int], str | int]) -> tuple[dict[str, Node | None], list[Aux], int]:
+    """The role map and the aux signals of a transaction of shape `key`, and its count of names.
 
-    The slots are taken in the order of `_transaction_names`' names; a range
-    the key says is empty takes its slot but is "".
+    `name(i)` gives the i-th of the transaction's names, in the order of
+    `_transaction_names`: `properties.slot` for the shape's trees, or a
+    transaction's `names.__getitem__` for its own. A range the key says is
+    empty takes its name but is "".
     """
     count, roles, signals = itertools.count(5), {}, []
 
     def take(used: bool = True) -> str:
-        name = slot(next(count))
-        return name if used else ""
+        i = next(count)
+        return name(i) if used else ""
 
     for role, kind in zip(_BOUND_ROLES, key[1:]):
         if kind == _PORT:
@@ -199,7 +204,7 @@ def _slotted(key: tuple) -> tuple[dict[str, Node | None], list[Aux], int]:
         if next(tokens):  # the transaction declares it
             signals.append(hsk)
     p_hsk, q_hsk = roles["p_hsk"], roles["q_hsk"]
-    roles["counter"] = counter = Counter(take(), p_hsk, q_hsk, slot(4), slot(3), take())
+    roles["counter"] = counter = Counter(take(), p_hsk, q_hsk, name(4), name(3), take())
     signals.append(counter)
     if "p_transid" in roles:
         unique, symb = next(tokens), Symbolic(take(), take(next(tokens)))
@@ -255,7 +260,7 @@ def synth_module(
     namer, shared, shapes, made = _Namer(taken, diags), {}, {}, []
     for t in txns:
         names, key = _transaction_names(t, opts.outstanding_limit(t.tname), namer, shared, diags)
-        made.append((names, shapes.get(key) or shapes.setdefault(key, Shape(key[0], *_slotted(key), opts))))
+        made.append((names, shapes.get(key) or shapes.setdefault(key, Shape(key[0], partial(_slotted, key), opts))))
     for t in txns:  # bindings that generate no property
         p, q = t.p.bindings, t.q.bindings
         if "stable" in q:

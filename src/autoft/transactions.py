@@ -60,9 +60,9 @@ class TransactionAux(namedtuple("TransactionAux", "names shape")):
 
     names is the flat list of every name its text fills in, its property
     labels last; shape is the `properties.Shape` of every transaction of its
-    shape in its module, whose trees are over slot names. roles and signals
-    are its role map and aux signals, which the shape binds to its names
-    when first read (`Shape.bind`).
+    shape in its module. roles and signals are its role map and aux signals,
+    which the shape's builder makes over its names when first read
+    (`Shape.bind`).
     """
 
     __slots__ = ()

@@ -22,7 +22,7 @@ from autoft.emit import (
 )
 from autoft.options import GenOptions
 from autoft.parser import parse_module
-from autoft.properties import Shape, apply_link_transforms, gen_properties
+from autoft.properties import apply_link_transforms, gen_properties, slot
 from autoft.signals import synth_module_aux
 from autoft.tracecheck import Trace, eval_property
 from autoft.transactions import build_transactions
@@ -558,17 +558,40 @@ def _repeated(n: int) -> str:
 @pytest.mark.parametrize("src, txns, shapes", [(REPEATED_SHAPES, 14, 9), (_repeated(40), 40, 2)])
 def test_gen_builds_each_shapes_trees_once_and_binds_no_transaction(src, txns, shapes, monkeypatch, tmp_path,
                                                                       capsys):
-    built, bound = [], []
-    slotted, bind = signals._slotted, Shape.bind
-    monkeypatch.setattr(signals, "_slotted", lambda key: built.append(key) or slotted(key))
-    monkeypatch.setattr(Shape, "bind", lambda self, names: bound.append(names) or bind(self, names))
+    built, slotted = [], signals._slotted  # (key, naming function) of each call of the builder
+    monkeypatch.setattr(signals, "_slotted", lambda key, name: built.append((key, name)) or slotted(key, name))
     path = tmp_path / "in.sv"
     path.write_text(src, encoding="utf-8")
     assert cli.main(["gen", str(path), "--tool", "both", "-o", str(tmp_path / "o")]) == 0
-    assert len(built) == len(set(built)) == shapes and bound == []
+    assert len(built) == len({key for key, _ in built}) == shapes and {name for _, name in built} == {slot}
     model = generate_model(src, "in.sv", GenOptions())
-    assert len(model.txns) == txns and len({id(a.shape) for a in model.aux}) == shapes
-    assert bound == [] and model.aux[-1].roles["p_hsk"].name == model.txns[-1].p.name + "_hsk" and len(bound) == 1
+    assert len(model.txns) == txns and len({id(a.shape) for a in model.aux}) == shapes and len(built) == 2 * shapes
+    bodies = [p.body for props in model.properties() for p in props]  # once more per transaction
+    assert len(built) == 2 * shapes + txns and slot not in {name for _, name in built[2 * shapes:]}
+    assert [p.body for props in model.properties() for p in props] == bodies and len(built) == 2 * shapes + txns
+    assert model.aux[-1].roles["p_hsk"].name == model.txns[-1].p.name + "_hsk" and len(built) == 2 * shapes + txns
+
+
+def test_transactions_of_one_shape_evaluate_with_their_own_limit_and_ranges():
+    src = _module("input wire a_val,\ninput wire [1:0] a_transid,\ninput wire [3:0] a_data,\n"
+                  "output wire b_val,\noutput wire [1:0] b_transid,\noutput wire [3:0] b_data,\n"
+                  "input wire c_val,\ninput wire [1:0] c_transid,\ninput wire [7:0] c_data,\n"
+                  "output wire d_val,\noutput wire [1:0] d_transid,\noutput wire [7:0] d_data",
+                  "/*AUTOSVA\nt0: a -in> b\nt1: c -in> d\n*/")
+    model = generate_model(src, "m.sv", GenOptions(max_outstanding_overrides={"t0": 1}))
+    assert model.aux[0].shape is model.aux[1].shape
+    # Two accepted requests, the first carrying 0x1f, then one response carrying 0x1f.
+    columns = {}
+    for t, p, q in (("t0", "a", "b"), ("t1", "c", "d")):
+        columns |= {f"{p}_val": [1, 1, 0], f"{p}_transid": [0, 1, 0], f"{p}_data": [0x1f, 0, 0],
+                    f"{q}_val": [0, 0, 1], f"{q}_transid": [0, 0, 0], f"{q}_data": [0, 0, 0x1f],
+                    f"symb_{t}_transid": [0, 0, 0]}
+    trace = Trace(columns)
+    verdicts = {p.name: eval_property(p, trace) for props in model.properties() for p in props}
+    for name in ("t0_counter_no_underflow", "t0_data_integrity"):
+        assert (verdicts[name].outcome, verdicts[name].cycle) == ("violated", 2)
+    for name in ("t1_counter_no_underflow", "t1_data_integrity"):
+        assert verdicts[name].outcome == "holds"
 
 
 # A parent whose last port ends in `endmodule`, so that its port list does too.
