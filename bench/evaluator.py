@@ -17,12 +17,13 @@ sides. The items of a round are:
   of 12 to 20, each on one bundle of its fixture made once per side;
 - the same at default size (`default_size`), as `autoft check` and
   perfbench's probe `check` run them: `MODEL_REGISTRY[name]()`, each on a
-  fresh bundle of its fixture, made before the timer starts.
+  fresh `generate_model` of its fixture, made before the timer starts.
 
 A model turn times one `check_bundle_on_model` call on a fresh model after a
-full collection, drawing the traces and compiling the fixture's bundle
-included; at default size, binding the bundle's property trees is included
-too, which a reused bundle did on its first turn only. One more check per
+full collection, drawing the traces and compiling the properties included.
+At default size it also times what `autoft check` does between generating
+the model and checking it: `gen_properties` over the model's transactions,
+which builds each transaction's trees. One more check per
 side counts the registers it derives per trace (`tracecheck._register`).
 Sides that draw equal traces must give equal entries; the checks whose
 traces differ are named in `traces_differ`. Rates (traces per busy second)
@@ -106,14 +107,17 @@ class Side:
         return n, busy
 
     def bundle(self, name: str) -> list:
-        """The properties of a fresh bundle of a fixture, none of their trees bound yet."""
+        """The properties of a fresh bundle of a fixture."""
         return self.af.emit.generate_bundle(self.texts[name], name, self.af.options.GenOptions()).properties
 
     def timed(self, config: str, name: str) -> float:
-        props = self.props[name] if config == "oracle_size" else self.bundle(name)
+        af, fresh = self.af, config == "default_size"
+        module = af.emit.generate_model(self.texts[name], name, af.options.GenOptions()) if fresh else None
         gc.collect()
         t0 = time.perf_counter()
-        self.af.models.check_bundle_on_model([], props, self.models[config, name]())
+        props = self.props[name] if module is None else [
+            p for t, a in zip(module.txns, module.aux) for p in af.properties.gen_properties(t, a, module.opts, [])]
+        af.models.check_bundle_on_model([], props, self.models[config, name]())
         return (time.perf_counter() - t0) * 1e3
 
     def registers(self, config: str, name: str) -> tuple[float, list[tuple], list[dict]]:

@@ -8,11 +8,11 @@ Subcommands:
            module over the generated properties;
 * `link`   generate a parent and child bundles and bind each child's
            property module into the parent's: every `--child` spec is
-           `PATH=am`, or `PATH=am,as` to assert the child's assumptions, and
-           a spec without `am` is a usage error, raised before any module is
-           generated. The parent and the children must be distinct modules
-           (else a `duplicate-module` error); transaction names may repeat
-           across them.
+           `PATH=am`, or `PATH=am,as` to assert the child's assumptions, split
+           at its last `=`, and a spec without `am` is a usage error, raised
+           before any module is generated. The parent and the children must
+           be distinct modules (else a `duplicate-module` error); transaction
+           names may repeat across them.
 
 All three share one front half, `_models`: it reads the input and every
 child, then generates every module's model (parse, transactions, aux
@@ -71,6 +71,18 @@ def _print_diagnostics(diags: list[Diagnostic]) -> None:
         print(d.render(color), file=sys.stderr)
 
 
+def integer(text: str) -> int:
+    """text as an int if it is an optional sign and ASCII digits, as `Trace.from_csv` reads a cell; else a ValueError.
+
+    `int` also reads other scripts' digits and `_` between digits, such as
+    `1_0`; neither is ASCII digits. argparse names this function in its
+    message on a bad `--bounded`: "invalid integer value".
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an integer: '{text}'")
+    return int(text)
+
+
 def _parse_max_outstanding(values: list[str] | None) -> tuple[int, dict[str, int]]:
     default = DEFAULT_MAX_OUTSTANDING
     overrides: dict[str, int] = {}
@@ -80,9 +92,9 @@ def _parse_max_outstanding(values: list[str] | None) -> tuple[int, dict[str, int
                 tname, _, num = item.partition("=")
                 if not tname.strip():
                     raise ValueError("no transaction name")
-                overrides[tname.strip()] = int(num)
+                overrides[tname.strip()] = integer(num)
             else:
-                default = int(item)
+                default = integer(item)
         except ValueError:
             raise UsageError(f"--max-outstanding expects N or TNAME=N, got '{item}'") from None
     return default, overrides
@@ -153,8 +165,11 @@ def _write(outdir: Path, *modules: tuple[ModuleModel, list]) -> None:
 
 
 def _parse_child_spec(spec: str) -> tuple[Path, bool]:
-    """The child's path and its `as` flag; `am` must be given, since a child is linked only by its bind."""
-    path_text, _, flag_text = spec.partition("=")
+    """The child's path and its `as` flag; `am` must be given, since a child is linked only by its bind.
+
+    The flags follow the last `=`, since a path may hold one; a spec without `=` is a path without flags.
+    """
+    path_text, _, flag_text = spec.rpartition("=") if "=" in spec else (spec, "", "")
     if not path_text:
         raise UsageError(f"no child file in '{spec}'")
     flags = {f.strip() for f in flag_text.split(",") if f.strip()}
@@ -218,7 +233,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="treat the reset as active high (default: active low)",
     )
     parser.add_argument(
-        "--bounded", type=int, metavar="N",
+        "--bounded", type=integer, metavar="N",
         help="replace unbounded eventualities with an N-cycle window",
     )
     parser.add_argument(

@@ -12,9 +12,9 @@ properties with their labels and directives, and `render()` stays the only
 source of SVA text. `gen` and `link` never hold the property module's text:
 `write_files` writes each block as `ModuleModel.files` yields it, and drops
 it, and they build no transaction's own trees. `check` holds the
-properties, made by `gen_properties`, whose bodies the shape's builder makes
-over each transaction's names when the evaluator reads them, and renders no
-text; `generate_bundle` holds both, its property module joined over the
+properties, made by `gen_properties`, which runs the shape's builder over
+each transaction's names once and gives each property its body, and renders
+no text; `generate_bundle` holds both, its property module joined over the
 same generator. `write_files` encodes and writes a text in fixed slices
 rather than as one bytes copy. Synthesis has decided every property and its
 label by the time `generate_model` returns, so making and writing them
@@ -29,7 +29,7 @@ from pathlib import Path
 from .diagnostics import Diagnostic, GenerationError, UnsupportedToolError, error, errors_in
 from .options import TOOL_BOTH, TOOL_JASPERGOLD, TOOL_SYMBIYOSYS, GenOptions
 from .parser import ParsedModule, parse_module
-from .properties import GeneratedProperty, gen_properties
+from .properties import ASSERT_INPUTS, GeneratedProperty, gen_properties
 from .signals import synth_module
 from .sva import width_prefix
 from .transactions import Transaction, TransactionAux, build_transactions
@@ -84,7 +84,7 @@ class ModuleModel(namedtuple("ModuleModel", "pm txns aux warnings opts")):
         return self.pm.module_name
 
     def properties(self) -> Iterator[list[GeneratedProperty]]:
-        """Each transaction's properties in turn, made when it is reached; a body is bound when first read."""
+        """Each transaction's properties in turn, made with their bodies when it is reached."""
         for t, t_aux in zip(self.txns, self.aux):
             yield gen_properties(t, t_aux, self.opts, self.warnings)
 
@@ -109,7 +109,7 @@ def _blocks(pm: ParsedModule, aux: list[TransactionAux], opts: GenOptions, binds
     """
     dut = pm.module_name
     params = [f"parameter {p.name} = {p.value_expr}" for p in pm.parameters]
-    params.append(f"parameter ASSERT_INPUTS = {1 if opts.assert_inputs else 0}")
+    params.append(f"parameter {ASSERT_INPUTS} = {1 if opts.assert_inputs else 0}")
     params += [f"parameter {a.names[3]} = {a.names[4]}" for a in aux]  # each counter's limit
     imports = f" {' '.join(pm.imports)}" if pm.imports else ""
     yield "\n".join([f"// Interface transaction properties for {dut}. {_BANNER}", "", f"module {dut}_prop{imports} #(",
@@ -259,7 +259,7 @@ def bind_block(parent: str, children: list[tuple[str, bool]]) -> tuple[str, tupl
     lines = ["", "", "// ---- linked submodule testbenches ----"]
     sources: list[str] = []
     for dut, as_ in children:
-        override = " #(.ASSERT_INPUTS(1))" if as_ else ""
+        override = f" #(.{ASSERT_INPUTS}(1))" if as_ else ""
         lines.append(f"bind {dut} {dut}_prop{override} {dut}_prop_i (.*);")
         sources += [f"{dut}.sv", f"{dut}_prop.sv"]
     return "\n".join(lines) if children else "", tuple(sources)

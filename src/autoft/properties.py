@@ -59,11 +59,11 @@ once over slot names, `slot(i)` for the i-th name, and `Shape.render`
 renders those trees once into the pieces of text between slot names: each
 transaction's block of `<dut>_prop.sv`, its relation comment, its
 declarations and its properties, is those pieces joined with its names.
-`Shape.bind` runs the same builder over a transaction's own names, once,
-for the callers that read its trees: its role map and aux signals
-(`TransactionAux.roles`, `.signals`) and, through `gen_properties`, each
-property's body when it is first read. Only `slot` writes a slot name, and
-only `Shape.render` reads one.
+`Shape.bind` runs the same builder over a transaction's own names, and
+makes fresh trees on each call: `gen_properties` binds each transaction
+once and gives each property its body, and `TransactionAux.roles` and
+`.signals` bind it again for the callers that read them. Only `slot`
+writes a slot name, and only `Shape.render` reads one.
 
 Each body is a node tree of the property IR (`autoft.sva`) built by the
 per-kind builders below: the emitter renders it and `autoft.tracecheck`
@@ -84,6 +84,8 @@ from .transactions import Transaction, TransactionAux
 ASSERT = "assert"
 ASSUME = "assume"
 COVER = "cover"
+# The parameter that asserts every assumption; `link`'s `as` flag sets it by name, so it is never renamed.
+ASSERT_INPUTS = "ASSERT_INPUTS"
 # After an assumption's label, its generate blocks': `if (ASSERT_INPUTS) begin : <label>_asrt`, else `<label>_assm`.
 ASRT_BLOCK, ASSM_BLOCK = "_asrt", "_assm"
 
@@ -119,24 +121,15 @@ def plan_polarity(direction: str, kind: str) -> str:
 class GeneratedProperty:
     """One property: its IR body, which `body.render()` gives as SVA text.
 
-    Made with `aux`, `body` is the index of its check in the shape of that
-    transaction (`TransactionAux`), and the body is built over the
-    transaction's names when first read (`Shape.bind`). compiled is (body,
-    evaluator) as `tracecheck.eval_property` last compiled it; it is
-    recompiled when `body` is another object.
+    compiled is (body, evaluator) as `tracecheck.eval_property` last
+    compiled it; it is recompiled when `body` is another object.
     """
 
-    __slots__ = ("name", "kind", "directive", "_body", "_aux", "compiled")
+    __slots__ = ("name", "kind", "directive", "body", "compiled")
 
-    def __init__(self, name: str, kind: str, directive: str, body: Node | int, aux: TransactionAux | None = None):
+    def __init__(self, name: str, kind: str, directive: str, body: Node):
         # directive is assert, assume or cover
-        self.name, self.kind, self.directive, self._body, self._aux, self.compiled = name, kind, directive, body, aux, None
-
-    @property
-    def body(self) -> Node:
-        if self._aux is not None:
-            self._body, self._aux = self._aux.shape.bind(self._aux.names)[2][self._body], None
-        return self._body
+        self.name, self.kind, self.directive, self.body, self.compiled = name, kind, directive, body, None
 
     def _replace(self, **changes) -> GeneratedProperty:
         """A copy with the given fields changed, not yet compiled."""
@@ -267,14 +260,13 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     The result is deterministic: kinds appear in a fixed order, names follow
     `<tname>_<kind>[_<side>]` unless synthesis renamed the label, and the
     checks are those of the transaction's shape, made under the options
-    synthesis was given. Each body is built over the transaction's names when
-    it is first read. Synthesis (`signals.synth_module`) has decided the
+    synthesis was given, with bodies built over the transaction's names
+    (`Shape.bind`). Synthesis (`signals.synth_module`) has decided the
     checks, and warned of each binding that generates none, so nothing is
     reported into `diags`.
     """
-    shape = aux.shape
-    return [GeneratedProperty(label, kind, directive, i, aux)
-            for i, ((_, kind, directive, _), label) in enumerate(zip(shape.checks, aux.names[shape.size:]))]
+    return [GeneratedProperty(label, kind, directive, body)
+            for (_, kind, directive, body), label in zip(aux.shape.bind(aux.names)[2], aux.names[aux.shape.size:])]
 
 
 def slot(i: int) -> str:
@@ -290,7 +282,7 @@ def _render_property(name: str, directive: str, body: str) -> str:
     """A property's text, of one or more lines, around its body: `@(posedge clk) disable iff (...)`, then its tree."""
     if directive != ASSUME:
         return f"{name}: {directive} property ({body});"
-    return (f"if (ASSERT_INPUTS) begin : {name}{ASRT_BLOCK}\n    {name}: assert property ({body});\n"
+    return (f"if ({ASSERT_INPUTS}) begin : {name}{ASRT_BLOCK}\n    {name}: assert property ({body});\n"
             f"end else begin : {name}{ASSM_BLOCK}\n    {name}: assume property ({body});\nend")
 
 
@@ -310,24 +302,21 @@ class Shape:
     filled in (`render`).
     """
 
-    __slots__ = ("checks", "signals", "size", "_direction", "_build", "_opts", "_pieces", "_names", "_bound")
+    __slots__ = ("checks", "signals", "size", "_direction", "_build", "_opts", "_pieces", "_names")
 
     def __init__(self, direction: str, build: Callable[[Callable[[int], str | int]], tuple], opts: GenOptions):
         roles, self.signals, self.size = build(slot)
         self.checks = _checks(direction, roles, opts)
-        self._direction, self._build, self._opts, self._pieces, self._bound = direction, build, opts, None, {}
+        self._direction, self._build, self._opts, self._pieces = direction, build, opts, None
 
-    def bind(self, names: list) -> tuple[dict[str, Node | None], list[Aux], list[Node]]:
-        """The role map, aux signals and check bodies of the transaction of this shape named by `names`.
+    def bind(self, names: list) -> tuple[dict[str, Node | None], list[Aux], list[tuple[str, str, str, Node]]]:
+        """The role map, aux signals and checks of the transaction of this shape named by `names`.
 
-        They are made on the first call for the transaction, whose name is
-        unique in its module, by the shape's builder and `_checks` over its
-        names, and kept.
+        The shape's builder and `_checks` make them over its names, afresh on
+        every call.
         """
-        if (bound := self._bound.get(names[0])) is None:
-            roles, signals, _ = self._build(names.__getitem__)
-            bound = self._bound[names[0]] = roles, signals, [c[3] for c in _checks(self._direction, roles, self._opts)]
-        return bound
+        roles, signals, _ = self._build(names.__getitem__)
+        return roles, signals, _checks(self._direction, roles, self._opts)
 
     def render(self, names: list) -> str:
         """The block of `<dut>_prop.sv` of the transaction named by `names`: its relation, declarations and properties.

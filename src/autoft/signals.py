@@ -29,7 +29,7 @@ which keeps the role-map builder, `_slotted`, for the key: run over slot
 names (`properties.slot`), it gives the trees the shape renders; run over a
 transaction's names, that transaction's own. Every transaction of the shape
 shares that `Shape` (`TransactionAux.shape`), and its own trees are built
-only when they are read.
+when its properties are made (`properties.gen_properties`).
 
 Every name the property module declares beyond the header's is allocated
 here, by one `_Namer` seeded with the ports, the declared signals and the
@@ -59,7 +59,7 @@ from functools import partial
 from .diagnostics import Diagnostic, error, errors_in, warning
 from .options import GenOptions
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule
-from .properties import ASRT_BLOCK, ASSM_BLOCK, ASSUME, Shape
+from .properties import ASRT_BLOCK, ASSERT_INPUTS, ASSM_BLOCK, ASSUME, Shape
 from .sva import (
     STABLE_LABEL, And, AttribWire, Aux, Counter, Handshake, Inflight, Node, Sampled, Sig, Symbolic, matched,
 )
@@ -251,8 +251,8 @@ def synth_module(
     """
     ports = pm.port_names()
     taken = ports | {p.name for p in pm.parameters}
-    if "ASSERT_INPUTS" in taken:
-        diags.append(error("reserved-name", "'ASSERT_INPUTS' is reserved: the property module declares a "
+    if ASSERT_INPUTS in taken:
+        diags.append(error("reserved-name", f"'{ASSERT_INPUTS}' is reserved: the property module declares a "
                                             "parameter of that name, which link's `as` flag sets"))
     for code, what, name in (("unknown-clock", "clock", opts.clk), ("unknown-reset", "reset", opts.rst)):
         if name not in ports:

@@ -61,7 +61,7 @@ class TransactionAux(namedtuple("TransactionAux", "names shape")):
     names is the flat list of every name its text fills in, its property
     labels last; shape is the `properties.Shape` of every transaction of its
     shape in its module. roles and signals are its role map and aux signals,
-    which the shape's builder makes over its names when first read
+    which the shape's builder makes afresh over its names on each read
     (`Shape.bind`).
     """
 

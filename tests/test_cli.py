@@ -231,6 +231,22 @@ class TestGen:
         assert code == 2
         assert "bounded" in err
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "+", ""])
+    def test_bounded_takes_ascii_digits_only(self, value, tmp_path, capsys):
+        # `int` reads `1_0` as 10 and ARABIC-INDIC DIGIT THREE as 3.
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", str(fixture_path("fifo")), "-o", str(tmp_path / "o"), "--bounded", value])
+        assert exc.value.code == 2
+        assert f"argument --bounded: invalid integer value: '{value}'\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "fifo=1_0", "fifo=\u0663"])
+    def test_max_outstanding_takes_ascii_digits_only(self, value, tmp_path, capsys):
+        code, out, err = run_cli(["gen", fixture_path("fifo"), "-o", tmp_path / "o", "--max-outstanding", value],
+                                 capsys)
+        assert (code, out, err) == (2, "", f"error: --max-outstanding expects N or TNAME=N, got '{value}'\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["gen", "check", "link"])
     def test_bad_max_outstanding_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -443,6 +459,15 @@ class TestLink:
              "-o", tmp_path / "out"],
             capsys,
         )
+        assert code == 0
+        assert bundle_hashes(tmp_path / "out") == bundle_hashes(GOLDEN / "link")
+
+    def test_child_path_may_hold_an_equals_sign(self, tmp_path, capsys):
+        child = tmp_path / "a=b" / "pipeline.sv"
+        child.parent.mkdir()
+        child.write_text(load_fixture("pipeline"), encoding="utf-8")
+        code, _, _ = run_cli(["link", fixture_path("mmu_stub"), "--child", f"{child}=am,as", "-o", tmp_path / "out"],
+                             capsys)
         assert code == 0
         assert bundle_hashes(tmp_path / "out") == bundle_hashes(GOLDEN / "link")
 

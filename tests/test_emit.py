@@ -20,6 +20,7 @@ from autoft.emit import (
     link_submodule_fts,
     write_bundle,
 )
+from autoft.models import MODEL_REGISTRY, check_bundle_on_model
 from autoft.options import GenOptions
 from autoft.parser import parse_module
 from autoft.properties import apply_link_transforms, gen_properties, slot
@@ -566,10 +567,22 @@ def test_gen_builds_each_shapes_trees_once_and_binds_no_transaction(src, txns, s
     assert len(built) == len({key for key, _ in built}) == shapes and {name for _, name in built} == {slot}
     model = generate_model(src, "in.sv", GenOptions())
     assert len(model.txns) == txns and len({id(a.shape) for a in model.aux}) == shapes and len(built) == 2 * shapes
-    bodies = [p.body for props in model.properties() for p in props]  # once more per transaction
+    # Each call of `properties()` builds every transaction's trees over its own names, once.
+    bodies = [p.body for props in model.properties() for p in props]
     assert len(built) == 2 * shapes + txns and slot not in {name for _, name in built[2 * shapes:]}
-    assert [p.body for props in model.properties() for p in props] == bodies and len(built) == 2 * shapes + txns
-    assert model.aux[-1].roles["p_hsk"].name == model.txns[-1].p.name + "_hsk" and len(built) == 2 * shapes + txns
+    assert [p.body for props in model.properties() for p in props] == bodies and len(built) == 2 * shapes + 2 * txns
+    assert model.aux[-1].roles["p_hsk"].name == model.txns[-1].p.name + "_hsk"
+    assert len(built) == 2 * shapes + 2 * txns + 1  # `roles` builds the transaction's trees once more
+
+
+def test_check_builds_no_trees_once_the_properties_are_made(monkeypatch):
+    built, slotted = [], signals._slotted  # a shape keeps the builder it was made with
+    monkeypatch.setattr(signals, "_slotted", lambda key, name: built.append(key) or slotted(key, name))
+    model = generate_model(load_fixture("noc_buffer"), "noc_buffer.sv", GenOptions())
+    props = [p for group in model.properties() for p in group]
+    made = len(built)
+    report = check_bundle_on_model(model.txns, props, MODEL_REGISTRY["noc_buffer"]())
+    assert report.entries and not report.violated() and len(built) == made
 
 
 def test_transactions_of_one_shape_evaluate_with_their_own_limit_and_ranges():
