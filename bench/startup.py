@@ -20,7 +20,9 @@ times in ms and the median of each round's time above the same side's
 floor, and the count and names of the modules `import autoft.cli` adds to
 the interpreter's own; with two sides, under `paired_after_over_before`,
 the quartiles of each item's after/before ratio over the rounds' pairs of
-turns, in which host drift cancels.
+turns, in which host drift cancels, and under
+`paired_above_floor_after_over_before` the same ratio of each round's time
+above the side's floor in that round.
 """
 from __future__ import annotations
 
@@ -100,6 +102,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     if args.src:
         result["paired_after_over_before"] = twin.paired(rounds["after"], rounds["before"])
+        above = {side: [{item: r[item] - r["floor"] for item in ITEMS if item != "floor"} for r in rounds[side]]
+                 for side in srcs}
+        result["paired_above_floor_after_over_before"] = twin.paired(above["after"], above["before"])
     twin.write(__file__, args, result)
     return 0
 

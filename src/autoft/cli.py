@@ -35,20 +35,28 @@ suppress colored diagnostics.
 until the command returns or raises, then restores the caller's setting.
 That is safe because generating, checking and linking create no reference
 cycles: reference counting frees everything they drop, and a collection
-would only rescan the node trees of a large bundle, finding nothing. (The
-argument parser is cyclic, so it is built once per process, by the first
-call, and kept: `parse_args` leaves it unchanged, and no call drops one.)
+would only rescan the node trees of a large bundle, finding nothing.
 `tests/test_gc.py` pins both the restore on every exit path and the absence
 of cyclic garbage.
+
+The command line is read by `parse_args` from one table, `_OPTIONS`, which
+also gives the `-h` text, and keeps nothing between calls. It reads every
+spelling argparse read (`--name value`, `--name=value`, `-o DIR`, `-oDIR`,
+unique prefixes of long options, options on either side of the input, `--`)
+and fails as argparse failed, with its usage line and message and exit 2;
+`tests/reference_cli.py` keeps the argparse parser it replaced, and a corpus
+test holds the two equal. Without argparse, a process loads neither it nor
+`gettext` nor `locale`, and builds no parser: a fresh `autoft gen` on `fifo`
+takes 0.95 of the time it took with argparse, and 0.90 of its time above the
+`python -c pass` floor (paired medians of 40 rounds, `BENCH_35.json`).
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import os
 import sys
 from pathlib import Path
+from types import ModuleType, SimpleNamespace
 
 from .diagnostics import Diagnostic, GenerationError, SymbolicWidthError, UnknownSignalError
 from .emit import ModuleModel, bind_block, generate_model, write_files
@@ -75,8 +83,8 @@ def integer(text: str) -> int:
     """text as an int if it is an optional sign and ASCII digits, as `Trace.from_csv` reads a cell; else a ValueError.
 
     `int` also reads other scripts' digits and `_` between digits, such as
-    `1_0`; neither is ASCII digits. argparse names this function in its
-    message on a bad `--bounded`: "invalid integer value".
+    `1_0`; neither is ASCII digits. `parse_args` reads `--bounded` with it,
+    and calls a value it rejects an "invalid integer value", as argparse did.
     """
     if not text.isascii() or "_" in text:
         raise ValueError(f"not an integer: '{text}'")
@@ -100,7 +108,7 @@ def _parse_max_outstanding(values: list[str] | None) -> tuple[int, dict[str, int
     return default, overrides
 
 
-def _options_from_args(args: argparse.Namespace) -> GenOptions:
+def _options_from_args(args: SimpleNamespace) -> GenOptions:
     default, overrides = _parse_max_outstanding(args.max_outstanding)
     try:
         return GenOptions(
@@ -182,7 +190,7 @@ def _parse_child_spec(spec: str) -> tuple[Path, bool]:
     return Path(path_text), "as" in flags
 
 
-def _models(args: argparse.Namespace) -> tuple[ModuleModel, list[tuple[ModuleModel, bool]]]:
+def _models(args: SimpleNamespace) -> tuple[ModuleModel, list[tuple[ModuleModel, bool]]]:
     """The input's model, and each `--child`'s with its `as` flag."""
     path = Path(args.input)
     source = _read(path, "input")
@@ -193,14 +201,14 @@ def _models(args: argparse.Namespace) -> tuple[ModuleModel, list[tuple[ModuleMod
     return parent, [(kid, as_) for kid, (_, as_) in zip(kids, specs)]
 
 
-def _cmd_link(args: argparse.Namespace) -> int:
+def _cmd_link(args: SimpleNamespace) -> int:
     parent, kids = _models(args)
     binds, sources = bind_block(parent.dut, [(kid.dut, as_) for kid, as_ in kids])
     _write(Path(args.outdir), (parent, parent.files(binds, sources)), *((kid, kid.files()) for kid, _ in kids))
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     module, _ = _models(args)
     props = [p for group in module.properties() for p in group]
     factory = MODEL_REGISTRY.get(module.dut)
@@ -224,64 +232,125 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", help="annotated RTL file")
-    parser.add_argument("--clk", default="clk", help="clock port name (default: clk)")
-    parser.add_argument("--rst", default="rst_n", help="reset port name (default: rst_n)")
-    parser.add_argument(
-        "--rst-active-high", action="store_true",
-        help="treat the reset as active high (default: active low)",
-    )
-    parser.add_argument(
-        "--bounded", type=integer, metavar="N",
-        help="replace unbounded eventualities with an N-cycle window",
-    )
-    parser.add_argument(
-        "--max-outstanding", action="append", metavar="N|TNAME=N",
-        help="outstanding counter capacity, globally or per transaction",
-    )
+# The options, one row each: spellings, attribute, default, metavar, help, and how a value is read: None for a
+# flag, which stores True; `str` or `integer` for one value; a tuple for one of its values; `list` for a value
+# that may repeat, each one kept in order. `check` takes the first six, `gen` the first nine, `link` all ten.
+_OPTIONS = (
+    ("-h/--help", "help", None, None, "show this help message and exit", None),
+    ("--clk", "clk", "clk", "CLK", "clock port name (default: clk)", str),
+    ("--rst", "rst", "rst_n", "RST", "reset port name (default: rst_n)", str),
+    ("--rst-active-high", "rst_active_high", False, None, "treat the reset as active high (default: active low)", None),
+    ("--bounded", "bounded", None, "N", "replace unbounded eventualities with an N-cycle window", integer),
+    ("--max-outstanding", "max_outstanding", None, "N|TNAME=N",
+     "outstanding counter capacity, globally or per transaction", list),
+    ("-o/--outdir", "outdir", "out", "OUTDIR", "output directory (default: out)", str),
+    ("--tool", "tool", "symbiyosys", "{" + ",".join(TOOLS) + "}", "proof tool to drive", TOOLS),
+    ("--assert-inputs", "assert_inputs", False, None,
+     "emit with ASSERT_INPUTS=1 so environment assumptions become assertions", None),
+    ("--child", "child", None, "PATH=am[,as]", "child RTL file with link flags, repeatable", list),
+)
+_COMMANDS = {  # name: (help, function, options)
+    "gen": ("generate a testbench bundle", _cmd_link, _OPTIONS[:9]),
+    "check": ("run the built-in reference machine against the generated properties", _cmd_check, _OPTIONS[:6]),
+    "link": ("generate a parent bundle with child testbenches folded in", _cmd_link, _OPTIONS),
+}
 
 
-def _add_gen_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-o", "--outdir", default="out", help="output directory (default: out)")
-    parser.add_argument("--tool", choices=TOOLS, default="symbiyosys", help="proof tool to drive")
-    parser.add_argument(
-        "--assert-inputs", action="store_true",
-        help="emit with ASSERT_INPUTS=1 so environment assumptions become assertions",
-    )
+def _help(command: str) -> str:
+    """`autoft -h` (command "") or `autoft <command> -h`; its first line is the usage line of a usage error."""
+    about, _, rows = _COMMANDS[command] if command else (
+        "Generate formal testbenches from annotated RTL module interfaces.", None, _OPTIONS[:1])
+    flags = (f"[{row[0].split('/')[0]}{' ' + row[3] if row[3] else ''}]" for row in rows)
+    usage = " ".join([f"autoft {command}".rstrip(), *flags, "input" if command else "{" + ",".join(_COMMANDS) + "} ..."])
+    items = [("input", "annotated RTL file")] if command else [(name, c[0]) for name, c in _COMMANDS.items()]
+    items += [(row[0].replace("/", ", ") + (f" {row[3]}" if row[3] else ""), row[4]) for row in rows]
+    width = max(len(left) for left, _ in items)
+    return "\n".join([f"usage: {usage}", "", about, "", *(f"  {left:<{width}}  {right}" for left, right in items)])
 
 
-@functools.cache
-def build_arg_parser() -> argparse.ArgumentParser:
-    """The `autoft` parser, built by the first call and returned by every later one."""
-    parser = argparse.ArgumentParser(
-        prog="autoft",
-        description="Generate formal testbenches from annotated RTL module interfaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _fail(command: str, message: str) -> None:
+    """Print the usage line and `message` to stderr, as argparse does, and exit 2."""
+    prog = f"autoft {command}".rstrip()
+    print(_help(command).splitlines()[0], f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
 
-    gen = sub.add_parser("gen", help="generate a testbench bundle")
-    _add_common(gen)
-    _add_gen_flags(gen)
-    gen.set_defaults(func=_cmd_link, child=None)
 
-    check = sub.add_parser("check", help="run the built-in reference machine against the generated properties")
-    _add_common(check)
-    check.set_defaults(func=_cmd_check, child=None)
+def _option(word: str, rows: tuple, command: str) -> tuple | None:
+    """(the row of `rows` that `word` names, None if none does, and its attached value); None for a value.
 
-    link = sub.add_parser("link", help="generate a parent bundle with child testbenches folded in")
-    _add_common(link)
-    _add_gen_flags(link)
-    link.add_argument(
-        "--child", action="append", metavar="PATH=am[,as]",
-        help="child RTL file with link flags, repeatable",
-    )
-    link.set_defaults(func=_cmd_link)
-    return parser
+    As argparse reads it: `-oDIR` is `-o DIR`, a unique prefix of a long
+    option names it, and a word that is a negative number or holds a space
+    is a value.
+    """
+    if word[:1] != "-" or word == "-":
+        return None
+    spelled = {spelling: row for row in rows for spelling in row[0].split("/")}
+    name, eq, attached = word.partition("=")
+    if word[1] != "-" and name not in spelled:  # `-oDIR`: a short option with its value attached
+        name, eq, attached = word[:2], word[2:], word[2:]
+    hits = [name] if name in spelled else [s for s in spelled if s.startswith(name) and name[1] == "-"]
+    if len(hits) > 1:
+        _fail(command, f"ambiguous option: {word} could match {', '.join(hits)}")
+    if hits:
+        return spelled[hits[0]], attached if eq else None
+    return None if " " in word or word[1:].replace(".", "", 1).isdecimal() and word[-1] != "." else (None, None)
+
+
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """The command line (`sys.argv[1:]` if None) read by `_OPTIONS`, as `autoft`'s argparse parser read it.
+
+    `-h` prints the help and exits 0; a usage error prints argparse's usage
+    line and message and exits 2. Unknown options and extra values are
+    reported only once the whole line is read, so a later `-h` still helps.
+    """
+    words = iter(sys.argv[1:] if argv is None else argv)
+    command, rows, args, extras, dashed = "", _OPTIONS[:1], {"input": None}, [], False
+    for word in words:
+        hit = None if dashed or word == "--" else _option(word, rows, command)
+        if word == "--" and command and not dashed:
+            dashed = True
+        elif hit is None and not command:
+            if word not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                _fail("", f"argument command: invalid choice: {word!r} (choose from {choices})")
+            command, (_, func, rows) = word, _COMMANDS[word]
+            args.update({"command": command, "func": func, "child": None}, **{row[1]: row[2] for row in rows[1:]})
+        elif hit is None and args["input"] is None:
+            args["input"] = word
+        elif hit is None or hit[0] is None:
+            extras.append(word)
+        elif hit == (_OPTIONS[0], None):
+            print(_help(command))
+            raise SystemExit(0)
+        else:
+            (name, dest, _, _, _, read), value = hit
+            if read is None and value is not None:
+                _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+            if read is not None and value is None:
+                value = next(words, None)
+                if value is None or value == "--" or _option(value, rows, command) is not None:
+                    _fail(command, f"argument {name}: expected one argument")
+            try:
+                value = True if read is None else integer(value) if read is integer else value
+            except ValueError:
+                _fail(command, f"argument {name}: invalid integer value: {value!r}")
+            if isinstance(read, tuple) and value not in read:
+                _fail(command, f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, read))})")
+            args[dest] = [*(args[dest] or ()), value] if read is list else value
+    if not command or args["input"] is None:
+        _fail(command, f"the following arguments are required: {'input' if command else 'command'}")
+    if extras:
+        _fail("", f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**args)
+
+
+def build_arg_parser() -> ModuleType:
+    """This module, whose `parse_args(argv)` reads a command line: for callers written against argparse."""
+    return sys.modules[__name__]
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = parse_args(argv)
     # No cycles to collect: see the module docstring.
     collecting = gc.isenabled()
     gc.disable()

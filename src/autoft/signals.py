@@ -48,7 +48,9 @@ one fixed name, the `ASSERT_INPUTS` parameter, cannot be renamed, because
 `link` sets it by name; a header parameter or port of that name is an
 error. The clock and the reset are read, not declared: each must be a port
 of the property module (else an `unknown-clock` or `unknown-reset` error
-naming the module), so the namer holds them already.
+naming the module), so the namer holds them already. They must be two
+ports (else a `clock-is-reset` error): a module reset by its own clock
+would check nothing.
 """
 from __future__ import annotations
 
@@ -257,6 +259,8 @@ def synth_module(
     for code, what, name in (("unknown-clock", "clock", opts.clk), ("unknown-reset", "reset", opts.rst)):
         if name not in ports:
             diags.append(error(code, f"{what} '{name}' is not a port of module '{pm.module_name}'"))
+    if opts.clk == opts.rst:
+        diags.append(error("clock-is-reset", f"clock and reset are both '{opts.clk}' in module '{pm.module_name}'"))
     namer, shared, shapes, made = _Namer(taken, diags), {}, {}, []
     for t in txns:
         names, key = _transaction_names(t, opts.outstanding_limit(t.tname), namer, shared, diags)

@@ -117,6 +117,16 @@ class TestGen:
         assert out == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["gen", "check", "link"])
+    def test_clock_that_is_the_reset_exits_one(self, command, tmp_path, capsys, monkeypatch):
+        # Else every property reads `@(posedge rst_n) disable iff (!rst_n)` and checks nothing.
+        monkeypatch.chdir(tmp_path)
+        child = ["--child", f"{fixture_path('pipeline')}=am"] if command == "link" else []
+        code, out, err = run_cli([command, fixture_path("fifo"), "--clk", "rst_n", "--rst", "rst_n", *child], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[clock-is-reset]: clock and reset are both 'rst_n' in module 'fifo'\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_diagnostics_carry_position_and_text(self, tmp_path, capsys):
         bad = tmp_path / "bad.sv"
         bad.write_text("// AUTOSVA t: a => b\nmodule m (\ninput wire a_val\n);\nendmodule\n")
@@ -637,9 +647,7 @@ class TestParserReuse:
         dirs = [tmp_path / f"o{i}" for i in range(len(REUSE_SEQUENCE))]
         first = []
         for argv, outdir in zip(REUSE_SEQUENCE, dirs):
-            build_arg_parser.cache_clear()
             first.append(self.outcome(argv, outdir, capsys))
-        build_arg_parser.cache_clear()
         assert [self.outcome(argv, outdir, capsys) for argv, outdir in zip(REUSE_SEQUENCE, dirs)] == first
         assert all(a != b for a, b in zip(first[:6:2], first[1:6:2]))
         assert first[-2] != first[-1]
@@ -652,7 +660,6 @@ class TestParserReuse:
             assert exc.value.code == 0
             return capsys.readouterr().out
 
-        build_arg_parser.cache_clear()
         fresh = help_text()
         assert run_cli(["gen", fixture_path("fifo"), "-o", tmp_path / "o"], capsys)[0] == 0
         assert help_text() == fresh
@@ -665,14 +672,20 @@ class TestParserReuse:
 EAGER = ("cli", "parser", "emit", "models", "tracecheck")
 
 
-def test_import_set():
+def test_import_set(tmp_path):
     # Without `site` (-S), whose `.pth` files may load any module first, every module the import needs shows.
-    code = "import sys; n = set(sys.modules); import autoft.cli; print(*sorted(set(sys.modules) - n))"
-    run = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
-                         capture_output=True, text=True, check=True)
-    added = set(run.stdout.split())
+    # The first line printed is what the import adds, the last what one `gen` has added by its end.
+    code = ("import sys; n = set(sys.modules); import autoft.cli; print(*sorted(set(sys.modules) - n)); "
+            "autoft.cli.main(sys.argv[1:]); print(*sorted(set(sys.modules) - n))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, "gen", str(fixture_path("fifo")), "-o", str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=str(REPO / "src")), capture_output=True, text=True, check=True)
+    lines = run.stdout.splitlines()
+    added, after_gen = set(lines[0].split()), set(lines[-1].split())
     assert not added & {"dataclasses", "inspect", "csv", "typing"}
     assert {f"autoft.{m}" for m in EAGER} <= added
+    # The command line is read without argparse, whose import and first message lookups load the other two.
+    assert not (added | after_gen) & {"argparse", "gettext", "locale"}
+    assert (tmp_path / "fifo" / "fifo_prop.sv").is_file()
 
 
 def test_startup_bench_runs_at_one_round(tmp_path):
@@ -683,6 +696,7 @@ def test_startup_bench_runs_at_one_round(tmp_path):
     report = json.loads(out.read_text())
     items = {"floor", "import", "gen_fifo", "gen_mmu_stub_both", "check_noc_buffer", "link_mmu_stub"}
     assert set(report["items"]) == set(report["paired_after_over_before"]) == items
+    assert set(report["paired_above_floor_after_over_before"]) == items - {"floor"}
     for side in ("before", "after"):
         assert set(report[side]["ms"]) == items
         assert set(report[side]["above_floor_ms"]) == items - {"floor"}

@@ -704,9 +704,10 @@ class TestNames:
         (dict(clk="clock"), ["unknown-clock"]),
         (dict(rst="reset", rst_active_low=False), ["unknown-reset"]),
         (dict(clk="WIDTH", rst="in_hsk"), ["unknown-clock", "unknown-reset"]),
-    ], ids=["clock", "reset", "parameter_and_aux_name"])
+        (dict(clk="rst_n"), ["clock-is-reset"]),
+    ], ids=["clock", "reset", "parameter_and_aux_name", "clock_is_reset"])
     def test_clock_and_reset_must_be_ports(self, kw, codes):
-        # Else the module would clock on, or be reset by, a name that it does not declare.
+        # Else the module would clock on, or be reset by, a name that it does not declare, or by its own reset.
         with pytest.raises(GenerationError) as exc:
             generate_bundle(load_fixture("fifo"), "fifo.sv", GenOptions(**kw))
         assert [d.code for d in exc.value.diagnostics if d.is_error] == codes
