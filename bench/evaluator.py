@@ -20,11 +20,15 @@ sides. The items of a round are:
   fresh `generate_model` of its fixture, made before the timer starts.
 
 A model turn times one `check_bundle_on_model` call on a fresh model after a
-full collection, drawing the traces and compiling the properties included.
+full collection, drawing the traces and compiling the properties included
+(on a side that caches generated code, the code is already compiled).
 At default size it also times what `autoft check` does between generating
 the model and checking it: `gen_properties` over the model's transactions,
-which builds each transaction's trees. One more check per
-side counts the registers it derives per trace (`tracecheck._register`).
+which builds each transaction's trees. One more check per side, run first,
+counts what its evaluator makes: the registers it derives per trace
+(`registers_per_trace`) on a side whose `tracecheck` derives them by
+`_register`, or else the code objects the check compiles into an empty
+cache (`code_objects`, one per body structure).
 Sides that draw equal traces must give equal entries; the checks whose
 traces differ are named in `traces_differ`. Rates (traces per busy second)
 and model times (ms) are medians over rounds, with quartiles. With two
@@ -120,18 +124,31 @@ class Side:
         af.models.check_bundle_on_model([], props, self.models[config, name]())
         return (time.perf_counter() - t0) * 1e3
 
-    def registers(self, config: str, name: str) -> tuple[float, list[tuple], list[dict]]:
-        """Registers derived per trace by one check, its entries as plain tuples, and its traces' columns."""
-        tc, calls, model = self.af.tracecheck, [], self.models[config, name]()
-        derive = tc._register
-        tc._register = lambda node, *args: calls.append(node) or derive(node, *args)
+    def counts(self, config: str, name: str) -> tuple[dict, list[tuple], list[dict]]:
+        """What one check derives or compiles, its entries as plain tuples, and its traces' columns.
+
+        A side that derives registers by `tracecheck._register` counts those
+        it derives per trace; a side that caches generated code counts the
+        code objects the check compiles into an empty `tracecheck._CODE`.
+        """
+        tc, model = self.af.tracecheck, self.models[config, name]()
+        seam, calls = hasattr(tc, "_register"), []
+        if seam:
+            derive = tc._register
+            tc._register = lambda node, *args: calls.append(node) or derive(node, *args)
+        else:
+            cache, tc._CODE = tc._CODE, {}
         try:
             report = self.af.models.check_bundle_on_model([], self.props[name], model)
+            count = {"registers_per_trace": len(calls) / model.n_traces} if seam else {"code_objects": len(tc._CODE)}
         finally:
-            tc._register = derive
+            if seam:
+                tc._register = derive
+            else:
+                tc._CODE = {**cache, **tc._CODE}
         entries = [(e.trace_index, e.symb_values, e.verdict.property_name, e.kind,
                     e.verdict.outcome, e.verdict.cycle) for e in report.entries]
-        return len(calls) / model.n_traces, entries, [t.columns for t in model.traces()]
+        return count, entries, [t.columns for t in model.traces()]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     sides = {side: Side(af, f"autoft_{side}", args) for side, af in twin.sides(args, MODULES).items()}
     spaces = list(sides["after"].cases)
     checks = [(config, name) for config in CONFIGS for name in ORACLE_SIZE]
-    found = {(side, check): s.registers(*check) for side, s in sides.items() for check in checks}
+    found = {(side, check): s.counts(*check) for side, s in sides.items() for check in checks}
     differ = []
     for check in checks:
         first, after = found[next(iter(sides)), check], found["after", check]
@@ -178,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
             **{f"{p}traces_per_s": round(v) for p, v in zip(("q1_", "", "q3_"), q["traces_per_s"])},
             **{f"{p}spaces": {n: round(q[f"spaces/{n}"][j]) for n in spaces} for j, p in enumerate(("q1_", "", "q3_"))},
             "models": {c: {n: {**{f"{p}_ms": round(v, 3) for p, v in zip(("q1", "median", "q3"), q[f"{c}/{n}"])},
-                               "registers_per_trace": found[side, (c, n)][0], "entries": len(found[side, (c, n)][1])}
+                               **found[side, (c, n)][0], "entries": len(found[side, (c, n)][1])}
                            for n in ORACLE_SIZE} for c in CONFIGS},
         }
     if args.src:

@@ -27,10 +27,10 @@ of each symbolic id from the id's node: every value of its literal width,
 which is what `(* anyconst *)` ranges over. Each property is evaluated under
 only the ids its body reads, and its entries name those alone: a property
 that reads no id is evaluated once per trace and its entry names no id value.
-Before any trace is drawn, each body is compiled once per value of the ids
-it reads, each id compiled as a constant and no node rewritten; a trace is
-then evaluated into one memo, in which a subtree shared by two bodies is
-stored and derived once, and no other column is stored.
+Before any trace is drawn, each body is rendered once and bound once per
+value of the ids it reads, each id a constant argument of the body's
+generated loop and no node rewritten; each trace's columns are then read
+as they are by every evaluator.
 The queue models hold `depth` = 2 entries, the fixtures' default `DEPTH`.
 """
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .diagnostics import SymbolicWidthError
 from .parser import literal_width_bits
 from .properties import GeneratedProperty
 # `eval_property` is not called here, but perfbench's traced run patches it under this name.
-from .tracecheck import VACUOUS, Compiler, Trace, Verdict, eval_property  # noqa: F401
+from .tracecheck import VACUOUS, Trace, Verdict, eval_property, evaluator, symbolic_ids  # noqa: F401
 
 
 class ModelCheckEntry(namedtuple("ModelCheckEntry", "trace_index symb_values kind verdict")):
@@ -259,24 +259,18 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     eventualities are cut to the model's liveness window. `txns` is not
     read: every property body already names the signals it needs.
 
-    Before any trace is drawn, every (body, id assignment) pair goes to one
-    compiler, every id a constant of its value. A subtree that reads no id
-    (handshakes, the counter) is one closure in every body, and one that
-    reads an id (the in-flight bit, the sampled register, matched
-    handshakes) is one closure per value, shared by every property that
-    reads it. The compiler walks all the pairs before it builds a closure,
-    so it knows which columns more than one parent reads, across the
-    bundle: only those are memoized. Each trace is then evaluated into one
-    memo, so each column is derived once per trace, and the memo holds
-    only the trace's columns and the shared ones. Entries come in
-    assignment order: the k-th assignment of every property that has one,
-    in property order.
+    Before any trace is drawn, each body is rendered into its generated
+    loop (`tracecheck.evaluator`), whose code is compiled once per body
+    structure, and bound once per id assignment, every id a constant
+    argument. Each evaluator keeps its own registers, so a register two
+    bodies read is derived in each. Each trace's columns are read as they
+    are, never copied or written. Entries come in assignment order: the
+    k-th assignment of every property that has one, in property order.
     """
-    compiler = Compiler(model.liveness_window)
-    rows = []  # per property, (assignment, property) pairs
+    window, rows = model.liveness_window, []  # per property, (assignment, property, evaluator) triples
     for p in props:
         widths = {}
-        for name, symb in compiler.ids(p.body).items():
+        for name, symb in symbolic_ids(p.body).items():
             widths[name] = literal_width_bits(symb.width_expr)
             if widths[name] is None:
                 raise SymbolicWidthError(f"symbolic id '{name}' has no literal width: '{symb.width_expr}'")
@@ -284,16 +278,17 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
             ids = ", ".join(f"'{name}' of {bits} bits" for name, bits in widths.items())
             raise SymbolicWidthError(f"property '{p.name}' reads symbolic ids {ids}: {count} values to check, "
                                      f"more than {MAX_ID_ASSIGNMENTS}")
-        rows.append([(tuple(zip(widths, values)), p) for values in product(*(range(1 << b) for b in widths.values()))])
+        bind = evaluator(p.body, widths)
+        assignments = (tuple(zip(widths, values)) for values in product(*(range(1 << b) for b in widths.values())))
+        rows.append([(a, p, bind(dict(a), window)) for a in assignments])
     order = [row[k] for k in range(max(map(len, rows), default=0)) for row in rows if k < len(row)]
-    runs = compiler.properties([(p.body, dict(a)) for a, p in order])
 
     entries: list[ModelCheckEntry] = []
     for idx, trace in enumerate(model.traces()):
-        memo, n = dict(trace.columns), trace.length
+        columns, n = trace.columns, trace.length
         entries += [ModelCheckEntry(idx, a, p.kind,
-                                    Verdict(p.name, *run(memo, n)) if n else Verdict(p.name, VACUOUS))
-                    for (a, p), run in zip(order, runs)]
+                                    Verdict(p.name, *run(columns, n)) if n else Verdict(p.name, VACUOUS))
+                    for a, p, run in order]
     return ModelCheckReport(model.name, entries)
 
 

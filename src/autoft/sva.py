@@ -8,14 +8,15 @@ nodes over explicit traces and never reads the rendered text.
 
 A register node (`Counter`, `Inflight`, `Sampled`) holds its rule in two
 forms, side by side: `declare()` writes it as an `always` block, and
-`values(a, b)` runs it as one loop over its two input columns (the node's
-fields 1 and 2), giving the register's value per cycle: the reset value 0 at
-cycle 0, then each cycle's update of the value before. The evaluator derives
-every register from `values` alone. The counter carries its `limit` and
-wraps at the `$clog2(limit + 1)` bits it is declared with; the sampled
-register keeps the low bits of a literal range. What does not change from
-cycle to cycle, the counter's wrap mask and the sampled register's width, is
-computed once per column.
+`update(v, a, b, const)` as one Python expression, the register's next
+value from its value `v` and this cycle's inputs `a` and `b` (the node's
+fields 1 and 2), each given as expression text. The evaluator's generated
+loop starts every register at the reset value 0 and runs this update at the
+end of each cycle. The counter carries its `limit` and wraps at the
+`$clog2(limit + 1)` bits it is declared with; the sampled register keeps the
+low bits of a literal range. Such a constant, the counter's wrap mask or the
+sampled register's width mask, enters the expression through `const`, which
+names it as an argument of the generated code, so no text of the input does.
 
 A node is a named tuple of its fields, so it is immutable and cheap to build
 and to define. Like any tuple it compares by value, not by type; nothing in
@@ -248,12 +249,9 @@ class Counter(namedtuple("Counter", "name inc dec limit limit_param width_param"
                                      (And(self.dec, Not(self.inc)), f"{n} - 1'b1")]),
         ]
 
-    def values(self, inc: list, dec: list) -> list[int]:
-        out, v, mask = [], 0, (1 << self.limit.bit_length()) - 1
-        for x, y in zip(inc, dec):
-            out.append(v)
-            v = (v + (not y) - (not x)) & mask  # +1 on inc alone, -1 on dec alone
-        return out
+    def update(self, v: str, inc: str, dec: str, const) -> str:
+        mask = const((1 << self.limit.bit_length()) - 1)
+        return f"{v}+(not {dec})-(not {inc})&{mask}"  # +1 on inc alone, -1 on dec alone
 
 
 class Inflight(namedtuple("Inflight", "name set clr"), Aux):
@@ -265,12 +263,8 @@ class Inflight(namedtuple("Inflight", "name set clr"), Aux):
         return [f"logic {self.name};",
                 *_always(opts, self.name, "1'b0", [(self.set, "1'b1"), (self.clr, "1'b0")])]
 
-    def values(self, set_: list, clr: list) -> list[int]:
-        out, v = [], 0
-        for s, c in zip(set_, clr):
-            out.append(v)
-            v = 1 if s else 0 if c else v
-        return out
+    def update(self, v: str, set_: str, clr: str, const) -> str:
+        return f"1 if {set_} else 0 if {clr} else {v}"
 
 
 class Sampled(namedtuple("Sampled", "name capture data width_expr", defaults=("",)), Aux):
@@ -286,13 +280,9 @@ class Sampled(namedtuple("Sampled", "name capture data width_expr", defaults=(""
         return [f"logic {width_prefix(self.width_expr)}{self.name};",
                 *_always(opts, self.name, "'0", [(self.capture, self.data.render())])]
 
-    def values(self, capture: list, data: list) -> list[int]:
-        bits = literal_width_bits(self.width_expr)  # the width, found once per column; None keeps every bit
-        out, v, mask = [], 0, -1 if bits is None else (1 << bits) - 1
-        for c, d in zip(capture, data):
-            out.append(v)
-            v = (d or 0) & mask if c else v
-        return out
+    def update(self, v: str, capture: str, data: str, const) -> str:
+        bits = literal_width_bits(self.width_expr)  # None keeps every bit
+        return f"({data} or 0)&{const(-1 if bits is None else (1 << bits) - 1)} if {capture} else {v}"
 
 
 def matched(hsk: Node, ident: Node, symb: Node) -> And:

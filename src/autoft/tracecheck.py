@@ -4,30 +4,32 @@ This is the desk-scale oracle. `eval_property` evaluates a property's node
 tree (`autoft.sva`), the same tree the emitter renders, against a concrete
 cycle-by-cycle trace; it never reads the rendered text. Each aux register
 (outstanding counter, in-flight bit, sampled data) is derived by its node's
-own `values`, one loop over its two input columns that is the Python form of
-the update rule its `declare()` emits, in the registered view: the value
-during cycle i reflects handshakes strictly before i, and the counter wraps
-at its declared width.
+own `update`, the Python expression of the update rule its `declare()`
+emits, in the registered view: the value during cycle i reflects
+handshakes strictly before i, and the counter wraps at its declared width.
 
 A trace supplies the ports, the verbatim wires of explicit attribute
 bindings and any free symbolic id, each read by its name. Every other
 generated signal (a handshake, a register) is derived by its node's rule and
 never read from the trace, so a trace column of such a name changes nothing.
 
-Each property body is compiled once into closures (`Compiler`), so no trace
-pays for walking the node tree: every expression node becomes a column
-function over a per-trace memo, and the property above it one function
-giving (outcome, cycle). The memo is a dict seeded with a copy of the trace's
-columns. It holds, besides those, only the derived columns that more than
-one parent reads, each under a key of its own closure, so such a column is
-derived once per trace; a column with one reader is derived by that
-reader's call and never stored. `eval_property(p, trace)` compiles `p.body`
-alone on first use and keeps the evaluator on `p`, so the memo holds the
-subtrees read twice within that body. `models.check_bundle_on_model`
-compiles a whole bundle through one `Compiler`, fixing each symbolic id to a
-constant while it compiles: a subtree compiles once per value of the ids it
-reads, so properties that share a subtree share its closure, and that
-closure is memoized. No node is rewritten on the way.
+Each property body is rendered into the source of one Python function
+(`_Source`), so no trace pays for walking the node tree or for a call per
+node. The function reads the body's columns once, then runs one loop over
+the cycles. In each cycle a node that two parents read is computed once,
+into a local, and any other is written inline in its one reader; the
+registers are local state, all given their next values at the end of the
+cycle. Each property shape is a few statements in that loop, and the first
+violation returns at once, which in row order is the earliest cycle. The
+source depends only on the body's structure: every signal name, id value,
+counter mask, sampled width, window and `hi` is an argument, so no text
+from the input is ever compiled, and code is cached by its source text,
+one compile per structure however many bodies share it. The function reads
+the trace's columns and writes nothing, so a trace is passed as it is.
+`eval_property(p, trace)` makes the evaluator on first use and keeps it on
+`p`; `models.check_bundle_on_model` makes one per property and id
+assignment, each id a constant argument. `column(node, trace)` runs the
+same loop, collecting one node's value per cycle.
 
 `enumerate_traces` builds each trace's columns in one transposition and
 sets them, with the length it already knows, without the checks and copies
@@ -60,15 +62,13 @@ import io
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from functools import reduce
-from operator import eq, not_
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .diagnostics import SpaceTooLargeError, UnknownSignalError
 from .properties import GeneratedProperty
 from .sva import (
-    And, Counter, CoverSeq, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Node, Not, Or,
-    PropAnd, Sampled, Stable, Symbolic, children,
+    And, AttribWire, Counter, CoverSeq, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Node, Not,
+    Or, PropAnd, Sampled, Sig, Stable, Symbolic, children,
 )
 
 DEFAULT_TRACE_BOUND = 2**20
@@ -118,9 +118,10 @@ class Trace:
     def from_csv(cls, text: str) -> "Trace":
         """A trace from a header of names and one row of cells per cycle; blank rows are skipped.
 
-        A name given twice, a row whose cell count is not the header's, or a
-        cell that is neither x nor a decimal integer in ASCII digits, is a
-        ValueError naming it: `int` alone would also read `1_0` and other
+        A blank name, a name given twice, a row whose cell count is not the
+        header's, or a cell that is neither x nor a decimal integer in ASCII
+        digits, is a ValueError naming it (a blank name by its 1-based
+        position): `int` alone would also read `1_0` and other
         scripts' digits.
         """
         import csv
@@ -130,6 +131,8 @@ class Trace:
         if header is None:
             raise ValueError("empty trace file")
         names = [n.strip() for n in header]
+        if "" in names:
+            raise ValueError(f"column {names.index('') + 1} of the trace file has a blank name")
         columns: dict[str, list[int | None]] = {n: [] for n in names}
         if len(columns) < len(names):
             twice = next(n for i, n in enumerate(names) if n in names[:i])
@@ -162,246 +165,197 @@ class Verdict(namedtuple("Verdict", "property_name outcome cycle", defaults=(Non
         return f"{self.property_name}: {self.outcome}" + ("" if self.cycle is None else f" at cycle {self.cycle}")
 
 
-# Evaluation is column-wise: an expression compiles to a column function,
-# which gives the node's column over a trace's memo, a value per cycle. The
-# memo is one dict per trace, seeded with a copy of the trace's columns, from
-# which a port, verbatim wire or free id is read by its name. Every other
-# column is derived by its rule; one that several parents read is stored
-# under a key of its own closure (`_memoized`). A fixed id's column is an
-# endless repeat, which zips with any column. No closure refers to the
-# compiler that built it, so compiled bodies build no reference cycle.
-
-def _signal(name: str) -> Callable[[dict], list]:
-    """A port, verbatim wire or free id: the trace must have it."""
-    def col(memo):
-        out = memo.get(name)
-        if out is None:
-            raise UnknownSignalError(name)
-        return out
-    return col
+# The outcomes by rank, the index a generated evaluator ends on: a
+# conjunction ends as its lower-ranked half, pending before holds before vacuous.
+_OUTCOMES = (VIOLATED, PENDING, HOLDS, VACUOUS)
+# Source text -> the function `f` it defines: one compile per body structure. It is shared by every
+# caller in the process, which is safe because what it holds depends on the key alone.
+_CODE: dict[str, Callable] = {}
+# The nodes a trace supplies by name, a fixed id excepted; every other node is derived.
+_READ = (Sig, AttribWire, Symbolic)
 
 
-def _memoized(fn: Callable[[dict], list]) -> Callable[[dict], list]:
-    """`fn`, its column derived once per memo."""
-    key = object()
+class _Source:
+    """A body, or a node's column, as the source of one loop over the cycles, and the arguments it takes.
 
-    def col(memo):
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = fn(memo)
-        return out
-    return col
-
-
-def _register(node: Counter | Inflight | Sampled, a: list, b: list) -> list[int]:
-    """The register's value per cycle, by its node's loop over its two input columns."""
-    return node.values(a, b)
-
-
-def _and(a, b):
-    return lambda memo: [u and v for u, v in zip(a(memo), b(memo))]
-
-
-def _or(a, b):
-    return lambda memo: [u or v for u, v in zip(a(memo), b(memo))]
-
-
-def _unknown(x):
-    return lambda memo: [v is None for v in x(memo)]
-
-
-def _delayed(x):
-    """x one cycle later: the first cycle reads 0, and x's last cycle falls off the trace."""
-    return lambda memo: [False, *x(memo)[:-1]]
-
-
-def _held(x):
-    """Per cycle, whether x holds its value of the cycle before; the first cycle holds."""
-    def col(memo):
-        c = x(memo)
-        return [True, *map(eq, c[1:], c)]
-    return col
-
-
-# One rule per derived node class: the node and the column functions of the
-# nodes `children` lists give the node's column function; an operator over a
-# tuple of operands folds its binary form over them. Boolean operators read
-# values by truth, so an unknown (None) reads as 0 there; `==` sees raw
-# values unless two-valued.
-_RULES = {
-    Handshake: lambda node, expr: expr,
-    **dict.fromkeys((Counter, Inflight, Sampled), lambda node, a, b: lambda memo: _register(node, a(memo), b(memo))),
-    Not: lambda node, x: lambda memo: list(map(not_, x(memo))),
-    And: lambda node, a, b: _and(a, b),
-    Or: lambda node, *args: reduce(_or, args),
-    Eq: lambda node, a, b: (lambda memo: [(x or 0) == (y or 0) for x, y in zip(a(memo), b(memo))]) if node.two_valued
-    else lambda memo: list(map(eq, a(memo), b(memo))),
-    Gt: lambda node, a: lambda memo, k=node.k: [v > k for v in a(memo)],
-    Stable: lambda node, *items: reduce(_and, map(_held, items)),
-    IsUnknown: lambda node, *items: reduce(_or, map(_unknown, items)),
-}
-
-
-class Compiler:
-    """Compiles property bodies into evaluators, each subtree once.
-
-    `properties(bodies)` gives the evaluator of each (body, ids) pair, a
-    function `(memo, n) -> (outcome, cycle)` over a trace's memo and length.
-    `ids` fixes symbolic ids to values: an id it names compiles to a
-    constant column, while without it an id is read from the trace like any
-    signal. A subtree compiles once per value of the ids it reads, so one
-    that reads no id is one closure shared by every body this compiler
-    builds, and one that reads an id is one closure per value. `window`, if
-    given, cuts each unbounded eventuality to that many cycles.
-
-    `properties` walks every body before it builds any closure, counting the
-    parents that read each column; each body's evaluator is one more reader
-    of the columns its shape reads. Only a derived column read by more than
-    one parent is memoized; any other is derived by its one reader's call.
-    `column(node, ids)` follows the same rule, the node itself its one
-    reader.
+    Each expression node is an expression over cycle i. A column read
+    (port, verbatim wire or free id) is `c<k>[i]`, the column fetched once
+    before the loop; a register is a state variable, 0 before cycle 0 and
+    given its next value at the end of each cycle, all at once. A node that
+    two parents read is computed once per cycle into a local; any other is
+    written inline in its one reader. Each name, id value, mask, window and
+    `hi` is an argument `a<k>`, so the text depends only on the structure:
+    `args` holds the value of each, except that a fixed id stands as its
+    `Symbolic` node and an unbounded window as None, both bound later.
     """
 
-    def __init__(self, window: int | None = None):
-        self.window = window
-        self.reads: dict[int, dict[str, Symbolic]] = {}
-        # Keyed by (id(node), the values `ids` gives the ids it reads, or () when `ids` fixes none): how many
-        # parents read the column, and its column function.
-        self.readers: dict[tuple, int] = {}
-        self.columns: dict[tuple, Callable[[dict], list]] = {}
-        # Each derived column walked and not yet built, after its children: (key, node, the children's keys).
-        self.pending: list[tuple[tuple, Node, list[tuple]]] = []
+    def __init__(self, node: Node, fixed: Collection[str]):
+        self.fixed, self.args, self.reads, self.names, self.serial = fixed, [], {}, {}, itertools.count()
+        self.cols, self.state, self.lets, self.checks, self.nexts = [], [], [], [], []
+        self.count(node)
 
-    def ids(self, node: Node) -> dict[str, Symbolic]:
-        """The symbolic ids `node` reads, by name, in pre-order over `children`."""
-        reads = self.reads.get(id(node))
-        if reads is None:
-            reads = self.reads[id(node)] = {node.name: node} if node.__class__ is Symbolic else {
-                name: symb for x in children(node) for name, symb in self.ids(x).items()}
-        return reads
+    def key(self, node: Node):
+        """A column by the name it is read by, a fixed id or a derived node by identity."""
+        cls = node.__class__
+        return node.name if cls in _READ and not (cls is Symbolic and node.name in self.fixed) else id(node)
 
-    def properties(self, bodies: Iterable[tuple[Node, Mapping[str, int]]]) -> list[Callable]:
-        """The evaluator of each (body, ids) pair, for traces of n >= 1 cycles."""
-        plans = [self._plan(body, ids) for body, ids in bodies]
-        self._build()
-        return [plan() for plan in plans]
+    def count(self, node: Node) -> None:
+        """One more reader of the node, walking its subtree on the first."""
+        k = self.key(node)
+        self.reads[k] = self.reads.get(k, 0) + 1
+        if self.reads[k] == 1:
+            for x in children(node):
+                self.count(x)
 
-    def column(self, node: Node, ids: Mapping[str, int] = {}) -> Callable[[dict], list]:
-        """The column function of an expression node, its ids fixed by `ids`."""
-        key = self._walk(node, ids)
-        self._build()
-        return self.columns[key]
+    def arg(self, value) -> str:
+        self.args.append(value)
+        return f"a{len(self.args) - 1}"
 
-    def _walk(self, node: Node, ids: Mapping[str, int]) -> tuple:
-        """One more reader of the node's column, walking its subtree on the first: the column's key."""
-        key = (id(node), tuple(map(ids.get, self.ids(node))) if ids else ())
-        seen = self.readers.get(key, 0)
-        self.readers[key] = seen + 1
-        if not seen and node.__class__ in _RULES:
-            self.pending.append((key, node, [self._walk(x, ids) for x in children(node)]))
-        elif not seen:
-            fixed = node.__class__ is Symbolic and node.name in ids
-            self.columns[key] = (lambda memo, v=itertools.repeat(ids[node.name]): v) if fixed else _signal(node.name)
-        return key
+    def var(self, init: str, into: list | None = None, prefix: str = "s") -> str:
+        """A fresh variable, set to `init` before the loop, or where `into` puts it."""
+        name = f"{prefix}{next(self.serial)}"
+        (self.state if into is None else into).append(f"{name}={init}")
+        return name
 
-    def _build(self) -> None:
-        columns, readers = self.columns, self.readers
-        for key, node, below in self.pending:  # children first, so each rule finds its operands' columns
-            col = _RULES[node.__class__](node, *[columns[k] for k in below])
-            columns[key] = _memoized(col) if readers[key] > 1 else col
-        self.pending.clear()
+    def local(self, text: str) -> str:
+        """`text` computed once at the start of each cycle: a name."""
+        return text if text.isidentifier() else self.var(text, self.lets, "v")
 
-    def _plan(self, body: Node, ids: Mapping[str, int]) -> Callable[[], Callable]:
-        """Walk a property body's columns now: a function giving its evaluator once they are built.
+    def before(self, text: str) -> str:
+        """A state variable holding `text`'s value of the cycle before: 0 at cycle 0."""
+        v = self.var("0")
+        self.nexts.append((v, text))
+        return v
 
-        Each walk is a default argument, so it runs when its lambda is made.
-        """
-        cls, col = body.__class__, self.columns.__getitem__
+    def expr(self, node: Node) -> str:
+        """The node's value at cycle i."""
+        k = self.key(node)
+        text = self.names.get(k)
+        if text is None:
+            text = self.names[k] = self._expr(node) if self.reads[k] == 1 else self.local(self._expr(node))
+        return text
+
+    def _expr(self, node: Node) -> str:
+        cls, x = node.__class__, self.expr
+        if cls is Handshake:
+            return x(node.expr)
+        if cls in (Counter, Inflight, Sampled):
+            v = self.var("0")
+            self.nexts.append((v, node.update(v, x(node[1]), x(node[2]), self.arg)))
+            return v
+        if cls is Not:
+            return f"(not {x(node.x)})"
+        if cls is And:
+            return f"({x(node.a)} and {x(node.b)})"
+        if cls is Or:
+            return f"({' or '.join(map(x, node.args))})"
+        if cls is Eq:
+            return f"(({x(node.a)} or 0)==({x(node.b)} or 0))" if node.two_valued else f"({x(node.a)}=={x(node.b)})"
+        if cls is Gt:
+            return f"({x(node.a)}>{self.arg(node.k)})"
+        if cls is IsUnknown:
+            return f"({' or '.join(f'{x(item)} is None' for item in node.items)})"
+        if cls is Stable:  # each item equals its value of the cycle before; the first cycle holds
+            now = [self.local(x(item)) for item in node.items]
+            return f"(not i or {' and '.join(f'{v}=={self.before(v)}' for v in now)})"
+        if cls is Symbolic and node.name in self.fixed:
+            return self.arg(node)
+        return self.var(f"C[{self.arg(node.name)}]", self.cols, "c") + "[i]"
+
+    def rank(self, body: Node) -> str:
+        """Add a property's statements to the loop: the index into `_OUTCOMES` it ends on if none returns."""
+        cls = body.__class__
         if cls is PropAnd:
-            return lambda a=self._plan(body.a, ids), b=self._plan(body.b, ids): _both(a(), b())
-        if cls is CoverSeq:
-            return lambda a=self._walk(body.a, ids), b=self._walk(body.b, ids): _cover(col(a), col(b), body.hi)
+            return f"min({self.rank(body.a)},{self.rank(body.b)})"
+        if cls is CoverSeq:  # matched once b holds within hi cycles of the last a
+            last, hit, hi = self.var("None"), self.var("0"), self.arg(math.inf if body.hi is None else body.hi)
+            self.checks += [f"if {self.expr(body.a)}:{last}=i",
+                            f"if {self.expr(body.b)} and {last} is not None and i-{last}<={hi}:{hit}=1"]
+            return f"1+{hit}"
         if cls is not Implies:  # a boolean body is checked at every cycle
-            return lambda c=self._walk(body, ids): _always(col(c))
-        ant, con = self._walk(body.ant, ids), body.con
-        if con.__class__ is Eventually:
-            # `ant |=> ev` is `ant |-> ev` one cycle later, so it runs on the antecedent shifted by one cycle.
-            x, hi = self._walk(con.x, ids), self.window if con.hi is None else con.hi
-            return lambda: _eventually(_delayed(col(ant)) if body.next_cycle else col(ant), col(x), hi)
-        return lambda c=self._walk(con, ids): _implies(col(ant), col(c), 1 if body.next_cycle else 0)
+            self.checks.append(f"if not {self.expr(body)}:return V,i")
+            return "2"
+        ant, fired = self.expr(body.ant), self.var("0")
+        if body.next_cycle:  # `|=>` reads the antecedent of the cycle before
+            ant = self.before(ant)
+        con = body.con
+        if con.__class__ is not Eventually:
+            self.checks.append(f"if {ant}:\n {fired}=1\n if not {self.expr(con)}:return V,i")
+            return f"3-{fired}"
+        # The oldest open obligation: a discharge closes every open one, and the oldest fails when its window
+        # closes. An unbounded window (hi None, and no window given) never closes.
+        opened, hi = self.var("None"), self.arg(con.hi)
+        self.checks += [f"if {opened} is None and {ant}:{opened}=i;{fired}=1",
+                        f"if {opened} is not None:\n if {self.expr(con.x)}:{opened}=None\n"
+                        f" elif i-{opened}=={hi}:return V,i"]
+        return f"1 if {opened} is not None else 3-{fired}"
+
+    def bind(self, result: str) -> Callable[..., Callable]:
+        """`bind(ids, window)`, giving the loop that returns `result` as `e(columns, n)`, its arguments bound.
+
+        The source is compiled on its first use; a later one of the same
+        text, from a body of the same structure, reuses that code.
+        """
+        loop = [*self.lets, *self.checks]
+        if self.nexts:
+            loop.append(",".join(v for v, _ in self.nexts) + "=" + ",".join(e for _, e in self.nexts))
+        lines = [f"def f({','.join(f'a{k}' for k in range(len(self.args)))}):", " def e(C,n):"]
+        if self.cols:
+            lines += ["  try:" + ";".join(self.cols), "  except KeyError as x:raise U(*x.args) from None"]
+        lines += ["  " + ";".join(self.state)] if self.state else []
+        lines += ["  for i in range(n):", *("   " + s.replace("\n", "\n   ") for s in loop),
+                  f"  return {result}", " return e"]
+        text = "\n".join(lines)
+        make = _CODE.get(text)
+        if make is None:
+            scope = {"O": _OUTCOMES, "V": VIOLATED, "U": UnknownSignalError}
+            exec(text, scope)
+            make = _CODE[text] = scope.pop("f")
+        args = self.args
+        return lambda ids={}, window=None: make(*[window if a is None else ids[a.name] if a.__class__ is Symbolic
+                                                   else a for a in args])
 
 
-# The property layer: each shape gives (outcome, cycle) over a memo and a
-# length. A conjunction is as bad as its worse half, in the order violated
-# (at the earlier cycle), pending, holds, vacuous.
-_RANK = {VIOLATED: 0, PENDING: 1, HOLDS: 2, VACUOUS: 3}
+def evaluator(body: Node, fixed: Collection[str] = ()) -> Callable[..., Callable[[dict, int], tuple]]:
+    """`bind(ids, window)`, giving the evaluator `(columns, n) -> (outcome, cycle)` of a property body over
+    traces of n >= 1 cycles.
+
+    Each id named in `fixed` is the constant `ids` gives it; any other id is
+    read from the trace like any signal. `window`, if not None, cuts each
+    unbounded eventuality to that many cycles.
+    """
+    src = _Source(body, fixed)
+    return src.bind(f"O[{src.rank(body)}],None")
 
 
-def _both(first, second):
-    return lambda memo, n: min(first(memo, n), second(memo, n), key=lambda v: (_RANK[v[0]], v[1] or 0))
+def column(node: Node, trace: Trace, ids: Mapping[str, int] = {}) -> list:
+    """The value of an expression node at each cycle of a trace, each id that `ids` names fixed to its value."""
+    src = _Source(node, ids)
+    out = src.var("[]")
+    src.checks.append(f"{out}.append({src.expr(node)})")
+    return src.bind(out)(ids)(trace.columns, trace.length)
 
 
-def _cover(a, b, hi):
-    def run(memo, n):
-        x, y = a(memo), b(memo)
-        span = n if hi is None else hi + 1
-        return (HOLDS if any(x[i] and any(y[i:i + span]) for i in range(n)) else PENDING), None
-    return run
-
-
-def _always(c):
-    def run(memo, n):
-        for i, v in enumerate(c(memo)):
-            if not v:
-                return VIOLATED, i
-        return HOLDS, None
-    return run
-
-
-def _implies(ant, con, d):
-    """`ant |-> con` when d is 0, `ant |=> con` when d is 1."""
-    def run(memo, n):
-        a, c = ant(memo), con(memo)
-        for i in range(n - d):
-            if a[i] and not c[i + d]:
-                return VIOLATED, i + d
-        return (HOLDS if any(a[:n - d]) else VACUOUS), None
-    return run
-
-
-def _eventually(ant, x, hi):
-    """`ant |-> x` within hi cycles, or ever when hi is None, in one forward pass that keeps the oldest
-    open obligation: a discharge closes every open one, the oldest fails when its window closes, and it
-    is pending if the trace ends first. An unbounded window never closes."""
-    def run(memo, n):
-        a, c = ant(memo), x(memo)
-        opened = None
-        for i in range(n):
-            if opened is None:
-                if not a[i]:
-                    continue
-                opened = i
-            if c[i]:
-                opened = None
-            elif i - opened == hi:
-                return VIOLATED, i
-        return (PENDING if opened is not None else HOLDS if any(a) else VACUOUS), None
-    return run
+def symbolic_ids(node: Node) -> dict[str, Symbolic]:
+    """The symbolic ids `node` reads, by name, in pre-order over `children`."""
+    if node.__class__ is Symbolic:
+        return {node.name: node}
+    return {name: symb for x in children(node) for name, symb in symbolic_ids(x).items()}
 
 
 def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:
     """Evaluate one generated property against one trace.
 
-    The property's body is compiled on first use and kept with the property
-    until its body is another object. Each call evaluates into a fresh memo,
-    seeded with a copy of the trace's columns.
+    The property's evaluator is made on first use and kept with the
+    property until its body is another object. It reads the trace's
+    columns and writes nothing.
     """
     if not (n := trace.length):
         return Verdict(p.name, VACUOUS)
     compiled = p.compiled
     if compiled is None or compiled[0] is not p.body:
-        compiled = p.compiled = (p.body, Compiler().properties([(p.body, {})])[0])
-    return Verdict(p.name, *compiled[1](dict(trace.columns), n))
+        compiled = p.compiled = (p.body, evaluator(p.body)())
+    return Verdict(p.name, *compiled[1](trace.columns, n))
 
 
 def trace_space_size(domain_sizes: Iterable[int], max_len: int) -> int:

@@ -18,11 +18,14 @@ from autoft.models import (
 from autoft.diagnostics import SymbolicWidthError, UnknownSignalError
 from autoft.parser import literal_width_bits
 from autoft.properties import GeneratedProperty
-from autoft.sva import And, AttribWire, Counter, Eq, Eventually, Gt, Implies, Not, Sig, Symbolic
+from autoft.emit import generate_bundle
+from autoft.options import GenOptions
+from autoft.sva import And, AttribWire, Counter, Eq, Eventually, Gt, Implies, Not, Sig, Symbolic, children
 from autoft.tracecheck import HOLDS, PENDING, VACUOUS, VIOLATED, Trace, eval_property
 
 import differential
 from conftest import REPO, gen_fixture
+from test_gc import wide_header
 
 
 def run(fixture_name, model):
@@ -256,7 +259,7 @@ def test_a_missing_signal_is_named_in_property_order():
 
 
 def test_a_missing_signal_below_an_unshared_column_is_named():
-    # `v && !gone` has one reader, so it is derived by the evaluator's own call, not through the memo.
+    # `v && !gone` has one reader, so it is written inline in the antecedent; its columns are still read first.
     p = GeneratedProperty("p", "liveness", "assert", Implies(And(Sig("v"), Not(Sig("gone"))), Sig("id")))
     with pytest.raises(UnknownSignalError) as exc:
         check_bundle_on_model([], [p], _OneCycle())
@@ -369,35 +372,73 @@ class TestOnePass:
         model = _Drawn(MODEL_REGISTRY[fixture](), traces)
         assert check_bundle_on_model([], props, model).entries == one_at_a_time(props, model)
 
-    @pytest.mark.parametrize("fixture, per_trace, before", [("noc_buffer", 9, 14), ("pipeline", 9, 15),
-                                                            ("fifo", 1, 2)])
-    def test_registers_are_derived_once_per_trace_and_id_value(self, monkeypatch, fixture, per_trace, before):
-        calls, register = [], tracecheck._register
+    def test_bodies_of_one_structure_share_code_and_keep_their_names(self, monkeypatch):
+        def busy(v, w):
+            return Gt(Counter(f"{v}_cnt", Sig(v), Sig(w), 3, "C_MAX_OUTSTANDING", "C_CNT_WIDTH"), 0)
 
-        def counting(node, a, b):
-            calls.append(node.name)
-            return register(node, a, b)
-
-        monkeypatch.setattr(tracecheck, "_register", counting)
-        props, model = gen_fixture(fixture).properties, MODEL_REGISTRY[fixture]()
-        check_bundle_on_model([], props, model)
-        assert len(calls) == per_trace * model.n_traces
-        calls.clear()
-        one_at_a_time(props, model)
-        assert len(calls) == before * model.n_traces
-
-    def test_a_subtree_two_bodies_share_is_derived_once_per_trace(self, monkeypatch):
-        calls, register = [], tracecheck._register
-        monkeypatch.setattr(tracecheck, "_register", lambda node, a, b: calls.append(node.name) or register(node, a, b))
-        busy = Gt(Counter("cnt", Sig("v"), Sig("w"), 3, "C_MAX_OUTSTANDING", "C_CNT_WIDTH"), 0)
-        props = [GeneratedProperty("p_busy", "active_covered", "assert", Implies(busy, Sig("v"))),
-                 GeneratedProperty("p_idle", "active_covered", "assert", Implies(Sig("w"), busy))]
-        model = _Drawn(_OneCycle(), [Trace({"v": [1, 0, 1, 0], "w": [0, 1, 0, 1]})] * 3)
+        props = [GeneratedProperty("p_busy", "active_covered", "assert", Implies(busy("v", "w"), Sig("v"))),
+                 GeneratedProperty("q_busy", "active_covered", "assert", Implies(busy("x", "y"), Sig("x")))]
+        monkeypatch.setattr(tracecheck, "_CODE", {})
+        trace = Trace({"v": [1, 0, 0, 0], "w": [0, 0, 0, 1], "x": [0, 1, 0, 0], "y": [0, 0, 1, 1]})
+        model = _Drawn(_OneCycle(), [trace])
         entries = check_bundle_on_model([], props, model).entries
-        assert calls == ["cnt"] * 3  # `cnt > 0` is read by both bodies, and the counter below it once
-        calls.clear()
+        assert len(tracecheck._CODE) == 1
+        assert [(e.verdict.outcome, e.verdict.cycle) for e in entries] == [(VIOLATED, 1), (VIOLATED, 2)]
         assert entries == one_at_a_time(props, model)
-        assert calls == ["cnt"] * 6
+
+
+def structure(value, names=None):
+    """What a body's generated source depends on in a check: its node types and flags, and each port or wire by
+    the order of its name's first appearance. Other names, id values and numbers are arguments."""
+    names = {} if names is None else names
+    if type(value) in (Sig, AttribWire):
+        return names.setdefault(value.name, len(names))
+    if isinstance(value, tuple):
+        return (type(value).__name__, *(structure(v, names) for v in value))
+    return value if isinstance(value, bool) else None
+
+
+def columns_read(node) -> set[str]:
+    """The names of the ports and verbatim wires below a node."""
+    if type(node) in (Sig, AttribWire):
+        return {node.name}
+    return set().union(*map(columns_read, children(node)))
+
+
+def fresh_check(bundle: str):
+    """The properties of a fresh bundle, and the model they are checked on: a fixture's, or one trace over every
+    port and wire of the 240-transaction wide header of `test_gc`."""
+    if bundle in MODEL_REGISTRY:
+        return gen_fixture(bundle).properties, MODEL_REGISTRY[bundle]()
+    props = generate_bundle(wide_header(240), "wide.sv", GenOptions(tool="both", bounded=3)).properties
+    assert len(props) == 2040
+    names = set().union(*(columns_read(p.body) for p in props))
+    return props, _Drawn(_OneCycle(), [Trace({n: [1, 0, 1] for n in names})])
+
+
+@pytest.mark.parametrize("bundle, compiled", [("noc_buffer", 8), ("pipeline", 11), ("fifo", 5), ("wide", 10)])
+def test_a_check_compiles_one_code_object_per_body_structure(monkeypatch, bundle, compiled):
+    monkeypatch.setattr(tracecheck, "_CODE", {})
+    props, model = fresh_check(bundle)
+    check_bundle_on_model([], props, model)
+    assert len(tracecheck._CODE) == len({structure(p.body) for p in props}) == compiled
+    check_bundle_on_model([], *fresh_check(bundle))
+    assert len(tracecheck._CODE) == compiled
+
+
+@pytest.mark.parametrize("fixture", sorted(MODEL_REGISTRY))
+def test_evaluation_leaves_the_traces_alone(fixture):
+    model, props = MODEL_REGISTRY[fixture](), gen_fixture(fixture).properties
+    traces = model.traces()
+    ids = {name for p in props for name in tracecheck.symbolic_ids(p.body)}
+    traces += [t.extended({name: [1] * t.length for name in ids}) for t in traces]
+    before = [{name: (col, list(col)) for name, col in t.columns.items()} for t in traces]
+    check_bundle_on_model([], props, _Drawn(model, traces[:model.n_traces]))
+    for t in traces[model.n_traces:]:
+        for p in props:
+            eval_property(p, t)
+    assert [{name: (col, list(col)) for name, col in t.columns.items()} for t in traces] == before
+    assert all(t.columns[name] is col for t, cols in zip(traces, before) for name, (col, _) in cols.items())
 
 
 def test_model_check_bench_runs_at_tiny_size(tmp_path):
@@ -411,10 +452,9 @@ def test_model_check_bench_runs_at_tiny_size(tmp_path):
         assert set(report[side]["models"]) == {"oracle_size", "default_size"}
         for models in report[side]["models"].values():
             assert set(models) == set(MODEL_REGISTRY)
-            assert all(set(m) == {"median_ms", "q1_ms", "q3_ms", "registers_per_trace", "entries"}
+            assert all(set(m) == {"median_ms", "q1_ms", "q3_ms", "code_objects", "entries"}
                        for m in models.values())
     for config in ("oracle_size", "default_size"):
-        assert [report[side]["models"][config]["noc_buffer"]["registers_per_trace"]
-                for side in ("before", "after")] == [9, 9]
+        assert [report[side]["models"][config]["noc_buffer"]["code_objects"] for side in ("before", "after")] == [8, 8]
     assert set(report["paired_after_over_before"]) == set(report["after_over_before"])
     assert {"default_size/noc_buffer", "oracle_size/noc_buffer"} <= set(report["after_over_before"])

@@ -7,7 +7,7 @@ from autoft.options import GenOptions
 from autoft.parser import parse_module
 from autoft.signals import synth_module_aux
 from autoft.sva import Counter, Handshake, Inflight, Sampled, Sig, Symbolic, matched
-from autoft.tracecheck import Compiler
+from autoft.tracecheck import Trace, column
 from autoft.transactions import build_transactions
 
 from conftest import load_fixture
@@ -40,19 +40,19 @@ def tracking_of(source: str):
 def counter_trace(inc, dec):
     """The outstanding counter's column over inc/dec handshake columns."""
     cnt = Counter("cnt", Sig("inc"), Sig("dec"), 8, "T_MAX_OUTSTANDING", "T_CNT_WIDTH")
-    return Compiler().column(cnt)({"inc": inc, "dec": dec})
+    return column(cnt, Trace({"inc": inc, "dec": dec}))
 
 
 def inflight_trace(set_hsk, set_id, clr_hsk, clr_id, symb):
     s = Symbolic("symb")
     infl = Inflight("infl", matched(Sig("set_hsk"), Sig("set_id"), s), matched(Sig("clr_hsk"), Sig("clr_id"), s))
     cols = {"set_hsk": set_hsk, "set_id": set_id, "clr_hsk": clr_hsk, "clr_id": clr_id, "symb": symb}
-    return Compiler().column(infl)(cols)
+    return column(infl, Trace(cols))
 
 
 def sampled_trace(hsk, idc, symb, data):
     smp = Sampled("smp", matched(Sig("hsk"), Sig("id"), Symbolic("symb")), Sig("data"), "[7:0]")
-    return Compiler().column(smp)({"hsk": hsk, "id": idc, "symb": symb, "data": data})
+    return column(smp, Trace({"hsk": hsk, "id": idc, "symb": symb, "data": data}))
 
 
 def module(ports: str, annotations: str) -> str:
@@ -303,7 +303,7 @@ def _rows(draw_col, names_domains, n):
 
 
 class TestRuleFormsAgree:
-    """Each register's `declare()` text and its `step`, which the evaluator runs, give the same values."""
+    """Each register's `declare()` text and its `update` expression, which the evaluator runs, give the same values."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12), limit=st.integers(1, 9))
@@ -311,14 +311,14 @@ class TestRuleFormsAgree:
         node = Counter("cnt", Sig("inc"), Sig("dec"), limit, "T_MAX_OUTSTANDING", "T_CNT_WIDTH")
         cols, rows = _rows(data.draw, [("inc", BIT), ("dec", BIT)], n)
         want = simulate_declaration(node.declare(GenOptions()), rows, {"T_MAX_OUTSTANDING": limit})
-        assert Compiler().column(node)(dict(cols)) == want
+        assert column(node, Trace(cols)) == want
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12))
     def test_inflight(self, data, n):
         node = Inflight("infl", Sig("set"), Sig("clr"))
         cols, rows = _rows(data.draw, [("set", BIT), ("clr", BIT)], n)
-        assert Compiler().column(node)(dict(cols)) == simulate_declaration(node.declare(GenOptions()), rows, {})
+        assert column(node, Trace(cols)) == simulate_declaration(node.declare(GenOptions()), rows, {})
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12))
@@ -326,4 +326,4 @@ class TestRuleFormsAgree:
         cols, rows = _rows(data.draw, [("cap", BIT), ("data", DATA)], n)
         for width in ("", "[3:0]", "[7:0]"):
             node = Sampled("smp", Sig("cap"), Sig("data"), width)
-            assert Compiler().column(node)(dict(cols)) == simulate_declaration(node.declare(GenOptions()), rows, {}), width
+            assert column(node, Trace(cols)) == simulate_declaration(node.declare(GenOptions()), rows, {}), width

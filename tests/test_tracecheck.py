@@ -1,12 +1,13 @@
 import itertools
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autoft import properties as P
+from autoft import properties as P, tracecheck
 from autoft.diagnostics import SpaceTooLargeError, UnknownSignalError
 from autoft.properties import GeneratedProperty
 from autoft.sva import And, Counter, Eventually, Gt, Implies, Inflight, Not, PropAnd, Sig, Symbolic, matched
@@ -15,8 +16,8 @@ from autoft.tracecheck import (
     PENDING,
     VACUOUS,
     VIOLATED,
-    Compiler,
     Trace,
+    column,
     enumerate_traces,
     eval_property,
     eval_property as evaluate,
@@ -64,6 +65,8 @@ class TestTrace:
 
     @pytest.mark.parametrize("text, message", [
         ("a,a\n1,2\n", "trace file names column 'a' twice"),
+        ("a,\n1,2\n", "column 2 of the trace file has a blank name"),
+        ("a, ,b,\n1,2,3,4\n", "column 2 of the trace file has a blank name"),
         ("a,b\n1,2\n3,4,5\n", "line 3 of the trace file has cell count 3, the header 2"),
         ("a,b\n1,2\n\n3\n", "line 4 of the trace file has cell count 1, the header 2"),
         ("a,b\n1,2\n3,zz\n", "line 3, column 2 ('b') of the trace file holds 'zz', neither an integer nor x"),
@@ -71,8 +74,8 @@ class TestTrace:
         ("a,b\n1,1_0\n", "line 2, column 2 ('b') of the trace file holds '1_0', neither an integer nor x"),
         ("a\n\u0663\n", "line 2, column 1 ('a') of the trace file holds '\u0663', neither an integer nor x"),
         ("a\n-\n", "line 2, column 1 ('a') of the trace file holds '-', neither an integer nor x"),
-    ], ids=["duplicate-name", "surplus-cell", "short-row", "bad-cell", "bad-cell-after-blank", "underscore-digits",
-            "arabic-indic-digit", "sign-alone"])
+    ], ids=["duplicate-name", "blank-name", "two-blank-names", "surplus-cell", "short-row", "bad-cell",
+            "bad-cell-after-blank", "underscore-digits", "arabic-indic-digit", "sign-alone"])
     def test_malformed_csv_is_rejected(self, text, message):
         with pytest.raises(ValueError) as exc:
             Trace.from_csv(text)
@@ -225,30 +228,60 @@ def _nested(signals, max_len, domains=None):
             yield Trace({name: [assignment[cycle][k] for cycle in range(length)] for k, name in enumerate(names)})
 
 
-class TestMemo:
-    """A compiled body memoizes only the derived columns that more than one parent reads."""
+class TestRowLoop:
+    """Each body is one generated loop over the cycles, which computes each node once per cycle."""
 
     COLS = {"p_hsk": [1, 0, 1], "q_hsk": [0, 1, 0], "q_val": [1, 1, 0]}
 
-    def test_a_body_alone_stores_no_column_with_one_reader(self):
-        # `q_val |-> ((cnt > 0) || p_hsk)`: the counter, `>` and `||` each have one reader.
-        [run] = Compiler().properties([(RESPONSE.body, {})])
-        memo = dict(self.COLS)
-        assert run(memo, 3) == tuple(evaluate(RESPONSE, Trace(self.COLS)))[1:]
-        assert memo == self.COLS
+    @staticmethod
+    def source(monkeypatch, p: GeneratedProperty, trace: Trace) -> str:
+        """The one source the evaluation of an uncompiled copy of `p` compiles, from an empty cache."""
+        monkeypatch.setattr(tracecheck, "_CODE", {})
+        eval_property(p._replace(), trace)
+        [text] = tracecheck._CODE
+        return text
 
-    def test_a_column_two_parents_read_is_stored_once(self):
+    def test_a_node_with_one_reader_is_written_inline(self, monkeypatch):
+        # `q_val |-> ((cnt > 0) || p_hsk)`: the counter, `>` and `||` each have one reader; p_hsk has two,
+        # `||` and the counter's update, so it alone is a local.
+        text = self.source(monkeypatch, RESPONSE, Trace(self.COLS))
+        assert len(re.findall(r"\bv\d+=", text)) == 1
+
+    def test_a_node_two_parents_read_is_computed_once_per_cycle(self, monkeypatch):
         busy = Gt(CNT, 0)  # read by both halves; the counter only by it
-        [run] = Compiler().properties([(PropAnd(Implies(Q_VAL, busy), Implies(busy, Not(Q_HSK))), {})])
-        memo = dict(self.COLS)
-        run(memo, 3)
-        assert len(memo) == len(self.COLS) + 1
+        p = prop("active_covered", PropAnd(Implies(Q_VAL, busy), Implies(busy, Not(Q_HSK))))
+        text = self.source(monkeypatch, p, Trace(self.COLS))
+        assert text.count(">") == 1 and text.count("+(not ") == 1
+        assert re.search(r"\bv\d+=\(s\d+>a\d+\)", text)
 
     def test_a_missing_signal_below_a_single_reader_raises(self):
         body = Implies(And(P_HSK, Not(Sig("gone"))), Q_VAL)
         with pytest.raises(UnknownSignalError) as exc:
             evaluate(prop("response_had_request", body), Trace(self.COLS))
         assert exc.value.name == "gone"
+
+
+def test_no_input_text_in_generated_source(monkeypatch):
+    # Every name and id value is an argument of the generated code, so hostile names evaluate like plain ones.
+    monkeypatch.setattr(tracecheck, "_CODE", {})
+    hostile = {"a": "a); import os #", "ip": '"', "b": "\\", "iq": "s\u00efgnal_\u00fc", "s": "s'\n"}
+
+    def body(name):
+        s = Symbolic(name["s"])
+        req, resp = matched(Sig(name["a"]), Sig(name["ip"]), s), matched(Sig(name["b"]), Sig(name["iq"]), s)
+        return PropAnd(P.eventually(req, resp, 2), P.transid_integrity(resp, Inflight("infl", req, resp)))
+
+    plain, bad = prop("liveness", body({k: k for k in hostile})), prop("liveness", body(hostile))
+    outcomes = set()
+    for t in itertools.islice(enumerate_traces({k: 1 for k in hostile}, 3), 0, None, 97):
+        renamed = Trace({hostile[k]: v for k, v in t.columns.items()})
+        assert evaluate(bad, renamed) == evaluate(plain, t)
+        outcomes.add(evaluate(plain, t).outcome)
+        for value in (0, 1):
+            assert (column(bad.body.b.ant, renamed, {hostile["s"]: value})
+                    == column(plain.body.b.ant, t, {"s": value}))
+    assert outcomes == {HOLDS, VIOLATED, VACUOUS, PENDING}
+    assert tracecheck._CODE and not [n for n in hostile.values() if any(n in text for text in tracecheck._CODE)]
 
 
 class TestDifferentialSpotChecks:
@@ -365,7 +398,7 @@ class TestInvariants:
     def test_counter_conservation(self, inc, dec):
         n = min(len(inc), len(dec))
         inc, dec = inc[:n], dec[:n]
-        run = Compiler().column(CNT)({"p_hsk": inc, "q_hsk": dec})
+        run = column(CNT, Trace({"p_hsk": inc, "q_hsk": dec}))
         for i in range(n):
             assert run[i] == (sum(inc[:i]) - sum(dec[:i])) % 16
 
