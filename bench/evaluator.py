@@ -20,15 +20,14 @@ sides. The items of a round are:
   fresh `generate_model` of its fixture, made before the timer starts.
 
 A model turn times one `check_bundle_on_model` call on a fresh model after a
-full collection, drawing the traces and compiling the properties included
-(on a side that caches generated code, the code is already compiled).
+full collection, drawing the traces and making the evaluators included (a
+side whose properties keep their evaluators makes them in its first turn
+at oracle size only, and every side's code is compiled by then).
 At default size it also times what `autoft check` does between generating
 the model and checking it: `gen_properties` over the model's transactions,
-which builds each transaction's trees. One more check per side, run first,
-counts what its evaluator makes: the registers it derives per trace
-(`registers_per_trace`) on a side whose `tracecheck` derives them by
-`_register`, or else the code objects the check compiles into an empty
-cache (`code_objects`, one per body structure).
+which builds each transaction's trees. One more check per side, run first
+on a fresh bundle's properties, counts the code objects it compiles into
+an empty `tracecheck._CODE` (`code_objects`, one per body structure).
 Sides that draw equal traces must give equal entries; the checks whose
 traces differ are named in `traces_differ`. Rates (traces per busy second)
 and model times (ms) are medians over rounds, with quartiles. With two
@@ -125,27 +124,15 @@ class Side:
         return (time.perf_counter() - t0) * 1e3
 
     def counts(self, config: str, name: str) -> tuple[dict, list[tuple], list[dict]]:
-        """What one check derives or compiles, its entries as plain tuples, and its traces' columns.
-
-        A side that derives registers by `tracecheck._register` counts those
-        it derives per trace; a side that caches generated code counts the
-        code objects the check compiles into an empty `tracecheck._CODE`.
-        """
-        tc, model = self.af.tracecheck, self.models[config, name]()
-        seam, calls = hasattr(tc, "_register"), []
-        if seam:
-            derive = tc._register
-            tc._register = lambda node, *args: calls.append(node) or derive(node, *args)
-        else:
-            cache, tc._CODE = tc._CODE, {}
+        """The code objects one check of a fresh bundle's properties compiles into an empty `tracecheck._CODE`,
+        its entries as plain tuples, and its traces' columns."""
+        tc, model, props = self.af.tracecheck, self.models[config, name](), self.bundle(name)
+        cache, tc._CODE = tc._CODE, {}
         try:
-            report = self.af.models.check_bundle_on_model([], self.props[name], model)
-            count = {"registers_per_trace": len(calls) / model.n_traces} if seam else {"code_objects": len(tc._CODE)}
+            report = self.af.models.check_bundle_on_model([], props, model)
+            count = {"code_objects": len(tc._CODE)}
         finally:
-            if seam:
-                tc._register = derive
-            else:
-                tc._CODE = {**cache, **tc._CODE}
+            tc._CODE = {**cache, **tc._CODE}
         entries = [(e.trace_index, e.symb_values, e.verdict.property_name, e.kind,
                     e.verdict.outcome, e.verdict.cycle) for e in report.entries]
         return count, entries, [t.columns for t in model.traces()]

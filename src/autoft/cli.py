@@ -61,7 +61,7 @@ from types import ModuleType, SimpleNamespace
 from .diagnostics import Diagnostic, GenerationError, SymbolicWidthError, UnknownSignalError
 from .emit import ModuleModel, bind_block, generate_model, write_files
 from .models import MODEL_REGISTRY, check_bundle_on_model
-from .options import DEFAULT_MAX_OUTSTANDING, TOOLS, GenOptions
+from .options import DEFAULT_MAX_OUTSTANDING, TOOLS, GenOptions, integer
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -77,18 +77,6 @@ def _print_diagnostics(diags: list[Diagnostic]) -> None:
     color = env == "1" if env in ("0", "1") else sys.stderr.isatty()
     for d in diags:
         print(d.render(color), file=sys.stderr)
-
-
-def integer(text: str) -> int:
-    """text as an int if it is an optional sign and ASCII digits, as `Trace.from_csv` reads a cell; else a ValueError.
-
-    `int` also reads other scripts' digits and `_` between digits, such as
-    `1_0`; neither is ASCII digits. `parse_args` reads `--bounded` with it,
-    and calls a value it rejects an "invalid integer value", as argparse did.
-    """
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not an integer: '{text}'")
-    return int(text)
 
 
 def _parse_max_outstanding(values: list[str] | None) -> tuple[int, dict[str, int]]:
@@ -210,14 +198,13 @@ def _cmd_link(args: SimpleNamespace) -> int:
 
 def _cmd_check(args: SimpleNamespace) -> int:
     module, _ = _models(args)
-    props = [p for group in module.properties() for p in group]
     factory = MODEL_REGISTRY.get(module.dut)
     if factory is None:
         known = ", ".join(sorted(MODEL_REGISTRY))
         raise UsageError(f"no reference model for module '{module.dut}' (known: {known})")
     model = factory()
     try:
-        report = check_bundle_on_model(module.txns, props, model)
+        report = check_bundle_on_model(module.txns, module.properties(), model)
     except UnknownSignalError as exc:
         raise UsageError(f"reference model '{model.name}' has no signal '{exc.name}'") from None
     print(report.summary())

@@ -14,9 +14,11 @@ source of SVA text. `gen` and `link` never hold the property module's text:
 it, and they build no transaction's own trees. `check` holds the
 properties, made by `gen_properties`, which runs the shape's builder over
 each transaction's names once and gives each property its body, and renders
-no text; `generate_bundle` holds both, its property module joined over the
-same generator. `write_files` encodes and writes a text in fixed slices
-rather than as one bytes copy. Synthesis has decided every property and its
+no text. A bundle held in memory (`TestbenchBundle`, from `generate_bundle`
+or `link_submodule_fts`) holds both: it is the same `ModuleModel.files`,
+each file joined, and `_bundle` is the one place that makes one.
+`write_files` encodes and writes a text in fixed slices rather than as one
+bytes copy. Synthesis has decided every property and its
 label by the time `generate_model` returns, so making and writing them
 reports nothing.
 """
@@ -83,10 +85,9 @@ class ModuleModel(namedtuple("ModuleModel", "pm txns aux warnings opts")):
     def dut(self) -> str:
         return self.pm.module_name
 
-    def properties(self) -> Iterator[list[GeneratedProperty]]:
-        """Each transaction's properties in turn, made with their bodies when it is reached."""
-        for t, t_aux in zip(self.txns, self.aux):
-            yield gen_properties(t, t_aux, self.opts, self.warnings)
+    def properties(self) -> list[GeneratedProperty]:
+        """Every transaction's properties, made with their bodies, flat, in emitted order."""
+        return [p for t, t_aux in zip(self.txns, self.aux) for p in gen_properties(t, t_aux, self.opts, self.warnings)]
 
     def files(self, binds: str = "", sources: tuple[str, ...] = ()) -> list[tuple[str, Iterable[str]]]:
         """Each file's name and its text in pieces; the property module's are made as they are read.
@@ -217,28 +218,25 @@ def generate_model(source: str, path: str, opts: GenOptions) -> ModuleModel:
     return ModuleModel(pm, txns, aux, diags, opts)
 
 
+def _bundle(model: ModuleModel, properties: list[GeneratedProperty], binds: str = "",
+            sources: tuple[str, ...] = ()) -> TestbenchBundle:
+    """The bundle of `model.files(binds, sources)`, each file's pieces joined, with `properties`."""
+    pm = model.pm
+    prop, bind, *tools = (GeneratedFile(name, "".join(pieces)) for name, pieces in model.files(binds, sources))
+    return TestbenchBundle(dut=pm.module_name, property_module=prop, bind_file=bind, tool_files=tools,
+                           warnings=model.warnings, transactions=model.txns, properties=properties, aux=model.aux,
+                           parameters=[p.name for p in pm.parameters], opts=model.opts, source_module=pm)
+
+
 def generate_bundle(source: str, path: str, opts: GenOptions) -> TestbenchBundle:
     """Run the whole pipeline on one annotated source text, every file and property held in memory.
 
-    Raises GenerationError as `generate_model` does; warnings are attached to
-    the returned bundle.
+    The files are the model's streamed ones (`ModuleModel.files`), joined.
+    Raises GenerationError as `generate_model` does; warnings are attached
+    to the returned bundle.
     """
-    pm, txns, aux, diags, _ = model = generate_model(source, path, opts)
-    props = list(model.properties())
-
-    return TestbenchBundle(
-        dut=pm.module_name,
-        property_module=emit_property_module(pm, txns, aux, props, opts),
-        bind_file=emit_bind_file(pm),
-        tool_files=emit_tool_files(pm, opts.tool, opts),
-        warnings=diags,
-        transactions=txns,
-        properties=[p for group in props for p in group],
-        aux=aux,
-        parameters=[p.name for p in pm.parameters],
-        opts=opts,
-        source_module=pm,
-    )
+    model = generate_model(source, path, opts)
+    return _bundle(model, model.properties())
 
 
 def bind_block(parent: str, children: list[tuple[str, bool]]) -> tuple[str, tuple[str, ...]]:
@@ -273,18 +271,16 @@ def link_submodule_fts(
     `children` pairs each child bundle with its (am, as) flags. With am the
     parent property module gains the child's bind (see `bind_block`) and the
     tool files list the child's files; without am the child leaves no trace
-    in the parent. The linked bundle keeps the parent's properties and
-    warnings: a child's properties are proved, and checked, in the child's
-    own property module.
+    in the parent. The linked bundle is the parent's model's files joined
+    with the binds (`ModuleModel.files`), and keeps the parent's properties
+    and warnings: a child's properties are proved, and checked, in the
+    child's own property module.
     """
     binds, sources = bind_block(parent.dut, [(child.dut, as_) for child, am, as_ in children if am])
     if not binds:
         return parent
-    text = "".join([parent.property_module.text.removesuffix(_END), binds, _END])
-    return parent._replace(
-        property_module=GeneratedFile(parent.property_module.name, text),
-        tool_files=emit_tool_files(parent.source_module, parent.opts.tool, parent.opts, sources),
-    )
+    model = ModuleModel(parent.source_module, parent.transactions, parent.aux, parent.warnings, parent.opts)
+    return _bundle(model, parent.properties, binds, sources)
 
 
 def write_files(target: Path, files: Iterable[tuple[str, Iterable[str]]]) -> None:

@@ -27,10 +27,11 @@ of each symbolic id from the id's node: every value of its literal width,
 which is what `(* anyconst *)` ranges over. Each property is evaluated under
 only the ids its body reads, and its entries name those alone: a property
 that reads no id is evaluated once per trace and its entry names no id value.
-Before any trace is drawn, each body is rendered once and bound once per
-value of the ids it reads, each id a constant argument of the body's
-generated loop and no node rewritten; each trace's columns are then read
-as they are by every evaluator.
+Each property has one evaluator, which `eval_property` keeps on it: its
+body rendered once into a generated loop (`tracecheck.evaluator`), the
+window a call argument. An id is read as a column: each id assignment is
+laid over each trace's columns once, and every property that reads those
+ids reads that one set of columns.
 The queue models hold `depth` = 2 entries, the fixtures' default `DEPTH`.
 """
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .diagnostics import SymbolicWidthError
 from .parser import literal_width_bits
 from .properties import GeneratedProperty
 # `eval_property` is not called here, but perfbench's traced run patches it under this name.
-from .tracecheck import VACUOUS, Trace, Verdict, eval_property, evaluator, symbolic_ids  # noqa: F401
+from .tracecheck import VACUOUS, Trace, Verdict, eval_property, evaluator_of, symbolic_ids  # noqa: F401
 
 
 class ModelCheckEntry(namedtuple("ModelCheckEntry", "trace_index symb_values kind verdict")):
@@ -259,13 +260,18 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     eventualities are cut to the model's liveness window. `txns` is not
     read: every property body already names the signals it needs.
 
-    Before any trace is drawn, each body is rendered into its generated
-    loop (`tracecheck.evaluator`), whose code is compiled once per body
-    structure, and bound once per id assignment, every id a constant
-    argument. Each evaluator keeps its own registers, so a register two
-    bodies read is derived in each. Each trace's columns are read as they
-    are, never copied or written. Entries come in assignment order: the
-    k-th assignment of every property that has one, in property order.
+    Before any trace is drawn, each property's evaluator is made, or taken
+    from the property, where `eval_property` keeps it (`evaluator_of`):
+    one per property, its code compiled once per body structure. An id is
+    a column like any signal: for each trace, each distinct id assignment
+    is laid over the trace's columns once, a column of n copies of each
+    value, and every property under that assignment reads the same
+    columns. A trace's own column of an id's name is so overridden. Each
+    evaluator keeps its own registers, so a register two bodies read is
+    derived in each. The trace's own columns are read, never copied or
+    written.
+    Entries come in assignment order: the k-th assignment of every property
+    that has one, in property order.
     """
     window, rows = model.liveness_window, []  # per property, (assignment, property, evaluator) triples
     for p in props:
@@ -278,16 +284,17 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
             ids = ", ".join(f"'{name}' of {bits} bits" for name, bits in widths.items())
             raise SymbolicWidthError(f"property '{p.name}' reads symbolic ids {ids}: {count} values to check, "
                                      f"more than {MAX_ID_ASSIGNMENTS}")
-        bind = evaluator(p.body, widths)
-        assignments = (tuple(zip(widths, values)) for values in product(*(range(1 << b) for b in widths.values())))
-        rows.append([(a, p, bind(dict(a), window)) for a in assignments])
+        run, values = evaluator_of(p), product(*(range(1 << b) for b in widths.values()))
+        rows.append([(tuple(zip(widths, v)), p, run) for v in values])
     order = [row[k] for k in range(max(map(len, rows), default=0)) for row in rows if k < len(row)]
+    assignments = dict.fromkeys(a for a, _, _ in order)
 
     entries: list[ModelCheckEntry] = []
     for idx, trace in enumerate(model.traces()):
         columns, n = trace.columns, trace.length
+        laid = {a: {**columns, **{name: [v] * n for name, v in a}} for a in assignments}
         entries += [ModelCheckEntry(idx, a, p.kind,
-                                    Verdict(p.name, *run(columns, n)) if n else Verdict(p.name, VACUOUS))
+                                    Verdict(p.name, *run(laid[a], n, window)) if n else Verdict(p.name, VACUOUS))
                     for a, p, run in order]
     return ModelCheckReport(model.name, entries)
 

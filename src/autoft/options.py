@@ -1,4 +1,4 @@
-"""Generation options shared by the property generator, emitter, and CLI."""
+"""Generation options shared by the property generator, emitter, and CLI, and the integer reader of their values."""
 from __future__ import annotations
 
 from collections import namedtuple
@@ -9,6 +9,18 @@ TOOL_BOTH = "both"
 TOOLS = (TOOL_JASPERGOLD, TOOL_SYMBIYOSYS, TOOL_BOTH)
 
 DEFAULT_MAX_OUTSTANDING = 8
+
+
+def integer(text: str) -> int:
+    """text as an int if it is an optional sign and ASCII digits, ASCII whitespace around them aside; else a ValueError.
+
+    `int` alone would also read `_` between digits, such as `1_0`, and
+    other scripts' digits and spaces. The command line reads `--bounded`
+    and `--max-outstanding` with it, and `Trace.from_csv` each cell.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an integer: '{text}'")
+    return int(text)
 
 
 class GenOptions(namedtuple("GenOptions", "tool clk rst rst_active_low assert_inputs bounded max_outstanding "

@@ -121,8 +121,10 @@ def plan_polarity(direction: str, kind: str) -> str:
 class GeneratedProperty:
     """One property: its IR body, which `body.render()` gives as SVA text.
 
-    compiled is (body, evaluator) as `tracecheck.eval_property` last
-    compiled it; it is recompiled when `body` is another object.
+    compiled is (body, evaluator) as `tracecheck.evaluator_of` last made
+    it, the one evaluator that `eval_property` and
+    `models.check_bundle_on_model` both run; it is remade when `body` is
+    another object.
     """
 
     __slots__ = ("name", "kind", "directive", "body", "compiled")

@@ -9,7 +9,7 @@ emits, in the registered view: the value during cycle i reflects
 handshakes strictly before i, and the counter wraps at its declared width.
 
 A trace supplies the ports, the verbatim wires of explicit attribute
-bindings and any free symbolic id, each read by its name. Every other
+bindings and every symbolic id, each read by its name. Every other
 generated signal (a handshake, a register) is derived by its node's rule and
 never read from the trace, so a trace column of such a name changes nothing.
 
@@ -21,14 +21,16 @@ into a local, and any other is written inline in its one reader; the
 registers are local state, all given their next values at the end of the
 cycle. Each property shape is a few statements in that loop, and the first
 violation returns at once, which in row order is the earliest cycle. The
-source depends only on the body's structure: every signal name, id value,
-counter mask, sampled width, window and `hi` is an argument, so no text
+source depends only on the body's structure: every signal or id name,
+counter mask, sampled width, bound and `hi` is an argument, so no text
 from the input is ever compiled, and code is cached by its source text,
-one compile per structure however many bodies share it. The function reads
-the trace's columns and writes nothing, so a trace is passed as it is.
-`eval_property(p, trace)` makes the evaluator on first use and keeps it on
-`p`; `models.check_bundle_on_model` makes one per property and id
-assignment, each id a constant argument. `column(node, trace)` runs the
+one compile per structure however many bodies share it. An unbounded
+eventuality's window is an argument of each call, None for never. The
+function reads the trace's columns and writes nothing, so a trace is
+passed as it is. Each property has one evaluator (`evaluator_of`), made
+on first use and kept on it: `eval_property(p, trace)` calls it without a
+window, and `models.check_bundle_on_model` with the model's, a symbolic
+id's value laid over the trace as a column. `column(node, trace)` runs the
 same loop, collecting one node's value per cycle.
 
 `enumerate_traces` builds each trace's columns in one transposition and
@@ -62,9 +64,10 @@ import io
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .diagnostics import SpaceTooLargeError, UnknownSignalError
+from .options import integer
 from .properties import GeneratedProperty
 from .sva import (
     And, AttribWire, Counter, CoverSeq, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Node, Not,
@@ -119,10 +122,9 @@ class Trace:
         """A trace from a header of names and one row of cells per cycle; blank rows are skipped.
 
         A blank name, a name given twice, a row whose cell count is not the
-        header's, or a cell that is neither x nor a decimal integer in ASCII
-        digits, is a ValueError naming it (a blank name by its 1-based
-        position): `int` alone would also read `1_0` and other
-        scripts' digits.
+        header's, or a cell that is neither x nor an integer as
+        `options.integer` reads one, is a ValueError naming it (a blank name
+        by its 1-based position).
         """
         import csv
 
@@ -144,15 +146,11 @@ class Trace:
                 raise ValueError(f"line {reader.line_num} of the trace file has cell count {len(row)}, "
                                  f"the header {len(names)}")
             for i, (column, cell) in enumerate(zip(columns.values(), row), 1):
-                text = cell.strip()
-                digits = text[1:] if text[:1] in ("+", "-") else text
-                if text in ("x", "X"):
-                    column.append(None)
-                elif digits.isascii() and digits.isdigit():
-                    column.append(int(text))
-                else:
+                try:
+                    column.append(None if cell.strip() in ("x", "X") else integer(cell))
+                except ValueError:
                     raise ValueError(f"line {reader.line_num}, column {i} ('{names[i - 1]}') of the trace file "
-                                     f"holds '{cell}', neither an integer nor x")
+                                     f"holds '{cell}', neither an integer nor x") from None
         return cls(columns)
 
 
@@ -171,7 +169,7 @@ _OUTCOMES = (VIOLATED, PENDING, HOLDS, VACUOUS)
 # Source text -> the function `f` it defines: one compile per body structure. It is shared by every
 # caller in the process, which is safe because what it holds depends on the key alone.
 _CODE: dict[str, Callable] = {}
-# The nodes a trace supplies by name, a fixed id excepted; every other node is derived.
+# The nodes a trace supplies by name; every other node is derived.
 _READ = (Sig, AttribWire, Symbolic)
 
 
@@ -179,25 +177,24 @@ class _Source:
     """A body, or a node's column, as the source of one loop over the cycles, and the arguments it takes.
 
     Each expression node is an expression over cycle i. A column read
-    (port, verbatim wire or free id) is `c<k>[i]`, the column fetched once
+    (port, verbatim wire or symbolic id) is `c<k>[i]`, the column fetched once
     before the loop; a register is a state variable, 0 before cycle 0 and
     given its next value at the end of each cycle, all at once. A node that
     two parents read is computed once per cycle into a local; any other is
-    written inline in its one reader. Each name, id value, mask, window and
-    `hi` is an argument `a<k>`, so the text depends only on the structure:
-    `args` holds the value of each, except that a fixed id stands as its
-    `Symbolic` node and an unbounded window as None, both bound later.
+    written inline in its one reader. Each name, mask, bound and `hi` is an
+    argument `a<k>`, so the text depends only on the structure: `args`
+    holds the value of each. An unbounded eventuality's window is the
+    call's `W`.
     """
 
-    def __init__(self, node: Node, fixed: Collection[str]):
-        self.fixed, self.args, self.reads, self.names, self.serial = fixed, [], {}, {}, itertools.count()
+    def __init__(self, node: Node):
+        self.args, self.reads, self.names, self.serial = [], {}, {}, itertools.count()
         self.cols, self.state, self.lets, self.checks, self.nexts = [], [], [], [], []
         self.count(node)
 
     def key(self, node: Node):
-        """A column by the name it is read by, a fixed id or a derived node by identity."""
-        cls = node.__class__
-        return node.name if cls in _READ and not (cls is Symbolic and node.name in self.fixed) else id(node)
+        """A column by the name it is read by, a derived node by identity."""
+        return node.name if node.__class__ in _READ else id(node)
 
     def count(self, node: Node) -> None:
         """One more reader of the node, walking its subtree on the first."""
@@ -258,8 +255,6 @@ class _Source:
         if cls is Stable:  # each item equals its value of the cycle before; the first cycle holds
             now = [self.local(x(item)) for item in node.items]
             return f"(not i or {' and '.join(f'{v}=={self.before(v)}' for v in now)})"
-        if cls is Symbolic and node.name in self.fixed:
-            return self.arg(node)
         return self.var(f"C[{self.arg(node.name)}]", self.cols, "c") + "[i]"
 
     def rank(self, body: Node) -> str:
@@ -283,15 +278,15 @@ class _Source:
             self.checks.append(f"if {ant}:\n {fired}=1\n if not {self.expr(con)}:return V,i")
             return f"3-{fired}"
         # The oldest open obligation: a discharge closes every open one, and the oldest fails when its window
-        # closes. An unbounded window (hi None, and no window given) never closes.
-        opened, hi = self.var("None"), self.arg(con.hi)
+        # closes. An unbounded one's window is the call's W, and never closes while W is None.
+        opened, hi = self.var("None"), "W" if con.hi is None else self.arg(con.hi)
         self.checks += [f"if {opened} is None and {ant}:{opened}=i;{fired}=1",
                         f"if {opened} is not None:\n if {self.expr(con.x)}:{opened}=None\n"
                         f" elif i-{opened}=={hi}:return V,i"]
         return f"1 if {opened} is not None else 3-{fired}"
 
-    def bind(self, result: str) -> Callable[..., Callable]:
-        """`bind(ids, window)`, giving the loop that returns `result` as `e(columns, n)`, its arguments bound.
+    def loop(self, result: str) -> Callable[..., object]:
+        """The loop that returns `result`, as `e(columns, n, W=None)`, its arguments bound.
 
         The source is compiled on its first use; a later one of the same
         text, from a body of the same structure, reuses that code.
@@ -299,7 +294,7 @@ class _Source:
         loop = [*self.lets, *self.checks]
         if self.nexts:
             loop.append(",".join(v for v, _ in self.nexts) + "=" + ",".join(e for _, e in self.nexts))
-        lines = [f"def f({','.join(f'a{k}' for k in range(len(self.args)))}):", " def e(C,n):"]
+        lines = [f"def f({','.join(f'a{k}' for k in range(len(self.args)))}):", " def e(C,n,W=None):"]
         if self.cols:
             lines += ["  try:" + ";".join(self.cols), "  except KeyError as x:raise U(*x.args) from None"]
         lines += ["  " + ";".join(self.state)] if self.state else []
@@ -311,29 +306,26 @@ class _Source:
             scope = {"O": _OUTCOMES, "V": VIOLATED, "U": UnknownSignalError}
             exec(text, scope)
             make = _CODE[text] = scope.pop("f")
-        args = self.args
-        return lambda ids={}, window=None: make(*[window if a is None else ids[a.name] if a.__class__ is Symbolic
-                                                   else a for a in args])
+        return make(*self.args)
 
 
-def evaluator(body: Node, fixed: Collection[str] = ()) -> Callable[..., Callable[[dict, int], tuple]]:
-    """`bind(ids, window)`, giving the evaluator `(columns, n) -> (outcome, cycle)` of a property body over
-    traces of n >= 1 cycles.
+def evaluator(body: Node) -> Callable[..., tuple]:
+    """The evaluator `(columns, n, window=None) -> (outcome, cycle)` of a property body over traces of n >= 1 cycles.
 
-    Each id named in `fixed` is the constant `ids` gives it; any other id is
-    read from the trace like any signal. `window`, if not None, cuts each
-    unbounded eventuality to that many cycles.
+    Every signal and symbolic id is read from the columns by its name.
+    `window`, if not None, cuts each unbounded eventuality to that many
+    cycles.
     """
-    src = _Source(body, fixed)
-    return src.bind(f"O[{src.rank(body)}],None")
+    src = _Source(body)
+    return src.loop(f"O[{src.rank(body)}],None")
 
 
-def column(node: Node, trace: Trace, ids: Mapping[str, int] = {}) -> list:
-    """The value of an expression node at each cycle of a trace, each id that `ids` names fixed to its value."""
-    src = _Source(node, ids)
+def column(node: Node, trace: Trace) -> list:
+    """The value of an expression node at each cycle of a trace."""
+    src = _Source(node)
     out = src.var("[]")
     src.checks.append(f"{out}.append({src.expr(node)})")
-    return src.bind(out)(ids)(trace.columns, trace.length)
+    return src.loop(out)(trace.columns, trace.length)
 
 
 def symbolic_ids(node: Node) -> dict[str, Symbolic]:
@@ -343,19 +335,24 @@ def symbolic_ids(node: Node) -> dict[str, Symbolic]:
     return {name: symb for x in children(node) for name, symb in symbolic_ids(x).items()}
 
 
-def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:
-    """Evaluate one generated property against one trace.
+def evaluator_of(p: GeneratedProperty) -> Callable[..., tuple]:
+    """The property's evaluator, made on first use and kept on `p` until its body is another object."""
+    compiled = p.compiled
+    if compiled is None or compiled[0] is not p.body:
+        compiled = p.compiled = (p.body, evaluator(p.body))
+    return compiled[1]
 
-    The property's evaluator is made on first use and kept with the
-    property until its body is another object. It reads the trace's
-    columns and writes nothing.
+
+def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:
+    """Evaluate one generated property against one trace, by its kept evaluator (`evaluator_of`).
+
+    It reads the trace's columns and writes nothing.
     """
     if not (n := trace.length):
         return Verdict(p.name, VACUOUS)
-    compiled = p.compiled
-    if compiled is None or compiled[0] is not p.body:
-        compiled = p.compiled = (p.body, evaluator(p.body)())
-    return Verdict(p.name, *compiled[1](trace.columns, n))
+    compiled = p.compiled  # tested here first, the oracle's hot path, so a kept evaluator costs no call
+    run = compiled[1] if compiled is not None and compiled[0] is p.body else evaluator_of(p)
+    return Verdict(p.name, *run(trace.columns, n))
 
 
 def trace_space_size(domain_sizes: Iterable[int], max_len: int) -> int:

@@ -250,7 +250,7 @@ class TestGen:
         assert f"argument --bounded: invalid integer value: '{value}'\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("value", ["1_0", "\u0663", "fifo=1_0", "fifo=\u0663"])
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "+", "", "fifo=1_0", "fifo=\u0663", "fifo=+", "fifo="])
     def test_max_outstanding_takes_ascii_digits_only(self, value, tmp_path, capsys):
         code, out, err = run_cli(["gen", fixture_path("fifo"), "-o", tmp_path / "o", "--max-outstanding", value],
                                  capsys)

@@ -528,11 +528,11 @@ def test_shape_templates_write_what_each_transactions_own_trees_render(src, opts
 ])
 def test_staged_property_calls_make_what_check_makes(src, opts):
     # The staged calls still end in `apply_link_transforms`, which `check`'s own path no longer makes.
-    def fields(groups):
-        return [[(p.name, p.kind, p.directive, p.body.render()) for p in props] for props in groups]
+    def fields(props):
+        return [(p.name, p.kind, p.directive, p.body.render()) for p in props]
 
     *_, staged = _staged(src, "in.sv", opts)
-    assert fields(staged) == fields(generate_model(src, "in.sv", opts).properties())
+    assert fields(p for props in staged for p in props) == fields(generate_model(src, "in.sv", opts).properties())
 
 
 def test_repeated_shapes_header_fills_templates():
@@ -568,9 +568,9 @@ def test_gen_builds_each_shapes_trees_once_and_binds_no_transaction(src, txns, s
     model = generate_model(src, "in.sv", GenOptions())
     assert len(model.txns) == txns and len({id(a.shape) for a in model.aux}) == shapes and len(built) == 2 * shapes
     # Each call of `properties()` builds every transaction's trees over its own names, once.
-    bodies = [p.body for props in model.properties() for p in props]
+    bodies = [p.body for p in model.properties()]
     assert len(built) == 2 * shapes + txns and slot not in {name for _, name in built[2 * shapes:]}
-    assert [p.body for props in model.properties() for p in props] == bodies and len(built) == 2 * shapes + 2 * txns
+    assert [p.body for p in model.properties()] == bodies and len(built) == 2 * shapes + 2 * txns
     assert model.aux[-1].roles["p_hsk"].name == model.txns[-1].p.name + "_hsk"
     assert len(built) == 2 * shapes + 2 * txns + 1  # `roles` builds the transaction's trees once more
 
@@ -579,7 +579,7 @@ def test_check_builds_no_trees_once_the_properties_are_made(monkeypatch):
     built, slotted = [], signals._slotted  # a shape keeps the builder it was made with
     monkeypatch.setattr(signals, "_slotted", lambda key, name: built.append(key) or slotted(key, name))
     model = generate_model(load_fixture("noc_buffer"), "noc_buffer.sv", GenOptions())
-    props = [p for group in model.properties() for p in group]
+    props = model.properties()
     made = len(built)
     report = check_bundle_on_model(model.txns, props, MODEL_REGISTRY["noc_buffer"]())
     assert report.entries and not report.violated() and len(built) == made
@@ -600,7 +600,7 @@ def test_transactions_of_one_shape_evaluate_with_their_own_limit_and_ranges():
                     f"{q}_val": [0, 0, 1], f"{q}_transid": [0, 0, 0], f"{q}_data": [0, 0, 0x1f],
                     f"symb_{t}_transid": [0, 0, 0]}
     trace = Trace(columns)
-    verdicts = {p.name: eval_property(p, trace) for props in model.properties() for p in props}
+    verdicts = {p.name: eval_property(p, trace) for p in model.properties()}
     for name in ("t0_counter_no_underflow", "t0_data_integrity"):
         assert (verdicts[name].outcome, verdicts[name].cycle) == ("violated", 2)
     for name in ("t1_counter_no_underflow", "t1_data_integrity"):

@@ -280,6 +280,38 @@ def test_an_id_free_eventuality_is_cut_to_the_liveness_window():
     assert (entry.symb_values, entry.verdict.outcome, entry.verdict.cycle) == ((), VIOLATED, 1)
 
 
+class _IdColumn(_OneCycle):
+    """One trace, one cycle long, that requests id 5 and drives a column named like the symbolic id to 5."""
+
+    def traces(self):
+        return [Trace({"v": [1], "id": [5], "symb": [5]})]
+
+
+def test_an_id_assignment_wins_over_a_trace_column_of_its_name():
+    # Were the trace's `symb` read, every value would hold; each entry is checked under its own value.
+    prop = GeneratedProperty("p", "transid_integrity", "assert",
+                             Implies(Sig("v"), Eq(Sig("id"), Symbolic("symb", "[2:0]"))))
+    report = check_bundle_on_model([], [prop], _IdColumn())
+    assert [(e.symb_values, e.verdict.outcome) for e in report.entries] == [
+        ((("symb", v),), HOLDS if v == 5 else VIOLATED) for v in range(8)
+    ]
+
+
+def test_a_property_keeps_one_evaluator_for_every_check(monkeypatch):
+    # The first check makes each property's evaluator and keeps it on the property. A second check, and
+    # `eval_property` after it, render no body again, and give what the first check and fresh copies give.
+    props, model = gen_fixture("noc_buffer").properties, MODEL_REGISTRY["noc_buffer"]()
+    first = check_bundle_on_model([], props, model).entries
+    trace = model.traces()[0]
+    trace = trace.extended({name: [1] * trace.length for p in props for name in tracecheck.symbolic_ids(p.body)})
+    fresh = [eval_property(p._replace(), trace) for p in props]
+    rendered, init = [], tracecheck._Source.__init__
+    monkeypatch.setattr(tracecheck._Source, "__init__", lambda self, *args: rendered.append(args) or init(self, *args))
+    assert check_bundle_on_model([], props, model).entries == first
+    assert [eval_property(p, trace) for p in props] == fresh
+    assert rendered == [] and all(p.compiled is not None for p in props)
+
+
 def _windowed(p: GeneratedProperty, window: int) -> GeneratedProperty:
     """The property with an unbounded eventuality cut to `window` cycles."""
     con = getattr(p.body, "con", None)
