@@ -28,9 +28,10 @@ the model and checking it: `gen_properties` over the model's transactions,
 which builds each transaction's trees. One more check per side, run first
 on a fresh bundle's properties, counts the code objects it compiles into
 an empty `tracecheck._CODE` (`code_objects`, one per body structure).
-Sides that draw equal traces must give equal entries; the checks whose
-traces differ are named in `traces_differ`. Rates (traces per busy second)
-and model times (ms) are medians over rounds, with quartiles. With two
+Sides that draw equal traces, compared by value through `Trace.to_csv`
+whatever the type of their columns, must give equal entries; the checks
+whose traces differ are named in `traces_differ`. Rates (traces per busy
+second) and model times (ms) are medians over rounds, with quartiles. With two
 sides, `after_over_before` holds each median's ratio and
 `paired_after_over_before` that ratio's quartiles over the rounds' pairs.
 """
@@ -123,9 +124,9 @@ class Side:
         af.models.check_bundle_on_model([], props, self.models[config, name]())
         return (time.perf_counter() - t0) * 1e3
 
-    def counts(self, config: str, name: str) -> tuple[dict, list[tuple], list[dict]]:
+    def counts(self, config: str, name: str) -> tuple[dict, list[tuple], list[str]]:
         """The code objects one check of a fresh bundle's properties compiles into an empty `tracecheck._CODE`,
-        its entries as plain tuples, and its traces' columns."""
+        its entries as plain tuples, and its traces as CSV text."""
         tc, model, props = self.af.tracecheck, self.models[config, name](), self.bundle(name)
         cache, tc._CODE = tc._CODE, {}
         try:
@@ -135,7 +136,7 @@ class Side:
             tc._CODE = {**cache, **tc._CODE}
         entries = [(e.trace_index, e.symb_values, e.verdict.property_name, e.kind,
                     e.verdict.outcome, e.verdict.cycle) for e in report.entries]
-        return count, entries, [t.columns for t in model.traces()]
+        return count, entries, [t.to_csv() for t in model.traces()]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -31,7 +31,10 @@ Each property has one evaluator, which `eval_property` keeps on it: its
 body rendered once into a generated loop (`tracecheck.evaluator`), the
 window a call argument. An id is read as a column: each id assignment is
 laid over each trace's columns once, and every property that reads those
-ids reads that one set of columns.
+ids reads that one set of columns. A trace's columns are the tuples that
+transposing its rows gives, handed to `Trace` and never copied, and an
+id's column is one tuple of its value; each entry and its verdict are built
+by `tuple.__new__`, as `eval_property` builds its verdicts.
 The queue models hold `depth` = 2 entries, the fixtures' default `DEPTH`.
 """
 from __future__ import annotations
@@ -264,7 +267,7 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     from the property, where `eval_property` keeps it (`evaluator_of`):
     one per property, its code compiled once per body structure. An id is
     a column like any signal: for each trace, each distinct id assignment
-    is laid over the trace's columns once, a column of n copies of each
+    is laid over the trace's columns once, a tuple of n copies of each
     value, and every property under that assignment reads the same
     columns. A trace's own column of an id's name is so overridden. Each
     evaluator keeps its own registers, so a register two bodies read is
@@ -290,11 +293,12 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     assignments = dict.fromkeys(a for a, _, _ in order)
 
     entries: list[ModelCheckEntry] = []
+    new = tuple.__new__  # not the records' own `__new__`, which namedtuple writes in Python
     for idx, trace in enumerate(model.traces()):
         columns, n = trace.columns, trace.length
-        laid = {a: {**columns, **{name: [v] * n for name, v in a}} for a in assignments}
-        entries += [ModelCheckEntry(idx, a, p.kind,
-                                    Verdict(p.name, *run(laid[a], n, window)) if n else Verdict(p.name, VACUOUS))
+        laid = {a: {**columns, **{name: (v,) * n for name, v in a}} for a in assignments}
+        entries += [new(ModelCheckEntry, (idx, a, p.kind, new(Verdict, (p.name,) + run(laid[a], n, window)
+                                                              if n else (p.name, VACUOUS, None))))
                     for a, p, run in order]
     return ModelCheckReport(model.name, entries)
 

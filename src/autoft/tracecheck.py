@@ -33,9 +33,12 @@ window, and `models.check_bundle_on_model` with the model's, a symbolic
 id's value laid over the trace as a column. `column(node, trace)` runs the
 same loop, collecting one node's value per cycle.
 
-`enumerate_traces` builds each trace's columns in one transposition and
-sets them, with the length it already knows, without the checks and copies
-of `Trace(columns)`; the traces are equal to the constructor's.
+A trace's columns are tuples, shared and never copied: `Trace(columns)`
+makes each one a tuple once, `extended` shares the parent's, and
+`enumerate_traces` sets each trace's columns to the tuples of one
+transposition, with the length it already knows, without the constructor's
+checks; the traces are equal to the constructor's, in the same
+representation.
 
 Finite-trace readings:
 
@@ -85,17 +88,21 @@ PENDING = "pending"
 class Trace:
     """A fixed-length assignment of integer values to named signals.
 
-    Values are plain ints, or None for unknown (X). Each column is copied
-    into a list, so any sequences will do. The length is the columns'
-    common length, 0 without columns; ragged columns are a ValueError.
+    Values are plain ints, or None for unknown (X). Each column is held as
+    a tuple, so any sequences will do; a tuple is kept as it is, shared and
+    never copied, and `extended` shares the parent's columns. The length is
+    the columns' common length, 0 without columns; ragged columns are a
+    ValueError.
     """
+
+    __slots__ = ("columns", "length")
 
     def __init__(self, columns: Mapping[str, Sequence[int | None]]):
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"columns differ in length: {sorted(lengths)}")
         self.length = lengths.pop() if lengths else 0
-        self.columns: dict[str, list[int | None]] = {name: list(v) for name, v in columns.items()}
+        self.columns: dict[str, tuple[int | None, ...]] = {name: tuple(v) for name, v in columns.items()}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Trace) and self.length == other.length and self.columns == other.columns
@@ -349,10 +356,11 @@ def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:
     It reads the trace's columns and writes nothing.
     """
     if not (n := trace.length):
-        return Verdict(p.name, VACUOUS)
+        return tuple.__new__(Verdict, (p.name, VACUOUS, None))
     compiled = p.compiled  # tested here first, the oracle's hot path, so a kept evaluator costs no call
     run = compiled[1] if compiled is not None and compiled[0] is p.body else evaluator_of(p)
-    return Verdict(p.name, *run(trace.columns, n))
+    # `tuple.__new__`, not `Verdict(...)`: a namedtuple's own `__new__` is Python code.
+    return tuple.__new__(Verdict, (p.name,) + run(trace.columns, n))
 
 
 def trace_space_size(domain_sizes: Iterable[int], max_len: int) -> int:
@@ -367,8 +375,11 @@ def enumerate_traces(signals: Mapping[str, int], max_len: int,
     `signals` maps names to bit widths; `domains` can replace a signal's value
     set (e.g. to include None for unknown). Order is deterministic: lengths
     ascending, then lexicographic in cycle-major order. Raises
-    SpaceTooLargeError when the total count exceeds DEFAULT_TRACE_BOUND.
+    SpaceTooLargeError when the total count exceeds DEFAULT_TRACE_BOUND,
+    and ValueError when no signal is given: a trace without columns has length 0.
     """
+    if not signals:
+        raise ValueError("no signal to enumerate traces over")
     names, domains = list(signals), domains or {}
     value_sets = [tuple(domains[name]) if name in domains else tuple(range(1 << signals[name])) for name in names]
     total = trace_space_size((len(v) for v in value_sets), max_len)
@@ -377,7 +388,7 @@ def enumerate_traces(signals: Mapping[str, int], max_len: int,
     states, new = list(itertools.product(*value_sets)), object.__new__
     for length in range(1, max_len + 1):
         for assignment in itertools.product(states, repeat=length):
-            # Built here, not by the constructor: the columns are transposed once and have this length.
+            # Built here, not by the constructor: the columns are the tuples of one transposition, of this length.
             trace = new(Trace)
-            trace.columns, trace.length = dict(zip(names, map(list, zip(*assignment)))), length
+            trace.columns, trace.length = dict(zip(names, zip(*assignment))), length
             yield trace

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from autoft import properties as P, tracecheck
 from autoft.diagnostics import SpaceTooLargeError, UnknownSignalError
+from autoft.models import MODEL_REGISTRY
 from autoft.properties import GeneratedProperty
 from autoft.sva import And, Counter, Eventually, Gt, Implies, Inflight, Not, PropAnd, Sig, Symbolic, matched
 from autoft.tracecheck import (
@@ -87,8 +88,33 @@ class TestTrace:
     def test_extended_overrides(self):
         t = Trace({"a": [0, 1]})
         t2 = t.extended({"b": [1, 1]})
-        assert t2.columns == {"a": [0, 1], "b": [1, 1]}
-        assert t.columns == {"a": [0, 1]}  # original untouched
+        assert t2.columns == {"a": (0, 1), "b": (1, 1)}
+        assert t.columns == {"a": (0, 1)}  # original untouched
+
+    def test_extended_shares_the_parents_columns(self):
+        t = Trace({"a": [0, 1], "b": (1, 0)})
+        before = dict(t.columns)
+        t2 = t.extended({"b": [1, 1], "c": [0, 0]})
+        assert t2.columns["a"] is t.columns["a"]
+        assert t.columns == before and all(t.columns[n] is c for n, c in before.items())  # the parent is unchanged
+        assert (t.length, t2.length, t2.columns["b"], t2.columns["c"]) == (2, 2, (1, 1), (0, 0))
+
+
+TRACE_SOURCES = {
+    "constructor": lambda: [Trace({"a": [0, 1, None], "b": range(3)}), Trace({})],
+    "enumerate_traces": lambda: list(enumerate_traces({"a": 1, "b": 2}, 3, domains={"a": (0, None)})),
+    "extended": lambda: [Trace({"a": [0, 1]}).extended({"b": [1, 1]}),
+                         next(enumerate_traces({"a": 1}, 1)).extended({"s": [5]})],
+    "from_csv": lambda: [Trace.from_csv("a,b\n1,x\n0,2\n"), Trace.from_csv("a\n")],
+    **{f"model:{name}": make().traces for name, make in MODEL_REGISTRY.items()},
+}
+
+
+@pytest.mark.parametrize("source", TRACE_SOURCES)
+def test_every_column_is_a_tuple_of_the_traces_length(source):
+    traces = TRACE_SOURCES[source]()
+    assert traces
+    assert all(type(c) is tuple and len(c) == t.length for t in traces for c in t.columns.values())
 
 
 class TestEvalExamples:
@@ -203,7 +229,13 @@ class TestEnumeration:
 
     def test_custom_domains(self):
         traces = list(enumerate_traces({"a": 1}, 1, domains={"a": (0, 1, None)}))
-        assert [t.columns["a"] for t in traces] == [[0], [1], [None]]
+        assert [t.columns["a"] for t in traces] == [(0,), (1,), (None,)]
+
+    @pytest.mark.parametrize("max_len", [1, 3])
+    def test_no_signals_is_a_value_error(self, max_len):
+        # A trace without columns has length 0, so no trace of lengths 1..max_len exists over no signals.
+        with pytest.raises(ValueError, match="no signal"):
+            next(enumerate_traces({}, max_len))
 
     @pytest.mark.parametrize("signals, max_len, domains", [
         ({"a": 1}, 4, None),
@@ -217,7 +249,7 @@ class TestEnumeration:
         got, want = list(enumerate_traces(signals, max_len, domains)), list(_nested(signals, max_len, domains))
         assert got == want
         assert [(t.length, t.columns, t.to_csv()) for t in got] == [(t.length, t.columns, t.to_csv()) for t in want]
-        assert all(type(c) is list and len(c) == t.length for t in got for c in t.columns.values())
+        assert all(type(c) is tuple and len(c) == t.length for t in got for c in t.columns.values())
         assert len({id(c) for t in got for c in t.columns.values()}) == len(got) * len(signals)  # none shared
 
 
