@@ -27,7 +27,7 @@ At default size it also times what `autoft check` does between generating
 the model and checking it: `gen_properties` over the model's transactions,
 which builds each transaction's trees. One more check per side, run first
 on a fresh bundle's properties, counts the code objects it compiles into
-an empty `tracecheck._CODE` (`code_objects`, one per body structure).
+an empty `tracecheck._CODE` (`code_objects`, one per group structure).
 Sides that draw equal traces, compared by value through `Trace.to_csv`
 whatever the type of their columns, must give equal entries; the checks
 whose traces differ are named in `traces_differ`. Rates (traces per busy

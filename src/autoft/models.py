@@ -27,11 +27,16 @@ of each symbolic id from the id's node: every value of its literal width,
 which is what `(* anyconst *)` ranges over. Each property is evaluated under
 only the ids its body reads, and its entries name those alone: a property
 that reads no id is evaluated once per trace and its entry names no id value.
-Each property has one evaluator, which `eval_property` keeps on it: its
-body rendered once into a generated loop (`tracecheck.evaluator`), the
-window a call argument. An id is read as a column: each id assignment is
-laid over each trace's columns once, and every property that reads those
-ids reads that one set of columns. A trace's columns are the tuples that
+The properties are evaluated in groups: those that read the same ids and
+are connected through a node they share, in practice one transaction's
+id-free properties and its id-reading ones. Each group's bodies are
+rendered once into one generated loop (`tracecheck.evaluator`), the window
+a call argument, so a handshake or a register that several members read
+is computed once per cycle. The groups and their evaluators are kept on the
+list's first property (`GeneratedProperty.plan`), so a second check of the
+same properties renders nothing. An id is read as a column: each id
+assignment is laid over each trace's columns once, and every group that
+reads those ids reads that one set of columns. A trace's columns are the tuples that
 transposing its rows gives, handed to `Trace` and never copied, and an
 id's column is one tuple of its value; each entry and its verdict are built
 by `tuple.__new__`, as `eval_property` builds its verdicts.
@@ -47,7 +52,7 @@ from .diagnostics import SymbolicWidthError
 from .parser import literal_width_bits
 from .properties import GeneratedProperty
 # `eval_property` is not called here, but perfbench's traced run patches it under this name.
-from .tracecheck import VACUOUS, Trace, Verdict, eval_property, evaluator_of, symbolic_ids  # noqa: F401
+from .tracecheck import VACUOUS, Trace, Verdict, eval_property, evaluator, keys, symbolic_ids  # noqa: F401
 
 
 class ModelCheckEntry(namedtuple("ModelCheckEntry", "trace_index symb_values kind verdict")):
@@ -259,47 +264,74 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     every value of each one's literal width, or their product if it reads
     several, and its entries name those ids alone. An id whose width is not
     literal, or ids with more than MAX_ID_ASSIGNMENTS values together, raise
-    SymbolicWidthError before the property is compiled. Unbounded
+    SymbolicWidthError before any property is compiled. Unbounded
     eventualities are cut to the model's liveness window. `txns` is not
     read: every property body already names the signals it needs.
 
-    Before any trace is drawn, each property's evaluator is made, or taken
-    from the property, where `eval_property` keeps it (`evaluator_of`):
-    one per property, its code compiled once per body structure. An id is
-    a column like any signal: for each trace, each distinct id assignment
-    is laid over the trace's columns once, a tuple of n copies of each
-    value, and every property under that assignment reads the same
-    columns. A trace's own column of an id's name is so overridden. Each
-    evaluator keeps its own registers, so a register two bodies read is
-    derived in each. The trace's own columns are read, never copied or
-    written.
+    Before any trace is drawn, the properties are split into groups: the
+    properties that read the same ids (with the same widths) and are
+    connected through a node they share, by the key a generated loop shares
+    it by (`tracecheck.keys`). Each group is rendered into one loop over its
+    members' bodies (`tracecheck.evaluator`), its code compiled once per
+    group structure, so a node that several members read, a handshake or a
+    register, is computed once per cycle. The groups, their evaluators and
+    assignments, and where each entry's outcome comes from, are kept on
+    the first property (`GeneratedProperty.plan`) and taken from it while
+    the bodies are the same objects. An id is a column like any signal:
+    for each trace, each distinct id assignment is laid over the trace's
+    columns once, a tuple of n copies of each value, and every group under
+    that assignment reads the same columns. A trace's own column of an
+    id's name is so overridden. The trace's own columns are read, never
+    copied or written. Groups are evaluated in order of their first member,
+    so a missing signal raises the UnknownSignalError of the earliest group
+    that reads it.
     Entries come in assignment order: the k-th assignment of every property
     that has one, in property order.
     """
-    window, rows = model.liveness_window, []  # per property, (assignment, property, evaluator) triples
-    for p in props:
-        widths = {}
-        for name, symb in symbolic_ids(p.body).items():
-            widths[name] = literal_width_bits(symb.width_expr)
-            if widths[name] is None:
-                raise SymbolicWidthError(f"symbolic id '{name}' has no literal width: '{symb.width_expr}'")
-        if (count := 1 << sum(widths.values())) > MAX_ID_ASSIGNMENTS:
-            ids = ", ".join(f"'{name}' of {bits} bits" for name, bits in widths.items())
-            raise SymbolicWidthError(f"property '{p.name}' reads symbolic ids {ids}: {count} values to check, "
-                                     f"more than {MAX_ID_ASSIGNMENTS}")
-        run, values = evaluator_of(p), product(*(range(1 << b) for b in widths.values()))
-        rows.append([(tuple(zip(widths, v)), p, run) for v in values])
-    order = [row[k] for k in range(max(map(len, rows), default=0)) for row in rows if k < len(row)]
-    assignments = dict.fromkeys(a for a, _, _ in order)
+    if not props:
+        return ModelCheckReport(model.name, [])
+    bodies, plan = tuple(p.body for p in props), props[0].plan
+    if plan is None or plan[0] != bodies:
+        # Per property, the names of the ids it reads with their widths, and its group's first member; per group,
+        # by its first member, its members; per (ids, node key), its first reader, which leads to its group.
+        ids, link, groups, first = [], [], {}, {}
+        for i, p in enumerate(props):
+            widths = {}
+            for name, symb in symbolic_ids(p.body).items():
+                widths[name] = literal_width_bits(symb.width_expr)
+                if widths[name] is None:
+                    raise SymbolicWidthError(f"symbolic id '{name}' has no literal width: '{symb.width_expr}'")
+            if (count := 1 << sum(widths.values())) > MAX_ID_ASSIGNMENTS:
+                named = ", ".join(f"'{name}' of {bits} bits" for name, bits in widths.items())
+                raise SymbolicWidthError(f"property '{p.name}' reads symbolic ids {named}: {count} values to check, "
+                                         f"more than {MAX_ID_ASSIGNMENTS}")
+            ids.append((tuple(widths), tuple(widths.values())))
+            link.append(i)
+            tops = {i, *(link[first.setdefault((ids[i], k), i)] for k in keys(p.body))}
+            group = groups[min(tops)] = sorted(m for j in tops for m in groups.pop(j, [j]))  # the groups it joins
+            for m in group:
+                link[m] = group[0]
+        runs, results = [], []  # per group, (evaluator, assignments); per result, (k, property index, assignment)
+        for group in sorted(groups.values()):
+            names, bits = ids[group[0]]
+            assignments = [tuple(zip(names, v)) for v in product(*(range(1 << b) for b in bits))]
+            runs.append((evaluator(*(bodies[i] for i in group)), assignments))
+            results += [(k, i, a) for k, a in enumerate(assignments) for i in group]
+        # The k-th assignment of every property, in property order, and where its outcome and cycle come in the results.
+        order = [(a, i, s) for _, i, s, a in sorted((k, i, 2 * s, a) for s, (k, i, a) in enumerate(results))]
+        plan = props[0].plan = (bodies, runs, order, {a for _, _, a in results})
+    _, runs, order, assignments = plan
+    window, order = model.liveness_window, [(a, props[i], s) for a, i, s in order]  # each index by its property
 
     entries: list[ModelCheckEntry] = []
     new = tuple.__new__  # not the records' own `__new__`, which namedtuple writes in Python
     for idx, trace in enumerate(model.traces()):
         columns, n = trace.columns, trace.length
         laid = {a: {**columns, **{name: (v,) * n for name, v in a}} for a in assignments}
-        entries += [new(ModelCheckEntry, (idx, a, p.kind, new(Verdict, (p.name,) + run(laid[a], n, window)
-                                                              if n else (p.name, VACUOUS, None))))
-                    for a, p, run in order]
+        out = [x for run, assigned in runs for a in assigned for x in run(laid[a], n, window)] if n else \
+            (VACUOUS, None) * len(order)
+        entries += [new(ModelCheckEntry, (idx, a, p.kind, new(Verdict, (p.name, out[s], out[s + 1]))))
+                    for a, p, s in order]
     return ModelCheckReport(model.name, entries)
 
 

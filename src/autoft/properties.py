@@ -121,17 +121,20 @@ def plan_polarity(direction: str, kind: str) -> str:
 class GeneratedProperty:
     """One property: its IR body, which `body.render()` gives as SVA text.
 
-    compiled is (body, evaluator) as `tracecheck.evaluator_of` last made
-    it, the one evaluator that `eval_property` and
-    `models.check_bundle_on_model` both run; it is remade when `body` is
-    another object.
+    compiled is (body, evaluator) as `tracecheck.eval_property` last made
+    it; it is remade when `body` is another object. plan is what
+    `models.check_bundle_on_model` last made for a list of properties that
+    this one heads: the list's bodies, one evaluator per group of them, and
+    where each entry's verdict comes from. It holds no property, so it
+    makes no reference cycle, and it is remade when the bodies are other
+    objects.
     """
 
-    __slots__ = ("name", "kind", "directive", "body", "compiled")
+    __slots__ = ("name", "kind", "directive", "body", "compiled", "plan")
 
     def __init__(self, name: str, kind: str, directive: str, body: Node):
         # directive is assert, assume or cover
-        self.name, self.kind, self.directive, self.body, self.compiled = name, kind, directive, body, None
+        self.name, self.kind, self.directive, self.body, self.compiled, self.plan = name, kind, directive, body, None, None
 
     def _replace(self, **changes) -> GeneratedProperty:
         """A copy with the given fields changed, not yet compiled."""

@@ -13,23 +13,30 @@ bindings and every symbolic id, each read by its name. Every other
 generated signal (a handshake, a register) is derived by its node's rule and
 never read from the trace, so a trace column of such a name changes nothing.
 
-Each property body is rendered into the source of one Python function
-(`_Source`), so no trace pays for walking the node tree or for a call per
-node. The function reads the body's columns once, then runs one loop over
-the cycles. In each cycle a node that two parents read is computed once,
-into a local, and any other is written inline in its one reader; the
-registers are local state, all given their next values at the end of the
-cycle. Each property shape is a few statements in that loop, and the first
-violation returns at once, which in row order is the earliest cycle. The
-source depends only on the body's structure: every signal or id name,
+A list of property bodies is rendered into the source of one Python
+function (`_Source`, `evaluator`), so no trace pays for walking the node
+trees or for a call per node. The function reads the bodies' columns once,
+then runs one loop over the cycles. In each cycle a node that two parents
+read, in one body or in two, is computed once, into a local, and any other
+is written inline in its one reader; the registers are local state, all
+given their next values at the end of the cycle. Nodes are shared by
+`_Source.key`: a column by its name, a derived node by identity, so a
+handshake or a counter that several bodies read is one local or one
+register. Each property shape is a few statements in that loop. A single
+body returns at its first violation, which in row order is the earliest
+cycle, and returns its outcome and cycle. In a group of several bodies each
+records its first violation and is checked no further, the loop runs on
+for the others, and it returns an outcome and a cycle per body, flat. The
+source depends only on the bodies' structure: every signal or id name,
 counter mask, sampled width, bound and `hi` is an argument, so no text
 from the input is ever compiled, and code is cached by its source text,
-one compile per structure however many bodies share it. An unbounded
-eventuality's window is an argument of each call, None for never. The
-function reads the trace's columns and writes nothing, so a trace is
-passed as it is. Each property has one evaluator (`evaluator_of`), made
-on first use and kept on it: `eval_property(p, trace)` calls it without a
-window, and `models.check_bundle_on_model` with the model's, a symbolic
+one compile per structure however many bodies or groups share it. An
+unbounded eventuality's window is an argument of each call, None for
+never. The function reads the trace's columns and writes nothing, so a
+trace is passed as it is. `eval_property(p, trace)` runs the property's
+own evaluator, made on first use and kept on it (`compiled`), without a
+window; `models.check_bundle_on_model` runs one evaluator per group of
+properties (`GeneratedProperty.plan`) with the model's window, a symbolic
 id's value laid over the trace as a column. `column(node, trace)` runs the
 same loop, collecting one node's value per cycle.
 
@@ -173,7 +180,7 @@ class Verdict(namedtuple("Verdict", "property_name outcome cycle", defaults=(Non
 # The outcomes by rank, the index a generated evaluator ends on: a
 # conjunction ends as its lower-ranked half, pending before holds before vacuous.
 _OUTCOMES = (VIOLATED, PENDING, HOLDS, VACUOUS)
-# Source text -> the function `f` it defines: one compile per body structure. It is shared by every
+# Source text -> the function `f` it defines: one compile per body or group structure. It is shared by every
 # caller in the process, which is safe because what it holds depends on the key alone.
 _CODE: dict[str, Callable] = {}
 # The nodes a trace supplies by name; every other node is derived.
@@ -181,7 +188,7 @@ _READ = (Sig, AttribWire, Symbolic)
 
 
 class _Source:
-    """A body, or a node's column, as the source of one loop over the cycles, and the arguments it takes.
+    """Bodies, or a node's column, as the source of one loop over the cycles, and the arguments it takes.
 
     Each expression node is an expression over cycle i. A column read
     (port, verbatim wire or symbolic id) is `c<k>[i]`, the column fetched once
@@ -191,25 +198,26 @@ class _Source:
     written inline in its one reader. Each name, mask, bound and `hi` is an
     argument `a<k>`, so the text depends only on the structure: `args`
     holds the value of each. An unbounded eventuality's window is the
-    call's `W`.
+    call's `W`. `fail` is what a violation runs: a single body returns,
+    a group member records its cycle (`member`).
     """
 
-    def __init__(self, node: Node):
+    def __init__(self, *nodes: Node):
         self.args, self.reads, self.names, self.serial = [], {}, {}, itertools.count()
-        self.cols, self.state, self.lets, self.checks, self.nexts = [], [], [], [], []
-        self.count(node)
+        self.cols, self.state, self.lets, self.checks, self.nexts, self.fail = [], [], [], [], [], "return V,i"
+        self.count(*nodes)
 
     def key(self, node: Node):
         """A column by the name it is read by, a derived node by identity."""
         return node.name if node.__class__ in _READ else id(node)
 
-    def count(self, node: Node) -> None:
-        """One more reader of the node, walking its subtree on the first."""
-        k = self.key(node)
-        self.reads[k] = self.reads.get(k, 0) + 1
-        if self.reads[k] == 1:
-            for x in children(node):
-                self.count(x)
+    def count(self, *nodes: Node) -> None:
+        """One more reader of each node, walking its subtree on the first."""
+        for node in nodes:
+            k = self.key(node)
+            self.reads[k] = self.reads.get(k, 0) + 1
+            if self.reads[k] == 1:
+                self.count(*children(node))
 
     def arg(self, value) -> str:
         self.args.append(value)
@@ -275,22 +283,30 @@ class _Source:
                             f"if {self.expr(body.b)} and {last} is not None and i-{last}<={hi}:{hit}=1"]
             return f"1+{hit}"
         if cls is not Implies:  # a boolean body is checked at every cycle
-            self.checks.append(f"if not {self.expr(body)}:return V,i")
+            self.checks.append(f"if not {self.expr(body)}:{self.fail}")
             return "2"
         ant, fired = self.expr(body.ant), self.var("0")
         if body.next_cycle:  # `|=>` reads the antecedent of the cycle before
             ant = self.before(ant)
         con = body.con
         if con.__class__ is not Eventually:
-            self.checks.append(f"if {ant}:\n {fired}=1\n if not {self.expr(con)}:return V,i")
+            self.checks.append(f"if {ant}:\n {fired}=1\n if not {self.expr(con)}:{self.fail}")
             return f"3-{fired}"
         # The oldest open obligation: a discharge closes every open one, and the oldest fails when its window
         # closes. An unbounded one's window is the call's W, and never closes while W is None.
         opened, hi = self.var("None"), "W" if con.hi is None else self.arg(con.hi)
         self.checks += [f"if {opened} is None and {ant}:{opened}=i;{fired}=1",
                         f"if {opened} is not None:\n if {self.expr(con.x)}:{opened}=None\n"
-                        f" elif i-{opened}=={hi}:return V,i"]
+                        f" elif i-{opened}=={hi}:{self.fail}"]
         return f"1 if {opened} is not None else 3-{fired}"
+
+    def member(self, body: Node) -> str:
+        """Add a group member's statements to the loop, checked until its first violation: its outcome and cycle."""
+        start, done = len(self.checks), self.var("None")
+        self.fail = f"{done}=i"
+        rank = self.rank(body)
+        self.checks[start:] = [f"if {done} is None:\n " + "\n".join(self.checks[start:]).replace("\n", "\n ")]
+        return f"O[{rank}] if {done} is None else V,{done}"
 
     def loop(self, result: str) -> Callable[..., object]:
         """The loop that returns `result`, as `e(columns, n, W=None)`, its arguments bound.
@@ -316,15 +332,19 @@ class _Source:
         return make(*self.args)
 
 
-def evaluator(body: Node) -> Callable[..., tuple]:
-    """The evaluator `(columns, n, window=None) -> (outcome, cycle)` of a property body over traces of n >= 1 cycles.
+def evaluator(*bodies: Node) -> Callable[..., tuple]:
+    """The evaluator `(columns, n, window=None) -> (outcome, cycle, ...)` of property bodies over traces of n >= 1
+    cycles: one loop, an outcome and a cycle per body, flat.
 
     Every signal and symbolic id is read from the columns by its name.
     `window`, if not None, cuts each unbounded eventuality to that many
-    cycles.
+    cycles. A single body returns at its first violation. In a group of
+    several, each body records its first violation and is checked no
+    further, and the loop runs on for the others; a node that two bodies
+    read is computed once per cycle, as within one body.
     """
-    src = _Source(body)
-    return src.loop(f"O[{src.rank(body)}],None")
+    src = _Source(*bodies)
+    return src.loop(f"O[{src.rank(bodies[0])}],None" if len(bodies) == 1 else ",".join(map(src.member, bodies)))
 
 
 def column(node: Node, trace: Trace) -> list:
@@ -342,25 +362,22 @@ def symbolic_ids(node: Node) -> dict[str, Symbolic]:
     return {name: symb for x in children(node) for name, symb in symbolic_ids(x).items()}
 
 
-def evaluator_of(p: GeneratedProperty) -> Callable[..., tuple]:
-    """The property's evaluator, made on first use and kept on `p` until its body is another object."""
-    compiled = p.compiled
-    if compiled is None or compiled[0] is not p.body:
-        compiled = p.compiled = (p.body, evaluator(p.body))
-    return compiled[1]
+def keys(node: Node) -> dict:
+    """The keys a generated loop of `node` shares its nodes by (`_Source.key`), each with its count of readers."""
+    return _Source(node).reads
 
 
 def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:
-    """Evaluate one generated property against one trace, by its kept evaluator (`evaluator_of`).
+    """Evaluate one generated property against one trace, by its evaluator, made on first use and kept on `p`.
 
     It reads the trace's columns and writes nothing.
     """
     if not (n := trace.length):
         return tuple.__new__(Verdict, (p.name, VACUOUS, None))
-    compiled = p.compiled  # tested here first, the oracle's hot path, so a kept evaluator costs no call
-    run = compiled[1] if compiled is not None and compiled[0] is p.body else evaluator_of(p)
+    if (compiled := p.compiled) is None or compiled[0] is not p.body:
+        compiled = p.compiled = (p.body, evaluator(p.body))
     # `tuple.__new__`, not `Verdict(...)`: a namedtuple's own `__new__` is Python code.
-    return tuple.__new__(Verdict, (p.name,) + run(trace.columns, n))
+    return tuple.__new__(Verdict, (p.name,) + compiled[1](trace.columns, n))
 
 
 def trace_space_size(domain_sizes: Iterable[int], max_len: int) -> int:

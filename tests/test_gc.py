@@ -7,7 +7,8 @@ counting cannot free: every test here runs them with the collector off and
 asserts that a full collection afterwards finds no unreachable object. The
 same holds for whole `cli.main` calls after the first, which builds the
 argument parser that later calls reuse.
-Evaluation keeps each compiled body with its property and nowhere else, so
+Evaluation keeps each compiled body with its property, and a model check
+its groups' evaluators with the list's first property, and nowhere else, so
 repeated evaluation and model checking retain no memory either.
 """
 import gc

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import subprocess
@@ -298,22 +299,45 @@ def test_an_id_assignment_wins_over_a_trace_column_of_its_name():
 
 
 def test_a_property_keeps_one_evaluator_for_every_check(monkeypatch):
-    # The first check makes each property's evaluator and keeps it on the property. A second check, and
-    # `eval_property` after it, render no body again, and give what the first check and fresh copies give.
+    # The first check makes each group's evaluator and keeps the groups on the list's first property;
+    # `eval_property` makes each property's own and keeps it beside. A second check, and `eval_property` after it,
+    # render no body again, and give what the first check and fresh copies give.
     props, model = gen_fixture("noc_buffer").properties, MODEL_REGISTRY["noc_buffer"]()
     first = check_bundle_on_model([], props, model).entries
     trace = model.traces()[0]
     trace = trace.extended({name: [1] * trace.length for p in props for name in tracecheck.symbolic_ids(p.body)})
     fresh = [eval_property(p._replace(), trace) for p in props]
+    assert [eval_property(p, trace) for p in props] == fresh
     rendered, init = [], tracecheck._Source.__init__
     monkeypatch.setattr(tracecheck._Source, "__init__", lambda self, *args: rendered.append(args) or init(self, *args))
     assert check_bundle_on_model([], props, model).entries == first
     assert [eval_property(p, trace) for p in props] == fresh
     assert rendered == [] and all(p.compiled is not None for p in props)
+    assert len(props[0].plan[1]) == 2  # kept on the first property: the id-free group and the id-reading one
 
 
+class _LateSecond(_OneCycle):
+    """One trace, four cycles long: `a` high at cycle 0 only, `b` at cycle 3 only."""
+
+    def traces(self):
+        return [Trace({"a": [1, 0, 0, 0], "b": [0, 0, 0, 1]})]
+
+
+def test_a_group_runs_on_past_its_first_violation():
+    # Both bodies read `a`, so they are one group. The first fails at cycle 0, the second at cycle 3 only.
+    early = GeneratedProperty("p_early", "xprop", "assert", Not(Sig("a")))
+    late = GeneratedProperty("p_late", "xprop", "assert", Not(And(Sig("b"), Not(Sig("a")))))
+    report = check_bundle_on_model([], [early, late], _LateSecond())
+    assert len(early.plan[1]) == 1  # one group, one loop
+    assert [(e.verdict.property_name, e.verdict.outcome, e.verdict.cycle) for e in report.entries] == [
+        ("p_early", VIOLATED, 0), ("p_late", VIOLATED, 3)]
+    columns = _LateSecond().traces()[0].columns
+    assert tracecheck.evaluator(early.body, late.body)(columns, 4) == (VIOLATED, 0, VIOLATED, 3)
+
+
+@functools.cache
 def _windowed(p: GeneratedProperty, window: int) -> GeneratedProperty:
-    """The property with an unbounded eventuality cut to `window` cycles."""
+    """The property with an unbounded eventuality cut to `window` cycles, made once per property and window."""
     con = getattr(p.body, "con", None)
     if isinstance(con, Eventually) and con.hi is None:
         return p._replace(body=p.body._replace(con=con._replace(hi=window)))
@@ -328,27 +352,34 @@ def _symbolics(value) -> list[Symbolic]:
 
 
 def one_at_a_time(props, model) -> list[ModelCheckEntry]:
-    """The loop that `check_bundle_on_model` replaced, kept as the reference.
+    """The per-property loop that `check_bundle_on_model` replaced, kept as the reference.
 
-    Per trace and id assignment it builds a copy of the trace with the ids'
-    columns (`Trace.extended`); then each property is evaluated by itself,
-    from a fresh copy of the columns. Every id-reading property is evaluated
-    under every assignment, which is right for at most one symbolic id.
+    Each property is evaluated by itself, under every combination of the
+    values of the ids it reads, each id in the order the body first reads
+    it, on a copy of the trace with those ids' columns, one copy per trace
+    and assignment. The copy is made as `enumerate_traces` makes its
+    traces, without `Trace.extended`'s checks: the wide header's trace has
+    3,840 assignments over 1,800 columns.
     """
-    prepared = [(_windowed(p, model.liveness_window), bool(_symbolics(p.body))) for p in props]
-    assignments = [()]
-    symbs = {n.name: n for p in props for n in _symbolics(p.body)}
-    for name, symb in symbs.items():
-        assignments = [a + ((name, v),) for a in assignments
-                       for v in range(1 << literal_width_bits(symb.width_expr))]
+    prepared = []
+    for p in props:
+        assignments = [()]
+        for name, symb in {s.name: s for s in _symbolics(p.body)}.items():
+            assignments = [a + ((name, v),) for a in assignments
+                           for v in range(1 << literal_width_bits(symb.width_expr))]
+        prepared.append((_windowed(p, model.liveness_window), assignments))
     entries = []
     for idx, trace in enumerate(model.traces()):
-        for k, assign in enumerate(assignments):
-            extended = trace.extended({name: [v] * trace.length for name, v in assign}) if assign else trace
-            for p, needs_symb in prepared:
-                if needs_symb or k == 0:
-                    entries.append(ModelCheckEntry(idx, assign if needs_symb else (), p.kind,
-                                                   eval_property(p, extended)))
+        extended = {}
+        for k in range(max((len(a) for _, a in prepared), default=0)):
+            for p, assignments in prepared:
+                if k < len(assignments):
+                    a = assignments[k]
+                    if a not in extended:
+                        extended[a] = object.__new__(Trace)
+                        extended[a].columns = {**trace.columns, **{name: (v,) * trace.length for name, v in a}}
+                        extended[a].length = trace.length
+                    entries.append(ModelCheckEntry(idx, a, p.kind, eval_property(p, extended[a])))
     return entries
 
 
@@ -388,20 +419,31 @@ class TestOnePass:
         shadowed = _Drawn(model, [t.extended({n: [0] * t.length for n in names}) for t in model.traces()])
         assert check_bundle_on_model([], props, shadowed).entries == check_bundle_on_model([], props, model).entries
 
-    @pytest.mark.parametrize("bounded", [None, 3])
+    @pytest.mark.parametrize("options", [pytest.param({}, id="None"), pytest.param({"bounded": 3}, id="3"),
+                                         pytest.param({"max_outstanding": 1}, id="max_outstanding_1")])
     @pytest.mark.parametrize("fixture, overrides", [("fifo", ()), ("noc_buffer", ()), ("pipeline", ()),
                                                     ("noc_buffer", ("buf_outstanding", "buf_inflight"))])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_entries_equal_the_one_at_a_time_loop_on_drawn_traces(self, data, fixture, overrides, bounded):
+    def test_entries_equal_the_one_at_a_time_loop_on_drawn_traces(self, data, fixture, overrides, options):
         # Ids arrive out of order and as X, states the seeded models never produce. The last case adds
         # columns named like the counter and the in-flight bit, which both sides ignore: registers are derived.
-        props = (gen_fixture(fixture, bounded=bounded) if bounded else gen_fixture(fixture)).properties
+        # With one outstanding request allowed, the counter wraps at its one bit.
+        props = (gen_fixture(fixture, **options) if options else gen_fixture(fixture)).properties
         columns = MODEL_REGISTRY[fixture]().columns + overrides
         trace = st.integers(1, 8).flatmap(lambda n: st.fixed_dictionaries(
             {c: st.lists(st.sampled_from([0, 1, 2, 3, None]), min_size=n, max_size=n) for c in columns}))
         traces = [Trace(t) for t in data.draw(st.lists(trace, min_size=1, max_size=3))]
         model = _Drawn(MODEL_REGISTRY[fixture](), traces)
+        assert check_bundle_on_model([], props, model).entries == one_at_a_time(props, model)
+
+    @settings(max_examples=3, deadline=None)
+    @given(n=st.integers(1, 6), rng=st.randoms(use_true_random=False))
+    def test_entries_equal_the_one_at_a_time_loop_on_a_drawn_wide_trace(self, n, rng):
+        # 240 transactions, 480 groups, 120 ids of 16 values each: one trace over every port and wire.
+        props, names = wide_check()
+        trace = Trace({c: [rng.choice((0, 1, 2, 3, None)) for _ in range(n)] for c in names})
+        model = _Drawn(_OneCycle(), [trace])
         assert check_bundle_on_model([], props, model).entries == one_at_a_time(props, model)
 
     def test_bodies_of_one_structure_share_code_and_keep_their_names(self, monkeypatch):
@@ -430,6 +472,30 @@ def structure(value, names=None):
     return value if isinstance(value, bool) else None
 
 
+def connected(props) -> list[list[int]]:
+    """The groups a check evaluates together, found by a search: the properties that read the same ids and are
+    connected through a node key they share, as lists of indices."""
+    ids = [tuple(tracecheck.symbolic_ids(p.body)) for p in props]
+    readers = {}
+    for i, p in enumerate(props):
+        for k in tracecheck.keys(p.body):
+            readers.setdefault((ids[i], k), []).append(i)
+    seen, groups = set(), []
+    for i in range(len(props)):
+        if i in seen:
+            continue
+        seen.add(i)
+        todo, group = [i], []
+        while todo:
+            j = todo.pop()
+            group.append(j)
+            fresh = {m for k in tracecheck.keys(props[j].body) for m in readers[ids[j], k]} - seen
+            seen |= fresh
+            todo += fresh
+        groups.append(sorted(group))
+    return groups
+
+
 def columns_read(node) -> set[str]:
     """The names of the ports and verbatim wires below a node."""
     if type(node) in (Sig, AttribWire):
@@ -437,23 +503,38 @@ def columns_read(node) -> set[str]:
     return set().union(*map(columns_read, children(node)))
 
 
+def wide_properties(**options) -> list[GeneratedProperty]:
+    """The properties of a fresh bundle of the 240-transaction wide header of `test_gc`."""
+    props = generate_bundle(wide_header(240), "wide.sv", GenOptions(tool="both", **options)).properties
+    assert len(props) == 2040
+    return props
+
+
+@functools.cache
+def wide_check() -> tuple[list[GeneratedProperty], list[str]]:
+    """The wide header's properties, made once, and the ports and wires they read."""
+    props = wide_properties()
+    return props, sorted(set().union(*(columns_read(p.body) for p in props)))
+
+
 def fresh_check(bundle: str):
     """The properties of a fresh bundle, and the model they are checked on: a fixture's, or one trace over every
     port and wire of the 240-transaction wide header of `test_gc`."""
     if bundle in MODEL_REGISTRY:
         return gen_fixture(bundle).properties, MODEL_REGISTRY[bundle]()
-    props = generate_bundle(wide_header(240), "wide.sv", GenOptions(tool="both", bounded=3)).properties
-    assert len(props) == 2040
+    props = wide_properties(bounded=3)
     names = set().union(*(columns_read(p.body) for p in props))
     return props, _Drawn(_OneCycle(), [Trace({n: [1, 0, 1] for n in names})])
 
 
-@pytest.mark.parametrize("bundle, compiled", [("noc_buffer", 8), ("pipeline", 11), ("fifo", 5), ("wide", 10)])
+@pytest.mark.parametrize("bundle, compiled", [("noc_buffer", 2), ("pipeline", 2), ("fifo", 1), ("wide", 3)])
 def test_a_check_compiles_one_code_object_per_body_structure(monkeypatch, bundle, compiled):
+    # A group's source depends on its members' structures together, each port or wire numbered across the group.
     monkeypatch.setattr(tracecheck, "_CODE", {})
     props, model = fresh_check(bundle)
     check_bundle_on_model([], props, model)
-    assert len(tracecheck._CODE) == len({structure(p.body) for p in props}) == compiled
+    shapes = {structure(tuple(props[i].body for i in group)) for group in connected(props)}
+    assert len(tracecheck._CODE) == len(shapes) == compiled
     check_bundle_on_model([], *fresh_check(bundle))
     assert len(tracecheck._CODE) == compiled
 
@@ -487,6 +568,6 @@ def test_model_check_bench_runs_at_tiny_size(tmp_path):
             assert all(set(m) == {"median_ms", "q1_ms", "q3_ms", "code_objects", "entries"}
                        for m in models.values())
     for config in ("oracle_size", "default_size"):
-        assert [report[side]["models"][config]["noc_buffer"]["code_objects"] for side in ("before", "after")] == [8, 8]
+        assert [report[side]["models"][config]["noc_buffer"]["code_objects"] for side in ("before", "after")] == [2, 2]
     assert set(report["paired_after_over_before"]) == set(report["after_over_before"])
     assert {"default_size/noc_buffer", "oracle_size/noc_buffer"} <= set(report["after_over_before"])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import shutil
 import subprocess
 import sys
 
@@ -525,3 +526,24 @@ def test_oracle_rate_bench_runs_at_tiny_size(tmp_path):
         assert {"traces_per_s", "q1_traces_per_s", "q3_traces_per_s"} <= set(report[side])
         assert set(report[side]["spaces"]) == {c.name for c in differential.CASES}
     assert {"traces_per_s", "spaces/liveness"} <= set(report["after_over_before"])
+
+
+def test_the_bench_compares_entries_of_sides_that_hold_other_column_types(tmp_path):
+    # The before side is a copy of this checkout whose `Trace` keeps list columns: its traces equal this side's
+    # by value, so every model check's entries are compared, none is put in `traces_differ`.
+    src = tmp_path / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    module = src / "autoft" / "tracecheck.py"
+    text = module.read_text()
+    tuples = "{name: tuple(v) for name, v in columns.items()}"
+    assert text.count(tuples) == 1
+    module.write_text(text.replace(tuples, "{name: list(v) for name, v in columns.items()}"))
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(REPO / "bench" / "evaluator.py"), "--src", str(src), "--rounds", "1",
+                    "--max-len", "1", "--traces", "1", "--drive", "10", "--out", str(out)],
+                   capture_output=True, text=True, check=True)
+    report = json.loads(out.read_text())
+    assert report["traces_differ"] == []
+    entries = [{config: {name: m["entries"] for name, m in models.items()}
+                for config, models in report[side]["models"].items()} for side in ("before", "after")]
+    assert entries[0] == entries[1] and all(n > 0 for models in entries[1].values() for n in models.values())
