@@ -17,7 +17,14 @@ sides. The items of a round are:
   of 12 to 20, each on one bundle of its fixture made once per side;
 - the same at default size (`default_size`), as `autoft check` and
   perfbench's probe `check` run them: `MODEL_REGISTRY[name]()`, each on a
-  fresh `generate_model` of its fixture, made before the timer starts.
+  fresh `generate_model` of its fixture, made before the timer starts;
+- a wide check (`wide`): the properties of a fresh bundle of the
+  `--wide`-transaction header of `tests/headers.py` (240 by default, 2,040
+  properties), checked on one 32-cycle trace over every port and wire they
+  read, each value drawn from 0-3 and x with a fixed seed, and a window of
+  one cycle. `first_check` times a check of fresh properties, which plans
+  and renders their groups; `re_check` times a second check of them, which
+  finds the plan kept on the first property.
 
 A model turn times one `check_bundle_on_model` call on a fresh model after a
 full collection, drawing the traces and making the evaluators included (a
@@ -39,13 +46,15 @@ from __future__ import annotations
 
 import gc
 import importlib.util
+import random
 import sys
 import time
 
 import twin
 
 ROOT = twin.ROOT
-sys.path.insert(0, str(ROOT / "tests"))  # naive_checkers, which reads no autoft module
+sys.path.insert(0, str(ROOT / "tests"))  # naive_checkers and headers, which read no autoft module
+import headers  # noqa: E402
 MODULES = ("emit", "models", "options", "properties", "sva", "tracecheck")
 # fixture -> (model class, its keyword arguments besides the size), at oracle size
 ORACLE_SIZE = {
@@ -54,7 +63,22 @@ ORACLE_SIZE = {
     "noc_buffer_buggy": ("NocBufferModel", {"buggy": True, "tail": 20}),
     "pipeline": ("PipelineModel", {"tail": 12}),
 }
-CONFIGS = ("oracle_size", "default_size")
+WIDE = ("first_check", "re_check")
+# config -> the names of its checks
+CONFIGS = {"oracle_size": tuple(ORACLE_SIZE), "default_size": tuple(ORACLE_SIZE), "wide": WIDE}
+WIDE_CYCLES, WIDE_SEED = 32, 41
+
+
+class _Wide:
+    """The wide check's model: one trace, a window of one cycle."""
+
+    name, liveness_window = "wide", 1
+
+    def __init__(self, trace):
+        self.trace = trace
+
+    def traces(self) -> list:
+        return [self.trace]
 
 
 def load_cases(af, alias: str) -> list:
@@ -77,10 +101,13 @@ def load_cases(af, alias: str) -> list:
 class Side:
     """One checkout's differential cases, bundles and model factories."""
 
-    def __init__(self, af, alias: str, args):
+    def __init__(self, af, alias: str, args, wide: dict):
         self.af = af
         self.cases = {case.name: case for case in load_cases(af, alias)}
-        self.texts, self.props, self.models = {}, {}, {}
+        self.texts, self.props, self.models = {"wide": headers.wide_header(args.wide)}, {}, {}
+        trace = af.tracecheck.Trace(wide)
+        for name in WIDE:
+            self.models["wide", name] = lambda: _Wide(trace)
         for name, (cls, kwargs) in ORACLE_SIZE.items():
             self.texts[name] = (ROOT / "fixtures" / f"{name}.sv").read_text(encoding="utf-8")
             self.props[name] = self.bundle(name)
@@ -111,23 +138,31 @@ class Side:
         return n, busy
 
     def bundle(self, name: str) -> list:
-        """The properties of a fresh bundle of a fixture."""
+        """The properties of a fresh bundle of a fixture, or of the wide header."""
         return self.af.emit.generate_bundle(self.texts[name], name, self.af.options.GenOptions()).properties
 
     def timed(self, config: str, name: str) -> float:
-        af, fresh = self.af, config == "default_size"
-        module = af.emit.generate_model(self.texts[name], name, af.options.GenOptions()) if fresh else None
+        af, model = self.af, self.models[config, name]()
+        if config == "wide":
+            props = self.bundle("wide")
+            if name == "re_check":
+                af.models.check_bundle_on_model([], props, model)
+            make = lambda: props  # noqa: E731
+        elif config == "default_size":
+            module = af.emit.generate_model(self.texts[name], name, af.options.GenOptions())
+            make = lambda: [p for t, a in zip(module.txns, module.aux)  # noqa: E731
+                            for p in af.properties.gen_properties(t, a, module.opts, [])]
+        else:
+            make = lambda: self.props[name]  # noqa: E731
         gc.collect()
         t0 = time.perf_counter()
-        props = self.props[name] if module is None else [
-            p for t, a in zip(module.txns, module.aux) for p in af.properties.gen_properties(t, a, module.opts, [])]
-        af.models.check_bundle_on_model([], props, self.models[config, name]())
+        af.models.check_bundle_on_model([], make(), model)
         return (time.perf_counter() - t0) * 1e3
 
     def counts(self, config: str, name: str) -> tuple[dict, list[tuple], list[str]]:
         """The code objects one check of a fresh bundle's properties compiles into an empty `tracecheck._CODE`,
         its entries as plain tuples, and its traces as CSV text."""
-        tc, model, props = self.af.tracecheck, self.models[config, name](), self.bundle(name)
+        tc, model, props = self.af.tracecheck, self.models[config, name](), self.bundle("wide" if config == "wide" else name)
         cache, tc._CODE = tc._CODE, {}
         try:
             report = self.af.models.check_bundle_on_model([], props, model)
@@ -139,16 +174,31 @@ class Side:
         return count, entries, [t.to_csv() for t in model.traces()]
 
 
+def wide_trace(af, text: str) -> dict:
+    """The wide check's trace: a column of drawn values for every port and wire the header's properties read."""
+    rng, names = random.Random(WIDE_SEED), set()
+    todo = [p.body for p in af.emit.generate_bundle(text, "wide.sv", af.options.GenOptions()).properties]
+    while todo:
+        node = todo.pop()
+        if type(node) in (af.sva.Sig, af.sva.AttribWire):
+            names.add(node.name)
+        todo += af.sva.children(node)
+    return {name: [rng.choice((0, 1, 2, 3, None)) for _ in range(WIDE_CYCLES)] for name in sorted(names)}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = twin.options(__doc__, rounds=9)
     ap.add_argument("--max-len", type=int, help="cut every space to traces of at most this many cycles")
     ap.add_argument("--traces", type=int, default=12, help="traces per model at oracle size (default 12)")
     ap.add_argument("--drive", type=int, default=100, help="driven cycles per trace at oracle size (default 100)")
+    ap.add_argument("--wide", type=int, default=240, help="transactions of the wide check's header (default 240)")
     args = ap.parse_args(argv)
 
-    sides = {side: Side(af, f"autoft_{side}", args) for side, af in twin.sides(args, MODULES).items()}
+    packages = twin.sides(args, MODULES)
+    wide = wide_trace(packages["after"], headers.wide_header(args.wide))
+    sides = {side: Side(af, f"autoft_{side}", args, wide) for side, af in packages.items()}
     spaces = list(sides["after"].cases)
-    checks = [(config, name) for config in CONFIGS for name in ORACLE_SIZE]
+    checks = [(config, name) for config, names in CONFIGS.items() for name in names]
     found = {(side, check): s.counts(*check) for side, s in sides.items() for check in checks}
     differ = []
     for check in checks:
@@ -184,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
             **{f"{p}spaces": {n: round(q[f"spaces/{n}"][j]) for n in spaces} for j, p in enumerate(("q1_", "", "q3_"))},
             "models": {c: {n: {**{f"{p}_ms": round(v, 3) for p, v in zip(("q1", "median", "q3"), q[f"{c}/{n}"])},
                                **found[side, (c, n)][0], "entries": len(found[side, (c, n)][1])}
-                           for n in ORACLE_SIZE} for c in CONFIGS},
+                           for n in names} for c, names in CONFIGS.items()},
         }
     if args.src:
         result["after_over_before"] = twin.ratios(medians["after"], medians["before"])

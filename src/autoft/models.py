@@ -32,14 +32,19 @@ are connected through a node they share, in practice one transaction's
 id-free properties and its id-reading ones. Each group's bodies are
 rendered once into one generated loop (`tracecheck.evaluator`), the window
 a call argument, so a handshake or a register that several members read
-is computed once per cycle. The groups and their evaluators are kept on the
-list's first property (`GeneratedProperty.plan`), so a second check of the
-same properties renders nothing. An id is read as a column: each id
-assignment is laid over each trace's columns once, and every group that
-reads those ids reads that one set of columns. A trace's columns are the tuples that
-transposing its rows gives, handed to `Trace` and never copied, and an
-id's column is one tuple of its value; each entry and its verdict are built
-by `tuple.__new__`, as `eval_property` builds its verdicts.
+is computed once per cycle. Planning walks no body twice: one memoized
+pass finds each body's ids, then one walk per id set counts the readers of
+every node and finds the groups together, and each group is rendered from
+those counts. The groups and their evaluators are kept on the list's first
+property (`GeneratedProperty.plan`), so a second check of the same
+properties renders nothing. An id is read as a column: each group runs on
+a dict of only the columns it reads, made once per trace, with each id
+assignment's columns put in it in turn. A trace's columns are the tuples
+that transposing its rows gives, handed to `Trace` and never copied, and
+an id's column is one tuple of its value; each entry and its verdict are
+built by `tuple.__new__`, as `eval_property` builds its verdicts. The
+models bind their stimulus's draws to locals, in the order the draws are
+made, so a seed gives the same traces.
 The queue models hold `depth` = 2 entries, the fixtures' default `DEPTH`.
 """
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .diagnostics import SymbolicWidthError
 from .parser import literal_width_bits
 from .properties import GeneratedProperty
 # `eval_property` is not called here, but perfbench's traced run patches it under this name.
-from .tracecheck import VACUOUS, Trace, Verdict, eval_property, evaluator, keys, symbolic_ids  # noqa: F401
+from .tracecheck import VACUOUS, Trace, Verdict, count, eval_property, evaluator, ids_below  # noqa: F401
 
 
 class ModelCheckEntry(namedtuple("ModelCheckEntry", "trace_index symb_values kind verdict")):
@@ -84,11 +89,8 @@ class _Stimulus:
         self.rng = random.Random(seed)
         self._stalled = 0
 
-    def flip(self, p: float) -> bool:
-        return self.rng.random() < p
-
     def ack(self, p_stall: float) -> int:
-        if self._stalled >= self.MAX_STALL or not self.flip(p_stall):
+        if self._stalled >= self.MAX_STALL or self.rng.random() >= p_stall:
             self._stalled = 0
             return 1
         self._stalled += 1
@@ -127,13 +129,14 @@ class FifoModel(_Model):
 
     def _cycles(self, st):
         queue: list[int] = []
-        for cycle in range(self.drive + self.tail):
-            driving = cycle < self.drive
-            in_val = 1 if driving and st.flip(0.7) else 0
-            in_data = st.rng.randrange(256)
-            in_ack = 1 if len(queue) < self.depth else 0
+        random, ack, randrange, depth, drive = st.rng.random, st.ack, st.rng.randrange, self.depth, self.drive
+        for cycle in range(drive + self.tail):
+            driving = cycle < drive
+            in_val = 1 if driving and random() < 0.7 else 0
+            in_data = randrange(256)
+            in_ack = 1 if len(queue) < depth else 0
             out_val = 1 if queue else 0
-            out_ack = st.ack(0.4) if driving else 1
+            out_ack = ack(0.4) if driving else 1
             yield in_val, in_ack, in_data, out_val, out_ack, queue[0] if queue else 0
             if out_val and out_ack:
                 queue.pop(0)
@@ -168,17 +171,19 @@ class NocBufferModel(_Model):
     def _cycles(self, st):
         queue: list[tuple[int, int]] = []
         env_outstanding: set[int] = set()
-        for cycle in range(self.drive + self.tail):
-            driving = cycle < self.drive
-            free = sorted(set(range(self.n_ids)) - env_outstanding)
-            in_val = 1 if driving and free and st.flip(0.8) else 0
-            in_id = free[st.rng.randrange(len(free))] if in_val else 0
-            in_data = st.rng.randrange(256)
-            full = len(queue) == self.depth  # before this cycle's pop, as the RTL reads it
-            in_ack = 1 if self.buggy or not full else 0
+        random, ack, randrange = st.rng.random, st.ack, st.rng.randrange
+        ids, depth, buggy, drive = range(self.n_ids), self.depth, self.buggy, self.drive
+        for cycle in range(drive + self.tail):
+            driving = cycle < drive
+            free = [k for k in ids if k not in env_outstanding]  # ascending
+            in_val = 1 if driving and free and random() < 0.8 else 0
+            in_id = free[randrange(len(free))] if in_val else 0
+            in_data = randrange(256)
+            full = len(queue) == depth  # before this cycle's pop, as the RTL reads it
+            in_ack = 1 if buggy or not full else 0
             out_val = 1 if queue else 0
             out_id, out_data = queue[0] if queue else (0, 0)
-            out_ack = st.ack(0.5) if driving else 1
+            out_ack = ack(0.5) if driving else 1
             yield (in_val, in_ack, in_id, in_data, in_id,
                    out_val, out_ack, out_id, out_data, out_id)
             if out_val and out_ack:
@@ -225,12 +230,13 @@ class PipelineModel(_Model):
         pending: tuple[int, int] | None = None  # request held while busy
         next_id = 0
         faulted = False
-        for cycle in range(self.drive + self.tail):
-            driving = cycle < self.drive
-            if pending is None and driving and st.flip(0.6):
-                pending = (next_id, st.rng.randrange(256))
+        random, randrange, double_issue, drive = st.rng.random, st.rng.randrange, self.double_issue, self.drive
+        for cycle in range(drive + self.tail):
+            driving = cycle < drive
+            if pending is None and driving and random() < 0.6:
+                pending = (next_id, randrange(256))
                 next_id = (next_id + 1) % self.n_ids
-            fault_now = (self.double_issue and not faulted and busy and inflight is not None
+            fault_now = (double_issue and not faulted and busy and inflight is not None
                          and pending is None and cycle >= 4)
             if fault_now:
                 pending = inflight  # reuse the in-flight id and data
@@ -271,19 +277,28 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     Before any trace is drawn, the properties are split into groups: the
     properties that read the same ids (with the same widths) and are
     connected through a node they share, by the key a generated loop shares
-    it by (`tracecheck.keys`). Each group is rendered into one loop over its
-    members' bodies (`tracecheck.evaluator`), its code compiled once per
-    group structure, so a node that several members read, a handshake or a
-    register, is computed once per cycle. The groups, their evaluators and
-    assignments, and where each entry's outcome comes from, are kept on
-    the first property (`GeneratedProperty.plan`) and taken from it while
-    the bodies are the same objects. An id is a column like any signal:
-    for each trace, each distinct id assignment is laid over the trace's
-    columns once, a tuple of n copies of each value, and every group under
-    that assignment reads the same columns. A trace's own column of an
-    id's name is so overridden. The trace's own columns are read, never
-    copied or written. Groups are evaluated in order of their first member,
-    so a missing signal raises the UnknownSignalError of the earliest group
+    it by (`tracecheck._Source.key`). Planning walks each node once to find
+    ids, and once more per id set whose bodies reach it. The ids pass
+    (`tracecheck.ids_below`) keeps each node's ids, so a node that several
+    bodies share is walked once. Then the bodies of each id set are counted
+    into one table of readers in property order (`tracecheck.count`), a
+    node's subtree on its first read only; a body that reads a node read
+    before joins the group of that node's first reader. So each node is read
+    from its own group alone, and the table holds the counts that walking
+    each group apart would give. Each group is rendered from that table into
+    one loop over its members' bodies (`tracecheck.evaluator`), its code
+    compiled once per group structure, so a node that several members read,
+    a handshake or a register, is computed once per cycle. The groups, their
+    evaluators, columns and assignments, and where each entry's outcome
+    comes from, are kept on the first property (`GeneratedProperty.plan`)
+    and taken from it while the bodies are the same. An id is a column like
+    any signal: for each trace, each group gets a dict of only the columns
+    its evaluator reads, and each of its id assignments puts a tuple of n
+    copies of each value in it, so a trace's own column of an id's name is
+    overridden. The trace's own columns are read, never copied or written.
+    Groups are evaluated in order of their first member, and a column that
+    the trace lacks is left out of the dict for the group's loop to name, so
+    a missing signal raises the UnknownSignalError of the earliest group
     that reads it.
     Entries come in assignment order: the k-th assignment of every property
     that has one, in property order.
@@ -292,44 +307,49 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
         return ModelCheckReport(model.name, [])
     bodies, plan = tuple(p.body for p in props), props[0].plan
     if plan is None or plan[0] != bodies:
-        # Per property, the names of the ids it reads with their widths, and its group's first member; per group,
-        # by its first member, its members; per (ids, node key), its first reader, which leads to its group.
-        ids, link, groups, first = [], [], {}, {}
+        # Per node, the ids below it; per id set, its reader counts and each node key's first reader; per
+        # property, its id set and its group's first member; per group, by its first member, its members.
+        seen, sets, ids, link, groups = {}, {}, [], [], {}
         for i, p in enumerate(props):
             widths = {}
-            for name, symb in symbolic_ids(p.body).items():
+            for name, symb in ids_below(p.body, seen).items():
                 widths[name] = literal_width_bits(symb.width_expr)
                 if widths[name] is None:
                     raise SymbolicWidthError(f"symbolic id '{name}' has no literal width: '{symb.width_expr}'")
-            if (count := 1 << sum(widths.values())) > MAX_ID_ASSIGNMENTS:
+            if (values := 1 << sum(widths.values())) > MAX_ID_ASSIGNMENTS:
                 named = ", ".join(f"'{name}' of {bits} bits" for name, bits in widths.items())
-                raise SymbolicWidthError(f"property '{p.name}' reads symbolic ids {named}: {count} values to check, "
+                raise SymbolicWidthError(f"property '{p.name}' reads symbolic ids {named}: {values} values to check, "
                                          f"more than {MAX_ID_ASSIGNMENTS}")
             ids.append((tuple(widths), tuple(widths.values())))
             link.append(i)
-            tops = {i, *(link[first.setdefault((ids[i], k), i)] for k in keys(p.body))}
+            tops = {i, *(link[j] for j in count(p.body, *sets.setdefault(ids[i], ({}, {})), i))}
             group = groups[min(tops)] = sorted(m for j in tops for m in groups.pop(j, [j]))  # the groups it joins
             for m in group:
                 link[m] = group[0]
-        runs, results = [], []  # per group, (evaluator, assignments); per result, (k, property index, assignment)
+        runs, results = [], []  # per group, (evaluator, its columns, assignments); per result, (k, property, assignment)
         for group in sorted(groups.values()):
             names, bits = ids[group[0]]
-            assignments = [tuple(zip(names, v)) for v in product(*(range(1 << b) for b in bits))]
-            runs.append((evaluator(*(bodies[i] for i in group)), assignments))
+            assignments, columns = [tuple(zip(names, v)) for v in product(*(range(1 << b) for b in bits))], []
+            runs.append((evaluator(*(bodies[i] for i in group), reads=sets[ids[group[0]]][0], columns=columns),
+                         columns, assignments))
             results += [(k, i, a) for k, a in enumerate(assignments) for i in group]
         # The k-th assignment of every property, in property order, and where its outcome and cycle come in the results.
         order = [(a, i, s) for _, i, s, a in sorted((k, i, 2 * s, a) for s, (k, i, a) in enumerate(results))]
-        plan = props[0].plan = (bodies, runs, order, {a for _, _, a in results})
-    _, runs, order, assignments = plan
+        plan = props[0].plan = (bodies, runs, order)
+    _, runs, order = plan
     window, order = model.liveness_window, [(a, props[i], s) for a, i, s in order]  # each index by its property
 
     entries: list[ModelCheckEntry] = []
     new = tuple.__new__  # not the records' own `__new__`, which namedtuple writes in Python
     for idx, trace in enumerate(model.traces()):
-        columns, n = trace.columns, trace.length
-        laid = {a: {**columns, **{name: (v,) * n for name, v in a}} for a in assignments}
-        out = [x for run, assigned in runs for a in assigned for x in run(laid[a], n, window)] if n else \
-            (VACUOUS, None) * len(order)
+        traced, n, out = trace.columns, trace.length, []
+        for run, columns, assigned in runs if n else ():  # a trace of no cycle runs no loop
+            # Only the columns the group reads, one that the trace lacks left for its loop to name, and its ids.
+            own = {name: traced[name] for name in columns if name in traced}
+            for a in assigned:
+                own.update((name, (v,) * n) for name, v in a)
+                out += run(own, n, window)
+        out = out or (VACUOUS, None) * len(order)
         entries += [new(ModelCheckEntry, (idx, a, p.kind, new(Verdict, (p.name, out[s], out[s + 1]))))
                     for a, p, s in order]
     return ModelCheckReport(model.name, entries)

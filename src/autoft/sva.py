@@ -29,7 +29,6 @@ expression are not.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 
 from .options import GenOptions
 from .parser import literal_width_bits
@@ -290,10 +289,20 @@ def matched(hsk: Node, ident: Node, symb: Node) -> And:
     return And(hsk, Eq(ident, symb))
 
 
-def children(node: Node) -> Iterator[Node]:
-    """The nodes directly below `node`, a register's update rule included."""
-    for value in node:
-        if isinstance(value, Node):
-            yield value
-        elif isinstance(value, tuple):  # the operands of `||`, `$stable`, `$isunknown`
-            yield from value
+# Per node class, where its nodes sit: a slice of its fields, or the index of its one tuple of nodes.
+_BELOW: dict[type, slice | int] = {}
+
+
+def children(node: Node) -> tuple[Node, ...]:
+    """The nodes directly below `node`, a register's update rule included, in field order.
+
+    A class's nodes are either adjacent fields or one tuple (the operands of
+    `||`, `$stable`, `$isunknown`), in every node of the class, so where they
+    sit is found on its first node and kept per class: no call tests a field.
+    """
+    at = _BELOW.get(node.__class__)
+    if at is None:
+        nodes = [k for k, v in enumerate(node) if isinstance(v, Node)]
+        lists = [k for k, v in enumerate(node) if type(v) is tuple]
+        at = _BELOW[node.__class__] = lists[0] if lists else slice(nodes[0], nodes[-1] + 1) if nodes else slice(0)
+    return node[at]

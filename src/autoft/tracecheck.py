@@ -22,7 +22,11 @@ is written inline in its one reader; the registers are local state, all
 given their next values at the end of the cycle. Nodes are shared by
 `_Source.key`: a column by its name, a derived node by identity, so a
 handshake or a counter that several bodies read is one local or one
-register. Each property shape is a few statements in that loop. A single
+register. Whether a node gets a local depends on its count of readers,
+which `_Source` either counts over its bodies (`count`) or is given: a
+caller that counted many bodies into one table in one walk renders each
+group from that table, walking no body again. Each property shape is a
+few statements in that loop. A single
 body returns at its first violation, which in row order is the earliest
 cycle, and returns its outcome and cycle. In a group of several bodies each
 records its first violation and is checked no further, the loop runs on
@@ -36,9 +40,10 @@ never. The function reads the trace's columns and writes nothing, so a
 trace is passed as it is. `eval_property(p, trace)` runs the property's
 own evaluator, made on first use and kept on it (`compiled`), without a
 window; `models.check_bundle_on_model` runs one evaluator per group of
-properties (`GeneratedProperty.plan`) with the model's window, a symbolic
-id's value laid over the trace as a column. `column(node, trace)` runs the
-same loop, collecting one node's value per cycle.
+properties (`GeneratedProperty.plan`) with the model's window, on a dict of
+only the columns that group reads (`evaluator`'s `columns`), a symbolic
+id's value among them as a column. `column(node, trace)` runs the same
+loop, collecting one node's value per cycle.
 
 A trace's columns are tuples, shared and never copied: `Trace(columns)`
 makes each one a tuple once, `extended` shares the parent's, and
@@ -200,24 +205,25 @@ class _Source:
     holds the value of each. An unbounded eventuality's window is the
     call's `W`. `fail` is what a violation runs: a single body returns,
     a group member records its cycle (`member`).
+
+    `reads` holds each node's count of readers, by `key`: counted over
+    `nodes` (`count`), or given, counted over more bodies than these, and
+    then no node is walked. `read` takes the name of each column fetched,
+    in fetch order.
     """
 
-    def __init__(self, *nodes: Node):
-        self.args, self.reads, self.names, self.serial = [], {}, {}, itertools.count()
+    def __init__(self, *nodes: Node, reads: dict | None = None, read: list | None = None):
+        self.args, self.names, self.serial, self.read = [], {}, itertools.count(), [] if read is None else read
         self.cols, self.state, self.lets, self.checks, self.nexts, self.fail = [], [], [], [], [], "return V,i"
-        self.count(*nodes)
+        self.reads = reads
+        if reads is None:
+            self.reads, first = {}, {}
+            for node in nodes:
+                count(node, self.reads, first)
 
     def key(self, node: Node):
         """A column by the name it is read by, a derived node by identity."""
         return node.name if node.__class__ in _READ else id(node)
-
-    def count(self, *nodes: Node) -> None:
-        """One more reader of each node, walking its subtree on the first."""
-        for node in nodes:
-            k = self.key(node)
-            self.reads[k] = self.reads.get(k, 0) + 1
-            if self.reads[k] == 1:
-                self.count(*children(node))
 
     def arg(self, value) -> str:
         self.args.append(value)
@@ -270,6 +276,7 @@ class _Source:
         if cls is Stable:  # each item equals its value of the cycle before; the first cycle holds
             now = [self.local(x(item)) for item in node.items]
             return f"(not i or {' and '.join(f'{v}=={self.before(v)}' for v in now)})"
+        self.read.append(node.name)
         return self.var(f"C[{self.arg(node.name)}]", self.cols, "c") + "[i]"
 
     def rank(self, body: Node) -> str:
@@ -332,7 +339,7 @@ class _Source:
         return make(*self.args)
 
 
-def evaluator(*bodies: Node) -> Callable[..., tuple]:
+def evaluator(*bodies: Node, reads: dict | None = None, columns: list | None = None) -> Callable[..., tuple]:
     """The evaluator `(columns, n, window=None) -> (outcome, cycle, ...)` of property bodies over traces of n >= 1
     cycles: one loop, an outcome and a cycle per body, flat.
 
@@ -342,8 +349,14 @@ def evaluator(*bodies: Node) -> Callable[..., tuple]:
     several, each body records its first violation and is checked no
     further, and the loop runs on for the others; a node that two bodies
     read is computed once per cycle, as within one body.
+
+    `reads`, if given, holds every node's count of readers among `bodies`,
+    as `count` counts them (it may hold other nodes too), and the bodies
+    are rendered without being walked first. `columns`, if given, is
+    extended by the names of the columns the evaluator reads, in the order
+    it reads them.
     """
-    src = _Source(*bodies)
+    src = _Source(*bodies, reads=reads, read=columns)
     return src.loop(f"O[{src.rank(bodies[0])}],None" if len(bodies) == 1 else ",".join(map(src.member, bodies)))
 
 
@@ -355,16 +368,39 @@ def column(node: Node, trace: Trace) -> list:
     return src.loop(out)(trace.columns, trace.length)
 
 
-def symbolic_ids(node: Node) -> dict[str, Symbolic]:
-    """The symbolic ids `node` reads, by name, in pre-order over `children`."""
-    if node.__class__ is Symbolic:
-        return {node.name: node}
-    return {name: symb for x in children(node) for name, symb in symbolic_ids(x).items()}
+def ids_below(node: Node, seen: dict) -> dict[str, Symbolic]:
+    """The symbolic ids `node` reads, by name, in pre-order over `children`.
+
+    `seen` keeps each node's ids by identity, so a node that several bodies
+    share is walked once.
+    """
+    if (ids := seen.get(id(node))) is None:
+        ids = seen[id(node)] = {node.name: node} if node.__class__ is Symbolic else {}
+        for x in children(node):
+            ids.update(ids_below(x, seen))
+    return ids
 
 
-def keys(node: Node) -> dict:
-    """The keys a generated loop of `node` shares its nodes by (`_Source.key`), each with its count of readers."""
-    return _Source(node).reads
+def count(node: Node, reads: dict, first: dict, reader=None) -> set:
+    """Count one more reader of `node` into `reads`, and on a node's first read one more of each node directly
+    below it; return the first readers, in `first`, of the nodes read before.
+
+    Nodes are counted by `_Source.key`. A node's first reader is `reader`.
+    Counted into one `reads`, bodies so leave each node's count of readers
+    among them, and a node that several bodies share has its subtree
+    counted once, in the body that reads it first.
+    """
+    met, todo = set(), [node]
+    while todo:
+        node = todo.pop()
+        k = node.name if node.__class__ in _READ else id(node)
+        if k in reads:
+            reads[k] += 1
+            met.add(first[k])
+        else:
+            reads[k], first[k] = 1, reader
+            todo += children(node)
+    return met
 
 
 def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:

@@ -24,6 +24,7 @@ from autoft.properties import GeneratedProperty
 from autoft.tracecheck import Trace, eval_property
 
 from conftest import FIXTURE_NAMES, fixture_path, gen_fixture
+from headers import wide_header
 from test_emit import EMITTED, OPTION_MIXES
 
 
@@ -63,22 +64,6 @@ def retained(fn, calls: int) -> int:
         return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-
-
-def wide_header(n: int) -> str:
-    """A module header with `n` tracked transactions, half of them bound by assignments: two shapes, repeated."""
-    notes, ports = [], ["input wire clk", "input wire rst_n"]
-    for i in range(n):
-        notes.append(f"// AUTOSVA t{i}: r{i} -in> s{i}")
-        ports += [f"input wire r{i}_val", f"output wire r{i}_ack", f"output wire s{i}_val",
-                  f"input wire [7:0] r{i}_data", f"output wire [7:0] s{i}_data"]
-        if i % 2:
-            notes += [f"// AUTOSVA [3:0] r{i}_transid = r{i}_tag", f"// AUTOSVA [3:0] s{i}_transid = s{i}_tag",
-                      f"// AUTOSVA r{i}_stable = r{i}_data"]
-            ports += [f"input wire [3:0] r{i}_tag", f"output wire [3:0] s{i}_tag"]
-        else:
-            ports += [f"input wire [3:0] r{i}_transid", f"output wire [3:0] s{i}_transid"]
-    return "\n".join(notes) + "\nmodule wide (\n" + ",\n".join(ports) + "\n);\nendmodule\n"
 
 
 class TestMainRestoresCollector:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import json
@@ -21,12 +22,17 @@ from autoft.parser import literal_width_bits
 from autoft.properties import GeneratedProperty
 from autoft.emit import generate_bundle
 from autoft.options import GenOptions
-from autoft.sva import And, AttribWire, Counter, Eq, Eventually, Gt, Implies, Not, Sig, Symbolic, children
+from autoft import models
+from autoft.sva import (
+    And, AttribWire, CoverSeq, Counter, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Not, Or, Sampled,
+    Sig, Stable, Symbolic, children,
+)
 from autoft.tracecheck import HOLDS, PENDING, VACUOUS, VIOLATED, Trace, eval_property
 
 import differential
-from conftest import REPO, gen_fixture
-from test_gc import wide_header
+from conftest import FIXTURE_NAMES, REPO, gen_fixture
+from headers import wide_header
+from test_emit import EMITTED, OPTION_MIXES
 
 
 def run(fixture_name, model):
@@ -305,11 +311,12 @@ def test_a_property_keeps_one_evaluator_for_every_check(monkeypatch):
     props, model = gen_fixture("noc_buffer").properties, MODEL_REGISTRY["noc_buffer"]()
     first = check_bundle_on_model([], props, model).entries
     trace = model.traces()[0]
-    trace = trace.extended({name: [1] * trace.length for p in props for name in tracecheck.symbolic_ids(p.body)})
+    trace = trace.extended({name: [1] * trace.length for p in props for name in id_names(p.body)})
     fresh = [eval_property(p._replace(), trace) for p in props]
     assert [eval_property(p, trace) for p in props] == fresh
     rendered, init = [], tracecheck._Source.__init__
-    monkeypatch.setattr(tracecheck._Source, "__init__", lambda self, *args: rendered.append(args) or init(self, *args))
+    monkeypatch.setattr(tracecheck._Source, "__init__",
+                        lambda self, *args, **kw: rendered.append(args) or init(self, *args, **kw))
     assert check_bundle_on_model([], props, model).entries == first
     assert [eval_property(p, trace) for p in props] == fresh
     assert rendered == [] and all(p.compiled is not None for p in props)
@@ -349,6 +356,28 @@ def _symbolics(value) -> list[Symbolic]:
     if isinstance(value, Symbolic):
         return [value]
     return [s for x in value for s in _symbolics(x)] if isinstance(value, tuple) else []
+
+
+def id_names(body) -> tuple[str, ...]:
+    """The names of the symbolic ids a body reads, each once, in the order it first reads them."""
+    return tuple(dict.fromkeys(s.name for s in _symbolics(body)))
+
+
+def reader_counts(nodes, counts=None) -> dict:
+    """Each node's count of readers among `nodes`, by the key a generated loop shares it by (`_Source.key`): one per
+    reading parent or body, a node's children counted on its first read only."""
+    counts = {} if counts is None else counts
+    for node in nodes:
+        k = node.name if type(node) in (Sig, AttribWire, Symbolic) else id(node)
+        counts[k] = counts.get(k, 0) + 1
+        if counts[k] == 1:
+            reader_counts(children(node), counts)
+    return counts
+
+
+def keys(body) -> dict:
+    """The keys a generated loop of `body` alone shares its nodes by, each with its count of readers."""
+    return reader_counts([body])
 
 
 def one_at_a_time(props, model) -> list[ModelCheckEntry]:
@@ -475,10 +504,10 @@ def structure(value, names=None):
 def connected(props) -> list[list[int]]:
     """The groups a check evaluates together, found by a search: the properties that read the same ids and are
     connected through a node key they share, as lists of indices."""
-    ids = [tuple(tracecheck.symbolic_ids(p.body)) for p in props]
+    ids = [id_names(p.body) for p in props]
     readers = {}
     for i, p in enumerate(props):
-        for k in tracecheck.keys(p.body):
+        for k in keys(p.body):
             readers.setdefault((ids[i], k), []).append(i)
     seen, groups = set(), []
     for i in range(len(props)):
@@ -489,7 +518,7 @@ def connected(props) -> list[list[int]]:
         while todo:
             j = todo.pop()
             group.append(j)
-            fresh = {m for k in tracecheck.keys(props[j].body) for m in readers[ids[j], k]} - seen
+            fresh = {m for k in keys(props[j].body) for m in readers[ids[j], k]} - seen
             seen |= fresh
             todo += fresh
         groups.append(sorted(group))
@@ -539,11 +568,127 @@ def test_a_check_compiles_one_code_object_per_body_structure(monkeypatch, bundle
     assert len(tracecheck._CODE) == compiled
 
 
+class _NoTrace(_OneCycle):
+    """A model without traces: a check of it plans and renders, and evaluates nothing."""
+
+    def traces(self):
+        return []
+
+
+def planned(props) -> list[tuple]:
+    """The groups a fresh check of `props` renders, in order: each group's bodies, and the reader counts and the
+    column list its evaluator is made with. Every symbolic id reads as literal, so that any bundle plans."""
+    made = []
+
+    def record(*bodies, reads, columns):
+        made.append((bodies, reads, columns))
+        return tracecheck.evaluator(*bodies, reads=reads, columns=columns)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "evaluator", record)
+        patch.setattr(models, "literal_width_bits", lambda width: literal_width_bits(width) or 1)
+        check_bundle_on_model([], [p._replace() for p in props], _NoTrace())
+    return made
+
+
+def assert_planned_as_searched(props) -> None:
+    """The planner's groups are `connected()`'s, and each group is rendered with the reader counts that walking its
+    own bodies gives, and reads the columns of its own bodies."""
+    made = planned(props)
+    assert [[id(b) for b in bodies] for bodies, _, _ in made] == [[id(props[i].body) for i in g]
+                                                                    for g in connected(props)]
+    for bodies, reads, columns in made:
+        own = reader_counts(bodies)
+        assert {k: reads[k] for k in own} == own == tracecheck._Source(*bodies).reads
+        assert sorted(columns) == sorted(k for k in own if isinstance(k, str))
+
+
+LEAVES = (Sig("a"), Sig("b"), Sig("c"), AttribWire("w", "a & b"), Symbolic("s", "[1:0]"), Symbolic("t", ""))
+# Each derived node's maker, over the `k`-th new node and a draw of an earlier node.
+MAKERS = (
+    lambda k, x: Not(x()), lambda k, x: And(x(), x()), lambda k, x: Or((x(), x(), x())), lambda k, x: Eq(x(), x()),
+    lambda k, x: Gt(x(), 0), lambda k, x: Handshake(f"h{k}", x()), lambda k, x: Stable((x(), x())),
+    lambda k, x: IsUnknown((x(),)), lambda k, x: Counter(f"n{k}", x(), x(), 3, "L", "W"),
+    lambda k, x: Inflight(f"f{k}", x(), x()), lambda k, x: Sampled(f"d{k}", x(), x(), "[7:0]"),
+)
+# Each body's maker over draws of nodes.
+TOPS = (lambda x: x(), lambda x: Implies(x(), x()), lambda x: Implies(x(), x(), True),
+        lambda x: Implies(x(), Eventually(x())), lambda x: CoverSeq(x(), x(), 2))
+
+
+@st.composite
+def shared_properties(draw) -> list[GeneratedProperty]:
+    """Properties whose bodies share nodes: each derived node is made over earlier ones, each body over any."""
+    pool = list(LEAVES)
+
+    def node():
+        return draw(st.sampled_from(pool))
+
+    for k in range(draw(st.integers(0, 12))):
+        pool.append(draw(st.sampled_from(MAKERS))(k, node))
+    tops = draw(st.lists(st.sampled_from(TOPS), min_size=1, max_size=8))
+    return [GeneratedProperty(f"p{i}", "xprop", "assert", make(node)) for i, make in enumerate(tops)]
+
+
+def covering_properties() -> list[GeneratedProperty]:
+    """A handshake first read by a body that reads an id, then by one that reads none; a column that two
+    transactions read; a body that reads two ids, before and after its one-id kin."""
+    s, t, share, other = Symbolic("s", "[1:0]"), Symbolic("t", "[0:0]"), Sig("share"), Sig("other")
+    hsk, busy = Handshake("h", And(Sig("v"), share)), Handshake("g", And(other, share))
+    bodies = [Implies(hsk, Eq(Sig("id"), s)), Implies(hsk, Eventually(Sig("r"))), Not(busy),
+              Implies(And(hsk, Eq(Sig("id"), s)), Eq(Sig("id2"), t)), Implies(Eq(Sig("id"), s), Not(hsk))]
+    return [GeneratedProperty(f"p{i}", "xprop", "assert", body) for i, body in enumerate(bodies)]
+
+
+def test_the_covering_properties_cover_what_they_say():
+    props = covering_properties()
+    ids = [id_names(p.body) for p in props]
+    assert ids == [("s",), (), (), ("s", "t"), ("s",)]
+    hsk = props[0].body.ant
+    assert all(id(hsk) in keys(props[i].body) for i in (0, 1, 3, 4))  # one handshake, read under three id sets
+    assert "share" in keys(props[1].body) and "share" in keys(props[2].body)  # two transactions, one column
+    assert connected(props) == [[0, 4], [1, 2], [3]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(props=shared_properties())
+def test_the_plan_groups_and_counts_as_a_search_does(props):
+    assert_planned_as_searched(props)
+
+
+@pytest.mark.parametrize("bundle", ["covering", *(f"{name}-{mix}" for name in FIXTURE_NAMES for mix in OPTION_MIXES),
+                                    "link", "wide"])
+def test_the_plan_groups_and_counts_as_a_search_does_on_bundles(bundle):
+    props = covering_properties() if bundle == "covering" else wide_check()[0] if bundle == "wide" else \
+        EMITTED[bundle]().properties
+    assert_planned_as_searched(props)
+
+
+@pytest.mark.parametrize("bundle", ["noc_buffer", "pipeline", "covering", "wide"])
+def test_a_fresh_check_walks_each_node_once_per_id_set(monkeypatch, bundle):
+    # The ids pass walks below each derived node once, and the reader count once per id set that reaches it;
+    # rendering walks nothing, so the counts of the second walk are what each evaluator is made with.
+    props, model = (covering_properties(), _NoTrace()) if bundle == "covering" else fresh_check(bundle)
+    walked, counted, below, count = [], [], tracecheck.children, tracecheck.count
+    monkeypatch.setattr(tracecheck, "children", lambda node: walked.append(node) or below(node))
+    monkeypatch.setattr(tracecheck, "count", lambda *args: counted.append(args) or count(*args))  # `_Source`'s
+    monkeypatch.setattr(models, "count", lambda *args: counted.append(args[0]) or count(*args))  # the planner's
+    check_bundle_on_model([], props, model)
+    reached = {}
+    for p in props:
+        for k in keys(p.body):
+            if isinstance(k, int):
+                reached.setdefault(k, set()).add(id_names(p.body))
+    walks = collections.Counter(id(node) for node in walked if type(node) not in (Sig, AttribWire, Symbolic))
+    assert walks == {k: 1 + len(sets) for k, sets in reached.items()}
+    assert counted == [p.body for p in props]  # one planner walk per body, none by an evaluator
+
+
 @pytest.mark.parametrize("fixture", sorted(MODEL_REGISTRY))
 def test_evaluation_leaves_the_traces_alone(fixture):
     model, props = MODEL_REGISTRY[fixture](), gen_fixture(fixture).properties
     traces = model.traces()
-    ids = {name for p in props for name in tracecheck.symbolic_ids(p.body)}
+    ids = {name for p in props for name in id_names(p.body)}
     traces += [t.extended({name: [1] * t.length for name in ids}) for t in traces]
     before = [{name: (col, list(col)) for name, col in t.columns.items()} for t in traces]
     check_bundle_on_model([], props, _Drawn(model, traces[:model.n_traces]))
@@ -558,16 +703,19 @@ def test_model_check_bench_runs_at_tiny_size(tmp_path):
     # The model-check half of the before/after script, with this checkout on both sides so that both packages load.
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(REPO / "bench" / "evaluator.py"), "--src", str(REPO / "src"), "--rounds", "2",
-                    "--max-len", "2", "--traces", "1", "--drive", "10", "--out", str(out)],
+                    "--max-len", "2", "--traces", "1", "--drive", "10", "--wide", "4", "--out", str(out)],
                    capture_output=True, text=True, check=True)
     report = json.loads(out.read_text())
     for side in ("before", "after"):
-        assert set(report[side]["models"]) == {"oracle_size", "default_size"}
-        for models in report[side]["models"].values():
-            assert set(models) == set(MODEL_REGISTRY)
+        assert set(report[side]["models"]) == {"oracle_size", "default_size", "wide"}
+        for config, checks in report[side]["models"].items():
+            assert set(checks) == ({"first_check", "re_check"} if config == "wide" else set(MODEL_REGISTRY))
             assert all(set(m) == {"median_ms", "q1_ms", "q3_ms", "code_objects", "entries"}
-                       for m in models.values())
+                       for m in checks.values())
+        # 4 transactions, 34 properties: 22 read no id, and 12 read a 4-bit id, one entry per value.
+        assert {m["entries"] for m in report[side]["models"]["wide"].values()} == {22 + 12 * 16}
     for config in ("oracle_size", "default_size"):
         assert [report[side]["models"][config]["noc_buffer"]["code_objects"] for side in ("before", "after")] == [2, 2]
     assert set(report["paired_after_over_before"]) == set(report["after_over_before"])
-    assert {"default_size/noc_buffer", "oracle_size/noc_buffer"} <= set(report["after_over_before"])
+    assert {"default_size/noc_buffer", "oracle_size/noc_buffer", "wide/first_check", "wide/re_check"} <= set(
+        report["after_over_before"])
