@@ -142,27 +142,25 @@ class Side:
         return self.af.emit.generate_bundle(self.texts[name], name, self.af.options.GenOptions()).properties
 
     def timed(self, config: str, name: str) -> float:
-        af, model = self.af, self.models[config, name]()
-        if config == "wide":
+        af, fresh, model = self.af, config == "default_size", self.models[config, name]()
+        module = af.emit.generate_model(self.texts[name], name, af.options.GenOptions()) if fresh else None
+        if config == "wide":  # fresh properties, made before the timer; a re-check checks them once first
             props = self.bundle("wide")
             if name == "re_check":
                 af.models.check_bundle_on_model([], props, model)
-            make = lambda: props  # noqa: E731
-        elif config == "default_size":
-            module = af.emit.generate_model(self.texts[name], name, af.options.GenOptions())
-            make = lambda: [p for t, a in zip(module.txns, module.aux)  # noqa: E731
-                            for p in af.properties.gen_properties(t, a, module.opts, [])]
-        else:
-            make = lambda: self.props[name]  # noqa: E731
         gc.collect()
         t0 = time.perf_counter()
-        af.models.check_bundle_on_model([], make(), model)
+        if config != "wide":
+            props = self.props[name] if module is None else [
+                p for t, a in zip(module.txns, module.aux) for p in af.properties.gen_properties(t, a, module.opts, [])]
+        af.models.check_bundle_on_model([], props, model)
         return (time.perf_counter() - t0) * 1e3
 
     def counts(self, config: str, name: str) -> tuple[dict, list[tuple], list[str]]:
         """The code objects one check of a fresh bundle's properties compiles into an empty `tracecheck._CODE`,
         its entries as plain tuples, and its traces as CSV text."""
-        tc, model, props = self.af.tracecheck, self.models[config, name](), self.bundle("wide" if config == "wide" else name)
+        tc, model = self.af.tracecheck, self.models[config, name]()
+        props = self.bundle("wide" if config == "wide" else name)
         cache, tc._CODE = tc._CODE, {}
         try:
             report = self.af.models.check_bundle_on_model([], props, model)

@@ -326,7 +326,7 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
             group = groups[min(tops)] = sorted(m for j in tops for m in groups.pop(j, [j]))  # the groups it joins
             for m in group:
                 link[m] = group[0]
-        runs, results = [], []  # per group, (evaluator, its columns, assignments); per result, (k, property, assignment)
+        runs, results = [], []  # per group, (evaluator, its columns, assignments); per result, (k, property, ids)
         for group in sorted(groups.values()):
             names, bits = ids[group[0]]
             assignments, columns = [tuple(zip(names, v)) for v in product(*(range(1 << b) for b in bits))], []
