@@ -24,7 +24,11 @@ sides. The items of a round are:
   read, each value drawn from 0-3 and x with a fixed seed, and a window of
   one cycle. `first_check` times a check of fresh properties, which plans
   and renders their groups; `re_check` times a second check of them, which
-  finds the plan kept on the first property.
+  finds the plan kept on the first property;
+- the model draws alone (`model_traces`): `DRAW_CALLS` calls of
+  `traces()` on a fresh model of each fixture, at oracle size and at
+  default size, as the checks above draw them, reported per call. This is
+  the part of a model check that the evaluator does not see.
 
 A model turn times one `check_bundle_on_model` call on a fresh model after a
 full collection, drawing the traces and making the evaluators included (a
@@ -67,6 +71,10 @@ WIDE = ("first_check", "re_check")
 # config -> the names of its checks
 CONFIGS = {"oracle_size": tuple(ORACLE_SIZE), "default_size": tuple(ORACLE_SIZE), "wide": WIDE}
 WIDE_CYCLES, WIDE_SEED = 32, 41
+# The model-draw items, each timed over DRAW_CALLS calls of `traces()`.
+SIZES = ("oracle_size", "default_size")
+DRAWS = [("model_traces", config, name) for config in SIZES for name in ORACLE_SIZE]
+DRAW_CALLS = 10
 
 
 class _Wide:
@@ -137,6 +145,15 @@ class Side:
                 raise RuntimeError(f"{name}: the evaluator and the naive checker differ on {trace.columns}")
         return n, busy
 
+    def drawn(self, config: str, name: str) -> float:
+        """ms per `traces()` call of a fresh model, over DRAW_CALLS calls after a full collection."""
+        model = self.models[config, name]()
+        gc.collect()
+        t0 = time.perf_counter()
+        for _ in range(DRAW_CALLS):
+            model.traces()
+        return (time.perf_counter() - t0) * 1e3 / DRAW_CALLS
+
     def bundle(self, name: str) -> list:
         """The properties of a fresh bundle of a fixture, or of the wide header."""
         return self.af.emit.generate_bundle(self.texts[name], name, self.af.options.GenOptions()).properties
@@ -206,11 +223,12 @@ def main(argv: list[str] | None = None) -> int:
         elif first[1] != after[1]:
             raise RuntimeError(f"the two sides gave different entries on {'/'.join(check)}")
 
-    runs = {(side, item): [] for side in sides for item in spaces + checks}  # per round
-    for _, item, order in twin.turns(sides, spaces + checks, args.rounds):
+    runs = {(side, item): [] for side in sides for item in spaces + checks + DRAWS}  # per round
+    for _, item, order in twin.turns(sides, spaces + checks + DRAWS, args.rounds):
         for side in order:
             s = sides[side]
-            runs[side, item].append(s.space(item, args.max_len) if item in s.cases else s.timed(*item))
+            runs[side, item].append(s.space(item, args.max_len) if item in s.cases else
+                                    s.drawn(*item[1:]) if item in DRAWS else s.timed(*item))
     for name in spaces:
         if any(runs[side, name][0][0] != runs["after", name][0][0] for side in sides):
             raise RuntimeError(f"the two sides enumerated different traces on {name}")
@@ -219,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         """Round k's total and per-space rates and model times, flat."""
         return {"traces_per_s": sum(runs[side, n][k][0] for n in spaces) / sum(runs[side, n][k][1] for n in spaces),
                 **{f"spaces/{n}": runs[side, n][k][0] / runs[side, n][k][1] for n in spaces},
-                **{"/".join(check): runs[side, check][k] for check in checks}}
+                **{"/".join(item): runs[side, item][k] for item in checks + DRAWS}}
 
     rounds = {side: [per_round(side, k) for k in range(args.rounds)] for side in sides}
     result, medians = {}, {}
@@ -233,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
             "models": {c: {n: {**{f"{p}_ms": round(v, 3) for p, v in zip(("q1", "median", "q3"), q[f"{c}/{n}"])},
                                **found[side, (c, n)][0], "entries": len(found[side, (c, n)][1])}
                            for n in names} for c, names in CONFIGS.items()},
+            "model_traces": {c: {n: {f"{p}_ms": round(v, 3) for p, v in zip(("q1", "median", "q3"),
+                                                                             q[f"model_traces/{c}/{n}"])}
+                                 for n in ORACLE_SIZE} for c in SIZES},
         }
     if args.src:
         result["after_over_before"] = twin.ratios(medians["after"], medians["before"])

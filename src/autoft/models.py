@@ -15,8 +15,10 @@ mode double-issues an id that is already outstanding.
 A model is a `_Model` subclass that declares, then simulates:
 
 * `columns`: the trace's signal names, in order;
-* `_cycles(st)`: a generator over the seeded stimulus `st` that yields one
-  tuple per cycle, in `columns` order, and then advances its state;
+* `_columns(rng)`: one loop over the cycles, drawing from the seeded
+  `random.Random` `rng`, that appends each cycle's values to one list per
+  column, then advances its state, and returns the lists in `columns` order
+  (a column that two names carry is one list, returned twice);
 * `liveness_window`: the cycles an eventuality gets to discharge. Liveness
   cannot be concluded on finite traces, so the window generously covers the
   worst-case latency of the correct design;
@@ -40,16 +42,25 @@ property (`GeneratedProperty.plan`), so a second check of the same
 properties renders nothing. An id is read as a column: each group runs on
 a dict of only the columns it reads, made once per trace, with each id
 assignment's columns put in it in turn. A trace's columns are the tuples
-that transposing its rows gives, handed to `Trace` and never copied, and
-an id's column is one tuple of its value; each entry and its verdict are
-built by `tuple.__new__`, as `eval_property` builds its verdicts. The
-models bind their stimulus's draws to locals, in the order the draws are
-made, so a seed gives the same traces.
+`Trace` makes of a model's lists, never copied after, and an id's column is
+one tuple of its value; each entry and its verdict are built by
+`tuple.__new__`, as `eval_property` builds its verdicts.
+
+The draws are written inline, so a draw costs no Python frame. A value
+below k is `getrandbits(k.bit_length())`, drawn again while it is k or
+more: the rule of CPython's `Random._randbelow_with_getrandbits`, which
+`randrange(k)` calls for a `Random` whose `getrandbits` is the C one (read
+in CPython 3.11's `random.py`), so a seed draws what `randrange` would. A
+response is starved with probability p, by one `random()` drawn only while
+it has been starved fewer than MAX_STALL cycles running. The draws are made
+in the order the models first made them, and a test holds every model to
+row generators over `randrange` that keep that first form.
 The queue models hold `depth` = 2 entries, the fixtures' default `DEPTH`.
 """
 from __future__ import annotations
 
 import random
+from bisect import insort
 from collections import Counter, namedtuple
 from itertools import product
 
@@ -80,25 +91,11 @@ class ModelCheckReport(namedtuple("ModelCheckReport", "model entries")):
         return f"{self.model}: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
 
 
-class _Stimulus:
-    """Deterministic random stimulus with bounded response starvation."""
-
-    MAX_STALL = 2  # cycles a response may be starved before it is acknowledged
-
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)
-        self._stalled = 0
-
-    def ack(self, p_stall: float) -> int:
-        if self._stalled >= self.MAX_STALL or self.rng.random() >= p_stall:
-            self._stalled = 0
-            return 1
-        self._stalled += 1
-        return 0
+MAX_STALL = 2  # cycles a response may be starved before it is acknowledged
 
 
 class _Model:
-    """`n_traces` seeded traces, each `_cycles`' rows transposed onto `columns`.
+    """`n_traces` seeded traces, each `_columns`' lists handed to `Trace` under `columns`.
 
     The environment requests for `drive` cycles, then drains for `tail` (class defaults).
     """
@@ -114,8 +111,8 @@ class _Model:
         self.tail = self.tail if tail is None else tail
 
     def traces(self) -> list[Trace]:
-        return [Trace(dict(zip(self.columns, zip(*self._cycles(_Stimulus(seed))))))
-                for seed in range(1, self.n_traces + 1)]
+        names = self.columns if self.drive + self.tail > 0 else ()  # a trace of no cycle has no column
+        return [Trace(dict(zip(names, self._columns(random.Random(seed))))) for seed in range(1, self.n_traces + 1)]
 
 
 class FifoModel(_Model):
@@ -127,21 +124,29 @@ class FifoModel(_Model):
     drive, tail = 20, 8
     depth = 2  # queue entries
 
-    def _cycles(self, st):
-        queue: list[int] = []
-        random, ack, randrange, depth, drive = st.rng.random, st.ack, st.rng.randrange, self.depth, self.drive
+    def _columns(self, rng):
+        cols = in_val, in_ack, in_data, out_val, out_ack, out_data = [], [], [], [], [], []
+        queue, stalled = [], 0
+        random, bits, depth, drive = rng.random, rng.getrandbits, self.depth, self.drive
         for cycle in range(drive + self.tail):
             driving = cycle < drive
-            in_val = 1 if driving and random() < 0.7 else 0
-            in_data = randrange(256)
-            in_ack = 1 if len(queue) < depth else 0
-            out_val = 1 if queue else 0
-            out_ack = ack(0.4) if driving else 1
-            yield in_val, in_ack, in_data, out_val, out_ack, queue[0] if queue else 0
-            if out_val and out_ack:
+            v = 1 if driving and random() < 0.7 else 0
+            while (data := bits(9)) >= 256:
+                pass
+            a = 1 if len(queue) < depth else 0
+            out_a = 0 if driving and stalled < MAX_STALL and random() < 0.4 else 1
+            stalled = 0 if out_a else stalled + 1
+            in_val.append(v)
+            in_ack.append(a)
+            in_data.append(data)
+            out_val.append(1 if queue else 0)
+            out_ack.append(out_a)
+            out_data.append(queue[0] if queue else 0)
+            if queue and out_a:
                 queue.pop(0)
-            if in_val and in_ack:
-                queue.append(in_data)
+            if v and a:
+                queue.append(data)
+        return cols
 
 
 class NocBufferModel(_Model):
@@ -168,32 +173,41 @@ class NocBufferModel(_Model):
         self.name = "noc_buffer_buggy" if buggy else "noc_buffer"
         self.expected_violated_kinds = frozenset({"liveness"}) if buggy else frozenset()
 
-    def _cycles(self, st):
-        queue: list[tuple[int, int]] = []
-        env_outstanding: set[int] = set()
-        random, ack, randrange = st.rng.random, st.ack, st.rng.randrange
-        ids, depth, buggy, drive = range(self.n_ids), self.depth, self.buggy, self.drive
+    def _columns(self, rng):
+        in_val, in_ack, in_id, in_data, out_val, out_ack, out_id, out_data = [], [], [], [], [], [], [], []
+        queue, free, stalled = [], list(range(self.n_ids)), 0  # queued (id, data); the ids free to issue, ascending
+        random, bits, depth, buggy, drive = rng.random, rng.getrandbits, self.depth, self.buggy, self.drive
         for cycle in range(drive + self.tail):
             driving = cycle < drive
-            free = [k for k in ids if k not in env_outstanding]  # ascending
-            in_val = 1 if driving and free and random() < 0.8 else 0
-            in_id = free[randrange(len(free))] if in_val else 0
-            in_data = randrange(256)
+            v = 1 if driving and free and random() < 0.8 else 0
+            k = n = len(free) if v else 0
+            while k >= n > 0:  # k starts out of range, so a request draws at least once
+                k = bits(n.bit_length())
+            ident = free[k] if v else 0
+            while (data := bits(9)) >= 256:
+                pass
             full = len(queue) == depth  # before this cycle's pop, as the RTL reads it
-            in_ack = 1 if buggy or not full else 0
-            out_val = 1 if queue else 0
-            out_id, out_data = queue[0] if queue else (0, 0)
-            out_ack = ack(0.5) if driving else 1
-            yield (in_val, in_ack, in_id, in_data, in_id,
-                   out_val, out_ack, out_id, out_data, out_id)
-            if out_val and out_ack:
+            a = 1 if buggy or not full else 0
+            head_id, head_data = queue[0] if queue else (0, 0)
+            out_a = 0 if driving and stalled < MAX_STALL and random() < 0.5 else 1
+            stalled = 0 if out_a else stalled + 1
+            in_val.append(v)
+            in_ack.append(a)
+            in_id.append(ident)
+            in_data.append(data)
+            out_val.append(1 if queue else 0)
+            out_ack.append(out_a)
+            out_id.append(head_id)
+            out_data.append(head_data)
+            if queue and out_a:
                 queue.pop(0)
-                env_outstanding.discard(out_id)
-            if in_val and in_ack:
-                env_outstanding.add(in_id)
+                insort(free, head_id)
+            if v and a:
+                free.remove(ident)
                 if not full:
-                    queue.append((in_id, in_data))
+                    queue.append((ident, data))
                 # else: accepted while full, entry dropped (the bug), even if this cycle pops
+        return in_val, in_ack, in_id, in_data, in_id, out_val, out_ack, out_id, out_data, out_id
 
 
 class PipelineModel(_Model):
@@ -223,40 +237,43 @@ class PipelineModel(_Model):
         # response, so the activity check fails as a consequence.
         self.expected_violated_kinds = frozenset({"uniqueness", "active_covered"} if double_issue else ())
 
-    def _cycles(self, st):
-        busy = 0
-        inflight: tuple[int, int] | None = None  # (id, data)
-        respond_at = -1
-        pending: tuple[int, int] | None = None  # request held while busy
-        next_id = 0
-        faulted = False
-        random, randrange, double_issue, drive = st.rng.random, st.rng.randrange, self.double_issue, self.drive
+    def _columns(self, rng):
+        in_val, in_ack, in_id, in_data, out_val, out_id, out_data, busy_col = cols = [], [], [], [], [], [], [], []
+        # inflight is the accepted (id, data), pending the request held while busy
+        busy, inflight, respond_at, pending, next_id, faulted = 0, None, -1, None, 0, False
+        random, bits, double_issue, drive = rng.random, rng.getrandbits, self.double_issue, self.drive
         for cycle in range(drive + self.tail):
             driving = cycle < drive
             if pending is None and driving and random() < 0.6:
-                pending = (next_id, randrange(256))
-                next_id = (next_id + 1) % self.n_ids
+                while (data := bits(9)) >= 256:
+                    pass
+                pending, next_id = (next_id, data), (next_id + 1) % self.n_ids
             fault_now = (double_issue and not faulted and busy and inflight is not None
                          and pending is None and cycle >= 4)
             if fault_now:
                 pending = inflight  # reuse the in-flight id and data
-            in_val = 1 if pending is not None else 0
-            in_id, in_data = pending if pending else (0, 0)
-            in_ack = 1 if (not busy or fault_now) else 0
-            out_val = 1 if cycle == respond_at else 0
-            out_id, out_data = inflight if (out_val and inflight) else (0, 0)
-            yield in_val, in_ack, in_id, in_data, out_val, out_id, out_data, busy, busy
-            if out_val:
-                busy = 0
-                inflight = None
-            if in_val and in_ack:
+            v = 1 if pending is not None else 0
+            ident, data = pending if pending else (0, 0)
+            a = 1 if (not busy or fault_now) else 0
+            o = 1 if cycle == respond_at else 0
+            out = inflight if (o and inflight) else (0, 0)
+            in_val.append(v)
+            in_ack.append(a)
+            in_id.append(ident)
+            in_data.append(data)
+            out_val.append(o)
+            out_id.append(out[0])
+            out_data.append(out[1])
+            busy_col.append(busy)
+            if o:
+                busy, inflight = 0, None
+            if v and a:
                 if fault_now:
                     faulted = True  # double accept recorded; keep first response
                 else:
-                    inflight = (in_id, in_data)
-                    respond_at = cycle + self.latency
-                    busy = 1
+                    inflight, respond_at, busy = (ident, data), cycle + self.latency, 1
                 pending = None
+        return (*cols, busy_col)
 
 
 # The most id assignments one property is checked under: 10 bits of ids.

@@ -47,10 +47,10 @@ loop, collecting one node's value per cycle.
 
 A trace's columns are tuples, shared and never copied: `Trace(columns)`
 makes each one a tuple once, `extended` shares the parent's, and
-`enumerate_traces` sets each trace's columns to the tuples of one
-transposition, with the length it already knows, without the constructor's
-checks; the traces are equal to the constructor's, in the same
-representation.
+`enumerate_traces` sets each trace's columns to the tuples that one product
+per signal yields, all run in lockstep, with the length it already knows,
+without the constructor's checks; the traces are equal to the constructor's,
+in the same representation.
 
 Finite-trace readings:
 
@@ -427,7 +427,11 @@ def enumerate_traces(signals: Mapping[str, int], max_len: int,
 
     `signals` maps names to bit widths; `domains` can replace a signal's value
     set (e.g. to include None for unknown). Order is deterministic: lengths
-    ascending, then lexicographic in cycle-major order. Raises
+    ascending, then lexicographic in cycle-major order over the joint states
+    (the product of the value sets, in `signals` order). A signal's column is
+    drawn from `product(projection, repeat=length)`, its projection being its
+    value in each joint state, and the signals' products advance in lockstep,
+    so each trace is one product of states, read column by column. Raises
     SpaceTooLargeError when the total count exceeds DEFAULT_TRACE_BOUND,
     and ValueError when no signal is given: a trace without columns has length 0.
     """
@@ -438,10 +442,9 @@ def enumerate_traces(signals: Mapping[str, int], max_len: int,
     total = trace_space_size((len(v) for v in value_sets), max_len)
     if total > DEFAULT_TRACE_BOUND:
         raise SpaceTooLargeError(f"{total} traces exceed the bound of {DEFAULT_TRACE_BOUND}")
-    states, new = list(itertools.product(*value_sets)), object.__new__
+    projections, new = list(zip(*itertools.product(*value_sets))), object.__new__  # each signal's value per state
     for length in range(1, max_len + 1):
-        for assignment in itertools.product(states, repeat=length):
-            # Built here, not by the constructor: the columns are the tuples of one transposition, of this length.
-            trace = new(Trace)
-            trace.columns, trace.length = dict(zip(names, zip(*assignment))), length
+        for columns in zip(*[itertools.product(values, repeat=length) for values in projections]):
+            trace = new(Trace)  # built here, not by the constructor: the columns are tuples, of this length
+            trace.columns, trace.length = dict(zip(names, columns)), length
             yield trace

@@ -2,11 +2,12 @@ import collections
 import functools
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from autoft import tracecheck
 from autoft.models import (
@@ -54,8 +55,16 @@ PINNED_TRACES = {
     "pipeline_double_issue": (lambda: PipelineModel(double_issue=True),
                               "40c6c9490246d1ca90ddc3fe69fbd76db6e9f13e357a49b5d54b0f5ad303e0d0"),
     # The oracle benchmark's size: more and longer traces.
+    "fifo_long": (lambda: FifoModel(n_traces=12, drive=100, tail=12),
+                  "83cfacd6b8721ad68fb4335b9bf1ba4f0fac2a4d9ba13023ab9c08a52e6f3190"),
+    "noc_buffer_long": (lambda: NocBufferModel(buggy=False, n_traces=12, drive=100, tail=20),
+                        "ffb4ed4d73f3e9ded4d8c478b7cfbefbf4dad216ab85ffc9fcabdcf93840e86c"),
     "noc_buffer_buggy_long": (lambda: NocBufferModel(buggy=True, n_traces=12, drive=100, tail=20),
                               "47820bc3da349956534c4ee83c4cb6fe648a66611e79aa7f56f8396c3afdd174"),
+    "pipeline_long": (lambda: PipelineModel(n_traces=12, drive=100, tail=12),
+                      "4d50bf13ff96f778cd7fbcb979a0ef7c5774fe0b5ca14fe5f3dceed06cb52e0d"),
+    "pipeline_double_issue_long": (lambda: PipelineModel(double_issue=True, n_traces=12, drive=100, tail=12),
+                                   "b8ebd7761da9cbe71400920cfcb9f1dd0a791fa9eefe15db7af49e87bbc6adb6"),
 }
 
 
@@ -64,6 +73,122 @@ def test_traces_are_pinned(name):
     factory, digest = PINNED_TRACES[name]
     text = "".join(t.to_csv() for t in factory().traces())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class _Stimulus:
+    """The reference models' stimulus: a seeded `random.Random`, and an acknowledge starved at most twice running."""
+
+    MAX_STALL = 2
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self._stalled = 0
+
+    def ack(self, p_stall: float) -> int:
+        if self._stalled >= self.MAX_STALL or self.rng.random() >= p_stall:
+            self._stalled = 0
+            return 1
+        self._stalled += 1
+        return 0
+
+
+def fifo_rows(model, stim):
+    queue = []
+    random, ack, randrange, depth, drive = stim.rng.random, stim.ack, stim.rng.randrange, model.depth, model.drive
+    for cycle in range(drive + model.tail):
+        driving = cycle < drive
+        in_val = 1 if driving and random() < 0.7 else 0
+        in_data = randrange(256)
+        in_ack = 1 if len(queue) < depth else 0
+        out_val = 1 if queue else 0
+        out_ack = ack(0.4) if driving else 1
+        yield in_val, in_ack, in_data, out_val, out_ack, queue[0] if queue else 0
+        if out_val and out_ack:
+            queue.pop(0)
+        if in_val and in_ack:
+            queue.append(in_data)
+
+
+def noc_buffer_rows(model, stim):
+    queue, env_outstanding = [], set()
+    random, ack, randrange = stim.rng.random, stim.ack, stim.rng.randrange
+    ids, depth, buggy, drive = range(model.n_ids), model.depth, model.buggy, model.drive
+    for cycle in range(drive + model.tail):
+        driving = cycle < drive
+        free = [k for k in ids if k not in env_outstanding]
+        in_val = 1 if driving and free and random() < 0.8 else 0
+        in_id = free[randrange(len(free))] if in_val else 0
+        in_data = randrange(256)
+        full = len(queue) == depth
+        in_ack = 1 if buggy or not full else 0
+        out_val = 1 if queue else 0
+        out_id, out_data = queue[0] if queue else (0, 0)
+        out_ack = ack(0.5) if driving else 1
+        yield in_val, in_ack, in_id, in_data, in_id, out_val, out_ack, out_id, out_data, out_id
+        if out_val and out_ack:
+            queue.pop(0)
+            env_outstanding.discard(out_id)
+        if in_val and in_ack:
+            env_outstanding.add(in_id)
+            if not full:
+                queue.append((in_id, in_data))
+
+
+def pipeline_rows(model, stim):
+    busy, inflight, respond_at, pending, next_id, faulted = 0, None, -1, None, 0, False
+    random, randrange, double_issue, drive = stim.rng.random, stim.rng.randrange, model.double_issue, model.drive
+    for cycle in range(drive + model.tail):
+        driving = cycle < drive
+        if pending is None and driving and random() < 0.6:
+            pending = (next_id, randrange(256))
+            next_id = (next_id + 1) % model.n_ids
+        fault_now = double_issue and not faulted and busy and inflight is not None and pending is None and cycle >= 4
+        if fault_now:
+            pending = inflight
+        in_val = 1 if pending is not None else 0
+        in_id, in_data = pending if pending else (0, 0)
+        in_ack = 1 if (not busy or fault_now) else 0
+        out_val = 1 if cycle == respond_at else 0
+        out_id, out_data = inflight if (out_val and inflight) else (0, 0)
+        yield in_val, in_ack, in_id, in_data, out_val, out_id, out_data, busy, busy
+        if out_val:
+            busy, inflight = 0, None
+        if in_val and in_ack:
+            if fault_now:
+                faulted = True
+            else:
+                inflight, respond_at, busy = (in_id, in_data), cycle + model.latency, 1
+            pending = None
+
+
+REFERENCE_ROWS = {FifoModel: fifo_rows, NocBufferModel: noc_buffer_rows, PipelineModel: pipeline_rows}
+MODEL_MAKERS = {
+    "fifo": FifoModel,
+    "noc_buffer": functools.partial(NocBufferModel, buggy=False),
+    "noc_buffer_buggy": functools.partial(NocBufferModel, buggy=True),
+    "pipeline": functools.partial(PipelineModel, double_issue=False),
+    "pipeline_double_issue": functools.partial(PipelineModel, double_issue=True),
+}
+
+
+def reference_traces(model) -> list[Trace]:
+    """The traces the models drew as row generators over `randrange` and `_Stimulus`, transposed onto columns."""
+    rows = REFERENCE_ROWS[type(model)]
+    return [Trace(dict(zip(model.columns, zip(*rows(model, _Stimulus(seed))))))
+            for seed in range(1, model.n_traces + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(MODEL_MAKERS)), n_traces=st.integers(0, 3), drive=st.integers(0, 120),
+       tail=st.integers(0, 24))
+@example(name="noc_buffer", n_traces=2, drive=0, tail=0)
+def test_models_draw_what_the_row_reference_draws(name, n_traces, drive, tail):
+    # The inline `getrandbits` draws give `randrange`'s stream on this interpreter, and a model of no cycle
+    # still draws traces with no column.
+    model = MODEL_MAKERS[name](n_traces=n_traces, drive=drive, tail=tail)
+    drawn, reference = model.traces(), reference_traces(model)
+    assert [(t.length, list(t.columns.items())) for t in drawn] == \
+        [(t.length, list(t.columns.items())) for t in reference]
 
 
 class TestModelTraces:
@@ -664,6 +789,45 @@ def test_the_plan_groups_and_counts_as_a_search_does_on_bundles(bundle):
     assert_planned_as_searched(props)
 
 
+def misplaced_ids(body) -> tuple[int, list]:
+    """How many times `body` compares a symbolic id, and each node holding one elsewhere: anywhere but as an operand
+    of `Eq` whose other operand is a read column, a port or a verbatim wire."""
+    compared, misplaced, seen, todo = 0, [body] if type(body) is Symbolic else [], set(), [body]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        below = children(node)
+        for k, child in enumerate(below):
+            if type(child) is Symbolic:
+                if type(node) is Eq and type(below[1 - k]) in (Sig, AttribWire):
+                    compared += 1
+                else:
+                    misplaced.append(node)
+        todo += below
+    return compared, misplaced
+
+
+def test_misplaced_ids_finds_an_id_outside_a_column_compare():
+    s, v, h = Symbolic("s", "[1:0]"), Sig("v"), Handshake("h", Sig("v"))
+    assert misplaced_ids(Implies(v, Eq(AttribWire("w", "a"), s))) == (1, [])
+    for bad in (Not(s), Eq(s, h), Eq(s, Symbolic("t", "[1:0]")), Stable((s,)), IsUnknown((v, s)), Gt(s, 0)):
+        assert {id(node) for node in misplaced_ids(Implies(v, bad))[1]} == {id(bad)}
+    assert misplaced_ids(s) == (0, [s])
+
+
+@pytest.mark.parametrize("bundle", [*(f"{name}-{mix}" for name in FIXTURE_NAMES for mix in OPTION_MIXES), "link",
+                                    "wide"])
+def test_a_symbolic_id_is_only_compared_against_a_read_column(bundle):
+    # The rule that makes every value no column carries give one verdict: an id enters a body only through
+    # `Eq(column, id)`, so a value no column holds makes that `Eq` false in every cycle. A new kind must keep it.
+    props = wide_check()[0] if bundle == "wide" else EMITTED[bundle]().properties
+    found = [misplaced_ids(p.body) for p in props]
+    assert [(p.name, bad) for p, (_, bad) in zip(props, found) if bad] == []
+    assert sum(compared for compared, _ in found) > 0 or not any(map(id_names, (p.body for p in props)))
+
+
 @pytest.mark.parametrize("bundle", ["noc_buffer", "pipeline", "covering", "wide"])
 def test_a_fresh_check_walks_each_node_once_per_id_set(monkeypatch, bundle):
     # The ids pass walks below each derived node once, and the reader count once per id set that reaches it;
@@ -714,8 +878,14 @@ def test_model_check_bench_runs_at_tiny_size(tmp_path):
                        for m in checks.values())
         # 4 transactions, 34 properties: 22 read no id, and 12 read a 4-bit id, one entry per value.
         assert {m["entries"] for m in report[side]["models"]["wide"].values()} == {22 + 12 * 16}
+        # The model draws alone, per model, at both sizes.
+        assert {c: set(m) for c, m in report[side]["model_traces"].items()} == {
+            c: set(MODEL_REGISTRY) for c in ("oracle_size", "default_size")}
+        assert all(set(t) == {"median_ms", "q1_ms", "q3_ms"} for m in report[side]["model_traces"].values()
+                   for t in m.values())
     for config in ("oracle_size", "default_size"):
         assert [report[side]["models"][config]["noc_buffer"]["code_objects"] for side in ("before", "after")] == [2, 2]
     assert set(report["paired_after_over_before"]) == set(report["after_over_before"])
-    assert {"default_size/noc_buffer", "oracle_size/noc_buffer", "wide/first_check", "wide/re_check"} <= set(
+    assert {"default_size/noc_buffer", "oracle_size/noc_buffer", "wide/first_check", "wide/re_check",
+            "model_traces/oracle_size/noc_buffer", "model_traces/default_size/pipeline"} <= set(
         report["after_over_before"])

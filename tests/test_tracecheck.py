@@ -254,6 +254,39 @@ class TestEnumeration:
         assert len({id(c) for t in got for c in t.columns.values()}) == len(got) * len(signals)  # none shared
 
 
+ENUMERATED_LIMIT = 5000
+
+
+@st.composite
+def enumerated_spaces(draw):
+    """1-3 signals of 1-2 bits, some with a drawn domain that may hold None, and a max_len of 1-4 cut to at most
+    ENUMERATED_LIMIT traces."""
+    signals = {f"s{k}": draw(st.integers(1, 2)) for k in range(draw(st.integers(1, 3)))}
+    domains = {name: draw(st.lists(st.sampled_from([*range(1 << bits), None]), max_size=5))
+               for name, bits in signals.items() if draw(st.booleans())}
+    sizes = [len(domains[name]) if name in domains else 1 << bits for name, bits in signals.items()]
+    max_len = draw(st.integers(1, 4))
+    while max_len > 1 and trace_space_size(sizes, max_len) > ENUMERATED_LIMIT:
+        max_len -= 1
+    return signals, max_len, domains if domains or draw(st.booleans()) else None
+
+
+def _transposed(signals, max_len, domains=None):
+    """Every trace as one product over the joint states, transposed onto its columns: the reference order."""
+    names = list(signals)
+    value_sets = [tuple(domains[n]) if domains and n in domains else tuple(range(1 << signals[n])) for n in names]
+    for length in range(1, max_len + 1):
+        for assignment in itertools.product(itertools.product(*value_sets), repeat=length):
+            yield length, list(zip(names, zip(*assignment)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=enumerated_spaces())
+def test_enumeration_equals_the_transposed_product_of_states(space):
+    got = [(t.length, list(t.columns.items())) for t in enumerate_traces(*space)]
+    assert got == list(_transposed(*space))
+
+
 def _nested(signals, max_len, domains=None):
     """Every trace, each column built by a comprehension per signal and cycle: the reference order."""
     names = list(signals)
