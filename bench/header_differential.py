@@ -12,7 +12,10 @@ anywhere in the file, body included, so they exercise where lexing may stop:
 comment openers and closers, markers, marked lines, a second `module` and
 directive lines. Each mutant is parsed by both sides, and these must agree:
 whether it raises, with which error codes; every diagnostic (code, message,
-line, column); the parameters; the ports; and the annotations. One JSON
+line, column); the parameters; the ports; and the annotations. A port's or
+an annotation's line and column are read from its span on a side whose
+records hold one, and located from its source offset by the parsed module
+(`ParsedModule.spans`) on a side whose records hold that. One JSON
 object is printed, with the number of mutants, of those that raised, of
 mismatches and the first few mismatches. The exit status is 1 when any
 mutant differs.
@@ -37,17 +40,31 @@ TOKENS = ("(", ")", "[", "]", "{", "}", ",", ";", "=", "==", "<=", '"', '")"', "
 _HEADER_RE = re.compile(r"^module\b.*?^\);", re.MULTILINE | re.DOTALL)
 
 
+def positions(pm, records: list) -> list[tuple[int, int]]:
+    """Each record's line and column: its span on a side whose records hold one, else its offset located by `pm`."""
+    spans = pm.spans([r.offset for r in records]) if hasattr(pm, "spans") else [r.span for r in records]
+    return [(span.line, span.column) for span in spans]
+
+
+def payload(p) -> tuple:
+    """A payload's type and fields but its position, which `positions` reads."""
+    return (type(p).__name__, *p) if type(p).__name__ == "RelationDecl" else (type(p).__name__, *p[:3], *p[4:])
+
+
 def projection(af, source: str) -> tuple:
     """What the two sides must agree on for one source."""
     try:
         pm = af.parser.parse_module(source, "m.sv")
     except af.diagnostics.AutoFtError as exc:
         return ("raised", [(d.code, d.message, d.span.line, d.span.column) for d in exc.diagnostics])
+    bound = [a.payload for a in pm.annotations if type(a.payload).__name__ != "RelationDecl"]
     return (
         [(d.code, d.message, d.span.line, d.span.column) for d in pm.diagnostics],
         [(p.name, p.value_expr) for p in pm.parameters],
-        [(s.direction, s.name, s.width_expr, s.opaque_type, s.span.line, s.span.column) for s in pm.signals],
-        [(a.raw_text, a.span.line, a.span.column, repr(a.payload)) for a in pm.annotations],
+        [(s.direction, s.name, s.width_expr, s.opaque_type, *at)
+         for s, at in zip(pm.signals, positions(pm, pm.signals))],
+        [(a.raw_text, *at, payload(a.payload)) for a, at in zip(pm.annotations, positions(pm, pm.annotations))],
+        positions(pm, bound),
     )
 
 

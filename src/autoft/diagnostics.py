@@ -7,7 +7,11 @@ unterminated annotation region) stop a stage at once. Whatever stops a run
 raises one type, :class:`GenerationError`, carrying its diagnostics.
 
 A span and a diagnostic are named tuples of their fields, as the parser's
-records are: immutable, cheap to build, and compared by value.
+records are: immutable, cheap to build, and compared by value. A record keeps
+the source offset of its item, not a span. A stage makes each diagnostic with
+that offset for its span, and locates its diagnostics before it returns
+(`parser.ParsedModule.locate`), so every diagnostic a stage returns or raises
+carries a `SourceSpan` or None.
 """
 from __future__ import annotations
 
@@ -32,6 +36,8 @@ class Diagnostic(namedtuple("Diagnostic", "severity code message span snippet", 
     """One reportable problem, keyed by a stable machine-readable code.
 
     severity is "error" or "warning"; span may be None and snippet empty.
+    Inside the stage that reports it, until that stage locates it, span is
+    a source offset.
     """
 
     __slots__ = ()
@@ -52,11 +58,11 @@ class Diagnostic(namedtuple("Diagnostic", "severity code message span snippet", 
         return text
 
 
-def error(code: str, message: str, span: SourceSpan | None = None, snippet: str = "") -> Diagnostic:
+def error(code: str, message: str, span: SourceSpan | int | None = None, snippet: str = "") -> Diagnostic:
     return Diagnostic("error", code, message, span, snippet)
 
 
-def warning(code: str, message: str, span: SourceSpan | None = None, snippet: str = "") -> Diagnostic:
+def warning(code: str, message: str, span: SourceSpan | int | None = None, snippet: str = "") -> Diagnostic:
     return Diagnostic("warning", code, message, span, snippet)
 
 

@@ -46,46 +46,59 @@ reachable only through explicit `= expr` attribute bindings.
 One regex pass over strings and comments yields the comment list, which the
 annotations are read from, and a masked copy in which those comments (not
 strings) are blanked to spaces. Newlines stay, also inside block comments,
-so offsets and spans in the masked text are those of the source. The pass
-stops at the last AUTOSVA marker, since no marked comment starts after it,
-and the header is read from that masked copy, continued with the source up
-to the first comment, directive or string literal after the stop, with
-backtick directive lines blanked to spaces as well. That read is the whole
-file's unless the header runs past that opener (or the read fails); then the
-whole source is lexed and the header read again. So a body past the header
-and the last marker is neither lexed nor copied unless such an opener sits
-in the header. The header is the first `module` keyword
-that starts a word. One tokenizer, which skips string
-literals, reads both the header and the annotations: it closes and splits the
-header lists, splits a parameter item at its lone `=` (an item whose first `=`
-outside brackets is part of a comparison is skipped with a warning), and finds
-the tokens an attribute line may not hold. Three common shapes skip it and
-read alike in one regex match: a plain port item (a one-bit port, or one
-`[...:0]` range), whose matches one `finditer` steps through up to the first
-item that is not plain; and, in the one pattern every payload line is tried
-against first, a well-formed relation and an assignment to a field with a
-legal suffix whose range and right-hand side hold no bracket, quote, `=`,
-`/`, `*` or newline, and no `;` but a trailing one. Every position reported
-is a source offset. The spans of ascending offsets, such as a header's ports
-or the payload lines, are made in one batch by calls into C alone: the
-newlines between consecutive offsets advance the line, and the last newline
-before an offset is where its column is counted from. Such a span is valid
-as made, and skips the check of `SourceSpan.__new__`.
+so offsets in the masked text are those of the source. The copy starts at
+the line of the first `module` outside every comment, since no header starts
+before it: the text before that line, a wide header's whole annotation
+block, is one run of spaces ended by a newline, not a blanked copy of each
+comment. The pass stops at the last AUTOSVA marker, since no marked comment
+starts after it, and the header is read from that masked copy, continued
+with the source up to the first comment, directive or string literal after
+the stop, with backtick directive lines blanked to spaces as well. That read
+is the whole file's unless the header runs past that opener (or the read
+fails); then the whole source is lexed and the header read again. So a body
+past the header and the last marker is neither lexed nor copied unless such
+an opener sits in the header. The header is the first `module` keyword that
+starts a word. One tokenizer, which skips string literals, reads both the
+header and the annotations: it closes and splits the header lists, splits a
+parameter item at its lone `=` (an item whose first `=` outside brackets is
+part of a comparison is skipped with a warning), and finds the tokens an
+attribute line may not hold. Three common shapes skip it and read alike in
+one regex match: a plain port item (a one-bit port, or one `[...:0]` range),
+whose matches one `finditer` steps through up to the first item that is not
+plain; and, in the one pattern every payload line is tried against first, a
+well-formed relation and an assignment to a field with a legal suffix whose
+range and right-hand side hold no bracket, quote, `=`, `/`, `*` or newline,
+and no `;` but a trailing one.
+
+Every position is a source offset. A port, a declared signal, an assignment
+and an annotation keep the offset of their item; none of them holds a
+`SourceSpan`, since only a diagnostic reads one. A diagnostic is made with
+the offset for its span, and the stage that reports it locates it before it
+returns (`ParsedModule.locate`), so a header with no diagnostic locates
+nothing. The offsets of a stage's diagnostics are located in one ascending
+batch by calls into C alone (`_spans`, the one rule): the newlines between
+consecutive offsets advance the line, and the last newline before an offset
+is where its column is counted from. Such a span is valid as made, and skips
+the check of `SourceSpan.__new__`. A message that names where a first
+declaration is (`duplicate-transaction-name`, `duplicate-binding`) locates
+the offsets of those first declarations in one batch as well.
 
 Every record this module returns (`Parameter`, `InterfaceSignal`,
-`RelationDecl`, `ExplicitAttrib`, `Annotation`) is a named tuple of its
-fields, like the spans and diagnostics of `autoft.diagnostics` and the nodes
-of `autoft.sva`: immutable and cheap to build. Like any tuple it compares by
-value, not by type.
+`RelationDecl`, `ExplicitAttrib`, `Annotation`, `ParsedModule`) is a named
+tuple of its fields, like the spans and diagnostics of `autoft.diagnostics`
+and the nodes of `autoft.sva`: immutable and cheap to build. Like any tuple
+it compares by value, not by type. The parsed module also holds the source
+and its path, which locate an offset.
 """
 from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import accumulate, repeat
-from operator import sub
+from operator import itemgetter, sub
 
 from .diagnostics import Diagnostic, GenerationError, SourceSpan, error, warning
 
@@ -103,7 +116,7 @@ class Parameter(namedtuple("Parameter", "name value_expr")):
     __slots__ = ()
 
 
-class InterfaceSignal(namedtuple("InterfaceSignal", "direction name width_expr span opaque_type", defaults=(None,))):
+class InterfaceSignal(namedtuple("InterfaceSignal", "direction name width_expr offset opaque_type", defaults=(None,))):
     """A header port, or a signal an `input`/`output` annotation declares.
 
     direction is "input" or "output"; width_expr the packed range verbatim,
@@ -127,7 +140,7 @@ class RelationDecl(namedtuple("RelationDecl", "tname p q direction")):
     __slots__ = ()
 
 
-class ExplicitAttrib(namedtuple("ExplicitAttrib", "name width_expr expr span")):
+class ExplicitAttrib(namedtuple("ExplicitAttrib", "name width_expr expr offset")):
     """A `[width] field = expr` binding.
 
     name is the field as written, `<interface>_<suffix>`; width_expr is ""
@@ -142,7 +155,7 @@ class ExplicitAttrib(namedtuple("ExplicitAttrib", "name width_expr expr span")):
         return literal_width_bits(self.width_expr) if self.width_expr else None
 
 
-class Annotation(namedtuple("Annotation", "raw_text span payload")):
+class Annotation(namedtuple("Annotation", "raw_text offset payload")):
     """One payload line; the payload's type says which kind of annotation it is.
 
     The payload is a `RelationDecl`, an `ExplicitAttrib` or an `InterfaceSignal`.
@@ -151,10 +164,24 @@ class Annotation(namedtuple("Annotation", "raw_text span payload")):
     __slots__ = ()
 
 
-class ParsedModule(namedtuple("ParsedModule", "module_name parameters signals annotations imports diagnostics")):
-    """One module's header and annotations; signals are the header's ports in source order, matched or not."""
+class ParsedModule(namedtuple("ParsedModule", "module_name parameters signals annotations imports diagnostics "
+                                               "source path")):
+    """One module's header and annotations, and the source they were read from at `path`.
+
+    signals are the header's ports in source order, matched or not.
+    """
 
     __slots__ = ()
+
+    def spans(self, offsets: list[int]) -> list[SourceSpan]:
+        """The span of each of the ascending `offsets` into the source, located in one batch (`_spans`)."""
+        return _spans(self.source, self.path, offsets)
+
+    def locate(self, diags: list[Diagnostic]) -> None:
+        """Give each of `diags` whose span is still a source offset the span of that offset, in place."""
+        at = sorted((d.span, i) for i, d in enumerate(diags) if type(d.span) is int)
+        for (_, i), span in zip(at, self.spans([offset for offset, _ in at])):
+            diags[i] = diags[i]._replace(span=span)
 
     def declared_signals(self) -> list[InterfaceSignal]:
         return [a.payload for a in self.annotations if isinstance(a.payload, InterfaceSignal)]
@@ -220,30 +247,34 @@ _LEX_RE = re.compile(
 
 
 def _lex(source: str, stop: int | None = None) -> tuple[list[tuple[int, int, str]], str]:
-    """Comments that start before `stop` as (start, end, kind), and the source through them blanked.
+    """Comments that start before `stop` as (start, end, kind), and the text the header is read from.
 
     `stop` ends a line, or defaults to the end of the source: no string or
     line comment runs past it, and the text past it is searched only for the
-    end of a block comment that does. The masked text runs to `stop`
-    or to the end of the last comment lexed, whichever is later; the source
-    past it is not copied. kind is 'line', 'block', or 'open_block' for a
-    block comment that never closes; the caller decides whether that is
-    fatal. A blanked comment keeps its newlines, so offsets into the masked
+    end of a block comment that does. kind is 'line', 'block', or
+    'open_block' for a block comment that never closes; the caller decides
+    whether that is fatal. The text is the source with those comments
+    blanked, from the line of the first `module` outside them on, since no
+    header starts before it; the text before that line is blanked whole,
+    its last character a newline. It runs to `stop`, to the end of the last
+    comment lexed or to that line, whichever is latest; the source past it
+    is not copied. A blanked comment keeps its newlines, so offsets into the
     text are offsets into `source`.
     """
     stop = len(source) if stop is None else stop
-    comments: list[tuple[int, int, str]] = []
-    parts, done = [], 0
-    for m in _LEX_RE.finditer(source, 0, stop + 1):
-        if m.end() > stop:  # a block comment, which may close past the bound
-            m = _LEX_RE.match(source, m.start())
-        start, kind = m.start(), m.lastgroup
-        if kind is None:
-            continue
-        end = m.end()
-        comments.append((start, end, kind))
-        text = " " * (end - start) if kind == "line" else "\n".join([" " * len(line) for line in m[0].split("\n")])
-        parts += source[done:start], text
+    comments = [(m.start(), m.end(), m.lastgroup) for m in _LEX_RE.finditer(source, 0, stop + 1) if m.lastgroup]
+    if comments and comments[-1][1] > stop:  # a block comment, which may close past the bound
+        m = _LEX_RE.match(source, comments[-1][0])
+        comments[-1] = (m.start(), m.end(), m.lastgroup)
+    at = source.find("module")  # wholly inside a comment or wholly outside: it holds no comment token
+    while at != -1 and (i := bisect(comments, (at,))) and comments[i - 1][1] > at:
+        at = source.find("module", comments[i - 1][1])
+    done = source.rfind("\n", 0, max(at, 0)) + 1
+    parts = [" " * (done - 1), "\n"] if done else []
+    for start, end, kind in comments[bisect(comments, done, key=itemgetter(1)):]:  # from the first to end past it
+        text = source[max(start, done) : end]
+        blank = " " * len(text) if kind == "line" else "\n".join([" " * len(line) for line in text.split("\n")])
+        parts += source[done:start], blank
         done = end
     parts.append(source[done:stop])
     return comments, "".join(parts)
@@ -360,8 +391,8 @@ _PLAIN_LINE_RE = re.compile(
 )
 
 
-def parse_relation(line: str, span: SourceSpan, diags: list[Diagnostic]) -> RelationDecl | None:
-    """Parse `tname: p -in> q` or `tname: p -out> q`, or record a diagnostic and return None.
+def parse_relation(line: str, offset: int, diags: list[Diagnostic]) -> RelationDecl | None:
+    """Parse `tname: p -in> q` or `tname: p -out> q`, found at `offset`, or record a diagnostic and return None.
 
     The code is `bad-arrow` when the token between the two interface names is
     not one of the two arrows, and `bad-relation` when the line cannot be
@@ -382,7 +413,7 @@ def parse_relation(line: str, span: SourceSpan, diags: list[Diagnostic]) -> Rela
         code, message = "bad-arrow", f"expected '-in>' or '-out>' between interfaces, got '{parts[1]}'"
     else:
         code, message = "bad-relation", "expected 'tname: p -in> q' or 'tname: p -out> q'"
-    diags.append(error(code, message, span, line))
+    diags.append(error(code, message, offset, line))
     return None
 
 
@@ -393,64 +424,64 @@ _DECL_RE = re.compile(r"(?:input|output)\s")
 
 
 def _read_annotations(source: str, path: str, regions: list[tuple[str, int]], diags: list[Diagnostic]) -> list[Annotation]:
-    """The annotations of the payload lines of `_regions`, in order; errors go to `diags`.
+    """The annotations of the payload lines of `_regions`, in order; errors go to `diags`, with source offsets.
 
     A plain line is read by its one match. A relation whose transaction name
     an earlier one declared is dropped, with an error after every line's.
     """
     annotations, tnames, dups = [], {}, []
-    lines, offsets = _region_lines(regions)
-    for line, span in zip(lines, _spans(source, path, offsets)):
+    for line, offset in zip(*_region_lines(regions)):
         m = _PLAIN_LINE_RE.fullmatch(line)
         if m is None:
-            ann = _parse_annotation_line(line, span, diags)
+            ann = _parse_annotation_line(line, offset, diags)
             if ann is None:
                 continue
         else:
             width, name, expr, tname, p, arrow, q = m.groups()
-            payload = (tuple.__new__(ExplicitAttrib, (name, width or "", expr, span)) if name
+            payload = (tuple.__new__(ExplicitAttrib, (name, width or "", expr, offset)) if name
                        else tuple.__new__(RelationDecl, (tname, p, q, "incoming" if arrow == "in" else "outgoing")))
-            ann = tuple.__new__(Annotation, (line, span, payload))
+            ann = tuple.__new__(Annotation, (line, offset, payload))
         rel = ann.payload  # the first declaration of a transaction name names the transaction
-        if type(rel) is RelationDecl and (first := tnames.setdefault(rel.tname, span)) is not span:
-            dups.append(error("duplicate-transaction-name", f"transaction '{rel.tname}' already declared at {first}",
-                              span, line))
+        if type(rel) is RelationDecl and (first := tnames.setdefault(rel.tname, offset)) != offset:
+            dups.append((first, rel.tname, offset, line))
             continue
         annotations.append(ann)
-    diags += dups
+    firsts = sorted({first for first, *_ in dups})  # located in one batch, as the message names each
+    at = dict(zip(firsts, _spans(source, path, firsts)))
+    diags += [error("duplicate-transaction-name", f"transaction '{tname}' already declared at {at[first]}", offset,
+                    line) for first, tname, offset, line in dups]
     return annotations
 
 
-def _parse_annotation_line(line: str, span: SourceSpan, diags: list[Diagnostic]) -> Annotation | None:
-    """Parse one payload line, found at `span`, into an Annotation, or record a diagnostic."""
+def _parse_annotation_line(line: str, offset: int, diags: list[Diagnostic]) -> Annotation | None:
+    """Parse one payload line, found at `offset`, into an Annotation, or record a diagnostic."""
     if _RELATION_RE.match(line):
-        rel = parse_relation(line, span, diags)
-        return None if rel is None else Annotation(line, span, rel)
+        rel = parse_relation(line, offset, diags)
+        return None if rel is None else Annotation(line, offset, rel)
 
     m = _ATTRIB_ASSIGN_RE.match(line)
     bad = _bad_token(line, m)
     if bad is not None:
         at, tok = bad
-        at = SourceSpan(span.file, span.line, span.column + at)  # a payload line holds no newline
         if tok in "()[]{}":
-            diags.append(error("unbalanced-brackets", f"'{tok}' does not balance", at, line))
+            diags.append(error("unbalanced-brackets", f"'{tok}' does not balance", offset + at, line))
         else:
-            diags.append(error("bad-annotation", f"stray '{tok}'", at, line))
+            diags.append(error("bad-annotation", f"stray '{tok}'", offset + at, line))
         return None
     if m:
         name = m["name"]
     elif _DECL_RE.match(line):
-        sig = _parse_port_item(line.removesuffix(";"), span, diags)
+        sig = _parse_port_item(line.removesuffix(";"), offset, diags)
         if sig is None:
             return None
         name = sig.name
     else:
-        diags.append(error("bad-annotation", "not a relation or attribute definition", span, line))
+        diags.append(error("bad-annotation", "not a relation or attribute definition", offset, line))
         return None
     if split_field(name) is None:
-        diags.append(error("bad-field-suffix", f"'{name}' does not end in a legal attribute suffix", span, line))
+        diags.append(error("bad-field-suffix", f"'{name}' does not end in a legal attribute suffix", offset, line))
         return None
-    return Annotation(line, span, ExplicitAttrib(name, m["width"] or "", m["expr"], span) if m else sig)
+    return Annotation(line, offset, ExplicitAttrib(name, m["width"] or "", m["expr"], offset) if m else sig)
 
 
 # A string literal, matched whole so that the brackets and separators it holds
@@ -532,19 +563,19 @@ def _header_list(text: str, open_pos: int) -> tuple[list[tuple[str, int]], int] 
     return None
 
 
-def _parse_parameter_item(item: str, span: SourceSpan, diags: list[Diagnostic]) -> Parameter | None:
+def _parse_parameter_item(item: str, offset: int, diags: list[Diagnostic]) -> Parameter | None:
     text = item.strip()
     if not text or text.startswith("localparam"):
         return None  # a localparam is not part of the public interface
     eq = _split_eq(text)
     if eq is None:
-        diags.append(warning("parameter-skipped", f"cannot read parameter item '{text}'", span, text))
+        diags.append(warning("parameter-skipped", f"cannot read parameter item '{text}'", offset, text))
         return None
     lhs, value = eq
     idents = IDENT_RE.findall(lhs)
     idents = [i for i in idents if i not in ("parameter", "int", "integer", "unsigned", "signed", "logic", "bit", "type")]
     if not idents:
-        diags.append(warning("parameter-skipped", f"cannot find parameter name in '{text}'", span, text))
+        diags.append(warning("parameter-skipped", f"cannot find parameter name in '{text}'", offset, text))
         return None
     return Parameter(idents[-1], value.strip())
 
@@ -581,9 +612,7 @@ _RANGE_RE = re.compile(r"\[[^\]]+\]")
 _CANONICAL_RANGE_RE = re.compile(r"^\[.*:0\]$")
 
 
-def _parse_port_item(
-    item: str, span: SourceSpan, diags: list[Diagnostic]
-) -> InterfaceSignal | None:
+def _parse_port_item(item: str, offset: int, diags: list[Diagnostic]) -> InterfaceSignal | None:
     text = item.strip()
     if not text:
         return None
@@ -591,26 +620,26 @@ def _parse_port_item(
     if m and m[4]:
         direction, type_name, name = m.group(1, 4, 5)
         diags.append(
-            warning("opaque-port-type", f"port '{name}' has user type '{type_name}', width unknown", span, text)
+            warning("opaque-port-type", f"port '{name}' has user type '{type_name}', width unknown", offset, text)
         )
-        return InterfaceSignal(direction, name, "", span, opaque_type=type_name)
+        return InterfaceSignal(direction, name, "", offset, opaque_type=type_name)
     if m:
         direction, ranges, name = m.group(1, 2, 3)
         range_list = _RANGE_RE.findall(ranges)
         width = "".join(range_list).replace(" ", "")
         if len(range_list) > 1:
             diags.append(
-                warning("non-canonical-range", f"multi-dimensional range on '{name}' kept verbatim", span, text)
+                warning("non-canonical-range", f"multi-dimensional range on '{name}' kept verbatim", offset, text)
             )
         elif width and not _CANONICAL_RANGE_RE.match(width):
             diags.append(
-                warning("non-canonical-range", f"range '{width}' on '{name}' does not end at :0", span, text)
+                warning("non-canonical-range", f"range '{width}' on '{name}' does not end at :0", offset, text)
             )
-        return InterfaceSignal(direction, name, width, span)
+        return InterfaceSignal(direction, name, width, offset)
     if text.startswith("inout"):
-        diags.append(error("malformed-port-decl", "inout ports are not supported", span, text))
+        diags.append(error("malformed-port-decl", "inout ports are not supported", offset, text))
         return None
-    diags.append(error("malformed-port-decl", f"cannot classify port declaration '{text}'", span, text))
+    diags.append(error("malformed-port-decl", f"cannot classify port declaration '{text}'", offset, text))
     return None
 
 
@@ -657,50 +686,45 @@ def _read_header(source: str, masked: str, stop: int, path: str) -> tuple[Parsed
         if listed is None:
             raise GenerationError([error("no-module-header", "unclosed parameter list", _span(source, path, m.end() - 1))])
         items, pos = listed
-        for (item, _), span in zip(items, _spans(source, path, [off for _, off in items])):
-            param = _parse_parameter_item(item, span, diags)
+        for item, offset in items:
+            param = _parse_parameter_item(item, offset, diags)
             if param:
                 parameters.append(param)
 
     signals: list[InterfaceSignal] = []
     m = _PORTS_OPEN_RE.match(masked, pos)
     if m:
-        pos, rows, offsets = m.end(), [], []
+        pos = m.end()
         for plain in _PLAIN_PORT_RE.finditer(masked, pos):  # one match per plain item, then an empty one
             if not (sep := plain[4]):
                 break
-            rows.append(plain.groups())
-            offsets.append(plain.start(1))
+            direction, width, name, _ = plain.groups()
+            signals.append(tuple.__new__(InterfaceSignal, (direction, name, width.replace(" ", "") if width else "",
+                                                           plain.start(1), None)))
             pos = plain.end()
             if sep == ")":
                 break
-        signals = [tuple.__new__(InterfaceSignal, (direction, name, width.replace(" ", "") if width else "", span, None))
-                   for (direction, width, name, _), span in zip(rows, _spans(source, path, offsets))]
         if not sep:  # the rest of the list, from the first item that is not plain
             listed = _header_list(masked, pos - 1)
             if listed is None:
                 raise GenerationError([error("no-module-header", "unclosed port list", _span(source, path, m.end() - 1))])
             items, pos = listed
-            offsets = [off + len(item) - len(item.lstrip()) for item, off in items]
-            for (item, _), span in zip(items, _spans(source, path, offsets)):
-                sig = _parse_port_item(item, span, diags)
+            for item, off in items:
+                sig = _parse_port_item(item, off + len(item) - len(item.lstrip()), diags)
                 if sig:
                     signals.append(sig)
     elif m := _SEMI_RE.match(masked, pos):
         pos = m.end()
     else:
-        diags.append(
-            error("malformed-port-decl", "expected '(' or ';' after module name", _span(source, path, pos))
-        )
+        diags.append(error("malformed-port-decl", "expected '(' or ';' after module name", pos))
 
     # Warn first about directives in the header: module keyword to port list or `;`.
-    diags[:0] = [
-        warning("preprocessor-ignored", "preprocessor directive ignored in header", span, source[d.start() : d.end()])
-        for d, span in zip(directives, _spans(source, path, [d.start() for d in directives]))
-        if header.start() <= d.start() < pos
-    ]
+    diags[:0] = [warning("preprocessor-ignored", "preprocessor directive ignored in header", d.start(),
+                         source[d.start() : d.end()])
+                 for d in directives if header.start() <= d.start() < pos]
     # `m` is None when neither a port list nor `;` follows: the header has no end.
-    return ParsedModule(header.group(1), parameters, signals, [], imports, diags), pos if m else len(source)
+    module = ParsedModule(header.group(1), parameters, signals, [], imports, diags, source, path)
+    return module, pos if m else len(source)
 
 
 def _opener(source: str, start: int) -> int:
@@ -725,7 +749,7 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     annotation) are collected into the returned module's diagnostics. The only
     fatal cases, which raise GenerationError, are a missing module header or an
     unclosed header list (`no-module-header`) and an unterminated annotation
-    region.
+    region. Every diagnostic returned or raised is located.
     """
     # Lex through the line of the last marker first, and read the header from
     # that text as far as the first comment, directive or string opener after
@@ -753,7 +777,8 @@ def parse_module(source: str, path: str = "<string>") -> ParsedModule:
     seen_ports: set[str] = set()
     for sig in signals if len({sig.name for sig in signals}) < len(signals) else ():
         if sig.name in seen_ports:
-            diags.append(error("malformed-port-decl", f"port '{sig.name}' declared twice", sig.span))
+            diags.append(error("malformed-port-decl", f"port '{sig.name}' declared twice", sig.offset))
         seen_ports.add(sig.name)
-
-    return module._replace(annotations=annotations)
+    module = module._replace(annotations=annotations)
+    module.locate(diags)
+    return module

@@ -116,7 +116,7 @@ def _attr_width(t: Transaction, suffix: str, diags: list[Diagnostic]) -> str:
             warning(
                 f"unknown-{what}-width",
                 f"{what} width of '{t.tname}' is not a known range{typed}, {register} defaults to 1 bit",
-                t.span,
+                t.offset,
             )
         )
     return ""
@@ -249,7 +249,7 @@ def synth_module(
 
     Then each transaction's property labels are added to its names, each
     checked against every name declared unless `diags` holds an error, so
-    every warning is reported on return.
+    every warning is reported, and located, on return.
     """
     ports = pm.port_names()
     taken = ports | {p.name for p in pm.parameters}
@@ -270,14 +270,16 @@ def synth_module(
         if "stable" in q:
             diags.append(warning("stable-on-response-side", f"'{t.q.name}_stable' is bound on the response interface; "
                                  "stability is checked for the request side only and this binding generates nothing",
-                                 t.span))
+                                 t.offset))
         if "stable" in p and "ack" not in p:
             diags.append(warning("stable-without-ack", f"'{t.p.name}_stable' has no matching ack, a request is never "
-                                 "pending; check skipped", t.span))
+                                 "pending; check skipped", t.offset))
         if "data" in p and "data" in q and not ("transid" in p and "transid" in q):
             diags.append(warning("data-without-transid", f"data integrity of '{t.tname}' needs a transaction id on "
-                                 "both interfaces; check skipped", t.span))
-    return _labelled(made, namer, not errors_in(diags))
+                                 "both interfaces; check skipped", t.offset))
+    aux = _labelled(made, namer, not errors_in(diags))
+    pm.locate(diags)
+    return aux
 
 
 def synth_module_aux(

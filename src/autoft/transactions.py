@@ -8,7 +8,13 @@ declaration, which binds by its name, or the `ExplicitAttrib` of a
 with a warning, since the annotation states the designer's intent; two
 assignments of one field are an error. A repeated signal name is the
 parser's error, and the first signal binds. An annotation whose interface
-is in no relation is an error; a port's is not an attribute at all.
+is in no relation is an error; a port's is not an attribute at all. Each
+signal's name is split once (`split_field`): a port's where it binds, a
+declared signal's where its interface is looked up.
+
+A transaction keeps its relation's source offset, as the parser's records
+keep theirs; `build_transactions` and synthesis report diagnostics at those
+offsets and locate them before they return (`ParsedModule.locate`).
 
 `TransactionAux` is what synthesis (`autoft.signals`) gives a transaction:
 its names and its `properties.Shape`. It is defined here so that
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .diagnostics import Diagnostic, SourceSpan, error, warning
+from .diagnostics import Diagnostic, error, warning
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule, RelationDecl, split_field
 from .sva import Aux, Node
 
@@ -40,19 +46,19 @@ class Transaction:
     """A named request/response implication between two interfaces.
 
     direction is "incoming" or "outgoing"; active is the transaction-level
-    binding, not a side's.
+    binding, not a side's; offset is its relation's source offset.
     """
 
-    __slots__ = ("tname", "direction", "p", "q", "active", "span")
+    __slots__ = ("tname", "direction", "p", "q", "active", "offset")
 
     def __init__(self, tname: str, direction: str, p: InterfaceSide, q: InterfaceSide,
-                 active: Binding | None = None, span: SourceSpan | None = None):
+                 active: Binding | None = None, offset: int | None = None):
         self.tname = tname
         self.direction = direction
         self.p = p
         self.q = q
         self.active = active
-        self.span = span
+        self.offset = offset
 
 
 class TransactionAux(namedtuple("TransactionAux", "names shape")):
@@ -81,7 +87,8 @@ def _candidate_bindings(
 ) -> dict[str, dict[str, Binding]]:
     """Collect bindings per interface name: an assign beats a signal."""
     per_iface: dict[str, dict[str, Binding]] = {p: {} for p in prefixes}
-    declared: list[InterfaceSignal] = []  # the declared signals of interfaces, bound after the header's ports
+    declared: list[tuple[InterfaceSignal, str, str]] = []  # the declared signals of interfaces, split once
+    dups: list[tuple[int, int]] = []  # each duplicate-binding error's index in `diags`, and its first binding's offset
     for ann in pm.annotations:
         payload = ann.payload
         if type(payload) is RelationDecl:
@@ -92,38 +99,33 @@ def _candidate_bindings(
                 error(
                     "unbound-attribute",
                     f"'{payload.name}' names interface '{prefix}' which appears in no relation",
-                    ann.span,
+                    ann.offset,
                     ann.raw_text,
                 )
             )
         elif type(payload) is InterfaceSignal:
-            declared.append(payload)
+            declared.append((payload, prefix, suffix))
         else:
             first = per_iface[prefix].setdefault(suffix, payload)
             if first is not payload:
-                diags.append(
-                    error(
-                        "duplicate-binding",
-                        f"attribute '{payload.name}' bound twice (first at {first.span})",
-                        ann.span,
-                        ann.raw_text,
-                    )
-                )
+                dups.append((len(diags), first.offset))
+                diags.append(error("duplicate-binding", f"attribute '{payload.name}' bound twice", ann.offset,
+                                   ann.raw_text))
+    firsts = sorted({first for _, first in dups})  # located in one batch, as each message names its first binding
+    at = dict(zip(firsts, pm.spans(firsts)))
+    for i, first in dups:
+        diags[i] = diags[i]._replace(message=f"{diags[i].message} (first at {at[first]})")
 
-    for sig in pm.signals + declared:
+    overridden = []  # (assignment, signal): the header's ports, then the declared signals, bound after them
+    for sig in pm.signals:
         prefix, suffix = split_field(sig.name) or (None, None)
-        if prefix not in per_iface:
-            continue  # not an attribute of any declared interface
-        bound = per_iface[prefix].setdefault(suffix, sig)
-        if type(bound) is ExplicitAttrib:
-            diags.append(
-                warning(
-                    "explicit-overrides-port",
-                    f"explicit definition of '{bound.name}' overrides port '{sig.name}'",
-                    bound.span,
-                    sig.name,
-                )
-            )
+        if prefix in per_iface and type(bound := per_iface[prefix].setdefault(suffix, sig)) is ExplicitAttrib:
+            overridden.append((bound, sig))
+    for sig, prefix, suffix in declared:
+        if type(bound := per_iface[prefix].setdefault(suffix, sig)) is ExplicitAttrib:
+            overridden.append((bound, sig))
+    diags += [warning("explicit-overrides-port", f"explicit definition of '{bound.name}' overrides port '{sig.name}'",
+                      bound.offset, sig.name) for bound, sig in overridden]
     return per_iface
 
 
@@ -136,7 +138,7 @@ def _check_paired_widths(
             error(
                 "one-sided-attr",
                 f"'{suffix}' of transaction '{t_name}' is bound on only one interface",
-                (p or q).span,
+                (p or q).offset,
             )
         )
         return
@@ -146,7 +148,7 @@ def _check_paired_widths(
             error(
                 "width-mismatch",
                 f"'{suffix}' widths differ on transaction '{t_name}': {wp} vs {wq} bits",
-                q.span,
+                q.offset,
             )
         )
 
@@ -155,10 +157,10 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
     """Resolve every relation into a Transaction, collecting all errors.
 
     Returns the transactions in relation declaration order together with the
-    validation diagnostics. A relation with errors still produces no silent
-    drop: each problem is reported, and the transaction is omitted from the
-    result only when its shape is unusable (missing valid, one-sided id or
-    data, self loop).
+    validation diagnostics, located. A relation with errors still produces
+    no silent drop: each problem is reported, and the transaction is omitted
+    from the result only when its shape is unusable (missing valid,
+    one-sided id or data, self loop).
     """
     diags: list[Diagnostic] = []
     relations = [a for a in pm.annotations if type(a.payload) is RelationDecl]  # names unique: see parse_module
@@ -174,7 +176,7 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
 
         if rel.p == rel.q:
             diags.append(
-                error("self-loop", f"transaction '{rel.tname}' uses '{rel.p}' as both interfaces", ann.span, ann.raw_text)
+                error("self-loop", f"transaction '{rel.tname}' uses '{rel.p}' as both interfaces", ann.offset, ann.raw_text)
             )
             continue
 
@@ -185,7 +187,7 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
         for side in (p_side, q_side):
             if "val" not in side.bindings:
                 diags.append(
-                    error("missing-val", f"interface '{side.name}' of '{rel.tname}' has no 'val' binding", ann.span, ann.raw_text)
+                    error("missing-val", f"interface '{side.name}' of '{rel.tname}' has no 'val' binding", ann.offset, ann.raw_text)
                 )
                 bad = True
 
@@ -201,7 +203,7 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
                     error(
                         "unique-without-transid",
                         f"'{side.name}_transid_unique' needs '{side.name}_transid' on the same interface",
-                        side.bindings["transid_unique"].span,
+                        side.bindings["transid_unique"].offset,
                     )
                 )
                 bad = True
@@ -210,7 +212,7 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
         pa, qa = p_bindings.pop("active", None), q_bindings.pop("active", None)
         if pa and qa:
             diags.append(
-                error("duplicate-binding", f"'active' of '{rel.tname}' is bound on both interfaces", qa.span)
+                error("duplicate-binding", f"'active' of '{rel.tname}' is bound on both interfaces", qa.offset)
             )
             bad = True
         else:
@@ -219,7 +221,7 @@ def build_transactions(pm: ParsedModule) -> tuple[list[Transaction], list[Diagno
         if bad:
             continue
         transactions.append(
-            Transaction(rel.tname, rel.direction, p_side, q_side, active=active, span=ann.span)
+            Transaction(rel.tname, rel.direction, p_side, q_side, active=active, offset=ann.offset)
         )
-
+    pm.locate(diags)
     return transactions, diags

@@ -89,11 +89,11 @@ def render_module(pm: ParsedModule) -> str:
 
 
 def module_projection(pm: ParsedModule):
-    """Structural view of a ParsedModule, ignoring spans and diagnostics."""
+    """Structural view of a ParsedModule, ignoring offsets and diagnostics."""
     return (
         pm.module_name,
         tuple((p.name, p.value_expr) for p in pm.parameters),
         tuple((s.direction, s.name, s.width_expr, s.opaque_type) for s in pm.signals),
-        tuple(a.payload if isinstance(a.payload, RelationDecl) else a.payload._replace(span=None)
+        tuple(a.payload if isinstance(a.payload, RelationDecl) else a.payload._replace(offset=None)
               for a in pm.annotations),
     )

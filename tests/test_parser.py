@@ -25,7 +25,7 @@ from autoft.diagnostics import SourceSpan
 
 from conftest import REPO, load_fixture, module_projection, render_module
 
-SPAN = SourceSpan("<test>", 1, 1)
+OFFSET = 0  # where a line read on its own starts; its diagnostics carry it until `parse_module` locates them
 
 
 def annotations_of(source: str):
@@ -84,7 +84,7 @@ class TestAnnotationRegions:
 # Tokens that move the lexer between its states, and some that do not.
 LEX_TOKENS = [
     "/*", "*/", "/**/", "/*/", "//", '"', '\\"', "\\", "\n", "\r\n", "AUTOSVA", "/*AUTOSVA", "// AUTOSVA ",
-    "(", ")", "[", "]", "{", "}", ",", "a", "b", " ", "*", "/", "t: a -in> b",
+    "(", ")", "[", "]", "{", "}", ",", "a", "b", " ", "*", "/", "t: a -in> b", "module", "module m (",
 ]
 
 
@@ -98,7 +98,12 @@ def regions_or_diagnostics(extract, source: str):
 def assert_lex_matches_reference(source: str) -> list[tuple[int, int, str]]:
     comments, masked = _lex(source)
     assert comments == naive_lexer.scan_comments(source)
-    assert masked == naive_lexer.mask(source, comments)
+    # The header is read from the line of the first `module` outside every comment on: from there the text is the
+    # reference's masked text, and before it blank, its last character a newline.
+    naive = naive_lexer.mask(source, comments)
+    head = naive.rfind("\n", 0, max(naive.find("module"), 0)) + 1
+    assert masked[head:] == naive[head:]
+    assert not masked[:head].strip() and masked[head - 1 : head] in ("", "\n")
     offsets, starts = range(len(source) + 1), naive_lexer.line_starts(source)
     assert _spans(source, "f.sv", list(offsets)) == [naive_lexer._span(starts, "f.sv", off) for off in offsets]
     assert regions_or_diagnostics(extract_annotation_regions, source) == regions_or_diagnostics(
@@ -123,6 +128,9 @@ class TestLexer:
             ('"a /* b" /* c */', [(9, 16, "block")]),
             ("x /* never\nclosed ( [", [(2, 21, "open_block")]),
             ("/*AUTOSVA t: a -in> b */ // c\r\n", [(0, 24, "block"), (25, 30, "line")]),
+            ("// module x\nmodule m", [(0, 11, "line")]),  # the first `module` outside a comment is on line 2
+            ("a /* b\nc */ module m", [(2, 11, "block")]),  # a block comment across that line's start
+            ("x\n`define m module\n/*\n*/ module", [(19, 24, "block")]),  # a `module` on a directive line
         ],
     )
     def test_lex_edge_cases(self, source, comments):
@@ -319,37 +327,37 @@ class TestFieldSplitting:
 class TestParseRelation:
     def test_incoming(self):
         diags = []
-        rel = parse_relation("lsu: lsu_req -in> lsu_res", SPAN, diags)
+        rel = parse_relation("lsu: lsu_req -in> lsu_res", OFFSET, diags)
         assert (rel.tname, rel.p, rel.q, rel.direction) == ("lsu", "lsu_req", "lsu_res", "incoming")
         assert diags == []
 
     def test_outgoing(self):
-        rel = parse_relation("t: a -out> b", SPAN, [])
+        rel = parse_relation("t: a -out> b", OFFSET, [])
         assert (rel.tname, rel.p, rel.q, rel.direction) == ("t", "a", "b", "outgoing")
 
     def test_bad_arrow(self):
         diags = []
-        assert parse_relation("t: a => b", SPAN, diags) is None
-        assert [(d.code, d.severity, d.span, d.snippet) for d in diags] == [("bad-arrow", "error", SPAN, "t: a => b")]
+        assert parse_relation("t: a => b", OFFSET, diags) is None
+        assert [(d.code, d.severity, d.span, d.snippet) for d in diags] == [("bad-arrow", "error", OFFSET, "t: a => b")]
 
     @pytest.mark.parametrize("line", ["no colon here", "t: a -in> b -out> c", "t: a -in> 1b", "t: a b"])
     def test_bad_relation(self, line):
         diags = []
-        assert parse_relation(line, SPAN, diags) is None
+        assert parse_relation(line, OFFSET, diags) is None
         assert [d.code for d in diags] == ["bad-relation"]
 
     def test_interior_whitespace_tolerated(self):
-        rel = parse_relation("t :   a    -in>     b  ", SPAN, [])
+        rel = parse_relation("t :   a    -in>     b  ", OFFSET, [])
         assert (rel.p, rel.q) == ("a", "b")
 
     @pytest.mark.parametrize("line", ["\nt: a -in> b", "t\n:\na -in> b\n", "t: a\t-out>\tb"])
     def test_newline_outside_the_arrow_tolerated(self, line):
-        assert parse_relation(line, SPAN, []) is not None
+        assert parse_relation(line, OFFSET, []) is not None
 
     @pytest.mark.parametrize("line", ["t: a\n-in> b", "t: a -in>\nb"])
     def test_newline_around_the_arrow_rejected(self, line):
         diags = []
-        assert parse_relation(line, SPAN, diags) is None
+        assert parse_relation(line, OFFSET, diags) is None
         assert [d.code for d in diags] == ["bad-relation"]
 
 
@@ -357,20 +365,20 @@ class TestRecords:
     """The parser's and the diagnostics' records are immutable and print as they always have."""
 
     SPAN = SourceSpan("m.sv", 3, 7)
+    OFFSET = 41
     RECORDS = [
         (SPAN, "line", "SourceSpan(file='m.sv', line=3, column=7)"),
         (Diagnostic("warning", "c", "msg"), "code",
          "Diagnostic(severity='warning', code='c', message='msg', span=None, snippet='')"),
         (parser.Parameter("W", "8"), "value_expr", "Parameter(name='W', value_expr='8')"),
-        (parser.InterfaceSignal("input", "a_val", "[3:0]", SPAN), "width_expr",
-         "InterfaceSignal(direction='input', name='a_val', width_expr='[3:0]', "
-         "span=SourceSpan(file='m.sv', line=3, column=7), opaque_type=None)"),
+        (parser.InterfaceSignal("input", "a_val", "[3:0]", OFFSET), "width_expr",
+         "InterfaceSignal(direction='input', name='a_val', width_expr='[3:0]', offset=41, opaque_type=None)"),
         (RelationDecl("t", "a", "b", "incoming"), "q",
          "RelationDecl(tname='t', p='a', q='b', direction='incoming')"),
-        (ExplicitAttrib("a_data", "", "x", SPAN), "expr",
-         "ExplicitAttrib(name='a_data', width_expr='', expr='x', span=SourceSpan(file='m.sv', line=3, column=7))"),
-        (parser.Annotation("t: a -in> b", SPAN, RelationDecl("t", "a", "b", "incoming")), "payload",
-         "Annotation(raw_text='t: a -in> b', span=SourceSpan(file='m.sv', line=3, column=7), "
+        (ExplicitAttrib("a_data", "", "x", OFFSET), "expr",
+         "ExplicitAttrib(name='a_data', width_expr='', expr='x', offset=41)"),
+        (parser.Annotation("t: a -in> b", OFFSET, RelationDecl("t", "a", "b", "incoming")), "payload",
+         "Annotation(raw_text='t: a -in> b', offset=41, "
          "payload=RelationDecl(tname='t', p='a', q='b', direction='incoming'))"),
     ]
 
@@ -395,10 +403,10 @@ class TestRecords:
             SourceSpan("m.sv", line, column)
 
     def test_width_bits(self):
-        assert parser.InterfaceSignal("input", "a", "[7:0]", self.SPAN).width_bits == 8
-        assert parser.InterfaceSignal("input", "a", "", self.SPAN, "t_t").width_bits is None
-        assert ExplicitAttrib("a_data", "", "x", self.SPAN).width_bits is None
-        assert ExplicitAttrib("a_data", "[1:0]", "x", self.SPAN).width_bits == 2
+        assert parser.InterfaceSignal("input", "a", "[7:0]", self.OFFSET).width_bits == 8
+        assert parser.InterfaceSignal("input", "a", "", self.OFFSET, "t_t").width_bits is None
+        assert ExplicitAttrib("a_data", "", "x", self.OFFSET).width_bits is None
+        assert ExplicitAttrib("a_data", "[1:0]", "x", self.OFFSET).width_bits == 2
 
 
 class TestHeaderSearch:
@@ -456,10 +464,10 @@ class TestPortList:
             return None
         diags, signals = [], []
         for item, off in listed[0]:
-            sig = parser._parse_port_item(item, _spans(source, "m.sv", [off + len(item) - len(item.lstrip())])[0], diags)
+            sig = parser._parse_port_item(item, off + len(item) - len(item.lstrip()), diags)
             if sig:
                 signals.append(sig)
-        return signals, [(d.code, d.message, d.span) for d in diags]
+        return signals, [(d.code, d.message, parser._span(source, "m.sv", d.span)) for d in diags]
 
     def assert_reads_item_by_item(self, items: list[str]):
         source = "module m (" + ",\n".join(items) + ");\n"
@@ -507,7 +515,7 @@ class TestPlainLines:
         """The payload lines of a one-line region through the general branch, and the diagnostics."""
         lines, offsets = parser._region_lines([(text, 0)])
         diags = []
-        anns = [parser._parse_annotation_line(line, span, diags) for line, span in zip(lines, _spans(text, "m.sv", offsets))]
+        anns = [parser._parse_annotation_line(line, offset, diags) for line, offset in zip(lines, offsets)]
         return [a for a in anns if a is not None], diags
 
     @settings(max_examples=1000, deadline=None)
@@ -744,7 +752,8 @@ class TestParseModule:
             "t0: a -in> b", "t1: c -in> d", "t0: e -in> f", "a_val = x", "t1: g -out> h", "t2: i -in> j",
             "t0: k -in> l", "b_val = y(",
         ])))
-        assert [(type(a.payload).__name__, a.span.line) for a in pm.annotations] == [
+        spans = pm.spans([a.offset for a in pm.annotations])
+        assert [(type(a.payload).__name__, span.line) for a, span in zip(pm.annotations, spans)] == [
             ("RelationDecl", 1), ("RelationDecl", 2), ("ExplicitAttrib", 4), ("RelationDecl", 6)]
         assert [(r.tname, r.p) for r in payloads(pm, RelationDecl)] == [("t0", "a"), ("t1", "c"), ("t2", "i")]
         assert [(d.code, d.message, d.span.line, d.snippet) for d in pm.diagnostics] == [
@@ -807,7 +816,8 @@ class TestParseModule:
         # A directive line is blanked to spaces of its own length, so later offsets stay the source's.
         pm = parse_module("`timescale 1ns/1ps\nmodule m (\n`ifdef FOO\n    input wire a,\n`endif\n"
                           "    input wire b\n);\n")
-        assert [(s.name, s.span.line, s.span.column) for s in pm.signals] == [("a", 4, 5), ("b", 6, 5)]
+        spans = pm.spans([s.offset for s in pm.signals])
+        assert [(s.name, span.line, span.column) for s, span in zip(pm.signals, spans)] == [("a", 4, 5), ("b", 6, 5)]
         assert [(d.code, d.span.line, d.span.column) for d in pm.diagnostics] == [
             ("preprocessor-ignored", 3, 1), ("preprocessor-ignored", 5, 1)
         ]
@@ -867,8 +877,8 @@ class TestParseModule:
         for text, span in extract_annotation_regions(src, "mmu_stub.sv"):
             for k in range(len(text.split("\n"))):
                 region_lines.add(span.line + k)
-        for ann in pm.annotations:
-            assert ann.span.line in region_lines
+        for span in pm.spans([ann.offset for ann in pm.annotations]):
+            assert span.line in region_lines
 
     def test_parse_is_pure(self):
         src = load_fixture("pipeline")

@@ -1,9 +1,22 @@
+import random
+import re
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import headers
+import naive_lexer
+from autoft import parser
+from autoft.diagnostics import GenerationError, SourceSpan
+from autoft.emit import generate_model
 from autoft.options import GenOptions
 from autoft.parser import ExplicitAttrib, InterfaceSignal, parse_module
 from autoft.signals import synth_module_aux
 from autoft.transactions import build_transactions
 
-from conftest import load_fixture
+from conftest import FIXTURE_NAMES, load_fixture
+from test_pinned_output import _perfbench_inputs
 
 
 def build(source: str):
@@ -246,3 +259,93 @@ class TestKind:
         _, diags = build(src)
         errs = [d for d in diags if d.is_error]
         assert errs and all(d.span is not None for d in errs)
+
+
+class TestLocating:
+    """Records keep source offsets, and a stage locates only the diagnostics it reports, before it returns."""
+
+    @staticmethod
+    def stages(source: str) -> tuple[list, list[int]]:
+        """The diagnostics of parse, build and synth on `source`, and every offset located on the way."""
+        located, spans = [], parser._spans
+
+        def counted(text, path, offsets):
+            located.extend(offsets)
+            return spans(text, path, offsets)
+
+        with mock.patch.object(parser, "_spans", counted):
+            pm = parse_module(source, "m.sv")
+            txns, built = build_transactions(pm)
+            _, synth = synth_module_aux(txns, pm, GenOptions())
+        return [*pm.diagnostics, *built, *synth], located
+
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "wide_0", "wide_1", "wide_header"])
+    def test_only_diagnostics_are_located(self, name):
+        if name in FIXTURE_NAMES:
+            source = load_fixture(name)
+        elif name == "wide_header":
+            source = headers.wide_header(40)
+        else:
+            source = {f.name: f.text for f in _perfbench_inputs().wide_files(1)[:2]}[name]
+        diags, located = self.stages(source)
+        assert all(type(d.span) is SourceSpan for d in diags)
+        assert len(located) == len(diags)  # every one of them is located from an offset, and nothing else is
+        if not diags:
+            assert located == []
+
+    # Each fault: the annotation lines and the port items it adds, `{z}` standing for a fresh name; the code of
+    # the diagnostic it brings; the text its position is at, the last of its occurrences; and, for an error
+    # that names where the first declaration is, the text at that first declaration.
+    RELATION = ["{z}: {z}p -in> {z}q", "{z}p_val = 1", "{z}q_val = 1"]
+    FAULTS = {
+        "opaque-port": ([], ["input dat_t {z}_opq"], "opaque-port-type", "input dat_t {z}_opq", None),
+        "bad-suffix": (["{z}_bogus = 1"], [], "bad-field-suffix", "{z}_bogus", None),
+        "one-sided": ([*RELATION, "[3:0] {z}p_transid = 1"], [], "one-sided-attr", "[3:0] {z}p_transid", None),
+        "duplicate-binding": ([*RELATION, "{z}p_ack = a", "{z}p_ack = b"], [], "duplicate-binding", "{z}p_ack = b",
+                              "{z}p_ack = a"),
+        "data-without-transid": ([*RELATION, "{z}p_data = a", "{z}q_data = b"], [], "data-without-transid",
+                                 "{z}: {z}p", None),
+        "duplicate-tname": (["t0000: {z}p -in> {z}q"], [], "duplicate-transaction-name", "t0000: {z}p", "t0000: "),
+        "repeated-port": ([], ["input wire {z}_rep", "input wire {z}_rep"], "malformed-port-decl",
+                          "input wire {z}_rep", None),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), faults=st.lists(st.sampled_from(sorted(FAULTS)), min_size=1, max_size=4))
+    def test_injected_faults_are_located_as_the_reference_lexer_locates_them(self, seed, faults):
+        pb, rng = _perfbench_inputs(), random.Random(seed)
+        text = pb._header(rng, "w", [pb._draw_txn(rng) for _ in range(rng.randint(1, 5))]) + "endmodule\n"
+        notes, items = [], []
+        for k, fault in enumerate(faults):
+            lines, ports = self.FAULTS[fault][:2]
+            notes += [f"// AUTOSVA {line.format(z=f'z{k}')}" for line in lines]
+            items += [f"    {item.format(z=f'z{k}')},\n" for item in ports]
+        head = text.index("\nmodule w")
+        text = text[:head] + "\n" + "\n".join(notes) + text[head:]
+        ports = text.index(") (\n") + 4
+        text = text[:ports] + "".join(items) + text[ports:]
+
+        starts = naive_lexer.line_starts(text)
+
+        def at(offset: int) -> tuple[int, int]:
+            span = naive_lexer._span(starts, "m.sv", offset)
+            return span.line, span.column
+
+        want = []
+        for k, fault in enumerate(faults):
+            code, where, first = self.FAULTS[fault][2:]
+            z = f"z{k}"
+            want.append((code, at(text.rindex(where.format(z=z)))))
+            if first:
+                line, column = at(text.index(first.format(z=z)))
+                want[-1] += (f"at m.sv:{line}:{column}",)
+        for rel in re.finditer(r"(t\d{4}): ", text[:head]):  # the header's own warnings, on its relations
+            if f"{rel[1]}_req_data" in text and f"{rel[1]}_req_transid" not in text:
+                want.append(("data-without-transid", at(rel.start())))
+        try:
+            diags = generate_model(text, "m.sv", GenOptions()).warnings
+        except GenerationError as exc:
+            diags = exc.diagnostics
+        got = [(d.code, (d.span.line, d.span.column)) + tuple(re.findall(r"at m\.sv:\d+:\d+", d.message))
+               for d in diags]
+        assert sorted(got) == sorted(want)
