@@ -24,27 +24,9 @@ A model is a `_Model` subclass that declares, then simulates:
   worst-case latency of the correct design;
 * `expected_violated_kinds`: the kinds the model must violate (none by default).
 
-`check_bundle_on_model` reads only what a model declares. It takes the values
-of each symbolic id from the id's node: every value of its literal width,
-which is what `(* anyconst *)` ranges over. Each property is evaluated under
-only the ids its body reads, and its entries name those alone: a property
-that reads no id is evaluated once per trace and its entry names no id value.
-The properties are evaluated in groups: those that read the same ids and
-are connected through a node they share, in practice one transaction's
-id-free properties and its id-reading ones. Each group's bodies are
-rendered once into one generated loop (`tracecheck.evaluator`), the window
-a call argument, so a handshake or a register that several members read
-is computed once per cycle. Planning walks no body twice: one memoized
-pass finds each body's ids, then one walk per id set counts the readers of
-every node and finds the groups together, and each group is rendered from
-those counts. The groups and their evaluators are kept on the list's first
-property (`GeneratedProperty.plan`), so a second check of the same
-properties renders nothing. An id is read as a column: each group runs on
-a dict of only the columns it reads, made once per trace, with each id
-assignment's columns put in it in turn. A trace's columns are the tuples
-`Trace` makes of a model's lists, never copied after, and an id's column is
-one tuple of its value; each entry and its verdict are built by
-`tuple.__new__`, as `eval_property` builds its verdicts.
+`check_bundle_on_model` reads only what a model declares, and runs a
+`tracecheck.Monitor` of the properties' bodies over each trace, under every
+value of the ids each body reads.
 
 The draws are written inline, so a draw costs no Python frame. A value
 below k is `getrandbits(k.bit_length())`, drawn again while it is k or
@@ -62,13 +44,10 @@ from __future__ import annotations
 import random
 from bisect import insort
 from collections import Counter, namedtuple
-from itertools import product
 
-from .diagnostics import SymbolicWidthError
-from .parser import literal_width_bits
 from .properties import GeneratedProperty
 # `eval_property` is not called here, but perfbench's traced run patches it under this name.
-from .tracecheck import VACUOUS, Trace, Verdict, count, eval_property, evaluator, ids_below  # noqa: F401
+from .tracecheck import Monitor, Trace, Verdict, eval_property  # noqa: F401
 
 
 class ModelCheckEntry(namedtuple("ModelCheckEntry", "trace_index symb_values kind verdict")):
@@ -276,97 +255,31 @@ class PipelineModel(_Model):
         return (*cols, busy_col)
 
 
-# The most id assignments one property is checked under: 10 bits of ids.
-MAX_ID_ASSIGNMENTS = 1 << 10
-
-
 def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelCheckReport:
     """Evaluate every property over every model trace, under every value of the ids it reads.
 
     Each property is evaluated under only the symbolic ids its body reads:
     every value of each one's literal width, or their product if it reads
-    several, and its entries name those ids alone. An id whose width is not
-    literal, or ids with more than MAX_ID_ASSIGNMENTS values together, raise
-    SymbolicWidthError before any property is compiled. Unbounded
-    eventualities are cut to the model's liveness window. `txns` is not
-    read: every property body already names the signals it needs.
+    several, and its entries name those ids alone. Entries come in
+    assignment order: the k-th assignment of every property that has one,
+    in property order. An id whose width is not literal, or ids with more
+    than `tracecheck.MAX_ID_ASSIGNMENTS` values together, raise
+    SymbolicWidthError before any trace is drawn. Unbounded eventualities
+    are cut to the model's liveness window. `txns` is not read: every
+    property body already names the signals it needs.
 
-    Before any trace is drawn, the properties are split into groups: the
-    properties that read the same ids (with the same widths) and are
-    connected through a node they share, by the key a generated loop shares
-    it by (`tracecheck._Source.key`). Planning walks each node once to find
-    ids, and once more per id set whose bodies reach it. The ids pass
-    (`tracecheck.ids_below`) keeps each node's ids, so a node that several
-    bodies share is walked once. Then the bodies of each id set are counted
-    into one table of readers in property order (`tracecheck.count`), a
-    node's subtree on its first read only; a body that reads a node read
-    before joins the group of that node's first reader. So each node is read
-    from its own group alone, and the table holds the counts that walking
-    each group apart would give. Each group is rendered from that table into
-    one loop over its members' bodies (`tracecheck.evaluator`), its code
-    compiled once per group structure, so a node that several members read,
-    a handshake or a register, is computed once per cycle. The groups, their
-    evaluators, columns and assignments, and where each entry's outcome
-    comes from, are kept on the first property (`GeneratedProperty.plan`)
-    and taken from it while the bodies are the same. An id is a column like
-    any signal: for each trace, each group gets a dict of only the columns
-    its evaluator reads, and each of its id assignments puts a tuple of n
-    copies of each value in it, so a trace's own column of an id's name is
-    overridden. The trace's own columns are read, never copied or written.
-    Groups are evaluated in order of their first member, and a column that
-    the trace lacks is left out of the dict for the group's loop to name, so
-    a missing signal raises the UnknownSignalError of the earliest group
-    that reads it.
-    Entries come in assignment order: the k-th assignment of every property
-    that has one, in property order.
+    The monitor of the bodies (`tracecheck.Monitor`) is kept on the first
+    property, and taken from it while the bodies are the same, so a second
+    check of the same properties renders nothing.
     """
     if not props:
         return ModelCheckReport(model.name, [])
-    bodies, plan = tuple(p.body for p in props), props[0].plan
-    if plan is None or plan[0] != bodies:
-        # Per node, the ids below it; per id set, its reader counts and each node key's first reader; per
-        # property, its id set and its group's first member; per group, by its first member, its members.
-        seen, sets, ids, link, groups = {}, {}, [], [], {}
-        for i, p in enumerate(props):
-            widths = {}
-            for name, symb in ids_below(p.body, seen).items():
-                widths[name] = literal_width_bits(symb.width_expr)
-                if widths[name] is None:
-                    raise SymbolicWidthError(f"symbolic id '{name}' has no literal width: '{symb.width_expr}'")
-            if (values := 1 << sum(widths.values())) > MAX_ID_ASSIGNMENTS:
-                named = ", ".join(f"'{name}' of {bits} bits" for name, bits in widths.items())
-                raise SymbolicWidthError(f"property '{p.name}' reads symbolic ids {named}: {values} values to check, "
-                                         f"more than {MAX_ID_ASSIGNMENTS}")
-            ids.append((tuple(widths), tuple(widths.values())))
-            link.append(i)
-            tops = {i, *(link[j] for j in count(p.body, *sets.setdefault(ids[i], ({}, {})), i))}
-            group = groups[min(tops)] = sorted(m for j in tops for m in groups.pop(j, [j]))  # the groups it joins
-            for m in group:
-                link[m] = group[0]
-        runs, results = [], []  # per group, (evaluator, its columns, assignments); per result, (k, property, ids)
-        for group in sorted(groups.values()):
-            names, bits = ids[group[0]]
-            assignments, columns = [tuple(zip(names, v)) for v in product(*(range(1 << b) for b in bits))], []
-            runs.append((evaluator(*(bodies[i] for i in group), reads=sets[ids[group[0]]][0], columns=columns),
-                         columns, assignments))
-            results += [(k, i, a) for k, a in enumerate(assignments) for i in group]
-        # The k-th assignment of every property, in property order, and where its outcome and cycle come in the results.
-        order = [(a, i, s) for _, i, s, a in sorted((k, i, 2 * s, a) for s, (k, i, a) in enumerate(results))]
-        plan = props[0].plan = (bodies, runs, order)
-    _, runs, order = plan
-    window, order = model.liveness_window, [(a, props[i], s) for a, i, s in order]  # each index by its property
-
-    entries: list[ModelCheckEntry] = []
-    new = tuple.__new__  # not the records' own `__new__`, which namedtuple writes in Python
-    for idx, trace in enumerate(model.traces()):
-        traced, n, out = trace.columns, trace.length, []
-        for run, columns, assigned in runs if n else ():  # a trace of no cycle runs no loop
-            # Only the columns the group reads, one that the trace lacks left for its loop to name, and its ids.
-            own = {name: traced[name] for name in columns if name in traced}
-            for a in assigned:
-                own.update((name, (v,) * n) for name, v in a)
-                out += run(own, n, window)
-        out = out or (VACUOUS, None) * len(order)
+    bodies, monitor = tuple(p.body for p in props), props[0].monitor
+    if monitor is None or monitor.bodies != bodies:
+        monitor = props[0].monitor = Monitor(bodies)
+    order = [(a, props[i], s) for a, i, s in monitor.entries([p.name for p in props])]  # each index by its property
+    entries, new, window = [], tuple.__new__, model.liveness_window  # not the records' `__new__`, written in Python
+    for idx, out in enumerate(monitor.check(trace, window) for trace in model.traces()):
         entries += [new(ModelCheckEntry, (idx, a, p.kind, new(Verdict, (p.name, out[s], out[s + 1]))))
                     for a, p, s in order]
     return ModelCheckReport(model.name, entries)

@@ -61,9 +61,10 @@ transaction's block of `<dut>_prop.sv`, its relation comment, its
 declarations and its properties, is those pieces joined with its names.
 `Shape.bind` runs the same builder over a transaction's own names, and
 makes fresh trees on each call: `gen_properties` binds each transaction
-once and gives each property its body, and `TransactionAux.roles` and
-`.signals` bind it again for the callers that read them. Only `slot`
-writes a slot name, and only `Shape.render` reads one.
+once and runs `_checks` on its roles, which gives each property its body,
+and `TransactionAux.signals` binds it again for the callers that read its
+aux signals. Only `slot` writes a slot name, and only `Shape.render` reads
+one.
 
 Each body is a node tree of the property IR (`autoft.sva`) built by the
 per-kind builders below: the emitter renders it and `autoft.tracecheck`
@@ -121,23 +122,21 @@ def plan_polarity(direction: str, kind: str) -> str:
 class GeneratedProperty:
     """One property: its IR body, which `body.render()` gives as SVA text.
 
-    compiled is (body, evaluator) as `tracecheck.eval_property` last made
-    it; it is remade when `body` is another object. plan is what
-    `models.check_bundle_on_model` last made for a list of properties that
-    this one heads: the list's bodies, one evaluator per group of them, and
-    where each entry's verdict comes from. It holds no property, so it
-    makes no reference cycle, and it is remade when the bodies are other
-    objects.
+    monitor is the `tracecheck.Monitor` last kept on it: of its own body,
+    as `tracecheck.eval_property` makes it, or of the bodies of a list that
+    this property heads, as `models.check_bundle_on_model` makes it. Each
+    remakes it when the bodies it was made of are not the ones it is given.
+    A monitor holds no property, so it makes no reference cycle.
     """
 
-    __slots__ = ("name", "kind", "directive", "body", "compiled", "plan")
+    __slots__ = ("name", "kind", "directive", "body", "monitor")
 
     def __init__(self, name: str, kind: str, directive: str, body: Node):
         # directive is assert, assume or cover
-        self.name, self.kind, self.directive, self.body, self.compiled, self.plan = name, kind, directive, body, None, None
+        self.name, self.kind, self.directive, self.body, self.monitor = name, kind, directive, body, None
 
     def _replace(self, **changes) -> GeneratedProperty:
-        """A copy with the given fields changed, not yet compiled."""
+        """A copy with the given fields changed, with no monitor."""
         fields = {"name": self.name, "kind": self.kind, "directive": self.directive, "body": self.body}
         return GeneratedProperty(**{**fields, **changes})
 
@@ -265,13 +264,14 @@ def gen_properties(t: Transaction, aux: TransactionAux, opts: GenOptions,
     The result is deterministic: kinds appear in a fixed order, names follow
     `<tname>_<kind>[_<side>]` unless synthesis renamed the label, and the
     checks are those of the transaction's shape, made under the options
-    synthesis was given, with bodies built over the transaction's names
-    (`Shape.bind`). Synthesis (`signals.synth_module`) has decided the
-    checks, and warned of each binding that generates none, so nothing is
-    reported into `diags`.
+    synthesis was given, with bodies built over the roles of the
+    transaction's names (`Shape.bind`). Synthesis (`signals.synth_module`)
+    has decided the checks, and warned of each binding that generates none,
+    so nothing is reported into `diags`.
     """
+    checks = _checks(aux.shape._direction, aux.shape.bind(aux.names)[0], aux.shape._opts)
     return [GeneratedProperty(label, kind, directive, body)
-            for (_, kind, directive, body), label in zip(aux.shape.bind(aux.names)[2], aux.names[aux.shape.size:])]
+            for (_, kind, directive, body), label in zip(checks, aux.names[aux.shape.size:])]
 
 
 def slot(i: int) -> str:
@@ -314,14 +314,12 @@ class Shape:
         self.checks = _checks(direction, roles, opts)
         self._direction, self._build, self._opts, self._pieces = direction, build, opts, None
 
-    def bind(self, names: list) -> tuple[dict[str, Node | None], list[Aux], list[tuple[str, str, str, Node]]]:
-        """The role map, aux signals and checks of the transaction of this shape named by `names`.
+    def bind(self, names: list) -> tuple[dict[str, Node | None], list[Aux]]:
+        """The role map and aux signals of the transaction of this shape named by `names`.
 
-        The shape's builder and `_checks` make them over its names, afresh on
-        every call.
+        The shape's builder makes them over its names, afresh on every call.
         """
-        roles, signals, _ = self._build(names.__getitem__)
-        return roles, signals, _checks(self._direction, roles, self._opts)
+        return self._build(names.__getitem__)[:2]
 
     def render(self, names: list) -> str:
         """The block of `<dut>_prop.sv` of the transaction named by `names`: its relation, declarations and properties.

@@ -13,36 +13,21 @@ bindings and every symbolic id, each read by its name. Every other
 generated signal (a handshake, a register) is derived by its node's rule and
 never read from the trace, so a trace column of such a name changes nothing.
 
-A list of property bodies is rendered into the source of one Python
-function (`_Source`, `evaluator`), so no trace pays for walking the node
-trees or for a call per node. The function reads the bodies' columns once,
-then runs one loop over the cycles. In each cycle a node that two parents
-read, in one body or in two, is computed once, into a local, and any other
-is written inline in its one reader; the registers are local state, all
-given their next values at the end of the cycle. Nodes are shared by
-`_Source.key`: a column by its name, a derived node by identity, so a
-handshake or a counter that several bodies read is one local or one
-register. Whether a node gets a local depends on its count of readers,
-which `_Source` either counts over its bodies (`count`) or is given: a
-caller that counted many bodies into one table in one walk renders each
-group from that table, walking no body again. Each property shape is a
-few statements in that loop. A single
-body returns at its first violation, which in row order is the earliest
-cycle, and returns its outcome and cycle. In a group of several bodies each
-records its first violation and is checked no further, the loop runs on
-for the others, and it returns an outcome and a cycle per body, flat. The
-source depends only on the bodies' structure: every signal or id name,
-counter mask, sampled width, bound and `hi` is an argument, so no text
-from the input is ever compiled, and code is cached by its source text,
-one compile per structure however many bodies or groups share it. An
-unbounded eventuality's window is an argument of each call, None for
-never. The function reads the trace's columns and writes nothing, so a
-trace is passed as it is. `eval_property(p, trace)` runs the property's
-own evaluator, made on first use and kept on it (`compiled`), without a
-window; `models.check_bundle_on_model` runs one evaluator per group of
-properties (`GeneratedProperty.plan`) with the model's window, on a dict of
-only the columns that group reads (`evaluator`'s `columns`), a symbolic
-id's value among them as a column. `column(node, trace)` runs the same
+Property bodies are rendered into the source of one Python function
+(`_Source`), so no trace pays for walking the node trees or for a call per
+node. The function reads the bodies' columns once, then runs one loop over
+the cycles. In each cycle a node that two parents read is computed once,
+into a local, and any other is written inline in its one reader; the
+registers are local state, all given their next values at the end of the
+cycle. Each property shape is a few statements in that loop. The source
+depends only on the bodies' structure: every signal or id name, counter
+mask, sampled width, bound and `hi` is an argument, so no text from the
+input is ever compiled, and code is cached by its source text, one compile
+per structure. An unbounded eventuality's window is an argument of each
+call, None for never. The function reads the trace's columns and writes
+nothing, so a trace is passed as it is. A `Monitor` plans which bodies share
+a loop and keeps the loops; it is what `eval_property` and
+`models.check_bundle_on_model` both run. `column(node, trace)` runs the same
 loop, collecting one node's value per cycle.
 
 A trace's columns are tuples, shared and never copied: `Trace(columns)`
@@ -81,8 +66,9 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .diagnostics import SpaceTooLargeError, UnknownSignalError
+from .diagnostics import SpaceTooLargeError, SymbolicWidthError, UnknownSignalError
 from .options import integer
+from .parser import literal_width_bits
 from .properties import GeneratedProperty
 from .sva import (
     And, AttribWire, Counter, CoverSeq, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Node, Not,
@@ -203,23 +189,18 @@ class _Source:
     written inline in its one reader. Each name, mask, bound and `hi` is an
     argument `a<k>`, so the text depends only on the structure: `args`
     holds the value of each. An unbounded eventuality's window is the
-    call's `W`. `fail` is what a violation runs: a single body returns,
-    a group member records its cycle (`member`).
+    call's `W`. `fail` is what a violation of the body being added runs
+    (`member`).
 
-    `reads` holds each node's count of readers, by `key`: counted over
-    `nodes` (`count`), or given, counted over more bodies than these, and
-    then no node is walked. `read` takes the name of each column fetched,
-    in fetch order.
+    `reads` holds the count of readers of each node rendered, by `key`, as
+    `count` counts them; it may hold other nodes too, and no node is
+    walked to render. `read` takes the name of each column fetched, in
+    fetch order.
     """
 
-    def __init__(self, *nodes: Node, reads: dict | None = None, read: list | None = None):
-        self.args, self.names, self.serial, self.read = [], {}, itertools.count(), [] if read is None else read
-        self.cols, self.state, self.lets, self.checks, self.nexts, self.fail = [], [], [], [], [], "return V,i"
-        self.reads = reads
-        if reads is None:
-            self.reads, first = {}, {}
-            for node in nodes:
-                count(node, self.reads, first)
+    def __init__(self, reads: dict):
+        self.args, self.names, self.serial, self.read, self.reads = [], {}, itertools.count(), [], reads
+        self.cols, self.state, self.lets, self.checks, self.nexts, self.fail = [], [], [], [], [], None
 
     def key(self, node: Node):
         """A column by the name it is read by, a derived node by identity."""
@@ -307,13 +288,15 @@ class _Source:
                         f" elif i-{opened}=={hi}:{self.fail}"]
         return f"1 if {opened} is not None else 3-{fired}"
 
-    def member(self, body: Node) -> str:
-        """Add a group member's statements to the loop, checked until its first violation: its outcome and cycle."""
-        start, done = len(self.checks), self.var("None")
-        self.fail = f"{done}=i"
-        rank = self.rank(body)
-        self.checks[start:] = [f"if {done} is None:\n " + "\n".join(self.checks[start:]).replace("\n", "\n ")]
-        return f"O[{rank}] if {done} is None else V,{done}"
+    def member(self, body: Node, lone: bool) -> str:
+        """Add a body's statements to the loop: its outcome and cycle, the cycle None unless violated.
+
+        A lone body's first violation ends the loop. A group member keeps
+        its first violation, and the loop runs on for the others.
+        """
+        done = self.var("None")
+        self.fail = f"{done}=i;break" if lone else f"{done}=i if {done} is None else {done}"
+        return f"O[{self.rank(body)}] if {done} is None else V,{done}"
 
     def loop(self, result: str) -> Callable[..., object]:
         """The loop that returns `result`, as `e(columns, n, W=None)`, its arguments bound.
@@ -339,30 +322,10 @@ class _Source:
         return make(*self.args)
 
 
-def evaluator(*bodies: Node, reads: dict | None = None, columns: list | None = None) -> Callable[..., tuple]:
-    """The evaluator `(columns, n, window=None) -> (outcome, cycle, ...)` of property bodies over traces of n >= 1
-    cycles: one loop, an outcome and a cycle per body, flat.
-
-    Every signal and symbolic id is read from the columns by its name.
-    `window`, if not None, cuts each unbounded eventuality to that many
-    cycles. A single body returns at its first violation. In a group of
-    several, each body records its first violation and is checked no
-    further, and the loop runs on for the others; a node that two bodies
-    read is computed once per cycle, as within one body.
-
-    `reads`, if given, holds every node's count of readers among `bodies`,
-    as `count` counts them (it may hold other nodes too), and the bodies
-    are rendered without being walked first. `columns`, if given, is
-    extended by the names of the columns the evaluator reads, in the order
-    it reads them.
-    """
-    src = _Source(*bodies, reads=reads, read=columns)
-    return src.loop(f"O[{src.rank(bodies[0])}],None" if len(bodies) == 1 else ",".join(map(src.member, bodies)))
-
-
 def column(node: Node, trace: Trace) -> list:
     """The value of an expression node at each cycle of a trace."""
-    src = _Source(node)
+    count(node, reads := {}, {})
+    src = _Source(reads)
     out = src.var("[]")
     src.checks.append(f"{out}.append({src.expr(node)})")
     return src.loop(out)(trace.columns, trace.length)
@@ -403,17 +366,136 @@ def count(node: Node, reads: dict, first: dict, reader=None) -> set:
     return met
 
 
+# The most id assignments one body is checked under: 10 bits of ids.
+MAX_ID_ASSIGNMENTS = 1 << 10
+
+
+class Monitor:
+    """Property bodies planned into groups, each group rendered once into one loop: what `eval_property` runs for
+    one body, and `models.check_bundle_on_model` for a list.
+
+    Planning walks no body twice. One memoized pass finds the symbolic ids
+    each body reads (`ids_below`), so a node that several bodies share is
+    walked once. Then the bodies that read the same ids are counted into
+    one table of readers in body order (`count`), a node's subtree on its
+    first read only, and a body that reads a node read before joins the
+    group of that node's first reader. So a group is
+    the bodies that read the same ids and are connected through a node they
+    share, by the key a loop shares it by (`_Source.key`): in practice one
+    transaction's id-free bodies, and its id-reading ones. Each node is read
+    from its own group alone, so the table holds the counts that walking
+    each group apart would give, and each group is rendered from it into
+    one loop over its members (`_Source.member`), walking no body again. A
+    node that several members read, a handshake or a register, is so
+    computed once per cycle, and the code is compiled once per group
+    structure. A group of one body ends at its first violation; in a
+    larger one, each member keeps its first violation and the loop runs on
+    for the others. The monitor holds the bodies and the loops, and no
+    property.
+
+    `groups` holds, per group in order of its first member, its members'
+    indices, its loop, the names of the columns the loop reads and the
+    `Symbolic` ids its members read, in the order they read them; a monitor
+    of one body has one group, whose ids, None here, only `entries` finds.
+    A loop
+    is `(columns, n, window=None) -> (outcome, cycle, ...)`, an outcome and
+    a cycle per member, flat, over a trace of n >= 1 cycles; it reads every
+    signal and symbolic id from the columns by its name, and a window that
+    is not None cuts each unbounded eventuality to that many cycles, where
+    None never closes it. `body` is the lone
+    body of a monitor of one, else None, and `run` is the first group's
+    loop, which `eval_property` calls on a trace's own columns, without a
+    window.
+
+    A check runs each group once per assignment of its ids: every value of
+    each id's literal width, their product if it reads several.
+    `entries` lists the check's entries: the k-th assignment of every body
+    that has one, in body order, so a body that reads no id has one entry.
+    `check` runs the groups over a trace in order of their first member,
+    each on a dict of only the columns it reads, made once per trace; each
+    assignment puts a tuple of n copies of each value in it, so a trace's
+    own column of an id's name is overridden. A column that the trace lacks
+    is left out of the dict for the group's loop to name, so a missing
+    signal raises the UnknownSignalError of the earliest group that reads
+    it.
+    """
+
+    __slots__ = ("bodies", "body", "run", "groups", "_runs", "_order")
+
+    def __init__(self, bodies: tuple[Node, ...]):
+        self.bodies, self.body, self._order = bodies, bodies[0] if len(bodies) == 1 else None, None
+        # Per node, the ids below it; per id set, its reader counts and each node key's first reader; per body, its
+        # ids and its group's first member; per group, by its first member, its members.
+        seen, sets, ids, link, groups = {}, {}, [], list(range(len(bodies))), {}
+        for i, body in enumerate(bodies):  # one body is one group: its ids are found only if a check asks
+            ids.append(None if self.body is not None else tuple(ids_below(body, seen).values()))
+            tops = {i, *(link[j] for j in count(body, *sets.setdefault(ids[i], ({}, {})), i))}
+            group = groups[min(tops)] = sorted(m for j in tops for m in groups.pop(j, [j]))  # the groups it joins
+            for m in group:
+                link[m] = group[0]
+        self.groups = []
+        for group in sorted(groups.values()):
+            src = _Source(sets[ids[group[0]]][0])
+            run = src.loop(",".join([src.member(bodies[i], len(group) == 1) for i in group]))
+            self.groups.append((group, run, src.read, ids[group[0]]))
+        self.run = self.groups[0][1]
+
+    def entries(self, names: Sequence[str]) -> list[tuple[tuple, int, int]]:
+        """Each entry of a check, in order: its id assignment, its body's index, and the index of its outcome in
+        `check`'s result, its cycle next. Made on the first call and kept.
+
+        `names` names each body's property, for an error. An id whose width
+        is not literal, or a body whose ids have more than
+        MAX_ID_ASSIGNMENTS values together, raises SymbolicWidthError, for
+        the first such body.
+        """
+        if self._order is None:
+            self._runs, results = [], []  # per group, (loop, columns, assignments); per result, (k, body, assignment)
+            for group, run, columns, ids in self.groups:  # all of a group's members read the same ids
+                ids = tuple(ids_below(self.body, {}).values()) if ids is None else ids
+                bits = [literal_width_bits(symb.width_expr) for symb in ids]
+                if None in bits:
+                    symb = ids[bits.index(None)]
+                    raise SymbolicWidthError(f"symbolic id '{symb.name}' has no literal width: '{symb.width_expr}'")
+                if (values := 1 << sum(bits)) > MAX_ID_ASSIGNMENTS:
+                    named = ", ".join(f"'{symb.name}' of {b} bits" for symb, b in zip(ids, bits))
+                    raise SymbolicWidthError(f"property '{names[group[0]]}' reads symbolic ids {named}: {values} "
+                                             f"values to check, more than {MAX_ID_ASSIGNMENTS}")
+                id_names = [symb.name for symb in ids]
+                assignments = [tuple(zip(id_names, v)) for v in itertools.product(*(range(1 << b) for b in bits))]
+                self._runs.append((run, columns, assignments))
+                results += [(k, i, a) for k, a in enumerate(assignments) for i in group]
+            self._order = [(a, i, s) for _, i, s, a in sorted((k, i, 2 * s, a) for s, (k, i, a) in enumerate(results))]
+        return self._order
+
+    def check(self, trace: Trace, window: int | None) -> Sequence:
+        """The outcomes and cycles of every group run over `trace` under each of its assignments, flat, in the order
+        `entries` indexes them; each unbounded eventuality is cut to `window`. `entries` is called first.
+
+        A trace of no cycle runs no loop, and every entry is vacuous.
+        """
+        traced, n, out = trace.columns, trace.length, []
+        for run, columns, assigned in self._runs if n else ():
+            own = {name: traced[name] for name in columns if name in traced}
+            for a in assigned:
+                own.update((name, (v,) * n) for name, v in a)
+                out += run(own, n, window)
+        return out or (VACUOUS, None) * len(self._order)
+
+
 def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:
-    """Evaluate one generated property against one trace, by its evaluator, made on first use and kept on `p`.
+    """Evaluate one generated property against one trace, by the monitor of its body, made on first use and kept on
+    `p`.
 
     It reads the trace's columns and writes nothing.
     """
     if not (n := trace.length):
         return tuple.__new__(Verdict, (p.name, VACUOUS, None))
-    if (compiled := p.compiled) is None or compiled[0] is not p.body:
-        compiled = p.compiled = (p.body, evaluator(p.body))
+    if (monitor := p.monitor) is None or monitor.body is not p.body:
+        monitor = p.monitor = Monitor((p.body,))
+    run = monitor.run  # read first: a function called straight from a slot is looked up more slowly
     # `tuple.__new__`, not `Verdict(...)`: a namedtuple's own `__new__` is Python code.
-    return tuple.__new__(Verdict, (p.name,) + compiled[1](trace.columns, n))
+    return tuple.__new__(Verdict, (p.name,) + run(trace.columns, n))
 
 
 def trace_space_size(domain_sizes: Iterable[int], max_len: int) -> int:

@@ -27,7 +27,7 @@ from collections import namedtuple
 
 from .diagnostics import Diagnostic, error, warning
 from .parser import ExplicitAttrib, InterfaceSignal, ParsedModule, RelationDecl, split_field
-from .sva import Aux, Node
+from .sva import Aux
 
 Binding = InterfaceSignal | ExplicitAttrib
 
@@ -66,16 +66,11 @@ class TransactionAux(namedtuple("TransactionAux", "names shape")):
 
     names is the flat list of every name its text fills in, its property
     labels last; shape is the `properties.Shape` of every transaction of its
-    shape in its module. roles and signals are its role map and aux signals,
-    which the shape's builder makes afresh over its names on each read
-    (`Shape.bind`).
+    shape in its module. signals are its aux signals, which the shape's
+    builder makes afresh over its names on each read (`Shape.bind`).
     """
 
     __slots__ = ()
-
-    @property
-    def roles(self) -> dict[str, Node | None]:
-        return self.shape.bind(self.names)[0]
 
     @property
     def signals(self) -> list[Aux]:

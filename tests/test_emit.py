@@ -571,8 +571,9 @@ def test_gen_builds_each_shapes_trees_once_and_binds_no_transaction(src, txns, s
     bodies = [p.body for p in model.properties()]
     assert len(built) == 2 * shapes + txns and slot not in {name for _, name in built[2 * shapes:]}
     assert [p.body for p in model.properties()] == bodies and len(built) == 2 * shapes + 2 * txns
-    assert model.aux[-1].roles["p_hsk"].name == model.txns[-1].p.name + "_hsk"
-    assert len(built) == 2 * shapes + 2 * txns + 1  # `roles` builds the transaction's trees once more
+    last = model.aux[-1]
+    assert last.shape.bind(last.names)[0]["p_hsk"].name == model.txns[-1].p.name + "_hsk"
+    assert len(built) == 2 * shapes + 2 * txns + 1  # `bind` builds the transaction's trees once more
 
 
 def test_check_builds_no_trees_once_the_properties_are_made(monkeypatch):

@@ -7,9 +7,9 @@ counting cannot free: every test here runs them with the collector off and
 asserts that a full collection afterwards finds no unreachable object. The
 same holds for whole `cli.main` calls after the first, which builds the
 argument parser that later calls reuse.
-Evaluation keeps each compiled body with its property, and a model check
-its groups' evaluators with the list's first property, and nowhere else, so
-repeated evaluation and model checking retain no memory either.
+Evaluation keeps the monitor of each body with its property, and a model
+check the monitor of a list with the list's first property, and nowhere
+else, so repeated evaluation and model checking retain no memory either.
 """
 import gc
 import tracemalloc
@@ -155,7 +155,7 @@ def test_evaluating_fresh_properties_leaves_no_cycles():
 
 
 def test_evaluating_fresh_properties_retains_nothing():
-    # A compiled body kept anywhere but on its property would stay behind, one per call.
+    # A monitor kept anywhere but on its property would stay behind, one per call.
     assert retained(fresh_evaluations(), 200) < 8_000
 
 

@@ -23,7 +23,6 @@ from autoft.parser import literal_width_bits
 from autoft.properties import GeneratedProperty
 from autoft.emit import generate_bundle
 from autoft.options import GenOptions
-from autoft import models
 from autoft.sva import (
     And, AttribWire, CoverSeq, Counter, Eq, Eventually, Gt, Handshake, Implies, Inflight, IsUnknown, Not, Or, Sampled,
     Sig, Stable, Symbolic, children,
@@ -430,22 +429,35 @@ def test_an_id_assignment_wins_over_a_trace_column_of_its_name():
 
 
 def test_a_property_keeps_one_evaluator_for_every_check(monkeypatch):
-    # The first check makes each group's evaluator and keeps the groups on the list's first property;
-    # `eval_property` makes each property's own and keeps it beside. A second check, and `eval_property` after it,
-    # render no body again, and give what the first check and fresh copies give.
-    props, model = gen_fixture("noc_buffer").properties, MODEL_REGISTRY["noc_buffer"]()
-    first = check_bundle_on_model([], props, model).entries
+    # A check keeps the monitor of the list's bodies on its first property, and `eval_property` the monitor of a
+    # property's own body on it: a re-check, and a second `eval_property`, render no body. Either one after the other
+    # on the head property remakes the monitor it needs, and gives what fresh copies give.
+    props, model = [p._replace() for p in gen_fixture("noc_buffer").properties], MODEL_REGISTRY["noc_buffer"]()
     trace = model.traces()[0]
     trace = trace.extended({name: [1] * trace.length for p in props for name in id_names(p.body)})
-    fresh = [eval_property(p._replace(), trace) for p in props]
-    assert [eval_property(p, trace) for p in props] == fresh
+    checked = one_at_a_time([p._replace() for p in props], model)
+    evaluated = [eval_property(p._replace(), trace) for p in props]
     rendered, init = [], tracecheck._Source.__init__
-    monkeypatch.setattr(tracecheck._Source, "__init__",
-                        lambda self, *args, **kw: rendered.append(args) or init(self, *args, **kw))
-    assert check_bundle_on_model([], props, model).entries == first
-    assert [eval_property(p, trace) for p in props] == fresh
-    assert rendered == [] and all(p.compiled is not None for p in props)
-    assert len(props[0].plan[1]) == 2  # kept on the first property: the id-free group and the id-reading one
+    monkeypatch.setattr(tracecheck._Source, "__init__", lambda self, reads: rendered.append(reads) or init(self, reads))
+
+    def rendering(make):
+        """What `make()` gives, and how many loops it renders."""
+        before = len(rendered)
+        return make(), len(rendered) - before
+
+    def check():
+        return check_bundle_on_model([], props, model).entries
+
+    def evaluate():
+        return [eval_property(p, trace) for p in props]
+
+    assert rendering(check) == (checked, 2)  # the id-free group and the id-reading one
+    assert rendering(check) == (checked, 0)
+    assert rendering(evaluate) == (evaluated, len(props))  # the head's monitor of every body gives way to its own
+    assert rendering(evaluate) == (evaluated, 0)
+    assert rendering(check) == (checked, 2)
+    assert rendering(lambda: eval_property(props[0], trace)) == (evaluated[0], 1)
+    assert props[0].monitor.body is props[0].body and all(p.monitor.body is p.body for p in props[1:])
 
 
 class _LateSecond(_OneCycle):
@@ -460,11 +472,11 @@ def test_a_group_runs_on_past_its_first_violation():
     early = GeneratedProperty("p_early", "xprop", "assert", Not(Sig("a")))
     late = GeneratedProperty("p_late", "xprop", "assert", Not(And(Sig("b"), Not(Sig("a")))))
     report = check_bundle_on_model([], [early, late], _LateSecond())
-    assert len(early.plan[1]) == 1  # one group, one loop
+    assert [members for members, *_ in early.monitor.groups] == [[0, 1]]  # one group, one loop
     assert [(e.verdict.property_name, e.verdict.outcome, e.verdict.cycle) for e in report.entries] == [
         ("p_early", VIOLATED, 0), ("p_late", VIOLATED, 3)]
     columns = _LateSecond().traces()[0].columns
-    assert tracecheck.evaluator(early.body, late.body)(columns, 4) == (VIOLATED, 0, VIOLATED, 3)
+    assert tracecheck.Monitor((early.body, late.body)).run(columns, 4) == (VIOLATED, 0, VIOLATED, 3)
 
 
 @functools.cache
@@ -701,30 +713,25 @@ class _NoTrace(_OneCycle):
 
 
 def planned(props) -> list[tuple]:
-    """The groups a fresh check of `props` renders, in order: each group's bodies, and the reader counts and the
-    column list its evaluator is made with. Every symbolic id reads as literal, so that any bundle plans."""
-    made = []
-
-    def record(*bodies, reads, columns):
-        made.append((bodies, reads, columns))
-        return tracecheck.evaluator(*bodies, reads=reads, columns=columns)
-
+    """The groups a fresh monitor of `props`' bodies renders, in order: each group's bodies, and the reader counts and
+    the column list its loop is rendered with."""
+    counts, init = [], tracecheck._Source.__init__
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(models, "evaluator", record)
-        patch.setattr(models, "literal_width_bits", lambda width: literal_width_bits(width) or 1)
-        check_bundle_on_model([], [p._replace() for p in props], _NoTrace())
-    return made
+        patch.setattr(tracecheck._Source, "__init__", lambda self, reads: counts.append(reads) or init(self, reads))
+        monitor = tracecheck.Monitor(tuple(p.body for p in props))
+    return [(tuple(props[i].body for i in members), reads, columns)
+            for (members, _, columns, _), reads in zip(monitor.groups, counts, strict=True)]
 
 
 def assert_planned_as_searched(props) -> None:
-    """The planner's groups are `connected()`'s, and each group is rendered with the reader counts that walking its
+    """The monitor's groups are `connected()`'s, and each group is rendered with the reader counts that walking its
     own bodies gives, and reads the columns of its own bodies."""
     made = planned(props)
     assert [[id(b) for b in bodies] for bodies, _, _ in made] == [[id(props[i].body) for i in g]
                                                                     for g in connected(props)]
     for bodies, reads, columns in made:
         own = reader_counts(bodies)
-        assert {k: reads[k] for k in own} == own == tracecheck._Source(*bodies).reads
+        assert {k: reads[k] for k in own} == own
         assert sorted(columns) == sorted(k for k in own if isinstance(k, str))
 
 
@@ -781,6 +788,27 @@ def test_the_plan_groups_and_counts_as_a_search_does(props):
     assert_planned_as_searched(props)
 
 
+@settings(max_examples=200, deadline=None)
+@given(props=shared_properties(), data=st.data())
+def test_a_body_alone_ends_as_it_does_in_a_group(props, data):
+    # Alone, a body's first violation ends its loop; in a group, a member keeps its first violation and the loop runs
+    # on for the others. Each body gives one outcome and cycle alone, in its monitor group and in one loop of all.
+    bodies, n = tuple(p.body for p in props), data.draw(st.integers(1, 6))
+    # 0 and 1 only: an unknown value may reach a node that no bundle puts over a column, such as `Gt`.
+    columns = {leaf.name: tuple(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+               for leaf in LEAVES}
+    window = data.draw(st.sampled_from([None, 0, 1, 3]))
+    alone = [tracecheck.Monitor((body,)).run(columns, n, window) for body in bodies]
+    grouped = {}
+    for members, run, *_ in tracecheck.Monitor(bodies).groups:
+        out = run(columns, n, window)
+        grouped.update((i, out[2 * k:2 * k + 2]) for k, i in enumerate(members))
+    assert [grouped[i] for i in range(len(bodies))] == alone
+    src = tracecheck._Source(reader_counts(bodies))
+    out = src.loop(",".join([src.member(body, False) for body in bodies]))(columns, n, window)
+    assert [out[2 * i:2 * i + 2] for i in range(len(bodies))] == alone
+
+
 @pytest.mark.parametrize("bundle", ["covering", *(f"{name}-{mix}" for name in FIXTURE_NAMES for mix in OPTION_MIXES),
                                     "link", "wide"])
 def test_the_plan_groups_and_counts_as_a_search_does_on_bundles(bundle):
@@ -835,8 +863,7 @@ def test_a_fresh_check_walks_each_node_once_per_id_set(monkeypatch, bundle):
     props, model = (covering_properties(), _NoTrace()) if bundle == "covering" else fresh_check(bundle)
     walked, counted, below, count = [], [], tracecheck.children, tracecheck.count
     monkeypatch.setattr(tracecheck, "children", lambda node: walked.append(node) or below(node))
-    monkeypatch.setattr(tracecheck, "count", lambda *args: counted.append(args) or count(*args))  # `_Source`'s
-    monkeypatch.setattr(models, "count", lambda *args: counted.append(args[0]) or count(*args))  # the planner's
+    monkeypatch.setattr(tracecheck, "count", lambda *args: counted.append(args[0]) or count(*args))
     check_bundle_on_model([], props, model)
     reached = {}
     for p in props:
@@ -845,7 +872,7 @@ def test_a_fresh_check_walks_each_node_once_per_id_set(monkeypatch, bundle):
                 reached.setdefault(k, set()).add(id_names(p.body))
     walks = collections.Counter(id(node) for node in walked if type(node) not in (Sig, AttribWire, Symbolic))
     assert walks == {k: 1 + len(sets) for k, sets in reached.items()}
-    assert counted == [p.body for p in props]  # one planner walk per body, none by an evaluator
+    assert counted == [p.body for p in props]  # one walk per body by the monitor, none to render
 
 
 @pytest.mark.parametrize("fixture", sorted(MODEL_REGISTRY))

@@ -307,9 +307,9 @@ class TestLinkTransforms:
         (props,) = props_for(VAL_ONLY)
         live = next(p for p in props if p.kind == "liveness")
         eval_property(live, Trace({"p_val": [1, 0], "q_val": [1, 0]}))
-        assert live.compiled is not None
+        assert live.monitor is not None and live.monitor.body is live.body
         copy = live._replace(directive=ASSUME)
-        assert copy.compiled is None
+        assert copy.monitor is None
         assert (copy.name, copy.kind, copy.directive, copy.body) == (live.name, live.kind, ASSUME, live.body)
         assert live.directive == ASSERT
 

@@ -207,7 +207,7 @@ class TestNaming:
             )
         )
         aux, diags = synth_module_aux(txns, pm, GenOptions())
-        assert aux[0].roles["p_hsk"].name == "p_hsk_1"
+        assert aux[0].shape.bind(aux[0].names)[0]["p_hsk"].name == "p_hsk_1"
         assert "p_hsk_1" in [s.name for s in aux[0].signals if isinstance(s, Handshake)]
         assert "name-collision-renamed" in [d.code for d in diags]
         port_names = pm.port_names()
@@ -225,7 +225,7 @@ class TestNaming:
         all_names = [s.name for s in aux[0].signals + aux[1].signals]
         assert len(all_names) == len(set(all_names))
         # Both transactions refer to the same a_hsk wire.
-        assert aux[0].roles["p_hsk"].name == aux[1].roles["p_hsk"].name == "a_hsk"
+        assert [a.shape.bind(a.names)[0]["p_hsk"].name for a in aux] == ["a_hsk", "a_hsk"]
 
     def test_counter_width_parameters_per_transaction(self):
         pm, txns = transactions_of(load_fixture("mmu_stub"))

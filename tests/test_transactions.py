@@ -223,7 +223,7 @@ def aux_roles(source: str) -> dict:
     pm = parse_module(source)
     (t,), _ = build_transactions(pm)
     (aux,), _ = synth_module_aux([t], pm, GenOptions())
-    return aux.roles
+    return aux.shape.bind(aux.names)[0]
 
 
 class TestKind:
