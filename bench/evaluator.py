@@ -25,6 +25,16 @@ sides. The items of a round are:
   one cycle. `first_check` times a check of fresh properties, which plans
   and renders their groups; `re_check` times a second check of them, which
   finds the plan kept on the first property;
+- the id widths (`id_width`): `noc_buffer` and `noc_buffer_buggy` with
+  both `transid` ranges widened to each of `--id-bits` (2, 4, 6, 8 and
+  10 by default), checked on the default-size model. The check named
+  `<fixture>_<bits>bits_first_check` checks a fresh bundle's properties,
+  which plans and renders their groups, and `..._re_check` checks them a
+  second time;
+- perfbench's probe slice (`probe_slice`): each of the 24 spaces cut to
+  its longest traces that number at most PROBE_SPACE (300), each
+  evaluated with a fresh property, so every space pays one monitor of one
+  body; reported as traces per busy second (`probe_slice_traces_per_s`);
 - the model draws alone (`model_traces`): `DRAW_CALLS` calls of
   `traces()` on a fresh model of each fixture, at oracle size and at
   default size, as the checks above draw them, reported per call. This is
@@ -68,13 +78,20 @@ ORACLE_SIZE = {
     "pipeline": ("PipelineModel", {"tail": 12}),
 }
 WIDE = ("first_check", "re_check")
-# config -> the names of its checks
+# The fixtures whose `transid` ranges the `id_width` checks widen, and how their text writes the ranges.
+WIDENED = ("noc_buffer", "noc_buffer_buggy")
+ID_RANGES = ("[1:0] buf_in_transid", "[1:0] buf_out_transid")
+# config -> the names of its checks; `main` adds the `id_width` config, whose checks `ID_CHECKS` names:
+# name -> (fixture, id bits).
 CONFIGS = {"oracle_size": tuple(ORACLE_SIZE), "default_size": tuple(ORACLE_SIZE), "wide": WIDE}
+ID_CHECKS: dict[str, tuple[str, int]] = {}
 WIDE_CYCLES, WIDE_SEED = 32, 41
 # The model-draw items, each timed over DRAW_CALLS calls of `traces()`.
 SIZES = ("oracle_size", "default_size")
 DRAWS = [("model_traces", config, name) for config in SIZES for name in ORACLE_SIZE]
 DRAW_CALLS = 10
+# The probe slice's item, and its most traces per space.
+PROBE, PROBE_SPACE = "probe_slice", 300
 
 
 class _Wide:
@@ -122,6 +139,9 @@ class Side:
             kwargs = dict(kwargs, n_traces=args.traces, drive=args.drive)
             self.models["oracle_size", name] = lambda cls=getattr(af.models, cls), kwargs=kwargs: cls(**kwargs)
             self.models["default_size", name] = af.models.MODEL_REGISTRY[name]
+        for name, (fixture, bits) in ID_CHECKS.items():
+            self.texts[name] = widened(self.texts[fixture], bits)
+            self.models["id_width", name] = af.models.MODEL_REGISTRY[fixture]
 
     def space(self, name: str, max_len: int | None) -> tuple[int, float]:
         """(traces, busy seconds) of one pass over a case's space, as perfbench's `eval_space` times it."""
@@ -145,6 +165,17 @@ class Side:
                 raise RuntimeError(f"{name}: the evaluator and the naive checker differ on {trace.columns}")
         return n, busy
 
+    def probe(self) -> tuple[int, float]:
+        """(traces, busy seconds) of one pass over the probe slice, each space timed as `space` times it."""
+        n = busy = 0
+        for name, case in self.cases.items():
+            sizes = [len(domain) for domain in dict(case.signals).values()]
+            size = self.af.tracecheck.trace_space_size
+            fits = [k for k in range(1, case.max_len + 1) if size(sizes, k) <= PROBE_SPACE]
+            traces, seconds = self.space(name, fits[-1] if fits else 1)
+            n, busy = n + traces, busy + seconds
+        return n, busy
+
     def drawn(self, config: str, name: str) -> float:
         """ms per `traces()` call of a fresh model, over DRAW_CALLS calls after a full collection."""
         model = self.models[config, name]()
@@ -161,13 +192,13 @@ class Side:
     def timed(self, config: str, name: str) -> float:
         af, fresh, model = self.af, config == "default_size", self.models[config, name]()
         module = af.emit.generate_model(self.texts[name], name, af.options.GenOptions()) if fresh else None
-        if config == "wide":  # fresh properties, made before the timer; a re-check checks them once first
-            props = self.bundle("wide")
-            if name == "re_check":
+        if config in ("wide", "id_width"):  # fresh properties, made before the timer; a re-check checks them once first
+            props = self.bundle("wide" if config == "wide" else name)
+            if name.endswith("re_check"):
                 af.models.check_bundle_on_model([], props, model)
         gc.collect()
         t0 = time.perf_counter()
-        if config != "wide":
+        if config not in ("wide", "id_width"):
             props = self.props[name] if module is None else [
                 p for t, a in zip(module.txns, module.aux) for p in af.properties.gen_properties(t, a, module.opts, [])]
         af.models.check_bundle_on_model([], props, model)
@@ -189,6 +220,13 @@ class Side:
         return count, entries, [t.to_csv() for t in model.traces()]
 
 
+def widened(text: str, bits: int) -> str:
+    """A `noc_buffer` fixture's text with both `transid` ranges widened to `bits` bits."""
+    for written in ID_RANGES:
+        text = text.replace(written, f"[{bits - 1}:0]{written[5:]}")
+    return text
+
+
 def wide_trace(af, text: str) -> dict:
     """The wide check's trace: a column of drawn values for every port and wire the header's properties read."""
     rng, names = random.Random(WIDE_SEED), set()
@@ -207,7 +245,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--traces", type=int, default=12, help="traces per model at oracle size (default 12)")
     ap.add_argument("--drive", type=int, default=100, help="driven cycles per trace at oracle size (default 100)")
     ap.add_argument("--wide", type=int, default=240, help="transactions of the wide check's header (default 240)")
+    ap.add_argument("--id-bits", default="2,4,6,8,10",
+                    help="the transid widths of the id_width checks, comma-separated (default 2,4,6,8,10)")
     args = ap.parse_args(argv)
+    ID_CHECKS.update({f"{fixture}_{bits}bits_{kind}": (fixture, bits) for fixture in WIDENED
+                      for bits in map(int, args.id_bits.split(",")) for kind in WIDE})
+    CONFIGS["id_width"] = tuple(ID_CHECKS)
 
     packages = twin.sides(args, MODULES)
     wide = wide_trace(packages["after"], headers.wide_header(args.wide))
@@ -223,11 +266,12 @@ def main(argv: list[str] | None = None) -> int:
         elif first[1] != after[1]:
             raise RuntimeError(f"the two sides gave different entries on {'/'.join(check)}")
 
-    runs = {(side, item): [] for side in sides for item in spaces + checks + DRAWS}  # per round
-    for _, item, order in twin.turns(sides, spaces + checks + DRAWS, args.rounds):
+    items = [*spaces, PROBE, *checks, *DRAWS]
+    runs = {(side, item): [] for side in sides for item in items}  # per round
+    for _, item, order in twin.turns(sides, items, args.rounds):
         for side in order:
             s = sides[side]
-            runs[side, item].append(s.space(item, args.max_len) if item in s.cases else
+            runs[side, item].append(s.space(item, args.max_len) if item in s.cases else s.probe() if item == PROBE else
                                     s.drawn(*item[1:]) if item in DRAWS else s.timed(*item))
     for name in spaces:
         if any(runs[side, name][0][0] != runs["after", name][0][0] for side in sides):
@@ -236,6 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     def per_round(side: str, k: int) -> dict:
         """Round k's total and per-space rates and model times, flat."""
         return {"traces_per_s": sum(runs[side, n][k][0] for n in spaces) / sum(runs[side, n][k][1] for n in spaces),
+                "probe_slice_traces_per_s": runs[side, PROBE][k][0] / runs[side, PROBE][k][1],
                 **{f"spaces/{n}": runs[side, n][k][0] / runs[side, n][k][1] for n in spaces},
                 **{"/".join(item): runs[side, item][k] for item in checks + DRAWS}}
 
@@ -247,6 +292,8 @@ def main(argv: list[str] | None = None) -> int:
         result[side] = {
             "traces": sum(runs[side, n][0][0] for n in spaces),
             **{f"{p}traces_per_s": round(v) for p, v in zip(("q1_", "", "q3_"), q["traces_per_s"])},
+            **{f"{p}probe_slice_traces_per_s": round(v)
+               for p, v in zip(("q1_", "", "q3_"), q["probe_slice_traces_per_s"])},
             **{f"{p}spaces": {n: round(q[f"spaces/{n}"][j]) for n in spaces} for j, p in enumerate(("q1_", "", "q3_"))},
             "models": {c: {n: {**{f"{p}_ms": round(v, 3) for p, v in zip(("q1", "median", "q3"), q[f"{c}/{n}"])},
                                **found[side, (c, n)][0], "entries": len(found[side, (c, n)][1])}

@@ -25,8 +25,8 @@ A model is a `_Model` subclass that declares, then simulates:
 * `expected_violated_kinds`: the kinds the model must violate (none by default).
 
 `check_bundle_on_model` reads only what a model declares, and runs a
-`tracecheck.Monitor` of the properties' bodies over each trace, under every
-value of the ids each body reads.
+`tracecheck.Monitor` of the properties' bodies over each trace, with an
+entry for each value of the ids each body reads.
 
 The draws are written inline, so a draw costs no Python frame. A value
 below k is `getrandbits(k.bit_length())`, drawn again while it is k or
@@ -44,10 +44,11 @@ from __future__ import annotations
 import random
 from bisect import insort
 from collections import Counter, namedtuple
+from itertools import repeat
 
 from .properties import GeneratedProperty
 # `eval_property` is not called here, but perfbench's traced run patches it under this name.
-from .tracecheck import Monitor, Trace, Verdict, eval_property  # noqa: F401
+from .tracecheck import Monitor, Trace, eval_property  # noqa: F401
 
 
 class ModelCheckEntry(namedtuple("ModelCheckEntry", "trace_index symb_values kind verdict")):
@@ -256,12 +257,14 @@ class PipelineModel(_Model):
 
 
 def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelCheckReport:
-    """Evaluate every property over every model trace, under every value of the ids it reads.
+    """Evaluate every property over every model trace, with an entry per assignment of the ids it reads.
 
-    Each property is evaluated under only the symbolic ids its body reads:
-    every value of each one's literal width, or their product if it reads
-    several, and its entries name those ids alone. Entries come in
-    assignment order: the k-th assignment of every property that has one,
+    A property's assignments are of only the symbolic ids its body reads:
+    each value of each one's literal width, or each combination if it reads
+    several, and its entries name those ids alone. On each trace a property
+    runs under the values its compared columns carry and under one value
+    for all the others, whose entries take that value's verdict
+    (`tracecheck.Monitor`). Entries come in assignment order: the k-th assignment of every property that has one,
     in property order. An id whose width is not literal, or ids with more
     than `tracecheck.MAX_ID_ASSIGNMENTS` values together, raise
     SymbolicWidthError before any trace is drawn. Unbounded eventualities
@@ -275,13 +278,14 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     if not props:
         return ModelCheckReport(model.name, [])
     bodies, monitor = tuple(p.body for p in props), props[0].monitor
-    if monitor is None or monitor.bodies != bodies:
-        monitor = props[0].monitor = Monitor(bodies)
-    order = [(a, props[i], s) for a, i, s in monitor.entries([p.name for p in props])]  # each index by its property
-    entries, new, window = [], tuple.__new__, model.liveness_window  # not the records' `__new__`, written in Python
+    if monitor is None or monitor.body is not None or monitor.bodies != bodies:  # not one that `eval_property` made
+        monitor = props[0].monitor = Monitor(bodies, for_check=True)
+    assigned, bodies, slots = monitor.entries([p.name for p in props])  # the entries' columns, per trace below
+    kinds, entries, window = [p.kind for p in props], [], model.liveness_window
+    new = tuple.__new__  # not the records' `__new__`, written in Python
     for idx, out in enumerate(monitor.check(trace, window) for trace in model.traces()):
-        entries += [new(ModelCheckEntry, (idx, a, p.kind, new(Verdict, (p.name, out[s], out[s + 1]))))
-                    for a, p, s in order]
+        entries += map(new, repeat(ModelCheckEntry), zip(repeat(idx), assigned, map(kinds.__getitem__, bodies),
+                                                         map(out.__getitem__, slots)))
     return ModelCheckReport(model.name, entries)
 
 

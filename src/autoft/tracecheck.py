@@ -8,8 +8,12 @@ own `update`, the Python expression of the update rule its `declare()`
 emits, in the registered view: the value during cycle i reflects
 handshakes strictly before i, and the counter wraps at its declared width.
 
-A trace supplies the ports, the verbatim wires of explicit attribute
-bindings and every symbolic id, each read by its name. Every other
+A trace supplies the ports and the verbatim wires of explicit attribute
+bindings, each read by its name, and, to `eval_property`, every symbolic id
+too. A check (`Monitor.check`) takes the id values as arguments of the
+loop instead, one set per copy of a group's bodies, and runs each group
+under the values its compared columns carry on the trace and one value for
+all the others, which the symmetry rule makes equal (`Monitor`). Every other
 generated signal (a handshake, a register) is derived by its node's rule and
 never read from the trace, so a trace column of such a name changes nothing.
 
@@ -18,8 +22,9 @@ Property bodies are rendered into the source of one Python function
 node. The function reads the bodies' columns once, then runs one loop over
 the cycles. In each cycle a node that two parents read is computed once,
 into a local, and any other is written inline in its one reader; the
-registers are local state, all given their next values at the end of the
-cycle. Each property shape is a few statements in that loop. The source
+registers are local state, given their next values at the end of the
+cycle, each copy's in one statement and the shared ones in another. Each
+property shape is a few statements in that loop. The source
 depends only on the bodies' structure: every signal or id name, counter
 mask, sampled width, bound and `hi` is an argument, so no text from the
 input is ever compiled, and code is cached by its source text, one compile
@@ -171,7 +176,8 @@ class Verdict(namedtuple("Verdict", "property_name outcome cycle", defaults=(Non
 # The outcomes by rank, the index a generated evaluator ends on: a
 # conjunction ends as its lower-ranked half, pending before holds before vacuous.
 _OUTCOMES = (VIOLATED, PENDING, HOLDS, VACUOUS)
-# Source text -> the function `f` it defines: one compile per body or group structure. It is shared by every
+# Source text, or for a loop with ids its count of copies and its text before they are written, -> the function `f`
+# it defines: one compile per body or group structure. It is shared by every
 # caller in the process, which is safe because what it holds depends on the key alone.
 _CODE: dict[str, Callable] = {}
 # The nodes a trace supplies by name; every other node is derived.
@@ -194,13 +200,22 @@ class _Source:
 
     `reads` holds the count of readers of each node rendered, by `key`, as
     `count` counts them; it may hold other nodes too, and no node is
-    walked to render. `read` takes the name of each column fetched, in
-    fetch order.
+    walked to render.
+
+    With `ids`, the bodies are rendered once, as the template of a copy:
+    each id is the argument `d<j>_@`, and each variable of a node that
+    reads an id (`seen` holds each node's ids) or of a body's statements
+    ends in `_@`, where `loop` writes each copy's number. A node that reads
+    no id is one for all copies, and when a copy reads it, it is a local,
+    computed once per cycle, unless it is a column that one parent reads.
+    `compared` takes, per id, the columns that a raw `Eq` compares it with.
     """
 
-    def __init__(self, reads: dict):
-        self.args, self.names, self.serial, self.read, self.reads = [], {}, itertools.count(), [], reads
+    def __init__(self, reads: dict, seen: dict | None = None, ids: Sequence[Symbolic] = ()):
+        self.args, self.names, self.serial, self.reads = [], {}, itertools.count(), reads
         self.cols, self.state, self.lets, self.checks, self.nexts, self.fail = [], [], [], [], [], None
+        self.seen, self.ids, self.mark, self.compared = seen, ids, "_@" if ids else "", {}
+        self.names.update((s.name, f"d{j}_@") for j, s in enumerate(ids))  # a copy's value of an id: an argument
 
     def key(self, node: Node):
         """A column by the name it is read by, a derived node by identity."""
@@ -212,13 +227,13 @@ class _Source:
 
     def var(self, init: str, into: list | None = None, prefix: str = "s") -> str:
         """A fresh variable, set to `init` before the loop, or where `into` puts it."""
-        name = f"{prefix}{next(self.serial)}"
+        name = f"{prefix}{next(self.serial)}{self.mark}"
         (self.state if into is None else into).append(f"{name}={init}")
         return name
 
     def local(self, text: str) -> str:
         """`text` computed once at the start of each cycle: a name."""
-        return text if text.isidentifier() else self.var(text, self.lets, "v")
+        return text if text.replace("_@", "").isidentifier() else self.var(text, self.lets, "v")
 
     def before(self, text: str) -> str:
         """A state variable holding `text`'s value of the cycle before: 0 at cycle 0."""
@@ -230,7 +245,12 @@ class _Source:
         """The node's value at cycle i."""
         k = self.key(node)
         text = self.names.get(k)
-        if text is None:
+        if text is None and self.mark and not self.seen[id(node)]:  # read from a copy, a node that reads no id is one
+            self.mark = ""  # for all copies: a local, unless a column that one parent reads
+            one = self.reads[k] == 1 and node.__class__ in _READ
+            text = self.names[k] = self._expr(node) if one else self.local(self._expr(node))
+            self.mark = "_@"
+        elif text is None:
             text = self.names[k] = self._expr(node) if self.reads[k] == 1 else self.local(self._expr(node))
         return text
 
@@ -248,6 +268,9 @@ class _Source:
             return f"({x(node.a)} and {x(node.b)})"
         if cls is Or:
             return f"({' or '.join(map(x, node.args))})"
+        if cls is Eq and self.ids and node.b.__class__ is Symbolic and not node.two_valued:
+            if node.a.__class__ in (Sig, AttribWire):  # a column that an id is compared with, raw
+                self.compared.setdefault(node.b.name, []).append(node.a.name)
         if cls is Eq:
             return f"(({x(node.a)} or 0)==({x(node.b)} or 0))" if node.two_valued else f"({x(node.a)}=={x(node.b)})"
         if cls is Gt:
@@ -257,7 +280,6 @@ class _Source:
         if cls is Stable:  # each item equals its value of the cycle before; the first cycle holds
             now = [self.local(x(item)) for item in node.items]
             return f"(not i or {' and '.join(f'{v}=={self.before(v)}' for v in now)})"
-        self.read.append(node.name)
         return self.var(f"C[{self.arg(node.name)}]", self.cols, "c") + "[i]"
 
     def rank(self, body: Node) -> str:
@@ -298,28 +320,52 @@ class _Source:
         self.fail = f"{done}=i;break" if lone else f"{done}=i if {done} is None else {done}"
         return f"O[{self.rank(body)}] if {done} is None else V,{done}"
 
-    def loop(self, result: str) -> Callable[..., object]:
-        """The loop that returns `result`, as `e(columns, n, W=None)`, its arguments bound.
+    def loop(self, result: str, copies: int = 1) -> Callable[..., object]:
+        """The loop that returns `result`, as `e(columns, n, W=None)`, its arguments bound; with ids, as
+        `e(columns, n, W, *ids)`, each id of each copy in turn.
 
         The source is compiled on its first use; a later one of the same
-        text, from a body of the same structure, reuses that code.
+        text, from a body of the same structure, reuses that code. A loop
+        with ids is found by its count of copies and its text before they
+        are written: then each statement of a copy (one that names `@`) is
+        written once per copy, the copy's number in place of `@`, after
+        those of all copies, and the registers of each copy are given their
+        next values in a statement of their own, before those of all.
         """
+        text = self.text(result, "C,n,W=None")
+        key = f"{copies} copies\n{text}" if self.ids else text
+        make = _CODE.get(key)
+        if make is None:
+            if self.ids:
+                own = [(v, e) for v, e in self.nexts if "@" in v]
+                steps = [",".join(v for v, _ in own) + "=" + ",".join(e for _, e in own)] if own else []
+                self.nexts, self.state, self.lets, self.checks = [x for x in self.nexts if x not in own], *(
+                    _copied(xs, copies) for xs in (self.state, self.lets, self.checks + steps))
+                ids = ",".join(f"d{j}_{c}" for c in range(copies) for j in range(len(self.ids)))
+                text = self.text(",".join(_copied([result], copies)), f"C,n,W,{ids}")
+            scope = {"O": _OUTCOMES, "V": VIOLATED, "U": UnknownSignalError}
+            exec(text, scope)
+            make = _CODE[key] = scope.pop("f")
+        return make(*self.args)
+
+    def text(self, result: str, params: str) -> str:
+        """The source of `loop`, its loop taking `params`."""
         loop = [*self.lets, *self.checks]
         if self.nexts:
             loop.append(",".join(v for v, _ in self.nexts) + "=" + ",".join(e for _, e in self.nexts))
-        lines = [f"def f({','.join(f'a{k}' for k in range(len(self.args)))}):", " def e(C,n,W=None):"]
+        lines = [f"def f({','.join(f'a{k}' for k in range(len(self.args)))}):", f" def e({params}):"]
         if self.cols:
             lines += ["  try:" + ";".join(self.cols), "  except KeyError as x:raise U(*x.args) from None"]
         lines += ["  " + ";".join(self.state)] if self.state else []
         lines += ["  for i in range(n):", *("   " + s.replace("\n", "\n   ") for s in loop),
                   f"  return {result}", " return e"]
-        text = "\n".join(lines)
-        make = _CODE.get(text)
-        if make is None:
-            scope = {"O": _OUTCOMES, "V": VIOLATED, "U": UnknownSignalError}
-            exec(text, scope)
-            make = _CODE[text] = scope.pop("f")
-        return make(*self.args)
+        return "\n".join(lines)
+
+
+def _copied(items: list[str], copies: int) -> list[str]:
+    """The items that name no copy, then each other item once per copy, the copy's number in place of its `@`."""
+    copied = [x for x in items if "@" in x]
+    return [x for x in items if "@" not in x] + [x.replace("@", str(c)) for c in range(copies) for x in copied]
 
 
 def column(node: Node, trace: Trace) -> list:
@@ -368,6 +414,9 @@ def count(node: Node, reads: dict, first: dict, reader=None) -> set:
 
 # The most id assignments one body is checked under: 10 bits of ids.
 MAX_ID_ASSIGNMENTS = 1 << 10
+# The most copies of an id-reading group that one loop carries. The fixtures' 2-bit ids have 4 values; on their
+# reference traces, wider ids have 5 representatives (4 carried values and the least other), which 6 runs at once.
+COPIES = 6
 
 
 class Monitor:
@@ -388,71 +437,106 @@ class Monitor:
     one loop over its members (`_Source.member`), walking no body again. A
     node that several members read, a handshake or a register, is so
     computed once per cycle, and the code is compiled once per group
-    structure. A group of one body ends at its first violation; in a
-    larger one, each member keeps its first violation and the loop runs on
-    for the others. The monitor holds the bodies and the loops, and no
+    structure. A loop of one body and one copy ends at its first violation;
+    in any other, each member keeps its first violation and the loop runs
+    on for the others. The monitor holds the bodies and the loops, and no
     property.
 
-    `groups` holds, per group in order of its first member, its members'
-    indices, its loop, the names of the columns the loop reads and the
-    `Symbolic` ids its members read, in the order they read them; a monitor
-    of one body has one group, whose ids, None here, only `entries` finds.
-    A loop
-    is `(columns, n, window=None) -> (outcome, cycle, ...)`, an outcome and
-    a cycle per member, flat, over a trace of n >= 1 cycles; it reads every
-    signal and symbolic id from the columns by its name, and a window that
-    is not None cuts each unbounded eventuality to that many cycles, where
-    None never closes it. `body` is the lone
-    body of a monitor of one, else None, and `run` is the first group's
-    loop, which `eval_property` calls on a trace's own columns, without a
-    window.
+    A monitor of one body (`Monitor((body,))`, what `eval_property` makes)
+    renders its loop from the body's own count, with no grouping, and reads
+    its symbolic ids as trace columns, by their names. Any other monitor,
+    and one made with `for_check=True`, finds its groups' ids and renders an
+    id-reading group with copies (below).
 
-    A check runs each group once per assignment of its ids: every value of
-    each id's literal width, their product if it reads several.
+    `groups` holds, per group in order of its first member, its members'
+    indices, its loop, the `Symbolic` ids its members read, in the order
+    they read them (None in a monitor of one body, which does not find
+    them), and per id, the names of the columns it is compared with, or None
+    where some reader of the id is not such a compare. A loop of a group without ids is `(columns, n,
+    window=None) -> (outcome, cycle, ...)`, an outcome and a cycle per
+    member, flat, over a trace of n >= 1 cycles; it reads every signal from
+    the columns by its name, and a window that is not None cuts each
+    unbounded eventuality to that many cycles, where None never closes it.
+    `body` is the lone body of a monitor of one, else None, and `run` is the
+    first group's loop, which `eval_property` calls on a trace's own
+    columns, without a window.
+
+    An id-reading group's loop carries C copies of its members, C the
+    group's count of id values, at most COPIES: `(columns, n, window, *ids)`
+    takes each copy's id values in turn, and gives each copy's outcomes and
+    cycles in turn. The copies share the columns and the nodes that read no
+    id (the handshakes, the outstanding counter), fetched or computed once
+    per cycle; each copy has its own id-reading nodes, registers,
+    obligations and first violations (`_Source`).
+
+    The symmetry rule: a symbolic id enters a body only as the right
+    operand of a raw `Eq` whose left operand is a column read from the
+    trace, a port or a verbatim wire (`sva.matched`, `hsk && (ident ==
+    symb)`). So on a trace, an id value that none of its compared columns
+    carries makes every such `Eq` false in every cycle, an unknown equal to
+    no value, and every such value gets one and the same outcome and cycle
+    (Ip & Dill, "Better Verification Through Symmetry", 1996). A check
+    runs each id-reading group over a trace under its representatives
+    only: the values in the id's range that its compared columns carry on
+    the trace, and the least value they do not carry, for all the others
+    (`_plan`); the product of these sets if it reads several ids. A group
+    whose values fit in one loop runs them all, in order, once. An id that
+    some node reads other than by such a compare (the count of its compares
+    is not its count of readers), which no generated kind does (a test
+    walks every kind), has every value for a representative. The runs are
+    `ceil(R / C)` per trace, the last padded with copies of its last
+    representative, whose results are dropped.
+
     `entries` lists the check's entries: the k-th assignment of every body
-    that has one, in body order, so a body that reads no id has one entry.
-    `check` runs the groups over a trace in order of their first member,
-    each on a dict of only the columns it reads, made once per trace; each
-    assignment puts a tuple of n copies of each value in it, so a trace's
-    own column of an id's name is overridden. A column that the trace lacks
-    is left out of the dict for the group's loop to name, so a missing
-    signal raises the UnknownSignalError of the earliest group that reads
-    it.
+    that has one, in body order, so a body that reads no id has one entry;
+    every value of each id's literal width is one assignment. `check` runs
+    the groups over a trace's own columns in order of their first member,
+    and gives each value's entries the verdicts of its representative,
+    shared. A trace's own column of an id's name is not read. A loop names
+    the first column it reads that the trace lacks, so a missing signal
+    raises the UnknownSignalError of the earliest group that reads it.
     """
 
     __slots__ = ("bodies", "body", "run", "groups", "_runs", "_order")
 
-    def __init__(self, bodies: tuple[Node, ...]):
-        self.bodies, self.body, self._order = bodies, bodies[0] if len(bodies) == 1 else None, None
-        # Per node, the ids below it; per id set, its reader counts and each node key's first reader; per body, its
-        # ids and its group's first member; per group, by its first member, its members.
-        seen, sets, ids, link, groups = {}, {}, [], list(range(len(bodies))), {}
-        for i, body in enumerate(bodies):  # one body is one group: its ids are found only if a check asks
-            ids.append(None if self.body is not None else tuple(ids_below(body, seen).values()))
-            tops = {i, *(link[j] for j in count(body, *sets.setdefault(ids[i], ({}, {})), i))}
-            group = groups[min(tops)] = sorted(m for j in tops for m in groups.pop(j, [j]))  # the groups it joins
-            for m in group:
-                link[m] = group[0]
-        self.groups = []
-        for group in sorted(groups.values()):
-            src = _Source(sets[ids[group[0]]][0])
-            run = src.loop(",".join([src.member(bodies[i], len(group) == 1) for i in group]))
-            self.groups.append((group, run, src.read, ids[group[0]]))
+    def __init__(self, bodies: tuple[Node, ...], for_check: bool = False):
+        self.bodies, self.body, self._order = bodies, bodies[0] if len(bodies) == 1 and not for_check else None, None
+        if self.body is not None:  # one body is one group, rendered from its own count; its ids are columns
+            count(self.body, reads := {}, {})
+            self.groups = [self._render([0], reads, None, None)]
+        else:
+            # Per node, the ids below it; per id set, its reader counts and each node key's first reader; per body,
+            # its ids and its group's first member; per group, by its first member, its members.
+            seen, sets, ids, link, groups = {}, {}, [], list(range(len(bodies))), {}
+            for i, body in enumerate(bodies):
+                ids.append(tuple(ids_below(body, seen).values()))
+                tops = {i, *(link[j] for j in count(body, *sets.setdefault(ids[i], ({}, {})), i))}
+                group = groups[min(tops)] = sorted(m for j in tops for m in groups.pop(j, [j]))  # the groups it joins
+                for m in group:
+                    link[m] = group[0]
+            self.groups = [self._render(g, sets[ids[g[0]]][0], seen, ids[g[0]]) for g in sorted(groups.values())]
         self.run = self.groups[0][1]
 
-    def entries(self, names: Sequence[str]) -> list[tuple[tuple, int, int]]:
-        """Each entry of a check, in order: its id assignment, its body's index, and the index of its outcome in
-        `check`'s result, its cycle next. Made on the first call and kept.
+    def _render(self, group: list[int], reads: dict, seen: dict | None, ids: tuple[Symbolic, ...] | None) -> tuple:
+        """A group's entry of `groups`, its loop holding a copy of its members per id value, up to COPIES."""
+        copies = min(COPIES, math.prod(1 << (literal_width_bits(s.width_expr) or 0) for s in ids)) if ids else 1
+        src = _Source(reads, seen, ids or ())
+        run = src.loop(",".join([src.member(self.bodies[i], len(group) * copies == 1) for i in group]), copies)
+        compared = [c if len(c := src.compared.get(s.name, [])) == reads[s.name] else None for s in ids or ()]
+        return group, run, ids, compared
 
-        `names` names each body's property, for an error. An id whose width
-        is not literal, or a body whose ids have more than
-        MAX_ID_ASSIGNMENTS values together, raises SymbolicWidthError, for
-        the first such body.
+    def entries(self, names: Sequence[str]) -> tuple[tuple[tuple, ...], tuple[int, ...], tuple[int, ...]]:
+        """The entries of a check, in order, as three columns: each one's id assignment, its body's index, and the
+        index of its verdict in `check`'s result. Made on the first call and kept.
+
+        `names` names each body's property. An id whose width is not
+        literal, or a body whose ids have more than MAX_ID_ASSIGNMENTS
+        values together, raises SymbolicWidthError, for the first such body.
+        A monitor of one body made without `for_check` has no entries.
         """
         if self._order is None:
-            self._runs, results = [], []  # per group, (loop, columns, assignments); per result, (k, body, assignment)
-            for group, run, columns, ids in self.groups:  # all of a group's members read the same ids
-                ids = tuple(ids_below(self.body, {}).values()) if ids is None else ids
+            self._runs, results = [], []  # per group, what `check` runs; per result, (k, body, assignment)
+            for group, run, ids, compared in self.groups:  # all of a group's members read the same ids
                 bits = [literal_width_bits(symb.width_expr) for symb in ids]
                 if None in bits:
                     symb = ids[bits.index(None)]
@@ -461,26 +545,54 @@ class Monitor:
                     named = ", ".join(f"'{symb.name}' of {b} bits" for symb, b in zip(ids, bits))
                     raise SymbolicWidthError(f"property '{names[group[0]]}' reads symbolic ids {named}: {values} "
                                              f"values to check, more than {MAX_ID_ASSIGNMENTS}")
-                id_names = [symb.name for symb in ids]
+                id_names, copies = [symb.name for symb in ids], min(values, COPIES)
                 assignments = [tuple(zip(id_names, v)) for v in itertools.product(*(range(1 << b) for b in bits))]
-                self._runs.append((run, columns, assignments))
+                plan = (None, [tuple(v for a in assignments for _, v in a)]) if values <= copies else None  # one run
+                self._runs.append((run, copies, compared, bits, [names[i] for i in group] * copies, plan))
                 results += [(k, i, a) for k, a in enumerate(assignments) for i in group]
-            self._order = [(a, i, s) for _, i, s, a in sorted((k, i, 2 * s, a) for s, (k, i, a) in enumerate(results))]
+            _, bodies, slots, assigned = zip(*sorted((k, i, s, a) for s, (k, i, a) in enumerate(results)))
+            self._order = assigned, bodies, slots
         return self._order
 
-    def check(self, trace: Trace, window: int | None) -> Sequence:
-        """The outcomes and cycles of every group run over `trace` under each of its assignments, flat, in the order
-        `entries` indexes them; each unbounded eventuality is cut to `window`. `entries` is called first.
+    def check(self, trace: Trace, window: int | None) -> list[Verdict]:
+        """The verdicts of every group over `trace` under each of its assignments, in the order `entries` indexes
+        them; each unbounded eventuality is cut to `window`. `entries` is called first.
 
         A trace of no cycle runs no loop, and every entry is vacuous.
         """
-        traced, n, out = trace.columns, trace.length, []
-        for run, columns, assigned in self._runs if n else ():
-            own = {name: traced[name] for name in columns if name in traced}
-            for a in assigned:
-                own.update((name, (v,) * n) for name, v in a)
-                out += run(own, n, window)
-        return out or (VACUOUS, None) * len(self._order)
+        traced, n, out, new, repeat = trace.columns, trace.length, [], tuple.__new__, itertools.repeat
+        for run, copies, compared, bits, names, plan in self._runs:
+            index, runs = plan or _plan(traced, compared, bits, copies)
+            verdicts = []  # per run, one per copy and member
+            for values in runs:
+                flat = iter(run(traced, n, window, *values) if n else (VACUOUS, None) * len(names))
+                verdicts += map(new, repeat(Verdict), zip(names, flat, flat))  # an outcome and a cycle each
+            shared = index and list(zip(*[iter(verdicts)] * (len(names) // copies)))  # per representative, its members'
+            out += verdicts if index is None else itertools.chain(*map(shared.__getitem__, index))
+        return out
+
+
+def _plan(columns: Mapping, compared: list, bits: list[int], copies: int) -> tuple[list[int], list[tuple]]:
+    """The runs of an id-reading group over a trace's `columns`: per assignment of its ids, the index of its
+    representative, and per run, its copies' id values, flat, the last run padded with its last copy.
+
+    An id's representatives are each value below its size that its
+    compared columns (`compared`) carry, and the least value they do not
+    carry, for every such value; or every value, where its columns are
+    None. The representatives of several ids are the product of theirs.
+    """
+    index, reps = None, [()]
+    for cols, size in zip(compared, (1 << b for b in bits)):
+        carried = range(size) if cols is None else set().union(*[columns[c] for c in cols if c in columns])
+        values = sorted(v for v in carried if v is not None and 0 <= v < size)
+        values += [next((k for k, v in enumerate(values) if k != v), len(values))][:size - len(values)]  # the least
+        at = [len(values) - 1] * size  # per value, its representative's index: the least's, unless it is carried
+        for k, v in enumerate(values):
+            at[v] = k
+        index = at if index is None else [k + j for k in [k * len(values) for k in index] for j in at]
+        reps = [a + (v,) for a in reps for v in values]
+    reps += reps[-1:] * (-len(reps) % copies)
+    return index, [sum(reps[k:k + copies], ()) for k in range(0, len(reps), copies)]
 
 
 def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:

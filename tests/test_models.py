@@ -1,7 +1,9 @@
 import collections
 import functools
 import hashlib
+import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -30,7 +32,7 @@ from autoft.sva import (
 from autoft.tracecheck import HOLDS, PENDING, VACUOUS, VIOLATED, Trace, eval_property
 
 import differential
-from conftest import FIXTURE_NAMES, REPO, gen_fixture
+from conftest import FIXTURE_NAMES, REPO, gen_fixture, load_fixture
 from headers import wide_header
 from test_emit import EMITTED, OPTION_MIXES
 
@@ -438,7 +440,8 @@ def test_a_property_keeps_one_evaluator_for_every_check(monkeypatch):
     checked = one_at_a_time([p._replace() for p in props], model)
     evaluated = [eval_property(p._replace(), trace) for p in props]
     rendered, init = [], tracecheck._Source.__init__
-    monkeypatch.setattr(tracecheck._Source, "__init__", lambda self, reads: rendered.append(reads) or init(self, reads))
+    monkeypatch.setattr(tracecheck._Source, "__init__",
+                        lambda self, reads, *rest: rendered.append(reads) or init(self, reads, *rest))
 
     def rendering(make):
         """What `make()` gives, and how many loops it renders."""
@@ -557,6 +560,22 @@ ONE_PASS_CASES = {
 }
 
 
+# fixture -> each `transid` range of its text, as the text writes it
+WIDENED = {"noc_buffer": ("[1:0] buf_in_transid", "[1:0] buf_out_transid"),
+           "pipeline": ("[1:0]    pipe_in_transid", "[1:0]    pipe_out_transid")}
+
+
+@functools.cache
+def widened(fixture: str, bits: int) -> list[GeneratedProperty]:
+    """The properties of a fixture whose `transid` ranges are widened to `bits` bits."""
+    text = load_fixture(fixture)
+    for written in WIDENED[fixture]:
+        text = text.replace(written, f"[{bits - 1}:0]{written[5:]}")
+    props = generate_bundle(text, f"{fixture}.sv", GenOptions(tool="both")).properties
+    assert {literal_width_bits(s.width_expr) for p in props for s in _symbolics(p.body)} == {bits}
+    return props
+
+
 class _Drawn:
     """A stand-in for `model` whose traces are the given ones."""
 
@@ -604,12 +623,30 @@ class TestOnePass:
         assert check_bundle_on_model([], props, model).entries == one_at_a_time(props, model)
 
     @settings(max_examples=3, deadline=None)
-    @given(n=st.integers(1, 6), rng=st.randoms(use_true_random=False))
-    def test_entries_equal_the_one_at_a_time_loop_on_a_drawn_wide_trace(self, n, rng):
-        # 240 transactions, 480 groups, 120 ids of 16 values each: one trace over every port and wire.
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_entries_equal_the_one_at_a_time_loop_on_a_drawn_wide_trace(self, n, seed):
+        # 240 transactions, 480 groups, 120 ids of 16 values each: one trace over every port and wire. The values come
+        # from one drawn seed: a draw per value, about 1,800 columns of n, can overrun hypothesis's data limit.
         props, names = wide_check()
+        rng = random.Random(seed)
         trace = Trace({c: [rng.choice((0, 1, 2, 3, None)) for _ in range(n)] for c in names})
         model = _Drawn(_OneCycle(), [trace])
+        assert check_bundle_on_model([], props, model).entries == one_at_a_time(props, model)
+
+    @pytest.mark.parametrize("bits", [1, 3, 4, 6])
+    @pytest.mark.parametrize("fixture", sorted(WIDENED))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_entries_equal_the_one_at_a_time_loop_on_wider_ids(self, data, fixture, bits):
+        # Every value of an id that no compared column carries takes its representative's outcome and cycle. Ids come
+        # in range, out of range and as X, and unbounded eventualities are cut to no window, an empty one or 3 cycles.
+        props, model = widened(fixture, bits), MODEL_REGISTRY[fixture]()
+        ids = st.one_of(st.sampled_from([0, 1, (1 << bits) - 1, 1 << bits, None]), st.integers(0, (1 << bits) + 1))
+        trace = st.integers(1, 8).flatmap(lambda n: st.fixed_dictionaries(
+            {c: st.lists(ids if "transid" in c else st.sampled_from([0, 1, 1, None]), min_size=n, max_size=n)
+             for c in model.columns}))
+        model = _Drawn(model, [Trace(t) for t in data.draw(st.lists(trace, min_size=1, max_size=3))])
+        model.liveness_window = data.draw(st.sampled_from([None, 0, 3]))
         assert check_bundle_on_model([], props, model).entries == one_at_a_time(props, model)
 
     def test_bodies_of_one_structure_share_code_and_keep_their_names(self, monkeypatch):
@@ -705,6 +742,32 @@ def test_a_check_compiles_one_code_object_per_body_structure(monkeypatch, bundle
     assert len(tracecheck._CODE) == compiled
 
 
+def test_an_id_group_runs_once_per_copies_of_its_representatives():
+    # At 8 bits a trace carries a few of the 256 values. The id group runs ceil(R / COPIES) times, R being the values
+    # that its compared columns carry and the least one they do not; the entries are every value's all the same.
+    # The model's traces carry at most its 4 ids; one more trace carries 13 values, 1 to 13 and 300, out of range.
+    props, model = widened("noc_buffer", 8), MODEL_REGISTRY["noc_buffer"]()
+    traces = model.traces()
+    traces.append(traces[0].extended({"buf_out_transid": [i % 14 or 300 for i in range(traces[0].length)]}))
+    monitor = tracecheck.Monitor(tuple(p.body for p in props))
+    (k, (members, run, *rest)), = [(k, group) for k, group in enumerate(monitor.groups) if group[2]]
+    values = []  # per run of the id group, its copies' id values
+    monitor.groups[k] = (members, lambda *args: values.append(args[3:]) or run(*args), *rest)
+    monitor.entries([p.name for p in props])
+    runs = []
+    for trace in traces:
+        carried = {v for name in ("buf_in_transid", "buf_out_transid") for v in trace.columns[name]} & set(range(256))
+        representatives = carried | {min(set(range(256)) - carried)}
+        values.clear()
+        monitor.check(trace, model.liveness_window)
+        assert len(values) == -(-len(representatives) // tracecheck.COPIES)
+        assert set(itertools.chain(*values)) == representatives
+        runs.append(len(values))
+    assert runs == [1] * model.n_traces + [3]  # at most 5 representatives; then 0 to 13 carried, and 14: 15
+    model = _Drawn(model, traces)
+    assert check_bundle_on_model([], props, model).entries == one_at_a_time(props, model)
+
+
 class _NoTrace(_OneCycle):
     """A model without traces: a check of it plans and renders, and evaluates nothing."""
 
@@ -713,32 +776,32 @@ class _NoTrace(_OneCycle):
 
 
 def planned(props) -> list[tuple]:
-    """The groups a fresh monitor of `props`' bodies renders, in order: each group's bodies, and the reader counts and
-    the column list its loop is rendered with."""
+    """The groups a fresh monitor of `props`' bodies renders, in order: each group's bodies and the reader counts its
+    loop is rendered with."""
     counts, init = [], tracecheck._Source.__init__
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tracecheck._Source, "__init__", lambda self, reads: counts.append(reads) or init(self, reads))
+        patch.setattr(tracecheck._Source, "__init__",
+                      lambda self, reads, *rest: counts.append(reads) or init(self, reads, *rest))
         monitor = tracecheck.Monitor(tuple(p.body for p in props))
-    return [(tuple(props[i].body for i in members), reads, columns)
-            for (members, _, columns, _), reads in zip(monitor.groups, counts, strict=True)]
+    return [(tuple(props[i].body for i in members), reads)
+            for (members, *_), reads in zip(monitor.groups, counts, strict=True)]
 
 
 def assert_planned_as_searched(props) -> None:
     """The monitor's groups are `connected()`'s, and each group is rendered with the reader counts that walking its
-    own bodies gives, and reads the columns of its own bodies."""
+    own bodies gives."""
     made = planned(props)
-    assert [[id(b) for b in bodies] for bodies, _, _ in made] == [[id(props[i].body) for i in g]
-                                                                    for g in connected(props)]
-    for bodies, reads, columns in made:
+    assert [[id(b) for b in bodies] for bodies, _ in made] == [[id(props[i].body) for i in g] for g in connected(props)]
+    for bodies, reads in made:
         own = reader_counts(bodies)
         assert {k: reads[k] for k in own} == own
-        assert sorted(columns) == sorted(k for k in own if isinstance(k, str))
 
 
 LEAVES = (Sig("a"), Sig("b"), Sig("c"), AttribWire("w", "a & b"), Symbolic("s", "[1:0]"), Symbolic("t", ""))
 # Each derived node's maker, over the `k`-th new node and a draw of an earlier node.
 MAKERS = (
     lambda k, x: Not(x()), lambda k, x: And(x(), x()), lambda k, x: Or((x(), x(), x())), lambda k, x: Eq(x(), x()),
+    lambda k, x: Eq(x(), x(), True),
     lambda k, x: Gt(x(), 0), lambda k, x: Handshake(f"h{k}", x()), lambda k, x: Stable((x(), x())),
     lambda k, x: IsUnknown((x(),)), lambda k, x: Counter(f"n{k}", x(), x(), 3, "L", "W"),
     lambda k, x: Inflight(f"f{k}", x(), x()), lambda k, x: Sampled(f"d{k}", x(), x(), "[7:0]"),
@@ -788,6 +851,30 @@ def test_the_plan_groups_and_counts_as_a_search_does(props):
     assert_planned_as_searched(props)
 
 
+def test_an_id_compared_two_valued_runs_every_value():
+    # A two-valued compare reads an unknown as 0, so value 0 matches where the column is x and no other value does:
+    # the values no column carries are not all alike, and every value runs.
+    p = GeneratedProperty("p", "transid_integrity", "assert",
+                          Implies(Sig("v"), Eq(Sig("id"), Symbolic("s", "[2:0]"), True)))
+    model = _Drawn(_OneCycle(), [Trace({"v": [1, 1], "id": [None, 5]})])
+    entries = check_bundle_on_model([], [p], model).entries
+    assert [(e.verdict.outcome, e.verdict.cycle) for e in entries] == [(VIOLATED, 1)] + [(VIOLATED, 0)] * 7
+    assert entries == one_at_a_time([p], model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(props=shared_properties(), data=st.data())
+def test_a_check_runs_every_value_of_an_id_read_otherwise_than_against_a_column(props, data):
+    # The drawn bodies put ids anywhere: under `Not`, `Gt`, `$stable`, a two-valued `Eq`, or compared with each other.
+    # Such an id runs every value, as `one_at_a_time` does; one compared with columns alone, its representatives.
+    n = data.draw(st.integers(1, 6))
+    # 0 and 1 only, as above, and the ids' own columns, which neither side reads.
+    columns = {leaf.name: data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)) for leaf in LEAVES}
+    model = _Drawn(_OneCycle(), [Trace(columns)])
+    model.liveness_window = data.draw(st.sampled_from([None, 0, 3]))
+    assert check_bundle_on_model([], props, model).entries == one_at_a_time(props, model)
+
+
 @settings(max_examples=200, deadline=None)
 @given(props=shared_properties(), data=st.data())
 def test_a_body_alone_ends_as_it_does_in_a_group(props, data):
@@ -800,10 +887,22 @@ def test_a_body_alone_ends_as_it_does_in_a_group(props, data):
     window = data.draw(st.sampled_from([None, 0, 1, 3]))
     alone = [tracecheck.Monitor((body,)).run(columns, n, window) for body in bodies]
     grouped = {}
-    for members, run, *_ in tracecheck.Monitor(bodies).groups:
-        out = run(columns, n, window)
-        grouped.update((i, out[2 * k:2 * k + 2]) for k, i in enumerate(members))
-    assert [grouped[i] for i in range(len(bodies))] == alone
+    for members, run, ids, _ in tracecheck.Monitor(bodies).groups:
+        if not ids:
+            out = run(columns, n, window)
+            grouped.update((i, out[2 * k:2 * k + 2]) for k, i in enumerate(members))
+            continue
+        # A copy of the members per id value, up to COPIES, each copy's values arguments of the loop: each copy
+        # gives what its bodies give alone over columns of those values.
+        sizes, width = [1 << literal_width_bits(s.width_expr) for s in ids], 2 * len(members)
+        copies = [[data.draw(st.integers(0, size - 1)) for size in sizes]
+                  for _ in range(min(tracecheck.COPIES, math.prod(sizes)))]
+        out = run(columns, n, window, *itertools.chain(*copies))
+        for c, values in enumerate(copies):
+            valued = {**columns, **{s.name: (v,) * n for s, v in zip(ids, values)}}
+            assert [out[c * width + 2 * k:c * width + 2 * k + 2] for k in range(len(members))] == [
+                tracecheck.Monitor((bodies[i],)).run(valued, n, window) for i in members]
+    assert grouped == {i: alone[i] for i in grouped}
     src = tracecheck._Source(reader_counts(bodies))
     out = src.loop(",".join([src.member(body, False) for body in bodies]))(columns, n, window)
     assert [out[2 * i:2 * i + 2] for i in range(len(bodies))] == alone
@@ -894,17 +993,23 @@ def test_model_check_bench_runs_at_tiny_size(tmp_path):
     # The model-check half of the before/after script, with this checkout on both sides so that both packages load.
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(REPO / "bench" / "evaluator.py"), "--src", str(REPO / "src"), "--rounds", "2",
-                    "--max-len", "2", "--traces", "1", "--drive", "10", "--wide", "4", "--out", str(out)],
-                   capture_output=True, text=True, check=True)
+                    "--max-len", "2", "--traces", "1", "--drive", "10", "--wide", "4", "--id-bits", "2,4",
+                    "--out", str(out)], capture_output=True, text=True, check=True)
     report = json.loads(out.read_text())
+    widths = {f"{fixture}_{bits}bits_{kind}" for fixture in ("noc_buffer", "noc_buffer_buggy") for bits in (2, 4)
+              for kind in ("first_check", "re_check")}
     for side in ("before", "after"):
-        assert set(report[side]["models"]) == {"oracle_size", "default_size", "wide"}
+        assert set(report[side]["models"]) == {"oracle_size", "default_size", "wide", "id_width"}
         for config, checks in report[side]["models"].items():
-            assert set(checks) == ({"first_check", "re_check"} if config == "wide" else set(MODEL_REGISTRY))
+            assert set(checks) == {"wide": {"first_check", "re_check"}, "id_width": widths}.get(config,
+                                                                                                 set(MODEL_REGISTRY))
             assert all(set(m) == {"median_ms", "q1_ms", "q3_ms", "code_objects", "entries"}
                        for m in checks.values())
         # 4 transactions, 34 properties: 22 read no id, and 12 read a 4-bit id, one entry per value.
         assert {m["entries"] for m in report[side]["models"]["wide"].values()} == {22 + 12 * 16}
+        # 6 traces of 5 properties that read no id, and 4 that read the id, one entry per value.
+        assert {name: m["entries"] for name, m in report[side]["models"]["id_width"].items()} == {
+            name: 6 * (5 + 4 * (4 if "_2bits" in name else 16)) for name in widths}
         # The model draws alone, per model, at both sizes.
         assert {c: set(m) for c, m in report[side]["model_traces"].items()} == {
             c: set(MODEL_REGISTRY) for c in ("oracle_size", "default_size")}
@@ -913,6 +1018,8 @@ def test_model_check_bench_runs_at_tiny_size(tmp_path):
     for config in ("oracle_size", "default_size"):
         assert [report[side]["models"][config]["noc_buffer"]["code_objects"] for side in ("before", "after")] == [2, 2]
     assert set(report["paired_after_over_before"]) == set(report["after_over_before"])
+    assert report["after"]["probe_slice_traces_per_s"] > 0
     assert {"default_size/noc_buffer", "oracle_size/noc_buffer", "wide/first_check", "wide/re_check",
+            "probe_slice_traces_per_s", "id_width/noc_buffer_4bits_re_check",
             "model_traces/oracle_size/noc_buffer", "model_traces/default_size/pipeline"} <= set(
         report["after_over_before"])
