@@ -26,8 +26,8 @@ sides. The items of a round are:
   and renders their groups; `re_check` times a second check of them, which
   finds the plan kept on the first property;
 - the id widths (`id_width`): `noc_buffer` and `noc_buffer_buggy` with
-  both `transid` ranges widened to each of `--id-bits` (2, 4, 6, 8 and
-  10 by default), checked on the default-size model. The check named
+  both `transid` ranges widened to each of `ID_BITS` (2, 4, 6, 8 and
+  10 bits), checked on the default-size model. The check named
   `<fixture>_<bits>bits_first_check` checks a fresh bundle's properties,
   which plans and renders their groups, and `..._re_check` checks them a
   second time;
@@ -78,13 +78,15 @@ ORACLE_SIZE = {
     "pipeline": ("PipelineModel", {"tail": 12}),
 }
 WIDE = ("first_check", "re_check")
-# The fixtures whose `transid` ranges the `id_width` checks widen, and how their text writes the ranges.
-WIDENED = ("noc_buffer", "noc_buffer_buggy")
+# The fixtures whose `transid` ranges the `id_width` checks widen, how their text writes the ranges, and the widths
+# they widen them to; the checks by name -> (fixture, id bits).
+WIDENED, ID_BITS = ("noc_buffer", "noc_buffer_buggy"), (2, 4, 6, 8, 10)
 ID_RANGES = ("[1:0] buf_in_transid", "[1:0] buf_out_transid")
-# config -> the names of its checks; `main` adds the `id_width` config, whose checks `ID_CHECKS` names:
-# name -> (fixture, id bits).
-CONFIGS = {"oracle_size": tuple(ORACLE_SIZE), "default_size": tuple(ORACLE_SIZE), "wide": WIDE}
-ID_CHECKS: dict[str, tuple[str, int]] = {}
+ID_CHECKS = {f"{fixture}_{bits}bits_{kind}": (fixture, bits)
+             for fixture in WIDENED for bits in ID_BITS for kind in WIDE}
+# config -> the names of its checks
+CONFIGS = {"oracle_size": tuple(ORACLE_SIZE), "default_size": tuple(ORACLE_SIZE), "wide": WIDE,
+           "id_width": tuple(ID_CHECKS)}
 WIDE_CYCLES, WIDE_SEED = 32, 41
 # The model-draw items, each timed over DRAW_CALLS calls of `traces()`.
 SIZES = ("oracle_size", "default_size")
@@ -245,12 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--traces", type=int, default=12, help="traces per model at oracle size (default 12)")
     ap.add_argument("--drive", type=int, default=100, help="driven cycles per trace at oracle size (default 100)")
     ap.add_argument("--wide", type=int, default=240, help="transactions of the wide check's header (default 240)")
-    ap.add_argument("--id-bits", default="2,4,6,8,10",
-                    help="the transid widths of the id_width checks, comma-separated (default 2,4,6,8,10)")
     args = ap.parse_args(argv)
-    ID_CHECKS.update({f"{fixture}_{bits}bits_{kind}": (fixture, bits) for fixture in WIDENED
-                      for bits in map(int, args.id_bits.split(",")) for kind in WIDE})
-    CONFIGS["id_width"] = tuple(ID_CHECKS)
 
     packages = twin.sides(args, MODULES)
     wide = wide_trace(packages["after"], headers.wide_header(args.wide))

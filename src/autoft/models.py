@@ -280,12 +280,11 @@ def check_bundle_on_model(txns, props: list[GeneratedProperty], model) -> ModelC
     bodies, monitor = tuple(p.body for p in props), props[0].monitor
     if monitor is None or monitor.body is not None or monitor.bodies != bodies:  # not one that `eval_property` made
         monitor = props[0].monitor = Monitor(bodies, for_check=True)
-    assigned, bodies, slots = monitor.entries([p.name for p in props])  # the entries' columns, per trace below
-    kinds, entries, window = [p.kind for p in props], [], model.liveness_window
-    new = tuple.__new__  # not the records' `__new__`, written in Python
-    for idx, out in enumerate(monitor.check(trace, window) for trace in model.traces()):
-        entries += map(new, repeat(ModelCheckEntry), zip(repeat(idx), assigned, map(kinds.__getitem__, bodies),
-                                                         map(out.__getitem__, slots)))
+    bodies, slots, assigned = monitor.entries([p.name for p in props])  # the entries' columns, per trace below
+    # `tuple.__new__`, not the records' own `__new__`, written in Python.
+    kinds, entries, window, new = [props[i].kind for i in bodies], [], model.liveness_window, tuple.__new__
+    for k, out in enumerate(monitor.check(trace, window) for trace in model.traces()):
+        entries += map(new, repeat(ModelCheckEntry), zip(repeat(k), assigned, kinds, map(out.__getitem__, slots)))
     return ModelCheckReport(model.name, entries)
 
 

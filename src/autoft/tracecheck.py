@@ -207,15 +207,14 @@ class _Source:
     reads an id (`seen` holds each node's ids) or of a body's statements
     ends in `_@`, where `loop` writes each copy's number. A node that reads
     no id is one for all copies, and when a copy reads it, it is a local,
-    computed once per cycle, unless it is a column that one parent reads.
-    `compared` takes, per id, the columns that a raw `Eq` compares it with.
+    computed once per cycle. `compared` takes, per id, the columns that a
+    raw `Eq` compares it with.
     """
 
     def __init__(self, reads: dict, seen: dict | None = None, ids: Sequence[Symbolic] = ()):
-        self.args, self.names, self.serial, self.reads = [], {}, itertools.count(), reads
+        self.args, self.serial, self.reads, self.seen, self.ids = [], itertools.count(), reads, seen, ids
         self.cols, self.state, self.lets, self.checks, self.nexts, self.fail = [], [], [], [], [], None
-        self.seen, self.ids, self.mark, self.compared = seen, ids, "_@" if ids else "", {}
-        self.names.update((s.name, f"d{j}_@") for j, s in enumerate(ids))  # a copy's value of an id: an argument
+        self.names, self.mark, self.compared = {s.name: f"d{j}_@" for j, s in enumerate(ids)}, "_@" if ids else "", {}
 
     def key(self, node: Node):
         """A column by the name it is read by, a derived node by identity."""
@@ -245,10 +244,9 @@ class _Source:
         """The node's value at cycle i."""
         k = self.key(node)
         text = self.names.get(k)
-        if text is None and self.mark and not self.seen[id(node)]:  # read from a copy, a node that reads no id is one
-            self.mark = ""  # for all copies: a local, unless a column that one parent reads
-            one = self.reads[k] == 1 and node.__class__ in _READ
-            text = self.names[k] = self._expr(node) if one else self.local(self._expr(node))
+        if text is None and self.mark and not self.seen[id(node)]:  # read from a copy, a node that reads no id is
+            self.mark = ""  # one for all copies, computed once per cycle into a local
+            text = self.names[k] = self.local(self._expr(node))
             self.mark = "_@"
         elif text is None:
             text = self.names[k] = self._expr(node) if self.reads[k] == 1 else self.local(self._expr(node))
@@ -268,10 +266,9 @@ class _Source:
             return f"({x(node.a)} and {x(node.b)})"
         if cls is Or:
             return f"({' or '.join(map(x, node.args))})"
-        if cls is Eq and self.ids and node.b.__class__ is Symbolic and not node.two_valued:
-            if node.a.__class__ in (Sig, AttribWire):  # a column that an id is compared with, raw
-                self.compared.setdefault(node.b.name, []).append(node.a.name)
         if cls is Eq:
+            if node.b.__class__ is Symbolic and node.a.__class__ in (Sig, AttribWire) and not node.two_valued:
+                self.compared.setdefault(node.b.name, []).append(node.a.name)  # a column an id is compared with, raw
             return f"(({x(node.a)} or 0)==({x(node.b)} or 0))" if node.two_valued else f"({x(node.a)}=={x(node.b)})"
         if cls is Gt:
             return f"({x(node.a)}>{self.arg(node.k)})"
@@ -321,51 +318,42 @@ class _Source:
         return f"O[{self.rank(body)}] if {done} is None else V,{done}"
 
     def loop(self, result: str, copies: int = 1) -> Callable[..., object]:
-        """The loop that returns `result`, as `e(columns, n, W=None)`, its arguments bound; with ids, as
-        `e(columns, n, W, *ids)`, each id of each copy in turn.
+        """The loop that returns `result`, as `e(columns, n, W=None, ids=())`, its arguments bound; with ids, as
+        `e(columns, n, W, ids)`, `ids` a tuple of each id of each copy in turn.
 
         The source is compiled on its first use; a later one of the same
         text, from a body of the same structure, reuses that code. A loop
-        with ids is found by its count of copies and its text before they
-        are written: then each statement of a copy (one that names `@`) is
-        written once per copy, the copy's number in place of `@`, after
-        those of all copies, and the registers of each copy are given their
-        next values in a statement of their own, before those of all.
+        with ids is found by its text with the copies unwritten, and its
+        count of copies.
         """
-        text = self.text(result, "C,n,W=None")
-        key = f"{copies} copies\n{text}" if self.ids else text
-        make = _CODE.get(key)
+        text = self.text(result, "@")  # with ids, the copies unwritten
+        make = _CODE.get(key := text if copies == 1 else f"{copies} copies\n{text}")
         if make is None:
-            if self.ids:
-                own = [(v, e) for v, e in self.nexts if "@" in v]
-                steps = [",".join(v for v, _ in own) + "=" + ",".join(e for _, e in own)] if own else []
-                self.nexts, self.state, self.lets, self.checks = [x for x in self.nexts if x not in own], *(
-                    _copied(xs, copies) for xs in (self.state, self.lets, self.checks + steps))
-                ids = ",".join(f"d{j}_{c}" for c in range(copies) for j in range(len(self.ids)))
-                text = self.text(",".join(_copied([result], copies)), f"C,n,W,{ids}")
             scope = {"O": _OUTCOMES, "V": VIOLATED, "U": UnknownSignalError}
-            exec(text, scope)
+            exec(self.text(result, [str(c) for c in range(copies)]), scope)
             make = _CODE[key] = scope.pop("f")
         return make(*self.args)
 
-    def text(self, result: str, params: str) -> str:
-        """The source of `loop`, its loop taking `params`."""
-        loop = [*self.lets, *self.checks]
-        if self.nexts:
-            loop.append(",".join(v for v, _ in self.nexts) + "=" + ",".join(e for _, e in self.nexts))
-        lines = [f"def f({','.join(f'a{k}' for k in range(len(self.args)))}):", f" def e({params}):"]
+    def text(self, result: str, copies: Sequence[str]) -> str:
+        """The source of `loop`, each statement of a copy (one that names `@`) written once per label in `copies`,
+        the label in place of `@`; the copies' registers are given their next values before those of all."""
+        nexts = [x for x in self.nexts if "@" in x[0]], [x for x in self.nexts if "@" not in x[0]]
+        loop = _copied([*self.lets, *self.checks, *(",".join(v for v, _ in xs) + "=" + ",".join(e for _, e in xs)
+                                                     for xs in nexts if xs)], copies)
+        ids = "".join(f"d{j}_{c}," for c in copies for j in range(len(self.ids)))
+        lines = [f"def f({','.join(f'a{k}' for k in range(len(self.args)))}):",
+                 f" def e(C,n,W,D):\n  {ids}=D" if ids else " def e(C,n,W=None,D=()):"]
         if self.cols:
             lines += ["  try:" + ";".join(self.cols), "  except KeyError as x:raise U(*x.args) from None"]
-        lines += ["  " + ";".join(self.state)] if self.state else []
+        lines += ["  " + ";".join(_copied(self.state, copies))] if self.state else []
         lines += ["  for i in range(n):", *("   " + s.replace("\n", "\n   ") for s in loop),
-                  f"  return {result}", " return e"]
+                  f"  return {','.join(_copied([result], copies))}", " return e"]
         return "\n".join(lines)
 
 
-def _copied(items: list[str], copies: int) -> list[str]:
-    """The items that name no copy, then each other item once per copy, the copy's number in place of its `@`."""
-    copied = [x for x in items if "@" in x]
-    return [x for x in items if "@" not in x] + [x.replace("@", str(c)) for c in range(copies) for x in copied]
+def _copied(items: list[str], copies: Sequence[str]) -> list[str]:
+    """Each item that names a copy (`@`) once per label in `copies`, the label in place of its `@`; any other once."""
+    return items if copies == "@" else [x.replace("@", c) for x in items for c in (copies if "@" in x else copies[:1])]
 
 
 def column(node: Node, trace: Trace) -> list:
@@ -414,9 +402,10 @@ def count(node: Node, reads: dict, first: dict, reader=None) -> set:
 
 # The most id assignments one body is checked under: 10 bits of ids.
 MAX_ID_ASSIGNMENTS = 1 << 10
-# The most copies of an id-reading group that one loop carries. The fixtures' 2-bit ids have 4 values; on their
-# reference traces, wider ids have 5 representatives (4 carried values and the least other), which 6 runs at once.
-COPIES = 6
+# The most copies of an id-reading group that one loop carries. The fixtures' 2-bit ids have 4 values. A wider id
+# has 5 representatives on their reference traces and on the wide check's drawn trace (4 carried values and the
+# least other), which 5 copies run at once, with no copy run to be dropped.
+COPIES = 5
 
 
 class Monitor:
@@ -452,22 +441,25 @@ class Monitor:
     indices, its loop, the `Symbolic` ids its members read, in the order
     they read them (None in a monitor of one body, which does not find
     them), and per id, the names of the columns it is compared with, or None
-    where some reader of the id is not such a compare. A loop of a group without ids is `(columns, n,
-    window=None) -> (outcome, cycle, ...)`, an outcome and a cycle per
-    member, flat, over a trace of n >= 1 cycles; it reads every signal from
-    the columns by its name, and a window that is not None cuts each
-    unbounded eventuality to that many cycles, where None never closes it.
+    where some reader of the id is not such a compare. A loop of a group
+    without ids is `(columns, n, window=None, ids=()) -> (outcome, cycle,
+    ...)`, an outcome and a cycle per member, flat, over a trace of n >= 1
+    cycles; it reads every signal from the columns by its name, and a
+    window that is not None cuts each unbounded eventuality to that many
+    cycles, where None never closes it.
     `body` is the lone body of a monitor of one, else None, and `run` is the
     first group's loop, which `eval_property` calls on a trace's own
     columns, without a window.
 
     An id-reading group's loop carries C copies of its members, C the
-    group's count of id values, at most COPIES: `(columns, n, window, *ids)`
-    takes each copy's id values in turn, and gives each copy's outcomes and
-    cycles in turn. The copies share the columns and the nodes that read no
-    id (the handshakes, the outstanding counter), fetched or computed once
-    per cycle; each copy has its own id-reading nodes, registers,
-    obligations and first violations (`_Source`).
+    group's count of id values, at most COPIES: `(columns, n, window, ids)`
+    takes a tuple of each copy's id values in turn, and gives each copy's
+    outcomes and cycles in turn. In the loop, each statement of a member is written once
+    per copy, its variables suffixed with the copy's number. The copies
+    share the columns and the nodes that read no id (the handshakes, the
+    outstanding counter), fetched or computed once per cycle; each copy has
+    its own id-reading nodes, registers, obligations and first violations
+    (`_Source`).
 
     The symmetry rule: a symbolic id enters a body only as the right
     operand of a raw `Eq` whose left operand is a column read from the
@@ -491,8 +483,9 @@ class Monitor:
     that has one, in body order, so a body that reads no id has one entry;
     every value of each id's literal width is one assignment. `check` runs
     the groups over a trace's own columns in order of their first member,
-    and gives each value's entries the verdicts of its representative,
-    shared. A trace's own column of an id's name is not read. A loop names
+    and gives each value's entries the verdicts of its representative: one
+    `Verdict` per representative and member, shared. A trace's own column
+    of an id's name is not read. A loop names
     the first column it reads that the trace lacks, so a missing signal
     raises the UnknownSignalError of the earliest group that reads it.
     """
@@ -501,9 +494,9 @@ class Monitor:
 
     def __init__(self, bodies: tuple[Node, ...], for_check: bool = False):
         self.bodies, self.body, self._order = bodies, bodies[0] if len(bodies) == 1 and not for_check else None, None
-        if self.body is not None:  # one body is one group, rendered from its own count; its ids are columns
+        if self.body is not None:  # one body is one group, rendered from its own count; its ids are read as columns
             count(self.body, reads := {}, {})
-            self.groups = [self._render([0], reads, None, None)]
+            self.groups = [([0], (src := _Source(reads)).loop(src.member(self.body, True)), None, [])]
         else:
             # Per node, the ids below it; per id set, its reader counts and each node key's first reader; per body,
             # its ids and its group's first member; per group, by its first member, its members.
@@ -514,30 +507,29 @@ class Monitor:
                 group = groups[min(tops)] = sorted(m for j in tops for m in groups.pop(j, [j]))  # the groups it joins
                 for m in group:
                     link[m] = group[0]
-            self.groups = [self._render(g, sets[ids[g[0]]][0], seen, ids[g[0]]) for g in sorted(groups.values())]
+            self.groups = []
+            for group in sorted(groups.values()):  # a copy of the members per id value, up to COPIES
+                src = _Source(reads := sets[ids[group[0]]][0], seen, ids[group[0]])
+                copies = min(COPIES, 1 << sum(literal_width_bits(s.width_expr) or 0 for s in src.ids))
+                run = src.loop(",".join([src.member(bodies[i], len(group) * copies == 1) for i in group]), copies)
+                compared = [c if len(c := src.compared.get(s.name, ())) == reads[s.name] else None for s in src.ids]
+                self.groups.append((group, run, src.ids, compared))
         self.run = self.groups[0][1]
 
-    def _render(self, group: list[int], reads: dict, seen: dict | None, ids: tuple[Symbolic, ...] | None) -> tuple:
-        """A group's entry of `groups`, its loop holding a copy of its members per id value, up to COPIES."""
-        copies = min(COPIES, math.prod(1 << (literal_width_bits(s.width_expr) or 0) for s in ids)) if ids else 1
-        src = _Source(reads, seen, ids or ())
-        run = src.loop(",".join([src.member(self.bodies[i], len(group) * copies == 1) for i in group]), copies)
-        compared = [c if len(c := src.compared.get(s.name, [])) == reads[s.name] else None for s in ids or ()]
-        return group, run, ids, compared
-
-    def entries(self, names: Sequence[str]) -> tuple[tuple[tuple, ...], tuple[int, ...], tuple[int, ...]]:
-        """The entries of a check, in order, as three columns: each one's id assignment, its body's index, and the
-        index of its verdict in `check`'s result. Made on the first call and kept.
+    def entries(self, names: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple, ...]]:
+        """The entries of a check, in order, as three columns: each one's body's index, the index of its verdict in
+        `check`'s result, and its id assignment. Made on the first call and kept.
 
         `names` names each body's property. An id whose width is not
         literal, or a body whose ids have more than MAX_ID_ASSIGNMENTS
         values together, raises SymbolicWidthError, for the first such body.
-        A monitor of one body made without `for_check` has no entries.
+        It must not be called on a monitor of one body made without
+        `for_check`, which reads its ids as trace columns.
         """
         if self._order is None:
             self._runs, results = [], []  # per group, what `check` runs; per result, (k, body, assignment)
             for group, run, ids, compared in self.groups:  # all of a group's members read the same ids
-                bits = [literal_width_bits(symb.width_expr) for symb in ids]
+                bits, id_names = [literal_width_bits(symb.width_expr) for symb in ids], [symb.name for symb in ids]
                 if None in bits:
                     symb = ids[bits.index(None)]
                     raise SymbolicWidthError(f"symbolic id '{symb.name}' has no literal width: '{symb.width_expr}'")
@@ -545,13 +537,11 @@ class Monitor:
                     named = ", ".join(f"'{symb.name}' of {b} bits" for symb, b in zip(ids, bits))
                     raise SymbolicWidthError(f"property '{names[group[0]]}' reads symbolic ids {named}: {values} "
                                              f"values to check, more than {MAX_ID_ASSIGNMENTS}")
-                id_names, copies = [symb.name for symb in ids], min(values, COPIES)
-                assignments = [tuple(zip(id_names, v)) for v in itertools.product(*(range(1 << b) for b in bits))]
-                plan = (None, [tuple(v for a in assignments for _, v in a)]) if values <= copies else None  # one run
-                self._runs.append((run, copies, compared, bits, [names[i] for i in group] * copies, plan))
-                results += [(k, i, a) for k, a in enumerate(assignments) for i in group]
-            _, bodies, slots, assigned = zip(*sorted((k, i, s, a) for s, (k, i, a) in enumerate(results)))
-            self._order = assigned, bodies, slots
+                assignments = list(itertools.product(*(range(1 << b) for b in bits)))
+                plan = (None, assignments, [sum(assignments, ())]) if values <= COPIES else None  # all in one run
+                self._runs.append((run, min(values, COPIES), compared, bits, [names[i] for i in group], plan))
+                results += [(k, i, tuple(zip(id_names, a))) for k, a in enumerate(assignments) for i in group]
+            self._order = tuple(zip(*sorted((k, i, s, a) for s, (k, i, a) in enumerate(results))))[1:]
         return self._order
 
     def check(self, trace: Trace, window: int | None) -> list[Verdict]:
@@ -562,37 +552,35 @@ class Monitor:
         """
         traced, n, out, new, repeat = trace.columns, trace.length, [], tuple.__new__, itertools.repeat
         for run, copies, compared, bits, names, plan in self._runs:
-            index, runs = plan or _plan(traced, compared, bits, copies)
-            verdicts = []  # per run, one per copy and member
-            for values in runs:
-                flat = iter(run(traced, n, window, *values) if n else (VACUOUS, None) * len(names))
-                verdicts += map(new, repeat(Verdict), zip(names, flat, flat))  # an outcome and a cycle each
-            shared = index and list(zip(*[iter(verdicts)] * (len(names) // copies)))  # per representative, its members'
-            out += verdicts if index is None else itertools.chain(*map(shared.__getitem__, index))
+            index, reps, runs = plan or _plan(traced, compared, bits, copies)
+            flat = iter(itertools.chain(*map(run, repeat(traced), repeat(n), repeat(window), runs)) if n else
+                        (VACUOUS, None) * len(names) * len(reps))
+            verdicts = list(map(new, repeat(Verdict), zip(names * len(reps), flat, flat)))  # not a padded copy's
+            shared = index and list(zip(*[iter(verdicts)] * len(names)))  # per representative, its members'
+            out += verdicts if index is None else itertools.chain.from_iterable(map(shared.__getitem__, index))
         return out
 
 
-def _plan(columns: Mapping, compared: list, bits: list[int], copies: int) -> tuple[list[int], list[tuple]]:
-    """The runs of an id-reading group over a trace's `columns`: per assignment of its ids, the index of its
-    representative, and per run, its copies' id values, flat, the last run padded with its last copy.
+def _plan(columns: Mapping, compared: list, bits: list[int], copies: int) -> tuple[list[int], list[tuple], list]:
+    """Per assignment of an id-reading group's ids, the index of its representative; each representative's values;
+    and per run of `copies` copies, their values, flat, the last run padded with its last representative: the runs of
+    the group over a trace's `columns`.
 
     An id's representatives are each value below its size that its
     compared columns (`compared`) carry, and the least value they do not
     carry, for every such value; or every value, where its columns are
     None. The representatives of several ids are the product of theirs.
     """
-    index, reps = None, [()]
+    index, reps = [0], [()]
     for cols, size in zip(compared, (1 << b for b in bits)):
         carried = range(size) if cols is None else set().union(*[columns[c] for c in cols if c in columns])
         values = sorted(v for v in carried if v is not None and 0 <= v < size)
-        values += [next((k for k, v in enumerate(values) if k != v), len(values))][:size - len(values)]  # the least
-        at = [len(values) - 1] * size  # per value, its representative's index: the least's, unless it is carried
-        for k, v in enumerate(values):
-            at[v] = k
-        index = at if index is None else [k + j for k in [k * len(values) for k in index] for j in at]
-        reps = [a + (v,) for a in reps for v in values]
-    reps += reps[-1:] * (-len(reps) % copies)
-    return index, [sum(reps[k:k + copies], ()) for k in range(0, len(reps), copies)]
+        # Per value, its representative's index: its own if it is carried, else the least's, appended next.
+        at = list(map({v: k for k, v in enumerate(values)}.get, range(size), itertools.repeat(len(values))))
+        values += [v for v in range(min(size, len(values) + 1)) if v not in carried][:1]  # the least
+        index, reps = [j * len(values) + k for j in index for k in at], [r + (v,) for r in reps for v in values]
+    padded = reps + reps[-1:] * (-len(reps) % copies)
+    return index, reps, [sum(padded[k:k + copies], ()) for k in range(0, len(reps), copies)]
 
 
 def eval_property(p: GeneratedProperty, trace: Trace) -> Verdict:

@@ -752,7 +752,7 @@ def test_an_id_group_runs_once_per_copies_of_its_representatives():
     monitor = tracecheck.Monitor(tuple(p.body for p in props))
     (k, (members, run, *rest)), = [(k, group) for k, group in enumerate(monitor.groups) if group[2]]
     values = []  # per run of the id group, its copies' id values
-    monitor.groups[k] = (members, lambda *args: values.append(args[3:]) or run(*args), *rest)
+    monitor.groups[k] = (members, lambda *args: values.append(args[3]) or run(*args), *rest)
     monitor.entries([p.name for p in props])
     runs = []
     for trace in traces:
@@ -897,7 +897,7 @@ def test_a_body_alone_ends_as_it_does_in_a_group(props, data):
         sizes, width = [1 << literal_width_bits(s.width_expr) for s in ids], 2 * len(members)
         copies = [[data.draw(st.integers(0, size - 1)) for size in sizes]
                   for _ in range(min(tracecheck.COPIES, math.prod(sizes)))]
-        out = run(columns, n, window, *itertools.chain(*copies))
+        out = run(columns, n, window, tuple(itertools.chain(*copies)))
         for c, values in enumerate(copies):
             valued = {**columns, **{s.name: (v,) * n for s, v in zip(ids, values)}}
             assert [out[c * width + 2 * k:c * width + 2 * k + 2] for k in range(len(members))] == [
@@ -993,15 +993,15 @@ def test_model_check_bench_runs_at_tiny_size(tmp_path):
     # The model-check half of the before/after script, with this checkout on both sides so that both packages load.
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(REPO / "bench" / "evaluator.py"), "--src", str(REPO / "src"), "--rounds", "2",
-                    "--max-len", "2", "--traces", "1", "--drive", "10", "--wide", "4", "--id-bits", "2,4",
+                    "--max-len", "2", "--traces", "1", "--drive", "10", "--wide", "4",
                     "--out", str(out)], capture_output=True, text=True, check=True)
     report = json.loads(out.read_text())
-    widths = {f"{fixture}_{bits}bits_{kind}" for fixture in ("noc_buffer", "noc_buffer_buggy") for bits in (2, 4)
-              for kind in ("first_check", "re_check")}
+    widths = {f"{fixture}_{bits}bits_{kind}": bits for fixture in ("noc_buffer", "noc_buffer_buggy")
+              for bits in (2, 4, 6, 8, 10) for kind in ("first_check", "re_check")}
     for side in ("before", "after"):
         assert set(report[side]["models"]) == {"oracle_size", "default_size", "wide", "id_width"}
         for config, checks in report[side]["models"].items():
-            assert set(checks) == {"wide": {"first_check", "re_check"}, "id_width": widths}.get(config,
+            assert set(checks) == {"wide": {"first_check", "re_check"}, "id_width": set(widths)}.get(config,
                                                                                                  set(MODEL_REGISTRY))
             assert all(set(m) == {"median_ms", "q1_ms", "q3_ms", "code_objects", "entries"}
                        for m in checks.values())
@@ -1009,7 +1009,7 @@ def test_model_check_bench_runs_at_tiny_size(tmp_path):
         assert {m["entries"] for m in report[side]["models"]["wide"].values()} == {22 + 12 * 16}
         # 6 traces of 5 properties that read no id, and 4 that read the id, one entry per value.
         assert {name: m["entries"] for name, m in report[side]["models"]["id_width"].items()} == {
-            name: 6 * (5 + 4 * (4 if "_2bits" in name else 16)) for name in widths}
+            name: 6 * (5 + 4 * (1 << bits)) for name, bits in widths.items()}
         # The model draws alone, per model, at both sizes.
         assert {c: set(m) for c, m in report[side]["model_traces"].items()} == {
             c: set(MODEL_REGISTRY) for c in ("oracle_size", "default_size")}
